@@ -1,25 +1,17 @@
 import numpy as np
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "lcsae._kernels",
-                ["src/lcsae/_kernels.pyx"],
-                include_dirs=[np.get_include()],
-                extra_compile_args=["-O3", "-funroll-loops"],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                # the package falls back to the pure-numpy kernels when the
-                # compiled module is unavailable, so a failed build is not fatal
-                optional=True,
-            )
-        ],
-        language_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "lcsae._kernels",
+            ["src/lcsae/_kernels.c"],
+            include_dirs=[np.get_include()],
+            extra_compile_args=["-O3", "-funroll-loops"],
+            define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+            # the package falls back to the pure-numpy kernels when the
+            # compiled module is unavailable, so a failed build is not fatal
+            optional=True,
+        )
+    ],
+)

@@ -1,9 +1,11 @@
-"""Pure-numpy fallback for the hot per-trial kernels.
+"""Pure-numpy twin of the hot per-trial kernels, and the reference for them.
 
 Every network on the hot path has the same shape: one SELU hidden layer
 followed by a logistic output layer, all float64 C-contiguous arrays.
-The compiled extension in ``_kernels.pyx`` implements the same functions
-with identical semantics; this module is used when it is not available.
+The compiled extension built from ``_kernels.c`` implements the same
+functions with identical semantics; this module is used when it is not
+available.  It also holds the package's one definition of each
+activation, and imports nothing from the package.
 """
 
 import numpy as np
@@ -14,17 +16,21 @@ SELU_ALPHA = 1.6732632423543772
 _SELU_LA = SELU_LAMBDA * SELU_ALPHA
 
 
-def _selu(z):
+def selu(z):
+    """Scaled exponential linear unit."""
+    z = np.asarray(z, dtype=float)
     return np.where(z > 0.0, SELU_LAMBDA * z, _SELU_LA * np.expm1(np.minimum(z, 0.0)))
 
 
-def _logistic(z):
+def logistic(z):
+    """Numerically stable standard logistic function; a scalar gives a float."""
+    z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     pos = z >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def forward2(w1, b1, w2, b2, x):
@@ -32,8 +38,8 @@ def forward2(w1, b1, w2, b2, x):
 
     Returns (hidden activations, outputs).
     """
-    a1 = _selu(w1 @ x + b1)
-    y = _logistic(w2 @ a1 + b2)
+    a1 = selu(w1 @ x + b1)
+    y = logistic(w2 @ a1 + b2)
     return a1, y
 
 

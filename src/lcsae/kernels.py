@@ -1,8 +1,11 @@
 """Backend selection for the hot per-trial kernels.
 
-The compiled Cython extension is preferred; the pure-numpy twin is used
-when it is missing.  Set ``LCSAE_KERNELS=python`` (or ``cython``) to force
-a backend; forcing ``cython`` raises if the extension is unavailable.
+The compiled extension ``_kernels``, built from the hand-written C source
+``_kernels.c``, is preferred; the pure-numpy twin ``_kernels_py`` is used
+when it is missing.  The backend name ``"cython"`` is historical: it names
+the compiled extension, which no longer needs Cython.  Set
+``LCSAE_KERNELS=python`` (or ``cython``) to force a backend; forcing
+``cython`` raises if the extension is unavailable.
 """
 
 import os

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-
-SELU_LAMBDA = 1.0507009873554805
-SELU_ALPHA = 1.6732632423543772
+# the activations are defined once, in the numpy twin of the kernels
+from ._kernels_py import SELU_ALPHA, SELU_LAMBDA, logistic, selu  # noqa: F401
 
 # gradient-descent rates live in this range; mutation clamps back into it
 ETA_MIN = 1e-4
@@ -35,26 +34,6 @@ MU_CONNECT = 3
 class Activation(enum.IntEnum):
     SELU = 0
     LOGISTIC = 1
-
-
-def selu(z):
-    """Scaled exponential linear unit."""
-    z = np.asarray(z, dtype=float)
-    neg = SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(z, 0.0))
-    return np.where(z > 0.0, SELU_LAMBDA * z, neg)
-
-
-def logistic(z):
-    """Numerically stable standard logistic function."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[np.logical_not(pos)])
-    out[np.logical_not(pos)] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(eq=False)

@@ -85,10 +85,7 @@ def _train_loop(pop, cfg, ds, rng, fh, target_trial, window):
     while pop.trial < target_trial:
         i = int(rng.integers(0, len(train_idx)))
         x = xs[train_idx[i]]
-        try:
-            res = xcsf.run_trial(pop, x, cfg, rng)
-        except xcsf.CoveringError:
-            raise
+        res = xcsf.run_trial(pop, x, cfg, rng)
         mse_sum += res.mse
         m_sum += res.m_micro
         count += 1

@@ -352,24 +352,10 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
 # ---------------------------------------------------------------------------
 # batched no-update evaluation (validation passes, best-rule search)
 
-def _selu_mat(z):
-    return np.where(z > 0.0, neural.SELU_LAMBDA * z,
-                    neural.SELU_LAMBDA * neural.SELU_ALPHA * np.expm1(np.minimum(z, 0.0)))
-
-
-def _logistic_mat(z):
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[np.logical_not(pos)])
-    out[np.logical_not(pos)] = ez / (1.0 + ez)
-    return out
-
-
 def _net_outputs(net: neural.Network, xs: np.ndarray) -> np.ndarray:
     h, o = net.layers
-    a1 = _selu_mat(xs @ h.weights.T + h.biases)
-    return _logistic_mat(a1 @ o.weights.T + o.biases)
+    a1 = neural.selu(xs @ h.weights.T + h.biases)
+    return neural.logistic(a1 @ o.weights.T + o.biases)
 
 
 def match_counts(pop: Population, xs: np.ndarray, cfg: ExperimentConfig,

@@ -1,11 +1,54 @@
-"""Parity between the compiled kernels and the pure-numpy twin."""
+"""Parity between the compiled kernels and the pure-numpy twin, and the
+argument checks of the compiled kernels.
+
+The compiled module is built here from ``src/lcsae/_kernels.c`` with the
+system C compiler and the flags in ``setup.py``, so the compiled path is
+tested whether or not an extension was installed.
+"""
+
+import importlib.machinery
+import importlib.util
+import pathlib
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
 
 from lcsae import _kernels_py
 
-cy = pytest.importorskip("lcsae._kernels")
+SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lcsae" / "_kernels.c"
+# the flags setup.py builds the extension with
+FLAGS = ["-O3", "-funroll-loops", "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION"]
+
+
+@pytest.fixture(scope="module")
+def build(tmp_path_factory):
+    """Compile the kernel source into a temporary directory; returns the
+    module path and the compiler's diagnostics."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("kernels") / (
+        "_kernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    cmd = [cc, *FLAGS, "-Wall", "-Wextra", "-shared", "-fPIC",
+           "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+           str(SOURCE), "-o", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return out, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def cy(build):
+    """The freshly compiled module, loaded without entering ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("lcsae._kernels", build[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sys.modules.get("lcsae._kernels") is not module
+    return module
 
 
 def _random_net(rng, n_in, h, n_out, mask_p=0.8):
@@ -20,7 +63,14 @@ def _random_net(rng, n_in, h, n_out, mask_p=0.8):
     return w1, b1, mask1, w2, b2, mask2
 
 
-def test_forward_parity():
+def test_source_compiles_without_warnings(build):
+    # -Wall -Wextra; diagnostics from the Python and numpy headers do not count
+    ours = [line for line in build[1].splitlines()
+            if line.startswith(str(SOURCE)) and "warning" in line]
+    assert not ours, build[1]
+
+
+def test_forward_parity(cy):
     rng = np.random.default_rng(0)
     for _ in range(50):
         n_in, h, n_out = rng.integers(1, 9, size=3)
@@ -32,7 +82,7 @@ def test_forward_parity():
         assert y_cy == pytest.approx(y_py, rel=1e-12, abs=1e-15)
 
 
-def test_fused_sgd_parity_over_many_steps():
+def test_fused_sgd_parity_over_many_steps(cy):
     rng = np.random.default_rng(1)
     n_in, h, n_out = 6, 3, 6
     w1, b1, mask1, w2, b2, mask2 = _random_net(rng, n_in, h, n_out)
@@ -60,7 +110,7 @@ def test_fused_sgd_parity_over_many_steps():
     assert np.array_equal(state_cy[0][mask1 == 0], np.zeros(int((mask1 == 0).sum())))
 
 
-def test_match_batch_parity():
+def test_match_batch_parity(cy):
     rng = np.random.default_rng(2)
     conds = []
     for _ in range(64):
@@ -76,7 +126,7 @@ def test_match_batch_parity():
     assert out_py.sum() > 0  # not a degenerate case
 
 
-def test_reinforce_batch_parity():
+def test_reinforce_batch_parity(cy):
     rng = np.random.default_rng(3)
 
     def build(seed):
@@ -104,7 +154,7 @@ def test_reinforce_batch_parity():
                 assert a_cy == pytest.approx(a_py, rel=1e-8, abs=1e-13)
 
 
-def test_backends_are_internally_deterministic():
+def test_backends_are_internally_deterministic(cy):
     rng = np.random.default_rng(4)
     w1, b1, mask1, w2, b2, mask2 = _random_net(rng, 5, 3, 5)
     x = rng.random(5)
@@ -113,3 +163,75 @@ def test_backends_are_internally_deterministic():
         a2, y2 = mod.forward2(w1, b1, w2, b2, x)
         assert np.array_equal(a1, a2)
         assert np.array_equal(y1, y2)
+
+
+# ---------------------------------------------------------------------------
+# argument checks: every one of these inputs used to be read or written out
+# of bounds without an error
+
+
+def _cond(rng, n_in, h=2):
+    w1, b1, _, w2, b2, _ = _random_net(rng, n_in, h, 1)
+    return (w1, b1, w2, b2)
+
+
+def _pred(rng, n, h=3):
+    w1, b1, mask1, w2, b2, mask2 = _random_net(rng, n, h, n)
+    return (w1, b1, mask1, np.zeros_like(w1), np.zeros_like(b1), 0.008,
+            w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006)
+
+
+def test_short_input_is_rejected(cy):
+    rng = np.random.default_rng(5)
+    conds = [_cond(rng, 64) for _ in range(3)]
+    out = np.zeros(3, dtype=np.uint8)
+    with pytest.raises(ValueError, match="w1 has the wrong shape"):
+        cy.match_batch(conds, rng.random(16), 0.5, out)
+    preds = [_pred(rng, 64)]
+    with pytest.raises(ValueError, match="w1 has the wrong shape"):
+        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)))
+
+
+def test_float32_input_is_rejected(cy):
+    rng = np.random.default_rng(6)
+    w1, b1, w2, b2 = _cond(rng, 64)
+    with pytest.raises(TypeError, match="x must be a native float64 array"):
+        cy.forward2(w1, b1, w2, b2, rng.random(64).astype(np.float32))
+
+
+def test_fortran_ordered_weights_are_rejected(cy):
+    rng = np.random.default_rng(7)
+    w1, b1, w2, b2 = _cond(rng, 64, h=4)
+    with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
+        cy.forward2(np.asfortranarray(w1), b1, w2, b2, rng.random(64))
+
+
+def test_short_output_buffer_is_rejected(cy):
+    rng = np.random.default_rng(8)
+    conds = [_cond(rng, 8) for _ in range(3)]
+    out = np.full(1, 7, dtype=np.uint8)
+    with pytest.raises(ValueError, match="out has the wrong shape"):
+        cy.match_batch(conds, rng.random(8), 0.5, out)
+    assert out[0] == 7
+
+
+def test_bad_batches_fail_before_any_update(cy):
+    rng = np.random.default_rng(9)
+    x = rng.random(6)
+    good = _pred(rng, 6)
+    before = [a.copy() for a in good if isinstance(a, np.ndarray)]
+    read_only = np.empty((2, 6))
+    read_only.flags.writeable = False
+    bad_calls = [
+        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], np.empty((2, 6))),
+        (TypeError, "eta2 must be a float", [good, good[:11] + (1,)], np.empty((2, 6))),
+        (ValueError, "ys_out must be writable", [good, good], read_only),
+        (ValueError, "ys_out has the wrong shape", [good, good], np.empty((1, 6))),
+    ]
+    for exc, msg, preds, ys in bad_calls:
+        with pytest.raises(exc, match=msg):
+            cy.reinforce_batch(preds, x, 0.9, ys)
+    after = [a for a in good if isinstance(a, np.ndarray)]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    with pytest.raises(TypeError, match="must be list"):
+        cy.match_batch(tuple(good[:1]), x, 0.5, np.empty(1, dtype=np.uint8))
