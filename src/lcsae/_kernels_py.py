@@ -25,11 +25,11 @@ def selu(z):
 def logistic(z):
     """Numerically stable standard logistic function; a scalar gives a float."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
+    # exp(-z) for z >= 0 and exp(z) below never overflows; unlike -|z|,
+    # the argument keeps the sign of a NaN input
     pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.where(pos, -z, z))
+    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,6 +9,7 @@ any inconsistency raises before state is handed out.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -49,17 +50,27 @@ class _ArrayBlock:
                         for a in self.arrays)
 
 
+_DTYPES = {"<f8": np.dtype("<f8"), "|u1": np.dtype("|u1")}
+
+# what a header that parses as JSON but has the wrong keys, types or
+# values raises while it is read
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
+
+
 class _ArrayReader:
     def __init__(self, manifest, payload: bytes):
         self.entries = []
         offset = 0
         for entry in manifest:
-            dtype = np.dtype(entry["dtype"])
+            dtype = _DTYPES.get(entry["dtype"])
+            if dtype is None:
+                raise CheckpointError(f"unsupported array dtype {entry['dtype']!r}")
             shape = tuple(entry["shape"])
-            size = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-            count = int(np.prod(shape, dtype=np.int64))
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise CheckpointError(f"bad array shape {entry['shape']!r}")
+            count = math.prod(shape)
             self.entries.append((offset, dtype, shape, count))
-            offset += size
+            offset += dtype.itemsize * count
         if offset != len(payload):
             raise CheckpointError(
                 f"payload is {len(payload)} bytes, manifest expects {offset}")
@@ -83,7 +94,7 @@ def _layer_meta(layer: neural.Layer, block: _ArrayBlock) -> dict:
 
 def _layer_from_meta(meta: dict, reader: _ArrayReader) -> neural.Layer:
     idx = meta["arrays"]
-    return neural.Layer(
+    layer = neural.Layer(
         weights=reader.get(idx[0]),
         biases=reader.get(idx[1]),
         mask=reader.get(idx[2]),
@@ -93,6 +104,29 @@ def _layer_from_meta(meta: dict, reader: _ArrayReader) -> neural.Layer:
         mom_w=reader.get(idx[4]),
         mom_b=reader.get(idx[5]),
     )
+    _check_layer(layer)
+    return layer
+
+
+def _check_layer(layer: neural.Layer) -> None:
+    """The compiled kernels index every array by the weight shape, so a
+    layer whose arrays do not fit together must never be handed out."""
+    w = layer.weights
+    expected = (
+        ("weights", w, np.float64, w.shape),
+        ("mask", layer.mask, np.uint8, w.shape),
+        ("mom_w", layer.mom_w, np.float64, w.shape),
+        ("biases", layer.biases, np.float64, w.shape[:1]),
+        ("mom_b", layer.mom_b, np.float64, w.shape[:1]),
+        ("mu", layer.mu, np.float64, (4,)),
+    )
+    if w.ndim != 2:
+        raise CheckpointError(f"layer weights must be 2-D, got shape {w.shape}")
+    for name, arr, dtype, shape in expected:
+        if arr.dtype != dtype or arr.shape != shape:
+            raise CheckpointError(
+                f"layer {name} is {arr.dtype}{list(arr.shape)}, "
+                f"expected {np.dtype(dtype)}{list(shape)}")
 
 
 def _network_meta(net: neural.Network, block: _ArrayBlock) -> dict:
@@ -135,11 +169,25 @@ def network_to_bytes(net: neural.Network) -> bytes:
 
 def network_from_bytes(data: bytes) -> neural.Network:
     header, payload = _unpack(NETWORK_MAGIC, data)
-    reader = _ArrayReader(header["arrays"], payload)
-    return _network_from_meta(header["network"], reader)
+    try:
+        reader = _ArrayReader(header["arrays"], payload)
+        return _network_from_meta(header["network"], reader)
+    except _MALFORMED as exc:
+        raise CheckpointError(f"malformed network: {exc!r}") from exc
 
 
 _CL_SCALARS = ("err", "fit", "num", "exp", "set_size", "ts", "born", "mtotal")
+
+
+def _check_widths(cl: xcsf.Classifier, n: int) -> None:
+    """Every rule reads and reconstructs inputs of one width, and its
+    condition has a single output."""
+    widths = (cl.condition.n_inputs, cl.condition.n_outputs,
+              cl.prediction.n_inputs, cl.prediction.n_outputs)
+    if widths != (n, 1, n, n):
+        raise CheckpointError(
+            f"classifier nets map {widths[0]}->{widths[1]} and "
+            f"{widths[2]}->{widths[3]}, expected {n}->1 and {n}->{n}")
 
 
 def population_to_bytes(pop: xcsf.Population, cfg, rng,
@@ -168,6 +216,13 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
 def population_from_bytes(data: bytes):
     """Returns (population, config, rng, window)."""
     header, payload = _unpack(POPULATION_MAGIC, data)
+    try:
+        return _population_from_header(header, payload)
+    except _MALFORMED as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
+
+
+def _population_from_header(header: dict, payload: bytes):
     reader = _ArrayReader(header["arrays"], payload)
     members = []
     for meta in header["classifiers"]:
@@ -180,6 +235,8 @@ def population_from_bytes(data: bytes):
             born=int(meta["born"]), mtotal=int(meta["mtotal"]),
         )
         members.append(cl)
+    for cl in members:
+        _check_widths(cl, members[0].prediction.n_inputs)
     pop = xcsf.Population(members=members, trial=int(header["trial"]))
     cfg = config_from_dict(header["config"])
     bg = np.random.PCG64()

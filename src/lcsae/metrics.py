@@ -112,6 +112,12 @@ def population_stats(pop: xcsf.Population, xs: np.ndarray,
     rates are averaged over all four layers of both networks.
     """
     members = pop.members
+    if not members:
+        # an empty population (P_init off, before the first cover)
+        return {"mfrac": 0.0, "C_h": 0.0, "P_h": 0.0, "C_w": 0.0, "P_w": 0.0,
+                "C_w_total": 0, "P_w_total": 0, "macro_count": 0,
+                "mean_mu_w": 0.0, "mean_mu_h": 0.0, "mean_mu_eta": 0.0,
+                "mean_mu_c": 0.0}
     nums = np.array([cl.num for cl in members], dtype=float)
     w = nums / nums.sum()
 

@@ -41,6 +41,15 @@ def prepare_dataset(cfg: ExperimentConfig) -> data.Dataset:
     return data.split(ds, cfg.split_ratio, derived_rng(cfg.seed, STREAM_SPLIT))
 
 
+def _check_width(pop: xcsf.Population, ds: data.Dataset) -> None:
+    """A checkpoint's rules only read inputs of the width they were
+    trained on."""
+    if pop.members and pop.members[0].prediction.n_inputs != ds.n:
+        raise data.DataError(
+            f"dataset has {ds.n} features but the checkpoint's rules take "
+            f"{pop.members[0].prediction.n_inputs}")
+
+
 def _emit(fh, cfg, pop, ds, train_mse, m_size):
     stats = metrics.population_stats(pop, ds.features, cfg)
     valid_mse, _ = xcsf.evaluate(pop, ds.valid(), cfg)
@@ -134,6 +143,7 @@ def resume_experiment(ckpt_path, extra_trials: int, out_dir=None) -> str:
     # resumed checkpoint is identical to the one from an unsplit run
     cfg.trials = pop.trial + extra_trials
     ds = prepare_dataset(cfg)
+    _check_width(pop, ds)
     if out_dir is None:
         out_dir = os.path.dirname(os.path.abspath(ckpt_path))
     os.makedirs(out_dir, exist_ok=True)
@@ -197,8 +207,11 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
     inputs only; errors are always measured against the clean originals.
     """
     pop, cfg, _ = checkpoint.load_population(ckpt_path)[:3]
+    if not pop.members:
+        raise checkpoint.CheckpointError("checkpoint holds no classifiers")
     cfg.dataset = str(dataset_path)
     ds = prepare_dataset(cfg)
+    _check_width(pop, ds)
     valid = ds.valid()
     if valid.shape[0] == 0:
         raise data.DataError("validation split is empty; nothing to reconstruct")

@@ -178,24 +178,28 @@ def reinforce(m: list, x, cfg: ExperimentConfig) -> np.ndarray:
     estimate, and one momentum-SGD step on the prediction net with the
     input as target.  Conditions receive no gradient descent.  Returns the
     pre-update reconstructions, one row per classifier.
+
+    The bookkeeping runs as elementwise array operations over the whole
+    match set, in the order of the per-rule XCS update, so every result is
+    the same double as a rule-by-rule loop.  Accuracy alone stays scalar:
+    vector ``np.power`` may differ from libm ``pow`` in the last bit.
     """
-    m_micro = sum(cl.num for cl in m)
-    n = len(x)
-    ys = np.empty((len(m), n))
+    ys = np.empty((len(m), len(x)))
     kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys)
 
-    kappas = np.empty(len(m))
-    for i, cl in enumerate(m):
+    state = np.array([(cl.err, cl.fit, cl.num, cl.set_size) for cl in m])
+    err, fit, num, set_size = state.T
+    m_micro = sum(cl.num for cl in m)
+    err = err + cfg.beta * (np.mean((ys - x) ** 2, axis=1) - err)
+    kappas = [accuracy(e, cfg) for e in err.tolist()]
+    fit = fit + cfg.beta * (relative_accuracies(kappas, num) - fit)
+    fit = np.maximum(fit, _F_FLOOR)
+    set_size = set_size + cfg.beta * (m_micro - set_size)
+    for cl, e, f, s in zip(m, err.tolist(), fit.tolist(), set_size.tolist()):
         cl.exp += 1
-        err_inst = float(np.mean((ys[i] - x) ** 2))
-        cl.err += cfg.beta * (err_inst - cl.err)
-        kappas[i] = accuracy(cl.err, cfg)
-        cl.set_size += cfg.beta * (m_micro - cl.set_size)
-    rel = relative_accuracies(kappas, [cl.num for cl in m])
-    for i, cl in enumerate(m):
-        cl.fit += cfg.beta * (rel[i] - cl.fit)
-        if cl.fit < _F_FLOOR:
-            cl.fit = _F_FLOOR
+        cl.err = e
+        cl.fit = f
+        cl.set_size = s
     return ys
 
 
@@ -376,11 +380,14 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
 
     Returns (mean MSE, mean micro match-set size).  Rows matched by nothing
     fall back to the fitness-weighted prediction of the whole population
-    and count a match-set size of zero.
+    and count a match-set size of zero; an empty population predicts
+    nothing, so its error is NaN.
     """
     rows = xs.shape[0]
     if rows == 0:
         return float("nan"), float("nan")
+    if not pop.members:
+        return float("nan"), 0.0
     acc = np.zeros_like(xs)
     fsum = np.zeros(rows)
     msize = np.zeros(rows)

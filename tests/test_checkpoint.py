@@ -112,3 +112,61 @@ def test_corrupted_checkpoint_never_loads_partially(tmp_path):
 
     with pytest.raises(CheckpointError):
         load_population(tmp_path / "missing.ckpt")
+
+
+@pytest.mark.parametrize("dtype", ["zz9", "<i8"])
+def test_unknown_array_dtype_is_a_checkpoint_error(dtype):
+    pop, rng = _sample_population()
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    # same length, so the header length and payload offsets still agree
+    bad = blob.replace(b'"|u1"', f'"{dtype}"'.encode())
+    assert bad != blob
+    with pytest.raises(CheckpointError, match="dtype"):
+        population_from_bytes(bad)
+
+
+def _three_biases(layer):
+    layer.biases = np.zeros(3)
+
+
+def _float_mask(layer):
+    layer.mask = layer.mask.astype(float)
+
+
+def _transposed_momentum(layer):
+    layer.mom_w = np.zeros(layer.weights.shape[::-1])
+
+
+def _short_mu(layer):
+    layer.mu = layer.mu[:3].copy()
+
+
+@pytest.mark.parametrize("corrupt", [_three_biases, _float_mask,
+                                     _transposed_momentum, _short_mu])
+def test_layer_arrays_that_do_not_fit_never_load(corrupt):
+    pop, rng = _sample_population()
+    # the output layer of a 6-output prediction net
+    corrupt(pop.members[2].prediction.layers[1])
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    with pytest.raises(CheckpointError, match="layer"):
+        population_from_bytes(blob)
+
+
+def test_rules_of_another_width_never_load():
+    pop, rng = _sample_population(n=6)
+    pop.members.append(make_classifier(n=5, seed=40))
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    with pytest.raises(CheckpointError, match="expected 6->1"):
+        population_from_bytes(blob)
+
+
+@pytest.mark.parametrize("old,new", [(b'"classifiers"', b'"classifierz"'),
+                                     (b'"activation":0', b'"activation":7'),
+                                     (b'"PCG64"', b'"PCG65"')])
+def test_header_with_wrong_keys_or_types_never_loads(old, new):
+    pop, rng = _sample_population()
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    bad = blob.replace(old, new, 1)
+    assert bad != blob
+    with pytest.raises(CheckpointError):
+        population_from_bytes(bad)

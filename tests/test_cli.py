@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_csv
-from lcsae import metrics
+from lcsae import cli, metrics
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
             split_ratio=0.9, seed=11)
@@ -185,3 +185,38 @@ def test_reconstruct_without_image_shape_reports_then_errors(tmp_path, dataset):
     proc = run_cli("reconstruct", str(out / "population.ckpt"), dataset,
                    "--no-images", "--outdir", str(rec_out))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dataset_of_another_width_exits_2(tmp_path, dataset, capsys):
+    out = tmp_path / "w8"
+    cfg = _config(tmp_path, dataset, name="w8.cfg", trials=50)
+    assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    ckpt = str(out / "population.ckpt")
+    wide = write_csv(tmp_path / "wide.csv", np.full((20, 16), 0.5))
+    assert cli.main(["reconstruct", ckpt, wide, "--no-images",
+                     "--outdir", str(tmp_path / "rec")]) == 2
+    assert "16 features" in capsys.readouterr().err
+    # resume reads the dataset named in the checkpoint's config again
+    changing = write_csv(tmp_path / "changing.csv", np.full((20, 16), 0.5))
+    cfg2 = _config(tmp_path, changing, name="w16.cfg", trials=50)
+    assert cli.main(["run", cfg2, "--outdir", str(tmp_path / "w16")]) == 0
+    write_csv(changing, np.full((20, 8), 0.5))
+    assert cli.main(["resume", str(tmp_path / "w16" / "population.ckpt"),
+                     "--trials", "10"]) == 2
+
+
+def test_run_without_initial_population_completes(tmp_path, dataset):
+    out = tmp_path / "empty"
+    cfg = _config(tmp_path, dataset, name="empty.cfg", P_init=False)
+    assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    rows = metrics.read_metrics(out / "metrics.csv")
+    assert [cp.trial for cp in rows] == [0, 50, 100, 150, 200]
+    # nothing to predict with before the first cover
+    assert np.isnan(rows[0].train_mse) and np.isnan(rows[0].valid_mse)
+    assert rows[0].macro_count == 0 and rows[0].M_size == 0.0
+    assert all(cp.macro_count > 0 for cp in rows[1:])
+    # a checkpoint that still holds no rules has nothing to reconstruct with
+    cfg0 = _config(tmp_path, dataset, name="empty0.cfg", P_init=False, trials=0)
+    assert cli.main(["run", cfg0, "--outdir", str(tmp_path / "empty0")]) == 0
+    assert cli.main(["reconstruct", str(tmp_path / "empty0" / "population.ckpt"),
+                     dataset, "--no-images", "--outdir", str(tmp_path / "rec0")]) == 2

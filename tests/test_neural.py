@@ -30,6 +30,38 @@ def test_logistic_worked_values():
     assert neural.logistic(50.0) == pytest.approx(1.0, abs=1e-12)
     z = np.linspace(-30, 30, 101)
     assert neural.logistic(z) + neural.logistic(-z) == pytest.approx(1.0, abs=1e-12)
+    # the tails and the special values, without overflow warnings
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert neural.logistic(-0.0) == 0.5
+        assert neural.logistic(math.inf) == 1.0
+        assert neural.logistic(-math.inf) == 0.0
+        assert neural.logistic(800.0) == 1.0
+        assert neural.logistic(-800.0) == 0.0
+        assert math.isnan(neural.logistic(math.nan))
+        out = neural.logistic(np.array([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                        800.0, -800.0]))
+    assert np.array_equal(out, [0.5, 0.5, 1.0, 0.0, math.nan, 1.0, 0.0], equal_nan=True)
+
+
+def _logistic_by_masks(z):
+    # reference: each sign branch evaluated on its own subset
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_logistic_equals_the_masked_branches_bit_for_bit():
+    rng = np.random.default_rng(3)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 800.0, -800.0]
+    for scale in (1.0, 10.0, 40.0, 800.0):
+        z = rng.standard_normal((100, 64)) * scale
+        z.flat[:len(specials)] = specials
+        assert neural.logistic(z).tobytes() == _logistic_by_masks(z).tobytes()
+        assert neural.logistic(z.T).tobytes() == _logistic_by_masks(z.T).tobytes()
 
 
 def _zeroed_network(n_in, hidden, n_out):

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import (always_match_condition, make_classifier,
                       never_match_condition, saturated_network)
-from lcsae import neural, xcsf
+from lcsae import kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
 
@@ -159,6 +161,60 @@ def test_reinforce_updates_fitness_toward_relative_accuracy(cfg):
     xcsf.reinforce([good, bad], np.full(3, 0.5), cfg)
     assert good.fit > bad.fit
     assert 0.0 < bad.fit <= 1.0
+
+
+def _reinforce_per_rule(m, x, cfg):
+    """Reference: the rule-by-rule bookkeeping loop that the match-set
+    array update replaced."""
+    m_micro = sum(cl.num for cl in m)
+    ys = np.empty((len(m), len(x)))
+    kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys)
+    kappas = np.empty(len(m))
+    for i, cl in enumerate(m):
+        cl.exp += 1
+        err_inst = float(np.mean((ys[i] - x) ** 2))
+        cl.err += cfg.beta * (err_inst - cl.err)
+        kappas[i] = xcsf.accuracy(cl.err, cfg)
+        cl.set_size += cfg.beta * (m_micro - cl.set_size)
+    rel = xcsf.relative_accuracies(kappas, [cl.num for cl in m])
+    for i, cl in enumerate(m):
+        cl.fit += cfg.beta * (rel[i] - cl.fit)
+        if cl.fit < xcsf._F_FLOOR:
+            cl.fit = xcsf._F_FLOOR
+    return ys
+
+
+@pytest.mark.parametrize("nu", [10.0, 200.0])
+def test_reinforce_equals_the_per_rule_loop_bit_for_bit(nu):
+    # nu=200 drives the accuracy of an error near 1 to exactly zero, so the
+    # fitness of the wrong rule decays onto the floor
+    cfg = ExperimentConfig(nu=nu)
+    pattern = np.array([1.0, 0.0] * 4)
+    right = make_classifier(n=8, prediction=saturated_network(8, pattern), num=2)
+    wrong = make_classifier(n=8, prediction=saturated_network(8, 1.0 - pattern),
+                            err=1.0, fit=1e-295)
+    learners = [make_classifier(n=8, seed=s, num=num, err=0.05 * s)
+                for s, num in ((1, 1), (2, 3), (3, 1))]
+    fast = [right, wrong] + learners
+    slow = copy.deepcopy(fast)
+    rng = np.random.default_rng(29)
+    below = above = floored = 0
+    for step in range(200):
+        # mostly the pattern the right rule reconstructs exactly
+        x = rng.random(8) if step % 25 == 0 else pattern
+        ys_fast = xcsf.reinforce(fast, x, cfg)
+        ys_slow = _reinforce_per_rule(slow, x, cfg)
+        assert np.array_equal(ys_fast, ys_slow)
+        for a, b in zip(fast, slow):
+            assert (a.exp, a.err, a.fit, a.set_size) == (b.exp, b.err, b.fit, b.set_size)
+            for la, lb in zip(a.prediction.layers, b.prediction.layers):
+                assert np.array_equal(la.weights, lb.weights)
+                assert np.array_equal(la.biases, lb.biases)
+        below += sum(cl.err < cfg.epsilon0 for cl in fast)
+        above += sum(cl.err >= cfg.epsilon0 for cl in fast)
+        floored += sum(cl.fit == xcsf._F_FLOOR for cl in fast)
+    assert below and above
+    assert floored or nu < 200.0
 
 
 def test_maybe_run_ea_respects_theta(cfg):
