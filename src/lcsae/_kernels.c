@@ -1,6 +1,10 @@
 /*
- * Compiled hot-path kernels: forward pass, fused momentum-SGD step, and
- * population-level matching/reinforcement loops.
+ * Compiled hot-path kernels.  Three entry points:
+ *
+ *     forward2         one network's forward pass;
+ *     match_batch      every condition net of the population on one input;
+ *     reinforce_batch  one fused momentum-SGD step toward the input for
+ *                      every prediction net of a match set.
  *
  * A hand-written CPython extension with the functions, signatures and
  * semantics of the numpy twin ``_kernels_py``.  Every network is one SELU
@@ -77,11 +81,12 @@ forward(const net_t *p, npy_intp n_in, const double *x, double *a1, double *y)
     }
 }
 
-/* `a1` and `e1` are scratch of length h; `y` receives the pre-update
- * outputs. */
+/* One momentum-SGD step on the MSE toward the input `x` itself, so
+ * n_out == n_in.  `a1` and `e1` are scratch of length h; `y` receives the
+ * pre-update outputs. */
 static void
 fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
-          const double *target, double *a1, double *e1, double *y)
+          double *a1, double *e1, double *y)
 {
     double *w1 = p->w1, *b1 = p->b1, *mw1 = p->mw1, *mb1 = p->mb1;
     double *w2 = p->w2, *b2 = p->b2, *mw2 = p->mw2, *mb2 = p->mb2;
@@ -96,7 +101,7 @@ fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
     for (j = 0; j < h; j++)
         e1[j] = 0.0;
     for (i = 0; i < n_out; i++) {
-        g = 2.0 / (double)n_out * (y[i] - target[i]) * y[i] * (1.0 - y[i]);
+        g = 2.0 / (double)n_out * (y[i] - x[i]) * y[i] * (1.0 - y[i]);
         for (j = 0; j < h; j++) {
             e1[j] += g * w2[i * h + j];
             dw = (-eta2 * g * a1[j] + omega * mw2[i * h + j]) * (double)mask2[i * h + j];
@@ -250,37 +255,6 @@ py_forward2(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-py_fused_sgd2(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
-{
-    static char *kw[] = {"w1", "b1", "mask1", "mw1", "mb1", "eta1",
-                         "w2", "b2", "mask2", "mw2", "mb2", "eta2",
-                         "omega", "x", "target", "y_out", NULL};
-    PyObject *v[12], *xo, *to, *yo;
-    const double *x, *target;
-    double omega, *y, *scratch;
-    npy_intp n;
-    net_t p;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOOOOOOdOOO:fused_sgd2", kw,
-                                     &v[0], &v[1], &v[2], &v[3], &v[4], &v[5],
-                                     &v[6], &v[7], &v[8], &v[9], &v[10], &v[11],
-                                     &omega, &xo, &to, &yo))
-        return NULL;
-    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0)))
-        return NULL;
-    n = PyArray_DIM((PyArrayObject *)xo, 0);
-    if (check_net(v, 1, n, -1, &p) < 0
-        || !(target = array_data(to, "target", NPY_DOUBLE, p.n_out, -1, 0))
-        || !(y = array_data(yo, "y_out", NPY_DOUBLE, p.n_out, -1, 1)))
-        return NULL;
-    if (!(scratch = PyMem_New(double, 2 * p.h)))
-        return PyErr_NoMemory();
-    fused_sgd(&p, omega, n, x, target, scratch, scratch + p.h, y);
-    PyMem_Free(scratch);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 py_match_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kw[] = {"conds", "x", "threshold", "out", NULL};
@@ -331,7 +305,7 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0)))
         return NULL;
     n = PyArray_DIM((PyArrayObject *)xo, 0);
-    /* the target is x itself, so every net reconstructs n outputs */
+    /* every net reconstructs its n inputs */
     if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n, 1))
         || !(nets = check_nets(preds, 12, n, n, &width)))
         return NULL;
@@ -340,7 +314,7 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         return PyErr_NoMemory();
     }
     for (i = 0; i < m; i++)
-        fused_sgd(&nets[i], omega, n, x, x, scratch, scratch + width, ys + i * n);
+        fused_sgd(&nets[i], omega, n, x, scratch, scratch + width, ys + i * n);
     PyMem_Free(scratch);
     PyMem_Free(nets);
     Py_RETURN_NONE;
@@ -353,19 +327,14 @@ static PyMethodDef methods[] = {
     KW_METHOD("forward2", py_forward2,
               "forward2(w1, b1, w2, b2, x)\n--\n\n"
               "Hidden SELU + logistic output forward pass; returns (a1, y)."),
-    KW_METHOD("fused_sgd2", py_fused_sgd2,
-              "fused_sgd2(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2,"
-              " eta2, omega, x, target, y_out)\n--\n\n"
-              "One forward pass plus one momentum-SGD step on the MSE loss;\n"
-              "the pre-update outputs are written into ``y_out``."),
     KW_METHOD("match_batch", py_match_batch,
               "match_batch(conds, x, threshold, out)\n--\n\n"
               "Set ``out[i]`` to 1 where condition i's first output exceeds\n"
               "``threshold``, else 0."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
               "reinforce_batch(preds, x, omega, ys_out)\n--\n\n"
-              "Run ``fused_sgd2`` with target ``x`` on every net of ``preds``;\n"
-              "row i of ``ys_out`` receives net i's pre-update output."),
+              "One momentum-SGD step on the MSE toward ``x`` for every net of\n"
+              "``preds``; row i of ``ys_out`` receives net i's pre-update output."),
     {NULL, NULL, 0, NULL},
 };
 

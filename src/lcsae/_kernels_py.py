@@ -43,10 +43,10 @@ def forward2(w1, b1, w2, b2, x):
     return a1, y
 
 
-def fused_sgd2(w1, b1, mask1, mw1, mb1, eta1,
+def _fused_sgd(w1, b1, mask1, mw1, mb1, eta1,
                w2, b2, mask2, mw2, mb2, eta2,
-               omega, x, target, y_out):
-    """One forward pass plus one momentum-SGD step on the MSE loss.
+               omega, x, y_out):
+    """One forward pass plus one momentum-SGD step on the MSE toward ``x``.
 
     The pre-update outputs are written into ``y_out``.  Masked weights are
     excluded: their value, gradient, and momentum stay exactly zero.
@@ -55,7 +55,7 @@ def fused_sgd2(w1, b1, mask1, mw1, mb1, eta1,
     a1, y = forward2(w1, b1, w2, b2, x)
     y_out[:] = y
 
-    d2 = (2.0 / n_out) * (y - target) * y * (1.0 - y)
+    d2 = (2.0 / n_out) * (y - x) * y * (1.0 - y)
     e1 = w2.T @ d2
 
     dw2 = -eta2 * np.outer(d2, a1) + omega * mw2
@@ -90,15 +90,12 @@ def match_batch(conds, x, threshold, out):
 
 
 def reinforce_batch(preds, x, omega, ys_out):
-    """Run ``fused_sgd2`` with target ``x`` over a whole match set.
+    """One momentum-SGD step on the MSE toward ``x`` for every net of a
+    match set.
 
     ``preds`` holds (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2,
     mb2, eta2) tuples; row i of ``ys_out`` receives classifier i's
     pre-update reconstruction.
     """
     for i, args in enumerate(preds):
-        (w1, b1, mask1, mw1, mb1, eta1,
-         w2, b2, mask2, mw2, mb2, eta2) = args
-        fused_sgd2(w1, b1, mask1, mw1, mb1, eta1,
-                   w2, b2, mask2, mw2, mb2, eta2,
-                   omega, x, x, ys_out[i])
+        _fused_sgd(*args, omega, x, ys_out[i])

@@ -1,4 +1,4 @@
-"""Versioned binary serialization for networks and population checkpoints.
+"""Versioned binary serialization of population checkpoints.
 
 Layout: magic, u64 header length, JSON header, then raw little-endian
 array payload in header order.  The JSON is emitted with sorted keys so
@@ -18,7 +18,6 @@ import numpy as np
 from . import neural, xcsf
 from .config import config_from_dict, config_to_dict
 
-NETWORK_MAGIC = b"LCSAENT1"
 POPULATION_MAGIC = b"LCSAECK1"
 VERSION = 1
 
@@ -82,9 +81,11 @@ class _ArrayReader:
         return np.ascontiguousarray(arr.astype(dtype.newbyteorder("="), copy=True).reshape(shape))
 
 
-def _layer_meta(layer: neural.Layer, block: _ArrayBlock) -> dict:
+def _layer_meta(layer: neural.Layer, i: int, block: _ArrayBlock) -> dict:
+    # "activation" is kept in the format: it is the layer's index, because
+    # every net is a SELU hidden layer (0) and a logistic output layer (1)
     return {
-        "activation": int(layer.activation),
+        "activation": i,
         "eta": layer.eta,
         "arrays": [block.add(layer.weights), block.add(layer.biases),
                    block.add(layer.mask), block.add(layer.mu),
@@ -92,57 +93,38 @@ def _layer_meta(layer: neural.Layer, block: _ArrayBlock) -> dict:
     }
 
 
-def _layer_from_meta(meta: dict, reader: _ArrayReader) -> neural.Layer:
+def _layer_from_meta(meta: dict, i: int, reader: _ArrayReader) -> neural.Layer:
+    activation = meta["activation"]
+    if type(activation) is not int or activation != i:
+        raise CheckpointError(f"layer {i} has activation {activation!r}, expected {i}")
     idx = meta["arrays"]
-    layer = neural.Layer(
+    return neural.Layer(
         weights=reader.get(idx[0]),
         biases=reader.get(idx[1]),
         mask=reader.get(idx[2]),
-        activation=neural.Activation(meta["activation"]),
         eta=float(meta["eta"]),
         mu=reader.get(idx[3]),
         mom_w=reader.get(idx[4]),
         mom_b=reader.get(idx[5]),
     )
-    _check_layer(layer)
-    return layer
-
-
-def _check_layer(layer: neural.Layer) -> None:
-    """The compiled kernels index every array by the weight shape, so a
-    layer whose arrays do not fit together must never be handed out."""
-    w = layer.weights
-    expected = (
-        ("weights", w, np.float64, w.shape),
-        ("mask", layer.mask, np.uint8, w.shape),
-        ("mom_w", layer.mom_w, np.float64, w.shape),
-        ("biases", layer.biases, np.float64, w.shape[:1]),
-        ("mom_b", layer.mom_b, np.float64, w.shape[:1]),
-        ("mu", layer.mu, np.float64, (4,)),
-    )
-    if w.ndim != 2:
-        raise CheckpointError(f"layer weights must be 2-D, got shape {w.shape}")
-    for name, arr, dtype, shape in expected:
-        if arr.dtype != dtype or arr.shape != shape:
-            raise CheckpointError(
-                f"layer {name} is {arr.dtype}{list(arr.shape)}, "
-                f"expected {np.dtype(dtype)}{list(shape)}")
 
 
 def _network_meta(net: neural.Network, block: _ArrayBlock) -> dict:
-    return {"layers": [_layer_meta(layer, block) for layer in net.layers]}
+    return {"layers": [_layer_meta(layer, i, block) for i, layer in enumerate(net.layers)]}
 
 
 def _network_from_meta(meta: dict, reader: _ArrayReader) -> neural.Network:
-    return neural.Network([_layer_from_meta(m, reader) for m in meta["layers"]])
+    return neural.Network([_layer_from_meta(m, i, reader)
+                           for i, m in enumerate(meta["layers"])])
 
 
-def _pack(magic: bytes, header: dict, payload: bytes) -> bytes:
+def _pack(header: dict, payload: bytes) -> bytes:
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return magic + struct.pack("<Q", len(blob)) + blob + payload
+    return POPULATION_MAGIC + struct.pack("<Q", len(blob)) + blob + payload
 
 
-def _unpack(magic: bytes, data: bytes):
+def _unpack(data: bytes):
+    magic = POPULATION_MAGIC
     if len(data) < len(magic) + 8:
         raise CheckpointError("file too short")
     if data[:len(magic)] != magic:
@@ -158,22 +140,6 @@ def _unpack(magic: bytes, data: bytes):
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')}")
     return header, data[start + hlen:]
-
-
-def network_to_bytes(net: neural.Network) -> bytes:
-    block = _ArrayBlock()
-    meta = _network_meta(net, block)
-    header = {"version": VERSION, "network": meta, "arrays": block.manifest}
-    return _pack(NETWORK_MAGIC, header, block.payload())
-
-
-def network_from_bytes(data: bytes) -> neural.Network:
-    header, payload = _unpack(NETWORK_MAGIC, data)
-    try:
-        reader = _ArrayReader(header["arrays"], payload)
-        return _network_from_meta(header["network"], reader)
-    except _MALFORMED as exc:
-        raise CheckpointError(f"malformed network: {exc!r}") from exc
 
 
 _CL_SCALARS = ("err", "fit", "num", "exp", "set_size", "ts", "born", "mtotal")
@@ -210,12 +176,12 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
         "classifiers": classifiers,
         "arrays": block.manifest,
     }
-    return _pack(POPULATION_MAGIC, header, block.payload())
+    return _pack(header, block.payload())
 
 
 def population_from_bytes(data: bytes):
     """Returns (population, config, rng, window)."""
-    header, payload = _unpack(POPULATION_MAGIC, data)
+    header, payload = _unpack(data)
     try:
         return _population_from_header(header, payload)
     except _MALFORMED as exc:

@@ -87,18 +87,10 @@ def _parse_opt_shape(s):
     return parts
 
 
-_PARSERS = {
-    "N": int, "P_init": _parse_bool, "epsilon0": float, "beta": float,
-    "alpha": float, "nu": float, "delta": float, "theta_del": int,
-    "F_I": float, "epsilon_I": float, "F_R": float, "epsilon_R": float,
-    "theta_EA": int, "lam": int, "chi": float, "mu_min": float,
-    "omega": float, "h_I": int, "h_M": int,
-    "h_max": _parse_opt_int, "connection_mutation": _parse_bool,
-    "mode": str, "stale_limit": int, "match_threshold": float,
-    "seed": int, "trials": int, "checkpoint_interval": int,
-    "dataset": str, "dataset_format": str, "has_label_column": _parse_bool,
-    "split_ratio": float, "image_shape": _parse_opt_shape,
-}
+# config-file text parser per field annotation (the annotations are strings)
+_PARSERS = {"bool": _parse_bool, "float": float, "int": int,
+            "int | None": _parse_opt_int, "str": str, "tuple | None": _parse_opt_shape}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -119,7 +111,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[name] = _PARSERS[name](value)
+            values[name] = _FIELD_PARSERS[name](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     cfg = ExperimentConfig(**values)

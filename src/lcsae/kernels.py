@@ -1,5 +1,10 @@
 """Backend selection for the hot per-trial kernels.
 
+Three entry points: ``forward2`` (one network's forward pass),
+``match_batch`` (every condition net on one input) and ``reinforce_batch``
+(one momentum-SGD step toward the input for every prediction net of a
+match set).
+
 The compiled extension ``_kernels``, built from the hand-written C source
 ``_kernels.c``, is preferred; the pure-numpy twin ``_kernels_py`` is used
 when it is missing.  The backend name ``"cython"`` is historical: it names
@@ -31,6 +36,5 @@ else:
         BACKEND = "python"
 
 forward2 = _impl.forward2
-fused_sgd2 = _impl.fused_sgd2
 match_batch = _impl.match_batch
 reinforce_batch = _impl.reinforce_batch

@@ -4,12 +4,12 @@ Every network is one SELU hidden layer plus one logistic output layer.
 Each layer carries, besides weights and biases, a binary connection mask,
 its own gradient-descent rate, and a vector of four self-adaptive mutation
 rates controlling weight noise, neuron growth, rate noise, and connection
-flips.  Gradient descent is plain SGD with momentum on the MSE loss.
+flips.  Gradient descent (plain SGD with momentum on the MSE loss) runs in
+the kernels, over a whole match set at a time.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +30,8 @@ MU_NEURON = 1
 MU_ETA = 2
 MU_CONNECT = 3
 
-
-class Activation(enum.IntEnum):
-    SELU = 0
-    LOGISTIC = 1
+_F8 = np.dtype(np.float64)
+_U1 = np.dtype(np.uint8)
 
 
 @dataclass(eq=False)
@@ -43,11 +41,28 @@ class Layer:
     weights: np.ndarray  # [n_out, n_in]
     biases: np.ndarray  # [n_out]
     mask: np.ndarray  # [n_out, n_in] uint8, 1 = connection active
-    activation: Activation
     eta: float
     mu: np.ndarray  # [4]
     mom_w: np.ndarray  # previous weight deltas
     mom_b: np.ndarray  # previous bias deltas
+
+    def __post_init__(self):
+        # the compiled kernels index every array by the weight shape without
+        # bounds checks, so a layer whose arrays do not fit is never built
+        w = self.weights
+        if w.ndim != 2:
+            raise ValueError(f"layer weights must be 2-D, got shape {w.shape}")
+        for name, arr, dtype, shape in (("weights", w, _F8, w.shape),
+                                        ("mask", self.mask, _U1, w.shape),
+                                        ("mom_w", self.mom_w, _F8, w.shape),
+                                        ("biases", self.biases, _F8, w.shape[:1]),
+                                        ("mom_b", self.mom_b, _F8, w.shape[:1]),
+                                        ("mu", self.mu, _F8, (4,))):
+            if arr.dtype != dtype or arr.shape != shape:
+                raise ValueError(f"layer {name} is {arr.dtype}{list(arr.shape)}, "
+                                 f"expected {dtype}{list(shape)}")
+            if not arr.flags.c_contiguous:
+                raise ValueError(f"layer {name} is not C-contiguous")
 
     @property
     def n_in(self) -> int:
@@ -66,7 +81,6 @@ class Layer:
             weights=self.weights.copy(),
             biases=self.biases.copy(),
             mask=self.mask.copy(),
-            activation=self.activation,
             eta=self.eta,
             mu=self.mu.copy(),
             mom_w=np.zeros_like(self.weights),
@@ -84,8 +98,6 @@ class Network:
         if len(self.layers) != 2:
             raise ValueError("network must have exactly one hidden and one output layer")
         hidden, out = self.layers
-        if hidden.activation != Activation.SELU or out.activation != Activation.LOGISTIC:
-            raise ValueError("hidden layer must be SELU and output layer logistic")
         if hidden.n_out != out.n_in:
             raise ValueError("layer dimensions are incompatible")
 
@@ -102,7 +114,7 @@ class Network:
         return self.layers[0].n_out
 
 
-def new_layer(n_in, n_out, activation, rng, *, sigma=INIT_SIGMA,
+def new_layer(n_in, n_out, rng, *, sigma=INIT_SIGMA,
               random_biases=False, mu_min=1e-4) -> Layer:
     """Fresh fully-connected layer.
 
@@ -121,7 +133,6 @@ def new_layer(n_in, n_out, activation, rng, *, sigma=INIT_SIGMA,
         weights=weights,
         biases=biases,
         mask=np.ones((n_out, n_in), dtype=np.uint8),
-        activation=activation,
         eta=eta,
         mu=mu,
         mom_w=np.zeros((n_out, n_in)),
@@ -131,10 +142,10 @@ def new_layer(n_in, n_out, activation, rng, *, sigma=INIT_SIGMA,
 
 def new_network(n_inputs, n_hidden, n_outputs, rng, *, sigma=INIT_SIGMA,
                 random_biases=False, mu_min=1e-4) -> Network:
-    hidden = new_layer(n_inputs, n_hidden, Activation.SELU, rng,
-                       sigma=sigma, random_biases=random_biases, mu_min=mu_min)
-    out = new_layer(n_hidden, n_outputs, Activation.LOGISTIC, rng,
-                    sigma=sigma, random_biases=random_biases, mu_min=mu_min)
+    hidden = new_layer(n_inputs, n_hidden, rng, sigma=sigma,
+                       random_biases=random_biases, mu_min=mu_min)
+    out = new_layer(n_hidden, n_outputs, rng, sigma=sigma,
+                    random_biases=random_biases, mu_min=mu_min)
     return Network([hidden, out])
 
 
@@ -144,7 +155,7 @@ def clone(net: Network) -> Network:
 
 
 def pred_args(net: Network) -> tuple:
-    """Kernel argument tuple for the fused SGD step."""
+    """Kernel argument tuple for the reinforcement step."""
     h, o = net.layers
     return (h.weights, h.biases, h.mask, h.mom_w, h.mom_b, h.eta,
             o.weights, o.biases, o.mask, o.mom_w, o.mom_b, o.eta)
@@ -156,49 +167,13 @@ def cond_args(net: Network) -> tuple:
     return (h.weights, h.biases, o.weights, o.biases)
 
 
-def _as_vector(x, n, what):
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"{what} has shape {x.shape}, expected ({n},)")
-    return x
-
-
 def forward(net: Network, x) -> np.ndarray:
     """Activations of the output layer for input ``x``."""
-    x = _as_vector(x, net.n_inputs, "input")
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape != (net.n_inputs,):
+        raise ValueError(f"input has shape {x.shape}, expected ({net.n_inputs},)")
     _, y = kernels.forward2(*cond_args(net), x)
     return y
-
-
-def sgd_update(net: Network, x, target, omega: float) -> np.ndarray:
-    """One momentum-SGD step on the MSE between forward(net, x) and target.
-
-    Updates weights, biases, and momentum buffers in place; masked-off
-    weights are untouched.  Returns the pre-update outputs.
-    """
-    x = _as_vector(x, net.n_inputs, "input")
-    target = _as_vector(target, net.n_outputs, "target")
-    y = np.empty(net.n_outputs)
-    kernels.fused_sgd2(*pred_args(net), omega, x, target, y)
-    return y
-
-
-def gradients(net: Network, x, target):
-    """MSE gradients for every weight and bias, via the update kernel.
-
-    Runs one momentum-free unit-rate step on a throwaway copy and reads the
-    deltas back, so the values are exactly what the kernel applies.
-    Returns [(dW, db), ...] per layer; masked entries are exactly zero.
-    """
-    probe = clone(net)
-    before = [(l.weights.copy(), l.biases.copy()) for l in probe.layers]
-    for layer in probe.layers:
-        layer.eta = 1.0
-    sgd_update(probe, x, target, omega=0.0)
-    grads = []
-    for (w0, b0), layer in zip(before, probe.layers):
-        grads.append((w0 - layer.weights, b0 - layer.biases))
-    return grads
 
 
 def self_adapt(layer: Layer, rng, mu_min: float) -> None:

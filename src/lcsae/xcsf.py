@@ -92,13 +92,15 @@ def _random_classifier(cfg, n_features, rng, trial) -> Classifier:
                       set_size=1.0, ts=trial, born=trial, mtotal=0)
 
 
-def matches(cl: Classifier, x, cfg: ExperimentConfig) -> bool:
-    """Condition output above the match threshold (always true in
-    global_ea mode)."""
+def match_set(pop: Population, x, cfg: ExperimentConfig) -> list:
+    """Members whose condition output for ``x`` exceeds the match
+    threshold (every member in global_ea mode)."""
     if cfg.global_ea:
-        return True
-    y = neural.forward(cl.condition, x)
-    return y[0] > cfg.match_threshold
+        return list(pop.members)
+    flags = np.empty(len(pop.members), dtype=np.uint8)
+    kernels.match_batch([cl.cond_args for cl in pop.members], x,
+                        cfg.match_threshold, flags)
+    return [cl for cl, f in zip(pop.members, flags) if f]
 
 
 def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> list:
@@ -107,17 +109,11 @@ def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> list:
     Every member of the returned set has its matched-input counter
     incremented.
     """
-    if cfg.global_ea:
-        m = list(pop.members)
-    else:
-        flags = np.empty(len(pop.members), dtype=np.uint8)
-        kernels.match_batch([cl.cond_args for cl in pop.members], x,
-                            cfg.match_threshold, flags)
-        m = [cl for cl, f in zip(pop.members, flags) if f]
-        if not m:
-            cl = cover(x, cfg, rng, pop.trial)
-            pop.members.append(cl)
-            m = [cl]
+    m = match_set(pop, x, cfg)
+    if not m:
+        cl = cover(x, cfg, rng, pop.trial)
+        pop.members.append(cl)
+        m = [cl]
     for cl in m:
         cl.mtotal += 1
     return m
@@ -362,17 +358,9 @@ def _net_outputs(net: neural.Network, xs: np.ndarray) -> np.ndarray:
     return neural.logistic(a1 @ o.weights.T + o.biases)
 
 
-def match_counts(pop: Population, xs: np.ndarray, cfg: ExperimentConfig,
-                 members=None) -> np.ndarray:
-    """Number of rows of ``xs`` matched by each classifier."""
-    members = pop.members if members is None else members
-    if cfg.global_ea:
-        return np.full(len(members), xs.shape[0])
-    counts = np.empty(len(members), dtype=int)
-    for i, cl in enumerate(members):
-        y = _net_outputs(cl.condition, xs)
-        counts[i] = int((y[:, 0] > cfg.match_threshold).sum())
-    return counts
+def _matched_rows(cl: Classifier, xs: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Boolean mask of the rows of ``xs`` that ``cl`` matches (xcsf mode)."""
+    return _net_outputs(cl.condition, xs)[:, 0] > cfg.match_threshold
 
 
 def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
@@ -396,7 +384,7 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
             sel = slice(None)
             xs_sel = xs
         else:
-            matched = _net_outputs(cl.condition, xs)[:, 0] > cfg.match_threshold
+            matched = _matched_rows(cl, xs, cfg)
             if not matched.any():
                 continue
             sel = matched
@@ -426,16 +414,7 @@ def reconstruct_one(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
     Falls back to the whole population when nothing matches.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    if cfg.global_ea:
-        m = pop.members
-    else:
-        flags = np.empty(len(pop.members), dtype=np.uint8)
-        kernels.match_batch([cl.cond_args for cl in pop.members], x,
-                            cfg.match_threshold, flags)
-        m = [cl for cl, f in zip(pop.members, flags) if f]
-        if not m:
-            m = pop.members
-    return system_prediction(m, x)
+    return system_prediction(match_set(pop, x, cfg) or pop.members, x)
 
 
 def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
@@ -444,13 +423,15 @@ def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     The rule with the lowest error wins unless several are below the target
     error, in which case the one matching the most inputs wins.
     """
-    below = [cl for cl in pop.members if cl.err < cfg.epsilon0]
     rows = xs.shape[0]
+
+    def count(cl):
+        return rows if cfg.global_ea else int(_matched_rows(cl, xs, cfg).sum())
+
+    below = [cl for cl in pop.members if cl.err < cfg.epsilon0]
     if not below:
         best = min(pop.members, key=lambda cl: cl.err)
-        count = match_counts(pop, xs, cfg, members=[best])[0]
-        return best, count / rows
-    counts = match_counts(pop, xs, cfg, members=below)
-    order = sorted(range(len(below)), key=lambda i: (-counts[i], below[i].err))
-    i = order[0]
+        return best, count(best) / rows
+    counts = [count(cl) for cl in below]
+    i = min(range(len(below)), key=lambda i: (-counts[i], below[i].err))
     return below[i], counts[i] / rows

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_classifier
-from lcsae import checkpoint, neural, xcsf
+from lcsae import kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
-                              network_from_bytes, network_to_bytes,
                               population_from_bytes, population_to_bytes,
                               save_population)
 from lcsae.config import ExperimentConfig, derived_rng
@@ -18,31 +17,38 @@ def _assert_layers_bit_equal(a, b):
     assert np.array_equal(a.mom_w, b.mom_w)
     assert np.array_equal(a.mom_b, b.mom_b)
     assert a.eta == b.eta
-    assert a.activation == b.activation
 
 
-def test_network_bytes_round_trip_bit_exact():
+def test_trained_masked_rule_round_trips_bit_exact():
     rng = np.random.default_rng(0)
-    net = neural.new_network(5, 3, 5, rng)
-    neural.sgd_update(net, rng.random(5), rng.random(5), omega=0.9)
+    cl = make_classifier(n=5, h=3, seed=0)
+    net = cl.prediction
+    kernels.reinforce_batch([cl.pred_args], rng.random(5), 0.9, np.empty((1, 5)))
     net.layers[0].mask[0, 2] = 0
     net.layers[0].weights[0, 2] = 0.0
-    again = network_from_bytes(network_to_bytes(net))
+    pop = xcsf.Population([cl], trial=1)
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    again = population_from_bytes(blob)[0].members[0].prediction
     for a, b in zip(net.layers, again.layers):
         _assert_layers_bit_equal(a, b)
+    assert np.any(net.layers[0].mom_w != 0.0)  # the momentum survived too
     x = rng.random(5)
     assert np.array_equal(neural.forward(net, x), neural.forward(again, x))
     # serialization is deterministic
-    assert network_to_bytes(net) == network_to_bytes(again)
+    again_pop = population_from_bytes(blob)[0]
+    assert population_to_bytes(again_pop, ExperimentConfig(), rng) == \
+        population_to_bytes(pop, ExperimentConfig(), rng)
 
 
-def test_network_bytes_rejects_garbage():
-    with pytest.raises(CheckpointError):
-        network_from_bytes(b"not a network")
-    rng = np.random.default_rng(1)
-    blob = network_to_bytes(neural.new_network(3, 2, 3, rng))
-    with pytest.raises(CheckpointError):
-        network_from_bytes(blob[:-9])
+def test_population_bytes_rejects_garbage():
+    with pytest.raises(CheckpointError, match="too short"):
+        population_from_bytes(b"not a")
+    with pytest.raises(CheckpointError, match="bad magic"):
+        population_from_bytes(b"not a checkpoint")
+    pop, rng = _sample_population()
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    with pytest.raises(CheckpointError, match="payload"):
+        population_from_bytes(blob[:-9])
 
 
 def _sample_population(seed=2, n=6, members=5):
@@ -169,4 +175,14 @@ def test_header_with_wrong_keys_or_types_never_loads(old, new):
     bad = blob.replace(old, new, 1)
     assert bad != blob
     with pytest.raises(CheckpointError):
+        population_from_bytes(bad)
+
+
+def test_checkpoint_claiming_a_logistic_hidden_layer_never_loads():
+    pop, rng = _sample_population()
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    # the first layer in the header is the first rule's condition hidden layer
+    bad = blob.replace(b'"activation":0', b'"activation":1', 1)
+    assert bad != blob
+    with pytest.raises(CheckpointError, match="layer 0 has activation 1, expected 0"):
         population_from_bytes(bad)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -220,3 +221,37 @@ def test_run_without_initial_population_completes(tmp_path, dataset):
     assert cli.main(["run", cfg0, "--outdir", str(tmp_path / "empty0")]) == 0
     assert cli.main(["reconstruct", str(tmp_path / "empty0" / "population.ckpt"),
                      dataset, "--no-images", "--outdir", str(tmp_path / "rec0")]) == 2
+
+
+def test_global_ea_without_initial_population_completes(tmp_path, dataset):
+    out = tmp_path / "empty_global"
+    cfg = _config(tmp_path, dataset, name="empty_global.cfg", mode="global_ea",
+                  P_init=False, N=20, trials=10, checkpoint_interval=5)
+    assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    rows = metrics.read_metrics(out / "metrics.csv")
+    assert [cp.trial for cp in rows] == [0, 5, 10]
+    assert rows[0].macro_count == 0 and rows[-1].macro_count > 0
+
+
+def test_resume_on_changed_dataset_exits_2(tmp_path, dataset, capsys):
+    data = tmp_path / "moving.csv"
+    shutil.copyfile(dataset, data)
+    out = tmp_path / "moving"
+    cfg = _config(tmp_path, str(data), name="moving.cfg", trials=20, checkpoint_interval=10)
+    assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    ckpt = str(out / "population.ckpt")
+    # same width, different rows
+    write_csv(data, np.random.default_rng(3).random((120, 8)))
+    assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
+    assert "differs from the one the run was trained on" in capsys.readouterr().err
+    # an unchanged dataset with a different backend in the manifest
+    shutil.copyfile(dataset, data)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["kernel_backend"] = "elsewhere"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
+    assert "'elsewhere' kernel backend" in capsys.readouterr().err
+    # a checkpoint without its run's manifest
+    (out / "manifest.json").unlink()
+    assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
+    assert "manifest" in capsys.readouterr().err

@@ -80,6 +80,11 @@ def test_config_dict_round_trip():
     assert again == cfg
 
 
+def test_every_default_field_parses_back_from_its_file_form():
+    text = "".join(f"{key}={value}\n" for key, value in config_to_dict(ExperimentConfig()).items())
+    assert parse_config(text) == ExperimentConfig()
+
+
 def test_derived_rng_streams_are_independent_and_stable():
     a1 = derived_rng(7, 0).random(4)
     a2 = derived_rng(7, 0).random(4)

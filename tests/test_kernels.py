@@ -17,7 +17,7 @@ import sysconfig
 import numpy as np
 import pytest
 
-from lcsae import _kernels_py
+from lcsae import _kernels_py, kernels
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lcsae" / "_kernels.c"
 # the flags setup.py builds the extension with
@@ -82,26 +82,24 @@ def test_forward_parity(cy):
         assert y_cy == pytest.approx(y_py, rel=1e-12, abs=1e-15)
 
 
-def test_fused_sgd_parity_over_many_steps(cy):
+def test_single_net_reinforce_parity_over_many_steps(cy):
     rng = np.random.default_rng(1)
-    n_in, h, n_out = 6, 3, 6
-    w1, b1, mask1, w2, b2, mask2 = _random_net(rng, n_in, h, n_out)
+    n, h = 6, 3
+    w1, b1, mask1, w2, b2, mask2 = _random_net(rng, n, h, n)
     state_py = [w1.copy(), b1.copy(), np.zeros_like(w1), np.zeros_like(b1),
                 w2.copy(), b2.copy(), np.zeros_like(w2), np.zeros_like(b2)]
     state_cy = [a.copy() for a in state_py]
-    eta1, eta2, omega = 0.008, 0.005, 0.9
-    y_py = np.empty(n_out)
-    y_cy = np.empty(n_out)
+
+    def net(s):
+        return [(s[0], s[1], mask1, s[2], s[3], 0.008,
+                 s[4], s[5], mask2, s[6], s[7], 0.005)]
+
+    y_py = np.empty((1, n))
+    y_cy = np.empty((1, n))
     for _ in range(200):
-        x = rng.random(n_in)
-        _kernels_py.fused_sgd2(state_py[0], state_py[1], mask1, state_py[2],
-                               state_py[3], eta1, state_py[4], state_py[5],
-                               mask2, state_py[6], state_py[7], eta2,
-                               omega, x, x, y_py)
-        cy.fused_sgd2(state_cy[0], state_cy[1], mask1, state_cy[2],
-                      state_cy[3], eta1, state_cy[4], state_cy[5],
-                      mask2, state_cy[6], state_cy[7], eta2,
-                      omega, x, x, y_cy)
+        x = rng.random(n)
+        _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py)
+        cy.reinforce_batch(net(state_cy), x, 0.9, y_cy)
         assert y_cy == pytest.approx(y_py, rel=1e-10, abs=1e-14)
     for a_py, a_cy in zip(state_py, state_cy):
         assert a_cy == pytest.approx(a_py, rel=1e-9, abs=1e-14)
@@ -152,6 +150,19 @@ def test_reinforce_batch_parity(cy):
         for a_py, a_cy in zip(t_py, t_cy):
             if isinstance(a_py, np.ndarray) and a_py.dtype == np.float64:
                 assert a_cy == pytest.approx(a_py, rel=1e-8, abs=1e-13)
+
+
+def _public_functions(module):
+    return {name for name in dir(module)
+            if not name.startswith("_") and callable(getattr(module, name))}
+
+
+def test_backends_export_the_same_kernels(cy):
+    expected = {"forward2", "match_batch", "reinforce_batch"}
+    assert _public_functions(cy) == expected
+    # the twin also holds the package's activations
+    assert _public_functions(_kernels_py) - {"selu", "logistic"} == expected
+    assert _public_functions(kernels) == expected
 
 
 def test_backends_are_internally_deterministic(cy):

@@ -3,12 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from lcsae import neural
-from lcsae.neural import (ETA_MAX, ETA_MIN, SELU_ALPHA, SELU_LAMBDA,
-                          Activation, clone, forward, gradients,
-                          mutate_connections, mutate_eta, mutate_neurons,
-                          mutate_weights, new_layer, new_network,
-                          self_adapt, sgd_update)
+from lcsae import kernels, neural
+from lcsae.neural import (ETA_MAX, ETA_MIN, SELU_ALPHA, SELU_LAMBDA, Layer,
+                          clone, forward, mutate_connections, mutate_eta,
+                          mutate_neurons, mutate_weights, new_layer,
+                          new_network, self_adapt)
+
+
+def sgd_step(net, x, omega):
+    """One reinforcement step of the autoencoder ``net`` alone, toward its
+    input ``x``, through the kernel the learner uses; returns the
+    pre-update output."""
+    ys = np.empty((1, net.n_outputs))
+    kernels.reinforce_batch([neural.pred_args(net)], np.asarray(x, dtype=float),
+                            omega, ys)
+    return ys[0]
+
+
+def gradients(net, x):
+    """MSE gradients toward ``x`` for every weight and bias, read back from
+    one momentum-free unit-rate step on a copy, so the values are exactly
+    what the kernel applies.  Returns [(dW, db), ...] per layer."""
+    probe = clone(net)
+    before = [(l.weights.copy(), l.biases.copy()) for l in probe.layers]
+    for layer in probe.layers:
+        layer.eta = 1.0
+    sgd_step(probe, x, omega=0.0)
+    return [(w0 - l.weights, b0 - l.biases) for (w0, b0), l in zip(before, probe.layers)]
 
 
 def test_selu_worked_values():
@@ -111,13 +132,13 @@ def test_sgd_zero_rates_is_identity():
     for layer in net.layers:
         layer.eta = 0.0
     snapshot = [(l.weights.copy(), l.biases.copy()) for l in net.layers]
-    sgd_update(net, [0.2, 0.4, 0.8], [0.1, 0.9, 0.5], omega=0.0)
+    sgd_step(net, [0.2, 0.4, 0.8], omega=0.0)
     for (w0, b0), layer in zip(snapshot, net.layers):
         assert np.array_equal(w0, layer.weights)
         assert np.array_equal(b0, layer.biases)
 
 
-def _finite_diff(net, x, target, eps=1e-6):
+def _finite_diff(net, x, eps=1e-6):
     """Central-difference oracle over the active weights and all biases.
 
     Masked connections are not parameters of the function, so they are
@@ -125,7 +146,7 @@ def _finite_diff(net, x, target, eps=1e-6):
     """
     def loss():
         y = forward(net, x)
-        return float(np.mean((y - np.asarray(target)) ** 2))
+        return float(np.mean((y - np.asarray(x)) ** 2))
 
     out = []
     for layer in net.layers:
@@ -161,9 +182,9 @@ def test_gradient_matches_finite_differences_single_weight():
     net = _zeroed_network(1, 1, 1)
     net.layers[0].weights[:] = [[0.7]]
     net.layers[1].weights[:] = [[-0.4]]
-    x, target = [0.6], [0.9]
-    analytic = gradients(net, x, target)
-    fd = _finite_diff(net, x, target)
+    x = [0.6]
+    analytic = gradients(net, x)
+    fd = _finite_diff(net, x)
     for (gw, gb), (fw, fb) in zip(analytic, fd):
         assert _max_rel_err(gw, fw) < 1e-4
         assert _max_rel_err(gb, fb) < 1e-4
@@ -176,16 +197,14 @@ def test_gradient_oracle_random_nets_with_masks():
     for _ in range(20):
         n_in = int(rng.integers(1, 6))
         h = int(rng.integers(1, 4))
-        n_out = int(rng.integers(1, 4))
-        net = new_network(n_in, h, n_out, rng)
+        net = new_network(n_in, h, n_in, rng)
         for layer in net.layers:
             layer.mask = (rng.random(layer.mask.shape) < 0.7).astype(np.uint8)
             layer.weights *= layer.mask
             layer.biases[:] = rng.uniform(-0.3, 0.3, layer.n_out)
         x = rng.uniform(0.05, 0.95, n_in)
-        target = rng.uniform(0.05, 0.95, n_out)
-        analytic = gradients(net, x, target)
-        fd = _finite_diff(net, x, target)
+        analytic = gradients(net, x)
+        fd = _finite_diff(net, x)
         for (gw, gb), (fw, fb), layer in zip(analytic, fd, net.layers):
             assert np.array_equal(gw[layer.mask == 0], np.zeros(int((layer.mask == 0).sum())))
             assert _max_rel_err(gw, fw) < 1e-4
@@ -196,26 +215,50 @@ def test_sgd_momentum_carries_previous_delta():
     rng = np.random.default_rng(3)
     net = new_network(2, 2, 2, rng)
     omega = 0.9
-    x, target = np.array([0.3, 0.8]), np.array([0.9, 0.2])
+    x = np.array([0.3, 0.8])
 
     w_before = [l.weights.copy() for l in net.layers]
-    sgd_update(net, x, target, omega=omega)
+    sgd_step(net, x, omega=omega)
     delta1 = [l.weights - w0 for l, w0 in zip(net.layers, w_before)]
     # the buffer holds the applied delta (w += dw rounds, hence the tolerance)
     for layer, d1 in zip(net.layers, delta1):
         assert layer.mom_w == pytest.approx(d1, rel=1e-9)
 
-    grads2 = gradients(net, x, target)
+    grads2 = gradients(net, x)
     w_mid = [l.weights.copy() for l in net.layers]
-    sgd_update(net, x, target, omega=omega)
+    sgd_step(net, x, omega=omega)
     for layer, w1, d1, (gw, _) in zip(net.layers, w_mid, delta1, grads2):
         expected = -layer.eta * gw + omega * d1
         assert layer.weights - w1 == pytest.approx(expected, abs=1e-12)
 
 
+def _layer_arrays(n_in=3, n_out=2):
+    return dict(weights=np.zeros((n_out, n_in)), biases=np.zeros(n_out),
+                mask=np.ones((n_out, n_in), dtype=np.uint8), eta=0.005,
+                mu=np.full(4, 0.1), mom_w=np.zeros((n_out, n_in)),
+                mom_b=np.zeros(n_out))
+
+
+def test_layer_rejects_arrays_of_the_wrong_shape():
+    arrays = _layer_arrays()
+    assert Layer(**arrays).n_in == 3
+    with pytest.raises(ValueError, match=r"layer mom_w is float64\[3, 2\], "
+                                         r"expected float64\[2, 3\]"):
+        Layer(**{**arrays, "mom_w": np.zeros((3, 2))})
+    with pytest.raises(ValueError, match="layer weights must be 2-D"):
+        Layer(**{**arrays, "weights": np.zeros(6)})
+
+
+def test_layer_rejects_fortran_ordered_arrays():
+    arrays = _layer_arrays()
+    weights = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ValueError, match="layer weights is not C-contiguous"):
+        Layer(**{**arrays, "weights": weights})
+
+
 def test_init_weight_distribution_and_zero_biases():
     rng = np.random.default_rng(4)
-    layer = new_layer(250, 400, Activation.SELU, rng, sigma=0.1)
+    layer = new_layer(250, 400, rng, sigma=0.1)
     draws = layer.weights.ravel()
     assert draws.size == 100000
     assert abs(draws.std() - 0.1) < 0.002  # within 2%
@@ -253,7 +296,7 @@ class StubRng:
 
 def test_self_adapt_clamps():
     rng = np.random.default_rng(5)
-    layer = new_layer(2, 2, Activation.SELU, rng)
+    layer = new_layer(2, 2, rng)
     layer.mu[:] = 1e-4
     self_adapt(layer, StubRng(normals=[np.full(4, -2.0)]), mu_min=1e-4)
     assert np.array_equal(layer.mu, np.full(4, 1e-4))
@@ -266,7 +309,7 @@ def test_self_adapt_lognormal_statistics():
     rng = np.random.default_rng(6)
     ratios = []
     for _ in range(20000):
-        layer = new_layer(1, 1, Activation.SELU, rng)
+        layer = new_layer(1, 1, rng)
         layer.mu[:] = 0.01  # far from both clamps, so draws pass through
         before = layer.mu.copy()
         self_adapt(layer, rng, mu_min=1e-4)
@@ -278,7 +321,7 @@ def test_self_adapt_lognormal_statistics():
 
 def test_mutate_weights_respects_mask_and_scale():
     rng = np.random.default_rng(8)
-    layer = new_layer(100, 100, Activation.SELU, rng)
+    layer = new_layer(100, 100, rng)
     layer.mask[0, :] = 0
     layer.weights[0, :] = 0.0
     layer.mu[0] = 0.5
@@ -291,7 +334,7 @@ def test_mutate_weights_respects_mask_and_scale():
 
 def test_mutate_weights_minimum_rate_is_tiny():
     rng = np.random.default_rng(9)
-    layer = new_layer(100, 100, Activation.SELU, rng)
+    layer = new_layer(100, 100, rng)
     layer.mu[0] = 1e-4
     before = layer.weights.copy()
     mutate_weights(layer, rng)
@@ -300,7 +343,7 @@ def test_mutate_weights_minimum_rate_is_tiny():
 
 def test_mutate_eta_clamps_and_scale():
     rng = np.random.default_rng(10)
-    layer = new_layer(2, 2, Activation.SELU, rng)
+    layer = new_layer(2, 2, rng)
     layer.eta = ETA_MIN
     layer.mu[2] = 0.5
     mutate_eta(layer, StubRng(normals=[-1.0]))
@@ -322,7 +365,7 @@ def test_mutate_eta_clamps_and_scale():
 
 def test_mutate_connections_zero_rate_is_identity():
     rng = np.random.default_rng(11)
-    layer = new_layer(6, 6, Activation.SELU, rng)
+    layer = new_layer(6, 6, rng)
     layer.mu[3] = 0.0
     mask_before = layer.mask.copy()
     weights_before = layer.weights.copy()
@@ -333,7 +376,7 @@ def test_mutate_connections_zero_rate_is_identity():
 
 def test_mutate_connections_disable_zeroes_weight():
     rng = np.random.default_rng(12)
-    layer = new_layer(5, 5, Activation.SELU, rng)
+    layer = new_layer(5, 5, rng)
     layer.mu[3] = 1.0  # flip everything
     mutate_connections(layer, rng)  # fully connected -> fully disabled
     assert np.array_equal(layer.mask, np.zeros_like(layer.mask))
@@ -347,7 +390,7 @@ def test_mutate_connections_disable_zeroes_weight():
 
 def test_mutate_connections_flip_statistics():
     rng = np.random.default_rng(13)
-    layer = new_layer(400, 250, Activation.SELU, rng)
+    layer = new_layer(400, 250, rng)
     layer.mu[3] = 0.5
     before = layer.mask.copy()
     mutate_connections(layer, rng)
@@ -415,12 +458,12 @@ def test_mutate_neurons_new_connections_random_when_enabled():
 def test_clone_isolation_and_momentum_reset():
     rng = np.random.default_rng(17)
     net = new_network(3, 2, 3, rng)
-    sgd_update(net, [0.1, 0.5, 0.9], [0.9, 0.1, 0.5], omega=0.9)
+    sgd_step(net, [0.1, 0.5, 0.9], omega=0.9)
     snapshot = [(l.weights.copy(), l.biases.copy(), l.mom_w.copy()) for l in net.layers]
     twin = clone(net)
     for layer in twin.layers:
         assert np.array_equal(layer.mom_w, np.zeros_like(layer.mom_w))
-    sgd_update(twin, [0.1, 0.5, 0.9], [0.9, 0.1, 0.5], omega=0.9)
+    sgd_step(twin, [0.1, 0.5, 0.9], omega=0.9)
     for (w0, b0, m0), layer in zip(snapshot, net.layers):
         assert np.array_equal(w0, layer.weights)
         assert np.array_equal(b0, layer.biases)
@@ -446,7 +489,7 @@ def test_operator_sequences_keep_invariants():
         if op == 4:
             mutate_neurons(net, rng, h_M=2, h_max=h_max, connection_mutation=True)
         elif op == 5:
-            sgd_update(net, rng.random(5), rng.random(5), omega=0.9)
+            sgd_step(net, rng.random(5), omega=0.9)
         assert 1 <= net.n_hidden <= h_max
         for layer in net.layers:
             off = layer.mask == 0

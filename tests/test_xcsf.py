@@ -9,26 +9,49 @@ from lcsae import kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
 
+def matches(cl, x, cfg):
+    return xcsf.match_set(xcsf.Population([cl]), np.asarray(x, dtype=float), cfg) == [cl]
+
+
 def test_matches_zero_condition_is_not_a_match(cfg):
     cl = make_classifier(n=4)
     for layer in cl.condition.layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
     # logistic(0) = 0.5 and matching needs strictly more
-    assert not xcsf.matches(cl, np.zeros(4), cfg)
+    assert not matches(cl, np.zeros(4), cfg)
 
 
 def test_matches_saturated_condition_always_matches(cfg):
     cl = make_classifier(n=4, condition=always_match_condition(4))
     rng = np.random.default_rng(0)
     for _ in range(10):
-        assert xcsf.matches(cl, rng.random(4), cfg)
+        assert matches(cl, rng.random(4), cfg)
 
 
 def test_matches_global_ea_mode_matches_everything():
     cfg = ExperimentConfig(mode="global_ea")
     cl = make_classifier(n=4, condition=never_match_condition(4))
-    assert xcsf.matches(cl, np.zeros(4), cfg)
+    assert matches(cl, np.zeros(4), cfg)
+
+
+def test_match_set_keeps_population_order_and_leaves_counters(cfg):
+    pop = xcsf.Population([make_classifier(n=4, condition=always_match_condition(4)),
+                           make_classifier(n=4, condition=never_match_condition(4)),
+                           make_classifier(n=4, condition=always_match_condition(4))])
+    assert xcsf.match_set(pop, np.zeros(4), cfg) == [pop.members[0], pop.members[2]]
+    assert all(cl.mtotal == 0 for cl in pop.members)
+
+
+def test_build_match_set_covers_an_empty_population_in_both_modes():
+    for mode in ("xcsf", "global_ea"):
+        cfg = ExperimentConfig(mode=mode)
+        pop = xcsf.Population([], trial=3)
+        x = np.full(4, 0.25)
+        m = xcsf.build_match_set(pop, x, cfg, np.random.default_rng(1))
+        assert m == pop.members and len(m) == 1
+        assert m[0].born == 3 and m[0].mtotal == 1
+        assert matches(m[0], x, cfg)
 
 
 def test_build_match_set_global_ea_is_whole_population():
@@ -51,7 +74,7 @@ def test_build_match_set_covers_when_nothing_matches(cfg):
     x = np.full(4, 0.25)
     m = xcsf.build_match_set(pop, x, cfg, np.random.default_rng(1))
     assert len(m) == 1
-    assert xcsf.matches(m[0], x, cfg)
+    assert matches(m[0], x, cfg)
     assert len(pop.members) == 2  # covered classifier was inserted
     assert m[0].mtotal == 1
 
@@ -60,7 +83,7 @@ def test_cover_initialises_bookkeeping(cfg):
     rng = np.random.default_rng(2)
     x = rng.random(6)
     cl = xcsf.cover(x, cfg, rng, trial=17)
-    assert xcsf.matches(cl, x, cfg)
+    assert matches(cl, x, cfg)
     assert cl.err == cfg.epsilon_I == 0.0
     assert cl.fit == cfg.F_I == 0.01
     assert cl.num == 1 and cl.exp == 0
@@ -258,8 +281,7 @@ def test_offspring_inherit_trained_weights(cfg):
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = rng.random(3)
-        neural.sgd_update(parent.prediction, x, x, cfg.omega)
-    parent.refresh_args()
+        kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty((1, 3)))
     trained = parent.prediction.layers[0].weights.copy()
     # a zero-rate mutation chain copies the weights through unchanged
     quiet = ExperimentConfig(mu_min=1e-12)
@@ -427,3 +449,32 @@ def test_evaluate_falls_back_to_population_when_unmatched(cfg):
     recon = xcsf.reconstruct_one(pop, xs[0], cfg)
     expected = xcsf.system_prediction(pop.members, xs[0])
     assert recon == pytest.approx(expected, rel=1e-12)
+
+
+def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
+    # rows 0-2 have feature 0 high, so the keyed rule matches only them
+    xs = np.full((6, 2), 0.25)
+    xs[:3, 0] = 1.0
+    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0), fit=0.3)
+    always = make_classifier(n=2, seed=2, condition=always_match_condition(2), fit=0.2)
+    never = make_classifier(n=2, seed=3, condition=never_match_condition(2), fit=0.5)
+    pop = xcsf.Population([keyed, always, never])
+    mses = []
+    for x in xs:
+        recon = xcsf.reconstruct_one(pop, x, cfg)
+        combined = [keyed, always] if x[0] > 0.5 else [always]
+        assert recon == pytest.approx(xcsf.system_prediction(combined, x), rel=1e-12)
+        mses.append(float(np.mean((recon - x) ** 2)))
+    mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
+    assert mean_mse == pytest.approx(np.mean(mses), rel=1e-12)
+    assert mean_m == 1.5
+
+
+def test_best_classifier_breaks_equal_coverage_by_error(cfg):
+    xs = np.tile([1.0, 0.0], (4, 1))
+    first = make_classifier(n=2, condition=always_match_condition(2), err=0.004)
+    second = make_classifier(n=2, condition=always_match_condition(2), err=0.002)
+    third = make_classifier(n=2, condition=always_match_condition(2), err=0.002)
+    best, mfrac = xcsf.best_classifier(xcsf.Population([first, second, third]), xs, cfg)
+    assert best is second  # the earlier of two equal rules
+    assert mfrac == 1.0
