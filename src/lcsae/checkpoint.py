@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from . import neural, xcsf
-from .config import config_from_dict, config_to_dict
+from .config import ConfigError, config_from_dict, config_to_dict
 
 POPULATION_MAGIC = b"LCSAECK1"
 VERSION = 1
@@ -53,7 +53,8 @@ _DTYPES = {"<f8": np.dtype("<f8"), "|u1": np.dtype("|u1")}
 
 # what a header that parses as JSON but has the wrong keys, types or
 # values raises while it is read
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError,
+              OverflowError)
 
 
 class _ArrayReader:
@@ -137,12 +138,61 @@ def _unpack(data: bytes):
         header = json.loads(data[start:start + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt header: not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')}")
     return header, data[start + hlen:]
 
 
-_CL_SCALARS = ("err", "fit", "num", "exp", "set_size", "ts", "born", "mtotal")
+_WINDOW_KEYS = {"mse_sum", "m_sum", "count"}
+
+
+def _check_state(trial, metas: list) -> None:
+    """Every rule scalar is a JSON number of its kind and in the range the
+    learner can run with.  Fitness may be exactly 0 (a child's reduced
+    fitness can underflow), but not all of it."""
+    if type(trial) is not int or trial < 0:
+        raise CheckpointError(f"trial {trial!r} is not an integer >= 0")
+    c = {}
+    for name in xcsf.SCALARS:
+        values = [meta[name] for meta in metas]
+        exact = name in xcsf.INT_SCALARS
+        for i, v in enumerate(values):
+            if type(v) is not int and (exact or type(v) is not float):
+                kind = "an integer" if exact else "a number"
+                raise CheckpointError(f"rule {i} {name} {v!r} is not {kind}")
+        c[name] = np.array(values, dtype=np.int64 if exact else np.float64)
+    ranges = (("num", c["num"] >= 1, ">= 1"),
+              ("exp", c["exp"] >= 0, ">= 0"),
+              ("mtotal", c["mtotal"] >= 0, ">= 0"),
+              ("ts", (c["ts"] >= 0) & (c["ts"] <= trial), f"in [0, trial={trial}]"),
+              ("born", (c["born"] >= 0) & (c["born"] <= trial), f"in [0, trial={trial}]"),
+              ("err", np.isfinite(c["err"]) & (c["err"] >= 0), "finite and >= 0"),
+              ("fit", np.isfinite(c["fit"]) & (c["fit"] >= 0), "finite and >= 0"),
+              ("set_size", np.isfinite(c["set_size"]) & (c["set_size"] > 0),
+               "finite and > 0"))
+    for name, ok, rule in ranges:
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            i = int(bad[0])
+            raise CheckpointError(f"rule {i} {name} {metas[i][name]!r} is not {rule}")
+    if metas and not c["fit"].sum() > 0.0:
+        raise CheckpointError("the rules' total fitness is not positive")
+
+
+def _check_window(window) -> None:
+    """The partial metrics window holds two finite sums and a count."""
+    if not isinstance(window, dict) or set(window) != _WINDOW_KEYS:
+        raise CheckpointError(f"metrics window {window!r} does not have exactly "
+                              f"the keys {sorted(_WINDOW_KEYS)}")
+    for key in ("mse_sum", "m_sum"):
+        v = window[key]
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise CheckpointError(f"metrics window {key} {v!r} is not a finite number")
+    if type(window["count"]) is not int or window["count"] < 0:
+        raise CheckpointError(f"metrics window count {window['count']!r} "
+                              "is not an integer >= 0")
 
 
 def _check_widths(cl: xcsf.Classifier, n: int) -> None:
@@ -163,7 +213,7 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
     block = _ArrayBlock()
     classifiers = []
     for cl in pop.members:
-        meta = {name: getattr(cl, name) for name in _CL_SCALARS}
+        meta = {name: getattr(cl, name) for name in xcsf.SCALARS}
         meta["condition"] = _network_meta(cl.condition, block)
         meta["prediction"] = _network_meta(cl.prediction, block)
         classifiers.append(meta)
@@ -190,21 +240,21 @@ def population_from_bytes(data: bytes):
 
 def _population_from_header(header: dict, payload: bytes):
     reader = _ArrayReader(header["arrays"], payload)
-    members = []
-    for meta in header["classifiers"]:
-        cl = xcsf.Classifier(
-            condition=_network_from_meta(meta["condition"], reader),
-            prediction=_network_from_meta(meta["prediction"], reader),
-            err=float(meta["err"]), fit=float(meta["fit"]),
-            num=int(meta["num"]), exp=int(meta["exp"]),
-            set_size=float(meta["set_size"]), ts=int(meta["ts"]),
-            born=int(meta["born"]), mtotal=int(meta["mtotal"]),
-        )
-        members.append(cl)
+    metas = header["classifiers"]
+    trial = header["trial"]
+    _check_state(trial, metas)
+    members = [xcsf.Classifier(condition=_network_from_meta(meta["condition"], reader),
+                               prediction=_network_from_meta(meta["prediction"], reader),
+                               **{name: meta[name] for name in xcsf.SCALARS})
+               for meta in metas]
     for cl in members:
         _check_widths(cl, members[0].prediction.n_inputs)
-    pop = xcsf.Population(members=members, trial=int(header["trial"]))
-    cfg = config_from_dict(header["config"])
+    pop = xcsf.Population(members, trial=trial)
+    try:
+        cfg = config_from_dict(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
+    _check_window(header["window"])
     bg = np.random.PCG64()
     bg.state = header["rng"]
     rng = np.random.Generator(bg)

@@ -8,11 +8,27 @@ momentum-SGD step on each prediction net) and periodically reproduced by
 a selection-driven evolutionary step with self-adaptive mutation.  In
 ``global_ea`` mode every classifier matches every input, so evolution
 optimises a single global niche instead.
+
+The eight scalars of every rule (``err, fit, num, exp, set_size, ts, born,
+mtotal``) live in a ``RuleState`` table of one numpy column each.  A
+``Population`` owns one table; ``pop.rows`` is aligned with
+``pop.members`` and holds each member's row.  A match set is an array of
+positions in ``pop.members``, so reinforcement, the EA due-check, deletion
+votes and the population sums are array operations over table rows.  A
+rule reads and writes its own row through properties of the same names;
+outside a population (fresh from covering or reproduction, or after
+removal) it owns a private one-row table.  Membership changes only
+through ``Population.add``, which copies the rule's row into the table,
+and ``Population.remove``, which copies it back out; rows are stable and
+freed rows are reused.  Neither a rule nor a table refers back to its
+population, so a population is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -33,22 +49,72 @@ class CoveringError(Exception):
     pass
 
 
-@dataclass(eq=False)
-class Classifier:
-    condition: neural.Network
-    prediction: neural.Network
-    err: float
-    fit: float
-    num: int
-    exp: int
-    set_size: float
-    ts: int
-    born: int
-    mtotal: int
-    cond_args: tuple = field(init=False, repr=False)
-    pred_args: tuple = field(init=False, repr=False)
+# the per-rule scalars, in checkpoint order, and the integer ones
+SCALARS = ("err", "fit", "num", "exp", "set_size", "ts", "born", "mtotal")
+INT_SCALARS = frozenset(("num", "exp", "ts", "born", "mtotal"))
 
-    def __post_init__(self):
+
+class RuleState:
+    """One column per rule scalar, one row per rule.
+
+    A population's table holds numpy columns; a rule outside a population
+    owns a one-row table of Python lists, which is cheaper to make.
+    """
+
+    __slots__ = SCALARS
+
+    def __init__(self, capacity: int):
+        for name in SCALARS:
+            setattr(self, name, np.zeros(capacity, np.int64 if name in INT_SCALARS
+                                         else np.float64))
+
+    def grow(self, capacity: int) -> None:
+        for name in SCALARS:
+            old = getattr(self, name)
+            new = np.zeros(capacity, old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
+
+
+def _own_row(values) -> RuleState:
+    own = RuleState.__new__(RuleState)
+    for name, value in zip(SCALARS, values):
+        setattr(own, name, [value])
+    return own
+
+
+def _scalar(name: str, cast):
+    def get(self):
+        return cast(getattr(self._state, name)[self._row])
+
+    def put(self, value):
+        getattr(self._state, name)[self._row] = value
+
+    return property(get, put, doc=f"The rule's {name}, kept in its state row.")
+
+
+class Classifier:
+    """A condition net, a prediction net and one row of rule state."""
+
+    __slots__ = ("condition", "prediction", "cond_args", "pred_args",
+                 "_state", "_row")
+
+    err = _scalar("err", float)
+    fit = _scalar("fit", float)
+    num = _scalar("num", int)
+    exp = _scalar("exp", int)
+    set_size = _scalar("set_size", float)
+    ts = _scalar("ts", int)
+    born = _scalar("born", int)
+    mtotal = _scalar("mtotal", int)
+
+    def __init__(self, condition: neural.Network, prediction: neural.Network,
+                 err: float, fit: float, num: int, exp: int, set_size: float,
+                 ts: int, born: int, mtotal: int):
+        self.condition = condition
+        self.prediction = prediction
+        self._state = _own_row((err, fit, num, exp, set_size, ts, born, mtotal))
+        self._row = 0
         self.refresh_args()
 
     def refresh_args(self):
@@ -57,21 +123,61 @@ class Classifier:
         self.cond_args = neural.cond_args(self.condition)
         self.pred_args = neural.pred_args(self.prediction)
 
-    def age(self, trial: int) -> int:
-        return trial - self.born
 
-
-@dataclass(eq=False)
 class Population:
-    members: list
-    trial: int = 0
+    """The rules of one learner and the state table their scalars live in.
+
+    ``members`` lists the rules in insertion order and ``rows[i]`` is the
+    table row of ``members[i]``.  A rule belongs to at most one population.
+    """
+
+    def __init__(self, members=(), trial: int = 0):
+        members = list(members)
+        capacity = max(len(members), 1)
+        self.trial = trial
+        self.members = []
+        self.state = RuleState(capacity)
+        self._row_buf = np.empty(capacity, dtype=np.intp)
+        self.rows = self._row_buf[:0]
+        self._free = []
+        for cl in members:
+            self.add(cl)
+
+    def add(self, cl: Classifier) -> None:
+        """Append ``cl`` and move its scalars into the population's table."""
+        # rows are handed out in order and only while none is free, so with
+        # no free row the rows in use are exactly 0..n-1
+        n = len(self.members)
+        if n == len(self._row_buf):
+            self.state.grow(2 * n)
+            self._row_buf = np.concatenate([self._row_buf, np.empty(n, np.intp)])
+        row = self._free.pop() if self._free else n
+        state = self.state
+        for name in SCALARS:
+            getattr(state, name)[row] = getattr(cl._state, name)[cl._row]
+        cl._state, cl._row = state, row
+        self._row_buf[n] = row
+        self.rows = self._row_buf[:n + 1]
+        self.members.append(cl)
+
+    def remove(self, cl: Classifier) -> None:
+        """Drop ``cl``, which takes its scalars back into a private row."""
+        i = self.members.index(cl)
+        del self.members[i]
+        n = len(self.members)
+        self._row_buf[i:n] = self._row_buf[i + 1:n + 1]
+        self.rows = self._row_buf[:n]
+        self._free.append(cl._row)
+        cl._state = _own_row(getattr(self.state, name)[cl._row] for name in SCALARS)
+        cl._row = 0
 
     def micro_count(self) -> int:
-        return sum(cl.num for cl in self.members)
+        return int(self.state.num[self.rows].sum())
 
     def mean_fitness(self) -> float:
         """Mean fitness per micro-classifier."""
-        return sum(cl.fit for cl in self.members) / self.micro_count()
+        # a Python sum in member order, as a rule-by-rule loop adds them
+        return sum(self.state.fit[self.rows].tolist()) / self.micro_count()
 
 
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
@@ -92,30 +198,28 @@ def _random_classifier(cfg, n_features, rng, trial) -> Classifier:
                       set_size=1.0, ts=trial, born=trial, mtotal=0)
 
 
-def match_set(pop: Population, x, cfg: ExperimentConfig) -> list:
-    """Members whose condition output for ``x`` exceeds the match
-    threshold (every member in global_ea mode)."""
+def match_set(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
+    """Positions in ``pop.members`` of the rules whose condition output for
+    ``x`` exceeds the match threshold (every member in global_ea mode)."""
     if cfg.global_ea:
-        return list(pop.members)
+        return np.arange(len(pop.members))
     flags = np.empty(len(pop.members), dtype=np.uint8)
     kernels.match_batch([cl.cond_args for cl in pop.members], x,
                         cfg.match_threshold, flags)
-    return [cl for cl, f in zip(pop.members, flags) if f]
+    return np.flatnonzero(flags)
 
 
-def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> list:
-    """All classifiers matching ``x``; covers when none do.
+def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> np.ndarray:
+    """Positions of all classifiers matching ``x``; covers when none do.
 
     Every member of the returned set has its matched-input counter
     incremented.
     """
     m = match_set(pop, x, cfg)
-    if not m:
-        cl = cover(x, cfg, rng, pop.trial)
-        pop.members.append(cl)
-        m = [cl]
-    for cl in m:
-        cl.mtotal += 1
+    if not len(m):
+        pop.add(cover(x, cfg, rng, pop.trial))
+        m = np.array([len(pop.members) - 1])
+    pop.state.mtotal[pop.rows[m]] += 1
     return m
 
 
@@ -148,16 +252,32 @@ def fitness_weighted_mean(fits, ys) -> np.ndarray:
 
 
 def system_prediction(m: list, x) -> np.ndarray:
-    """Fitness-weighted mean reconstruction of the match set."""
+    """Fitness-weighted mean reconstruction of a list of rules."""
     ys = np.array([neural.forward(cl.prediction, x) for cl in m])
-    return fitness_weighted_mean([cl.fit for cl in m], ys)
+    return fitness_weighted_mean(_fitnesses(m), ys)
 
 
-def accuracy(err: float, cfg: ExperimentConfig) -> float:
-    """1 below the target error, else the power-law fall-off."""
-    if err < cfg.epsilon0:
-        return 1.0
-    return cfg.alpha * (err / cfg.epsilon0) ** (-cfg.nu)
+def _fitnesses(rules: list) -> np.ndarray:
+    """Fitness of each rule, in one gather when they share a table."""
+    state = rules[0]._state if rules else None
+    rows = [cl._row for cl in rules if cl._state is state]
+    if rows and len(rows) == len(rules):
+        return np.asarray(state.fit, dtype=float)[rows]
+    return np.array([cl.fit for cl in rules], dtype=float)
+
+
+def accuracies(err: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """1 below the target error, else the power-law fall-off.
+
+    The power is libm ``pow`` per element, the same double as Python's
+    ``**``; vector ``np.power`` may differ in the last bit.
+    """
+    kappa = np.ones(len(err))
+    above = ~(err < cfg.epsilon0)
+    ratios = (err[above] / cfg.epsilon0).tolist()
+    kappa[above] = cfg.alpha * np.fromiter(map(math.pow, ratios, repeat(-cfg.nu)),
+                                           float, len(ratios))
+    return kappa
 
 
 def relative_accuracies(kappas, nums) -> np.ndarray:
@@ -166,8 +286,8 @@ def relative_accuracies(kappas, nums) -> np.ndarray:
     return weighted / weighted.sum()
 
 
-def reinforce(m: list, x, cfg: ExperimentConfig) -> np.ndarray:
-    """Update every matching classifier against input ``x``.
+def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.ndarray:
+    """Update every classifier of the match set ``m`` against input ``x``.
 
     Per classifier: experience, error (Widrow-Hoff toward its own
     reconstruction MSE), fitness (toward its relative accuracy), set-size
@@ -175,42 +295,41 @@ def reinforce(m: list, x, cfg: ExperimentConfig) -> np.ndarray:
     input as target.  Conditions receive no gradient descent.  Returns the
     pre-update reconstructions, one row per classifier.
 
-    The bookkeeping runs as elementwise array operations over the whole
-    match set, in the order of the per-rule XCS update, so every result is
-    the same double as a rule-by-rule loop.  Accuracy alone stays scalar:
-    vector ``np.power`` may differ from libm ``pow`` in the last bit.
+    The bookkeeping runs as elementwise array operations over the match
+    set's table rows, in the order of the per-rule XCS update, so every
+    result is the same double as a rule-by-rule loop.
     """
+    members = pop.members
     ys = np.empty((len(m), len(x)))
-    kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys)
+    kernels.reinforce_batch([members[i].pred_args for i in m.tolist()], x,
+                            cfg.omega, ys)
 
-    state = np.array([(cl.err, cl.fit, cl.num, cl.set_size) for cl in m])
-    err, fit, num, set_size = state.T
-    m_micro = sum(cl.num for cl in m)
-    err = err + cfg.beta * (np.mean((ys - x) ** 2, axis=1) - err)
-    kappas = [accuracy(e, cfg) for e in err.tolist()]
-    fit = fit + cfg.beta * (relative_accuracies(kappas, num) - fit)
-    fit = np.maximum(fit, _F_FLOOR)
-    set_size = set_size + cfg.beta * (m_micro - set_size)
-    for cl, e, f, s in zip(m, err.tolist(), fit.tolist(), set_size.tolist()):
-        cl.exp += 1
-        cl.err = e
-        cl.fit = f
-        cl.set_size = s
+    st = pop.state
+    rows = pop.rows[m]
+    err, fit, num, set_size = st.err[rows], st.fit[rows], st.num[rows], st.set_size[rows]
+    m_micro = int(num.sum())
+    # the squared errors of ``(ys - x) ** 2``, without a second temporary
+    sq = ys - x
+    np.square(sq, out=sq)
+    err = err + cfg.beta * (np.mean(sq, axis=1) - err)
+    fit = fit + cfg.beta * (relative_accuracies(accuracies(err, cfg), num) - fit)
+    st.exp[rows] += 1
+    st.err[rows] = err
+    st.fit[rows] = np.maximum(fit, _F_FLOOR)
+    st.set_size[rows] = set_size + cfg.beta * (m_micro - set_size)
     return ys
 
 
 def roulette(weights, rng) -> int:
     """Index drawn proportionally to ``weights`` (uniform if all zero)."""
+    weights = np.asarray(weights, dtype=float)
     total = float(np.sum(weights))
     if total <= 0.0:
         return int(rng.integers(0, len(weights)))
     r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if acc > r:
-            return i
-    return len(weights) - 1
+    # cumsum adds in order, so these are the running sums of a loop
+    past = np.flatnonzero(np.cumsum(weights) > r)
+    return int(past[0]) if len(past) else len(weights) - 1
 
 
 def select_parents(m: list, rng) -> tuple:
@@ -245,45 +364,49 @@ def make_offspring(parent: Classifier, err: float, fit: float,
                       set_size=parent.set_size, ts=trial, born=trial, mtotal=0)
 
 
-def maybe_run_ea(m: list, pop: Population, cfg: ExperimentConfig, rng) -> bool:
-    """Run one evolutionary step on the match set if it is due.
+def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> bool:
+    """Run one evolutionary step on the match set ``m`` if it is due.
 
     Fires when the numerosity-weighted mean time since the last run exceeds
     theta_EA.  Two parents are drawn by fitness roulette; lambda offspring
     are cloned (no crossover) with error/fitness set to the reduced
     parental means, then inserted.  Returns whether it fired.
     """
-    micro = sum(cl.num for cl in m)
-    mean_ts = sum(cl.ts * cl.num for cl in m) / micro
+    st = pop.state
+    rows = pop.rows[m]
+    num = st.num[rows]
+    # integer sums are exact, and int / int rounds once
+    mean_ts = int((st.ts[rows] * num).sum()) / int(num.sum())
     if pop.trial - mean_ts <= cfg.theta_EA:
         return False
-    for cl in m:
-        cl.ts = pop.trial
-    p1, p2 = select_parents(m, rng)
+    st.ts[rows] = pop.trial
+    p1, p2 = select_parents([pop.members[i] for i in m.tolist()], rng)
     err = 0.5 * (p1.err + p2.err) * cfg.epsilon_R
     fit = 0.5 * (p1.fit + p2.fit) * cfg.F_R
     parents = (p1, p2)
     for i in range(cfg.lam):
-        child = make_offspring(parents[i % 2], err, fit, cfg, rng, pop.trial)
-        pop.members.append(child)
+        pop.add(make_offspring(parents[i % 2], err, fit, cfg, rng, pop.trial))
     return True
 
 
-def deletion_vote(cl: Classifier, pop_mean_f: float, cfg: ExperimentConfig,
-                  trial: int) -> float:
-    """Roulette weight for removal.
+def deletion_votes(pop: Population, mean_f: float, cfg: ExperimentConfig) -> np.ndarray:
+    """Roulette weight for removal of every member.
 
     Proportional to set size times numerosity, boosted for experienced
-    low-fitness rules; classifiers that never matched anything within the
-    stale limit get an overriding maximal vote.
+    rules whose fitness per micro-classifier is below ``delta`` times the
+    population mean ``mean_f``; classifiers that never matched anything
+    within the stale limit get an overriding maximal vote.
     """
-    if cl.mtotal == 0 and cl.age(trial) > cfg.stale_limit:
-        return STALE_VOTE
-    vote = cl.set_size * cl.num
-    micro_fit = cl.fit / cl.num
-    if cl.exp > cfg.theta_del and micro_fit < cfg.delta * pop_mean_f:
-        vote *= pop_mean_f / micro_fit
-    return vote
+    st = pop.state
+    rows = pop.rows
+    num = st.num[rows]
+    votes = st.set_size[rows] * num
+    micro_fit = st.fit[rows] / num
+    boost = np.flatnonzero((st.exp[rows] > cfg.theta_del)
+                           & (micro_fit < cfg.delta * mean_f))
+    votes[boost] *= mean_f / micro_fit[boost]
+    votes[(st.mtotal[rows] == 0) & (pop.trial - st.born[rows] > cfg.stale_limit)] = STALE_VOTE
+    return votes
 
 
 def _pick_victim(a: Classifier, b: Classifier, vote_a: float, vote_b: float, rng):
@@ -309,22 +432,21 @@ def enforce_population_limit(pop: Population, cfg: ExperimentConfig, rng) -> Non
     layer (stale rules first, ties by vote, then at random).
     """
     while pop.micro_count() > cfg.N:
-        mean_f = pop.mean_fitness()
-        votes = [deletion_vote(cl, mean_f, cfg, pop.trial) for cl in pop.members]
+        votes = deletion_votes(pop, pop.mean_fitness(), cfg)
         i = roulette(votes, rng)
         if len(pop.members) == 1:
             victim = pop.members[0]
         else:
-            rest = list(votes)
+            rest = votes.copy()
             rest[i] = 0.0
             j = roulette(rest, rng)
             if j == i:  # all remaining votes were zero
                 j = (i + 1) % len(pop.members)
             victim = _pick_victim(pop.members[i], pop.members[j],
-                                  votes[i], votes[j], rng)
+                                  float(votes[i]), float(votes[j]), rng)
         victim.num -= 1
         if victim.num == 0:
-            pop.members.remove(victim)
+            pop.remove(victim)
 
 
 @dataclass(eq=False)
@@ -339,11 +461,12 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
     pop.trial += 1
     x = np.ascontiguousarray(x, dtype=float)
     m = build_match_set(pop, x, cfg, rng)
-    fits_pre = np.array([cl.fit for cl in m])
-    m_micro = sum(cl.num for cl in m)
-    ys = reinforce(m, x, cfg)
+    rows = pop.rows[m]
+    fits_pre = pop.state.fit[rows]
+    m_micro = int(pop.state.num[rows].sum())
+    ys = reinforce(pop, m, x, cfg)
     output = fitness_weighted_mean(fits_pre, ys)
-    maybe_run_ea(m, pop, cfg, rng)
+    maybe_run_ea(pop, m, cfg, rng)
     enforce_population_limit(pop, cfg, rng)
     return TrialResult(output=output, mse=float(np.mean((output - x) ** 2)),
                        m_micro=m_micro)
@@ -379,7 +502,9 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     acc = np.zeros_like(xs)
     fsum = np.zeros(rows)
     msize = np.zeros(rows)
-    for cl in pop.members:
+    fits = pop.state.fit[pop.rows].tolist()
+    nums = pop.state.num[pop.rows].tolist()
+    for cl, fit, num in zip(pop.members, fits, nums):
         if cfg.global_ea:
             sel = slice(None)
             xs_sel = xs
@@ -390,17 +515,17 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
             sel = matched
             xs_sel = xs[matched]
         ys = _net_outputs(cl.prediction, xs_sel)
-        acc[sel] += cl.fit * ys
-        fsum[sel] += cl.fit
-        msize[sel] += cl.num
+        acc[sel] += fit * ys
+        fsum[sel] += fit
+        msize[sel] += num
     unmatched = fsum == 0.0
     if unmatched.any():
         xs_u = xs[unmatched]
         acc_u = np.zeros_like(xs_u)
         f_u = 0.0
-        for cl in pop.members:
-            acc_u += cl.fit * _net_outputs(cl.prediction, xs_u)
-            f_u += cl.fit
+        for cl, fit in zip(pop.members, fits):
+            acc_u += fit * _net_outputs(cl.prediction, xs_u)
+            f_u += fit
         acc[unmatched] = acc_u
         fsum[unmatched] = f_u
     preds = acc / fsum[:, None]
@@ -414,7 +539,9 @@ def reconstruct_one(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
     Falls back to the whole population when nothing matches.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    return system_prediction(match_set(pop, x, cfg) or pop.members, x)
+    m = match_set(pop, x, cfg)
+    rules = [pop.members[i] for i in m.tolist()]
+    return system_prediction(rules or pop.members, x)
 
 
 def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):

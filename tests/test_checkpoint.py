@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_classifier
-from lcsae import kernels, neural, xcsf
+from lcsae import checkpoint, kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
                               population_from_bytes, population_to_bytes,
                               save_population)
@@ -49,6 +49,8 @@ def test_population_bytes_rejects_garbage():
     blob = population_to_bytes(pop, ExperimentConfig(), rng)
     with pytest.raises(CheckpointError, match="payload"):
         population_from_bytes(blob[:-9])
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        population_from_bytes(checkpoint._pack([1, 2], b""))
 
 
 def _sample_population(seed=2, n=6, members=5):
@@ -160,7 +162,7 @@ def test_layer_arrays_that_do_not_fit_never_load(corrupt):
 
 def test_rules_of_another_width_never_load():
     pop, rng = _sample_population(n=6)
-    pop.members.append(make_classifier(n=5, seed=40))
+    pop.add(make_classifier(n=5, seed=40))
     blob = population_to_bytes(pop, ExperimentConfig(), rng)
     with pytest.raises(CheckpointError, match="expected 6->1"):
         population_from_bytes(blob)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_csv
-from lcsae import cli, metrics
+from lcsae import checkpoint, cli, metrics
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
             split_ratio=0.9, seed=11)
@@ -255,3 +255,110 @@ def test_resume_on_changed_dataset_exits_2(tmp_path, dataset, capsys):
     (out / "manifest.json").unlink()
     assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def test_resume_reaches_the_width_check(tmp_path, dataset, capsys):
+    narrow = tmp_path / "w8"
+    cfg = _config(tmp_path, dataset, name="w8.cfg", trials=20, checkpoint_interval=10)
+    assert cli.main(["run", cfg, "--outdir", str(narrow)]) == 0
+    wide_data = write_csv(tmp_path / "wide.csv", np.random.default_rng(4).random((40, 16)))
+    cfg = _config(tmp_path, wide_data, name="w16.cfg", trials=20, checkpoint_interval=10)
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "w16")]) == 0
+    # 16-wide rules pointed at the 8-wide dataset, next to that run's
+    # manifest, so the dataset fingerprint matches
+    pop, cfg, rng, window = checkpoint.load_population(tmp_path / "w16" / "population.ckpt")
+    cfg.dataset = dataset
+    checkpoint.save_population(narrow / "wide.ckpt", pop, cfg, rng, window)
+    assert cli.main(["resume", str(narrow / "wide.ckpt"), "--trials", "5"]) == 2
+    assert "8 features but the checkpoint's rules take 16" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory, dataset):
+    out = tmp_path_factory.mktemp("small")
+    cfg = write_config(out / "small.cfg", **dict(BASE, dataset=dataset, N=30,
+                                                 trials=40, checkpoint_interval=20))
+    assert cli.main(["run", cfg, "--outdir", str(out / "run")]) == 0
+    return out / "run"
+
+
+def _every_rule(name, value):
+    def change(header):
+        for meta in header["classifiers"]:
+            meta[name] = value
+    return change
+
+
+def _first_rule(name, value):
+    def change(header):
+        header["classifiers"][0][name] = value
+    return change
+
+
+def _header_key(*path, value):
+    def change(header):
+        for key in path[:-1]:
+            header = header[key]
+        header[path[-1]] = value
+    return change
+
+
+BAD_HEADERS = {
+    "config N 0": _header_key("config", "N", value=0),
+    "config mode": _header_key("config", "mode", value="nope"),
+    "config not a dict": _header_key("config", value=[1, 2]),
+    "window mse_sum text": _header_key("window", "mse_sum", value="x"),
+    "window empty": _header_key("window", value={}),
+    "window list": _header_key("window", value=[1, 2]),
+    "window extra key": _header_key("window", "extra", value=0),
+    "window count negative": _header_key("window", "count", value=-1),
+    "window count float": _header_key("window", "count", value=1.5),
+    "window m_sum inf": _header_key("window", "m_sum", value=float("inf")),
+    "num 0 everywhere": _every_rule("num", 0),
+    "num negative": _first_rule("num", -3),
+    "num text": _first_rule("num", "2"),
+    "num float": _first_rule("num", 2.7),
+    "num bool": _first_rule("num", True),
+    "exp negative": _first_rule("exp", -1),
+    "exp beyond int64": _first_rule("exp", 2**70),
+    "mtotal negative": _first_rule("mtotal", -1),
+    "fit nan": _first_rule("fit", float("nan")),
+    "fit negative": _first_rule("fit", -1.0),
+    "fit 0 everywhere": _every_rule("fit", 0.0),
+    "err negative": _first_rule("err", -0.5),
+    "err inf": _first_rule("err", float("inf")),
+    "set_size 0": _first_rule("set_size", 0.0),
+    "set_size text": _first_rule("set_size", "1.0"),
+    "born after trial": _first_rule("born", 41),
+    "ts negative": _first_rule("ts", -1),
+    "trial negative": _header_key("trial", value=-5),
+    "trial float": _header_key("trial", value=40.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_checkpoint_header_the_learner_cannot_run_with_exits_2(
+        case, small_run, dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    ckpt = run / "population.ckpt"
+    header, payload = checkpoint._unpack(ckpt.read_bytes())
+    BAD_HEADERS[case](header)
+    ckpt.write_bytes(checkpoint._pack(header, payload))
+    assert cli.main(["resume", str(ckpt), "--trials", "5"]) == 2
+    assert cli.main(["reconstruct", str(ckpt), dataset, "--no-images",
+                     "--outdir", str(tmp_path / "rec")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and "Traceback" not in err
+
+
+def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path):
+    # fitness may be exactly zero on some rules, and born/ts may equal trial
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    ckpt = run / "population.ckpt"
+    header, payload = checkpoint._unpack(ckpt.read_bytes())
+    header["classifiers"][0]["fit"] = 0.0
+    header["classifiers"][0]["born"] = header["classifiers"][0]["ts"] = header["trial"]
+    ckpt.write_bytes(checkpoint._pack(header, payload))
+    assert cli.main(["resume", str(ckpt), "--trials", "5"]) == 0

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,13 @@ from lcsae.config import ExperimentConfig
 
 
 def matches(cl, x, cfg):
-    return xcsf.match_set(xcsf.Population([cl]), np.asarray(x, dtype=float), cfg) == [cl]
+    # a shallow copy joins the one-rule population, so ``cl`` stays where it is
+    pop = xcsf.Population([copy.copy(cl)])
+    return list(xcsf.match_set(pop, np.asarray(x, dtype=float), cfg)) == [0]
+
+
+def reinforce_all(pop, x, cfg):
+    return xcsf.reinforce(pop, np.arange(len(pop.members)), x, cfg)
 
 
 def test_matches_zero_condition_is_not_a_match(cfg):
@@ -39,7 +47,7 @@ def test_match_set_keeps_population_order_and_leaves_counters(cfg):
     pop = xcsf.Population([make_classifier(n=4, condition=always_match_condition(4)),
                            make_classifier(n=4, condition=never_match_condition(4)),
                            make_classifier(n=4, condition=always_match_condition(4))])
-    assert xcsf.match_set(pop, np.zeros(4), cfg) == [pop.members[0], pop.members[2]]
+    assert list(xcsf.match_set(pop, np.zeros(4), cfg)) == [0, 2]
     assert all(cl.mtotal == 0 for cl in pop.members)
 
 
@@ -49,9 +57,9 @@ def test_build_match_set_covers_an_empty_population_in_both_modes():
         pop = xcsf.Population([], trial=3)
         x = np.full(4, 0.25)
         m = xcsf.build_match_set(pop, x, cfg, np.random.default_rng(1))
-        assert m == pop.members and len(m) == 1
-        assert m[0].born == 3 and m[0].mtotal == 1
-        assert matches(m[0], x, cfg)
+        assert list(m) == [0] and len(pop.members) == 1
+        assert pop.members[0].born == 3 and pop.members[0].mtotal == 1
+        assert matches(pop.members[0], x, cfg)
 
 
 def test_build_match_set_global_ea_is_whole_population():
@@ -66,17 +74,18 @@ def test_build_match_set_macro_members_appear_once(cfg):
     cl = make_classifier(n=4, condition=always_match_condition(4), num=7)
     pop = xcsf.Population([cl])
     m = xcsf.build_match_set(pop, np.zeros(4), cfg, np.random.default_rng(0))
-    assert m == [cl]
+    assert list(m) == [0]
+    assert cl.num == 7 and cl.mtotal == 1
 
 
 def test_build_match_set_covers_when_nothing_matches(cfg):
     pop = xcsf.Population([make_classifier(n=4, condition=never_match_condition(4))])
     x = np.full(4, 0.25)
     m = xcsf.build_match_set(pop, x, cfg, np.random.default_rng(1))
-    assert len(m) == 1
-    assert matches(m[0], x, cfg)
-    assert len(pop.members) == 2  # covered classifier was inserted
-    assert m[0].mtotal == 1
+    assert list(m) == [1]  # covered classifier was inserted
+    assert len(pop.members) == 2
+    assert matches(pop.members[1], x, cfg)
+    assert pop.members[1].mtotal == 1 and pop.members[0].mtotal == 0
 
 
 def test_cover_initialises_bookkeeping(cfg):
@@ -127,9 +136,19 @@ def test_system_prediction_weighted_exact(cfg):
 
 
 def test_accuracy_branches(cfg):
-    assert xcsf.accuracy(0.005, cfg) == 1.0
-    # power-law branch: (0.02/0.01)^-10 = 2^-10
-    assert xcsf.accuracy(0.02, cfg) == pytest.approx(2.0 ** -10, abs=1e-12)
+    # below the target error, then the power-law branch (0.02/0.01)^-10 = 2^-10
+    kappa = xcsf.accuracies(np.array([0.005, 0.02]), cfg)
+    assert kappa[0] == 1.0
+    assert kappa[1] == pytest.approx(2.0 ** -10, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [10.0, 200.0, 5.0, 3.7])
+def test_accuracies_equal_the_scalar_power_bit_for_bit(nu):
+    cfg = ExperimentConfig(nu=nu, alpha=0.7)
+    err = np.random.default_rng(31).random(20000) * 0.05
+    err[:4] = [0.0, cfg.epsilon0, np.nextafter(cfg.epsilon0, 0.0), 1.0]
+    expected = [_accuracy(e, cfg) for e in err.tolist()]
+    assert xcsf.accuracies(err, cfg).tolist() == expected
 
 
 def test_relative_accuracies_sum_to_one():
@@ -147,7 +166,7 @@ def test_reinforce_error_update_matches_delta_rule(cfg):
                          err=0.1)
     x = np.ones(5)
     w_before = [l.weights.copy() for l in cl.prediction.layers]
-    xcsf.reinforce([cl], x, cfg)
+    reinforce_all(xcsf.Population([cl]), x, cfg)
     assert cl.err == pytest.approx(0.11, abs=1e-12)
     assert cl.exp == 1
     # saturated logistic outputs have zero gradient, so weights are untouched
@@ -158,7 +177,7 @@ def test_reinforce_error_update_matches_delta_rule(cfg):
 def test_reinforce_set_size_uses_micro_count(cfg):
     cls = [make_classifier(n=3, seed=s, num=num, set_size=1.0)
            for s, num in ((1, 1), (2, 3))]
-    xcsf.reinforce(cls, np.full(3, 0.5), cfg)
+    reinforce_all(xcsf.Population(cls), np.full(3, 0.5), cfg)
     # |M| in micro-classifiers is 4
     for cl in cls:
         assert cl.set_size == pytest.approx(1.0 + cfg.beta * (4 - 1.0), abs=1e-12)
@@ -172,8 +191,9 @@ def test_reinforce_converges_geometrically_on_frozen_net(cfg):
     x = np.full(4, 0.25)
     c = float(np.mean((neural.forward(cl.prediction, x) - x) ** 2))
     err0 = cl.err
+    pop = xcsf.Population([cl])
     for k in range(1, 30):
-        xcsf.reinforce([cl], x, cfg)
+        reinforce_all(pop, x, cfg)
         expected = c + (1.0 - cfg.beta) ** k * (err0 - c)
         assert cl.err == pytest.approx(expected, rel=1e-10)
 
@@ -181,9 +201,16 @@ def test_reinforce_converges_geometrically_on_frozen_net(cfg):
 def test_reinforce_updates_fitness_toward_relative_accuracy(cfg):
     good = make_classifier(n=3, seed=1, err=0.001, fit=0.5)
     bad = make_classifier(n=3, seed=2, err=0.5, fit=0.5)
-    xcsf.reinforce([good, bad], np.full(3, 0.5), cfg)
+    reinforce_all(xcsf.Population([good, bad]), np.full(3, 0.5), cfg)
     assert good.fit > bad.fit
     assert 0.0 < bad.fit <= 1.0
+
+
+def _accuracy(err, cfg):
+    """Reference: the scalar accuracy of one rule."""
+    if err < cfg.epsilon0:
+        return 1.0
+    return cfg.alpha * (err / cfg.epsilon0) ** (-cfg.nu)
 
 
 def _reinforce_per_rule(m, x, cfg):
@@ -197,7 +224,7 @@ def _reinforce_per_rule(m, x, cfg):
         cl.exp += 1
         err_inst = float(np.mean((ys[i] - x) ** 2))
         cl.err += cfg.beta * (err_inst - cl.err)
-        kappas[i] = xcsf.accuracy(cl.err, cfg)
+        kappas[i] = _accuracy(cl.err, cfg)
         cl.set_size += cfg.beta * (m_micro - cl.set_size)
     rel = xcsf.relative_accuracies(kappas, [cl.num for cl in m])
     for i, cl in enumerate(m):
@@ -218,14 +245,15 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(nu):
                             err=1.0, fit=1e-295)
     learners = [make_classifier(n=8, seed=s, num=num, err=0.05 * s)
                 for s, num in ((1, 1), (2, 3), (3, 1))]
-    fast = [right, wrong] + learners
-    slow = copy.deepcopy(fast)
+    slow = copy.deepcopy([right, wrong] + learners)
+    pop = xcsf.Population([right, wrong] + learners)
+    fast = pop.members
     rng = np.random.default_rng(29)
     below = above = floored = 0
     for step in range(200):
         # mostly the pattern the right rule reconstructs exactly
         x = rng.random(8) if step % 25 == 0 else pattern
-        ys_fast = xcsf.reinforce(fast, x, cfg)
+        ys_fast = reinforce_all(pop, x, cfg)
         ys_slow = _reinforce_per_rule(slow, x, cfg)
         assert np.array_equal(ys_fast, ys_slow)
         for a, b in zip(fast, slow):
@@ -243,7 +271,7 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(nu):
 def test_maybe_run_ea_respects_theta(cfg):
     pop = xcsf.Population([make_classifier(n=3, seed=s, ts=100) for s in range(3)])
     pop.trial = 100
-    fired = xcsf.maybe_run_ea(pop.members, pop, cfg, np.random.default_rng(7))
+    fired = xcsf.maybe_run_ea(pop, np.arange(3), cfg, np.random.default_rng(7))
     assert not fired
     assert len(pop.members) == 3
 
@@ -252,7 +280,7 @@ def test_maybe_run_ea_fires_and_inserts_offspring(cfg):
     pop = xcsf.Population([make_classifier(n=3, seed=s, ts=0, fit=0.4 + 0.2 * s,
                                            err=0.2) for s in range(2)])
     pop.trial = 100
-    fired = xcsf.maybe_run_ea(pop.members[:], pop, cfg, np.random.default_rng(8))
+    fired = xcsf.maybe_run_ea(pop, np.arange(2), cfg, np.random.default_rng(8))
     assert fired
     assert len(pop.members) == 2 + cfg.lam
     assert all(cl.ts == 100 for cl in pop.members[:2])
@@ -294,19 +322,51 @@ def test_offspring_inherit_trained_weights(cfg):
 def test_deletion_vote_base_and_boost(cfg):
     cl = make_classifier(n=3, seed=14, set_size=2.0, num=1, exp=cfg.theta_del,
                          fit=0.05)
+    pop = xcsf.Population([cl])
     # not experienced enough: plain set-size vote
-    assert xcsf.deletion_vote(cl, pop_mean_f=1.0, cfg=cfg, trial=0) == 2.0
+    assert xcsf.deletion_votes(pop, 1.0, cfg).tolist() == [2.0]
     cl.exp = 21
     # fitness at 0.05 of the mean with delta=0.1 boosts the vote twentyfold
-    vote = xcsf.deletion_vote(cl, pop_mean_f=1.0, cfg=cfg, trial=0)
+    vote = xcsf.deletion_votes(pop, 1.0, cfg)[0]
     assert vote == pytest.approx(2.0 * 20.0, abs=1e-9)
 
 
 def test_deletion_vote_stale_is_maximal(cfg):
     cl = make_classifier(n=3, seed=15, mtotal=0, born=0)
-    assert xcsf.deletion_vote(cl, 1.0, cfg, trial=10001) == xcsf.STALE_VOTE
+    pop = xcsf.Population([cl], trial=10001)
+    assert xcsf.deletion_votes(pop, 1.0, cfg)[0] == xcsf.STALE_VOTE
     cl.mtotal = 1
-    assert xcsf.deletion_vote(cl, 1.0, cfg, trial=10 ** 9) < xcsf.STALE_VOTE
+    pop.trial = 10 ** 9
+    assert xcsf.deletion_votes(pop, 1.0, cfg)[0] < xcsf.STALE_VOTE
+
+
+def _deletion_vote(cl, pop_mean_f, cfg, trial):
+    """Reference: the scalar deletion vote of one rule."""
+    if cl.mtotal == 0 and trial - cl.born > cfg.stale_limit:
+        return xcsf.STALE_VOTE
+    vote = cl.set_size * cl.num
+    micro_fit = cl.fit / cl.num
+    if cl.exp > cfg.theta_del and micro_fit < cfg.delta * pop_mean_f:
+        vote *= pop_mean_f / micro_fit
+    return vote
+
+
+def test_deletion_votes_equal_the_scalar_votes_bit_for_bit():
+    cfg = ExperimentConfig(stale_limit=50)
+    rng = np.random.default_rng(32)
+    pop = xcsf.Population([make_classifier(n=2, seed=s, set_size=1.0 + 30 * rng.random(),
+                                           num=int(rng.integers(1, 5)),
+                                           exp=int(rng.integers(0, 40)),
+                                           fit=float(rng.random() ** 4),
+                                           mtotal=int(rng.integers(0, 3)),
+                                           born=int(rng.integers(0, 100)))
+                           for s in range(300)], trial=120)
+    mean_f = pop.mean_fitness()
+    expected = [_deletion_vote(cl, mean_f, cfg, pop.trial) for cl in pop.members]
+    assert xcsf.deletion_votes(pop, mean_f, cfg).tolist() == expected
+    assert xcsf.STALE_VOTE in expected
+    assert any(e != cl.set_size * cl.num for e, cl in zip(expected, pop.members)
+               if e != xcsf.STALE_VOTE)
 
 
 def test_enforce_limit_noop_at_capacity():
@@ -348,6 +408,33 @@ def test_enforce_limit_decrements_numerosity_first():
     xcsf.enforce_population_limit(pop, cfg, np.random.default_rng(22))
     assert heavy.num == 1
     assert pop.members == [heavy, light]
+
+
+def _roulette(weights, rng):
+    """Reference: the running-sum roulette loop over a list."""
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        return int(rng.integers(0, len(weights)))
+    r = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if acc > r:
+            return i
+    return len(weights) - 1
+
+
+def test_roulette_over_an_array_equals_the_list_loop():
+    gen = np.random.default_rng(33)
+    for trial in range(300):
+        weights = gen.random(int(gen.integers(1, 60))) ** 3
+        weights[gen.random(len(weights)) < 0.3] = 0.0
+        if trial % 50 == 0:
+            weights[:] = 0.0
+        seed = int(gen.integers(0, 2**32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert xcsf.roulette(weights, a) == _roulette(weights.tolist(), b)
 
 
 def test_roulette_frequencies_match_weights():
@@ -478,3 +565,159 @@ def test_best_classifier_breaks_equal_coverage_by_error(cfg):
     best, mfrac = xcsf.best_classifier(xcsf.Population([first, second, third]), xs, cfg)
     assert best is second  # the earlier of two equal rules
     assert mfrac == 1.0
+
+
+class _Rule:
+    """Reference rule: the eight scalars as plain attributes."""
+
+    def __init__(self, condition, prediction, **scalars):
+        self.condition, self.prediction = condition, prediction
+        self.cond_args = neural.cond_args(condition)
+        self.pred_args = neural.pred_args(prediction)
+        self.__dict__.update(scalars)
+
+    @classmethod
+    def of(cls, cl, copy_nets=False):
+        nets = (cl.condition, cl.prediction)
+        if copy_nets:
+            nets = copy.deepcopy(nets)
+        return cls(*nets, **{name: getattr(cl, name) for name in xcsf.SCALARS})
+
+
+def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
+    """Reference: one trial of the rule-by-rule learner (match, cover,
+    reinforce, EA due-check, EA and deletion) over a list of ``_Rule``."""
+    if cfg.global_ea:
+        m = list(members)
+    else:
+        flags = np.empty(len(members), dtype=np.uint8)
+        kernels.match_batch([cl.cond_args for cl in members], x,
+                            cfg.match_threshold, flags)
+        m = [cl for cl, f in zip(members, flags) if f]
+    if not m:
+        counts["cover"] += 1
+        m = [_Rule.of(xcsf.cover(x, cfg, rng, trial))]
+        members.append(m[0])
+    for cl in m:
+        cl.mtotal += 1
+    fits_pre = np.array([cl.fit for cl in m])
+    m_micro = sum(cl.num for cl in m)
+    output = xcsf.fitness_weighted_mean(fits_pre, _reinforce_per_rule(m, x, cfg))
+
+    micro = sum(cl.num for cl in m)
+    if trial - sum(cl.ts * cl.num for cl in m) / micro > cfg.theta_EA:
+        counts["ea"] += 1
+        for cl in m:
+            cl.ts = trial
+        fits = [cl.fit for cl in m]
+        parents = (m[_roulette(fits, rng)], m[_roulette(fits, rng)])
+        err = 0.5 * (parents[0].err + parents[1].err) * cfg.epsilon_R
+        fit = 0.5 * (parents[0].fit + parents[1].fit) * cfg.F_R
+        for i in range(cfg.lam):
+            members.append(_Rule.of(xcsf.make_offspring(parents[i % 2], err, fit,
+                                                        cfg, rng, trial)))
+
+    while sum(cl.num for cl in members) > cfg.N:
+        counts["delete"] += 1
+        mean_f = sum(cl.fit for cl in members) / sum(cl.num for cl in members)
+        votes = [_deletion_vote(cl, mean_f, cfg, trial) for cl in members]
+        i = _roulette(votes, rng)
+        if len(members) == 1:
+            victim = members[0]
+        else:
+            rest = list(votes)
+            rest[i] = 0.0
+            j = _roulette(rest, rng)
+            if j == i:
+                j = (i + 1) % len(members)
+            victim = xcsf._pick_victim(members[i], members[j], votes[i], votes[j], rng)
+        victim.num -= 1
+        if victim.num == 0:
+            counts["remove"] += 1
+            members.remove(victim)
+    return output, m_micro
+
+
+def _assert_same_rules(pop, ref):
+    assert len(pop.members) == len(ref)
+    for a, b in zip(pop.members, ref):
+        for name in xcsf.SCALARS:
+            va, vb = getattr(a, name), getattr(b, name)
+            assert va == vb, name
+            assert type(va) is (int if name in xcsf.INT_SCALARS else float)
+        for la, lb in zip(a.condition.layers + a.prediction.layers,
+                          b.condition.layers + b.prediction.layers):
+            assert la.eta == lb.eta
+            for arr in ("weights", "biases", "mask", "mu", "mom_w", "mom_b"):
+                assert np.array_equal(getattr(la, arr), getattr(lb, arr)), arr
+
+
+@pytest.mark.parametrize("mode, p_init", [("xcsf", True), ("xcsf", False),
+                                          ("global_ea", False)])
+def test_run_trial_equals_the_per_rule_learner_bit_for_bit(mode, p_init):
+    # a small N and theta_EA make the EA, coverings and deletions all fire;
+    # a high threshold makes empty match sets common in xcsf mode
+    cfg = ExperimentConfig(N=24, theta_EA=4, theta_del=5, mode=mode, P_init=p_init,
+                           match_threshold=0.6, h_M=2, stale_limit=40)
+    n = 6
+    rng = np.random.default_rng(34)
+    pop = xcsf.init_population(cfg, n, rng)
+    ref = [_Rule.of(cl, copy_nets=True) for cl in pop.members]
+    ref_rng = copy.deepcopy(rng)
+    xs = np.random.default_rng(35).random((300, n))
+    counts = {"cover": 0, "ea": 0, "delete": 0, "remove": 0}
+    for x in xs:
+        res = xcsf.run_trial(pop, x, cfg, rng)
+        output, m_micro = _run_trial_per_rule(ref, pop.trial, x, cfg, ref_rng, counts)
+        assert np.array_equal(res.output, output)
+        assert res.m_micro == m_micro
+        _assert_same_rules(pop, ref)
+    assert all(counts.values()), counts
+    assert rng.random() == ref_rng.random()
+
+
+def test_population_is_freed_by_reference_counting():
+    cfg = ExperimentConfig(N=10, theta_EA=2)
+    rng = np.random.default_rng(36)
+    gc.disable()
+    try:
+        pop = xcsf.init_population(cfg, 4, rng)
+        for _ in range(30):
+            xcsf.run_trial(pop, rng.random(4), cfg, rng)
+        loaded = weakref.ref(pop)
+        # the members hold the table, so its columns die with the last rule
+        column = weakref.ref(pop.state.fit)
+        del pop
+        assert loaded() is None and column() is None
+    finally:
+        gc.enable()
+
+
+def test_add_and_remove_keep_rows_aligned_and_reuse_them():
+    rules = [make_classifier(n=2, seed=s, fit=0.1 * (s + 1), num=s + 1) for s in range(4)]
+    pop = xcsf.Population(rules[:3])
+    pop.remove(rules[1])
+    assert pop.members == [rules[0], rules[2]]
+    # the removed rule keeps its scalars in a row of its own
+    assert rules[1].fit == 0.2 and rules[1].num == 2
+    rules[1].num = 5
+    assert pop.micro_count() == 1 + 3
+    pop.add(rules[3])
+    pop.add(rules[1])
+    assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
+    assert sorted(pop.rows.tolist()) == list(range(4))  # the freed row was reused
+    assert pop.state.num[pop.rows].tolist() == [1, 3, 4, 5]
+    assert pop.micro_count() == 13
+    assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.2) / 13
+
+
+def test_mean_fitness_adds_in_member_order():
+    # 1 followed by many tiny fitnesses: a loop in member order drops each
+    # tiny term, numpy's pairwise sum keeps some of them
+    fits = [1.0] + [1e-16] * 40
+    pop = xcsf.Population([make_classifier(n=2, seed=s, fit=f) for s, f in enumerate(fits)])
+    total = 0.0
+    for f in fits:
+        total += f
+    assert pop.mean_fitness() == total / len(fits)
+    assert float(np.sum(fits)) != total
