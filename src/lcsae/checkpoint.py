@@ -1,9 +1,27 @@
 """Versioned binary serialization of population checkpoints.
 
-Layout: magic, u64 header length, JSON header, then raw little-endian
-array payload in header order.  The JSON is emitted with sorted keys so
-identical state always produces identical bytes, and loads are atomic:
-any inconsistency raises before state is handed out.
+Layout: magic, u64 header length, JSON header, then the payload.  The
+header holds the config, the trial, the RNG state, the partial metrics
+window, the number of rules and the input width; its keys are sorted, so
+identical state always produces identical bytes.
+
+The payload (version 2) is a fixed sequence of little-endian columns, each
+holding one field of every rule in member order:
+
+- the eight rule scalars ``xcsf.SCALARS``, int64 for the counters and
+  float64 for the rest, one entry per rule each;
+- the hidden sizes, int64, a (condition, prediction) pair per rule;
+- the gradient-descent rates, float64, one per layer of every rule;
+- for each of the four layers (condition hidden, condition output,
+  prediction hidden, prediction output) its ``weights``, ``biases``,
+  ``mask`` (uint8), ``mu``, ``mom_w`` and ``mom_b``, flattened.
+
+Every layer's shape follows from the input width and the rule's hidden
+sizes.  Loads are atomic: the payload size is checked against the hidden
+sizes before any per-rule array is cut, every column is range-checked as
+one array, and any inconsistency raises before state is handed out.
+Version 1 checkpoints, which listed every rule and array in the header,
+are refused.
 """
 
 from __future__ import annotations
@@ -12,6 +30,7 @@ import json
 import math
 import os
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,37 +38,14 @@ from . import neural, xcsf
 from .config import ConfigError, config_from_dict, config_to_dict
 
 POPULATION_MAGIC = b"LCSAECK1"
-VERSION = 1
+VERSION = 2
 
-
-class CheckpointError(Exception):
-    pass
-
-
-class _ArrayBlock:
-    """Collects arrays for the payload and hands out manifest indices."""
-
-    def __init__(self):
-        self.arrays = []
-        self.manifest = []
-
-    def add(self, arr: np.ndarray) -> int:
-        if arr.dtype == np.float64:
-            dtype = "<f8"
-        elif arr.dtype == np.uint8:
-            dtype = "|u1"
-        else:
-            raise CheckpointError(f"unsupported array dtype {arr.dtype}")
-        self.manifest.append({"shape": list(arr.shape), "dtype": dtype})
-        self.arrays.append(np.ascontiguousarray(arr))
-        return len(self.arrays) - 1
-
-    def payload(self) -> bytes:
-        return b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
-                        for a in self.arrays)
-
-
-_DTYPES = {"<f8": np.dtype("<f8"), "|u1": np.dtype("|u1")}
+_SCALAR_DTYPES = {name: "<i8" if name in xcsf.INT_SCALARS else "<f8"
+                  for name in xcsf.SCALARS}
+_LAYER_DTYPES = {"weights": "<f8", "biases": "<f8", "mask": "|u1", "mu": "<f8",
+                 "mom_w": "<f8", "mom_b": "<f8"}
+_LAYERS = ("condition hidden", "condition output", "prediction hidden",
+           "prediction output")
 
 # what a header that parses as JSON but has the wrong keys, types or
 # values raises while it is read
@@ -57,74 +53,17 @@ _MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError,
               OverflowError)
 
 
-class _ArrayReader:
-    def __init__(self, manifest, payload: bytes):
-        self.entries = []
-        offset = 0
-        for entry in manifest:
-            dtype = _DTYPES.get(entry["dtype"])
-            if dtype is None:
-                raise CheckpointError(f"unsupported array dtype {entry['dtype']!r}")
-            shape = tuple(entry["shape"])
-            if not all(type(d) is int and d >= 0 for d in shape):
-                raise CheckpointError(f"bad array shape {entry['shape']!r}")
-            count = math.prod(shape)
-            self.entries.append((offset, dtype, shape, count))
-            offset += dtype.itemsize * count
-        if offset != len(payload):
-            raise CheckpointError(
-                f"payload is {len(payload)} bytes, manifest expects {offset}")
-        self.payload = payload
-
-    def get(self, index: int) -> np.ndarray:
-        offset, dtype, shape, count = self.entries[index]
-        arr = np.frombuffer(self.payload, dtype=dtype, count=count, offset=offset)
-        return np.ascontiguousarray(arr.astype(dtype.newbyteorder("="), copy=True).reshape(shape))
+class CheckpointError(Exception):
+    pass
 
 
-def _layer_meta(layer: neural.Layer, i: int, block: _ArrayBlock) -> dict:
-    # "activation" is kept in the format: it is the layer's index, because
-    # every net is a SELU hidden layer (0) and a logistic output layer (1)
-    return {
-        "activation": i,
-        "eta": layer.eta,
-        "arrays": [block.add(layer.weights), block.add(layer.biases),
-                   block.add(layer.mask), block.add(layer.mu),
-                   block.add(layer.mom_w), block.add(layer.mom_b)],
-    }
-
-
-def _layer_from_meta(meta: dict, i: int, reader: _ArrayReader) -> neural.Layer:
-    activation = meta["activation"]
-    if type(activation) is not int or activation != i:
-        raise CheckpointError(f"layer {i} has activation {activation!r}, expected {i}")
-    idx = meta["arrays"]
-    return neural.Layer(
-        weights=reader.get(idx[0]),
-        biases=reader.get(idx[1]),
-        mask=reader.get(idx[2]),
-        eta=float(meta["eta"]),
-        mu=reader.get(idx[3]),
-        mom_w=reader.get(idx[4]),
-        mom_b=reader.get(idx[5]),
-    )
-
-
-def _network_meta(net: neural.Network, block: _ArrayBlock) -> dict:
-    return {"layers": [_layer_meta(layer, i, block) for i, layer in enumerate(net.layers)]}
-
-
-def _network_from_meta(meta: dict, reader: _ArrayReader) -> neural.Network:
-    return neural.Network([_layer_from_meta(m, i, reader)
-                           for i, m in enumerate(meta["layers"])])
-
-
-def _pack(header: dict, payload: bytes) -> bytes:
+def _pack(header: dict, payload) -> bytes:
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return POPULATION_MAGIC + struct.pack("<Q", len(blob)) + blob + payload
 
 
 def _unpack(data: bytes):
+    """The header and a view of the payload, which is not copied."""
     magic = POPULATION_MAGIC
     if len(data) < len(magic) + 8:
         raise CheckpointError("file too short")
@@ -142,43 +81,56 @@ def _unpack(data: bytes):
         raise CheckpointError("corrupt header: not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')}")
-    return header, data[start + hlen:]
+    return header, memoryview(data)[start + hlen:]
 
 
 _WINDOW_KEYS = {"mse_sum", "m_sum", "count"}
 
 
-def _check_state(trial, metas: list) -> None:
-    """Every rule scalar is a JSON number of its kind and in the range the
-    learner can run with.  Fitness may be exactly 0 (a child's reduced
-    fitness can underflow), but not all of it."""
-    if type(trial) is not int or trial < 0:
-        raise CheckpointError(f"trial {trial!r} is not an integer >= 0")
-    c = {}
-    for name in xcsf.SCALARS:
-        values = [meta[name] for meta in metas]
-        exact = name in xcsf.INT_SCALARS
-        for i, v in enumerate(values):
-            if type(v) is not int and (exact or type(v) is not float):
-                kind = "an integer" if exact else "a number"
-                raise CheckpointError(f"rule {i} {name} {v!r} is not {kind}")
-        c[name] = np.array(values, dtype=np.int64 if exact else np.float64)
-    ranges = (("num", c["num"] >= 1, ">= 1"),
-              ("exp", c["exp"] >= 0, ">= 0"),
-              ("mtotal", c["mtotal"] >= 0, ">= 0"),
-              ("ts", (c["ts"] >= 0) & (c["ts"] <= trial), f"in [0, trial={trial}]"),
-              ("born", (c["born"] >= 0) & (c["born"] <= trial), f"in [0, trial={trial}]"),
-              ("err", np.isfinite(c["err"]) & (c["err"] >= 0), "finite and >= 0"),
-              ("fit", np.isfinite(c["fit"]) & (c["fit"] >= 0), "finite and >= 0"),
-              ("set_size", np.isfinite(c["set_size"]) & (c["set_size"] > 0),
-               "finite and > 0"))
-    for name, ok, rule in ranges:
-        bad = np.flatnonzero(~ok)
+def _check_state(trial: int, c: dict, hidden, eta) -> None:
+    """Every rule scalar, hidden size and rate is in the range the learner
+    can run with.  A rule that was ever reinforced or reproduced
+    (``exp >= 1``) keeps its fitness at or above the floor."""
+    fit = c["fit"]
+    checks = (("num", c["num"], c["num"] >= 1, ">= 1"),
+              ("exp", c["exp"], c["exp"] >= 0, ">= 0"),
+              ("mtotal", c["mtotal"], c["mtotal"] >= 0, ">= 0"),
+              ("ts", c["ts"], (c["ts"] >= 0) & (c["ts"] <= trial), f"in [0, trial={trial}]"),
+              ("born", c["born"], (c["born"] >= 0) & (c["born"] <= trial),
+               f"in [0, trial={trial}]"),
+              ("err", c["err"], np.isfinite(c["err"]) & (c["err"] >= 0), "finite and >= 0"),
+              ("fit", fit, np.isfinite(fit) & (fit >= 0)
+               & ((c["exp"] < 1) | (fit >= xcsf._F_FLOOR)),
+               f"finite, >= 0 and >= {xcsf._F_FLOOR} once exp >= 1"),
+              ("set_size", c["set_size"], np.isfinite(c["set_size"]) & (c["set_size"] > 0),
+               "finite and > 0"),
+              ("hidden sizes", hidden, hidden >= 1, ">= 1"),
+              ("eta", eta, (eta >= neural.ETA_MIN) & (eta <= neural.ETA_MAX),
+               f"in [{neural.ETA_MIN}, {neural.ETA_MAX}]"))
+    for name, values, ok, rule in checks:
+        bad = np.flatnonzero(~(ok.all(axis=1) if ok.ndim > 1 else ok))
         if len(bad):
             i = int(bad[0])
-            raise CheckpointError(f"rule {i} {name} {metas[i][name]!r} is not {rule}")
-    if metas and not c["fit"].sum() > 0.0:
+            raise CheckpointError(f"rule {i} {name} {values[i].tolist()!r} is not {rule}")
+    if len(fit) and not (fit > 0.0).any():
         raise CheckpointError("the rules' total fitness is not positive")
+
+
+def _check_layer(name: str, c: dict, mu_min: float) -> None:
+    """One layer column of every rule holds only values the learner writes:
+    finite floats, rates in [mu_min, 1], a 0/1 mask, and zero weight and
+    momentum on every masked connection."""
+    for field in ("weights", "biases", "mom_w", "mom_b"):
+        if not np.isfinite(c[field]).all():
+            raise CheckpointError(f"{name} layer {field} are not all finite")
+    if not ((c["mu"] >= mu_min) & (c["mu"] <= 1.0)).all():
+        raise CheckpointError(f"{name} layer mutation rates are not all in [{mu_min}, 1]")
+    if (c["mask"] > 1).any():
+        raise CheckpointError(f"{name} layer mask holds a value other than 0 and 1")
+    off = c["mask"] == 0
+    if c["weights"][off].any() or c["mom_w"][off].any():
+        raise CheckpointError(f"{name} layer has a nonzero weight or momentum "
+                              "on a masked connection")
 
 
 def _check_window(window) -> None:
@@ -195,38 +147,30 @@ def _check_window(window) -> None:
                               "is not an integer >= 0")
 
 
-def _check_widths(cl: xcsf.Classifier, n: int) -> None:
-    """Every rule reads and reconstructs inputs of one width, and its
-    condition has a single output."""
-    widths = (cl.condition.n_inputs, cl.condition.n_outputs,
-              cl.prediction.n_inputs, cl.prediction.n_outputs)
-    if widths != (n, 1, n, n):
-        raise CheckpointError(
-            f"classifier nets map {widths[0]}->{widths[1]} and "
-            f"{widths[2]}->{widths[3]}, expected {n}->1 and {n}->{n}")
-
-
 def population_to_bytes(pop: xcsf.Population, cfg, rng,
                         window: dict | None = None) -> bytes:
     """Serialize population, config, RNG state, and the partial metrics
-    window so training can resume exactly where it stopped."""
-    block = _ArrayBlock()
-    classifiers = []
-    for cl in pop.members:
-        meta = {name: getattr(cl, name) for name in xcsf.SCALARS}
-        meta["condition"] = _network_meta(cl.condition, block)
-        meta["prediction"] = _network_meta(cl.prediction, block)
-        classifiers.append(meta)
+    window so training can resume exactly where it stopped.  Nothing is
+    validated here; the loader checks everything."""
+    layers = [cl.condition.layers + cl.prediction.layers for cl in pop.members]
+    columns = [np.asarray(getattr(pop.state, name)[pop.rows], dtype)
+               for name, dtype in _SCALAR_DTYPES.items()]
+    columns.append(np.array([[cl.condition.n_hidden, cl.prediction.n_hidden]
+                             for cl in pop.members], "<i8"))
+    columns.append(np.array([[layer.eta for layer in ls] for ls in layers], "<f8"))
+    for k in range(len(_LAYERS)):
+        for field, dtype in _LAYER_DTYPES.items():
+            columns += [np.asarray(getattr(ls[k], field), dtype) for ls in layers]
     header = {
         "version": VERSION,
         "config": config_to_dict(cfg),
         "trial": pop.trial,
         "rng": rng.bit_generator.state,
         "window": window or {"mse_sum": 0.0, "m_sum": 0.0, "count": 0},
-        "classifiers": classifiers,
-        "arrays": block.manifest,
+        "rules": len(pop.members),
+        "inputs": pop.members[0].prediction.n_inputs if pop.members else 0,
     }
-    return _pack(header, block.payload())
+    return _pack(header, b"".join(col.tobytes() for col in columns))
 
 
 def population_from_bytes(data: bytes):
@@ -238,18 +182,11 @@ def population_from_bytes(data: bytes):
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
 
 
-def _population_from_header(header: dict, payload: bytes):
-    reader = _ArrayReader(header["arrays"], payload)
-    metas = header["classifiers"]
-    trial = header["trial"]
-    _check_state(trial, metas)
-    members = [xcsf.Classifier(condition=_network_from_meta(meta["condition"], reader),
-                               prediction=_network_from_meta(meta["prediction"], reader),
-                               **{name: meta[name] for name in xcsf.SCALARS})
-               for meta in metas]
-    for cl in members:
-        _check_widths(cl, members[0].prediction.n_inputs)
-    pop = xcsf.Population(members, trial=trial)
+def _population_from_header(header: dict, payload):
+    trial, rules, n = header["trial"], header["rules"], header["inputs"]
+    for key, v in (("trial", trial), ("rules", rules), ("inputs", n)):
+        if type(v) is not int or v < 0:
+            raise CheckpointError(f"{key} {v!r} is not an integer >= 0")
     try:
         cfg = config_from_dict(header["config"])
     except ConfigError as exc:
@@ -257,8 +194,58 @@ def _population_from_header(header: dict, payload: bytes):
     _check_window(header["window"])
     bg = np.random.PCG64()
     bg.state = header["rng"]
-    rng = np.random.Generator(bg)
-    return pop, cfg, rng, header["window"]
+    offset = 0
+
+    def column(dtype, count):
+        nonlocal offset
+        col = np.frombuffer(payload, dtype, count, offset)
+        offset += col.nbytes
+        return col
+
+    state = {name: column(dtype, rules) for name, dtype in _SCALAR_DTYPES.items()}
+    hidden = column("<i8", 2 * rules).reshape(rules, 2)
+    eta = column("<f8", len(_LAYERS) * rules).reshape(rules, len(_LAYERS))
+    _check_state(trial, state, hidden, eta)
+    # (out, in) of the four layers of every rule, and from them the element
+    # counts of each layer field, all in Python ints so that no corrupt
+    # hidden size can overflow them or allocate anything
+    shapes = [((hc, n), (1, hc), (hp, n), (n, hp)) for hc, hp in hidden.tolist()]
+    sizes = []
+    for k in range(len(_LAYERS)):
+        w = [s[k][0] * s[k][1] for s in shapes]
+        b = [s[k][0] for s in shapes]
+        sizes.append({"weights": w, "biases": b, "mask": w, "mu": [4] * rules,
+                      "mom_w": w, "mom_b": b})
+    need = offset + sum(np.dtype(dtype).itemsize * sum(size[field])
+                        for size in sizes for field, dtype in _LAYER_DTYPES.items())
+    if need != len(payload):
+        raise CheckpointError(f"payload is {len(payload)} bytes, the rules' "
+                              f"hidden sizes and {n} inputs need {need}")
+    cuts = []
+    for name, size in zip(_LAYERS, sizes):
+        cols = {field: column(dtype, sum(size[field]))
+                for field, dtype in _LAYER_DTYPES.items()}
+        _check_layer(name, cols, cfg.mu_min)
+        # a native-endian copy per rule, so no layer keeps a column alive
+        cuts.append({field: [piece.astype(col.dtype.newbyteorder("=")) for piece in
+                             np.split(col, list(accumulate(size[field]))[:-1])]
+                     for field, col in cols.items()})
+    scalars = {name: col.tolist() for name, col in state.items()}
+    etas = eta.tolist()
+    members = []
+    for i, shape in enumerate(shapes):
+        layers = [neural.Layer(weights=c["weights"][i].reshape(shape[k]),
+                               biases=c["biases"][i],
+                               mask=c["mask"][i].reshape(shape[k]),
+                               eta=etas[i][k], mu=c["mu"][i],
+                               mom_w=c["mom_w"][i].reshape(shape[k]),
+                               mom_b=c["mom_b"][i])
+                  for k, c in enumerate(cuts)]
+        members.append(xcsf.Classifier(
+            condition=neural.Network(layers[:2]), prediction=neural.Network(layers[2:]),
+            **{name: values[i] for name, values in scalars.items()}))
+    pop = xcsf.Population(members, trial=trial)
+    return pop, cfg, np.random.Generator(bg), header["window"]
 
 
 def save_population(path, pop, cfg, rng, window=None) -> None:

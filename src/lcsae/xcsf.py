@@ -382,7 +382,9 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
     st.ts[rows] = pop.trial
     p1, p2 = select_parents([pop.members[i] for i in m.tolist()], rng)
     err = 0.5 * (p1.err + p2.err) * cfg.epsilon_R
-    fit = 0.5 * (p1.fit + p2.fit) * cfg.F_R
+    # a small F_R can make the reduced fitness subnormal, whose deletion vote
+    # mean_f / fit overflows; keep it at the floor reinforce keeps
+    fit = max(0.5 * (p1.fit + p2.fit) * cfg.F_R, _F_FLOOR)
     parents = (p1, p2)
     for i in range(cfg.lam):
         pop.add(make_offspring(parents[i % 2], err, fit, cfg, rng, pop.trial))

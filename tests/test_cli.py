@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import write_config, write_csv
-from lcsae import checkpoint, cli, metrics
+from lcsae import checkpoint, cli, metrics, xcsf
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
             split_ratio=0.9, seed=11)
@@ -282,58 +282,99 @@ def small_run(tmp_path_factory, dataset):
     return out / "run"
 
 
-def _every_rule(name, value):
-    def change(header):
-        for meta in header["classifiers"]:
-            meta[name] = value
+def _header_key(*path, value):
+    def change(ckpt):
+        header, payload = checkpoint._unpack(ckpt.read_bytes())
+        part = header
+        for key in path[:-1]:
+            part = part[key]
+        part[path[-1]] = value
+        ckpt.write_bytes(checkpoint._pack(header, payload))
     return change
+
+
+def _saved(change):
+    """Apply ``change`` to the loaded population and save it again;
+    ``save_population`` does not validate."""
+    def corrupt(ckpt):
+        pop, cfg, rng, window = checkpoint.load_population(ckpt)
+        change(pop)
+        checkpoint.save_population(ckpt, pop, cfg, rng, window)
+    return corrupt
+
+
+def _every_rule(name, value):
+    def change(pop):
+        getattr(pop.state, name)[pop.rows] = value
+    return _saved(change)
 
 
 def _first_rule(name, value):
-    def change(header):
-        header["classifiers"][0][name] = value
-    return change
+    def change(pop):
+        setattr(pop.members[0], name, value)
+    return _saved(change)
 
 
-def _header_key(*path, value):
-    def change(header):
-        for key in path[:-1]:
-            header = header[key]
-        header[path[-1]] = value
-    return change
+@_saved
+def _no_fitness_anywhere(pop):
+    # unreinforced rules, so that only the total is wrong
+    pop.state.exp[pop.rows] = 0
+    pop.state.fit[pop.rows] = 0.0
 
 
+@_saved
+def _reinforced_below_the_floor(pop):
+    pop.members[0].exp = 3
+    pop.members[0].fit = xcsf._F_FLOOR / 2
+
+
+# Each case corrupts the checkpoint of a small run and names a part of the
+# error the loader must give.  The rule scalars are payload columns, so
+# their cases change the saved state rather than the header.
 BAD_HEADERS = {
-    "config N 0": _header_key("config", "N", value=0),
-    "config mode": _header_key("config", "mode", value="nope"),
-    "config not a dict": _header_key("config", value=[1, 2]),
-    "window mse_sum text": _header_key("window", "mse_sum", value="x"),
-    "window empty": _header_key("window", value={}),
-    "window list": _header_key("window", value=[1, 2]),
-    "window extra key": _header_key("window", "extra", value=0),
-    "window count negative": _header_key("window", "count", value=-1),
-    "window count float": _header_key("window", "count", value=1.5),
-    "window m_sum inf": _header_key("window", "m_sum", value=float("inf")),
-    "num 0 everywhere": _every_rule("num", 0),
-    "num negative": _first_rule("num", -3),
-    "num text": _first_rule("num", "2"),
-    "num float": _first_rule("num", 2.7),
-    "num bool": _first_rule("num", True),
-    "exp negative": _first_rule("exp", -1),
-    "exp beyond int64": _first_rule("exp", 2**70),
-    "mtotal negative": _first_rule("mtotal", -1),
-    "fit nan": _first_rule("fit", float("nan")),
-    "fit negative": _first_rule("fit", -1.0),
-    "fit 0 everywhere": _every_rule("fit", 0.0),
-    "err negative": _first_rule("err", -0.5),
-    "err inf": _first_rule("err", float("inf")),
-    "set_size 0": _first_rule("set_size", 0.0),
-    "set_size text": _first_rule("set_size", "1.0"),
-    "born after trial": _first_rule("born", 41),
-    "ts negative": _first_rule("ts", -1),
-    "trial negative": _header_key("trial", value=-5),
-    "trial float": _header_key("trial", value=40.0),
+    "config N 0": (_header_key("config", "N", value=0), "checkpoint config"),
+    "config mode": (_header_key("config", "mode", value="nope"), "checkpoint config"),
+    "config not a dict": (_header_key("config", value=[1, 2]), "malformed checkpoint"),
+    "window mse_sum text": (_header_key("window", "mse_sum", value="x"), "mse_sum 'x'"),
+    "window empty": (_header_key("window", value={}), "metrics window {}"),
+    "window list": (_header_key("window", value=[1, 2]), "metrics window [1, 2]"),
+    "window extra key": (_header_key("window", "extra", value=0), "exactly the keys"),
+    "window count negative": (_header_key("window", "count", value=-1), "count -1"),
+    "window count float": (_header_key("window", "count", value=1.5), "count 1.5"),
+    "window m_sum inf": (_header_key("window", "m_sum", value=float("inf")), "m_sum inf"),
+    "trial negative": (_header_key("trial", value=-5), "trial -5"),
+    "trial float": (_header_key("trial", value=40.0), "trial 40.0"),
+    "rules negative": (_header_key("rules", value=-1), "rules -1"),
+    "rules float": (_header_key("rules", value=30.0), "rules 30.0"),
+    "rules bool": (_header_key("rules", value=True), "rules True"),
+    "rules a million": (_header_key("rules", value=10**6), "buffer is smaller"),
+    "inputs text": (_header_key("inputs", value="8"), "inputs '8'"),
+    "inputs negative": (_header_key("inputs", value=-8), "inputs -8"),
+    "inputs 16": (_header_key("inputs", value=16), "hidden sizes and 16 inputs need"),
+    "version 1": (_header_key("version", value=1), "unsupported version 1"),
+    "num 0 everywhere": (_every_rule("num", 0), "num 0 is not >= 1"),
+    "num negative": (_first_rule("num", -3), "rule 0 num -3"),
+    "exp negative": (_first_rule("exp", -1), "rule 0 exp -1"),
+    "mtotal negative": (_first_rule("mtotal", -1), "rule 0 mtotal -1"),
+    "fit nan": (_first_rule("fit", float("nan")), "rule 0 fit nan"),
+    "fit negative": (_first_rule("fit", -1.0), "rule 0 fit -1.0"),
+    "fit 0 everywhere": (_no_fitness_anywhere, "total fitness is not positive"),
+    "fit below the floor once reinforced": (_reinforced_below_the_floor, "rule 0 fit 5e-301"),
+    "err negative": (_first_rule("err", -0.5), "rule 0 err -0.5"),
+    "err inf": (_first_rule("err", float("inf")), "rule 0 err inf"),
+    "set_size 0": (_first_rule("set_size", 0.0), "rule 0 set_size 0.0"),
+    "born after trial": (_first_rule("born", 41), "rule 0 born 41"),
+    "ts negative": (_first_rule("ts", -1), "rule 0 ts -1"),
 }
+
+
+def _assert_refused(ckpt, dataset, tmp_path, capsys):
+    assert cli.main(["resume", str(ckpt), "--trials", "5"]) == 2
+    assert cli.main(["reconstruct", str(ckpt), dataset, "--no-images",
+                     "--outdir", str(tmp_path / "rec")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
@@ -341,24 +382,90 @@ def test_checkpoint_header_the_learner_cannot_run_with_exits_2(
         case, small_run, dataset, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
-    ckpt = run / "population.ckpt"
-    header, payload = checkpoint._unpack(ckpt.read_bytes())
-    BAD_HEADERS[case](header)
-    ckpt.write_bytes(checkpoint._pack(header, payload))
-    assert cli.main(["resume", str(ckpt), "--trials", "5"]) == 2
-    assert cli.main(["reconstruct", str(ckpt), dataset, "--no-images",
-                     "--outdir", str(tmp_path / "rec")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("data error") == 2 and "Traceback" not in err
+    corrupt, message = BAD_HEADERS[case]
+    corrupt(run / "population.ckpt")
+    assert message in _assert_refused(run / "population.ckpt", dataset, tmp_path, capsys)
+
+
+def _layer(net, k, change):
+    @_saved
+    def corrupt(pop):
+        change(getattr(pop.members[0], net).layers[k])
+    return corrupt
+
+
+@_saved
+def _nan_eta_on_every_prediction_hidden_layer(pop):
+    for cl in pop.members:
+        cl.prediction.layers[0].eta = float("nan")
+
+
+def _set(field, index, value):
+    def change(layer):
+        getattr(layer, field)[index] = value
+    return change
+
+
+def _set_eta(value):
+    def change(layer):
+        layer.eta = value
+    return change
+
+
+def _mask_off_keeping(field):
+    """Mask one connection off but leave its weight or momentum nonzero."""
+    def change(layer):
+        layer.mask[0, 0] = 0
+        layer.weights[0, 0] = layer.mom_w[0, 0] = 0.0
+        getattr(layer, field)[0, 0] = 0.25
+    return change
+
+
+# network values the learner never writes; unchecked, the first two would
+# resume with exit 0 and append NaN errors to metrics.csv
+BAD_NETWORKS = {
+    "eta nan on every prediction hidden layer": (
+        _nan_eta_on_every_prediction_hidden_layer, "rule 0 eta"),
+    "one nan weight": (_layer("prediction", 1, _set("weights", (2, 0), float("nan"))),
+                       "prediction output layer weights are not all finite"),
+    "eta 1e6": (_layer("condition", 1, _set_eta(1e6)), "rule 0 eta"),
+    "eta 0": (_layer("prediction", 1, _set_eta(0.0)), "rule 0 eta"),
+    "inf bias": (_layer("condition", 0, _set("biases", 0, float("inf"))),
+                 "condition hidden layer biases are not all finite"),
+    "nan momentum": (_layer("prediction", 0, _set("mom_b", 0, float("nan"))),
+                     "prediction hidden layer mom_b are not all finite"),
+    "mu above 1": (_layer("prediction", 0, _set("mu", 1, 1.5)), "mutation rates"),
+    "mu below mu_min": (_layer("condition", 1, _set("mu", 0, 0.0)), "mutation rates"),
+    "masks of value 2": (_layer("prediction", 0, _set("mask", slice(None), 2)),
+                         "mask holds a value other than 0 and 1"),
+    "weight on a masked connection": (_layer("prediction", 1, _mask_off_keeping("weights")),
+                                      "on a masked connection"),
+    "momentum on a masked connection": (_layer("condition", 0, _mask_off_keeping("mom_w")),
+                                        "on a masked connection"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NETWORKS))
+def test_checkpoint_networks_the_learner_never_writes_exit_2(
+        case, small_run, dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    corrupt, message = BAD_NETWORKS[case]
+    corrupt(run / "population.ckpt")
+    assert message in _assert_refused(run / "population.ckpt", dataset, tmp_path, capsys)
 
 
 def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path):
-    # fitness may be exactly zero on some rules, and born/ts may equal trial
+    # a reinforced rule may sit exactly at the fitness floor, and born/ts
+    # may equal the trial
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
-    ckpt = run / "population.ckpt"
-    header, payload = checkpoint._unpack(ckpt.read_bytes())
-    header["classifiers"][0]["fit"] = 0.0
-    header["classifiers"][0]["born"] = header["classifiers"][0]["ts"] = header["trial"]
-    ckpt.write_bytes(checkpoint._pack(header, payload))
-    assert cli.main(["resume", str(ckpt), "--trials", "5"]) == 0
+
+    @_saved
+    def at_the_limits(pop):
+        cl = pop.members[0]
+        cl.exp, cl.fit = max(cl.exp, 1), xcsf._F_FLOOR
+        cl.born = cl.ts = pop.trial
+
+    at_the_limits(run / "population.ckpt")
+    assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "5"]) == 0

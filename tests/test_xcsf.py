@@ -292,6 +292,33 @@ def test_maybe_run_ea_fires_and_inserts_offspring(cfg):
             assert np.array_equal(layer.mom_w, np.zeros_like(layer.mom_w))
 
 
+def test_maybe_run_ea_due_check_uses_the_exact_mean_time_stamp():
+    # the numerosity-weighted mean ts is exactly 431377.0, but the ratio of
+    # means mean(ts * num) / mean(num) rounds to 431376.99999999994, which
+    # would fire one trial early
+    cfg = ExperimentConfig(theta_EA=50)
+    pop = xcsf.Population([make_classifier(n=3, seed=s, num=num, ts=ts) for s, (num, ts)
+                           in enumerate(zip([1, 14, 25], [798937, 4137, 655929]))])
+    rng = np.random.default_rng(6)
+    pop.trial = 431427
+    assert not xcsf.maybe_run_ea(pop, np.arange(3), cfg, rng)
+    pop.trial = 431428
+    assert xcsf.maybe_run_ea(pop, np.arange(3), cfg, rng)
+
+
+def test_a_subnormal_child_fitness_is_floored():
+    # with F_R=1e-320 the reduced parental fitness is subnormal; unfloored,
+    # its deletion vote mean_f / fit overflows to inf and the roulette can
+    # then only pick the last member
+    cfg = ExperimentConfig(N=20, F_R=1e-320, theta_del=0)
+    rng = np.random.default_rng(12)
+    pop = xcsf.init_population(cfg, 6, rng)
+    for x in np.random.default_rng(13).random((200, 6)):
+        xcsf.run_trial(pop, x, cfg, rng)
+    assert pop.state.fit[pop.rows].min() >= xcsf._F_FLOOR
+    assert np.isfinite(xcsf.deletion_votes(pop, pop.mean_fitness(), cfg)).all()
+
+
 def test_make_offspring_applies_reductions(cfg):
     parent = make_classifier(n=3, seed=9, fit=0.5, err=0.2, set_size=3.0)
     # reductions are applied by the caller from the parental means
@@ -612,7 +639,7 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
         fits = [cl.fit for cl in m]
         parents = (m[_roulette(fits, rng)], m[_roulette(fits, rng)])
         err = 0.5 * (parents[0].err + parents[1].err) * cfg.epsilon_R
-        fit = 0.5 * (parents[0].fit + parents[1].fit) * cfg.F_R
+        fit = max(0.5 * (parents[0].fit + parents[1].fit) * cfg.F_R, xcsf._F_FLOOR)
         for i in range(cfg.lam):
             members.append(_Rule.of(xcsf.make_offspring(parents[i % 2], err, fit,
                                                         cfg, rng, trial)))
