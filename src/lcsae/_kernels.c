@@ -1,8 +1,8 @@
 /*
- * Compiled hot-path kernels.  Three entry points:
+ * Compiled hot-path kernels.  Two entry points:
  *
- *     forward2         one network's forward pass;
- *     match_batch      every condition net of the population on one input;
+ *     forward_batch    the forward pass of many networks on one input,
+ *                      with no update;
  *     reinforce_batch  one fused momentum-SGD step toward the input for
  *                      every prediction net of a match set.
  *
@@ -35,7 +35,8 @@
 
 static const double SELU_LA = SELU_LAMBDA * SELU_ALPHA;
 
-/* One network's checked data; condition nets fill no masks, m* or etas. */
+/* One network's checked data; a net with no update fills no masks, m* or
+ * etas. */
 typedef struct {
     double *w1, *b1, *mw1, *mb1, *w2, *b2, *mw2, *mb2, eta1, eta2;
     unsigned char *mask1, *mask2;
@@ -161,10 +162,10 @@ eta_value(PyObject *obj, const char *name, double *out)
     return 0;
 }
 
-/* Check one network against an input of length n_in and fill `p`.  `v`
- * holds (w1, b1, w2, b2) for a condition net, and for a prediction net
- * (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2), whose
- * weights must be writable.  n_out < 0 accepts any output width. */
+/* Check one network against an input of length n_in and an output of width
+ * n_out and fill `p`.  `v` holds (w1, b1, w2, b2) for a forward pass, and
+ * for a training step (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2,
+ * mb2, eta2), whose weights must be writable. */
 static int
 check_net(PyObject *const *v, int pred, npy_intp n_in, npy_intp n_out, net_t *p)
 {
@@ -194,7 +195,7 @@ check_net(PyObject *const *v, int pred, npy_intp n_in, npy_intp n_out, net_t *p)
 }
 
 /* Check every (arity)-tuple of `list` as a network and return them in a
- * new array, with the largest hidden or output width; NULL on error. */
+ * new array, with the largest hidden width; NULL on error. */
 static net_t *
 check_nets(PyObject *list, Py_ssize_t arity, npy_intp n_in, npy_intp n_out,
            npy_intp *width)
@@ -213,11 +214,7 @@ check_nets(PyObject *list, Py_ssize_t arity, npy_intp n_in, npy_intp n_out,
         }
         if (check_net(&PyTuple_GET_ITEM(t, 0), arity == 12, n_in, n_out, &nets[i]) < 0)
             goto fail;
-        if (arity == 4 && nets[i].n_out < 1) {
-            PyErr_Format(PyExc_ValueError, "item %zd has no output", i);
-            goto fail;
-        }
-        *width = Py_MAX(*width, Py_MAX(nets[i].h, nets[i].n_out));
+        *width = Py_MAX(*width, nets[i].h);
     }
     return nets;
 fail:
@@ -226,64 +223,35 @@ fail:
 }
 
 static PyObject *
-py_forward2(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kw[] = {"w1", "b1", "w2", "b2", "x", NULL};
-    PyObject *v[4], *xo, *a1, *y;
+    static char *kw[] = {"nets", "x", "ys_out", NULL};
+    PyObject *list, *xo, *yo;
     const double *x;
-    npy_intp n;
-    net_t p;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOO:forward2", kw,
-                                     &v[0], &v[1], &v[2], &v[3], &xo))
-        return NULL;
-    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0)))
-        return NULL;
-    n = PyArray_DIM((PyArrayObject *)xo, 0);
-    if (check_net(v, 0, n, -1, &p) < 0)
-        return NULL;
-    a1 = PyArray_SimpleNew(1, &p.h, NPY_DOUBLE);
-    y = PyArray_SimpleNew(1, &p.n_out, NPY_DOUBLE);
-    if (a1 && y) {
-        forward(&p, n, x, PyArray_DATA((PyArrayObject *)a1),
-                PyArray_DATA((PyArrayObject *)y));
-        return Py_BuildValue("(NN)", a1, y);
-    }
-    Py_XDECREF(a1);
-    Py_XDECREF(y);
-    return NULL;
-}
-
-static PyObject *
-py_match_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
-{
-    static char *kw[] = {"conds", "x", "threshold", "out", NULL};
-    PyObject *conds, *xo, *oo;
-    const double *x;
-    double threshold, *scratch;
-    unsigned char *out;
-    npy_intp n, m, width, i;
+    double *ys, *a1;
+    npy_intp n, m, n_out, width, i;
     net_t *nets;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OdO:match_batch", kw,
-                                     &PyList_Type, &conds, &xo, &threshold, &oo))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OO:forward_batch", kw,
+                                     &PyList_Type, &list, &xo, &yo))
         return NULL;
-    m = PyList_GET_SIZE(conds);
+    m = PyList_GET_SIZE(list);
+    /* the width of ys_out fixes every net's output width */
+    n_out = PyArray_Check(yo) && PyArray_NDIM((PyArrayObject *)yo) == 2
+            ? PyArray_DIM((PyArrayObject *)yo, 1) : 0;
     if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0))
-        || !(out = array_data(oo, "out", NPY_UINT8, m, -1, 1)))
+        || !(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n_out, 1)))
         return NULL;
     n = PyArray_DIM((PyArrayObject *)xo, 0);
-    if (!(nets = check_nets(conds, 4, n, -1, &width)))
+    if (!(nets = check_nets(list, 4, n, n_out, &width)))
         return NULL;
-    if (!(scratch = PyMem_New(double, 2 * width))) {
+    if (!(a1 = PyMem_New(double, width))) {
         PyMem_Free(nets);
         return PyErr_NoMemory();
     }
-    for (i = 0; i < m; i++) {
-        forward(&nets[i], n, x, scratch, scratch + width);
-        out[i] = scratch[width] > threshold ? 1 : 0;
-    }
-    PyMem_Free(scratch);
+    for (i = 0; i < m; i++)
+        forward(&nets[i], n, x, a1, ys + i * n_out);
+    PyMem_Free(a1);
     PyMem_Free(nets);
     Py_RETURN_NONE;
 }
@@ -324,13 +292,10 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     {name, (PyCFunction)(void (*)(void))fn, METH_VARARGS | METH_KEYWORDS, doc}
 
 static PyMethodDef methods[] = {
-    KW_METHOD("forward2", py_forward2,
-              "forward2(w1, b1, w2, b2, x)\n--\n\n"
-              "Hidden SELU + logistic output forward pass; returns (a1, y)."),
-    KW_METHOD("match_batch", py_match_batch,
-              "match_batch(conds, x, threshold, out)\n--\n\n"
-              "Set ``out[i]`` to 1 where condition i's first output exceeds\n"
-              "``threshold``, else 0."),
+    KW_METHOD("forward_batch", py_forward_batch,
+              "forward_batch(nets, x, ys_out)\n--\n\n"
+              "Forward pass of every (w1, b1, w2, b2) net of ``nets`` on ``x``,\n"
+              "with no update; row i of ``ys_out`` receives net i's output."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
               "reinforce_batch(preds, x, omega, ys_out)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"

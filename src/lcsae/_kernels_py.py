@@ -1,11 +1,14 @@
 """Pure-numpy twin of the hot per-trial kernels, and the reference for them.
 
-Every network on the hot path has the same shape: one SELU hidden layer
-followed by a logistic output layer, all float64 C-contiguous arrays.
-The compiled extension built from ``_kernels.c`` implements the same
-functions with identical semantics; this module is used when it is not
-available.  It also holds the package's one definition of each
-activation, and imports nothing from the package.
+Two entry points: ``forward_batch`` (the forward pass of many networks on
+one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
+toward the input for every prediction net of a match set).  Every network
+on the hot path has the same shape: one SELU hidden layer followed by a
+logistic output layer, all float64 C-contiguous arrays.  The compiled
+extension built from ``_kernels.c`` implements the same functions with
+identical semantics; this module is used when it is not available.  It
+also holds the package's one definition of each activation, and imports
+nothing from the package.
 """
 
 import numpy as np
@@ -33,8 +36,8 @@ def logistic(z):
     return float(out) if out.ndim == 0 else out
 
 
-def forward2(w1, b1, w2, b2, x):
-    """Hidden SELU + logistic output forward pass.
+def _forward(w1, b1, w2, b2, x):
+    """Hidden SELU + logistic output forward pass of one network.
 
     Returns (hidden activations, outputs).
     """
@@ -52,7 +55,7 @@ def _fused_sgd(w1, b1, mask1, mw1, mb1, eta1,
     excluded: their value, gradient, and momentum stay exactly zero.
     """
     n_out = w2.shape[0]
-    a1, y = forward2(w1, b1, w2, b2, x)
+    a1, y = _forward(w1, b1, w2, b2, x)
     y_out[:] = y
 
     d2 = (2.0 / n_out) * (y - x) * y * (1.0 - y)
@@ -78,15 +81,14 @@ def _fused_sgd(w1, b1, mask1, mw1, mb1, eta1,
     mb1[:] = db1
 
 
-def match_batch(conds, x, threshold, out):
-    """Evaluate many condition networks on one input.
+def forward_batch(nets, x, ys_out):
+    """Forward pass of many networks on one input, with no update.
 
-    ``conds`` holds (w1, b1, w2, b2) tuples; ``out`` is a uint8 array that
-    receives 1 where the first output exceeds ``threshold``.
+    ``nets`` holds (w1, b1, w2, b2) tuples; row i of ``ys_out`` receives
+    net i's output.
     """
-    for i, (w1, b1, w2, b2) in enumerate(conds):
-        _, y = forward2(w1, b1, w2, b2, x)
-        out[i] = 1 if y[0] > threshold else 0
+    for i, args in enumerate(nets):
+        ys_out[i] = _forward(*args, x)[1]
 
 
 def reinforce_batch(preds, x, omega, ys_out):

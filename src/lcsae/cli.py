@@ -78,13 +78,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    if args.trials < 0:
+        raise _UsageError("--trials must be >= 0")
     metrics_path = runner.resume_experiment(args.ckpt, args.trials)
     print(f"resume complete: +{args.trials} trials, metrics in {metrics_path}")
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.count < 1:
+        raise _UsageError("--count must be >= 1")
     if args.noise is not None:
+        if not 0.0 <= args.noise <= 1.0:
+            raise _UsageError("--noise must be in [0, 1]")
         corruption, fraction = "salt_pepper", args.noise
     elif args.cutout:
         corruption, fraction = "cutout", 0.0

@@ -155,11 +155,14 @@ def validate(cfg: ExperimentConfig) -> None:
     require(cfg.mode in ("xcsf", "global_ea"), "mode must be 'xcsf' or 'global_ea'")
     require(cfg.stale_limit >= 1, "stale_limit must be >= 1")
     require(0.0 <= cfg.match_threshold < 1.0, "match_threshold must be in [0, 1)")
+    require(cfg.seed >= 0, "seed must be >= 0")
     require(cfg.trials >= 0, "trials must be >= 0")
     require(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1")
     require(cfg.dataset_format in ("", "csv", "idx"),
             "dataset_format must be 'csv' or 'idx'")
     require(0.0 < cfg.split_ratio <= 1.0, "split_ratio must be in (0, 1]")
+    require(cfg.image_shape is None or min(cfg.image_shape) >= 1,
+            "image_shape dimensions must be >= 1")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

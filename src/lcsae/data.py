@@ -51,35 +51,34 @@ def load_csv(path, has_label_column: bool = False, image_shape=None) -> Dataset:
     rows = []
     width = None
     try:
-        f = open(path, "r", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with f:
-        reader = csv.reader(f)
-        for lineno, record in enumerate(reader, 1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if width is None:
-                # a non-numeric first line is a header
-                try:
-                    [float(c) for c in record]
-                except ValueError:
-                    width = len(record)
+        with open(path, "r", newline="", encoding="utf-8") as f:
+            for lineno, record in enumerate(csv.reader(f), 1):
+                if not record or (len(record) == 1 and not record[0].strip()):
                     continue
-                width = len(record)
-            if len(record) != width:
-                raise DataError(
-                    f"{path}: line {lineno} has {len(record)} cells, expected {width}")
-            try:
-                rows.append([float(c) for c in record])
-            except ValueError:
-                for col, cell in enumerate(record, 1):
+                if width is None:
+                    # a non-numeric first line is a header
                     try:
-                        float(cell)
+                        [float(c) for c in record]
                     except ValueError:
-                        raise DataError(
-                            f"{path}: line {lineno}, column {col}: "
-                            f"not a number: {cell!r}") from None
+                        width = len(record)
+                        continue
+                    width = len(record)
+                if len(record) != width:
+                    raise DataError(
+                        f"{path}: line {lineno} has {len(record)} cells, expected {width}")
+                try:
+                    rows.append([float(c) for c in record])
+                except ValueError:
+                    for col, cell in enumerate(record, 1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise DataError(
+                                f"{path}: line {lineno}, column {col}: "
+                                f"not a number: {cell!r}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # a binary file, or one cell beyond the csv module's size limit
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
     arr = np.array(rows, dtype=float)

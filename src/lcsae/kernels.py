@@ -1,9 +1,10 @@
 """Backend selection for the hot per-trial kernels.
 
-Three entry points: ``forward2`` (one network's forward pass),
-``match_batch`` (every condition net on one input) and ``reinforce_batch``
-(one momentum-SGD step toward the input for every prediction net of a
-match set).
+Two entry points: ``forward_batch`` (the forward pass of many networks on
+one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
+toward the input for every prediction net of a match set).  The match rule
+``match_batch`` is written once here, on top of ``forward_batch``, for both
+backends.
 
 The compiled extension ``_kernels``, built from the hand-written C source
 ``_kernels.c``, is preferred; the pure-numpy twin ``_kernels_py`` is used
@@ -14,6 +15,8 @@ the compiled extension, which no longer needs Cython.  Set
 """
 
 import os
+
+import numpy as np
 
 _forced = os.environ.get("LCSAE_KERNELS", "").strip().lower()
 if _forced not in ("", "cython", "python"):
@@ -35,6 +38,13 @@ else:
 
         BACKEND = "python"
 
-forward2 = _impl.forward2
-match_batch = _impl.match_batch
+forward_batch = _impl.forward_batch
 reinforce_batch = _impl.reinforce_batch
+
+
+def match_batch(conds, x, threshold):
+    """Positions in ``conds``, a list of (w1, b1, w2, b2) condition nets, of
+    the nets whose output for ``x`` exceeds ``threshold``."""
+    ys = np.empty((len(conds), 1))
+    forward_batch(conds, x, ys)
+    return np.flatnonzero(ys[:, 0] > threshold)

@@ -161,8 +161,8 @@ def pred_args(net: Network) -> tuple:
             o.weights, o.biases, o.mask, o.mom_w, o.mom_b, o.eta)
 
 
-def cond_args(net: Network) -> tuple:
-    """Kernel argument tuple for the matching forward pass."""
+def forward_args(net: Network) -> tuple:
+    """Kernel argument tuple for a forward pass with no update."""
     h, o = net.layers
     return (h.weights, h.biases, o.weights, o.biases)
 
@@ -172,8 +172,9 @@ def forward(net: Network, x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.n_inputs},)")
-    _, y = kernels.forward2(*cond_args(net), x)
-    return y
+    ys = np.empty((1, net.n_outputs))
+    kernels.forward_batch([forward_args(net)], x, ys)
+    return ys[0]
 
 
 def self_adapt(layer: Layer, rng, mu_min: float) -> None:

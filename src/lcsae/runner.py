@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -38,6 +39,10 @@ def prepare_dataset(cfg: ExperimentConfig) -> data.Dataset:
     ds = data.load_dataset(cfg.dataset, fmt=cfg.dataset_format,
                            has_label_column=cfg.has_label_column,
                            image_shape=cfg.image_shape)
+    # an IDX file brings its own shape, but a configured one must fit too
+    if cfg.image_shape is not None and math.prod(cfg.image_shape) != ds.n:
+        raise data.DataError(f"image_shape {list(cfg.image_shape)} does not fit "
+                             f"the dataset's {ds.n} features")
     return data.split(ds, cfg.split_ratio, derived_rng(cfg.seed, STREAM_SPLIT))
 
 
@@ -226,6 +231,10 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
     ``corruption`` is one of none/salt_pepper/cutout and is applied to the
     inputs only; errors are always measured against the clean originals.
     """
+    if corruption not in ("none", "salt_pepper", "cutout"):
+        raise ValueError(f"unknown corruption {corruption!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     pop, cfg, _ = checkpoint.load_population(ckpt_path)[:3]
     if not pop.members:
         raise checkpoint.CheckpointError("checkpoint holds no classifiers")
@@ -235,8 +244,6 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
     valid = ds.valid()
     if valid.shape[0] == 0:
         raise data.DataError("validation split is empty; nothing to reconstruct")
-    if corruption not in ("none", "salt_pepper", "cutout"):
-        raise ValueError(f"unknown corruption {corruption!r}")
 
     rng = derived_rng(cfg.seed, STREAM_AUX)
     k = min(count, valid.shape[0])

@@ -120,7 +120,7 @@ class Classifier:
     def refresh_args(self):
         # structure is fixed after construction, so the kernel argument
         # tuples can be cached for the per-trial loops
-        self.cond_args = neural.cond_args(self.condition)
+        self.cond_args = neural.forward_args(self.condition)
         self.pred_args = neural.pred_args(self.prediction)
 
 
@@ -203,10 +203,8 @@ def match_set(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
     ``x`` exceeds the match threshold (every member in global_ea mode)."""
     if cfg.global_ea:
         return np.arange(len(pop.members))
-    flags = np.empty(len(pop.members), dtype=np.uint8)
-    kernels.match_batch([cl.cond_args for cl in pop.members], x,
-                        cfg.match_threshold, flags)
-    return np.flatnonzero(flags)
+    return kernels.match_batch([cl.cond_args for cl in pop.members], x,
+                               cfg.match_threshold)
 
 
 def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> np.ndarray:
@@ -252,8 +250,11 @@ def fitness_weighted_mean(fits, ys) -> np.ndarray:
 
 
 def system_prediction(m: list, x) -> np.ndarray:
-    """Fitness-weighted mean reconstruction of a list of rules."""
-    ys = np.array([neural.forward(cl.prediction, x) for cl in m])
+    """Fitness-weighted mean reconstruction of a list of rules, from one
+    kernel call over their prediction nets."""
+    x = np.ascontiguousarray(x, dtype=float)
+    ys = np.empty((len(m), len(x)))
+    kernels.forward_batch([neural.forward_args(cl.prediction) for cl in m], x, ys)
     return fitness_weighted_mean(_fitnesses(m), ys)
 
 

@@ -3,14 +3,17 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_config, write_csv
-from lcsae import checkpoint, cli, metrics, xcsf
+from lcsae import checkpoint, cli, metrics, runner, xcsf
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
             split_ratio=0.9, seed=11)
@@ -469,3 +472,136 @@ def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path)
 
     at_the_limits(run / "population.ckpt")
     assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "5"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# arguments and config values that used to end in a traceback
+
+
+_RECONSTRUCT = ["reconstruct", "{ckpt}", "{data}", "--outdir", "{rec}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_RECONSTRUCT + ["--count", "0"], "--count must be >= 1"),
+    (_RECONSTRUCT + ["--count", "-3"], "--count must be >= 1"),
+    (_RECONSTRUCT + ["--noise", "1.5"], "--noise must be in [0, 1]"),
+    (_RECONSTRUCT + ["--noise", "nan"], "--noise must be in [0, 1]"),
+    (["resume", "{ckpt}", "--trials", "-5"], "--trials must be >= 0"),
+])
+def test_out_of_range_arguments_are_usage_errors(
+        argv, message, small_run, dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    before = (run / "population.ckpt").read_bytes()
+    for ckpt in (run / "population.ckpt", tmp_path / "missing.ckpt"):
+        # refused before the checkpoint is read, so a missing one gives the
+        # same usage error
+        args = [a.format(ckpt=ckpt, data=dataset, rec=tmp_path / "rec") for a in argv]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and "Traceback" not in err
+    assert (run / "population.ckpt").read_bytes() == before
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        runner.reconstruct(run / "population.ckpt", dataset, count=0)
+
+
+@pytest.mark.parametrize("keys, message", [
+    (dict(seed=-1), "seed must be >= 0"),
+    (dict(image_shape="-4,-4"), "image_shape dimensions must be >= 1"),
+    (dict(image_shape="4,4,0"), "image_shape dimensions must be >= 1"),
+])
+def test_negative_seed_or_image_dimension_is_a_config_error(
+        keys, message, dataset, tmp_path, capsys):
+    cfg = _config(tmp_path, dataset, **keys)
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def wide16(tmp_path_factory):
+    return write_csv(tmp_path_factory.mktemp("wide16") / "wide.csv",
+                     np.random.default_rng(8).random((40, 16)))
+
+
+def test_image_shape_that_does_not_fit_the_data_exits_2(wide16, tmp_path, capsys):
+    out = tmp_path / "out"
+    idx = tmp_path / "wide.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x00000803, 40, 4, 4) + bytes(40 * 16))
+    for data in (wide16, str(idx)):
+        cfg = _config(tmp_path, data, image_shape="3,3")
+        assert cli.main(["run", cfg, "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: image_shape [3, 3, 1] does not fit the "
+                              "dataset's 16 features")
+        assert not (out / "metrics.csv").exists()  # refused before training
+    # a checkpoint that names an image shape its data does not fit
+    cfg = _config(tmp_path, wide16, name="fits.cfg", image_shape="4,4", trials=20,
+                  checkpoint_interval=10)
+    assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    pop, cfg, rng, window = checkpoint.load_population(out / "population.ckpt")
+    cfg.image_shape = (3, 3, 1)
+    checkpoint.save_population(out / "population.ckpt", pop, cfg, rng, window)
+    for extra in ([], ["--cutout"]):
+        assert cli.main(["reconstruct", str(out / "population.ckpt"), wide16,
+                         "--outdir", str(tmp_path / "rec"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: image_shape") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def argv_run(tmp_path_factory, dataset):
+    """A tiny run with images, whose directory each fuzzed command gets a
+    fresh copy of."""
+    out = tmp_path_factory.mktemp("argv")
+    cfg = write_config(out / "argv.cfg", **dict(BASE, dataset=dataset, N=10, trials=20,
+                                                checkpoint_interval=10,
+                                                image_shape="2,4"))
+    assert cli.main(["run", cfg, "--outdir", str(out / "run")]) == 0
+    return out
+
+
+_JUNK = st.sampled_from(["", "x", "1.5", "1e400"])
+_COUNTS = st.one_of(st.integers(-3, 30).map(str), st.just("99999999999999999999"), _JUNK)
+_FRACTIONS = st.one_of(st.floats(0, 1).map(repr), st.floats().map(repr), _JUNK)
+# few trials, so that a resume that runs stays quick
+_TRIALS = st.one_of(st.integers(-2, 3).map(str), _JUNK)
+_FLAGS = (("--count", _COUNTS), ("--noise", _FRACTIONS), ("--trials", _TRIALS),
+          ("--cutout", None), ("--no-images", None), ("--bogus", None))
+# how often, in sixteenths, each command gets each of its own options; any
+# other option comes once in sixteen
+_OWN_FLAGS = {"reconstruct": {"--count": 8, "--noise": 6, "--cutout": 4, "--no-images": 8},
+              "resume": {"--trials": 14}}
+
+
+@st.composite
+def _cli_argv(draw, run, dataset):
+    """``reconstruct`` or ``resume`` with arguments dropped, added or bent."""
+    command = draw(st.sampled_from(["reconstruct", "resume"]))
+    ckpt = str(run / "population.ckpt")
+    positional = [ckpt, dataset] if command == "reconstruct" else [ckpt]
+    # a missing or an extra argument now and then
+    if draw(st.integers(0, 3)) == 0:
+        positional = positional[:draw(st.integers(0, len(positional) - 1))]
+    if draw(st.integers(0, 3)) == 0:
+        positional.append(draw(st.sampled_from([ckpt, dataset, "extra"])))
+    options = []
+    for flag, values in _FLAGS:
+        if draw(st.integers(0, 15)) < _OWN_FLAGS[command].get(flag, 1):
+            options += [flag] if values is None else [flag, draw(values)]
+    if command == "reconstruct":
+        options += ["--outdir", str(run / "rec")]
+    return [command, *positional, *options]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reconstruct_and_resume_argument_vectors_fail_closed(argv_run, dataset,
+                                                             capsys, data):
+    run = argv_run / "example"
+    shutil.rmtree(run, ignore_errors=True)
+    shutil.copytree(argv_run / "run", run)
+    code = cli.main(data.draw(_cli_argv(run, dataset), label="argv"))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3) and "Traceback" not in err

@@ -51,6 +51,16 @@ def test_load_csv_reports_bad_cell_position(tmp_path):
         load_csv(_write(tmp_path, "0.1,0.2\n0.3,oops\n"))
 
 
+def test_load_csv_rejects_binary_and_oversized_files(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"0.1,0.2\n\x9a\xff\x00\n")
+    with pytest.raises(DataError, match="cannot read"):
+        load_csv(path)
+    # one cell beyond the csv module's field size limit
+    with pytest.raises(DataError, match="cannot read"):
+        load_csv(_write(tmp_path, "0" * (1 << 18) + "\n"))
+
+
 def test_load_csv_rejects_non_finite(tmp_path):
     with pytest.raises(DataError, match="non-finite"):
         load_csv(_write(tmp_path, "nan,0.5\n0.1,0.2\n"))

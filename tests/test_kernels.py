@@ -71,15 +71,20 @@ def test_source_compiles_without_warnings(build):
 
 
 def test_forward_parity(cy):
+    # random input widths, up to the paper's 784, hidden sizes and output
+    # widths, including the two the learner uses: 1 and the input width
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        n_in, h, n_out = rng.integers(1, 9, size=3)
-        w1, b1, _, w2, b2, _ = _random_net(rng, n_in, h, n_out)
-        x = rng.random(n_in)
-        a_py, y_py = _kernels_py.forward2(w1, b1, w2, b2, x)
-        a_cy, y_cy = cy.forward2(w1, b1, w2, b2, x)
-        assert a_cy == pytest.approx(a_py, rel=1e-12, abs=1e-15)
-        assert y_cy == pytest.approx(y_py, rel=1e-12, abs=1e-15)
+    for n_in in [*rng.integers(1, 9, size=30).tolist(), 784]:
+        for n_out in (1, n_in, int(rng.integers(1, 9))):
+            nets = [_random_net(rng, n_in, int(rng.integers(1, 9)), n_out)
+                    for _ in range(int(rng.integers(1, 5)))]
+            nets = [(w1, b1, w2, b2) for w1, b1, _, w2, b2, _ in nets]
+            x = rng.random(n_in)
+            ys_py = np.empty((len(nets), n_out))
+            ys_cy = np.empty((len(nets), n_out))
+            _kernels_py.forward_batch(nets, x, ys_py)
+            cy.forward_batch(nets, x, ys_cy)
+            assert ys_cy == pytest.approx(ys_py, rel=1e-12, abs=1e-15)
 
 
 def test_single_net_reinforce_parity_over_many_steps(cy):
@@ -116,12 +121,17 @@ def test_match_batch_parity(cy):
         w1, b1, _, w2, b2, _ = _random_net(rng, 5, h, 1)
         conds.append((w1, b1, w2, b2))
     x = rng.random(5)
-    out_py = np.empty(len(conds), dtype=np.uint8)
-    out_cy = np.empty(len(conds), dtype=np.uint8)
-    _kernels_py.match_batch(conds, x, 0.5, out_py)
-    cy.match_batch(conds, x, 0.5, out_cy)
-    assert np.array_equal(out_py, out_cy)
-    assert out_py.sum() > 0  # not a degenerate case
+    ys_py = np.empty((len(conds), 1))
+    ys_cy = np.empty((len(conds), 1))
+    _kernels_py.forward_batch(conds, x, ys_py)
+    cy.forward_batch(conds, x, ys_cy)
+    matched = np.flatnonzero(ys_py[:, 0] > 0.5)
+    assert np.array_equal(np.flatnonzero(ys_cy[:, 0] > 0.5), matched)
+    assert 0 < len(matched) < len(conds)  # not a degenerate case
+    # the one match rule, shared by both backends: an output must exceed the
+    # threshold, and a net of zeros outputs exactly 0.5
+    zero = tuple(np.zeros_like(a) for a in conds[0])
+    assert np.array_equal(kernels.match_batch(conds + [zero], x, 0.5), matched)
 
 
 def test_reinforce_batch_parity(cy):
@@ -158,11 +168,12 @@ def _public_functions(module):
 
 
 def test_backends_export_the_same_kernels(cy):
-    expected = {"forward2", "match_batch", "reinforce_batch"}
+    expected = {"forward_batch", "reinforce_batch"}
     assert _public_functions(cy) == expected
     # the twin also holds the package's activations
     assert _public_functions(_kernels_py) - {"selu", "logistic"} == expected
-    assert _public_functions(kernels) == expected
+    # the match rule is written once, over either backend's forward_batch
+    assert _public_functions(kernels) == expected | {"match_batch"}
 
 
 def test_backends_are_internally_deterministic(cy):
@@ -170,9 +181,9 @@ def test_backends_are_internally_deterministic(cy):
     w1, b1, mask1, w2, b2, mask2 = _random_net(rng, 5, 3, 5)
     x = rng.random(5)
     for mod in (_kernels_py, cy):
-        a1, y1 = mod.forward2(w1, b1, w2, b2, x)
-        a2, y2 = mod.forward2(w1, b1, w2, b2, x)
-        assert np.array_equal(a1, a2)
+        y1, y2 = np.empty((1, 5)), np.empty((1, 5))
+        mod.forward_batch([(w1, b1, w2, b2)], x, y1)
+        mod.forward_batch([(w1, b1, w2, b2)], x, y2)
         assert np.array_equal(y1, y2)
 
 
@@ -192,12 +203,17 @@ def _pred(rng, n, h=3):
             w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006)
 
 
+def _untouched(rows, cols=1):
+    return np.full((rows, cols), 7.0)
+
+
 def test_short_input_is_rejected(cy):
     rng = np.random.default_rng(5)
     conds = [_cond(rng, 64) for _ in range(3)]
-    out = np.zeros(3, dtype=np.uint8)
+    ys = _untouched(3)
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.match_batch(conds, rng.random(16), 0.5, out)
+        cy.forward_batch(conds, rng.random(16), ys)
+    assert np.all(ys == 7.0)
     preds = [_pred(rng, 64)]
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
         cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)))
@@ -205,25 +221,52 @@ def test_short_input_is_rejected(cy):
 
 def test_float32_input_is_rejected(cy):
     rng = np.random.default_rng(6)
-    w1, b1, w2, b2 = _cond(rng, 64)
+    ys = _untouched(1)
     with pytest.raises(TypeError, match="x must be a native float64 array"):
-        cy.forward2(w1, b1, w2, b2, rng.random(64).astype(np.float32))
+        cy.forward_batch([_cond(rng, 64)], rng.random(64).astype(np.float32), ys)
+    assert np.all(ys == 7.0)
 
 
 def test_fortran_ordered_weights_are_rejected(cy):
     rng = np.random.default_rng(7)
     w1, b1, w2, b2 = _cond(rng, 64, h=4)
+    ys = _untouched(1)
     with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
-        cy.forward2(np.asfortranarray(w1), b1, w2, b2, rng.random(64))
+        cy.forward_batch([(np.asfortranarray(w1), b1, w2, b2)], rng.random(64), ys)
+    assert np.all(ys == 7.0)
 
 
 def test_short_output_buffer_is_rejected(cy):
     rng = np.random.default_rng(8)
     conds = [_cond(rng, 8) for _ in range(3)]
-    out = np.full(1, 7, dtype=np.uint8)
-    with pytest.raises(ValueError, match="out has the wrong shape"):
-        cy.match_batch(conds, rng.random(8), 0.5, out)
-    assert out[0] == 7
+    ys = _untouched(1)
+    with pytest.raises(ValueError, match="ys_out has the wrong shape"):
+        cy.forward_batch(conds, rng.random(8), ys)
+    assert np.all(ys == 7.0)
+
+
+def test_bad_forward_batches_leave_ys_out_untouched(cy):
+    rng = np.random.default_rng(10)
+    x = rng.random(8)
+    good = _cond(rng, 8)
+    read_only = _untouched(2)
+    read_only.flags.writeable = False
+    bad_calls = [
+        # the width of ys_out fixes the output width of every net
+        (ValueError, "w2 has the wrong shape", [good, good], _untouched(2, 3)),
+        (ValueError, "ys_out has the wrong shape", [good, good], np.full(2, 7.0)),
+        (ValueError, "ys_out must be writable", [good, good], read_only),
+        (TypeError, "must be list", tuple([good, good]), _untouched(2)),
+        (TypeError, "item 1 must be a 4-tuple", [good, good[:3]], _untouched(2)),
+        (TypeError, "item 1 must be a 4-tuple", [good, _pred(rng, 8)], _untouched(2)),
+        # a bad net after a good one: no row is written before every check
+        (ValueError, "b2 has the wrong shape", [good, good[:3] + (np.zeros(2),)],
+         _untouched(2)),
+    ]
+    for exc, msg, nets, ys in bad_calls:
+        with pytest.raises(exc, match=msg):
+            cy.forward_batch(nets, x, ys)
+        assert np.all(ys == 7.0), msg
 
 
 def test_bad_batches_fail_before_any_update(cy):
@@ -244,5 +287,3 @@ def test_bad_batches_fail_before_any_update(cy):
             cy.reinforce_batch(preds, x, 0.9, ys)
     after = [a for a in good if isinstance(a, np.ndarray)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    with pytest.raises(TypeError, match="must be list"):
-        cy.match_batch(tuple(good[:1]), x, 0.5, np.empty(1, dtype=np.uint8))

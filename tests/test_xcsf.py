@@ -565,6 +565,27 @@ def test_evaluate_falls_back_to_population_when_unmatched(cfg):
     assert recon == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode, calls", [("xcsf", 2), ("global_ea", 1)])
+def test_reconstruct_one_makes_one_kernel_call_per_pass(mode, calls, monkeypatch):
+    # one forward_batch over the conditions (unless every rule matches) and
+    # one over the prediction nets, however many rules there are
+    cfg = ExperimentConfig(mode=mode)
+    pop = xcsf.Population([make_classifier(n=3, seed=s, condition=always_match_condition(3),
+                                           fit=0.1 + s) for s in range(5)])
+    x = np.random.default_rng(29).random(3)
+    expected = xcsf.reconstruct_one(pop, x, cfg)
+    nets = []
+    inner = kernels.forward_batch
+
+    def counted(batch, x, ys_out):
+        nets.append(len(batch))
+        inner(batch, x, ys_out)
+
+    monkeypatch.setattr(kernels, "forward_batch", counted)
+    assert np.array_equal(xcsf.reconstruct_one(pop, x, cfg), expected)
+    assert nets == [5] * calls
+
+
 def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
     # rows 0-2 have feature 0 high, so the keyed rule matches only them
     xs = np.full((6, 2), 0.25)
@@ -599,7 +620,7 @@ class _Rule:
 
     def __init__(self, condition, prediction, **scalars):
         self.condition, self.prediction = condition, prediction
-        self.cond_args = neural.cond_args(condition)
+        self.cond_args = neural.forward_args(condition)
         self.pred_args = neural.pred_args(prediction)
         self.__dict__.update(scalars)
 
@@ -617,10 +638,9 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
     if cfg.global_ea:
         m = list(members)
     else:
-        flags = np.empty(len(members), dtype=np.uint8)
-        kernels.match_batch([cl.cond_args for cl in members], x,
-                            cfg.match_threshold, flags)
-        m = [cl for cl, f in zip(members, flags) if f]
+        matched = kernels.match_batch([cl.cond_args for cl in members], x,
+                                      cfg.match_threshold)
+        m = [members[i] for i in matched.tolist()]
     if not m:
         counts["cover"] += 1
         m = [_Rule.of(xcsf.cover(x, cfg, rng, trial))]
