@@ -8,17 +8,22 @@
  *
  * A hand-written CPython extension with the functions, signatures and
  * semantics of the numpy twin ``_kernels_py``.  Every network is one SELU
- * hidden layer plus one logistic output layer; for an input ``x`` of length
- * n the arrays are
+ * hidden layer plus one logistic output layer and reaches both entry points
+ * as one 12-tuple
+ *
+ *     (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)
+ *
+ * with, for an input ``x`` of length n,
  *
  *     w1, mask1, mw1  (h, n)        w2, mask2, mw2  (n_out, h)
  *     b1, mb1         (h,)          b2, mb2         (n_out,)
  *
  * all float64 except the uint8 masks, native byte order, aligned and
- * C-contiguous.  Every entry point checks all of that, the tuple arities
- * and the writability of what it updates before any loop reads the data:
- * a wrong type, dtype or arity raises TypeError, a wrong shape or layout
- * or a read-only output raises ValueError.  Keep the order of every
+ * C-contiguous, and float etas.  forward_batch reads only w1, b1, w2 and
+ * b2.  Every entry point checks what it reads, the tuple sizes and the
+ * writability of what it updates before any loop reads the data: a wrong
+ * type, dtype or tuple size raises TypeError, a wrong shape or layout or a
+ * read-only output raises ValueError.  Keep the order of every
  * floating-point operation: fixed seeds reproduce metrics.csv byte for byte.
  *
  * Build: cc -O3 -funroll-loops -shared -fPIC -I<numpy include> -I<python
@@ -162,43 +167,40 @@ eta_value(PyObject *obj, const char *name, double *out)
     return 0;
 }
 
-/* Check one network against an input of length n_in and an output of width
- * n_out and fill `p`.  `v` holds (w1, b1, w2, b2) for a forward pass, and
- * for a training step (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2,
- * mb2, eta2), whose weights must be writable. */
+/* Check the 12-tuple `v` as a network for an input of length n_in and an
+ * output of width n_out and fill `p`.  A forward pass reads w1, b1, w2 and
+ * b2; a training step (`train`) reads all twelve, and its weights must be
+ * writable. */
 static int
-check_net(PyObject *const *v, int pred, npy_intp n_in, npy_intp n_out, net_t *p)
+check_net(PyObject *const *v, int train, npy_intp n_in, npy_intp n_out, net_t *p)
 {
-    PyObject *const *o = v + (pred ? 6 : 2);
-
-    if (!(p->w1 = array_data(v[0], "w1", NPY_DOUBLE, -1, n_in, pred)))
+    if (!(p->w1 = array_data(v[0], "w1", NPY_DOUBLE, -1, n_in, train)))
         return -1;
     p->h = PyArray_DIM((PyArrayObject *)v[0], 0);
-    if (!(p->w2 = array_data(o[0], "w2", NPY_DOUBLE, n_out, p->h, pred)))
+    if (!(p->w2 = array_data(v[6], "w2", NPY_DOUBLE, n_out, p->h, train)))
         return -1;
-    p->n_out = PyArray_DIM((PyArrayObject *)o[0], 0);
-    if (!(p->b1 = array_data(v[1], "b1", NPY_DOUBLE, p->h, -1, pred))
-        || !(p->b2 = array_data(o[1], "b2", NPY_DOUBLE, p->n_out, -1, pred)))
+    p->n_out = PyArray_DIM((PyArrayObject *)v[6], 0);
+    if (!(p->b1 = array_data(v[1], "b1", NPY_DOUBLE, p->h, -1, train))
+        || !(p->b2 = array_data(v[7], "b2", NPY_DOUBLE, p->n_out, -1, train)))
         return -1;
-    if (!pred)
+    if (!train)
         return 0;
     if (!(p->mask1 = array_data(v[2], "mask1", NPY_UINT8, p->h, n_in, 0))
         || !(p->mw1 = array_data(v[3], "mw1", NPY_DOUBLE, p->h, n_in, 1))
         || !(p->mb1 = array_data(v[4], "mb1", NPY_DOUBLE, p->h, -1, 1))
         || eta_value(v[5], "eta1", &p->eta1) < 0
-        || !(p->mask2 = array_data(o[2], "mask2", NPY_UINT8, p->n_out, p->h, 0))
-        || !(p->mw2 = array_data(o[3], "mw2", NPY_DOUBLE, p->n_out, p->h, 1))
-        || !(p->mb2 = array_data(o[4], "mb2", NPY_DOUBLE, p->n_out, -1, 1))
-        || eta_value(o[5], "eta2", &p->eta2) < 0)
+        || !(p->mask2 = array_data(v[8], "mask2", NPY_UINT8, p->n_out, p->h, 0))
+        || !(p->mw2 = array_data(v[9], "mw2", NPY_DOUBLE, p->n_out, p->h, 1))
+        || !(p->mb2 = array_data(v[10], "mb2", NPY_DOUBLE, p->n_out, -1, 1))
+        || eta_value(v[11], "eta2", &p->eta2) < 0)
         return -1;
     return 0;
 }
 
-/* Check every (arity)-tuple of `list` as a network and return them in a
- * new array, with the largest hidden width; NULL on error. */
+/* Check every 12-tuple of `list` as a network and return them in a new
+ * array, with the largest hidden width; NULL on error. */
 static net_t *
-check_nets(PyObject *list, Py_ssize_t arity, npy_intp n_in, npy_intp n_out,
-           npy_intp *width)
+check_nets(PyObject *list, int train, npy_intp n_in, npy_intp n_out, npy_intp *width)
 {
     Py_ssize_t m = PyList_GET_SIZE(list), i;
     net_t *nets = PyMem_New(net_t, m);
@@ -208,11 +210,11 @@ check_nets(PyObject *list, Py_ssize_t arity, npy_intp n_in, npy_intp n_out,
     *width = 0;
     for (i = 0; i < m; i++) {
         PyObject *t = PyList_GET_ITEM(list, i);
-        if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != arity) {
-            PyErr_Format(PyExc_TypeError, "item %zd must be a %zd-tuple", i, arity);
+        if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != 12) {
+            PyErr_Format(PyExc_TypeError, "item %zd must be a 12-tuple", i);
             goto fail;
         }
-        if (check_net(&PyTuple_GET_ITEM(t, 0), arity == 12, n_in, n_out, &nets[i]) < 0)
+        if (check_net(&PyTuple_GET_ITEM(t, 0), train, n_in, n_out, &nets[i]) < 0)
             goto fail;
         *width = Py_MAX(*width, nets[i].h);
     }
@@ -243,7 +245,7 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         || !(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n_out, 1)))
         return NULL;
     n = PyArray_DIM((PyArrayObject *)xo, 0);
-    if (!(nets = check_nets(list, 4, n, n_out, &width)))
+    if (!(nets = check_nets(list, 0, n, n_out, &width)))
         return NULL;
     if (!(a1 = PyMem_New(double, width))) {
         PyMem_Free(nets);
@@ -275,7 +277,7 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     n = PyArray_DIM((PyArrayObject *)xo, 0);
     /* every net reconstructs its n inputs */
     if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n, 1))
-        || !(nets = check_nets(preds, 12, n, n, &width)))
+        || !(nets = check_nets(preds, 1, n, n, &width)))
         return NULL;
     if (!(scratch = PyMem_New(double, 2 * width))) {
         PyMem_Free(nets);
@@ -294,8 +296,8 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyMethodDef methods[] = {
     KW_METHOD("forward_batch", py_forward_batch,
               "forward_batch(nets, x, ys_out)\n--\n\n"
-              "Forward pass of every (w1, b1, w2, b2) net of ``nets`` on ``x``,\n"
-              "with no update; row i of ``ys_out`` receives net i's output."),
+              "Forward pass of every net of ``nets`` on ``x``, with no update;\n"
+              "row i of ``ys_out`` receives net i's output."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
               "reinforce_batch(preds, x, omega, ys_out)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"

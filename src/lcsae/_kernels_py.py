@@ -4,11 +4,13 @@ Two entry points: ``forward_batch`` (the forward pass of many networks on
 one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
 toward the input for every prediction net of a match set).  Every network
 on the hot path has the same shape: one SELU hidden layer followed by a
-logistic output layer, all float64 C-contiguous arrays.  The compiled
-extension built from ``_kernels.c`` implements the same functions with
-identical semantics; this module is used when it is not available.  It
-also holds the package's one definition of each activation, and imports
-nothing from the package.
+logistic output layer, all float64 C-contiguous arrays.  It reaches both
+entry points as one 12-tuple ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2,
+mask2, mw2, mb2, eta2)``, of which ``forward_batch`` reads only w1, b1, w2
+and b2.  The compiled extension built from ``_kernels.c`` implements the
+same functions with identical semantics; this module is used when it is
+not available.  It also holds the package's one definition of each
+activation, and imports nothing from the package.
 """
 
 import numpy as np
@@ -84,11 +86,11 @@ def _fused_sgd(w1, b1, mask1, mw1, mb1, eta1,
 def forward_batch(nets, x, ys_out):
     """Forward pass of many networks on one input, with no update.
 
-    ``nets`` holds (w1, b1, w2, b2) tuples; row i of ``ys_out`` receives
-    net i's output.
+    ``nets`` holds 12-tuples, as for ``reinforce_batch``; row i of
+    ``ys_out`` receives net i's output.
     """
-    for i, args in enumerate(nets):
-        ys_out[i] = _forward(*args, x)[1]
+    for i, (w1, b1, _, _, _, _, w2, b2, _, _, _, _) in enumerate(nets):
+        ys_out[i] = _forward(w1, b1, w2, b2, x)[1]
 
 
 def reinforce_batch(preds, x, omega, ys_out):

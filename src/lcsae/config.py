@@ -3,6 +3,7 @@ parameter plus run/dataset settings.  Unknown keys are rejected."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -134,13 +135,21 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(msg)
 
     require(cfg.N >= 1, "N must be >= 1")
+    require(0.0 < cfg.epsilon0 < math.inf, "epsilon0 must be finite and > 0")
     require(0.0 < cfg.beta <= 1.0, "beta must be in (0, 1]")
     require(0.0 < cfg.alpha <= 1.0, "alpha must be in (0, 1]")
-    require(cfg.nu > 0, "nu must be positive")
+    require(0.0 < cfg.nu < math.inf, "nu must be finite and > 0")
     require(0.0 < cfg.delta < 1.0, "delta must be in (0, 1)")
     require(cfg.theta_del >= 0, "theta_del must be >= 0")
     require(0.0 < cfg.F_I <= 1.0, "F_I must be in (0, 1]")
-    require(cfg.epsilon_I >= 0.0, "epsilon_I must be >= 0")
+    require(0.0 <= cfg.epsilon_I < math.inf, "epsilon_I must be finite and >= 0")
+    # a rule's error is a running mean of squared errors in [0, 1] that
+    # starts at epsilon_I; if its accuracy underflows to 0, a match set can
+    # have no accuracy at all and its fitness update divides 0 by 0
+    worst = max(1.0, cfg.epsilon_I)
+    require(worst < cfg.epsilon0 or cfg.alpha * math.pow(worst / cfg.epsilon0, -cfg.nu) > 0.0,
+            "alpha * (max(1, epsilon_I) / epsilon0) ** -nu underflows to 0; "
+            "lower nu or raise epsilon0")
     require(0.0 < cfg.F_R <= 1.0, "F_R must be in (0, 1]")
     require(0.0 < cfg.epsilon_R <= 1.0, "epsilon_R must be in (0, 1]")
     require(cfg.theta_EA >= 0, "theta_EA must be >= 0")

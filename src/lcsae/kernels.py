@@ -2,7 +2,8 @@
 
 Two entry points: ``forward_batch`` (the forward pass of many networks on
 one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
-toward the input for every prediction net of a match set).  The match rule
+toward the input for every prediction net of a match set).  Both take one
+12-tuple per network, built by ``neural.net_args``.  The match rule
 ``match_batch`` is written once here, on top of ``forward_batch``, for both
 backends.
 
@@ -43,8 +44,8 @@ reinforce_batch = _impl.reinforce_batch
 
 
 def match_batch(conds, x, threshold):
-    """Positions in ``conds``, a list of (w1, b1, w2, b2) condition nets, of
-    the nets whose output for ``x`` exceeds ``threshold``."""
+    """Positions in ``conds``, a list of condition-net 12-tuples, of the nets
+    whose output for ``x`` exceeds ``threshold``."""
     ys = np.empty((len(conds), 1))
     forward_batch(conds, x, ys)
     return np.flatnonzero(ys[:, 0] > threshold)

@@ -154,17 +154,12 @@ def clone(net: Network) -> Network:
     return Network([layer.copy() for layer in net.layers])
 
 
-def pred_args(net: Network) -> tuple:
-    """Kernel argument tuple for the reinforcement step."""
+def net_args(net: Network) -> tuple:
+    """The one kernel argument tuple of a network, for a forward pass or a
+    reinforcement step."""
     h, o = net.layers
     return (h.weights, h.biases, h.mask, h.mom_w, h.mom_b, h.eta,
             o.weights, o.biases, o.mask, o.mom_w, o.mom_b, o.eta)
-
-
-def forward_args(net: Network) -> tuple:
-    """Kernel argument tuple for a forward pass with no update."""
-    h, o = net.layers
-    return (h.weights, h.biases, o.weights, o.biases)
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -173,7 +168,7 @@ def forward(net: Network, x) -> np.ndarray:
     if x.shape != (net.n_inputs,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.n_inputs},)")
     ys = np.empty((1, net.n_outputs))
-    kernels.forward_batch([forward_args(net)], x, ys)
+    kernels.forward_batch([net_args(net)], x, ys)
     return ys[0]
 
 

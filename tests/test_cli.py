@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import write_config, write_csv
 from lcsae import checkpoint, cli, metrics, runner, xcsf
+from lcsae.config import ExperimentConfig
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
             split_ratio=0.9, seed=11)
@@ -518,6 +520,30 @@ def test_negative_seed_or_image_dimension_is_a_config_error(
     assert err.startswith(f"config error: {message}") and "Traceback" not in err
 
 
+_UNDERFLOW = "alpha * (max(1, epsilon_I) / epsilon0) ** -nu underflows to 0"
+
+
+@pytest.mark.parametrize("keys, message", [
+    # each of these used to train to nan errors with exit 0, or (the
+    # negative epsilon0) to die in accuracies with a math domain error
+    (dict(epsilon0=0), "epsilon0 must be finite and > 0"),
+    (dict(epsilon0="nan"), "epsilon0 must be finite and > 0"),
+    (dict(epsilon0=-0.01, nu=2.5), "epsilon0 must be finite and > 0"),
+    (dict(nu="inf"), "nu must be finite and > 0"),
+    (dict(nu=1e308), _UNDERFLOW),
+    (dict(epsilon_I="inf"), "epsilon_I must be finite and >= 0"),
+    (dict(epsilon_I=1e308), _UNDERFLOW),
+    (dict(nu=200), _UNDERFLOW),
+])
+def test_settings_that_make_accuracies_vanish_are_config_errors(
+        keys, message, dataset, tmp_path, capsys):
+    cfg = _config(tmp_path, dataset, **keys)
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def wide16(tmp_path_factory):
     return write_csv(tmp_path_factory.mktemp("wide16") / "wide.csv",
@@ -605,3 +631,67 @@ def test_reconstruct_and_resume_argument_vectors_fail_closed(argv_run, dataset,
     code = cli.main(data.draw(_cli_argv(run, dataset), label="argv"))
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    return write_csv(tmp_path_factory.mktemp("tiny") / "tiny.csv",
+                     np.random.default_rng(12).random((30, 6)))
+
+
+# values every fuzzed key refuses, and values of any kind
+_REFUSED = st.sampled_from(["-1", "nan", "inf", "1e308", "text", ""])
+_WILD = st.one_of(
+    _REFUSED,
+    st.sampled_from(["0", "-0.01", "-inf", "-1e308", "1e-320", "99999999999999999999",
+                     "true", "none"]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str))
+# values at and around the legal range, by key and else by field type
+_NEAR = {
+    "float": st.one_of(st.floats(0.0, 1.0, exclude_min=True).map(repr),
+                       st.floats(1.0, 300.0).map(repr),
+                       st.sampled_from(["0", "1", "1e-320", "1e-300", "1e300"])),
+    "int": st.one_of(st.integers(0, 50).map(str), st.just("99999999999999999999")),
+    "bool": st.sampled_from(["true", "false"]),
+    "mode": st.sampled_from(["xcsf", "global_ea", "banana"]),
+    "dataset_format": st.sampled_from(["", "csv", "idx", "png"]),
+    "image_shape": st.sampled_from(["2,3", "3,2,1", "4,4", "0,6", "-2,-3", "none"]),
+}
+# keys whose legal values only cost time (N, trials, the hidden sizes,
+# lambda, and a match_threshold near 1, which makes covering sample up to
+# 10**6 nets) get small legal ranges and otherwise refused values
+_COSTLY = {"N": st.integers(0, 30), "trials": st.integers(0, 30),
+           "h_I": st.integers(0, 4), "h_M": st.integers(0, 4), "h_max": st.integers(0, 6),
+           "lambda": st.integers(0, 4)}
+_KEY_VALUES = {}  # config key -> (near values, wild values)
+for _f in fields(ExperimentConfig):
+    _key = "lambda" if _f.name == "lam" else _f.name
+    if _key in _COSTLY:
+        _KEY_VALUES[_key] = (_COSTLY[_key].map(str), _REFUSED)
+    elif _key != "dataset":
+        _KEY_VALUES[_key] = (_NEAR.get(_key, _NEAR.get(_f.type)), _WILD)
+_KEY_VALUES["match_threshold"] = (st.floats(0.0, 0.9).map(repr), _REFUSED)
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_config_values_fail_closed(tiny_csv, tmp_path, capsys, data):
+    keys = dict(N=10, trials=20, checkpoint_interval=5, seed=3, dataset=tiny_csv)
+    for key in data.draw(st.sets(st.sampled_from(sorted(_KEY_VALUES)), max_size=5),
+                         label="keys"):
+        near, wild = _KEY_VALUES[key]
+        keys[key] = data.draw(wild if data.draw(st.integers(0, 3)) == 0 else near, label=key)
+    out = tmp_path / "fuzz"
+    shutil.rmtree(out, ignore_errors=True)
+    code = cli.main(["run", write_config(tmp_path / "fuzz.cfg", **keys),
+                     "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code == 0:
+        valid_rows = json.loads((out / runner.MANIFEST_NAME).read_text())["valid_rows"]
+        for row in metrics.read_metrics(out / runner.METRICS_NAME):
+            if row.trial > 0:
+                assert np.isfinite(row.train_mse), row
+                assert np.isfinite(row.valid_mse) or valid_rows == 0, row

@@ -74,6 +74,18 @@ def test_parse_rejects_bad_values():
         parse_config("h_I=3\nh_max=2\n")
 
 
+def test_accuracy_of_the_largest_error_must_not_underflow():
+    # 100 ** -150 = 1e-300 is still a positive accuracy, 100 ** -200 is 0
+    parse_config("nu=150\n")
+    with pytest.raises(ConfigError, match="underflows to 0"):
+        parse_config("nu=200\n")
+    # alpha scales the accuracy, so it can push it to 0 too
+    with pytest.raises(ConfigError, match="underflows to 0"):
+        parse_config("nu=160\nalpha=1e-20\n")
+    # an epsilon0 above every reachable error never takes the power
+    parse_config("epsilon0=2\nnu=1e308\n")
+
+
 def test_config_dict_round_trip():
     cfg = parse_config("N=12\nlambda=2\nimage_shape=8,8,3\nseed=99\n")
     again = config_from_dict(config_to_dict(cfg))

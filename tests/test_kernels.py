@@ -63,6 +63,12 @@ def _random_net(rng, n_in, h, n_out, mask_p=0.8):
     return w1, b1, mask1, w2, b2, mask2
 
 
+def _args(w1, b1, mask1, w2, b2, mask2):
+    """The one kernel tuple of a net, with zero momentum."""
+    return (w1, b1, mask1, np.zeros_like(w1), np.zeros_like(b1), 0.008,
+            w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006)
+
+
 def test_source_compiles_without_warnings(build):
     # -Wall -Wextra; diagnostics from the Python and numpy headers do not count
     ours = [line for line in build[1].splitlines()
@@ -76,9 +82,8 @@ def test_forward_parity(cy):
     rng = np.random.default_rng(0)
     for n_in in [*rng.integers(1, 9, size=30).tolist(), 784]:
         for n_out in (1, n_in, int(rng.integers(1, 9))):
-            nets = [_random_net(rng, n_in, int(rng.integers(1, 9)), n_out)
+            nets = [_args(*_random_net(rng, n_in, int(rng.integers(1, 9)), n_out))
                     for _ in range(int(rng.integers(1, 5)))]
-            nets = [(w1, b1, w2, b2) for w1, b1, _, w2, b2, _ in nets]
             x = rng.random(n_in)
             ys_py = np.empty((len(nets), n_out))
             ys_cy = np.empty((len(nets), n_out))
@@ -118,8 +123,7 @@ def test_match_batch_parity(cy):
     conds = []
     for _ in range(64):
         h = int(rng.integers(1, 5))
-        w1, b1, _, w2, b2, _ = _random_net(rng, 5, h, 1)
-        conds.append((w1, b1, w2, b2))
+        conds.append(_args(*_random_net(rng, 5, h, 1)))
     x = rng.random(5)
     ys_py = np.empty((len(conds), 1))
     ys_cy = np.empty((len(conds), 1))
@@ -130,7 +134,7 @@ def test_match_batch_parity(cy):
     assert 0 < len(matched) < len(conds)  # not a degenerate case
     # the one match rule, shared by both backends: an output must exceed the
     # threshold, and a net of zeros outputs exactly 0.5
-    zero = tuple(np.zeros_like(a) for a in conds[0])
+    zero = tuple(np.zeros_like(a) if isinstance(a, np.ndarray) else a for a in conds[0])
     assert np.array_equal(kernels.match_batch(conds + [zero], x, 0.5), matched)
 
 
@@ -142,9 +146,7 @@ def test_reinforce_batch_parity(cy):
         preds = []
         for _ in range(16):
             h = int(r.integers(1, 5))
-            w1, b1, mask1, w2, b2, mask2 = _random_net(r, 7, h, 7)
-            preds.append((w1, b1, mask1, np.zeros_like(w1), np.zeros_like(b1), 0.008,
-                          w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006))
+            preds.append(_args(*_random_net(r, 7, h, 7)))
         return preds
 
     preds_py = build(99)
@@ -176,14 +178,25 @@ def test_backends_export_the_same_kernels(cy):
     assert _public_functions(kernels) == expected | {"match_batch"}
 
 
+def test_both_backends_refuse_the_forward_only_layout(cy):
+    rng = np.random.default_rng(11)
+    net = _cond(rng, 4)
+    four = net[:2] + net[6:8]
+    for mod in (_kernels_py, cy):
+        ys = _untouched(1)
+        with pytest.raises((TypeError, ValueError)):
+            mod.forward_batch([four], rng.random(4), ys)
+        assert np.all(ys == 7.0)
+
+
 def test_backends_are_internally_deterministic(cy):
     rng = np.random.default_rng(4)
-    w1, b1, mask1, w2, b2, mask2 = _random_net(rng, 5, 3, 5)
+    net = _args(*_random_net(rng, 5, 3, 5))
     x = rng.random(5)
     for mod in (_kernels_py, cy):
         y1, y2 = np.empty((1, 5)), np.empty((1, 5))
-        mod.forward_batch([(w1, b1, w2, b2)], x, y1)
-        mod.forward_batch([(w1, b1, w2, b2)], x, y2)
+        mod.forward_batch([net], x, y1)
+        mod.forward_batch([net], x, y2)
         assert np.array_equal(y1, y2)
 
 
@@ -193,14 +206,11 @@ def test_backends_are_internally_deterministic(cy):
 
 
 def _cond(rng, n_in, h=2):
-    w1, b1, _, w2, b2, _ = _random_net(rng, n_in, h, 1)
-    return (w1, b1, w2, b2)
+    return _args(*_random_net(rng, n_in, h, 1))
 
 
 def _pred(rng, n, h=3):
-    w1, b1, mask1, w2, b2, mask2 = _random_net(rng, n, h, n)
-    return (w1, b1, mask1, np.zeros_like(w1), np.zeros_like(b1), 0.008,
-            w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006)
+    return _args(*_random_net(rng, n, h, n))
 
 
 def _untouched(rows, cols=1):
@@ -229,10 +239,10 @@ def test_float32_input_is_rejected(cy):
 
 def test_fortran_ordered_weights_are_rejected(cy):
     rng = np.random.default_rng(7)
-    w1, b1, w2, b2 = _cond(rng, 64, h=4)
+    cond = _cond(rng, 64, h=4)
     ys = _untouched(1)
     with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
-        cy.forward_batch([(np.asfortranarray(w1), b1, w2, b2)], rng.random(64), ys)
+        cy.forward_batch([(np.asfortranarray(cond[0]),) + cond[1:]], rng.random(64), ys)
     assert np.all(ys == 7.0)
 
 
@@ -257,11 +267,13 @@ def test_bad_forward_batches_leave_ys_out_untouched(cy):
         (ValueError, "ys_out has the wrong shape", [good, good], np.full(2, 7.0)),
         (ValueError, "ys_out must be writable", [good, good], read_only),
         (TypeError, "must be list", tuple([good, good]), _untouched(2)),
-        (TypeError, "item 1 must be a 4-tuple", [good, good[:3]], _untouched(2)),
-        (TypeError, "item 1 must be a 4-tuple", [good, _pred(rng, 8)], _untouched(2)),
-        # a bad net after a good one: no row is written before every check
-        (ValueError, "b2 has the wrong shape", [good, good[:3] + (np.zeros(2),)],
+        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], _untouched(2)),
+        # the (w1, b1, w2, b2) layout of a forward pass is gone
+        (TypeError, "item 1 must be a 12-tuple", [good, good[:2] + good[6:8]],
          _untouched(2)),
+        # a bad net after a good one: no row is written before every check
+        (ValueError, "b2 has the wrong shape",
+         [good, good[:7] + (np.zeros(2),) + good[8:]], _untouched(2)),
     ]
     for exc, msg, nets, ys in bad_calls:
         with pytest.raises(exc, match=msg):

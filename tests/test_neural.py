@@ -15,7 +15,7 @@ def sgd_step(net, x, omega):
     input ``x``, through the kernel the learner uses; returns the
     pre-update output."""
     ys = np.empty((1, net.n_outputs))
-    kernels.reinforce_batch([neural.pred_args(net)], np.asarray(x, dtype=float),
+    kernels.reinforce_batch([neural.net_args(net)], np.asarray(x, dtype=float),
                             omega, ys)
     return ys[0]
 

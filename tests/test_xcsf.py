@@ -184,10 +184,11 @@ def test_reinforce_set_size_uses_micro_count(cfg):
 
 
 def test_reinforce_converges_geometrically_on_frozen_net(cfg):
-    cl = make_classifier(n=4, seed=6, err=0.5)
+    cl = make_classifier(n=4, seed=6)
     for layer in cl.prediction.layers:
         layer.eta = 0.0
-    cl.refresh_args()  # the kernel argument cache snapshots eta
+    # a rule caches its kernel arguments, rates included, when it is built
+    cl = make_classifier(n=4, condition=cl.condition, prediction=cl.prediction, err=0.5)
     x = np.full(4, 0.25)
     c = float(np.mean((neural.forward(cl.prediction, x) - x) ** 2))
     err0 = cl.err
@@ -605,6 +606,26 @@ def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
     assert mean_m == 1.5
 
 
+def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
+    # rows 0-2 have feature 0 high and match only the keyed rule; rows 3-5
+    # match nothing and fall back to the whole population
+    xs = np.full((6, 2), 0.25)
+    xs[:3, 0] = 1.0
+    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0), fit=0.3, num=2)
+    never = make_classifier(n=2, seed=2, condition=never_match_condition(2), fit=0.5)
+    pop = xcsf.Population([keyed, never])
+    mses = []
+    for x in xs:
+        recon = xcsf.reconstruct_one(pop, x, cfg)
+        combined = [keyed] if x[0] > 0.5 else [keyed, never]
+        assert recon == pytest.approx(xcsf.system_prediction(combined, x), rel=1e-12)
+        mses.append(float(np.mean((recon - x) ** 2)))
+    mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
+    assert mean_mse == pytest.approx(np.mean(mses), rel=1e-12)
+    # the keyed rule counts 2 on each of its rows, the fallback rows count 0
+    assert mean_m == 3 * 2 / 6
+
+
 def test_best_classifier_breaks_equal_coverage_by_error(cfg):
     xs = np.tile([1.0, 0.0], (4, 1))
     first = make_classifier(n=2, condition=always_match_condition(2), err=0.004)
@@ -620,8 +641,8 @@ class _Rule:
 
     def __init__(self, condition, prediction, **scalars):
         self.condition, self.prediction = condition, prediction
-        self.cond_args = neural.forward_args(condition)
-        self.pred_args = neural.pred_args(prediction)
+        self.cond_args = neural.net_args(condition)
+        self.pred_args = neural.net_args(prediction)
         self.__dict__.update(scalars)
 
     @classmethod
