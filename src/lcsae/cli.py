@@ -131,6 +131,9 @@ def main(argv=None) -> int:
     except (CoveringError, runner.TrainingError) as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
+    except MemoryError as exc:
+        print(f"training error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
 
 
 if __name__ == "__main__":

@@ -134,6 +134,12 @@ def validate(cfg: ExperimentConfig) -> None:
         if not ok:
             raise ConfigError(msg)
 
+    # numpy shapes and the checkpoint's int64 columns (ts, born, the hidden
+    # sizes) hold these, so every integer must fit an int64
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        require(f.type not in ("int", "int | None") or value is None or value < 2**63,
+                f"{_FIELD_TO_KEY[f.name]} must be below 2**63")
     require(cfg.N >= 1, "N must be >= 1")
     require(0.0 < cfg.epsilon0 < math.inf, "epsilon0 must be finite and > 0")
     require(0.0 < cfg.beta <= 1.0, "beta must be in (0, 1]")
@@ -172,6 +178,8 @@ def validate(cfg: ExperimentConfig) -> None:
     require(0.0 < cfg.split_ratio <= 1.0, "split_ratio must be in (0, 1]")
     require(cfg.image_shape is None or min(cfg.image_shape) >= 1,
             "image_shape dimensions must be >= 1")
+    require(cfg.image_shape is None or max(cfg.image_shape) < 2**63,
+            "image_shape dimensions must be below 2**63")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -110,6 +110,8 @@ def load_idx(path) -> Dataset:
     magic, count, height, width = struct.unpack(">IIII", blob[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"{path}: bad IDX magic 0x{magic:08x}")
+    if not count * height * width:
+        raise DataError(f"{path}: IDX dimensions {count}x{height}x{width} include a 0")
     expected = 16 + count * height * width
     if len(blob) != expected:
         raise DataError(

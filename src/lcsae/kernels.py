@@ -8,36 +8,21 @@ toward the input for every prediction net of a match set).  Both take one
 backends.
 
 The compiled extension ``_kernels``, built from the hand-written C source
-``_kernels.c``, is preferred; the pure-numpy twin ``_kernels_py`` is used
-when it is missing.  The backend name ``"cython"`` is historical: it names
-the compiled extension, which no longer needs Cython.  Set
-``LCSAE_KERNELS=python`` (or ``cython``) to force a backend; forcing
-``cython`` raises if the extension is unavailable.
+``_kernels.c``, is used when it imports, and the pure-numpy twin
+``_kernels_py`` otherwise.  The backend name ``"cython"`` is historical: it
+names the compiled extension, which no longer needs Cython.
 """
-
-import os
 
 import numpy as np
 
-_forced = os.environ.get("LCSAE_KERNELS", "").strip().lower()
-if _forced not in ("", "cython", "python"):
-    raise RuntimeError(f"LCSAE_KERNELS must be 'cython' or 'python', got {_forced!r}")
+try:
+    from . import _kernels as _impl
 
-if _forced == "python":
-    from . import _kernels_py as _impl
+    BACKEND = "cython"
+except ImportError:
+    from . import _kernels_py as _impl  # type: ignore[no-redef]
 
     BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        if _forced == "cython":
-            raise
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
-
-        BACKEND = "python"
 
 forward_batch = _impl.forward_batch
 reinforce_batch = _impl.reinforce_batch

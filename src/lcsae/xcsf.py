@@ -11,17 +11,18 @@ optimises a single global niche instead.
 
 The eight scalars of every rule (``err, fit, num, exp, set_size, ts, born,
 mtotal``) live in a ``RuleState`` table of one numpy column each.  A
-``Population`` owns one table; ``pop.rows`` is aligned with
-``pop.members`` and holds each member's row.  A match set is an array of
-positions in ``pop.members``, so reinforcement, the EA due-check, deletion
-votes and the population sums are array operations over table rows.  A
-rule reads and writes its own row through properties of the same names;
-outside a population (fresh from covering or reproduction, or after
-removal) it owns a private one-row table.  Membership changes only
-through ``Population.add``, which copies the rule's row into the table,
-and ``Population.remove``, which copies it back out; rows are stable and
-freed rows are reused.  Neither a rule nor a table refers back to its
-population, so a population is freed by reference counting alone.
+``Population`` owns one table, and row i of it belongs to
+``pop.members[i]``.  A match set is an array of positions in
+``pop.members``, which index the table directly, so reinforcement, the EA
+due-check, deletion votes and the population sums are array operations
+over table rows; a whole-population read is a ``[:len(pop.members)]``
+view.  A rule reads and writes its own row through properties of the same
+names; outside a population (fresh from covering or reproduction, or after
+removal) it owns a private one-row table.  Membership changes only through
+``Population.add``, which copies the rule's row into the next table row,
+and ``Population.remove``, which copies it back out and moves the later
+rows up by one.  Neither a rule nor a table refers back to its population,
+so a population is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -124,57 +125,53 @@ class Classifier:
 class Population:
     """The rules of one learner and the state table their scalars live in.
 
-    ``members`` lists the rules in insertion order and ``rows[i]`` is the
-    table row of ``members[i]``.  A rule belongs to at most one population.
+    ``members`` lists the rules in insertion order, and row i of ``state``
+    is the row of ``members[i]``; the rows past ``len(members)`` are spare
+    capacity.  A rule belongs to at most one population.
     """
 
     def __init__(self, members=(), trial: int = 0):
         members = list(members)
-        capacity = max(len(members), 1)
         self.trial = trial
         self.members = []
-        self.state = RuleState(capacity)
-        self._row_buf = np.empty(capacity, dtype=np.intp)
-        self.rows = self._row_buf[:0]
-        self._free = []
+        self.state = RuleState(max(len(members), 1))
         for cl in members:
             self.add(cl)
 
     def add(self, cl: Classifier) -> None:
-        """Append ``cl`` and move its scalars into the population's table."""
-        # rows are handed out in order and only while none is free, so with
-        # no free row the rows in use are exactly 0..n-1
+        """Append ``cl`` and move its scalars into the next table row."""
         n = len(self.members)
-        if n == len(self._row_buf):
-            self.state.grow(2 * n)
-            self._row_buf = np.concatenate([self._row_buf, np.empty(n, np.intp)])
-        row = self._free.pop() if self._free else n
         state = self.state
+        if n == len(state.num):
+            state.grow(2 * n)
         for name in SCALARS:
-            getattr(state, name)[row] = getattr(cl._state, name)[cl._row]
-        cl._state, cl._row = state, row
-        self._row_buf[n] = row
-        self.rows = self._row_buf[:n + 1]
+            getattr(state, name)[n] = getattr(cl._state, name)[cl._row]
+        cl._state, cl._row = state, n
         self.members.append(cl)
 
     def remove(self, cl: Classifier) -> None:
-        """Drop ``cl``, which takes its scalars back into a private row."""
-        i = self.members.index(cl)
-        del self.members[i]
+        """Drop ``cl``, which takes its scalars back into a private row; the
+        rows of the later members move up by one."""
+        state, i = self.state, cl._row
+        if cl._state is not state or self.members[i] is not cl:
+            raise ValueError("the rule is not a member of this population")
         n = len(self.members)
-        self._row_buf[i:n] = self._row_buf[i + 1:n + 1]
-        self.rows = self._row_buf[:n]
-        self._free.append(cl._row)
-        cl._state = _own_row(getattr(self.state, name)[cl._row] for name in SCALARS)
+        cl._state = _own_row(getattr(state, name)[i] for name in SCALARS)
         cl._row = 0
+        for name in SCALARS:
+            col = getattr(state, name)
+            col[i:n - 1] = col[i + 1:n]
+        del self.members[i]
+        for later in self.members[i:]:
+            later._row -= 1
 
     def micro_count(self) -> int:
-        return int(self.state.num[self.rows].sum())
+        return int(self.state.num[:len(self.members)].sum())
 
     def mean_fitness(self) -> float:
         """Mean fitness per micro-classifier."""
         # a Python sum in member order, as a rule-by-rule loop adds them
-        return sum(self.state.fit[self.rows].tolist()) / self.micro_count()
+        return sum(self.state.fit[:len(self.members)].tolist()) / self.micro_count()
 
 
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
@@ -214,7 +211,7 @@ def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> np.ndarra
     if not len(m):
         pop.add(cover(x, cfg, rng, pop.trial))
         m = np.array([len(pop.members) - 1])
-    pop.state.mtotal[pop.rows[m]] += 1
+    pop.state.mtotal[m] += 1
     return m
 
 
@@ -303,18 +300,17 @@ def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.nd
                             cfg.omega, ys)
 
     st = pop.state
-    rows = pop.rows[m]
-    err, fit, num, set_size = st.err[rows], st.fit[rows], st.num[rows], st.set_size[rows]
+    err, fit, num, set_size = st.err[m], st.fit[m], st.num[m], st.set_size[m]
     m_micro = int(num.sum())
     # the squared errors of ``(ys - x) ** 2``, without a second temporary
     sq = ys - x
     np.square(sq, out=sq)
     err = err + cfg.beta * (np.mean(sq, axis=1) - err)
     fit = fit + cfg.beta * (relative_accuracies(accuracies(err, cfg), num) - fit)
-    st.exp[rows] += 1
-    st.err[rows] = err
-    st.fit[rows] = np.maximum(fit, _F_FLOOR)
-    st.set_size[rows] = set_size + cfg.beta * (m_micro - set_size)
+    st.exp[m] += 1
+    st.err[m] = err
+    st.fit[m] = np.maximum(fit, _F_FLOOR)
+    st.set_size[m] = set_size + cfg.beta * (m_micro - set_size)
     return ys
 
 
@@ -371,13 +367,12 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
     parental means, then inserted.  Returns whether it fired.
     """
     st = pop.state
-    rows = pop.rows[m]
-    num = st.num[rows]
+    num = st.num[m]
     # integer sums are exact, and int / int rounds once
-    mean_ts = int((st.ts[rows] * num).sum()) / int(num.sum())
+    mean_ts = int((st.ts[m] * num).sum()) / int(num.sum())
     if pop.trial - mean_ts <= cfg.theta_EA:
         return False
-    st.ts[rows] = pop.trial
+    st.ts[m] = pop.trial
     p1, p2 = select_parents([pop.members[i] for i in m.tolist()], rng)
     err = 0.5 * (p1.err + p2.err) * cfg.epsilon_R
     # a small F_R can make the reduced fitness subnormal, whose deletion vote
@@ -398,14 +393,14 @@ def deletion_votes(pop: Population, mean_f: float, cfg: ExperimentConfig) -> np.
     within the stale limit get an overriding maximal vote.
     """
     st = pop.state
-    rows = pop.rows
-    num = st.num[rows]
-    votes = st.set_size[rows] * num
-    micro_fit = st.fit[rows] / num
-    boost = np.flatnonzero((st.exp[rows] > cfg.theta_del)
+    n = len(pop.members)
+    num = st.num[:n]
+    votes = st.set_size[:n] * num
+    micro_fit = st.fit[:n] / num
+    boost = np.flatnonzero((st.exp[:n] > cfg.theta_del)
                            & (micro_fit < cfg.delta * mean_f))
     votes[boost] *= mean_f / micro_fit[boost]
-    votes[(st.mtotal[rows] == 0) & (pop.trial - st.born[rows] > cfg.stale_limit)] = STALE_VOTE
+    votes[(st.mtotal[:n] == 0) & (pop.trial - st.born[:n] > cfg.stale_limit)] = STALE_VOTE
     return votes
 
 
@@ -461,9 +456,8 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
     pop.trial += 1
     x = np.ascontiguousarray(x, dtype=float)
     m = build_match_set(pop, x, cfg, rng)
-    rows = pop.rows[m]
-    fits_pre = pop.state.fit[rows]
-    m_micro = int(pop.state.num[rows].sum())
+    fits_pre = pop.state.fit[m]
+    m_micro = int(pop.state.num[m].sum())
     ys = reinforce(pop, m, x, cfg)
     output = fitness_weighted_mean(fits_pre, ys)
     maybe_run_ea(pop, m, cfg, rng)
@@ -504,13 +498,14 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
         return float("nan"), float("nan")
     if not pop.members:
         return float("nan"), 0.0
+    n = len(pop.members)
     matched = _match_matrix(pop.members, xs, cfg)
-    msize = pop.state.num[pop.rows] @ matched
+    msize = pop.state.num[:n] @ matched
     # a row that no rule matches is predicted by every rule
     matched[:, ~matched.any(axis=0)] = True
     acc = np.zeros_like(xs)
     fsum = np.zeros(rows)
-    for cl, fit, sel in zip(pop.members, pop.state.fit[pop.rows].tolist(), matched):
+    for cl, fit, sel in zip(pop.members, pop.state.fit[:n].tolist(), matched):
         if not sel.any():
             continue
         # a rule that matches every row reads xs itself

@@ -310,7 +310,7 @@ def _saved(change):
 
 def _every_rule(name, value):
     def change(pop):
-        getattr(pop.state, name)[pop.rows] = value
+        getattr(pop.state, name)[:len(pop.members)] = value
     return _saved(change)
 
 
@@ -323,8 +323,9 @@ def _first_rule(name, value):
 @_saved
 def _no_fitness_anywhere(pop):
     # unreinforced rules, so that only the total is wrong
-    pop.state.exp[pop.rows] = 0
-    pop.state.fit[pop.rows] = 0.0
+    n = len(pop.members)
+    pop.state.exp[:n] = 0
+    pop.state.fit[:n] = 0.0
 
 
 @_saved
@@ -575,6 +576,37 @@ def test_image_shape_that_does_not_fit_the_data_exits_2(wide16, tmp_path, capsys
         assert err.startswith("data error: image_shape") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("shape", [(10, 0, 5), (10, 5, 0), (0, 4, 4)])
+def test_idx_data_with_a_zero_dimension_exits_2(shape, tmp_path, capsys):
+    idx = tmp_path / "empty.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x00000803, *shape))
+    cfg = _config(tmp_path, str(idx))
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "include a 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("keys", [dict(h_I=99999999999999999999), dict(h_I=2**63),
+                                  dict(seed=2**64), dict(trials=2**63)])
+def test_integers_beyond_int64_are_config_errors(keys, dataset, tmp_path, capsys):
+    cfg = _config(tmp_path, dataset, N=1, **keys)
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {next(iter(keys))} must be below 2**63")
+
+
+@pytest.mark.parametrize("keys", [dict(h_I=2**40), dict(h_I=2**40, h_max=2**40)])
+def test_a_network_too_large_for_memory_is_a_training_error(keys, dataset, tmp_path,
+                                                            capsys):
+    # numpy refuses the 2**40-row weight matrix before it allocates anything
+    cfg = _config(tmp_path, dataset, N=1, **keys)
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training error: out of memory") and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def argv_run(tmp_path_factory, dataset):
     """A tiny run with images, whose directory each fuzzed command gets a
@@ -641,10 +673,13 @@ def tiny_csv(tmp_path_factory):
 
 # values every fuzzed key refuses, and values of any kind
 _REFUSED = st.sampled_from(["-1", "nan", "inf", "1e308", "text", ""])
+# integers at and beyond the int64 range of numpy shapes and checkpoint columns
+_HUGE = st.one_of(st.sampled_from([str(2**63), "99999999999999999999"]),
+                  st.integers(2**63, 2**80).map(str))
 _WILD = st.one_of(
     _REFUSED,
-    st.sampled_from(["0", "-0.01", "-inf", "-1e308", "1e-320", "99999999999999999999",
-                     "true", "none"]),
+    st.sampled_from(["0", "-0.01", "-inf", "-1e308", "1e-320", "true", "none"]),
+    _HUGE,
     st.floats().map(repr),
     st.integers(-10**6, 10**6).map(str))
 # values at and around the legal range, by key and else by field type
@@ -652,7 +687,7 @@ _NEAR = {
     "float": st.one_of(st.floats(0.0, 1.0, exclude_min=True).map(repr),
                        st.floats(1.0, 300.0).map(repr),
                        st.sampled_from(["0", "1", "1e-320", "1e-300", "1e300"])),
-    "int": st.one_of(st.integers(0, 50).map(str), st.just("99999999999999999999")),
+    "int": st.one_of(st.integers(0, 50).map(str), st.just(str(2**63 - 1)), _HUGE),
     "bool": st.sampled_from(["true", "false"]),
     "mode": st.sampled_from(["xcsf", "global_ea", "banana"]),
     "dataset_format": st.sampled_from(["", "csv", "idx", "png"]),
@@ -668,7 +703,7 @@ _KEY_VALUES = {}  # config key -> (near values, wild values)
 for _f in fields(ExperimentConfig):
     _key = "lambda" if _f.name == "lam" else _f.name
     if _key in _COSTLY:
-        _KEY_VALUES[_key] = (_COSTLY[_key].map(str), _REFUSED)
+        _KEY_VALUES[_key] = (_COSTLY[_key].map(str), st.one_of(_REFUSED, _HUGE))
     elif _key != "dataset":
         _KEY_VALUES[_key] = (_NEAR.get(_key, _NEAR.get(_f.type)), _WILD)
 _KEY_VALUES["match_threshold"] = (st.floats(0.0, 0.9).map(repr), _REFUSED)

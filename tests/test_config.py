@@ -86,6 +86,20 @@ def test_accuracy_of_the_largest_error_must_not_underflow():
     parse_config("epsilon0=2\nnu=1e308\n")
 
 
+@pytest.mark.parametrize("key", ["N", "theta_del", "theta_EA", "lambda", "h_I", "h_M",
+                                 "h_max", "stale_limit", "seed", "trials",
+                                 "checkpoint_interval"])
+def test_every_integer_key_must_fit_an_int64(key):
+    # the largest int64 is legal for every key (up to what memory holds)
+    parse_config(f"{key}={2**63 - 1}\n")
+    for value in (2**63, 99999999999999999999):
+        with pytest.raises(ConfigError, match=f"{key} must be below 2\\*\\*63"):
+            parse_config(f"{key}={value}\n")
+    parse_config(f"image_shape=1,{2**63 - 1}\n")
+    with pytest.raises(ConfigError, match="image_shape dimensions must be below"):
+        parse_config(f"image_shape=1,{2**63}\n")
+
+
 def test_config_dict_round_trip():
     cfg = parse_config("N=12\nlambda=2\nimage_shape=8,8,3\nseed=99\n")
     again = config_from_dict(config_to_dict(cfg))

@@ -107,6 +107,14 @@ def test_load_idx_rejects_truncation(tmp_path):
         load_idx(str(path))
 
 
+@pytest.mark.parametrize("shape", [(10, 0, 5), (10, 5, 0), (0, 4, 4)])
+def test_load_idx_rejects_a_zero_dimension(tmp_path, shape):
+    path = tmp_path / "empty.idx"
+    path.write_bytes(_idx_bytes(np.zeros(shape, dtype=np.uint8)))
+    with pytest.raises(DataError, match="include a 0"):
+        load_idx(str(path))
+
+
 def test_split_floor_convention():
     ds = data.Dataset(features=np.zeros((9298, 1)))
     out = split(ds, 0.9, np.random.default_rng(0))

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (always_match_condition, make_classifier,
                       never_match_condition, saturated_network)
@@ -316,7 +318,7 @@ def test_a_subnormal_child_fitness_is_floored():
     pop = xcsf.init_population(cfg, 6, rng)
     for x in np.random.default_rng(13).random((200, 6)):
         xcsf.run_trial(pop, x, cfg, rng)
-    assert pop.state.fit[pop.rows].min() >= xcsf._F_FLOOR
+    assert pop.state.fit[:len(pop.members)].min() >= xcsf._F_FLOOR
     assert np.isfinite(xcsf.deletion_votes(pop, pop.mean_fitness(), cfg)).all()
 
 
@@ -708,7 +710,9 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
 
 def _assert_same_rules(pop, ref):
     assert len(pop.members) == len(ref)
-    for a, b in zip(pop.members, ref):
+    for i, (a, b) in enumerate(zip(pop.members, ref)):
+        # every member's row of the table is its position
+        assert a._state is pop.state and a._row == i
         for name in xcsf.SCALARS:
             va, vb = getattr(a, name), getattr(b, name)
             assert va == vb, name
@@ -773,10 +777,60 @@ def test_add_and_remove_keep_rows_aligned_and_reuse_them():
     pop.add(rules[3])
     pop.add(rules[1])
     assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
-    assert sorted(pop.rows.tolist()) == list(range(4))  # the freed row was reused
-    assert pop.state.num[pop.rows].tolist() == [1, 3, 4, 5]
+    # the later row moved up, and the adds took the next rows
+    assert [cl._row for cl in pop.members] == list(range(4))
+    assert pop.state.num[:4].tolist() == [1, 3, 4, 5]
     assert pop.micro_count() == 13
     assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.2) / 13
+
+
+def _scalars(k):
+    return dict(err=k / 7, fit=(k + 1) / 3, num=k % 5 + 1, exp=k, set_size=k + 0.5,
+                ts=2 * k, born=3 * k, mtotal=4 * k)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ops=st.lists(st.sampled_from(["add", "readd", "first", "middle", "last"]),
+                    max_size=40))
+def test_random_adds_and_removes_match_a_list_model(ops):
+    pop = xcsf.Population()
+    model = []  # (rule, its scalars) in member order
+    removed = []
+    stranger = make_classifier(n=2)
+    for k, op in enumerate(ops):
+        if op == "readd" and removed:
+            cl, values = removed.pop()
+            assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
+            pop.add(cl)
+            model.append((cl, values))
+        elif op in ("add", "readd"):
+            values = _scalars(k)
+            cl = make_classifier(n=2, seed=k, **values)
+            pop.add(cl)
+            model.append((cl, values))
+        elif model:
+            i = {"first": 0, "middle": len(model) // 2, "last": len(model) - 1}[op]
+            pop.remove(model[i][0])
+            removed.append(model.pop(i))
+        n = len(model)
+        assert pop.members == [cl for cl, _ in model]
+        for i, (cl, values) in enumerate(model):
+            assert cl._state is pop.state and cl._row == i
+            assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
+        nums = [values["num"] for _, values in model]
+        assert pop.state.num[:n].tolist() == nums
+        assert pop.micro_count() == sum(nums)
+        if model:
+            total = 0.0
+            for _, values in model:
+                total += values["fit"]
+            assert pop.mean_fitness() == total / sum(nums)
+            # a copy shares a member's table row but is not the member
+            with pytest.raises(ValueError):
+                pop.remove(copy.copy(model[-1][0]))
+        for outsider in [stranger] + [cl for cl, _ in removed]:
+            with pytest.raises(ValueError):
+                pop.remove(outsider)
 
 
 def test_mean_fitness_adds_in_member_order():
