@@ -4,7 +4,8 @@
  *     forward_batch    the forward pass of many networks on one input,
  *                      with no update;
  *     reinforce_batch  one fused momentum-SGD step toward the input for
- *                      every prediction net of a match set.
+ *                      every prediction net of a match set, returning each
+ *                      net's pre-update output and its mean squared error.
  *
  * A hand-written CPython extension with the functions, signatures and
  * semantics of the numpy twin ``_kernels_py``.  Every network is one SELU
@@ -23,11 +24,25 @@
  * b2.  Every entry point checks what it reads, the tuple sizes and the
  * writability of what it updates before any loop reads the data: a wrong
  * type, dtype or tuple size raises TypeError, a wrong shape or layout or a
- * read-only output raises ValueError.  Keep the order of every
- * floating-point operation: fixed seeds reproduce metrics.csv byte for byte.
+ * read-only output raises ValueError.
+ *
+ * Keep the order of every floating-point operation: fixed seeds reproduce
+ * metrics.csv byte for byte.  Both entry points first compute the hidden
+ * layer of every net of the batch, four hidden units at a time, each unit
+ * its own sum in input order; reinforce_batch therefore reads every hidden
+ * layer before it updates any net.  Each step then computes the outputs,
+ * their gradients and squared errors (in one pass per output for a net with
+ * one hidden unit), adds the hidden gradient in output order from the
+ * pre-update w2, and updates w2, b2 and then the hidden layer element by
+ * element.  The error written to err_out is the double
+ * ``np.mean(np.square(y - x))`` gives: numpy's pairwise sum of the squares
+ * (eight partial sums up to 128 terms, halving above that at a multiple of
+ * 8) divided by n.
  *
  * Build: cc -O3 -funroll-loops -shared -fPIC -I<numpy include> -I<python
  * include> -DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION _kernels.c -o <module>
+ * and no -ffast-math or -march: reassociated sums or fused multiply-adds
+ * would change the bits.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -41,9 +56,9 @@
 static const double SELU_LA = SELU_LAMBDA * SELU_ALPHA;
 
 /* One network's checked data; a net with no update fills no masks, m* or
- * etas. */
+ * etas.  `a1` points at the net's hidden activations in the batch scratch. */
 typedef struct {
-    double *w1, *b1, *mw1, *mb1, *w2, *b2, *mw2, *mb2, eta1, eta2;
+    double *w1, *b1, *mw1, *mb1, *w2, *b2, *mw2, *mb2, *a1, eta1, eta2;
     unsigned char *mask1, *mask2;
     npy_intp h, n_out;
 } net_t;
@@ -66,20 +81,56 @@ logistic(double z)
     return e / (1.0 + e);
 }
 
+/* The hidden activations of every net of `nets` for the input `x`, into
+ * `a1`, which holds the hidden units of all nets one after another; each
+ * net's `a1` is pointed at its own.  `rows` is scratch of the same length.
+ * Four units, of one net or of several, are summed at a time, but each is
+ * its own chain from b1 in input order, so every activation is the double
+ * a one-unit loop gives and does not depend on the rest of the batch. */
 static void
-forward(const net_t *p, npy_intp n_in, const double *x, double *a1, double *y)
+hidden_batch(net_t *nets, npy_intp m, npy_intp n_in, const double *x,
+             double *a1, const double **rows)
 {
-    const double *w1 = p->w1, *b1 = p->b1, *w2 = p->w2, *b2 = p->b2;
-    npy_intp h = p->h, n_out = p->n_out, i, j;
+    npy_intp total = 0, k, j, u, i;
+    double z0, z1, z2, z3;
+
+    for (k = 0; k < m; k++) {
+        nets[k].a1 = a1 + total;
+        for (j = 0; j < nets[k].h; j++) {
+            rows[total] = nets[k].w1 + j * n_in;
+            a1[total++] = nets[k].b1[j];
+        }
+    }
+    for (u = 0; u + 4 <= total; u += 4) {
+        const double *r0 = rows[u], *r1 = rows[u + 1], *r2 = rows[u + 2],
+                     *r3 = rows[u + 3];
+        z0 = a1[u], z1 = a1[u + 1], z2 = a1[u + 2], z3 = a1[u + 3];
+        for (i = 0; i < n_in; i++) {
+            z0 += r0[i] * x[i];
+            z1 += r1[i] * x[i];
+            z2 += r2[i] * x[i];
+            z3 += r3[i] * x[i];
+        }
+        a1[u] = selu(z0), a1[u + 1] = selu(z1);
+        a1[u + 2] = selu(z2), a1[u + 3] = selu(z3);
+    }
+    for (; u < total; u++) {
+        z0 = a1[u];
+        for (i = 0; i < n_in; i++)
+            z0 += rows[u][i] * x[i];
+        a1[u] = selu(z0);
+    }
+}
+
+/* The logistic outputs of a net whose hidden activations are in `a1`. */
+static void
+output(const net_t *p, double *y)
+{
+    const double *w2 = p->w2, *b2 = p->b2, *a1 = p->a1;
+    npy_intp h = p->h, i, j;
     double z;
 
-    for (j = 0; j < h; j++) {
-        z = b1[j];
-        for (i = 0; i < n_in; i++)
-            z += w1[j * n_in + i] * x[i];
-        a1[j] = selu(z);
-    }
-    for (i = 0; i < n_out; i++) {
+    for (i = 0; i < p->n_out; i++) {
         z = b2[i];
         for (j = 0; j < h; j++)
             z += w2[i * h + j] * a1[j];
@@ -87,34 +138,95 @@ forward(const net_t *p, npy_intp n_in, const double *x, double *a1, double *y)
     }
 }
 
+/* numpy's pairwise sum of `a` (pairwise_sum in loops_utils.h.src): eight
+ * partial sums up to 128 terms, halving above that at a multiple of 8.
+ * ``np.mean`` adds it to 0.0, which changes no sum of squares. */
+static double
+pairwise_sum(const double *a, npy_intp n)
+{
+    double r[8], res;
+    npy_intp i, k, n2;
+
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (k = 0; k < 8; k++)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
 /* One momentum-SGD step on the MSE toward the input `x` itself, so
- * n_out == n_in.  `a1` and `e1` are scratch of length h; `y` receives the
- * pre-update outputs. */
-static void
+ * n_out == n_in, from the hidden activations `p->a1`.  `y` receives the
+ * pre-update outputs; returns their mean squared error from `x`, the
+ * double ``np.mean(np.square(y - x))`` gives.  `g` and `sq` are scratch of
+ * length n_in, `e1` of length h.  Masked weights are exactly zero, so the
+ * mask factor makes the updates branchless (and vectorisable) without
+ * changing any value. */
+static double
 fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
-          double *a1, double *e1, double *y)
+          double *y, double *g, double *sq, double *e1)
 {
     double *w1 = p->w1, *b1 = p->b1, *mw1 = p->mw1, *mb1 = p->mb1;
     double *w2 = p->w2, *b2 = p->b2, *mw2 = p->mw2, *mb2 = p->mb2;
+    const double *a1 = p->a1;
     const unsigned char *mask1 = p->mask1, *mask2 = p->mask2;
-    double eta1 = p->eta1, eta2 = p->eta2, g, d, dw, ap;
+    double eta1 = p->eta1, eta2 = p->eta2, d, e, dw, ap;
+    const double c = 2.0 / (double)p->n_out;
     npy_intp h = p->h, n_out = p->n_out, i, j;
 
-    forward(p, n_in, x, a1, y);
-
-    /* masked weights are exactly zero, so the mask factor makes the updates
-     * branchless (and vectorisable) without changing any value */
-    for (j = 0; j < h; j++)
-        e1[j] = 0.0;
-    for (i = 0; i < n_out; i++) {
-        g = 2.0 / (double)n_out * (y[i] - x[i]) * y[i] * (1.0 - y[i]);
-        for (j = 0; j < h; j++) {
-            e1[j] += g * w2[i * h + j];
-            dw = (-eta2 * g * a1[j] + omega * mw2[i * h + j]) * (double)mask2[i * h + j];
-            w2[i * h + j] += dw;
-            mw2[i * h + j] = dw;
+    /* the outputs, their gradients and squared errors; with one hidden
+     * unit all in one pass per output, together with the hidden gradient,
+     * which adds g * w2 in output order before w2 is updated */
+    if (h == 1) {
+        e = 0.0;
+        for (i = 0; i < n_out; i++) {
+            y[i] = logistic(b2[i] + w2[i] * a1[0]);
+            d = y[i] - x[i];
+            g[i] = c * d * y[i] * (1.0 - y[i]);
+            sq[i] = d * d;
+            e += g[i] * w2[i];
         }
-        dw = -eta2 * g + omega * mb2[i];
+        e1[0] = e;
+        for (i = 0; i < n_out; i++) {
+            dw = (-eta2 * g[i] * a1[0] + omega * mw2[i]) * (double)mask2[i];
+            w2[i] += dw;
+            mw2[i] = dw;
+        }
+    } else {
+        output(p, y);
+        for (i = 0; i < n_out; i++) {
+            d = y[i] - x[i];
+            g[i] = c * d * y[i] * (1.0 - y[i]);
+            sq[i] = d * d;
+        }
+        /* the hidden gradient, in output order, before w2 is updated */
+        for (j = 0; j < h; j++)
+            e1[j] = 0.0;
+        for (i = 0; i < n_out; i++)
+            for (j = 0; j < h; j++) {
+                e1[j] += g[i] * w2[i * h + j];
+                dw = (-eta2 * g[i] * a1[j] + omega * mw2[i * h + j])
+                     * (double)mask2[i * h + j];
+                w2[i * h + j] += dw;
+                mw2[i * h + j] = dw;
+            }
+    }
+    for (i = 0; i < n_out; i++) {
+        dw = -eta2 * g[i] + omega * mb2[i];
         b2[i] += dw;
         mb2[i] = dw;
     }
@@ -130,6 +242,7 @@ fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
         b1[j] += dw;
         mb1[j] = dw;
     }
+    return pairwise_sum(sq, n_out) / (double)n_out;
 }
 
 /* Data of `obj` if it is an array of `type` and shape (d0,) or (d0, d1)
@@ -198,16 +311,16 @@ check_net(PyObject *const *v, int train, npy_intp n_in, npy_intp n_out, net_t *p
 }
 
 /* Check every 12-tuple of `list` as a network and return them in a new
- * array, with the largest hidden width; NULL on error. */
+ * array, with the total of their hidden widths; NULL on error. */
 static net_t *
-check_nets(PyObject *list, int train, npy_intp n_in, npy_intp n_out, npy_intp *width)
+check_nets(PyObject *list, int train, npy_intp n_in, npy_intp n_out, npy_intp *total)
 {
     Py_ssize_t m = PyList_GET_SIZE(list), i;
     net_t *nets = PyMem_New(net_t, m);
 
+    *total = 0;
     if (!nets)
         return (net_t *)PyErr_NoMemory();
-    *width = 0;
     for (i = 0; i < m; i++) {
         PyObject *t = PyList_GET_ITEM(list, i);
         if (!PyTuple_Check(t) || PyTuple_GET_SIZE(t) != 12) {
@@ -216,7 +329,7 @@ check_nets(PyObject *list, int train, npy_intp n_in, npy_intp n_out, npy_intp *w
         }
         if (check_net(&PyTuple_GET_ITEM(t, 0), train, n_in, n_out, &nets[i]) < 0)
             goto fail;
-        *width = Py_MAX(*width, nets[i].h);
+        *total += nets[i].h;
     }
     return nets;
 fail:
@@ -224,14 +337,35 @@ fail:
     return NULL;
 }
 
+/* `doubles` doubles of scratch and `total` row pointers for hidden_batch;
+ * NULL with MemoryError set. */
+static double *
+new_scratch(npy_intp doubles, npy_intp total, const double ***rows)
+{
+    double *s = PyMem_New(double, doubles);
+
+    if (s && (*rows = PyMem_New(const double *, total)))
+        return s;
+    PyMem_Free(s);
+    return (double *)PyErr_NoMemory();
+}
+
+static void
+free_scratch(double *s, const double **rows, net_t *nets)
+{
+    PyMem_Free(s);
+    PyMem_Free((void *)rows);
+    PyMem_Free(nets);
+}
+
 static PyObject *
 py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kw[] = {"nets", "x", "ys_out", NULL};
     PyObject *list, *xo, *yo;
-    const double *x;
+    const double *x, **rows;
     double *ys, *a1;
-    npy_intp n, m, n_out, width, i;
+    npy_intp n, m, n_out, total, i;
     net_t *nets;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OO:forward_batch", kw,
@@ -245,31 +379,31 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         || !(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n_out, 1)))
         return NULL;
     n = PyArray_DIM((PyArrayObject *)xo, 0);
-    if (!(nets = check_nets(list, 0, n, n_out, &width)))
+    if (!(nets = check_nets(list, 0, n, n_out, &total)))
         return NULL;
-    if (!(a1 = PyMem_New(double, width))) {
+    if (!(a1 = new_scratch(total, total, &rows))) {
         PyMem_Free(nets);
-        return PyErr_NoMemory();
+        return NULL;
     }
+    hidden_batch(nets, m, n, x, a1, rows);
     for (i = 0; i < m; i++)
-        forward(&nets[i], n, x, a1, ys + i * n_out);
-    PyMem_Free(a1);
-    PyMem_Free(nets);
+        output(&nets[i], ys + i * n_out);
+    free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
 
 static PyObject *
 py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kw[] = {"preds", "x", "omega", "ys_out", NULL};
-    PyObject *preds, *xo, *yo;
-    const double *x;
-    double omega, *ys, *scratch;
-    npy_intp n, m, width, i;
+    static char *kw[] = {"preds", "x", "omega", "ys_out", "err_out", NULL};
+    PyObject *preds, *xo, *yo, *eo;
+    const double *x, **rows;
+    double omega, *ys, *err, *a1;
+    npy_intp n, m, total, i;
     net_t *nets;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OdO:reinforce_batch", kw,
-                                     &PyList_Type, &preds, &xo, &omega, &yo))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OdOO:reinforce_batch", kw,
+                                     &PyList_Type, &preds, &xo, &omega, &yo, &eo))
         return NULL;
     m = PyList_GET_SIZE(preds);
     if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0)))
@@ -277,16 +411,21 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     n = PyArray_DIM((PyArrayObject *)xo, 0);
     /* every net reconstructs its n inputs */
     if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n, 1))
-        || !(nets = check_nets(preds, 1, n, n, &width)))
+        || !(err = array_data(eo, "err_out", NPY_DOUBLE, m, -1, 1))
+        || !(nets = check_nets(preds, 1, n, n, &total)))
         return NULL;
-    if (!(scratch = PyMem_New(double, 2 * width))) {
+    /* the hidden activations of every net, then g and sq (n each) and e1
+     * (no longer than the hidden total) */
+    if (!(a1 = new_scratch(2 * total + 2 * n, total, &rows))) {
         PyMem_Free(nets);
-        return PyErr_NoMemory();
+        return NULL;
     }
+    /* every hidden layer is computed before any net is updated */
+    hidden_batch(nets, m, n, x, a1, rows);
     for (i = 0; i < m; i++)
-        fused_sgd(&nets[i], omega, n, x, scratch, scratch + width, ys + i * n);
-    PyMem_Free(scratch);
-    PyMem_Free(nets);
+        err[i] = fused_sgd(&nets[i], omega, n, x, ys + i * n, a1 + total,
+                           a1 + total + n, a1 + total + 2 * n);
+    free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
 
@@ -299,9 +438,10 @@ static PyMethodDef methods[] = {
               "Forward pass of every net of ``nets`` on ``x``, with no update;\n"
               "row i of ``ys_out`` receives net i's output."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
-              "reinforce_batch(preds, x, omega, ys_out)\n--\n\n"
+              "reinforce_batch(preds, x, omega, ys_out, err_out)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"
-              "``preds``; row i of ``ys_out`` receives net i's pre-update output."),
+              "``preds``; row i of ``ys_out`` receives net i's pre-update output\n"
+              "and ``err_out[i]`` its mean squared error from ``x``."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,12 +2,13 @@
 
 Two entry points: ``forward_batch`` (the forward pass of many networks on
 one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
-toward the input for every prediction net of a match set).  Every network
-on the hot path has the same shape: one SELU hidden layer followed by a
-logistic output layer, all float64 C-contiguous arrays.  It reaches both
-entry points as one 12-tuple ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2,
-mask2, mw2, mb2, eta2)``, of which ``forward_batch`` reads only w1, b1, w2
-and b2.  The compiled extension built from ``_kernels.c`` implements the
+toward the input for every prediction net of a match set, which also
+returns each net's mean squared error).  Every network on the hot path has
+the same shape: one SELU hidden layer followed by a logistic output layer,
+all float64 C-contiguous arrays.  It reaches both entry points as one
+12-tuple ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2,
+eta2)``, of which ``forward_batch`` reads only w1, b1, w2 and b2.  The
+compiled extension built from ``_kernels.c`` implements the
 same functions with identical semantics; this module is used when it is
 not available.  It also holds the package's one definition of each
 activation, and imports nothing from the package.
@@ -48,16 +49,17 @@ def _forward(w1, b1, w2, b2, x):
     return a1, y
 
 
-def _fused_sgd(w1, b1, mask1, mw1, mb1, eta1,
+def _fused_sgd(a1, w1, b1, mask1, mw1, mb1, eta1,
                w2, b2, mask2, mw2, mb2, eta2,
                omega, x, y_out):
-    """One forward pass plus one momentum-SGD step on the MSE toward ``x``.
+    """One momentum-SGD step on the MSE toward ``x``, from the hidden
+    activations ``a1``.
 
     The pre-update outputs are written into ``y_out``.  Masked weights are
     excluded: their value, gradient, and momentum stay exactly zero.
     """
     n_out = w2.shape[0]
-    a1, y = _forward(w1, b1, w2, b2, x)
+    y = logistic(w2 @ a1 + b2)
     y_out[:] = y
 
     d2 = (2.0 / n_out) * (y - x) * y * (1.0 - y)
@@ -93,13 +95,18 @@ def forward_batch(nets, x, ys_out):
         ys_out[i] = _forward(w1, b1, w2, b2, x)[1]
 
 
-def reinforce_batch(preds, x, omega, ys_out):
+def reinforce_batch(preds, x, omega, ys_out, err_out):
     """One momentum-SGD step on the MSE toward ``x`` for every net of a
     match set.
 
     ``preds`` holds (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2,
     mb2, eta2) tuples; row i of ``ys_out`` receives classifier i's
-    pre-update reconstruction.
+    pre-update reconstruction, and ``err_out[i]`` its mean squared error
+    from ``x``, ``np.mean(np.square(ys_out[i] - x))``: numpy's pairwise
+    sum of the squares, divided by the width.  Every hidden layer is
+    computed before any net is updated, as in the compiled kernel.
     """
-    for i, args in enumerate(preds):
-        _fused_sgd(*args, omega, x, ys_out[i])
+    hidden = [selu(w1 @ x + b1) for w1, b1, *_ in preds]
+    for i, (a1, args) in enumerate(zip(hidden, preds)):
+        _fused_sgd(a1, *args, omega, x, ys_out[i])
+    err_out[:] = np.mean(np.square(ys_out - x), axis=1)

@@ -1,9 +1,12 @@
 """Backend selection for the hot per-trial kernels.
 
-Two entry points: ``forward_batch`` (the forward pass of many networks on
-one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
-toward the input for every prediction net of a match set).  Both take one
-12-tuple per network, built by ``neural.net_args``.  The match rule
+Two entry points: ``forward_batch(nets, x, ys_out)`` (the forward pass of
+many networks on one input, with no update) and ``reinforce_batch(preds, x,
+omega, ys_out, err_out)`` (one momentum-SGD step toward the input for every
+prediction net of a match set).  Both take one 12-tuple per network, built
+by ``neural.net_args``.  ``err_out[i]`` receives net i's pre-update mean
+squared error, the double ``np.mean(np.square(ys_out[i] - x))`` gives: both
+backends sum the squares in numpy's pairwise order.  The match rule
 ``match_batch`` is written once here, on top of ``forward_batch``, for both
 backends.
 

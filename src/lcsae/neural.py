@@ -33,6 +33,18 @@ MU_CONNECT = 3
 _F8 = np.dtype(np.float64)
 _U1 = np.dtype(np.uint8)
 
+# numpy refuses, with a ValueError, an array of more bytes than an intp
+# counts; a layer that large is out of memory like any other
+_MAX_BYTES = np.iinfo(np.intp).max
+
+
+def _require_addressable(rows: int, cols: int) -> None:
+    """Raise MemoryError, before anything is allocated, when a (rows, cols)
+    float64 weight matrix is larger than numpy's largest array."""
+    if rows * cols * _F8.itemsize > _MAX_BYTES:
+        raise MemoryError(f"a {rows}x{cols} weight matrix is larger than the "
+                          f"largest array numpy can allocate")
+
 
 @dataclass(eq=False)
 class Layer:
@@ -122,6 +134,7 @@ def new_layer(n_in, n_out, rng, *, sigma=INIT_SIGMA,
     (used by covering, which randomises the whole net).  The mutation-rate
     vector is seeded U[mu_min, 1] and eta uniformly inside its range.
     """
+    _require_addressable(n_out, n_in)
     weights = rng.standard_normal((n_out, n_in)) * sigma
     if random_biases:
         biases = rng.standard_normal(n_out) * sigma
@@ -236,6 +249,8 @@ def _add_neurons(net: Network, k: int, rng, connection_mutation: bool) -> None:
     hidden, out = net.layers
     n_in = hidden.n_in
     n_out = out.n_out
+    _require_addressable(hidden.n_out + k, n_in)
+    _require_addressable(n_out, hidden.n_out + k)
 
     w_new = rng.standard_normal((k, n_in)) * INIT_SIGMA
     if connection_mutation:

@@ -292,20 +292,21 @@ def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.nd
 
     The bookkeeping runs as elementwise array operations over the match
     set's table rows, in the order of the per-rule XCS update, so every
-    result is the same double as a rule-by-rule loop.
+    result is the same double as a rule-by-rule loop.  The reconstruction
+    MSE comes from the kernel, which sums each rule's squared errors in
+    ``np.mean``'s pairwise order, so it is the double
+    ``np.mean(np.square(y - x))`` gives.
     """
     members = pop.members
     ys = np.empty((len(m), len(x)))
+    mse = np.empty(len(m))
     kernels.reinforce_batch([members[i].pred_args for i in m.tolist()], x,
-                            cfg.omega, ys)
+                            cfg.omega, ys, mse)
 
     st = pop.state
     err, fit, num, set_size = st.err[m], st.fit[m], st.num[m], st.set_size[m]
     m_micro = int(num.sum())
-    # the squared errors of ``(ys - x) ** 2``, without a second temporary
-    sq = ys - x
-    np.square(sq, out=sq)
-    err = err + cfg.beta * (np.mean(sq, axis=1) - err)
+    err = err + cfg.beta * (mse - err)
     fit = fit + cfg.beta * (relative_accuracies(accuracies(err, cfg), num) - fit)
     st.exp[m] += 1
     st.err[m] = err

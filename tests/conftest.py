@@ -1,8 +1,20 @@
+import importlib.machinery
+import importlib.util
+import pathlib
+import shutil
+import subprocess
+import sys
+import sysconfig
+
 import numpy as np
 import pytest
 
 from lcsae import neural, xcsf
 from lcsae.config import ExperimentConfig
+
+KERNEL_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lcsae" / "_kernels.c"
+# the flags setup.py builds the extension with
+FLAGS = ["-O3", "-funroll-loops", "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION"]
 
 
 def write_csv(path, arr):
@@ -53,3 +65,32 @@ def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
 @pytest.fixture
 def cfg():
     return ExperimentConfig()
+
+
+@pytest.fixture(scope="session")
+def build(tmp_path_factory):
+    """Compile the kernel source with the system C compiler into a
+    temporary directory; returns the module path and the compiler's
+    diagnostics.  The compiled path is tested whether or not an extension
+    was installed."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("kernels") / (
+        "_kernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    cmd = [cc, *FLAGS, "-Wall", "-Wextra", "-shared", "-fPIC",
+           "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+           str(KERNEL_SOURCE), "-o", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return out, proc.stderr
+
+
+@pytest.fixture(scope="session")
+def cy(build):
+    """The freshly compiled module, loaded without entering ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("lcsae._kernels", build[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sys.modules.get("lcsae._kernels") is not module
+    return module

@@ -597,10 +597,13 @@ def test_integers_beyond_int64_are_config_errors(keys, dataset, tmp_path, capsys
     assert err.startswith(f"config error: {next(iter(keys))} must be below 2**63")
 
 
-@pytest.mark.parametrize("keys", [dict(h_I=2**40), dict(h_I=2**40, h_max=2**40)])
+@pytest.mark.parametrize("keys", [dict(h_I=2**40), dict(h_I=2**40, h_max=2**40),
+                                  dict(h_I=2**60)])
 def test_a_network_too_large_for_memory_is_a_training_error(keys, dataset, tmp_path,
                                                             capsys):
-    # numpy refuses the 2**40-row weight matrix before it allocates anything
+    # numpy refuses the 2**40-row weight matrix before it allocates anything;
+    # a 2**60-row one has more bytes than numpy can count, which it refuses
+    # with a ValueError, so the layer raises MemoryError before asking
     cfg = _config(tmp_path, dataset, N=1, **keys)
     assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err

@@ -16,7 +16,7 @@ def sgd_step(net, x, omega):
     pre-update output."""
     ys = np.empty((1, net.n_outputs))
     kernels.reinforce_batch([neural.net_args(net)], np.asarray(x, dtype=float),
-                            omega, ys)
+                            omega, ys, np.empty(1))
     return ys[0]
 
 
@@ -411,6 +411,26 @@ def test_mutate_neurons_clamps_at_floor_and_cap():
     mutate_neurons(net, StubRng(normals=[3.0]), h_M=5, h_max=4,
                    connection_mutation=False)
     assert net.n_hidden == 4  # cap respected
+
+
+def test_a_layer_larger_than_numpy_can_address_is_a_memory_error():
+    # numpy itself refuses these shapes with ValueError("array is too big")
+    rng = np.random.default_rng(16)
+    state = rng.bit_generator.state
+    for n_in, n_out in ((6, 2**60), (2**60, 1)):
+        with pytest.raises(MemoryError, match="larger than the largest array"):
+            new_layer(n_in, n_out, rng)
+    assert rng.bit_generator.state == state  # raised before any draw
+    # growth by mutation fails the same way, and leaves the net as it was
+    net = new_network(6, 1, 6, rng)
+    net.layers[0].mu[1] = 1.0
+    before = [(l.weights.copy(), l.biases.copy()) for l in net.layers]
+    with pytest.raises(MemoryError, match="larger than the largest array"):
+        mutate_neurons(net, StubRng(normals=[1.0]), h_M=2**61, h_max=None,
+                       connection_mutation=False)
+    assert net.n_hidden == 1
+    for (w, b), layer in zip(before, net.layers):
+        assert np.array_equal(w, layer.weights) and np.array_equal(b, layer.biases)
 
 
 def test_mutate_neurons_add_remove_round_trip():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (always_match_condition, make_classifier,
                       never_match_condition, saturated_network)
-from lcsae import kernels, neural, xcsf
+from lcsae import _kernels_py, kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
 
@@ -221,7 +221,9 @@ def _reinforce_per_rule(m, x, cfg):
     array update replaced."""
     m_micro = sum(cl.num for cl in m)
     ys = np.empty((len(m), len(x)))
-    kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys)
+    # the kernel's own errors are left unread: the reference takes np.mean
+    kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys,
+                            np.empty(len(m)))
     kappas = np.empty(len(m))
     for i, cl in enumerate(m):
         cl.exp += 1
@@ -339,7 +341,8 @@ def test_offspring_inherit_trained_weights(cfg):
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = rng.random(3)
-        kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty((1, 3)))
+        kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty((1, 3)),
+                                np.empty(1))
     trained = parent.prediction.layers[0].weights.copy()
     # a zero-rate mutation chain copies the weights through unchanged
     quiet = ExperimentConfig(mu_min=1e-12)
@@ -724,14 +727,30 @@ def _assert_same_rules(pop, ref):
                 assert np.array_equal(getattr(la, arr), getattr(lb, arr)), arr
 
 
-@pytest.mark.parametrize("mode, p_init", [("xcsf", True), ("xcsf", False),
-                                          ("global_ea", False)])
-def test_run_trial_equals_the_per_rule_learner_bit_for_bit(mode, p_init):
+def _learner_cases():
+    for backend in ("numpy", "compiled"):
+        # the width above 128 sums each rule's squared errors in numpy's
+        # pairwise halving order, which the compiled kernel must reproduce
+        for mode, p_init, n in (("xcsf", True, 6), ("xcsf", False, 6),
+                                ("global_ea", False, 6), ("xcsf", False, 300)):
+            # the width-6 numpy cases keep the ids they had before
+            name = f"{mode}-{p_init}" + (f"-n{n}" if n != 6 else "")
+            yield pytest.param(backend, mode, p_init, n, id=name + (
+                "-compiled" if backend == "compiled" else ""))
+
+
+@pytest.mark.parametrize("backend, mode, p_init, n", _learner_cases())
+def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init, n,
+                                                            request, monkeypatch):
+    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
+    # match_batch reads forward_batch from the module, so this routes every
+    # kernel call of the learner and of the reference
+    monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
+    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
     # a small N and theta_EA make the EA, coverings and deletions all fire;
     # a high threshold makes empty match sets common in xcsf mode
     cfg = ExperimentConfig(N=24, theta_EA=4, theta_del=5, mode=mode, P_init=p_init,
                            match_threshold=0.6, h_M=2, stale_limit=40)
-    n = 6
     rng = np.random.default_rng(34)
     pop = xcsf.init_population(cfg, n, rng)
     ref = [_Rule.of(cl, copy_nets=True) for cl in pop.members]
