@@ -3,9 +3,12 @@
  *
  *     forward_batch    the forward pass of many networks on one input,
  *                      with no update;
- *     reinforce_batch  one fused momentum-SGD step toward the input for
- *                      every prediction net of a match set, returning each
- *                      net's pre-update output and its mean squared error.
+ *     reinforce_batch  one trial's reinforcement of a match set: one fused
+ *                      momentum-SGD step toward the input for every
+ *                      prediction net, returning each net's pre-update output
+ *                      and its mean squared error, then the XCS update of
+ *                      each rule's error, fitness, set size and experience
+ *                      in the population's state columns.
  *
  * A hand-written CPython extension with the functions, signatures and
  * semantics of the numpy twin ``_kernels_py``.  Every network is one SELU
@@ -21,10 +24,13 @@
  *
  * all float64 except the uint8 masks, native byte order, aligned and
  * C-contiguous, and float etas.  forward_batch reads only w1, b1, w2 and
- * b2.  Every entry point checks what it reads, the tuple sizes and the
- * writability of what it updates before any loop reads the data: a wrong
- * type, dtype or tuple size raises TypeError, a wrong shape or layout or a
- * read-only output raises ValueError.
+ * b2.  The rule state reaches reinforce_batch as five 1-D columns of one
+ * length, float64 err, fit and set_size and int64 num and exp, and the int64
+ * positions of the match set's rows in them, one per net, distinct and in
+ * range.  Every entry point checks what it reads, the tuple sizes, the
+ * positions and the writability of what it updates before any loop reads
+ * the data: a wrong type, dtype or tuple size raises TypeError, a wrong
+ * shape or layout, a read-only output or a bad position raises ValueError.
  *
  * Keep the order of every floating-point operation: fixed seeds reproduce
  * metrics.csv byte for byte.  Both entry points first compute the hidden
@@ -37,7 +43,11 @@
  * element.  The error written to err_out is the double
  * ``np.mean(np.square(y - x))`` gives: numpy's pairwise sum of the squares
  * (eight partial sums up to 128 terms, halving above that at a multiple of
- * 8) divided by n.
+ * 8) divided by n.  After every step the XCS update runs in the order of
+ * the twin's array update, which is that of the per-rule loop: libm ``pow``
+ * is the function ``math.pow`` calls, and the normaliser of the relative
+ * accuracies is the same pairwise sum, which is ``ndarray.sum`` of a
+ * contiguous float64 array.
  *
  * Build: cc -O3 -funroll-loops -shared -fPIC -I<numpy include> -I<python
  * include> -DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION _kernels.c -o <module>
@@ -53,6 +63,9 @@
 #define SELU_LAMBDA 1.0507009873554805
 #define SELU_ALPHA 1.6732632423543772
 
+/* the fitness floor of the XCS update, ``_kernels_py.F_FLOOR`` */
+#define F_FLOOR 1e-300
+
 static const double SELU_LA = SELU_LAMBDA * SELU_ALPHA;
 
 /* One network's checked data; a net with no update fills no masks, m* or
@@ -62,6 +75,14 @@ typedef struct {
     unsigned char *mask1, *mask2;
     npy_intp h, n_out;
 } net_t;
+
+/* The checked rule state of a match set: the row of each of its rules in
+ * the columns, and the XCS rates. */
+typedef struct {
+    const npy_int64 *pos, *num;
+    npy_int64 *exp;
+    double *err, *fit, *set_size, beta, epsilon0, alpha, nu;
+} rules_t;
 
 static inline double
 selu(double z)
@@ -245,6 +266,41 @@ fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
     return pairwise_sum(sq, n_out) / (double)n_out;
 }
 
+/* The XCS update of the m rules of a match set, from their reconstruction
+ * errors `mse`, in the order of the twin's array update: each error moves
+ * toward its mse, each accuracy is 1 below epsilon0 and alpha *
+ * (err / epsilon0)^-nu otherwise, each fitness moves toward its share of the
+ * numerosity-weighted accuracies (never below F_FLOOR) and each set size
+ * toward the match set's micro count; each experience grows by one.  `w` is
+ * scratch of length m. */
+static void
+xcs_update(const rules_t *r, npy_intp m, const double *mse, double *w)
+{
+    const double beta = r->beta, epsilon0 = r->epsilon0;
+    npy_int64 micro = 0;
+    double e, f, total;
+    npy_intp i, k;
+
+    for (i = 0; i < m; i++) {
+        k = r->pos[i];
+        e = r->err[k] + beta * (mse[i] - r->err[k]);
+        r->err[k] = e;
+        /* a NaN error takes the power branch, as ``~(err < epsilon0)`` */
+        w[i] = (e < epsilon0 ? 1.0 : r->alpha * pow(e / epsilon0, -r->nu))
+               * (double)r->num[k];
+        micro += r->num[k];
+    }
+    total = pairwise_sum(w, m);
+    for (i = 0; i < m; i++) {
+        k = r->pos[i];
+        f = r->fit[k] + beta * (w[i] / total - r->fit[k]);
+        /* as np.maximum, a NaN fitness stays NaN */
+        r->fit[k] = f < F_FLOOR ? F_FLOOR : f;
+        r->set_size[k] = r->set_size[k] + beta * ((double)micro - r->set_size[k]);
+        r->exp[k] += 1;
+    }
+}
+
 /* Data of `obj` if it is an array of `type` and shape (d0,) or (d0, d1)
  * (d1 < 0 means 1-D, d0 < 0 any length), writable when asked; otherwise
  * NULL with TypeError or ValueError set. */
@@ -257,7 +313,8 @@ array_data(PyObject *obj, const char *name, int type, npy_intp d0, npy_intp d1,
 
     if (!PyArray_Check(obj) || PyArray_TYPE(a) != type || !PyArray_ISNOTSWAPPED(a))
         return PyErr_Format(PyExc_TypeError, "%s must be a native %s array", name,
-                            type == NPY_DOUBLE ? "float64" : "uint8");
+                            type == NPY_DOUBLE ? "float64"
+                            : type == NPY_UINT8 ? "uint8" : "int64");
     if (!PyArray_IS_C_CONTIGUOUS(a) || !PyArray_ISALIGNED(a))
         return PyErr_Format(PyExc_ValueError, "%s must be aligned and C-contiguous", name);
     if (PyArray_NDIM(a) != ndim || (d0 >= 0 && PyArray_DIM(a, 0) != d0)
@@ -337,6 +394,43 @@ fail:
     return NULL;
 }
 
+/* Check the state columns `cols` (err, fit, num, set_size, exp) and the m
+ * match-set positions `po`, which must be distinct rows of the columns, and
+ * fill `r`; the columns the update writes must be writable. */
+static int
+check_rules(PyObject *const *cols, PyObject *po, npy_intp m, rules_t *r)
+{
+    npy_intp rows, i, k;
+    unsigned char *seen;
+
+    if (!(r->err = array_data(cols[0], "err", NPY_DOUBLE, -1, -1, 1)))
+        return -1;
+    rows = PyArray_DIM((PyArrayObject *)cols[0], 0);
+    if (!(r->fit = array_data(cols[1], "fit", NPY_DOUBLE, rows, -1, 1))
+        || !(r->num = array_data(cols[2], "num", NPY_INT64, rows, -1, 0))
+        || !(r->set_size = array_data(cols[3], "set_size", NPY_DOUBLE, rows, -1, 1))
+        || !(r->exp = array_data(cols[4], "exp", NPY_INT64, rows, -1, 1))
+        || !(r->pos = array_data(po, "pos", NPY_INT64, m, -1, 0)))
+        return -1;
+    if (!(seen = PyMem_Calloc(rows ? rows : 1, 1))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < m; i++) {
+        k = r->pos[i];
+        if (k < 0 || k >= rows || seen[k]) {
+            PyMem_Free(seen);
+            PyErr_SetString(PyExc_ValueError, k < 0 || k >= rows
+                            ? "pos holds a row out of range"
+                            : "pos holds a row twice");
+            return -1;
+        }
+        seen[k] = 1;
+    }
+    PyMem_Free(seen);
+    return 0;
+}
+
 /* `doubles` doubles of scratch and `total` row pointers for hidden_batch;
  * NULL with MemoryError set. */
 static double *
@@ -395,15 +489,20 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyObject *
 py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kw[] = {"preds", "x", "omega", "ys_out", "err_out", NULL};
-    PyObject *preds, *xo, *yo, *eo;
+    static char *kw[] = {"preds", "x", "omega", "ys_out", "err_out", "pos", "err",
+                         "fit", "num", "set_size", "exp", "beta", "epsilon0",
+                         "alpha", "nu", NULL};
+    PyObject *preds, *xo, *yo, *eo, *po, *cols[5];
     const double *x, **rows;
-    double omega, *ys, *err, *a1;
+    double omega, *ys, *mse, *a1;
     npy_intp n, m, total, i;
     net_t *nets;
+    rules_t r;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OdOO:reinforce_batch", kw,
-                                     &PyList_Type, &preds, &xo, &omega, &yo, &eo))
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "O!OdOOOOOOOOdddd:reinforce_batch", kw, &PyList_Type,
+            &preds, &xo, &omega, &yo, &eo, &po, &cols[0], &cols[1], &cols[2],
+            &cols[3], &cols[4], &r.beta, &r.epsilon0, &r.alpha, &r.nu))
         return NULL;
     m = PyList_GET_SIZE(preds);
     if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0)))
@@ -411,20 +510,25 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     n = PyArray_DIM((PyArrayObject *)xo, 0);
     /* every net reconstructs its n inputs */
     if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n, 1))
-        || !(err = array_data(eo, "err_out", NPY_DOUBLE, m, -1, 1))
+        || !(mse = array_data(eo, "err_out", NPY_DOUBLE, m, -1, 1))
         || !(nets = check_nets(preds, 1, n, n, &total)))
         return NULL;
-    /* the hidden activations of every net, then g and sq (n each) and e1
-     * (no longer than the hidden total) */
-    if (!(a1 = new_scratch(2 * total + 2 * n, total, &rows))) {
+    if (check_rules(cols, po, m, &r) < 0) {
+        PyMem_Free(nets);
+        return NULL;
+    }
+    /* the hidden activations of every net, then g and sq (n each), e1 (no
+     * longer than the hidden total) and the weighted accuracies (m) */
+    if (!(a1 = new_scratch(2 * total + 2 * n + m, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
     }
     /* every hidden layer is computed before any net is updated */
     hidden_batch(nets, m, n, x, a1, rows);
     for (i = 0; i < m; i++)
-        err[i] = fused_sgd(&nets[i], omega, n, x, ys + i * n, a1 + total,
+        mse[i] = fused_sgd(&nets[i], omega, n, x, ys + i * n, a1 + total,
                            a1 + total + n, a1 + total + 2 * n);
+    xcs_update(&r, m, mse, a1 + 2 * total + 2 * n);
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
@@ -438,10 +542,13 @@ static PyMethodDef methods[] = {
               "Forward pass of every net of ``nets`` on ``x``, with no update;\n"
               "row i of ``ys_out`` receives net i's output."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
-              "reinforce_batch(preds, x, omega, ys_out, err_out)\n--\n\n"
+              "reinforce_batch(preds, x, omega, ys_out, err_out, pos, err, fit, num,\n"
+              "                set_size, exp, beta, epsilon0, alpha, nu)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"
-              "``preds``; row i of ``ys_out`` receives net i's pre-update output\n"
-              "and ``err_out[i]`` its mean squared error from ``x``."),
+              "``preds``, then the XCS update of their rules: row i of ``ys_out``\n"
+              "receives net i's pre-update output and ``err_out[i]`` its mean\n"
+              "squared error from ``x``, and row ``pos[i]`` of the state columns\n"
+              "``err``, ``fit``, ``set_size`` and ``exp`` is updated from it."),
     {NULL, NULL, 0, NULL},
 };
 

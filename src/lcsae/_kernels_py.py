@@ -1,18 +1,25 @@
 """Pure-numpy twin of the hot per-trial kernels, and the reference for them.
 
 Two entry points: ``forward_batch`` (the forward pass of many networks on
-one input, with no update) and ``reinforce_batch`` (one momentum-SGD step
-toward the input for every prediction net of a match set, which also
-returns each net's mean squared error).  Every network on the hot path has
-the same shape: one SELU hidden layer followed by a logistic output layer,
-all float64 C-contiguous arrays.  It reaches both entry points as one
-12-tuple ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2,
-eta2)``, of which ``forward_batch`` reads only w1, b1, w2 and b2.  The
-compiled extension built from ``_kernels.c`` implements the
-same functions with identical semantics; this module is used when it is
-not available.  It also holds the package's one definition of each
-activation, and imports nothing from the package.
+one input, with no update) and ``reinforce_batch`` (one trial's
+reinforcement of a match set: one momentum-SGD step toward the input for
+every prediction net, which also returns each net's mean squared error,
+then the XCS update of each rule's error, fitness, set size and experience
+in the population's state columns).  Every network on the hot path has the
+same shape: one SELU hidden layer followed by a logistic output layer, all
+float64 C-contiguous arrays.  It reaches both entry points as one 12-tuple
+``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)``, of
+which ``forward_batch`` reads only w1, b1, w2 and b2.  The compiled
+extension built from ``_kernels.c`` implements the same functions with
+identical semantics; this module is used when it is not available.  Like
+the compiled kernel, ``reinforce_batch`` checks the match-set positions and
+the state columns before it updates anything.  The module also holds the
+package's one definition of each activation and of the fitness floor, and
+imports nothing from the package.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -20,6 +27,10 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 _SELU_LA = SELU_LAMBDA * SELU_ALPHA
+
+# fitness decays multiplicatively and could underflow to exact zero after
+# a few thousand zero-accuracy updates; keep it strictly positive
+F_FLOOR = 1e-300
 
 
 def selu(z):
@@ -95,18 +106,89 @@ def forward_batch(nets, x, ys_out):
         ys_out[i] = _forward(w1, b1, w2, b2, x)[1]
 
 
-def reinforce_batch(preds, x, omega, ys_out, err_out):
-    """One momentum-SGD step on the MSE toward ``x`` for every net of a
-    match set.
+def _column(a, name, dtype, length, writable):
+    """``a`` if the compiled kernel accepts it: a native 1-D ``dtype`` array
+    (of ``length``, unless None), aligned and C-contiguous, and writable when
+    asked; its errors are the kernel's."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.dtype.isnative:
+        raise TypeError(f"{name} must be a native {np.dtype(dtype).name} array")
+    if not (a.flags.c_contiguous and a.flags.aligned):
+        raise ValueError(f"{name} must be aligned and C-contiguous")
+    if a.ndim != 1 or (length is not None and len(a) != length):
+        raise ValueError(f"{name} has the wrong shape")
+    if writable and not a.flags.writeable:
+        raise ValueError(f"{name} must be writable")
+    return a
 
-    ``preds`` holds (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2,
-    mb2, eta2) tuples; row i of ``ys_out`` receives classifier i's
+
+def _check_rules(pos, m, err, fit, num, set_size, exp):
+    """The state columns and the m match-set positions, checked as the
+    compiled kernel checks them: numpy's fancy indexing would accept a
+    negative or repeated position."""
+    rows = len(_column(err, "err", np.float64, None, True))
+    _column(fit, "fit", np.float64, rows, True)
+    _column(num, "num", np.int64, rows, False)
+    _column(set_size, "set_size", np.float64, rows, True)
+    _column(exp, "exp", np.int64, rows, True)
+    _column(pos, "pos", np.int64, m, False)
+    if m and (pos.min() < 0 or pos.max() >= rows):
+        raise ValueError("pos holds a row out of range")
+    if len(np.unique(pos)) != m:
+        raise ValueError("pos holds a row twice")
+
+
+def _accuracies(err, epsilon0, alpha, nu):
+    """1 below the target error, else the power-law fall-off.
+
+    The power is libm ``pow`` per element, the same double as Python's
+    ``**``; vector ``np.power`` may differ in the last bit.
+    """
+    kappa = np.ones(len(err))
+    above = ~(err < epsilon0)
+    ratios = (err[above] / epsilon0).tolist()
+    kappa[above] = alpha * np.fromiter(map(math.pow, ratios, itertools.repeat(-nu)),
+                                       float, len(ratios))
+    return kappa
+
+
+def _relative_accuracies(kappas, nums):
+    """Numerosity-weighted accuracies normalised over the match set."""
+    weighted = np.asarray(kappas, dtype=float) * np.asarray(nums, dtype=float)
+    return weighted / weighted.sum()
+
+
+def reinforce_batch(preds, x, omega, ys_out, err_out, pos, err, fit, num,
+                    set_size, exp, beta, epsilon0, alpha, nu):
+    """One trial's reinforcement of a match set.
+
+    First one momentum-SGD step on the MSE toward ``x`` for every net of
+    ``preds``, which holds (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2,
+    mw2, mb2, eta2) tuples: row i of ``ys_out`` receives classifier i's
     pre-update reconstruction, and ``err_out[i]`` its mean squared error
     from ``x``, ``np.mean(np.square(ys_out[i] - x))``: numpy's pairwise
     sum of the squares, divided by the width.  Every hidden layer is
     computed before any net is updated, as in the compiled kernel.
+
+    Then the XCS update (Butz & Wilson 2002) of classifier i's row
+    ``pos[i]`` of the state columns ``err``, ``fit``, ``num``, ``set_size``
+    and ``exp``, as array operations in the order of the per-rule loop, so
+    every result is the double a rule-by-rule loop gives: the error moves
+    toward ``err_out[i]`` by ``beta``, the fitness toward the rule's
+    numerosity-weighted relative accuracy (never below ``F_FLOOR``), the
+    set size toward the match set's micro count, and the experience grows
+    by one.  ``num`` is only read.
     """
+    _check_rules(pos, len(preds), err, fit, num, set_size, exp)
     hidden = [selu(w1 @ x + b1) for w1, b1, *_ in preds]
     for i, (a1, args) in enumerate(zip(hidden, preds)):
         _fused_sgd(a1, *args, omega, x, ys_out[i])
     err_out[:] = np.mean(np.square(ys_out - x), axis=1)
+
+    e, f, k, s = err[pos], fit[pos], num[pos], set_size[pos]
+    micro = int(k.sum())
+    e = e + beta * (err_out - e)
+    f = f + beta * (_relative_accuracies(_accuracies(e, epsilon0, alpha, nu), k) - f)
+    exp[pos] += 1
+    err[pos] = e
+    fit[pos] = np.maximum(f, F_FLOOR)
+    set_size[pos] = s + beta * (micro - s)

@@ -3,22 +3,23 @@
 Each classifier pairs a condition network (single logistic output deciding
 whether an input belongs to its niche) with a prediction network that
 reconstructs the input through a small hidden layer.  Per trial the match
-set is reinforced (error/fitness/set-size bookkeeping plus one
-momentum-SGD step on each prediction net) and periodically reproduced by
-a selection-driven evolutionary step with self-adaptive mutation.  In
-``global_ea`` mode every classifier matches every input, so evolution
-optimises a single global niche instead.
+set is reinforced (one momentum-SGD step on each prediction net, then the
+error/fitness/set-size/experience update, all in one kernel call) and
+periodically reproduced by a selection-driven evolutionary step with
+self-adaptive mutation.  In ``global_ea`` mode every classifier matches
+every input, so evolution optimises a single global niche instead.
 
 The eight scalars of every rule (``err, fit, num, exp, set_size, ts, born,
 mtotal``) live in a ``RuleState`` table of one numpy column each.  A
 ``Population`` owns one table, and row i of it belongs to
 ``pop.members[i]``.  A match set is an array of positions in
-``pop.members``, which index the table directly, so reinforcement, the EA
-due-check, deletion votes and the population sums are array operations
-over table rows; a whole-population read is a ``[:len(pop.members)]``
-view.  A rule reads and writes its own row through properties of the same
-names; outside a population (fresh from covering or reproduction, or after
-removal) it owns a private one-row table.  Membership changes only through
+``pop.members``, which index the table directly: reinforcement hands the
+positions and the columns to the kernel, and the EA due-check, deletion
+votes and the population sums are array operations over table rows; a
+whole-population read is a ``[:len(pop.members)]`` view.  A rule reads
+and writes its own row through properties of the same names; outside a
+population (fresh from covering or reproduction, or after removal) it
+owns a private one-row table.  Membership changes only through
 ``Population.add``, which copies the rule's row into the next table row,
 and ``Population.remove``, which copies it back out and moves the later
 rows up by one.  Neither a rule nor a table refers back to its population,
@@ -27,21 +28,16 @@ so a population is freed by reference counting alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import kernels, neural
+from ._kernels_py import F_FLOOR as _F_FLOOR
 from .config import ExperimentConfig
 
 # overriding deletion vote for classifiers that never matched anything
 STALE_VOTE = 1e30
-
-# fitness decays multiplicatively and could underflow to exact zero after
-# a few thousand zero-accuracy updates; keep it strictly positive
-_F_FLOOR = 1e-300
 
 MAX_COVER_TRIES = 10**6
 
@@ -261,57 +257,27 @@ def _fitnesses(rules: list) -> np.ndarray:
     return np.array([cl.fit for cl in rules], dtype=float)
 
 
-def accuracies(err: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """1 below the target error, else the power-law fall-off.
-
-    The power is libm ``pow`` per element, the same double as Python's
-    ``**``; vector ``np.power`` may differ in the last bit.
-    """
-    kappa = np.ones(len(err))
-    above = ~(err < cfg.epsilon0)
-    ratios = (err[above] / cfg.epsilon0).tolist()
-    kappa[above] = cfg.alpha * np.fromiter(map(math.pow, ratios, repeat(-cfg.nu)),
-                                           float, len(ratios))
-    return kappa
-
-
-def relative_accuracies(kappas, nums) -> np.ndarray:
-    """Numerosity-weighted accuracies normalised over the match set."""
-    weighted = np.asarray(kappas, dtype=float) * np.asarray(nums, dtype=float)
-    return weighted / weighted.sum()
-
-
 def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.ndarray:
     """Update every classifier of the match set ``m`` against input ``x``.
 
-    Per classifier: experience, error (Widrow-Hoff toward its own
-    reconstruction MSE), fitness (toward its relative accuracy), set-size
-    estimate, and one momentum-SGD step on the prediction net with the
-    input as target.  Conditions receive no gradient descent.  Returns the
-    pre-update reconstructions, one row per classifier.
+    Per classifier: one momentum-SGD step on the prediction net with the
+    input as target, then experience, error (Widrow-Hoff toward its own
+    reconstruction MSE), fitness (toward its relative accuracy) and
+    set-size estimate.  Conditions receive no gradient descent.  Returns
+    the pre-update reconstructions, one row per classifier.
 
-    The bookkeeping runs as elementwise array operations over the match
-    set's table rows, in the order of the per-rule XCS update, so every
+    All of it is one ``reinforce_batch`` call, which updates the match
+    set's table rows in the order of the per-rule XCS update, so every
     result is the same double as a rule-by-rule loop.  The reconstruction
-    MSE comes from the kernel, which sums each rule's squared errors in
-    ``np.mean``'s pairwise order, so it is the double
+    MSE is summed in ``np.mean``'s pairwise order, so it is the double
     ``np.mean(np.square(y - x))`` gives.
     """
-    members = pop.members
+    members, st = pop.members, pop.state
     ys = np.empty((len(m), len(x)))
-    mse = np.empty(len(m))
     kernels.reinforce_batch([members[i].pred_args for i in m.tolist()], x,
-                            cfg.omega, ys, mse)
-
-    st = pop.state
-    err, fit, num, set_size = st.err[m], st.fit[m], st.num[m], st.set_size[m]
-    m_micro = int(num.sum())
-    err = err + cfg.beta * (mse - err)
-    fit = fit + cfg.beta * (relative_accuracies(accuracies(err, cfg), num) - fit)
-    st.exp[m] += 1
-    st.err[m] = err
-    st.fit[m] = np.maximum(fit, _F_FLOOR)
-    st.set_size[m] = set_size + cfg.beta * (m_micro - set_size)
+                            cfg.omega, ys, np.empty(len(m)), m, st.err, st.fit,
+                            st.num, st.set_size, st.exp, cfg.beta, cfg.epsilon0,
+                            cfg.alpha, cfg.nu)
     return ys
 
 

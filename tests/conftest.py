@@ -50,6 +50,15 @@ def never_match_condition(n_inputs):
     return saturated_network(n_inputs, [0])
 
 
+def spare_rules(m):
+    """Match-set positions, state columns and XCS rates for a
+    ``reinforce_batch`` call of m nets whose rules are not under test; the
+    call updates these throwaway columns."""
+    cfg = ExperimentConfig()
+    return (np.arange(m), np.zeros(m), np.ones(m), np.ones(m, np.int64), np.ones(m),
+            np.zeros(m, np.int64), cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
+
+
 def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
     rng = np.random.default_rng(seed)
     if condition is None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_classifier, write_csv
+from conftest import make_classifier, spare_rules, write_csv
 from lcsae import checkpoint, cli, kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
                               population_from_bytes, population_to_bytes,
@@ -28,7 +28,7 @@ def test_trained_masked_rule_round_trips_bit_exact():
     cl = make_classifier(n=5, h=3, seed=0)
     net = cl.prediction
     kernels.reinforce_batch([cl.pred_args], rng.random(5), 0.9, np.empty((1, 5)),
-                            np.empty(1))
+                            np.empty(1), *spare_rules(1))
     # a masked connection has zero weight and zero momentum, as in the learner
     net.layers[0].mask[0, 2] = 0
     net.layers[0].weights[0, 2] = net.layers[0].mom_w[0, 2] = 0.0

@@ -6,10 +6,12 @@ The compiled module comes from the ``build`` and ``cy`` fixtures of
 compiler and the flags in ``setup.py``.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
-from conftest import KERNEL_SOURCE
+from conftest import KERNEL_SOURCE, spare_rules
 from lcsae import _kernels_py, kernels
 
 
@@ -82,8 +84,8 @@ def test_single_net_reinforce_parity_over_many_steps(cy):
     err_py, err_cy = np.empty(1), np.empty(1)
     for _ in range(200):
         x = rng.random(n)
-        _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py, err_py)
-        cy.reinforce_batch(net(state_cy), x, 0.9, y_cy, err_cy)
+        _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py, err_py, *spare_rules(1))
+        cy.reinforce_batch(net(state_cy), x, 0.9, y_cy, err_cy, *spare_rules(1))
         assert y_cy == pytest.approx(y_py, rel=1e-10, abs=1e-14)
         assert err_cy == pytest.approx(err_py, rel=1e-9, abs=1e-15)
         for y, err in ((y_py, err_py), (y_cy, err_cy)):
@@ -132,8 +134,8 @@ def test_reinforce_batch_parity(cy):
     err_py, err_cy = np.empty(16), np.empty(16)
     for _ in range(50):
         x = rng.random(7)
-        _kernels_py.reinforce_batch(preds_py, x, 0.9, ys_py, err_py)
-        cy.reinforce_batch(preds_cy, x, 0.9, ys_cy, err_cy)
+        _kernels_py.reinforce_batch(preds_py, x, 0.9, ys_py, err_py, *spare_rules(16))
+        cy.reinforce_batch(preds_cy, x, 0.9, ys_cy, err_cy, *spare_rules(16))
         assert ys_cy == pytest.approx(ys_py, rel=1e-9, abs=1e-13)
         assert err_cy == pytest.approx(err_py, rel=1e-8, abs=1e-15)
         for ys, err in ((ys_py, err_py), (ys_cy, err_cy)):
@@ -154,7 +156,7 @@ def test_err_out_is_the_np_mean_of_the_squared_errors_bit_for_bit(backend, reque
         preds = [_pred(rng, n, h=1), _pred(rng, n, h=2)]
         x = rng.random(n)
         ys, err = np.empty((2, n)), np.empty(2)
-        mod.reinforce_batch(preds, x, 0.9, ys, err)
+        mod.reinforce_batch(preds, x, 0.9, ys, err, *spare_rules(2))
         assert np.array_equal(err, _mse(ys, x)), n
 
 
@@ -173,10 +175,10 @@ def test_compiled_steps_do_not_depend_on_the_batch(cy):
         for _ in range(3):  # later steps start from non-zero momentum
             x = rng.random(n)
             ys, err = _untouched(size, n), np.full(size, 7.0)
-            cy.reinforce_batch(batch, x, 0.9, ys, err)
+            cy.reinforce_batch(batch, x, 0.9, ys, err, *spare_rules(size))
             for i, net in enumerate(alone):
                 y1, e1 = _untouched(1, n), np.full(1, 7.0)
-                cy.reinforce_batch([net], x, 0.9, y1, e1)
+                cy.reinforce_batch([net], x, 0.9, y1, e1, *spare_rules(1))
                 assert np.array_equal(ys[i], y1[0]) and err[i] == e1[0]
         for a, b in zip(batch, alone):
             for u, v in zip(a, b):
@@ -251,7 +253,8 @@ def test_short_input_is_rejected(cy):
     assert np.all(ys == 7.0)
     preds = [_pred(rng, 64)]
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)), np.empty(1))
+        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)), np.empty(1),
+                           *spare_rules(1))
 
 
 def test_float32_input_is_rejected(cy):
@@ -326,7 +329,7 @@ def test_bad_err_out_fails_before_any_update(cy):
     for exc, msg, err in bad_err_outs:
         ys = _untouched(2, 6)
         with pytest.raises(exc, match=msg):
-            cy.reinforce_batch(preds, x, 0.9, ys, err)
+            cy.reinforce_batch(preds, x, 0.9, ys, err, *spare_rules(2))
         assert np.all(ys == 7.0) and np.all(np.asarray(err) == 7.0), msg
     with pytest.raises(TypeError, match="err_out"):
         cy.reinforce_batch(preds, x, 0.9, _untouched(2, 6))
@@ -349,6 +352,103 @@ def test_bad_batches_fail_before_any_update(cy):
     ]
     for exc, msg, preds, ys in bad_calls:
         with pytest.raises(exc, match=msg):
-            cy.reinforce_batch(preds, x, 0.9, ys, np.empty(len(preds)))
+            cy.reinforce_batch(preds, x, 0.9, ys, np.empty(len(preds)),
+                               *spare_rules(len(preds)))
     after = [a for a in good if isinstance(a, np.ndarray)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    # the rule state: both backends check the positions and the columns
+    # before they step any net or write any output or column
+    for mod in (_kernels_py, cy):
+        for exc, msg, name, bad in _bad_rule_args():
+            preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
+            nets = [a.copy() for net in preds for a in net if isinstance(a, np.ndarray)]
+            ys, err_out = _untouched(2, 6), np.full(2, 7.0)
+            rules = dict(zip(_RULE_ARGS, _rule_columns()))
+            rules[name] = bad
+            columns = [np.array(v, copy=True) for v in rules.values()]
+            with pytest.raises(exc, match=msg):
+                mod.reinforce_batch(preds, x, 0.9, ys, err_out, *rules.values(),
+                                    0.1, 0.01, 0.1, 5.0)
+            assert np.all(ys == 7.0) and np.all(err_out == 7.0), (mod, msg)
+            stepped = [a for net in preds for a in net if isinstance(a, np.ndarray)]
+            assert all(np.array_equal(a, b) for a, b in zip(nets, stepped)), (mod, msg)
+            assert all(np.array_equal(np.asarray(v), c)
+                       for v, c in zip(rules.values(), columns)), (mod, msg)
+
+
+_RULE_ARGS = ("pos", "err", "fit", "num", "set_size", "exp")
+
+
+def _rule_columns():
+    """Positions 3 and 1 of five rules' state columns."""
+    return (np.array([3, 1]), np.full(5, 0.5), np.full(5, 0.25), np.full(5, 2),
+            np.full(5, 3.0), np.full(5, 4))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _bad_rule_args():
+    """(exception, message, argument, bad value) of a bad rule argument."""
+    return [
+        (TypeError, "pos must be a native int64 array", "pos", np.array([3.0, 1.0])),
+        (TypeError, "pos must be a native int64 array", "pos", np.array([3, 1], np.int32)),
+        (TypeError, "pos must be a native int64 array", "pos", [3, 1]),
+        (ValueError, "pos has the wrong shape", "pos", np.array([3, 1, 0])),
+        (ValueError, "pos has the wrong shape", "pos", np.array([[3, 1]])),
+        (ValueError, "pos must be aligned and C-contiguous", "pos",
+         np.array([3, 0, 1, 0])[::2]),
+        (ValueError, "pos holds a row out of range", "pos", np.array([3, 5])),
+        (ValueError, "pos holds a row out of range", "pos", np.array([-1, 1])),
+        (ValueError, "pos holds a row twice", "pos", np.array([3, 3])),
+        (TypeError, "err must be a native float64 array", "err", np.full(5, 0.5, np.float32)),
+        (TypeError, "err must be a native float64 array", "err", np.full(5, 0.5, ">f8")),
+        (ValueError, "err has the wrong shape", "err", np.full((5, 1), 0.5)),
+        (ValueError, "err must be writable", "err", _read_only(np.full(5, 0.5))),
+        (ValueError, "fit has the wrong shape", "fit", np.full(4, 0.25)),
+        (ValueError, "fit must be writable", "fit", _read_only(np.full(5, 0.25))),
+        (TypeError, "num must be a native int64 array", "num", np.full(5, 2.0)),
+        (TypeError, "num must be a native int64 array", "num", np.full(5, 2, ">i8")),
+        (ValueError, "num has the wrong shape", "num", np.full(6, 2)),
+        (ValueError, "set_size must be aligned and C-contiguous", "set_size",
+         np.full(10, 3.0)[::2]),
+        (ValueError, "set_size must be writable", "set_size", _read_only(np.full(5, 3.0))),
+        (TypeError, "exp must be a native int64 array", "exp", np.full(5, 4, np.int32)),
+        (TypeError, "exp must be a native int64 array", "exp", None),
+        (ValueError, "exp must be writable", "exp", _read_only(np.full(5, 4))),
+    ]
+
+
+def test_good_rule_arguments_update_only_their_rows(cy):
+    # a read-only num is fine: the update only reads it; rows 0, 2 and 4
+    # are not in the match set and stay as they were
+    rng = np.random.default_rng(15)
+    x = rng.random(6)
+    results = []
+    for mod in (_kernels_py, cy):
+        pos, err, fit, num, set_size, exp = _rule_columns()
+        preds = [_pred(np.random.default_rng(16), 6), _pred(np.random.default_rng(17), 6)]
+        mse = np.empty(2)
+        mod.reinforce_batch(preds, x, 0.9, np.empty((2, 6)), mse, pos, err, fit,
+                            _read_only(num), set_size, exp, 0.1, 0.01, 0.1, 5.0)
+        for col, start in ((err, 0.5), (fit, 0.25), (set_size, 3.0), (exp, 4)):
+            assert np.all(col[[0, 2, 4]] == start)
+        assert exp[[1, 3]].tolist() == [5, 5]
+        assert set_size[[1, 3]].tolist() == [3.0 + 0.1 * (4 - 3.0)] * 2
+        assert err[[1, 3]] == pytest.approx(0.5 + 0.1 * (mse[::-1] - 0.5), rel=1e-15)
+        results.append((err, fit, set_size))
+    # every rule's error is above epsilon0, so the fitness follows each
+    # backend's own errors
+    assert results[1][0] == pytest.approx(results[0][0], rel=1e-12)
+    assert results[1][1] == pytest.approx(results[0][1], rel=1e-9)
+
+
+def test_backends_take_the_same_parameters(cy):
+    # the compiled signatures come from the text signatures of the docstrings
+    for name in ("forward_batch", "reinforce_batch"):
+        compiled = list(inspect.signature(getattr(cy, name)).parameters)
+        assert list(inspect.signature(getattr(_kernels_py, name)).parameters) == compiled
+        # perfbench's tracer reads the nets and x as the first two arguments
+        assert compiled[1] == "x"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import spare_rules
 from lcsae import kernels, neural
 from lcsae.neural import (ETA_MAX, ETA_MIN, SELU_ALPHA, SELU_LAMBDA, Layer,
                           clone, forward, mutate_connections, mutate_eta,
@@ -16,7 +17,7 @@ def sgd_step(net, x, omega):
     pre-update output."""
     ys = np.empty((1, net.n_outputs))
     kernels.reinforce_batch([neural.net_args(net)], np.asarray(x, dtype=float),
-                            omega, ys, np.empty(1))
+                            omega, ys, np.empty(1), *spare_rules(1))
     return ys[0]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (always_match_condition, make_classifier,
-                      never_match_condition, saturated_network)
+                      never_match_condition, saturated_network, spare_rules)
 from lcsae import _kernels_py, kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
@@ -139,7 +139,8 @@ def test_system_prediction_weighted_exact(cfg):
 
 def test_accuracy_branches(cfg):
     # below the target error, then the power-law branch (0.02/0.01)^-10 = 2^-10
-    kappa = xcsf.accuracies(np.array([0.005, 0.02]), cfg)
+    kappa = _kernels_py._accuracies(np.array([0.005, 0.02]), cfg.epsilon0, cfg.alpha,
+                                    cfg.nu)
     assert kappa[0] == 1.0
     assert kappa[1] == pytest.approx(2.0 ** -10, abs=1e-12)
 
@@ -150,14 +151,15 @@ def test_accuracies_equal_the_scalar_power_bit_for_bit(nu):
     err = np.random.default_rng(31).random(20000) * 0.05
     err[:4] = [0.0, cfg.epsilon0, np.nextafter(cfg.epsilon0, 0.0), 1.0]
     expected = [_accuracy(e, cfg) for e in err.tolist()]
-    assert xcsf.accuracies(err, cfg).tolist() == expected
+    kappa = _kernels_py._accuracies(err, cfg.epsilon0, cfg.alpha, cfg.nu)
+    assert kappa.tolist() == expected
 
 
 def test_relative_accuracies_sum_to_one():
     rng = np.random.default_rng(5)
     kappas = rng.random(20)
     nums = rng.integers(1, 5, 20)
-    rel = xcsf.relative_accuracies(kappas, nums)
+    rel = _kernels_py._relative_accuracies(kappas, nums)
     assert rel.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(rel >= 0)
 
@@ -223,7 +225,7 @@ def _reinforce_per_rule(m, x, cfg):
     ys = np.empty((len(m), len(x)))
     # the kernel's own errors are left unread: the reference takes np.mean
     kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys,
-                            np.empty(len(m)))
+                            np.empty(len(m)), *spare_rules(len(m)))
     kappas = np.empty(len(m))
     for i, cl in enumerate(m):
         cl.exp += 1
@@ -231,7 +233,7 @@ def _reinforce_per_rule(m, x, cfg):
         cl.err += cfg.beta * (err_inst - cl.err)
         kappas[i] = _accuracy(cl.err, cfg)
         cl.set_size += cfg.beta * (m_micro - cl.set_size)
-    rel = xcsf.relative_accuracies(kappas, [cl.num for cl in m])
+    rel = _kernels_py._relative_accuracies(kappas, [cl.num for cl in m])
     for i, cl in enumerate(m):
         cl.fit += cfg.beta * (rel[i] - cl.fit)
         if cl.fit < xcsf._F_FLOOR:
@@ -239,27 +241,50 @@ def _reinforce_per_rule(m, x, cfg):
     return ys
 
 
-@pytest.mark.parametrize("nu", [10.0, 200.0])
-def test_reinforce_equals_the_per_rule_loop_bit_for_bit(nu):
+def _reinforce_cases():
+    for backend in ("numpy", "compiled"):
+        for size in (1, 5, 7, 8, 129, 500):
+            for nu in (10.0, 200.0):
+                # the five-rule numpy cases keep the ids they had before
+                name = str(nu) + (f"-m{size}" if size != 5 else "")
+                yield pytest.param(backend, size, nu, id=name + (
+                    "-compiled" if backend == "compiled" else ""))
+
+
+@pytest.mark.parametrize("backend, size, nu", _reinforce_cases())
+def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, request,
+                                                        monkeypatch):
     # nu=200 drives the accuracy of an error near 1 to exactly zero, so the
-    # fitness of the wrong rule decays onto the floor
+    # fitness of the wrong rule decays onto the floor; match sets of 7, 8,
+    # 129 and 500 rules take every branch of the pairwise sum that
+    # normalises the accuracies
+    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
+    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
     cfg = ExperimentConfig(nu=nu)
     pattern = np.array([1.0, 0.0] * 4)
-    right = make_classifier(n=8, prediction=saturated_network(8, pattern), num=2)
+    # a lone rule starts above the target error and learns its way below it
+    right = make_classifier(n=8, prediction=saturated_network(8, pattern), num=2,
+                            err=0.05 if size == 1 else 0.0)
+    # the large match sets run fewer steps, so their wrong rule starts
+    # nearer the floor
     wrong = make_classifier(n=8, prediction=saturated_network(8, 1.0 - pattern),
-                            err=1.0, fit=1e-295)
-    learners = [make_classifier(n=8, seed=s, num=num, err=0.05 * s)
-                for s, num in ((1, 1), (2, 3), (3, 1))]
-    slow = copy.deepcopy([right, wrong] + learners)
-    pop = xcsf.Population([right, wrong] + learners)
+                            err=1.0, fit=1e-295 if size <= 8 else 3e-300)
+    learners = [make_classifier(n=8, seed=s, num=3 if s % 3 == 2 else 1,
+                                err=0.05 * (s % 4))
+                for s in range(1, size - 1)]
+    rules = ([right, wrong] + learners)[:size]
+    slow = copy.deepcopy(rules)
+    pop = xcsf.Population(rules)
     fast = pop.members
+    # the larger match sets list their rows out of order
+    m = np.arange(size) if size == 5 else np.random.default_rng(size).permutation(size)
     rng = np.random.default_rng(29)
     below = above = floored = 0
-    for step in range(200):
+    for step in range(200 if size <= 8 else 20):
         # mostly the pattern the right rule reconstructs exactly
         x = rng.random(8) if step % 25 == 0 else pattern
-        ys_fast = reinforce_all(pop, x, cfg)
-        ys_slow = _reinforce_per_rule(slow, x, cfg)
+        ys_fast = xcsf.reinforce(pop, m, x, cfg)
+        ys_slow = _reinforce_per_rule([slow[i] for i in m.tolist()], x, cfg)
         assert np.array_equal(ys_fast, ys_slow)
         for a, b in zip(fast, slow):
             assert (a.exp, a.err, a.fit, a.set_size) == (b.exp, b.err, b.fit, b.set_size)
@@ -270,7 +295,8 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(nu):
         above += sum(cl.err >= cfg.epsilon0 for cl in fast)
         floored += sum(cl.fit == xcsf._F_FLOOR for cl in fast)
     assert below and above
-    assert floored or nu < 200.0
+    # a lone rule's relative accuracy is 1, so only a shared one can vanish
+    assert floored or nu < 200.0 or size == 1
 
 
 def test_maybe_run_ea_respects_theta(cfg):
@@ -342,7 +368,7 @@ def test_offspring_inherit_trained_weights(cfg):
     for _ in range(20):
         x = rng.random(3)
         kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty((1, 3)),
-                                np.empty(1))
+                                np.empty(1), *spare_rules(1))
     trained = parent.prediction.layers[0].weights.copy()
     # a zero-rate mutation chain copies the weights through unchanged
     quiet = ExperimentConfig(mu_min=1e-12)
