@@ -10,8 +10,10 @@
  *                      each rule's error, fitness, set size and experience
  *                      in the population's state columns.
  *
- * A hand-written CPython extension with the functions, signatures and
- * semantics of the numpy twin ``_kernels_py``.  Every network is one SELU
+ * A hand-written CPython extension with the functions and signatures of
+ * the numpy twin ``_kernels_py``, which is its executable specification:
+ * the twin performs the operations below in the same order, with libm's
+ * exp and expm1, and gives the same bits.  Every network is one SELU
  * hidden layer plus one logistic output layer and reaches both entry points
  * as one 12-tuple
  *
@@ -32,8 +34,9 @@
  * the data: a wrong type, dtype or tuple size raises TypeError, a wrong
  * shape or layout, a read-only output or a bad position raises ValueError.
  *
- * Keep the order of every floating-point operation: fixed seeds reproduce
- * metrics.csv byte for byte.  Both entry points first compute the hidden
+ * Keep the order of every floating-point operation, and change the twin
+ * with it: fixed seeds reproduce metrics.csv and population.ckpt byte for
+ * byte on either backend.  Both entry points first compute the hidden
  * layer of every net of the batch, four hidden units at a time, each unit
  * its own sum in input order; reinforce_batch therefore reads every hidden
  * layer before it updates any net.  Each step then computes the outputs,

@@ -9,9 +9,12 @@ in the population's state columns).  Every network on the hot path has the
 same shape: one SELU hidden layer followed by a logistic output layer, all
 float64 C-contiguous arrays.  It reaches both entry points as one 12-tuple
 ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)``, of
-which ``forward_batch`` reads only w1, b1, w2 and b2.  The compiled
-extension built from ``_kernels.c`` implements the same functions with
-identical semantics; this module is used when it is not available.  Like
+which ``forward_batch`` reads only w1, b1, w2 and b2.  This module is the
+executable specification of ``_kernels.c``, which is used when it imports:
+both backends give the same bits, because this one adds each C loop's
+terms one at a time, in C's order and from the same first value,
+groups each product as C does, and takes ``exp`` and ``expm1`` from libm
+through the math module (numpy's SIMD versions differ on some CPUs).  Like
 the compiled kernel, ``reinforce_batch`` checks the match-set positions and
 the state columns before it updates anything.  The module also holds the
 package's one definition of each activation and of the fitness floor, and
@@ -33,77 +36,79 @@ _SELU_LA = SELU_LAMBDA * SELU_ALPHA
 F_FLOOR = 1e-300
 
 
-def selu(z):
-    """Scaled exponential linear unit."""
+def selu(z, expm1=np.expm1):
+    """Scaled exponential linear unit; ``expm1`` computes the negative branch."""
     z = np.asarray(z, dtype=float)
-    return np.where(z > 0.0, SELU_LAMBDA * z, _SELU_LA * np.expm1(np.minimum(z, 0.0)))
+    pos = z > 0.0
+    return np.where(pos, SELU_LAMBDA * z, _SELU_LA * expm1(np.where(pos, 0.0, z)))
 
 
-def logistic(z):
+def logistic(z, exp=np.exp):
     """Numerically stable standard logistic function; a scalar gives a float."""
     z = np.asarray(z, dtype=float)
     # exp(-z) for z >= 0 and exp(z) below never overflows; unlike -|z|,
     # the argument keeps the sign of a NaN input
     pos = z >= 0.0
-    e = np.exp(np.where(pos, -z, z))
+    e = exp(np.where(pos, -z, z))
     out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 
-def _forward(w1, b1, w2, b2, x):
-    """Hidden SELU + logistic output forward pass of one network.
-
-    Returns (hidden activations, outputs).
-    """
-    a1 = selu(w1 @ x + b1)
-    y = logistic(w2 @ a1 + b2)
-    return a1, y
+def _libm(f):
+    """``f``, a function of the math module and so libm's, element-wise."""
+    return lambda z: np.fromiter(map(f, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
-def _fused_sgd(a1, w1, b1, mask1, mw1, mb1, eta1,
-               w2, b2, mask2, mw2, mb2, eta2,
-               omega, x, y_out):
-    """One momentum-SGD step on the MSE toward ``x``, from the hidden
-    activations ``a1``.
-
-    The pre-update outputs are written into ``y_out``.  Masked weights are
-    excluded: their value, gradient, and momentum stay exactly zero.
-    """
-    n_out = w2.shape[0]
-    y = logistic(w2 @ a1 + b2)
-    y_out[:] = y
-
-    d2 = (2.0 / n_out) * (y - x) * y * (1.0 - y)
-    e1 = w2.T @ d2
-
-    dw2 = -eta2 * np.outer(d2, a1) + omega * mw2
-    dw2 *= mask2
-    w2 += dw2
-    mw2[:] = dw2
-    db2 = -eta2 * d2 + omega * mb2
-    b2 += db2
-    mb2[:] = db2
-
-    # SELU derivative recovered from the activation: lambda on the positive
-    # branch, activation + lambda*alpha on the non-positive branch.
-    d1 = e1 * np.where(a1 > 0.0, SELU_LAMBDA, a1 + _SELU_LA)
-    dw1 = -eta1 * np.outer(d1, x) + omega * mw1
-    dw1 *= mask1
-    w1 += dw1
-    mw1[:] = dw1
-    db1 = -eta1 * d1 + omega * mb1
-    b1 += db1
-    mb1[:] = db1
+def _ordered_sums(start, terms):
+    """``start + terms[:, 0] + terms[:, 1] + ...`` added left to right, as C
+    adds and ``np.sum`` does not, in place of the temporary ``terms``."""
+    np.add(start, terms[:, 0], out=terms[:, 0])
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
 
 def forward_batch(nets, x, ys_out):
     """Forward pass of many networks on one input, with no update.
 
     ``nets`` holds 12-tuples, as for ``reinforce_batch``; row i of
-    ``ys_out`` receives net i's output.
+    ``ys_out`` receives net i's output.  Returns the nets' hidden
+    activations, all computed first, as in ``hidden_batch``.
     """
-    for i, (w1, b1, _, _, _, _, w2, b2, _, _, _, _) in enumerate(nets):
-        ys_out[i] = _forward(w1, b1, w2, b2, x)[1]
+    if not nets:
+        return []
+    z1 = _ordered_sums(np.concatenate([net[1] for net in nets]),
+                       np.concatenate([net[0] for net in nets]) * x)
+    units = selu(z1, _libm(math.expm1))
+    hidden = np.split(units, np.cumsum([len(net[1]) for net in nets])[:-1])
+    for z2, a1, (_, _, _, _, _, _, w2, b2, _, _, _, _) in zip(ys_out, hidden, nets):
+        z2[:] = b2
+        for w, a in zip(w2.T, a1):
+            z2 += w * a
+    ys_out[:] = logistic(ys_out, _libm(math.exp))
+    return hidden
+
+
+def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,
+               w2, b2, mask2, mw2, mb2, eta2, omega, x):
+    """The update half of ``fused_sgd``, from the hidden activations ``a1``
+    and output gradients ``g``; masked weights and momenta stay zero."""
+    # the hidden gradient adds from +0.0 in output order, before w2 moves
+    e1 = _ordered_sums(0.0, w2.T * g)
+    step = -eta2 * g
+    dw2 = (step[:, None] * a1 + omega * mw2) * mask2
+    w2 += dw2
+    mw2[:] = dw2
+    db2 = step + omega * mb2
+    b2 += db2
+    mb2[:] = db2
+    # SELU derivative recovered from the activation: lambda on the positive
+    # branch, activation + lambda*alpha on the non-positive branch.
+    step = -eta1 * (e1 * np.where(a1 > 0.0, SELU_LAMBDA, a1 + _SELU_LA))
+    dw1 = (step[:, None] * x + omega * mw1) * mask1
+    w1 += dw1
+    mw1[:] = dw1
+    db1 = step + omega * mb1
+    b1 += db1
+    mb1[:] = db1
 
 
 def _column(a, name, dtype, length, writable):
@@ -179,9 +184,10 @@ def reinforce_batch(preds, x, omega, ys_out, err_out, pos, err, fit, num,
     by one.  ``num`` is only read.
     """
     _check_rules(pos, len(preds), err, fit, num, set_size, exp)
-    hidden = [selu(w1 @ x + b1) for w1, b1, *_ in preds]
-    for i, (a1, args) in enumerate(zip(hidden, preds)):
-        _fused_sgd(a1, *args, omega, x, ys_out[i])
+    hidden = forward_batch(preds, x, ys_out)
+    g = (2.0 / len(x)) * (ys_out - x) * ys_out * (1.0 - ys_out)
+    for a1, g_i, args in zip(hidden, g, preds):
+        _fused_sgd(a1, g_i, *args, omega, x)
     err_out[:] = np.mean(np.square(ys_out - x), axis=1)
 
     e, f, k, s = err[pos], fit[pos], num[pos], set_size[pos]

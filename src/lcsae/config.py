@@ -176,6 +176,8 @@ def validate(cfg: ExperimentConfig) -> None:
     require(cfg.dataset_format in ("", "csv", "idx"),
             "dataset_format must be 'csv' or 'idx'")
     require(0.0 < cfg.split_ratio <= 1.0, "split_ratio must be in (0, 1]")
+    require(cfg.image_shape is None or len(cfg.image_shape) == 3,
+            "image_shape must have three dimensions")
     require(cfg.image_shape is None or min(cfg.image_shape) >= 1,
             "image_shape dimensions must be >= 1")
     require(cfg.image_shape is None or max(cfg.image_shape) < 2**63,
@@ -193,15 +195,40 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+# the types a JSON config value of each field annotation may have; a bool
+# is an int to Python but never a number here
+_JSON_TYPES = {"bool": bool, "float": (int, float), "int": int,
+               "int | None": (int, type(None)), "str": str,
+               "tuple | None": (list, type(None))}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _typed(key, value, annotation):
+    """``value`` as the field annotated ``annotation`` holds it: a float
+    field's int becomes a float and a shape's list a tuple."""
+    error = ConfigError(f"{key} {value!r} is not of type {annotation}")
+    if isinstance(value, bool) != (annotation == "bool") or \
+            not isinstance(value, _JSON_TYPES[annotation]):
+        raise error
+    if annotation == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise error from None
+    if annotation == "tuple | None" and value is not None:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+            raise error
+        return tuple(value)
+    return value
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     values = {}
     for key, value in d.items():
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"unknown config key {key!r}")
         name = _KEY_TO_FIELD[key]
-        if name == "image_shape" and value is not None:
-            value = tuple(value)
-        values[name] = value
+        values[name] = _typed(key, value, _FIELD_TYPES[name])
     cfg = ExperimentConfig(**values)
     validate(cfg)
     return cfg

@@ -6,17 +6,14 @@ omega, ys_out, err_out, pos, err, fit, num, set_size, exp, beta, epsilon0,
 alpha, nu)`` (one trial's reinforcement of a match set: one momentum-SGD
 step toward the input for every prediction net, then the XCS update of the
 rules at rows ``pos`` of the state columns).  Both take one 12-tuple per
-network, built by ``neural.net_args``.  ``err_out[i]`` receives net i's
-pre-update mean squared error, the double ``np.mean(np.square(ys_out[i] -
-x))`` gives: both backends sum the squares in numpy's pairwise order, and
-both update the state columns in the order of the per-rule XCS loop.  The
-match rule ``match_batch`` is written once here, on top of
-``forward_batch``, for both backends.
+network, built by ``neural.net_args``.  The match rule ``match_batch`` is
+written once here, on top of ``forward_batch``, for both backends.
 
 The compiled extension ``_kernels``, built from the hand-written C source
-``_kernels.c``, is used when it imports, and the pure-numpy twin
-``_kernels_py`` otherwise.  The backend name ``"cython"`` is historical: it
-names the compiled extension, which no longer needs Cython.
+``_kernels.c``, is used when it imports, and otherwise its executable
+specification, the pure-numpy twin ``_kernels_py``, which gives the same
+bits.  The backend name ``"cython"`` is historical: it names the compiled
+extension, which no longer needs Cython.
 """
 
 import numpy as np

@@ -88,8 +88,11 @@ def read_metrics(path) -> list:
         header = f.readline().strip()
         if header != ",".join(CSV_FIELDS):
             raise ValueError(f"{path}: unexpected metrics header")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             cells = line.strip().split(",")
+            if len(cells) != len(CSV_FIELDS):
+                raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
+                                 f"not {len(CSV_FIELDS)}")
             values = {}
             for name, cell, fld in zip(CSV_FIELDS, cells, fields(Checkpoint)):
                 values[name] = int(cell) if fld.type == "int" else float(cell)

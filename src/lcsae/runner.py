@@ -56,21 +56,18 @@ def _check_width(pop: xcsf.Population, ds: data.Dataset) -> None:
 
 
 def _check_fingerprint(ckpt_path, cfg: ExperimentConfig) -> None:
-    """A resumed run continues the original only on the dataset and kernel
-    backend recorded in the manifest next to its checkpoint."""
+    """A resumed run continues the original only on the dataset recorded in
+    the manifest next to its checkpoint."""
     path = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)), MANIFEST_NAME)
     try:
         with open(path, encoding="utf-8") as f:
             manifest = json.load(f)
-        recorded = manifest["dataset"]["sha256"], manifest["kernel_backend"]
+        recorded = manifest["dataset"]["sha256"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise data.DataError(f"cannot read the run manifest {path}: {exc!r}") from exc
-    if recorded[0] != dataset_fingerprint(cfg.dataset)["sha256"]:
+    if recorded != dataset_fingerprint(cfg.dataset)["sha256"]:
         raise data.DataError(f"dataset {cfg.dataset} differs from the one the run "
-                             f"was trained on (sha256 {recorded[0]})")
-    if recorded[1] != kernels.BACKEND:
-        raise data.DataError(f"the run was trained on the {recorded[1]!r} kernel "
-                             f"backend, this process uses {kernels.BACKEND!r}")
+                             f"was trained on (sha256 {recorded})")
 
 
 def _emit(fh, cfg, pop, ds, train_mse, m_size):
@@ -157,8 +154,8 @@ def resume_experiment(ckpt_path, extra_trials: int, out_dir=None) -> str:
 
     Metrics rows are appended to the run directory's existing CSV; the
     combined stream is identical to an unsplit longer run with the same
-    seed.  The dataset and kernel backend must be the ones recorded in the
-    run's manifest.  Returns the metrics CSV path.
+    seed, on either kernel backend.  The dataset must be the one recorded
+    in the run's manifest.  Returns the metrics CSV path.
     """
     if extra_trials < 0:
         raise TrainingError("extra trials must be >= 0")

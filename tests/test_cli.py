@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_config, write_csv
-from lcsae import checkpoint, cli, metrics, runner, xcsf
+from lcsae import _kernels_py, checkpoint, cli, kernels, metrics, runner, xcsf
 from lcsae.config import ExperimentConfig
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
@@ -249,17 +249,50 @@ def test_resume_on_changed_dataset_exits_2(tmp_path, dataset, capsys):
     write_csv(data, np.random.default_rng(3).random((120, 8)))
     assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
     assert "differs from the one the run was trained on" in capsys.readouterr().err
-    # an unchanged dataset with a different backend in the manifest
-    shutil.copyfile(dataset, data)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["kernel_backend"] = "elsewhere"
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
-    assert "'elsewhere' kernel backend" in capsys.readouterr().err
     # a checkpoint without its run's manifest
     (out / "manifest.json").unlink()
     assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def _use_backend(name, request, monkeypatch):
+    """Route every kernel call through the numpy twin or the compiled
+    kernel: ``kernels`` picks its backend once, at import."""
+    impl = request.getfixturevalue("cy") if name == "compiled" else _kernels_py
+    monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
+    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
+
+
+@pytest.mark.parametrize("first, then", [("numpy", "compiled"), ("compiled", "numpy")])
+def test_resume_on_the_other_backend_matches_the_unsplit_run(first, then, tmp_path, dataset,
+                                                             request, monkeypatch):
+    # both backends give the same bits, so a run may change backend when it
+    # resumes
+    _use_backend(first, request, monkeypatch)
+    full, half = tmp_path / "full", tmp_path / "half"
+    for out, trials in ((full, 40), (half, 20)):
+        cfg = _config(tmp_path, dataset, name=f"{trials}.cfg", trials=trials,
+                      checkpoint_interval=10)
+        assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    _use_backend(then, request, monkeypatch)
+    assert cli.main(["resume", str(half / "population.ckpt"), "--trials", "20"]) == 0
+    for name in ("metrics.csv", "population.ckpt"):
+        assert (half / name).read_bytes() == (full / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["xcsf", "global_ea"])
+def test_both_backends_write_the_same_bytes(mode, tmp_path, request, monkeypatch):
+    # 150 features: above 128, numpy's pairwise sum of each rule's squared
+    # errors halves, and the compiled kernel must halve alike
+    rows = np.random.default_rng(6).random((40, 150))
+    cfg = _config(tmp_path, write_csv(tmp_path / "wide.csv", rows), mode=mode, N=20,
+                  trials=300, checkpoint_interval=50)
+    for backend in ("numpy", "compiled"):
+        _use_backend(backend, request, monkeypatch)
+        assert cli.main(["run", cfg, "--outdir", str(tmp_path / backend)]) == 0
+    for name in ("metrics.csv", "population.ckpt"):
+        assert (tmp_path / "numpy" / name).read_bytes() == \
+               (tmp_path / "compiled" / name).read_bytes(), name
 
 
 def test_resume_reaches_the_width_check(tmp_path, dataset, capsys):
@@ -341,6 +374,10 @@ BAD_HEADERS = {
     "config N 0": (_header_key("config", "N", value=0), "checkpoint config"),
     "config mode": (_header_key("config", "mode", value="nope"), "checkpoint config"),
     "config not a dict": (_header_key("config", value=[1, 2]), "malformed checkpoint"),
+    "config seed float": (_header_key("config", "seed", value=1.5), "seed 1.5 is not of type int"),
+    "config N bool": (_header_key("config", "N", value=True), "N True is not of type int"),
+    "config P_init text": (_header_key("config", "P_init", value="yes"),
+                           "P_init 'yes' is not of type bool"),
     "window mse_sum text": (_header_key("window", "mse_sum", value="x"), "mse_sum 'x'"),
     "window empty": (_header_key("window", value={}), "metrics window {}"),
     "window list": (_header_key("window", value=[1, 2]), "metrics window [1, 2]"),

@@ -106,6 +106,27 @@ def test_config_dict_round_trip():
     assert again == cfg
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("N", True), ("checkpoint_interval", 2.5), ("P_init", "yes"),
+    ("P_init", 1), ("beta", "0.1"), ("beta", False),
+    pytest.param("beta", 10**400, id="beta-10**400"), ("h_max", 2.0),
+    ("mode", 3), ("image_shape", "8,8,1"), ("image_shape", [8, 8.0, 1]),
+    ("image_shape", [8, True, 1])])
+def test_config_dict_values_of_another_type_are_config_errors(key, value):
+    # a checkpoint header is JSON, so any value can arrive in any key
+    with pytest.raises(ConfigError, match=f"{key} .* is not of type"):
+        config_from_dict({key: value})
+
+
+def test_config_dict_takes_an_int_for_a_float_and_a_shape_of_three():
+    cfg = config_from_dict({"beta": 1, "h_max": None, "image_shape": [8, 8, 1]})
+    assert type(cfg.beta) is float and cfg.beta == 1.0
+    assert cfg.image_shape == (8, 8, 1)
+    for shape in ([], [8, 8]):
+        with pytest.raises(ConfigError, match="image_shape must have three dimensions"):
+            config_from_dict({"image_shape": shape})
+
+
 def test_every_default_field_parses_back_from_its_file_form():
     text = "".join(f"{key}={value}\n" for key, value in config_to_dict(ExperimentConfig()).items())
     assert parse_config(text) == ExperimentConfig()

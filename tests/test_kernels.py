@@ -1,5 +1,5 @@
-"""Parity between the compiled kernels and the pure-numpy twin, and the
-argument checks of the compiled kernels.
+"""Bit-for-bit parity between the compiled kernels and the pure-numpy twin,
+and the argument checks of the compiled kernels.
 
 The compiled module comes from the ``build`` and ``cy`` fixtures of
 ``conftest.py``, which compile ``src/lcsae/_kernels.c`` with the system C
@@ -7,6 +7,7 @@ compiler and the flags in ``setup.py``.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_forward_parity(cy):
             ys_cy = np.empty((len(nets), n_out))
             _kernels_py.forward_batch(nets, x, ys_py)
             cy.forward_batch(nets, x, ys_cy)
-            assert ys_cy == pytest.approx(ys_py, rel=1e-12, abs=1e-15)
+            assert ys_cy.tobytes() == ys_py.tobytes()
 
 
 def test_single_net_reinforce_parity_over_many_steps(cy):
@@ -86,12 +87,12 @@ def test_single_net_reinforce_parity_over_many_steps(cy):
         x = rng.random(n)
         _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py, err_py, *spare_rules(1))
         cy.reinforce_batch(net(state_cy), x, 0.9, y_cy, err_cy, *spare_rules(1))
-        assert y_cy == pytest.approx(y_py, rel=1e-10, abs=1e-14)
-        assert err_cy == pytest.approx(err_py, rel=1e-9, abs=1e-15)
+        assert y_cy.tobytes() == y_py.tobytes()
+        assert err_cy.tobytes() == err_py.tobytes()
         for y, err in ((y_py, err_py), (y_cy, err_cy)):
             assert np.array_equal(err, _mse(y, x))
     for a_py, a_cy in zip(state_py, state_cy):
-        assert a_cy == pytest.approx(a_py, rel=1e-9, abs=1e-14)
+        assert a_cy.tobytes() == a_py.tobytes()
     # masked weights never moved in either backend
     assert np.array_equal(state_py[0][mask1 == 0], np.zeros(int((mask1 == 0).sum())))
     assert np.array_equal(state_cy[0][mask1 == 0], np.zeros(int((mask1 == 0).sum())))
@@ -108,8 +109,8 @@ def test_match_batch_parity(cy):
     ys_cy = np.empty((len(conds), 1))
     _kernels_py.forward_batch(conds, x, ys_py)
     cy.forward_batch(conds, x, ys_cy)
+    assert ys_cy.tobytes() == ys_py.tobytes()
     matched = np.flatnonzero(ys_py[:, 0] > 0.5)
-    assert np.array_equal(np.flatnonzero(ys_cy[:, 0] > 0.5), matched)
     assert 0 < len(matched) < len(conds)  # not a degenerate case
     # the one match rule, shared by both backends: an output must exceed the
     # threshold, and a net of zeros outputs exactly 0.5
@@ -136,14 +137,62 @@ def test_reinforce_batch_parity(cy):
         x = rng.random(7)
         _kernels_py.reinforce_batch(preds_py, x, 0.9, ys_py, err_py, *spare_rules(16))
         cy.reinforce_batch(preds_cy, x, 0.9, ys_cy, err_cy, *spare_rules(16))
-        assert ys_cy == pytest.approx(ys_py, rel=1e-9, abs=1e-13)
-        assert err_cy == pytest.approx(err_py, rel=1e-8, abs=1e-15)
+        assert ys_cy.tobytes() == ys_py.tobytes()
+        assert err_cy.tobytes() == err_py.tobytes()
         for ys, err in ((ys_py, err_py), (ys_cy, err_cy)):
             assert np.array_equal(err, _mse(ys, x))
     for t_py, t_cy in zip(preds_py, preds_cy):
         for a_py, a_cy in zip(t_py, t_cy):
-            if isinstance(a_py, np.ndarray) and a_py.dtype == np.float64:
-                assert a_cy == pytest.approx(a_py, rel=1e-8, abs=1e-13)
+            if isinstance(a_py, np.ndarray):
+                assert a_cy.tobytes() == a_py.tobytes()
+
+
+def _disagreements(numpy_f, libm_f, zs, count=20):
+    """Up to ``count`` of ``zs`` on which numpy's and libm's versions of a
+    function differ on this machine (none where numpy calls libm)."""
+    libm = np.array([libm_f(z) for z in zs.tolist()])
+    return zs[numpy_f(zs) != libm][:count].tolist()
+
+
+def _edge_net(b1, b2, w2=1.0):
+    """A net of one input, hidden unit and output whose hidden
+    pre-activation is ``b1`` and whose output pre-activation is ``b2`` plus
+    ``w2`` times the hidden activation, exactly, for the input -1: the input
+    weight is zero, so its product is -0.0.  The momenta are -0.0, so a
+    signed zero in a step's product reaches them."""
+    def new(value):
+        return np.full((1, 1), value)
+    return (new(0.0), np.array([b1]), new(1).astype(np.uint8), new(-0.0), np.array([-0.0]),
+            0.008, new(w2), np.array([b2]), new(1).astype(np.uint8), new(-0.0),
+            np.array([-0.0]), 0.006)
+
+
+def test_activations_at_the_edges_are_bit_for_bit(cy):
+    # the logistic takes exp of -|z| and SELU takes expm1 of z <= 0
+    zs = -np.random.default_rng(18).uniform(0.0, 40.0, 20000)
+    edges = [0.0, -0.0, 745.0, -745.0, 5e-324, -5e-324, 1e-310, -1e-310,
+             1e-17, -1e-17, math.inf, -math.inf, math.nan, -math.nan]
+    hidden = edges + _disagreements(np.expm1, math.expm1, zs)
+    output = edges + _disagreements(np.exp, math.exp, zs)
+    # -0.0 into the other layer keeps the chosen value, signed zeros too
+    values = [(v, -0.0) for v in hidden] + [(-0.0, v) for v in output]
+    x = np.array([-1.0])
+    ys = [np.full((len(values), 1), 7.0) for _ in range(2)]
+    for mod, y in zip((_kernels_py, cy), ys):
+        mod.forward_batch([_edge_net(*v) for v in values], x, y)
+    assert ys[0].tobytes() == ys[1].tobytes()
+    # a training step, from the finite values, which need no NaN arithmetic;
+    # the output of the last net saturates, so its hidden gradient is the
+    # sum of one -0.0, which starts from +0.0 as in C
+    finite = [v for v in values if np.isfinite(v).all()] + [(745.0, 1e6, -1.0)]
+    m = len(finite)
+    nets = [[_edge_net(*v) for v in finite] for _ in range(2)]
+    outs = [(np.empty((m, 1)), np.empty(m)) for _ in range(2)]
+    stepped = []
+    for mod, preds, (y, err) in zip((_kernels_py, cy), nets, outs):
+        mod.reinforce_batch(preds, x, 0.9, y, err, *spare_rules(m))
+        stepped.append([np.asarray(a).tobytes() for a in (y, err, *sum(preds, ()))])
+    assert stepped[0] == stepped[1]
 
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
@@ -437,12 +486,12 @@ def test_good_rule_arguments_update_only_their_rows(cy):
             assert np.all(col[[0, 2, 4]] == start)
         assert exp[[1, 3]].tolist() == [5, 5]
         assert set_size[[1, 3]].tolist() == [3.0 + 0.1 * (4 - 3.0)] * 2
-        assert err[[1, 3]] == pytest.approx(0.5 + 0.1 * (mse[::-1] - 0.5), rel=1e-15)
+        assert np.array_equal(err[[1, 3]], 0.5 + 0.1 * (mse[::-1] - 0.5))
         results.append((err, fit, set_size))
-    # every rule's error is above epsilon0, so the fitness follows each
-    # backend's own errors
-    assert results[1][0] == pytest.approx(results[0][0], rel=1e-12)
-    assert results[1][1] == pytest.approx(results[0][1], rel=1e-9)
+    # every rule's error is above epsilon0, so the fitness follows the
+    # errors, which both backends compute alike
+    assert results[1][0].tobytes() == results[0][0].tobytes()
+    assert results[1][1].tobytes() == results[0][1].tobytes()
 
 
 def test_backends_take_the_same_parameters(cy):

@@ -125,3 +125,15 @@ def test_checkpoint_row_round_trip(tmp_path):
     assert got.trial == 5 and got.macro_count == 2
     assert got.train_mse == 0.125 and got.M_size == 7.25
     assert np.isnan(got.valid_mse)
+
+
+@pytest.mark.parametrize("change", ["extra cell", "short row"])
+def test_rows_of_the_wrong_length_are_rejected(change, tmp_path):
+    cp = metrics.Checkpoint(0, 0.5, 0.5, 1.0, 1.0, 1.0, 4.0, 8.0, 4, 8, 1.0, 1,
+                            0.1, 0.1, 0.1, 0.1)
+    row = metrics.checkpoint_row(cp)
+    bad = row.replace("\n", ",7\n") if change == "extra cell" else row.rsplit(",", 1)[0] + "\n"
+    path = tmp_path / "m.csv"
+    path.write_text(metrics.CSV_HEADER + row + bad)
+    with pytest.raises(ValueError, match="line 3 has"):
+        metrics.read_metrics(path)
