@@ -1,8 +1,8 @@
 /*
  * Compiled hot-path kernels.  Two entry points:
  *
- *     forward_batch    the forward pass of many networks on one input,
- *                      with no update;
+ *     forward_batch    the forward pass of many networks on one input or
+ *                      on each input of a batch, with no update;
  *     reinforce_batch  one trial's reinforcement of a match set: one fused
  *                      momentum-SGD step toward the input for every
  *                      prediction net, returning each net's pre-update output
@@ -39,11 +39,13 @@
  * byte on either backend.  Both entry points first compute the hidden
  * layer of every net of the batch, four hidden units at a time, each unit
  * its own sum in input order; reinforce_batch therefore reads every hidden
- * layer before it updates any net.  Each step then computes the outputs,
+ * layer before it updates any net, and forward_batch takes a batch of inputs
+ * one input at a time, so each output is the double a one-input call gives.
+ * Each step then computes the outputs,
  * their gradients and squared errors (in one pass per output for a net with
  * one hidden unit), adds the hidden gradient in output order from the
  * pre-update w2, and updates w2, b2 and then the hidden layer element by
- * element.  The error written to err_out is the double
+ * element.  Each net's error is the double
  * ``np.mean(np.square(y - x))`` gives: numpy's pairwise sum of the squares
  * (eight partial sums up to 128 terms, halving above that at a multiple of
  * 8) divided by n.  After every step the XCS update runs in the order of
@@ -462,7 +464,8 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     PyObject *list, *xo, *yo;
     const double *x, **rows;
     double *ys, *a1;
-    npy_intp n, m, n_out, total, i;
+    npy_intp n, m, n_out, total, i, r, batch = 1;
+    int two = 0;
     net_t *nets;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OO:forward_batch", kw,
@@ -472,19 +475,29 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     /* the width of ys_out fixes every net's output width */
     n_out = PyArray_Check(yo) && PyArray_NDIM((PyArrayObject *)yo) == 2
             ? PyArray_DIM((PyArrayObject *)yo, 1) : 0;
-    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0))
-        || !(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n_out, 1)))
+    /* x is one input (n,) or a batch of inputs (rows, n) */
+    if (PyArray_Check(xo) && PyArray_NDIM((PyArrayObject *)xo) == 2)
+        two = 1, batch = PyArray_DIM((PyArrayObject *)xo, 0);
+    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1,
+                         two ? PyArray_DIM((PyArrayObject *)xo, 1) : -1, 0)))
         return NULL;
-    n = PyArray_DIM((PyArrayObject *)xo, 0);
+    if (m && batch > NPY_MAX_INTP / m)
+        return PyErr_Format(PyExc_ValueError, "x has too many rows for %zd nets", m);
+    if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, batch * m, n_out, 1)))
+        return NULL;
+    n = PyArray_DIM((PyArrayObject *)xo, two);
     if (!(nets = check_nets(list, 0, n, n_out, &total)))
         return NULL;
     if (!(a1 = new_scratch(total, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
     }
-    hidden_batch(nets, m, n, x, a1, rows);
-    for (i = 0; i < m; i++)
-        output(&nets[i], ys + i * n_out);
+    /* row r * m + i of ys_out is net i's output for input r */
+    for (r = 0; r < batch; r++) {
+        hidden_batch(nets, m, n, x + r * n, a1, rows);
+        for (i = 0; i < m; i++)
+            output(&nets[i], ys + (r * m + i) * n_out);
+    }
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
@@ -492,10 +505,10 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyObject *
 py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kw[] = {"preds", "x", "omega", "ys_out", "err_out", "pos", "err",
-                         "fit", "num", "set_size", "exp", "beta", "epsilon0",
-                         "alpha", "nu", NULL};
-    PyObject *preds, *xo, *yo, *eo, *po, *cols[5];
+    static char *kw[] = {"preds", "x", "omega", "ys_out", "pos", "err", "fit",
+                         "num", "set_size", "exp", "beta", "epsilon0", "alpha",
+                         "nu", NULL};
+    PyObject *preds, *xo, *yo, *po, *cols[5];
     const double *x, **rows;
     double omega, *ys, *mse, *a1;
     npy_intp n, m, total, i;
@@ -503,8 +516,8 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     rules_t r;
 
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "O!OdOOOOOOOOdddd:reinforce_batch", kw, &PyList_Type,
-            &preds, &xo, &omega, &yo, &eo, &po, &cols[0], &cols[1], &cols[2],
+            args, kwargs, "O!OdOOOOOOOdddd:reinforce_batch", kw, &PyList_Type,
+            &preds, &xo, &omega, &yo, &po, &cols[0], &cols[1], &cols[2],
             &cols[3], &cols[4], &r.beta, &r.epsilon0, &r.alpha, &r.nu))
         return NULL;
     m = PyList_GET_SIZE(preds);
@@ -513,7 +526,6 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     n = PyArray_DIM((PyArrayObject *)xo, 0);
     /* every net reconstructs its n inputs */
     if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n, 1))
-        || !(mse = array_data(eo, "err_out", NPY_DOUBLE, m, -1, 1))
         || !(nets = check_nets(preds, 1, n, n, &total)))
         return NULL;
     if (check_rules(cols, po, m, &r) < 0) {
@@ -521,17 +533,19 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         return NULL;
     }
     /* the hidden activations of every net, then g and sq (n each), e1 (no
-     * longer than the hidden total) and the weighted accuracies (m) */
-    if (!(a1 = new_scratch(2 * total + 2 * n + m, total, &rows))) {
+     * longer than the hidden total), the errors and the weighted accuracies
+     * (m each) */
+    if (!(a1 = new_scratch(2 * total + 2 * n + 2 * m, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
     }
+    mse = a1 + 2 * total + 2 * n;
     /* every hidden layer is computed before any net is updated */
     hidden_batch(nets, m, n, x, a1, rows);
     for (i = 0; i < m; i++)
         mse[i] = fused_sgd(&nets[i], omega, n, x, ys + i * n, a1 + total,
                            a1 + total + n, a1 + total + 2 * n);
-    xcs_update(&r, m, mse, a1 + 2 * total + 2 * n);
+    xcs_update(&r, m, mse, mse + m);
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
@@ -542,16 +556,17 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyMethodDef methods[] = {
     KW_METHOD("forward_batch", py_forward_batch,
               "forward_batch(nets, x, ys_out)\n--\n\n"
-              "Forward pass of every net of ``nets`` on ``x``, with no update;\n"
-              "row i of ``ys_out`` receives net i's output."),
+              "Forward pass of every net of ``nets`` on ``x``, one input (n,) or a\n"
+              "batch (rows, n), with no update; row r * len(nets) + i of ``ys_out``\n"
+              "receives net i's output for input r."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
-              "reinforce_batch(preds, x, omega, ys_out, err_out, pos, err, fit, num,\n"
-              "                set_size, exp, beta, epsilon0, alpha, nu)\n--\n\n"
+              "reinforce_batch(preds, x, omega, ys_out, pos, err, fit, num, set_size,\n"
+              "                exp, beta, epsilon0, alpha, nu)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"
               "``preds``, then the XCS update of their rules: row i of ``ys_out``\n"
-              "receives net i's pre-update output and ``err_out[i]`` its mean\n"
-              "squared error from ``x``, and row ``pos[i]`` of the state columns\n"
-              "``err``, ``fit``, ``set_size`` and ``exp`` is updated from it."),
+              "receives net i's pre-update output, and row ``pos[i]`` of the state\n"
+              "columns ``err``, ``fit``, ``set_size`` and ``exp`` is updated from\n"
+              "its mean squared error from ``x``."),
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,11 +1,11 @@
 """Pure-numpy twin of the hot per-trial kernels, and the reference for them.
 
 Two entry points: ``forward_batch`` (the forward pass of many networks on
-one input, with no update) and ``reinforce_batch`` (one trial's
-reinforcement of a match set: one momentum-SGD step toward the input for
-every prediction net, which also returns each net's mean squared error,
-then the XCS update of each rule's error, fitness, set size and experience
-in the population's state columns).  Every network on the hot path has the
+one input or on each input of a batch, with no update) and
+``reinforce_batch`` (one trial's reinforcement of a match set: one
+momentum-SGD step toward the input for every prediction net, then the XCS
+update of each rule's error, fitness, set size and experience in the
+population's state columns).  Every network on the hot path has the
 same shape: one SELU hidden layer followed by a logistic output layer, all
 float64 C-contiguous arrays.  It reaches both entry points as one 12-tuple
 ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)``, of
@@ -15,10 +15,11 @@ both backends give the same bits, because this one adds each C loop's
 terms one at a time, in C's order and from the same first value,
 groups each product as C does, and takes ``exp`` and ``expm1`` from libm
 through the math module (numpy's SIMD versions differ on some CPUs).  Like
-the compiled kernel, ``reinforce_batch`` checks the match-set positions and
-the state columns before it updates anything.  The module also holds the
-package's one definition of each activation and of the fitness floor, and
-imports nothing from the package.
+the compiled kernel, both entry points check the input and output arrays,
+and ``reinforce_batch`` the match-set positions and the state columns,
+before they write anything.  The module also holds the package's one
+definition of each activation and of the fitness floor, and imports
+nothing from the package.
 """
 
 import itertools
@@ -36,22 +37,9 @@ _SELU_LA = SELU_LAMBDA * SELU_ALPHA
 F_FLOOR = 1e-300
 
 
-def selu(z, expm1=np.expm1):
-    """Scaled exponential linear unit; ``expm1`` computes the negative branch."""
-    z = np.asarray(z, dtype=float)
-    pos = z > 0.0
-    return np.where(pos, SELU_LAMBDA * z, _SELU_LA * expm1(np.where(pos, 0.0, z)))
-
-
-def logistic(z, exp=np.exp):
-    """Numerically stable standard logistic function; a scalar gives a float."""
-    z = np.asarray(z, dtype=float)
-    # exp(-z) for z >= 0 and exp(z) below never overflows; unlike -|z|,
-    # the argument keeps the sign of a NaN input
-    pos = z >= 0.0
-    e = exp(np.where(pos, -z, z))
-    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
-    return float(out) if out.ndim == 0 else out
+# the most elements (2 MB) a temporary of the batched forward pass holds,
+# unless one input's (hidden units, n) product or (nets, n_out) outputs do
+_CHUNK = 1 << 18
 
 
 def _libm(f):
@@ -59,32 +47,93 @@ def _libm(f):
     return lambda z: np.fromiter(map(f, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
+def selu(z):
+    """Scaled exponential linear unit, with libm's ``expm1``."""
+    z = np.asarray(z, dtype=float)
+    pos = z > 0.0
+    return np.where(pos, SELU_LAMBDA * z, _SELU_LA * _libm(math.expm1)(np.where(pos, 0.0, z)))
+
+
+def logistic(z):
+    """Numerically stable standard logistic function, with libm's ``exp``;
+    a scalar gives a float."""
+    z = np.asarray(z, dtype=float)
+    # exp(-z) for z >= 0 and exp(z) below never overflows; unlike -|z|,
+    # the argument keeps the sign of a NaN input
+    pos = z >= 0.0
+    e = _libm(math.exp)(np.where(pos, -z, z))
+    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(out) if out.ndim == 0 else out
+
+
 def _ordered_sums(start, terms):
-    """``start + terms[:, 0] + terms[:, 1] + ...`` added left to right, as C
-    adds and ``np.sum`` does not, in place of the temporary ``terms``."""
-    np.add(start, terms[:, 0], out=terms[:, 0])
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    """``start + terms[..., 0] + terms[..., 1] + ...`` added left to right, as
+    C adds and ``np.sum`` does not, in place of the temporary ``terms``."""
+    np.add(start, terms[..., 0], out=terms[..., 0])
+    return np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
+
+
+def _array(a, name, dtype, shape, writable=False):
+    """``a`` if the compiled kernel accepts it: a native ``dtype`` array of
+    ``shape`` (None is any length), aligned and C-contiguous, and writable
+    when asked; its errors are the kernel's."""
+    if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.dtype.isnative:
+        raise TypeError(f"{name} must be a native {np.dtype(dtype).name} array")
+    if not (a.flags.c_contiguous and a.flags.aligned):
+        raise ValueError(f"{name} must be aligned and C-contiguous")
+    if a.ndim != len(shape) or any(d not in (None, k) for d, k in zip(shape, a.shape)):
+        raise ValueError(f"{name} has the wrong shape")
+    if writable and not a.flags.writeable:
+        raise ValueError(f"{name} must be writable")
+    return a
+
+
+def _forward(nets, xs):
+    """For each chunk of the inputs ``xs (rows, n)``, its first row, the
+    outputs ``(chunk, m, n_out)`` of the m nets and their hidden activations
+    ``(chunk, units)``, the units of all nets one after another as in
+    ``hidden_batch``; the nets are checked first."""
+    for i, net in enumerate(nets):
+        if not isinstance(net, tuple) or len(net) != 12:
+            raise TypeError(f"item {i} must be a 12-tuple")
+    w1 = np.concatenate([net[0] for net in nets])
+    if w1.shape[1] != xs.shape[1]:
+        raise ValueError("w1 has the wrong shape")
+    b1 = np.concatenate([net[1] for net in nets])
+    h = np.array([len(net[1]) for net in nets])
+    first = np.cumsum(h) - h
+    w2t = np.concatenate([net[6].T for net in nets])  # each unit's outgoing weights
+    b2 = np.stack([net[7] for net in nets])
+    step = max(1, _CHUNK // max(w1.size, b2.size, 1))
+    for r in range(0, len(xs), step):
+        units = selu(_ordered_sums(b1, w1 * xs[r:r + step, None, :]))
+        # each output adds w2[:, j] * a1[j] to b2 in hidden order: the j-th
+        # step of every net with more than j hidden units at once
+        z2 = np.repeat(b2[None], len(units), axis=0)
+        for j in range(h.max()):
+            on = first[h > j] + j
+            z2[:, h > j] += w2t[on] * units[:, on, None]
+        yield r, logistic(z2), units
 
 
 def forward_batch(nets, x, ys_out):
-    """Forward pass of many networks on one input, with no update.
-
-    ``nets`` holds 12-tuples, as for ``reinforce_batch``; row i of
-    ``ys_out`` receives net i's output.  Returns the nets' hidden
-    activations, all computed first, as in ``hidden_batch``.
+    """Forward pass of many networks on one input ``x (n,)`` or on each input
+    of a batch ``x (rows, n)``, with no update: row ``r * len(nets) + i`` of
+    ``ys_out`` receives net i's output for input r, the double a one-input
+    call gives.  ``nets`` holds 12-tuples, as for ``reinforce_batch``.  The
+    arguments are checked as the compiled kernel checks them, and the first
+    chunk of inputs is computed before anything is written, so a bad
+    argument leaves ``ys_out`` untouched.
     """
-    if not nets:
-        return []
-    z1 = _ordered_sums(np.concatenate([net[1] for net in nets]),
-                       np.concatenate([net[0] for net in nets]) * x)
-    units = selu(z1, _libm(math.expm1))
-    hidden = np.split(units, np.cumsum([len(net[1]) for net in nets])[:-1])
-    for z2, a1, (_, _, _, _, _, _, w2, b2, _, _, _, _) in zip(ys_out, hidden, nets):
-        z2[:] = b2
-        for w, a in zip(w2.T, a1):
-            z2 += w * a
-    ys_out[:] = logistic(ys_out, _libm(math.exp))
-    return hidden
+    xs = _array(x, "x", np.float64, (None,) * (1 + (np.ndim(x) == 2)))
+    xs = xs if xs.ndim == 2 else xs[None]
+    m = len(nets)
+    if m and len(xs) > np.iinfo(np.intp).max // m:
+        raise ValueError(f"x has too many rows for {m} nets")
+    n_out = ys_out.shape[1] if isinstance(ys_out, np.ndarray) and ys_out.ndim == 2 else 0
+    ys = _array(ys_out, "ys_out", np.float64, (len(xs) * m, n_out), True)
+    for r, out, _ in _forward(nets, xs) if m else ():
+        ys.reshape(len(xs), m, n_out)[r:r + len(out)] = out
 
 
 def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,
@@ -111,31 +160,16 @@ def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,
     mb1[:] = db1
 
 
-def _column(a, name, dtype, length, writable):
-    """``a`` if the compiled kernel accepts it: a native 1-D ``dtype`` array
-    (of ``length``, unless None), aligned and C-contiguous, and writable when
-    asked; its errors are the kernel's."""
-    if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.dtype.isnative:
-        raise TypeError(f"{name} must be a native {np.dtype(dtype).name} array")
-    if not (a.flags.c_contiguous and a.flags.aligned):
-        raise ValueError(f"{name} must be aligned and C-contiguous")
-    if a.ndim != 1 or (length is not None and len(a) != length):
-        raise ValueError(f"{name} has the wrong shape")
-    if writable and not a.flags.writeable:
-        raise ValueError(f"{name} must be writable")
-    return a
-
-
 def _check_rules(pos, m, err, fit, num, set_size, exp):
     """The state columns and the m match-set positions, checked as the
     compiled kernel checks them: numpy's fancy indexing would accept a
     negative or repeated position."""
-    rows = len(_column(err, "err", np.float64, None, True))
-    _column(fit, "fit", np.float64, rows, True)
-    _column(num, "num", np.int64, rows, False)
-    _column(set_size, "set_size", np.float64, rows, True)
-    _column(exp, "exp", np.int64, rows, True)
-    _column(pos, "pos", np.int64, m, False)
+    rows = len(_array(err, "err", np.float64, (None,), True))
+    _array(fit, "fit", np.float64, (rows,), True)
+    _array(num, "num", np.int64, (rows,))
+    _array(set_size, "set_size", np.float64, (rows,), True)
+    _array(exp, "exp", np.int64, (rows,), True)
+    _array(pos, "pos", np.int64, (m,))
     if m and (pos.min() < 0 or pos.max() >= rows):
         raise ValueError("pos holds a row out of range")
     if len(np.unique(pos)) != m:
@@ -162,37 +196,44 @@ def _relative_accuracies(kappas, nums):
     return weighted / weighted.sum()
 
 
-def reinforce_batch(preds, x, omega, ys_out, err_out, pos, err, fit, num,
-                    set_size, exp, beta, epsilon0, alpha, nu):
+def reinforce_batch(preds, x, omega, ys_out, pos, err, fit, num, set_size, exp,
+                    beta, epsilon0, alpha, nu):
     """One trial's reinforcement of a match set.
 
     First one momentum-SGD step on the MSE toward ``x`` for every net of
     ``preds``, which holds (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2,
     mw2, mb2, eta2) tuples: row i of ``ys_out`` receives classifier i's
-    pre-update reconstruction, and ``err_out[i]`` its mean squared error
-    from ``x``, ``np.mean(np.square(ys_out[i] - x))``: numpy's pairwise
-    sum of the squares, divided by the width.  Every hidden layer is
-    computed before any net is updated, as in the compiled kernel.
+    pre-update reconstruction.  Every hidden layer is computed before any
+    net is updated, as in the compiled kernel.
 
     Then the XCS update (Butz & Wilson 2002) of classifier i's row
     ``pos[i]`` of the state columns ``err``, ``fit``, ``num``, ``set_size``
     and ``exp``, as array operations in the order of the per-rule loop, so
     every result is the double a rule-by-rule loop gives: the error moves
-    toward ``err_out[i]`` by ``beta``, the fitness toward the rule's
+    by ``beta`` toward the net's mean squared error from ``x``,
+    ``np.mean(np.square(ys_out[i] - x))`` (numpy's pairwise sum of the
+    squares, divided by the width), the fitness toward the rule's
     numerosity-weighted relative accuracy (never below ``F_FLOOR``), the
     set size toward the match set's micro count, and the experience grows
     by one.  ``num`` is only read.
     """
-    _check_rules(pos, len(preds), err, fit, num, set_size, exp)
-    hidden = forward_batch(preds, x, ys_out)
+    m = len(preds)
+    _array(x, "x", np.float64, (None,))
+    _array(ys_out, "ys_out", np.float64, (m, len(x)), True)
+    _check_rules(pos, m, err, fit, num, set_size, exp)
+    if not m:
+        return
+    (_, ys, units), = _forward(preds, x[None])
+    ys_out[:] = ys[0]
+    hidden = np.split(units[0], np.cumsum([len(net[1]) for net in preds])[:-1])
     g = (2.0 / len(x)) * (ys_out - x) * ys_out * (1.0 - ys_out)
     for a1, g_i, args in zip(hidden, g, preds):
         _fused_sgd(a1, g_i, *args, omega, x)
-    err_out[:] = np.mean(np.square(ys_out - x), axis=1)
+    mse = np.mean(np.square(ys_out - x), axis=1)
 
     e, f, k, s = err[pos], fit[pos], num[pos], set_size[pos]
     micro = int(k.sum())
-    e = e + beta * (err_out - e)
+    e = e + beta * (mse - e)
     f = f + beta * (_relative_accuracies(_accuracies(e, epsilon0, alpha, nu), k) - f)
     exp[pos] += 1
     err[pos] = e

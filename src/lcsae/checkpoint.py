@@ -89,8 +89,10 @@ _WINDOW_KEYS = {"mse_sum", "m_sum", "count"}
 
 def _check_state(trial: int, c: dict, hidden, eta) -> None:
     """Every rule scalar, hidden size and rate is in the range the learner
-    can run with.  A rule that was ever reinforced or reproduced
-    (``exp >= 1``) keeps its fitness at or above the floor."""
+    can run with.  Every fitness is positive, as the learner starts it at
+    F_I > 0, and a rule that was ever reinforced or reproduced (``exp >= 1``)
+    keeps it at or above the floor, so every fitness-weighted mean has a
+    positive total."""
     fit = c["fit"]
     checks = (("num", c["num"], c["num"] >= 1, ">= 1"),
               ("exp", c["exp"], c["exp"] >= 0, ">= 0"),
@@ -99,9 +101,9 @@ def _check_state(trial: int, c: dict, hidden, eta) -> None:
               ("born", c["born"], (c["born"] >= 0) & (c["born"] <= trial),
                f"in [0, trial={trial}]"),
               ("err", c["err"], np.isfinite(c["err"]) & (c["err"] >= 0), "finite and >= 0"),
-              ("fit", fit, np.isfinite(fit) & (fit >= 0)
+              ("fit", fit, np.isfinite(fit) & (fit > 0)
                & ((c["exp"] < 1) | (fit >= xcsf._F_FLOOR)),
-               f"finite, >= 0 and >= {xcsf._F_FLOOR} once exp >= 1"),
+               f"finite, > 0 and >= {xcsf._F_FLOOR} once exp >= 1"),
               ("set_size", c["set_size"], np.isfinite(c["set_size"]) & (c["set_size"] > 0),
                "finite and > 0"),
               ("hidden sizes", hidden, hidden >= 1, ">= 1"),
@@ -112,8 +114,6 @@ def _check_state(trial: int, c: dict, hidden, eta) -> None:
         if len(bad):
             i = int(bad[0])
             raise CheckpointError(f"rule {i} {name} {values[i].tolist()!r} is not {rule}")
-    if len(fit) and not (fit > 0.0).any():
-        raise CheckpointError("the rules' total fitness is not positive")
 
 
 def _check_layer(name: str, c: dict, mu_min: float) -> None:

@@ -1,8 +1,9 @@
 """Command-line entry point: run, resume, and reconstruct.
 
-Exit codes: 0 success, 1 usage or config error, 2 data/checkpoint error,
-3 training error.  The output directory defaults to the current directory
-and can be overridden with --outdir or the LCSAE_OUTDIR variable.
+Exit codes: 0 success, 1 usage or config error, 2 data, checkpoint or
+output-location error, 3 training error.  The output directory defaults to
+the current directory and can be overridden with --outdir or the
+LCSAE_OUTDIR variable.
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, CheckpointError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        # the readers raise the errors above, so this is an output that
+        # cannot be written, such as an --outdir below a file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (CoveringError, runner.TrainingError) as exc:

@@ -1,13 +1,16 @@
 """Backend selection for the hot per-trial kernels.
 
 Two entry points: ``forward_batch(nets, x, ys_out)`` (the forward pass of
-many networks on one input, with no update) and ``reinforce_batch(preds, x,
-omega, ys_out, err_out, pos, err, fit, num, set_size, exp, beta, epsilon0,
-alpha, nu)`` (one trial's reinforcement of a match set: one momentum-SGD
-step toward the input for every prediction net, then the XCS update of the
+many networks on one input ``x (n,)`` or on each input of a batch ``x
+(rows, n)``, with no update: row ``r * len(nets) + i`` of ``ys_out``
+receives net i's output for input r) and ``reinforce_batch(preds, x,
+omega, ys_out, pos, err, fit, num, set_size, exp, beta, epsilon0, alpha,
+nu)`` (one trial's reinforcement of a match set: one momentum-SGD step
+toward the input for every prediction net, then the XCS update of the
 rules at rows ``pos`` of the state columns).  Both take one 12-tuple per
-network, built by ``neural.net_args``.  The match rule ``match_batch`` is
-written once here, on top of ``forward_batch``, for both backends.
+network, built by ``neural.net_args``, and every network output of the
+package comes from them.  The match rule ``match_batch`` is written once
+here, on top of ``forward_batch``, for both backends.
 
 The compiled extension ``_kernels``, built from the hand-written C source
 ``_kernels.c``, is used when it imports, and otherwise its executable

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-# the activations are defined once, in the numpy twin of the kernels
-from ._kernels_py import SELU_ALPHA, SELU_LAMBDA, logistic, selu  # noqa: F401
 
 # gradient-descent rates live in this range; mutation clamps back into it
 ETA_MIN = 1e-4

@@ -275,9 +275,8 @@ def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.nd
     members, st = pop.members, pop.state
     ys = np.empty((len(m), len(x)))
     kernels.reinforce_batch([members[i].pred_args for i in m.tolist()], x,
-                            cfg.omega, ys, np.empty(len(m)), m, st.err, st.fit,
-                            st.num, st.set_size, st.exp, cfg.beta, cfg.epsilon0,
-                            cfg.alpha, cfg.nu)
+                            cfg.omega, ys, m, st.err, st.fit, st.num, st.set_size,
+                            st.exp, cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
     return ys
 
 
@@ -434,22 +433,18 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
 
 
 # ---------------------------------------------------------------------------
-# batched no-update evaluation (validation passes, best-rule search)
-
-def _net_outputs(net: neural.Network, xs: np.ndarray) -> np.ndarray:
-    h, o = net.layers
-    a1 = neural.selu(xs @ h.weights.T + h.biases)
-    return neural.logistic(a1 @ o.weights.T + o.biases)
-
+# batched no-update evaluation (validation passes, best-rule search), on
+# ``kernels.forward_batch`` over a batch of inputs: every output is the
+# double the trial path and ``reconstruct`` compute for the same input
 
 def _match_matrix(rules: list, xs: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
     """Boolean (rules, rows) matrix: whether each rule matches each row of
-    ``xs`` (every one in global_ea mode)."""
-    matched = np.ones((len(rules), xs.shape[0]), dtype=bool)
-    if not cfg.global_ea:
-        for row, cl in zip(matched, rules):
-            row[:] = _net_outputs(cl.condition, xs)[:, 0] > cfg.match_threshold
-    return matched
+    ``xs``, a C-contiguous float64 batch (every one in global_ea mode)."""
+    if cfg.global_ea:
+        return np.ones((len(rules), xs.shape[0]), dtype=bool)
+    ys = np.empty((xs.shape[0] * len(rules), 1))
+    kernels.forward_batch([cl.cond_args for cl in rules], xs, ys)
+    return ys.reshape(xs.shape[0], len(rules)).T > cfg.match_threshold
 
 
 def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
@@ -458,8 +453,11 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     Returns (mean MSE, mean micro match-set size).  Rows matched by nothing
     fall back to the fitness-weighted prediction of the whole population
     and count a match-set size of zero; an empty population predicts
-    nothing, so its error is NaN.
+    nothing, so its error is NaN.  Each row's prediction adds the matching
+    rules' fitness-weighted outputs in member order, one kernel call per
+    rule over the rows it matches.
     """
+    xs = np.ascontiguousarray(xs, dtype=float)
     rows = xs.shape[0]
     if rows == 0:
         return float("nan"), float("nan")
@@ -473,15 +471,14 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     acc = np.zeros_like(xs)
     fsum = np.zeros(rows)
     for cl, fit, sel in zip(pop.members, pop.state.fit[:n].tolist(), matched):
-        if not sel.any():
+        count = int(sel.sum())
+        if not count:
             continue
-        # a rule that matches every row reads xs itself
-        sel = slice(None) if sel.all() else sel
-        # holding each rule's outputs until the next rule's are made keeps
-        # malloc from trimming and refaulting the heap once per rule: on
-        # the trial-0 strokes784 train split, 78k page faults against 197k
-        ys = _net_outputs(cl.prediction, xs[sel])
-        acc[sel] += fit * ys
+        # a rule that matches every row reads xs itself, without a copy
+        sel = slice(None) if count == rows else sel
+        ys = np.empty((count, xs.shape[1]))
+        kernels.forward_batch([cl.pred_args], xs[sel], ys)
+        acc[sel] += np.multiply(fit, ys, out=ys)
         fsum[sel] += fit
     preds = acc / fsum[:, None]
     mses = np.mean((preds - xs) ** 2, axis=1)

@@ -28,7 +28,7 @@ def test_trained_masked_rule_round_trips_bit_exact():
     cl = make_classifier(n=5, h=3, seed=0)
     net = cl.prediction
     kernels.reinforce_batch([cl.pred_args], rng.random(5), 0.9, np.empty((1, 5)),
-                            np.empty(1), *spare_rules(1))
+                            *spare_rules(1))
     # a masked connection has zero weight and zero momentum, as in the learner
     net.layers[0].mask[0, 2] = 0
     net.layers[0].weights[0, 2] = net.layers[0].mom_w[0, 2] = 0.0

@@ -355,10 +355,20 @@ def _first_rule(name, value):
 
 @_saved
 def _no_fitness_anywhere(pop):
-    # unreinforced rules, so that only the total is wrong
+    # unreinforced rules, so that the floor does not apply
     n = len(pop.members)
     pop.state.exp[:n] = 0
     pop.state.fit[:n] = 0.0
+
+
+@_saved
+def _no_fitness_but_on_the_last_rule(pop):
+    # unreinforced rules of zero fitness: a row that only they match has a
+    # fitness-weighted mean of 0 / 0, and the run used to resume with a
+    # NaN train_mse
+    n = len(pop.members)
+    pop.state.exp[:n - 1] = 0
+    pop.state.fit[:n - 1] = 0.0
 
 
 @_saved
@@ -401,7 +411,9 @@ BAD_HEADERS = {
     "mtotal negative": (_first_rule("mtotal", -1), "rule 0 mtotal -1"),
     "fit nan": (_first_rule("fit", float("nan")), "rule 0 fit nan"),
     "fit negative": (_first_rule("fit", -1.0), "rule 0 fit -1.0"),
-    "fit 0 everywhere": (_no_fitness_anywhere, "total fitness is not positive"),
+    "fit 0 everywhere": (_no_fitness_anywhere, "rule 0 fit 0.0 is not finite, > 0"),
+    "fit 0 on all rules but one": (_no_fitness_but_on_the_last_rule,
+                                   "rule 0 fit 0.0 is not finite, > 0"),
     "fit below the floor once reinforced": (_reinforced_below_the_floor, "rule 0 fit 5e-301"),
     "err negative": (_first_rule("err", -0.5), "rule 0 err -0.5"),
     "err inf": (_first_rule("err", float("inf")), "rule 0 err inf"),
@@ -409,6 +421,20 @@ BAD_HEADERS = {
     "born after trial": (_first_rule("born", 41), "rule 0 born 41"),
     "ts negative": (_first_rule("ts", -1), "rule 0 ts -1"),
 }
+
+
+def test_output_location_that_cannot_be_written_exits_2(small_run, dataset, tmp_path,
+                                                        capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory\n")
+    cfg = _config(tmp_path, dataset, trials=20, checkpoint_interval=10)
+    # a directory below a file, and a file where a directory should be
+    assert cli.main(["run", cfg, "--outdir", str(blocker / "sub")]) == 2
+    assert cli.main(["reconstruct", str(small_run / "population.ckpt"), dataset,
+                     "--no-images", "--outdir", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and str(blocker) in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def _assert_refused(ckpt, dataset, tmp_path, capsys):

@@ -39,6 +39,15 @@ def _args(w1, b1, mask1, w2, b2, mask2):
             w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006)
 
 
+def _mse_rules(m):
+    """Rule arguments for a ``reinforce_batch`` call of m nets whose ``err``
+    column, ``[1]``, receives each net's mean squared error bit for bit: it
+    starts at 0.0 and moves with beta = 1.0, so the update writes
+    ``0.0 + 1.0 * (mse - 0.0)``."""
+    rules = spare_rules(m)
+    return rules[:6] + (1.0,) + rules[7:]
+
+
 def test_source_compiles_without_warnings(build):
     # -Wall -Wextra; a warning counts when it, or the note right after it,
     # points into the kernel source: a warning inside a header macro such as
@@ -69,6 +78,57 @@ def test_forward_parity(cy):
             assert ys_cy.tobytes() == ys_py.tobytes()
 
 
+def test_batched_forward_parity_and_batch_invariance(cy):
+    # row r * m + i of a batched call is net i's output for input r: the
+    # same bytes on both backends and as a one-input call
+    rng = np.random.default_rng(19)
+    for n_in in (1, 3, 8, 64, 784):
+        for n_out in (1, n_in):
+            nets = [_args(*_random_net(rng, n_in, h, n_out)) for h in (1, 4, 2, 3, 5)]
+            m = len(nets)
+            for rows in (0, 1, 2, 5):
+                xs = rng.random((rows, n_in))
+                ys_py, ys_cy = _untouched(rows * m, n_out), _untouched(rows * m, n_out)
+                _kernels_py.forward_batch(nets, xs, ys_py)
+                cy.forward_batch(nets, xs, ys_cy)
+                assert ys_cy.tobytes() == ys_py.tobytes(), (n_in, n_out, rows)
+                for r in range(rows):
+                    one = _untouched(m, n_out)
+                    cy.forward_batch(nets, xs[r], one)
+                    assert one.tobytes() == ys_cy[r * m:(r + 1) * m].tobytes()
+
+
+def test_bad_batched_forwards_leave_ys_out_untouched(cy):
+    rng = np.random.default_rng(20)
+    nets = [_cond(rng, 8), _cond(rng, 8, h=3)]
+    xs = rng.random((3, 8))
+    read_only = _untouched(6)
+    read_only.flags.writeable = False
+    bad_calls = [
+        (ValueError, "x has the wrong shape", xs[None], _untouched(6)),
+        (ValueError, "w1 has the wrong shape", rng.random((3, 7)), _untouched(6)),
+        (ValueError, "ys_out has the wrong shape", xs, _untouched(5)),
+        (ValueError, "ys_out has the wrong shape", xs, _untouched(7)),
+        (ValueError, "ys_out has the wrong shape", xs, np.full(6, 7.0)),
+        (ValueError, "ys_out must be writable", xs, read_only),
+        (ValueError, "x must be aligned and C-contiguous", np.asfortranarray(xs),
+         _untouched(6)),
+    ]
+    for mod in (_kernels_py, cy):
+        for exc, msg, x, ys in bad_calls:
+            with pytest.raises(exc, match=msg):
+                mod.forward_batch(nets, x, ys)
+            assert np.all(ys == 7.0), (mod, msg)
+        # 2**59 zero-width inputs (numpy's largest such float64 batch) for
+        # 32 nets: rows * m wraps to 0 in a 64-bit product, which an empty
+        # ys_out would match
+        empty = [_cond(rng, 0) for _ in range(32)]
+        for ys in (np.empty((0, 1)), _untouched(32)):
+            with pytest.raises(ValueError, match="x has too many rows for 32 nets"):
+                mod.forward_batch(empty, np.empty((2**59, 0)), ys)
+        assert np.all(ys == 7.0)
+
+
 def test_single_net_reinforce_parity_over_many_steps(cy):
     rng = np.random.default_rng(1)
     n, h = 6, 3
@@ -82,11 +142,12 @@ def test_single_net_reinforce_parity_over_many_steps(cy):
                  s[4], s[5], mask2, s[6], s[7], 0.005)]
 
     y_py, y_cy = np.empty((1, n)), np.empty((1, n))
-    err_py, err_cy = np.empty(1), np.empty(1)
     for _ in range(200):
         x = rng.random(n)
-        _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py, err_py, *spare_rules(1))
-        cy.reinforce_batch(net(state_cy), x, 0.9, y_cy, err_cy, *spare_rules(1))
+        rules_py, rules_cy = _mse_rules(1), _mse_rules(1)
+        _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py, *rules_py)
+        cy.reinforce_batch(net(state_cy), x, 0.9, y_cy, *rules_cy)
+        err_py, err_cy = rules_py[1], rules_cy[1]
         assert y_cy.tobytes() == y_py.tobytes()
         assert err_cy.tobytes() == err_py.tobytes()
         for y, err in ((y_py, err_py), (y_cy, err_cy)):
@@ -132,11 +193,12 @@ def test_reinforce_batch_parity(cy):
     preds_py = build(99)
     preds_cy = build(99)
     ys_py, ys_cy = np.empty((16, 7)), np.empty((16, 7))
-    err_py, err_cy = np.empty(16), np.empty(16)
     for _ in range(50):
         x = rng.random(7)
-        _kernels_py.reinforce_batch(preds_py, x, 0.9, ys_py, err_py, *spare_rules(16))
-        cy.reinforce_batch(preds_cy, x, 0.9, ys_cy, err_cy, *spare_rules(16))
+        rules_py, rules_cy = _mse_rules(16), _mse_rules(16)
+        _kernels_py.reinforce_batch(preds_py, x, 0.9, ys_py, *rules_py)
+        cy.reinforce_batch(preds_cy, x, 0.9, ys_cy, *rules_cy)
+        err_py, err_cy = rules_py[1], rules_cy[1]
         assert ys_cy.tobytes() == ys_py.tobytes()
         assert err_cy.tobytes() == err_py.tobytes()
         for ys, err in ((ys_py, err_py), (ys_cy, err_cy)):
@@ -187,26 +249,27 @@ def test_activations_at_the_edges_are_bit_for_bit(cy):
     finite = [v for v in values if np.isfinite(v).all()] + [(745.0, 1e6, -1.0)]
     m = len(finite)
     nets = [[_edge_net(*v) for v in finite] for _ in range(2)]
-    outs = [(np.empty((m, 1)), np.empty(m)) for _ in range(2)]
     stepped = []
-    for mod, preds, (y, err) in zip((_kernels_py, cy), nets, outs):
-        mod.reinforce_batch(preds, x, 0.9, y, err, *spare_rules(m))
-        stepped.append([np.asarray(a).tobytes() for a in (y, err, *sum(preds, ()))])
+    for mod, preds in zip((_kernels_py, cy), nets):
+        y, rules = np.empty((m, 1)), _mse_rules(m)
+        mod.reinforce_batch(preds, x, 0.9, y, *rules)
+        stepped.append([np.asarray(a).tobytes() for a in (y, *rules, *sum(preds, ()))])
     assert stepped[0] == stepped[1]
 
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_err_out_is_the_np_mean_of_the_squared_errors_bit_for_bit(backend, request):
-    # the compiled kernel follows numpy's pairwise summation: eight partial
-    # sums up to 128 terms, halving above; every width pins one split
+    # each net's error, which the update writes into the err column, follows
+    # numpy's pairwise summation in the compiled kernel: eight partial sums
+    # up to 128 terms, halving above; every width pins one split
     mod = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
     rng = np.random.default_rng(12)
     for n in [*range(1, 1001), 784]:
         preds = [_pred(rng, n, h=1), _pred(rng, n, h=2)]
         x = rng.random(n)
-        ys, err = np.empty((2, n)), np.empty(2)
-        mod.reinforce_batch(preds, x, 0.9, ys, err, *spare_rules(2))
-        assert np.array_equal(err, _mse(ys, x)), n
+        ys, rules = np.empty((2, n)), _mse_rules(2)
+        mod.reinforce_batch(preds, x, 0.9, ys, *rules)
+        assert np.array_equal(rules[1], _mse(ys, x)), n
 
 
 def test_compiled_steps_do_not_depend_on_the_batch(cy):
@@ -223,12 +286,12 @@ def test_compiled_steps_do_not_depend_on_the_batch(cy):
                  for net in batch]
         for _ in range(3):  # later steps start from non-zero momentum
             x = rng.random(n)
-            ys, err = _untouched(size, n), np.full(size, 7.0)
-            cy.reinforce_batch(batch, x, 0.9, ys, err, *spare_rules(size))
+            ys, rules = _untouched(size, n), _mse_rules(size)
+            cy.reinforce_batch(batch, x, 0.9, ys, *rules)
             for i, net in enumerate(alone):
-                y1, e1 = _untouched(1, n), np.full(1, 7.0)
-                cy.reinforce_batch([net], x, 0.9, y1, e1, *spare_rules(1))
-                assert np.array_equal(ys[i], y1[0]) and err[i] == e1[0]
+                y1, r1 = _untouched(1, n), _mse_rules(1)
+                cy.reinforce_batch([net], x, 0.9, y1, *r1)
+                assert np.array_equal(ys[i], y1[0]) and rules[1][i] == r1[1][0]
         for a, b in zip(batch, alone):
             for u, v in zip(a, b):
                 assert np.array_equal(u, v)
@@ -302,8 +365,7 @@ def test_short_input_is_rejected(cy):
     assert np.all(ys == 7.0)
     preds = [_pred(rng, 64)]
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)), np.empty(1),
-                           *spare_rules(1))
+        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)), *spare_rules(1))
 
 
 def test_float32_input_is_rejected(cy):
@@ -358,34 +420,6 @@ def test_bad_forward_batches_leave_ys_out_untouched(cy):
         assert np.all(ys == 7.0), msg
 
 
-def test_bad_err_out_fails_before_any_update(cy):
-    rng = np.random.default_rng(14)
-    x = rng.random(6)
-    preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
-    before = [a.copy() for net in preds for a in net if isinstance(a, np.ndarray)]
-    read_only = np.full(2, 7.0)
-    read_only.flags.writeable = False
-    bad_err_outs = [
-        (ValueError, "err_out has the wrong shape", np.full(3, 7.0)),
-        (ValueError, "err_out has the wrong shape", np.full(1, 7.0)),
-        (ValueError, "err_out has the wrong shape", np.full((2, 1), 7.0)),
-        (TypeError, "err_out must be a native float64 array", np.full(2, 7.0, np.float32)),
-        (TypeError, "err_out must be a native float64 array", np.full(2, 7.0, ">f8")),
-        (ValueError, "err_out must be writable", read_only),
-        (ValueError, "err_out must be aligned and C-contiguous", np.full(4, 7.0)[::2]),
-        (TypeError, "err_out must be a native float64 array", [7.0, 7.0]),
-    ]
-    for exc, msg, err in bad_err_outs:
-        ys = _untouched(2, 6)
-        with pytest.raises(exc, match=msg):
-            cy.reinforce_batch(preds, x, 0.9, ys, err, *spare_rules(2))
-        assert np.all(ys == 7.0) and np.all(np.asarray(err) == 7.0), msg
-    with pytest.raises(TypeError, match="err_out"):
-        cy.reinforce_batch(preds, x, 0.9, _untouched(2, 6))
-    after = [a for net in preds for a in net if isinstance(a, np.ndarray)]
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
-
-
 def test_bad_batches_fail_before_any_update(cy):
     rng = np.random.default_rng(9)
     x = rng.random(6)
@@ -401,8 +435,7 @@ def test_bad_batches_fail_before_any_update(cy):
     ]
     for exc, msg, preds, ys in bad_calls:
         with pytest.raises(exc, match=msg):
-            cy.reinforce_batch(preds, x, 0.9, ys, np.empty(len(preds)),
-                               *spare_rules(len(preds)))
+            cy.reinforce_batch(preds, x, 0.9, ys, *spare_rules(len(preds)))
     after = [a for a in good if isinstance(a, np.ndarray)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     # the rule state: both backends check the positions and the columns
@@ -411,14 +444,13 @@ def test_bad_batches_fail_before_any_update(cy):
         for exc, msg, name, bad in _bad_rule_args():
             preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
             nets = [a.copy() for net in preds for a in net if isinstance(a, np.ndarray)]
-            ys, err_out = _untouched(2, 6), np.full(2, 7.0)
+            ys = _untouched(2, 6)
             rules = dict(zip(_RULE_ARGS, _rule_columns()))
             rules[name] = bad
             columns = [np.array(v, copy=True) for v in rules.values()]
             with pytest.raises(exc, match=msg):
-                mod.reinforce_batch(preds, x, 0.9, ys, err_out, *rules.values(),
-                                    0.1, 0.01, 0.1, 5.0)
-            assert np.all(ys == 7.0) and np.all(err_out == 7.0), (mod, msg)
+                mod.reinforce_batch(preds, x, 0.9, ys, *rules.values(), 0.1, 0.01, 0.1, 5.0)
+            assert np.all(ys == 7.0), (mod, msg)
             stepped = [a for net in preds for a in net if isinstance(a, np.ndarray)]
             assert all(np.array_equal(a, b) for a, b in zip(nets, stepped)), (mod, msg)
             assert all(np.array_equal(np.asarray(v), c)
@@ -479,9 +511,10 @@ def test_good_rule_arguments_update_only_their_rows(cy):
     for mod in (_kernels_py, cy):
         pos, err, fit, num, set_size, exp = _rule_columns()
         preds = [_pred(np.random.default_rng(16), 6), _pred(np.random.default_rng(17), 6)]
-        mse = np.empty(2)
-        mod.reinforce_batch(preds, x, 0.9, np.empty((2, 6)), mse, pos, err, fit,
-                            _read_only(num), set_size, exp, 0.1, 0.01, 0.1, 5.0)
+        ys = np.empty((2, 6))
+        mod.reinforce_batch(preds, x, 0.9, ys, pos, err, fit, _read_only(num), set_size,
+                            exp, 0.1, 0.01, 0.1, 5.0)
+        mse = _mse(ys, x)
         for col, start in ((err, 0.5), (fit, 0.25), (set_size, 3.0), (exp, 4)):
             assert np.all(col[[0, 2, 4]] == start)
         assert exp[[1, 3]].tolist() == [5, 5]

@@ -223,9 +223,10 @@ def _reinforce_per_rule(m, x, cfg):
     array update replaced."""
     m_micro = sum(cl.num for cl in m)
     ys = np.empty((len(m), len(x)))
-    # the kernel's own errors are left unread: the reference takes np.mean
+    # the kernel's own rule update goes to spare columns: the reference
+    # takes np.mean
     kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys,
-                            np.empty(len(m)), *spare_rules(len(m)))
+                            *spare_rules(len(m)))
     kappas = np.empty(len(m))
     for i, cl in enumerate(m):
         cl.exp += 1
@@ -368,7 +369,7 @@ def test_offspring_inherit_trained_weights(cfg):
     for _ in range(20):
         x = rng.random(3)
         kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty((1, 3)),
-                                np.empty(1), *spare_rules(1))
+                                *spare_rules(1))
     trained = parent.prediction.layers[0].weights.copy()
     # a zero-rate mutation chain copies the weights through unchanged
     quiet = ExperimentConfig(mu_min=1e-12)
@@ -657,6 +658,107 @@ def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
     assert mean_m == 3 * 2 / 6
 
 
+def _use_backend(backend, request, monkeypatch):
+    """Route every kernel call through the numpy twin or the compiled module."""
+    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
+    monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
+    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
+
+
+def _varied_population(n, size, seed):
+    """Rules with random conditions, of which an input matches some, and
+    prediction nets of several hidden sizes and fitnesses."""
+    rng = np.random.default_rng(seed)
+    sigma = 2.0 / np.sqrt(n)
+    return xcsf.Population([
+        make_classifier(n=n, fit=0.05 + rng.random(), num=1 + s % 3,
+                        condition=neural.new_network(n, 1 + s % 3, 1, rng, sigma=sigma,
+                                                     random_biases=True),
+                        prediction=neural.new_network(n, 1 + s % 4, n, rng, sigma=sigma,
+                                                      random_biases=True))
+        for s in range(size)])
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_match_matrix_columns_are_the_match_sets(backend, request, monkeypatch):
+    _use_backend(backend, request, monkeypatch)
+    pop = _varied_population(64, 40, seed=37)
+    xs = np.random.default_rng(38).random((12, 64))
+    matched = xcsf._match_matrix(pop.members, xs, ExperimentConfig())
+    assert 0 < matched.sum() < matched.size
+    # thresholds at a rule's output on a row, and one ulp below it: the
+    # batched pass must give that rule the bits of the one-input pass, or
+    # the row matches at the first or fails to match at the second
+    for r, x in enumerate(xs):
+        k = 3 * r % len(pop.members)
+        y = float(neural.forward(pop.members[k].condition, x)[0])
+        for threshold, match in ((y, False), (float(np.nextafter(y, 0.0)), True)):
+            cfg = ExperimentConfig(match_threshold=threshold)
+            matched = xcsf._match_matrix(pop.members, xs, cfg)
+            assert matched[k, r] == match
+            for col, x_col in zip(matched.T, xs):
+                assert np.array_equal(np.flatnonzero(col), xcsf.match_set(pop, x_col, cfg))
+
+
+def _evaluate_per_input(pop, xs, cfg):
+    """Reference: ``evaluate`` with one prediction-net kernel call per input,
+    adding the fitness-weighted outputs of the input's rules in member
+    order."""
+    fits = pop.state.fit[:len(pop.members)].tolist()
+    mses, sizes = [], []
+    for x in xs:
+        m = xcsf.match_set(pop, x, cfg).tolist()
+        sizes.append(sum(pop.members[i].num for i in m))
+        m = m or list(range(len(pop.members)))
+        ys = np.empty((len(m), len(x)))
+        kernels.forward_batch([pop.members[i].pred_args for i in m], x, ys)
+        acc, fsum = np.zeros(len(x)), 0.0
+        for i, y in zip(m, ys):
+            acc = acc + fits[i] * y
+            fsum += fits[i]
+        mses.append(np.mean((acc / fsum - x) ** 2))
+    return float(np.mean(mses)), float(np.mean(sizes))
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+@pytest.mark.parametrize("mode", ["xcsf", "global_ea"])
+def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, request, monkeypatch):
+    _use_backend(backend, request, monkeypatch)
+    # a high threshold leaves some rows matched by nothing
+    cfg = ExperimentConfig(mode=mode, match_threshold=0.75)
+    pop = _varied_population(64, 30, seed=39)
+    xs = np.random.default_rng(40).random((25, 64))
+    if mode == "xcsf":
+        unmatched = [not len(xcsf.match_set(pop, x, cfg)) for x in xs]
+        assert any(unmatched) and not all(unmatched)
+    assert xcsf.evaluate(pop, xs, cfg) == _evaluate_per_input(pop, xs, cfg)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+def test_evaluate_equals_reconstruct_one_on_rows_one_rule_predicts(backend, request,
+                                                                   monkeypatch, cfg):
+    _use_backend(backend, request, monkeypatch)
+    # rows 0-3 have feature 0 high and match only the keyed rule
+    xs = np.random.default_rng(41).random((4, 3)) * 0.5
+    xs[:, 0] = 1.0
+    keyed = make_classifier(n=3, seed=1, h=3, condition=_keyed_condition(3, 0), fit=0.3)
+    never = make_classifier(n=3, seed=2, condition=never_match_condition(3), fit=0.7)
+    pop = xcsf.Population([never, keyed])
+    mses = [np.mean((xcsf.reconstruct_one(pop, x, cfg) - x) ** 2) for x in xs]
+    for r in range(len(xs)):
+        assert xcsf.evaluate(pop, xs[r:r + 1], cfg)[0] == mses[r]
+    assert xcsf.evaluate(pop, xs, cfg)[0] == np.mean(mses)
+    # one feature: a row's error is one squared difference, so a last-bit
+    # change in the rule's output would show in it
+    prediction = neural.new_network(1, 8, 1, np.random.default_rng(42), sigma=1.0,
+                                    random_biases=True)
+    pop = xcsf.Population([make_classifier(n=1, condition=_keyed_condition(1, 0),
+                                           prediction=prediction, fit=1.0)])
+    for x in 0.5 + 0.5 * np.random.default_rng(43).random((50, 1)):
+        mse = np.mean((xcsf.reconstruct_one(pop, x, cfg) - x) ** 2)
+        assert xcsf.evaluate(pop, x[None], cfg)[0] == mse
+
+
 def test_best_classifier_breaks_equal_coverage_by_error(cfg):
     xs = np.tile([1.0, 0.0], (4, 1))
     first = make_classifier(n=2, condition=always_match_condition(2), err=0.004)
@@ -768,11 +870,9 @@ def _learner_cases():
 @pytest.mark.parametrize("backend, mode, p_init, n", _learner_cases())
 def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init, n,
                                                             request, monkeypatch):
-    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
     # match_batch reads forward_batch from the module, so this routes every
     # kernel call of the learner and of the reference
-    monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
-    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
+    _use_backend(backend, request, monkeypatch)
     # a small N and theta_EA make the EA, coverings and deletions all fire;
     # a high threshold makes empty match sets common in xcsf mode
     cfg = ExperimentConfig(N=24, theta_EA=4, theta_del=5, mode=mode, P_init=p_init,
