@@ -153,7 +153,7 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
     window so training can resume exactly where it stopped.  Nothing is
     validated here; the loader checks everything."""
     layers = [cl.condition.layers + cl.prediction.layers for cl in pop.members]
-    columns = [np.asarray(getattr(pop.state, name)[:len(pop.members)], dtype)
+    columns = [np.asarray(getattr(pop.state, name), dtype)
                for name, dtype in _SCALAR_DTYPES.items()]
     columns.append(np.array([[cl.condition.n_hidden, cl.prediction.n_hidden]
                              for cl in pop.members], "<i8"))

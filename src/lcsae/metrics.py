@@ -121,7 +121,7 @@ def population_stats(pop: xcsf.Population, xs: np.ndarray,
                 "C_w_total": 0, "P_w_total": 0, "macro_count": 0,
                 "mean_mu_w": 0.0, "mean_mu_h": 0.0, "mean_mu_eta": 0.0,
                 "mean_mu_c": 0.0}
-    nums = pop.state.num[:len(members)].astype(float)
+    nums = pop.state.num.astype(float)
     w = nums / nums.sum()
 
     c_h = np.array([cl.condition.n_hidden for cl in members], dtype=float)

@@ -149,11 +149,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
     return metrics_path
 
 
-def resume_experiment(ckpt_path, extra_trials: int, out_dir=None) -> str:
+def resume_experiment(ckpt_path, extra_trials: int) -> str:
     """Continue a checkpointed run for ``extra_trials`` more trials.
 
-    Metrics rows are appended to the run directory's existing CSV; the
-    combined stream is identical to an unsplit longer run with the same
+    The run continues in the checkpoint's directory: metrics rows are
+    appended to its CSV, and its checkpoint and manifest are rewritten.
+    The combined stream is identical to an unsplit longer run with the same
     seed, on either kernel backend.  The dataset must be the one recorded
     in the run's manifest.  Returns the metrics CSV path.
     """
@@ -166,9 +167,7 @@ def resume_experiment(ckpt_path, extra_trials: int, out_dir=None) -> str:
     ds = prepare_dataset(cfg)
     _check_fingerprint(ckpt_path, cfg)
     _check_width(pop, ds)
-    if out_dir is None:
-        out_dir = os.path.dirname(os.path.abspath(ckpt_path))
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = os.path.dirname(os.path.abspath(ckpt_path))
 
     start = pop.trial
     target = start + extra_trials

@@ -10,20 +10,20 @@ self-adaptive mutation.  In ``global_ea`` mode every classifier matches
 every input, so evolution optimises a single global niche instead.
 
 The eight scalars of every rule (``err, fit, num, exp, set_size, ts, born,
-mtotal``) live in a ``RuleState`` table of one numpy column each.  A
-``Population`` owns one table, and row i of it belongs to
-``pop.members[i]``.  A match set is an array of positions in
-``pop.members``, which index the table directly: reinforcement hands the
-positions and the columns to the kernel, and the EA due-check, deletion
-votes and the population sums are array operations over table rows; a
-whole-population read is a ``[:len(pop.members)]`` view.  A rule reads
-and writes its own row through properties of the same names; outside a
-population (fresh from covering or reproduction, or after removal) it
-owns a private one-row table.  Membership changes only through
-``Population.add``, which copies the rule's row into the next table row,
-and ``Population.remove``, which copies it back out and moves the later
-rows up by one.  Neither a rule nor a table refers back to its population,
-so a population is freed by reference counting alone.
+mtotal``) live in a ``RuleState`` table of one numpy column each, exactly
+as long as the rows it holds.  A ``Population`` owns one table with one row
+per member, and row i of it belongs to ``pop.members[i]``.  A match set is
+an array of positions in ``pop.members``, which index the table directly:
+reinforcement hands the positions and the columns to the kernel, and the
+EA due-check, deletion votes and the population sums are array operations
+over whole columns.  A rule reads and writes its own row through
+properties of the same names; outside a population (fresh from covering or
+reproduction, or after removal) it owns a one-row table.  Membership
+changes only through ``Population.add``, which appends the rule's row to
+every column, and ``Population.remove``, which deletes it and hands the
+rule a copy; both replace the columns.  Neither a rule nor a table refers
+back to its population, so a population is freed by reference counting
+alone.
 """
 
 from __future__ import annotations
@@ -52,32 +52,21 @@ INT_SCALARS = frozenset(("num", "exp", "ts", "born", "mtotal"))
 
 
 class RuleState:
-    """One column per rule scalar, one row per rule.
+    """One numpy column per rule scalar, exactly as long as the rows it holds.
 
-    A population's table holds numpy columns; a rule outside a population
-    owns a one-row table of Python lists, which is cheaper to make.
+    ``columns`` gives each column's values in ``SCALARS`` order.  A
+    population's table has one row per member, and a rule outside a
+    population owns a one-row table.  ``Population.add`` and ``remove``
+    replace every column of the table with a longer or shorter array, so
+    nothing may keep a column across either of them.
     """
 
     __slots__ = SCALARS
 
-    def __init__(self, capacity: int):
-        for name in SCALARS:
-            setattr(self, name, np.zeros(capacity, np.int64 if name in INT_SCALARS
+    def __init__(self, columns):
+        for name, values in zip(SCALARS, columns):
+            setattr(self, name, np.array(values, np.int64 if name in INT_SCALARS
                                          else np.float64))
-
-    def grow(self, capacity: int) -> None:
-        for name in SCALARS:
-            old = getattr(self, name)
-            new = np.zeros(capacity, old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
-
-
-def _own_row(values) -> RuleState:
-    own = RuleState.__new__(RuleState)
-    for name, value in zip(SCALARS, values):
-        setattr(own, name, [value])
-    return own
 
 
 def _scalar(name: str, cast):
@@ -110,7 +99,8 @@ class Classifier:
                  ts: int, born: int, mtotal: int):
         self.condition = condition
         self.prediction = prediction
-        self._state = _own_row((err, fit, num, exp, set_size, ts, born, mtotal))
+        self._state = RuleState(([err], [fit], [num], [exp], [set_size], [ts], [born],
+                                 [mtotal]))
         self._row = 0
         # structure and rates are fixed after construction, so each net's
         # kernel argument tuple is cached for the per-trial loops
@@ -122,52 +112,50 @@ class Population:
     """The rules of one learner and the state table their scalars live in.
 
     ``members`` lists the rules in insertion order, and row i of ``state``
-    is the row of ``members[i]``; the rows past ``len(members)`` are spare
-    capacity.  A rule belongs to at most one population.
+    is the row of ``members[i]``; the table has no other rows.  A rule
+    belongs to at most one population.
     """
 
     def __init__(self, members=(), trial: int = 0):
-        members = list(members)
         self.trial = trial
-        self.members = []
-        self.state = RuleState(max(len(members), 1))
-        for cl in members:
-            self.add(cl)
+        self.members = list(members)
+        self.state = RuleState([getattr(cl._state, name)[cl._row] for cl in self.members]
+                               for name in SCALARS)
+        for i, cl in enumerate(self.members):
+            cl._state, cl._row = self.state, i
 
     def add(self, cl: Classifier) -> None:
-        """Append ``cl`` and move its scalars into the next table row."""
-        n = len(self.members)
-        state = self.state
-        if n == len(state.num):
-            state.grow(2 * n)
+        """Append ``cl`` and its row of scalars to the table."""
+        state, i = self.state, cl._row
         for name in SCALARS:
-            getattr(state, name)[n] = getattr(cl._state, name)[cl._row]
-        cl._state, cl._row = state, n
+            setattr(state, name, np.concatenate((getattr(state, name),
+                                                 getattr(cl._state, name)[i:i + 1])))
+        cl._state, cl._row = state, len(self.members)
         self.members.append(cl)
 
     def remove(self, cl: Classifier) -> None:
-        """Drop ``cl``, which takes its scalars back into a private row; the
-        rows of the later members move up by one."""
+        """Drop ``cl`` and its row, which it takes into a one-row table of its
+        own; the later members move up by one row."""
         state, i = self.state, cl._row
-        if cl._state is not state or self.members[i] is not cl:
+        members = self.members
+        if cl._state is not state or i >= len(members) or members[i] is not cl:
             raise ValueError("the rule is not a member of this population")
-        n = len(self.members)
-        cl._state = _own_row(getattr(state, name)[i] for name in SCALARS)
+        cl._state = RuleState(getattr(state, name)[i:i + 1] for name in SCALARS)
         cl._row = 0
         for name in SCALARS:
             col = getattr(state, name)
-            col[i:n - 1] = col[i + 1:n]
-        del self.members[i]
-        for later in self.members[i:]:
+            setattr(state, name, np.concatenate((col[:i], col[i + 1:])))
+        del members[i]
+        for later in members[i:]:
             later._row -= 1
 
     def micro_count(self) -> int:
-        return int(self.state.num[:len(self.members)].sum())
+        return int(self.state.num.sum())
 
     def mean_fitness(self) -> float:
         """Mean fitness per micro-classifier."""
         # a Python sum in member order, as a rule-by-rule loop adds them
-        return sum(self.state.fit[:len(self.members)].tolist()) / self.micro_count()
+        return sum(self.state.fit.tolist()) / self.micro_count()
 
 
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
@@ -211,15 +199,15 @@ def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> np.ndarra
     return m
 
 
-def cover(x, cfg: ExperimentConfig, rng, trial: int,
-          max_tries: int = MAX_COVER_TRIES) -> Classifier:
+def cover(x, cfg: ExperimentConfig, rng, trial: int) -> Classifier:
     """Random classifier whose condition matches ``x``.
 
     Condition nets are resampled with sigma=1 (random weights and biases)
-    until one matches; the prediction net uses the standard initialisation.
+    until one matches, at most ``MAX_COVER_TRIES`` times; the prediction net
+    uses the standard initialisation.
     """
     n = len(x)
-    for _ in range(max_tries):
+    for _ in range(MAX_COVER_TRIES):
         condition = neural.new_network(n, cfg.h_I, 1, rng, sigma=1.0,
                                        random_biases=True, mu_min=cfg.mu_min)
         if cfg.global_ea or neural.forward(condition, x)[0] > cfg.match_threshold:
@@ -228,7 +216,7 @@ def cover(x, cfg: ExperimentConfig, rng, trial: int,
                               err=cfg.epsilon_I, fit=cfg.F_I, num=1, exp=0,
                               set_size=1.0, ts=trial, born=trial, mtotal=0)
     raise CoveringError(
-        f"covering failed to match the input after {max_tries} samples; "
+        f"covering failed to match the input after {MAX_COVER_TRIES} samples; "
         f"check match_threshold ({cfg.match_threshold})")
 
 
@@ -253,7 +241,7 @@ def _fitnesses(rules: list) -> np.ndarray:
     state = rules[0]._state if rules else None
     rows = [cl._row for cl in rules if cl._state is state]
     if rows and len(rows) == len(rules):
-        return np.asarray(state.fit, dtype=float)[rows]
+        return state.fit[rows]
     return np.array([cl.fit for cl in rules], dtype=float)
 
 
@@ -359,14 +347,11 @@ def deletion_votes(pop: Population, mean_f: float, cfg: ExperimentConfig) -> np.
     within the stale limit get an overriding maximal vote.
     """
     st = pop.state
-    n = len(pop.members)
-    num = st.num[:n]
-    votes = st.set_size[:n] * num
-    micro_fit = st.fit[:n] / num
-    boost = np.flatnonzero((st.exp[:n] > cfg.theta_del)
-                           & (micro_fit < cfg.delta * mean_f))
+    votes = st.set_size * st.num
+    micro_fit = st.fit / st.num
+    boost = np.flatnonzero((st.exp > cfg.theta_del) & (micro_fit < cfg.delta * mean_f))
     votes[boost] *= mean_f / micro_fit[boost]
-    votes[(st.mtotal[:n] == 0) & (pop.trial - st.born[:n] > cfg.stale_limit)] = STALE_VOTE
+    votes[(st.mtotal == 0) & (pop.trial - st.born > cfg.stale_limit)] = STALE_VOTE
     return votes
 
 
@@ -463,14 +448,13 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
         return float("nan"), float("nan")
     if not pop.members:
         return float("nan"), 0.0
-    n = len(pop.members)
     matched = _match_matrix(pop.members, xs, cfg)
-    msize = pop.state.num[:n] @ matched
+    msize = pop.state.num @ matched
     # a row that no rule matches is predicted by every rule
     matched[:, ~matched.any(axis=0)] = True
     acc = np.zeros_like(xs)
     fsum = np.zeros(rows)
-    for cl, fit, sel in zip(pop.members, pop.state.fit[:n].tolist(), matched):
+    for cl, fit, sel in zip(pop.members, pop.state.fit.tolist(), matched):
         count = int(sel.sum())
         if not count:
             continue

@@ -343,7 +343,7 @@ def _saved(change):
 
 def _every_rule(name, value):
     def change(pop):
-        getattr(pop.state, name)[:len(pop.members)] = value
+        getattr(pop.state, name)[:] = value
     return _saved(change)
 
 
@@ -356,9 +356,8 @@ def _first_rule(name, value):
 @_saved
 def _no_fitness_anywhere(pop):
     # unreinforced rules, so that the floor does not apply
-    n = len(pop.members)
-    pop.state.exp[:n] = 0
-    pop.state.fit[:n] = 0.0
+    pop.state.exp[:] = 0
+    pop.state.fit[:] = 0.0
 
 
 @_saved
@@ -366,9 +365,8 @@ def _no_fitness_but_on_the_last_rule(pop):
     # unreinforced rules of zero fitness: a row that only they match has a
     # fitness-weighted mean of 0 / 0, and the run used to resume with a
     # NaN train_mse
-    n = len(pop.members)
-    pop.state.exp[:n - 1] = 0
-    pop.state.fit[:n - 1] = 0.0
+    pop.state.exp[:-1] = 0
+    pop.state.fit[:-1] = 0.0
 
 
 @_saved

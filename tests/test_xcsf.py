@@ -103,10 +103,11 @@ def test_cover_initialises_bookkeeping(cfg):
     assert cl.ts == 17 and cl.born == 17
 
 
-def test_cover_raises_when_matching_is_impossible():
+def test_cover_raises_when_matching_is_impossible(monkeypatch):
+    monkeypatch.setattr(xcsf, "MAX_COVER_TRIES", 64)
     cfg = ExperimentConfig(match_threshold=1.0)  # logistic output never exceeds 1
     with pytest.raises(xcsf.CoveringError):
-        xcsf.cover(np.zeros(4), cfg, np.random.default_rng(3), trial=0, max_tries=64)
+        xcsf.cover(np.zeros(4), cfg, np.random.default_rng(3), trial=0)
 
 
 def test_fitness_weighted_mean_hand_case():
@@ -347,7 +348,7 @@ def test_a_subnormal_child_fitness_is_floored():
     pop = xcsf.init_population(cfg, 6, rng)
     for x in np.random.default_rng(13).random((200, 6)):
         xcsf.run_trial(pop, x, cfg, rng)
-    assert pop.state.fit[:len(pop.members)].min() >= xcsf._F_FLOOR
+    assert pop.state.fit.min() >= xcsf._F_FLOOR
     assert np.isfinite(xcsf.deletion_votes(pop, pop.mean_fitness(), cfg)).all()
 
 
@@ -704,7 +705,7 @@ def _evaluate_per_input(pop, xs, cfg):
     """Reference: ``evaluate`` with one prediction-net kernel call per input,
     adding the fitness-weighted outputs of the input's rules in member
     order."""
-    fits = pop.state.fit[:len(pop.members)].tolist()
+    fits = pop.state.fit.tolist()
     mses, sizes = [], []
     for x in xs:
         m = xcsf.match_set(pop, x, cfg).tolist()
@@ -913,8 +914,11 @@ def test_population_is_freed_by_reference_counting():
 def test_add_and_remove_keep_rows_aligned_and_reuse_them():
     rules = [make_classifier(n=2, seed=s, fit=0.1 * (s + 1), num=s + 1) for s in range(4)]
     pop = xcsf.Population(rules[:3])
+    ghost = copy.copy(rules[2])  # shares the table, and row 2 is about to go
     pop.remove(rules[1])
     assert pop.members == [rules[0], rules[2]]
+    with pytest.raises(ValueError):
+        pop.remove(ghost)
     # the removed rule keeps its scalars in a row of its own
     assert rules[1].fit == 0.2 and rules[1].num == 2
     rules[1].num = 5
@@ -924,9 +928,20 @@ def test_add_and_remove_keep_rows_aligned_and_reuse_them():
     assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
     # the later row moved up, and the adds took the next rows
     assert [cl._row for cl in pop.members] == list(range(4))
-    assert pop.state.num[:4].tolist() == [1, 3, 4, 5]
+    assert pop.state.num.tolist() == [1, 3, 4, 5]
     assert pop.micro_count() == 13
     assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.2) / 13
+
+
+def _assert_table_is_the_members_rows(pop):
+    # every column has one row per member, and a table built in one step
+    # from the members (copies, which leave them where they are) is the
+    # same as this one, built add by add
+    rebuilt = xcsf.Population([copy.copy(cl) for cl in pop.members]).state
+    for name in xcsf.SCALARS:
+        col, again = getattr(pop.state, name), getattr(rebuilt, name)
+        assert col.shape == (len(pop.members),), name
+        assert again.dtype == col.dtype and np.array_equal(again, col), name
 
 
 def _scalars(k):
@@ -939,6 +954,7 @@ def _scalars(k):
                     max_size=40))
 def test_random_adds_and_removes_match_a_list_model(ops):
     pop = xcsf.Population()
+    _assert_table_is_the_members_rows(pop)
     model = []  # (rule, its scalars) in member order
     removed = []
     stranger = make_classifier(n=2)
@@ -957,13 +973,13 @@ def test_random_adds_and_removes_match_a_list_model(ops):
             i = {"first": 0, "middle": len(model) // 2, "last": len(model) - 1}[op]
             pop.remove(model[i][0])
             removed.append(model.pop(i))
-        n = len(model)
         assert pop.members == [cl for cl, _ in model]
+        _assert_table_is_the_members_rows(pop)
         for i, (cl, values) in enumerate(model):
             assert cl._state is pop.state and cl._row == i
             assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
         nums = [values["num"] for _, values in model]
-        assert pop.state.num[:n].tolist() == nums
+        assert pop.state.num.tolist() == nums
         assert pop.micro_count() == sum(nums)
         if model:
             total = 0.0
