@@ -1,8 +1,11 @@
 /*
- * Compiled hot-path kernels.  Two entry points:
+ * Compiled hot-path kernels.  Three entry points:
  *
  *     forward_batch    the forward pass of many networks on one input or
  *                      on each input of a batch, with no update;
+ *     predict_batch    the fitness-weighted sums of the outputs of many
+ *                      networks on a batch of inputs, each input over the
+ *                      networks that match it, with no update;
  *     reinforce_batch  one trial's reinforcement of a match set: one fused
  *                      momentum-SGD step toward the input for every
  *                      prediction net, returning each net's pre-update output
@@ -14,7 +17,7 @@
  * the numpy twin ``_kernels_py``, which is its executable specification:
  * the twin performs the operations below in the same order, with libm's
  * exp and expm1, and gives the same bits.  Every network is one SELU
- * hidden layer plus one logistic output layer and reaches both entry points
+ * hidden layer plus one logistic output layer and reaches every entry point
  * as one 12-tuple
  *
  *     (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)
@@ -25,28 +28,32 @@
  *     b1, mb1         (h,)          b2, mb2         (n_out,)
  *
  * all float64 except the uint8 masks, native byte order, aligned and
- * C-contiguous, and float etas.  forward_batch reads only w1, b1, w2 and
- * b2.  The rule state reaches reinforce_batch as five 1-D columns of one
- * length, float64 err, fit and set_size and int64 num and exp, and the int64
- * positions of the match set's rows in them, one per net, distinct and in
- * range.  Every entry point checks what it reads, the tuple sizes, the
+ * C-contiguous, and float etas.  forward_batch and predict_batch read only
+ * w1, b1, w2 and b2.  predict_batch also takes a bool (nets, rows) match
+ * matrix and a float64 fitness per net, and adds into a float64 (rows, n_out)
+ * sum and a float64 (rows,) fitness total.  The rule state reaches
+ * reinforce_batch as five 1-D columns of one length, float64 err, fit and
+ * set_size and int64 num and exp, and the int64 positions of the match
+ * set's rows in them, one per net, distinct and in range.  Every entry point checks what it reads, the tuple sizes, the
  * positions and the writability of what it updates before any loop reads
  * the data: a wrong type, dtype or tuple size raises TypeError, a wrong
  * shape or layout, a read-only output or a bad position raises ValueError.
  *
  * Keep the order of every floating-point operation, and change the twin
  * with it: fixed seeds reproduce metrics.csv and population.ckpt byte for
- * byte on either backend.  Both entry points first compute the hidden
- * layer of every net of the batch, four hidden units at a time, each unit
- * its own sum in input order; reinforce_batch therefore reads every hidden
- * layer before it updates any net, and forward_batch takes a batch of inputs
- * one input at a time, so each output is the double a one-input call gives.
- * Each step then computes the outputs,
- * their gradients and squared errors (in one pass per output for a net with
- * one hidden unit), adds the hidden gradient in output order from the
- * pre-update w2, and updates w2, b2 and then the hidden layer element by
- * element.  Each net's error is the double
- * ``np.mean(np.square(y - x))`` gives: numpy's pairwise sum of the squares
+ * byte on either backend.  Every entry point computes the hidden layers of
+ * its nets for an input first, four hidden units at a time, each unit its
+ * own sum in input order, so each output is the double a one-net,
+ * one-input call gives: reinforce_batch reads every hidden layer before it
+ * updates any net, forward_batch takes a batch one input at a time, and
+ * predict_batch one net and one matched input at a time, net by net.
+ * predict_batch adds each rounded product fit * y to its row's sum, so every
+ * row adds its nets in list order.  Each reinforce step then computes the
+ * outputs, their gradients and squared errors (in one pass per output for a
+ * net with one hidden unit), adds the hidden gradient in output order from
+ * the pre-update w2, and updates w2, b2 and then the hidden layer element by
+ * element.  Each net's error is the double ``np.mean(np.square(y - x))``
+ * gives: numpy's pairwise sum of the squares
  * (eight partial sums up to 128 terms, halving above that at a multiple of
  * 8) divided by n.  After every step the XCS update runs in the order of
  * the twin's array update, which is that of the per-rule loop: libm ``pow``
@@ -319,7 +326,8 @@ array_data(PyObject *obj, const char *name, int type, npy_intp d0, npy_intp d1,
     if (!PyArray_Check(obj) || PyArray_TYPE(a) != type || !PyArray_ISNOTSWAPPED(a))
         return PyErr_Format(PyExc_TypeError, "%s must be a native %s array", name,
                             type == NPY_DOUBLE ? "float64"
-                            : type == NPY_UINT8 ? "uint8" : "int64");
+                            : type == NPY_UINT8 ? "uint8"
+                            : type == NPY_BOOL ? "bool" : "int64");
     if (!PyArray_IS_C_CONTIGUOUS(a) || !PyArray_ISALIGNED(a))
         return PyErr_Format(PyExc_ValueError, "%s must be aligned and C-contiguous", name);
     if (PyArray_NDIM(a) != ndim || (d0 >= 0 && PyArray_DIM(a, 0) != d0)
@@ -503,6 +511,60 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
+py_predict_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kw[] = {"nets", "x", "matched", "fit", "acc_out", "fsum_out", NULL};
+    PyObject *list, *xo, *mo, *fo, *ao, *so;
+    const double *x, *fit, **rows;
+    const npy_bool *matched;
+    double *acc, *fsum, *a1, *y, f;
+    npy_intp n, m, batch, n_out, total, i, r, q;
+    net_t *nets;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OOOOO:predict_batch", kw,
+                                     &PyList_Type, &list, &xo, &mo, &fo, &ao, &so))
+        return NULL;
+    m = PyList_GET_SIZE(list);
+    /* x is a batch of inputs (rows, n); the width of acc_out fixes every
+     * net's output width */
+    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1,
+                         PyArray_Check(xo) && PyArray_NDIM((PyArrayObject *)xo) == 2
+                         ? PyArray_DIM((PyArrayObject *)xo, 1) : 0, 0)))
+        return NULL;
+    batch = PyArray_DIM((PyArrayObject *)xo, 0);
+    n = PyArray_DIM((PyArrayObject *)xo, 1);
+    n_out = PyArray_Check(ao) && PyArray_NDIM((PyArrayObject *)ao) == 2
+            ? PyArray_DIM((PyArrayObject *)ao, 1) : 0;
+    if (!(matched = array_data(mo, "matched", NPY_BOOL, m, batch, 0))
+        || !(fit = array_data(fo, "fit", NPY_DOUBLE, m, -1, 0))
+        || !(acc = array_data(ao, "acc_out", NPY_DOUBLE, batch, n_out, 1))
+        || !(fsum = array_data(so, "fsum_out", NPY_DOUBLE, batch, -1, 1))
+        || !(nets = check_nets(list, 0, n, n_out, &total)))
+        return NULL;
+    /* one net's hidden activations at a time, then its outputs */
+    if (!(a1 = new_scratch(total + n_out, total, &rows))) {
+        PyMem_Free(nets);
+        return NULL;
+    }
+    y = a1 + total;
+    /* net by net, so every row adds its nets in list order */
+    for (i = 0; i < m; i++) {
+        f = fit[i];
+        for (r = 0; r < batch; r++) {
+            if (!matched[i * batch + r])
+                continue;
+            hidden_batch(&nets[i], 1, n, x + r * n, a1, rows);
+            output(&nets[i], y);
+            for (q = 0; q < n_out; q++)
+                acc[r * n_out + q] += f * y[q];
+            fsum[r] += f;
+        }
+    }
+    free_scratch(a1, rows, nets);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
 py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kw[] = {"preds", "x", "omega", "ys_out", "pos", "err", "fit",
@@ -559,6 +621,13 @@ static PyMethodDef methods[] = {
               "Forward pass of every net of ``nets`` on ``x``, one input (n,) or a\n"
               "batch (rows, n), with no update; row r * len(nets) + i of ``ys_out``\n"
               "receives net i's output for input r."),
+    KW_METHOD("predict_batch", py_predict_batch,
+              "predict_batch(nets, x, matched, fit, acc_out, fsum_out)\n--\n\n"
+              "Fitness-weighted sums of the outputs of ``nets`` on the inputs ``x``\n"
+              "(rows, n), with no update: for every row r that net i matches\n"
+              "(``matched[i, r]``), ``fit[i]`` times net i's output for input r is\n"
+              "added to row r of ``acc_out`` and ``fit[i]`` to ``fsum_out[r]``, the\n"
+              "nets of each row in list order."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
               "reinforce_batch(preds, x, omega, ys_out, pos, err, fit, num, set_size,\n"
               "                exp, beta, epsilon0, alpha, nu)\n--\n\n"

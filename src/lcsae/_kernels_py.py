@@ -1,25 +1,28 @@
 """Pure-numpy twin of the hot per-trial kernels, and the reference for them.
 
-Two entry points: ``forward_batch`` (the forward pass of many networks on
-one input or on each input of a batch, with no update) and
-``reinforce_batch`` (one trial's reinforcement of a match set: one
-momentum-SGD step toward the input for every prediction net, then the XCS
-update of each rule's error, fitness, set size and experience in the
-population's state columns).  Every network on the hot path has the
-same shape: one SELU hidden layer followed by a logistic output layer, all
-float64 C-contiguous arrays.  It reaches both entry points as one 12-tuple
-``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)``, of
-which ``forward_batch`` reads only w1, b1, w2 and b2.  This module is the
-executable specification of ``_kernels.c``, which is used when it imports:
-both backends give the same bits, because this one adds each C loop's
-terms one at a time, in C's order and from the same first value,
-groups each product as C does, and takes ``exp`` and ``expm1`` from libm
-through the math module (numpy's SIMD versions differ on some CPUs).  Like
-the compiled kernel, both entry points check the input and output arrays,
-and ``reinforce_batch`` the match-set positions and the state columns,
-before they write anything.  The module also holds the package's one
-definition of each activation and of the fitness floor, and imports
-nothing from the package.
+Three entry points: ``forward_batch`` (the forward pass of many networks
+on one input or on each input of a batch, with no update),
+``predict_batch`` (the fitness-weighted sums of the outputs of many
+networks on a batch of inputs, each input over the networks that match it,
+with no update) and ``reinforce_batch`` (one trial's reinforcement of a
+match set: one momentum-SGD step toward the input for every prediction
+net, then the XCS update of each rule's error, fitness, set size and
+experience in the population's state columns).  Every network on the hot
+path has the same shape: one SELU hidden layer followed by a logistic
+output layer, all float64 C-contiguous arrays.  It reaches every entry
+point as one 12-tuple ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2,
+mw2, mb2, eta2)``, of which ``forward_batch`` and ``predict_batch`` read
+only w1, b1, w2 and b2.  This module is the executable specification of
+``_kernels.c``, which is used when it imports: both backends give the same
+bits, because this one adds each C loop's terms one at a time, in C's
+order and from the same first value, groups each product as C does, and
+takes ``exp`` and ``expm1`` from libm through the math module (numpy's
+SIMD versions differ on some CPUs).  Like the compiled kernel, every entry
+point checks the input and output arrays, ``predict_batch`` the match
+matrix and the fitnesses, and ``reinforce_batch`` the match-set positions
+and the state columns, before they write anything.  The module also holds
+the package's one definition of each activation and of the fitness floor,
+and imports nothing from the package.
 """
 
 import itertools
@@ -134,6 +137,48 @@ def forward_batch(nets, x, ys_out):
     ys = _array(ys_out, "ys_out", np.float64, (len(xs) * m, n_out), True)
     for r, out, _ in _forward(nets, xs) if m else ():
         ys.reshape(len(xs), m, n_out)[r:r + len(out)] = out
+
+
+def _check_forward_nets(nets, n_in, n_out):
+    """The w1, b1, w2 and b2 of every 12-tuple of ``nets``, checked as the
+    compiled kernel checks a net for a forward pass."""
+    for i, net in enumerate(nets):
+        if not isinstance(net, tuple) or len(net) != 12:
+            raise TypeError(f"item {i} must be a 12-tuple")
+        h = len(_array(net[0], "w1", np.float64, (None, n_in)))
+        _array(net[6], "w2", np.float64, (n_out, h))
+        _array(net[1], "b1", np.float64, (h,))
+        _array(net[7], "b2", np.float64, (n_out,))
+
+
+def predict_batch(nets, x, matched, fit, acc_out, fsum_out):
+    """Fitness-weighted sums of the outputs of many networks on the inputs
+    ``x (rows, n)``, with no update: for every row r that net i matches
+    (``matched[i, r]``, a bool ``(len(nets), rows)`` matrix), ``fit[i]``
+    times net i's output for input r is added to row r of ``acc_out (rows,
+    n_out)`` and ``fit[i]`` to ``fsum_out[r]``.  Each row adds its nets in
+    list order, one rounded product at a time, and each output is the
+    double ``forward_batch`` gives.  Every argument is checked as the
+    compiled kernel checks it before anything is written.
+    """
+    m = len(nets)
+    xs = _array(x, "x", np.float64, (None, None))
+    _array(matched, "matched", np.bool_, (m, len(xs)))
+    _array(fit, "fit", np.float64, (m,))
+    n_out = acc_out.shape[1] if isinstance(acc_out, np.ndarray) and acc_out.ndim == 2 else 0
+    _array(acc_out, "acc_out", np.float64, (len(xs), n_out), True)
+    _array(fsum_out, "fsum_out", np.float64, (len(xs),), True)
+    _check_forward_nets(nets, xs.shape[1], n_out)
+    for net, f, sel in zip(nets, fit.tolist(), matched):
+        count = int(sel.sum())
+        if not count:
+            continue
+        # a net that matches every row reads x itself, without a copy
+        sel = slice(None) if count == len(xs) else sel
+        ys = np.empty((count, n_out))
+        forward_batch([net], xs[sel], ys)
+        acc_out[sel] += np.multiply(f, ys, out=ys)
+        fsum_out[sel] += f
 
 
 def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,

@@ -182,6 +182,12 @@ def population_from_bytes(data: bytes):
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
 
 
+def _rule_slices(col, sizes) -> list:
+    """A copy of each consecutive slice of ``col`` with the given sizes."""
+    ends = list(accumulate(sizes))
+    return [col[start:end].copy() for start, end in zip([0] + ends, ends)]
+
+
 def _population_from_header(header: dict, payload):
     trial, rules, n = header["trial"], header["rules"], header["inputs"]
     for key, v in (("trial", trial), ("rules", rules), ("inputs", n)):
@@ -226,9 +232,10 @@ def _population_from_header(header: dict, payload):
         cols = {field: column(dtype, sum(size[field]))
                 for field, dtype in _LAYER_DTYPES.items()}
         _check_layer(name, cols, cfg.mu_min)
-        # a native-endian copy per rule, so no layer keeps a column alive
-        cuts.append({field: [piece.astype(col.dtype.newbyteorder("=")) for piece in
-                             np.split(col, list(accumulate(size[field]))[:-1])]
+        # a copy of each rule's slice, so no layer keeps a column alive; the
+        # native-endian column is the payload itself on a little-endian host
+        cuts.append({field: _rule_slices(col.astype(col.dtype.newbyteorder("="), copy=False),
+                                         size[field])
                      for field, col in cols.items()})
     scalars = {name: col.tolist() for name, col in state.items()}
     etas = eta.tolist()

@@ -83,7 +83,8 @@ class Layer:
         return self.weights.shape[0]
 
     def active_weights(self) -> int:
-        return int(self.mask.sum())
+        # a mask holds only 0 and 1, so its nonzero count is its sum
+        return int(np.count_nonzero(self.mask))
 
     def copy(self) -> "Layer":
         """Deep copy with zeroed momentum (reproduction semantics)."""

@@ -419,17 +419,20 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
 
 # ---------------------------------------------------------------------------
 # batched no-update evaluation (validation passes, best-rule search), on
-# ``kernels.forward_batch`` over a batch of inputs: every output is the
-# double the trial path and ``reconstruct`` compute for the same input
+# ``kernels.forward_batch`` and ``kernels.predict_batch`` over a batch of
+# inputs: every output is the double the trial path and ``reconstruct``
+# compute for the same input
 
 def _match_matrix(rules: list, xs: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """Boolean (rules, rows) matrix: whether each rule matches each row of
-    ``xs``, a C-contiguous float64 batch (every one in global_ea mode)."""
+    """C-contiguous boolean (rules, rows) matrix: whether each rule matches
+    each row of ``xs``, a C-contiguous float64 batch (every one in global_ea
+    mode)."""
     if cfg.global_ea:
         return np.ones((len(rules), xs.shape[0]), dtype=bool)
     ys = np.empty((xs.shape[0] * len(rules), 1))
     kernels.forward_batch([cl.cond_args for cl in rules], xs, ys)
-    return ys.reshape(xs.shape[0], len(rules)).T > cfg.match_threshold
+    return np.greater(ys.reshape(xs.shape[0], len(rules)).T, cfg.match_threshold,
+                      order="C")
 
 
 def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
@@ -439,8 +442,8 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     fall back to the fitness-weighted prediction of the whole population
     and count a match-set size of zero; an empty population predicts
     nothing, so its error is NaN.  Each row's prediction adds the matching
-    rules' fitness-weighted outputs in member order, one kernel call per
-    rule over the rows it matches.
+    rules' fitness-weighted outputs in member order, all in one
+    ``predict_batch`` call.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     rows = xs.shape[0]
@@ -454,16 +457,8 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     matched[:, ~matched.any(axis=0)] = True
     acc = np.zeros_like(xs)
     fsum = np.zeros(rows)
-    for cl, fit, sel in zip(pop.members, pop.state.fit.tolist(), matched):
-        count = int(sel.sum())
-        if not count:
-            continue
-        # a rule that matches every row reads xs itself, without a copy
-        sel = slice(None) if count == rows else sel
-        ys = np.empty((count, xs.shape[1]))
-        kernels.forward_batch([cl.pred_args], xs[sel], ys)
-        acc[sel] += np.multiply(fit, ys, out=ys)
-        fsum[sel] += fit
+    kernels.predict_batch([cl.pred_args for cl in pop.members], xs, matched,
+                          pop.state.fit, acc, fsum)
     preds = acc / fsum[:, None]
     mses = np.mean((preds - xs) ** 2, axis=1)
     return float(mses.mean()), float(msize.mean())

@@ -177,7 +177,9 @@ def test_a_version_1_checkpoint_is_refused_by_its_version():
 
 def test_loaded_layers_own_their_memory():
     pop, rng = _sample_population()
-    again = population_from_bytes(population_to_bytes(pop, ExperimentConfig(), rng))[0]
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    again = population_from_bytes(blob)[0]
+    loaded = []
     for cl in again.members:
         for layer in cl.condition.layers + cl.prediction.layers:
             for arr in (layer.weights, layer.biases, layer.mask, layer.mu,
@@ -186,6 +188,13 @@ def test_loaded_layers_own_their_memory():
                 owner = arr if arr.base is None else arr.base
                 assert owner.flags.owndata and owner.size == arr.size
                 assert arr.flags.writeable
+                loaded.append(arr)
+    # no array reads the checkpoint's bytes or another array's memory
+    payload = np.frombuffer(blob, np.uint8)
+    loaded += [getattr(again.state, name) for name in xcsf.SCALARS]
+    for i, arr in enumerate(loaded):
+        assert not np.may_share_memory(arr, payload)
+        assert not any(np.may_share_memory(arr, other) for other in loaded[i + 1:])
 
 
 def _with_hidden_size(blob, value):

@@ -129,6 +129,97 @@ def test_bad_batched_forwards_leave_ys_out_untouched(cy):
         assert np.all(ys == 7.0)
 
 
+def _predict_reference(nets, xs, matched, fit, acc, fsum):
+    """``predict_batch`` as a loop over rows and their nets in list order,
+    each output from a one-net, one-input ``forward_batch`` call."""
+    y = np.empty((1, acc.shape[1]))
+    for r, x in enumerate(xs):
+        for net, f, match in zip(nets, fit.tolist(), matched[:, r]):
+            if match:
+                _kernels_py.forward_batch([net], x, y)
+                acc[r] = acc[r] + f * y[0]
+                fsum[r] += f
+    return acc, fsum
+
+
+def test_predict_batch_parity(cy):
+    # every row adds f * y of its matching nets in list order: the same bytes
+    # on both backends and as a loop of one-input calls; hidden sizes 1-5,
+    # row counts off a multiple of four, a net that matches no row and a row
+    # that every net matches; the sums start from what the outputs hold
+    rng = np.random.default_rng(21)
+    for n_in in (1, 3, 8, 64, 784):
+        for n_out in (1, n_in):
+            nets = [_args(*_random_net(rng, n_in, h, n_out)) for h in (1, 4, 2, 3, 5, 1)]
+            m = len(nets)
+            fit = rng.random(m) + 0.01
+            for rows in (0, 1, 3, 5, 7):
+                xs = rng.random((rows, n_in))
+                no_row = rng.random((m, rows)) < 0.6
+                no_row[m // 2] = False
+                every_net = rng.random((m, rows)) < 0.6
+                every_net[:, rows // 2:rows // 2 + 1] = True
+                start = rng.random((rows, n_out)), rng.random(rows)
+                for matched in (no_row, every_net):
+                    out = []
+                    for mod in (_kernels_py, cy):
+                        acc, fsum = start[0].copy(), start[1].copy()
+                        mod.predict_batch(nets, xs, matched, fit, acc, fsum)
+                        out.append((acc.tobytes(), fsum.tobytes()))
+                    assert out[0] == out[1], (n_in, n_out, rows)
+                    acc, fsum = _predict_reference(nets, xs, matched, fit, start[0].copy(),
+                                                   start[1].copy())
+                    assert out[1] == (acc.tobytes(), fsum.tobytes()), (n_in, n_out, rows)
+
+
+def test_bad_predict_batches_leave_the_outputs_untouched(cy):
+    rng = np.random.default_rng(23)
+    good = _pred(rng, 4, h=2)
+    nets = [good, _pred(rng, 4, h=1)]
+    xs, fit = rng.random((3, 4)), np.array([0.25, 0.5])
+    matched = np.array([[True, False, True], [True, True, False]])
+
+    def read_only(a):
+        a.flags.writeable = False
+        return a
+
+    # (exception, message, argument, bad value)
+    bad_calls = [
+        (TypeError, "must be list", "nets", tuple(nets)),
+        (TypeError, "item 1 must be a 12-tuple", "nets", [good, good[:11]]),
+        (ValueError, "b2 has the wrong shape", "nets",
+         [good, good[:7] + (np.zeros(3),) + good[8:]]),
+        (ValueError, "w1 has the wrong shape", "nets", [good, _pred(rng, 5)]),
+        (ValueError, "x has the wrong shape", "x", xs[0]),
+        (TypeError, "x must be a native float64 array", "x", xs.astype(np.float32)),
+        (TypeError, "matched must be a native bool array", "matched",
+         matched.astype(np.uint8)),
+        (ValueError, "matched must be aligned and C-contiguous", "matched",
+         np.asfortranarray(matched)),
+        (ValueError, "matched has the wrong shape", "matched", matched[:1].copy()),
+        (ValueError, "matched has the wrong shape", "matched", matched.T.copy()),
+        (ValueError, "fit has the wrong shape", "fit", fit[:1].copy()),
+        (TypeError, "fit must be a native float64 array", "fit", [0.25, 0.5]),
+        (ValueError, "acc_out must be writable", "acc_out", read_only(np.full((3, 4), 7.0))),
+        # the width of acc_out fixes every net's output width
+        (ValueError, "w2 has the wrong shape", "acc_out", np.full((3, 5), 7.0)),
+        (ValueError, "acc_out has the wrong shape", "acc_out", np.full((2, 4), 7.0)),
+        (ValueError, "fsum_out must be writable", "fsum_out", read_only(np.full(3, 7.0))),
+        (ValueError, "fsum_out has the wrong shape", "fsum_out", np.full(4, 7.0)),
+    ]
+    for mod in (_kernels_py, cy):
+        for exc, msg, name, bad in bad_calls:
+            args = dict(nets=nets, x=xs, matched=matched, fit=fit,
+                        acc_out=np.full((3, 4), 7.0), fsum_out=np.full(3, 7.0))
+            if name == "nets" and mod is _kernels_py and isinstance(bad, tuple):
+                continue  # only the compiled argument parser types the list
+            args[name] = bad
+            with pytest.raises(exc, match=msg):
+                mod.predict_batch(**args)
+            assert np.all(args["acc_out"] == 7.0), (mod, msg)
+            assert np.all(args["fsum_out"] == 7.0), (mod, msg)
+
+
 def test_single_net_reinforce_parity_over_many_steps(cy):
     rng = np.random.default_rng(1)
     n, h = 6, 3
@@ -309,7 +400,7 @@ def _public_functions(module):
 
 
 def test_backends_export_the_same_kernels(cy):
-    expected = {"forward_batch", "reinforce_batch"}
+    expected = {"forward_batch", "predict_batch", "reinforce_batch"}
     assert _public_functions(cy) == expected
     # the twin also holds the package's activations
     assert _public_functions(_kernels_py) - {"selu", "logistic"} == expected
@@ -529,7 +620,7 @@ def test_good_rule_arguments_update_only_their_rows(cy):
 
 def test_backends_take_the_same_parameters(cy):
     # the compiled signatures come from the text signatures of the docstrings
-    for name in ("forward_batch", "reinforce_batch"):
+    for name in ("forward_batch", "predict_batch", "reinforce_batch"):
         compiled = list(inspect.signature(getattr(cy, name)).parameters)
         assert list(inspect.signature(getattr(_kernels_py, name)).parameters) == compiled
         # perfbench's tracer reads the nets and x as the first two arguments

@@ -663,6 +663,7 @@ def _use_backend(backend, request, monkeypatch):
     """Route every kernel call through the numpy twin or the compiled module."""
     impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
     monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
+    monkeypatch.setattr(kernels, "predict_batch", impl.predict_batch)
     monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
 
 
@@ -687,6 +688,8 @@ def test_match_matrix_columns_are_the_match_sets(backend, request, monkeypatch):
     xs = np.random.default_rng(38).random((12, 64))
     matched = xcsf._match_matrix(pop.members, xs, ExperimentConfig())
     assert 0 < matched.sum() < matched.size
+    # the layout predict_batch takes
+    assert matched.flags.c_contiguous
     # thresholds at a rule's output on a row, and one ulp below it: the
     # batched pass must give that rule the bits of the one-input pass, or
     # the row matches at the first or fails to match at the second
