@@ -8,10 +8,10 @@
  *                      networks that match it, with no update;
  *     reinforce_batch  one trial's reinforcement of a match set: one fused
  *                      momentum-SGD step toward the input for every
- *                      prediction net, returning each net's pre-update output
- *                      and its mean squared error, then the XCS update of
- *                      each rule's error, fitness, set size and experience
- *                      in the population's state columns.
+ *                      prediction net, returning each net's pre-update
+ *                      output, then the XCS update of each rule's error,
+ *                      fitness, set size and experience in the population's
+ *                      state columns from the net's mean squared error.
  *
  * A hand-written CPython extension with the functions and signatures of
  * the numpy twin ``_kernels_py``, which is its executable specification:
@@ -47,6 +47,10 @@
  * one-input call gives: reinforce_batch reads every hidden layer before it
  * updates any net, forward_batch takes a batch one input at a time, and
  * predict_batch one net and one matched input at a time, net by net.
+ * A no-update output adds the products of w2 and the hidden activations to
+ * b2 in hidden order; for a net with one hidden unit it is one pass per
+ * output, b2 + w2 * a1, which rounds the product once and the sum once as
+ * that sum does, so both give the same double.
  * predict_batch adds each rounded product fit * y to its row's sum, so every
  * row adds its nets in list order.  Each reinforce step then computes the
  * outputs, their gradients and squared errors (in one pass per output for a
@@ -155,7 +159,10 @@ hidden_batch(net_t *nets, npy_intp m, npy_intp n_in, const double *x,
     }
 }
 
-/* The logistic outputs of a net whose hidden activations are in `a1`. */
+/* The logistic outputs of a net whose hidden activations are in `a1`.  A
+ * net with one hidden unit takes one pass per output, as fused_sgd does:
+ * b2 + w2 * a1 rounds the product once and the sum once, as the general
+ * loop does, so both give the same double. */
 static void
 output(const net_t *p, double *y)
 {
@@ -163,6 +170,11 @@ output(const net_t *p, double *y)
     npy_intp h = p->h, i, j;
     double z;
 
+    if (h == 1) {
+        for (i = 0; i < p->n_out; i++)
+            y[i] = logistic(b2[i] + w2[i] * a1[0]);
+        return;
+    }
     for (i = 0; i < p->n_out; i++) {
         z = b2[i];
         for (j = 0; j < h; j++)

@@ -84,7 +84,7 @@ def test_batched_forward_parity_and_batch_invariance(cy):
     rng = np.random.default_rng(19)
     for n_in in (1, 3, 8, 64, 784):
         for n_out in (1, n_in):
-            nets = [_args(*_random_net(rng, n_in, h, n_out)) for h in (1, 4, 2, 3, 5)]
+            nets = [_args(*_random_net(rng, n_in, h, n_out)) for h in (1, 4, 2, 3, 5, 12)]
             m = len(nets)
             for rows in (0, 1, 2, 5):
                 xs = rng.random((rows, n_in))
@@ -144,13 +144,14 @@ def _predict_reference(nets, xs, matched, fit, acc, fsum):
 
 def test_predict_batch_parity(cy):
     # every row adds f * y of its matching nets in list order: the same bytes
-    # on both backends and as a loop of one-input calls; hidden sizes 1-5,
-    # row counts off a multiple of four, a net that matches no row and a row
+    # on both backends and as a loop of one-input calls; hidden sizes 1-5 and
+    # 12, row counts off a multiple of four, a net that matches no row and a row
     # that every net matches; the sums start from what the outputs hold
     rng = np.random.default_rng(21)
     for n_in in (1, 3, 8, 64, 784):
         for n_out in (1, n_in):
-            nets = [_args(*_random_net(rng, n_in, h, n_out)) for h in (1, 4, 2, 3, 5, 1)]
+            nets = [_args(*_random_net(rng, n_in, h, n_out))
+                    for h in (1, 4, 2, 3, 5, 1, 12)]
             m = len(nets)
             fit = rng.random(m) + 0.01
             for rows in (0, 1, 3, 5, 7):
@@ -330,10 +331,21 @@ def test_activations_at_the_edges_are_bit_for_bit(cy):
     # -0.0 into the other layer keeps the chosen value, signed zeros too
     values = [(v, -0.0) for v in hidden] + [(-0.0, v) for v in output]
     x = np.array([-1.0])
+    edge_nets = [_edge_net(*v) for v in values]
     ys = [np.full((len(values), 1), 7.0) for _ in range(2)]
     for mod, y in zip((_kernels_py, cy), ys):
-        mod.forward_batch([_edge_net(*v) for v in values], x, y)
+        mod.forward_batch(edge_nets, x, y)
     assert ys[0].tobytes() == ys[1].tobytes()
+    # the same nets through predict_batch, on one row that every net matches
+    # with fit 1.0 and sums from 0: all nets in one call, and each on its own
+    for nets in [edge_nets] + [[net] for net in edge_nets]:
+        sums = []
+        for mod in (_kernels_py, cy):
+            acc, fsum = np.zeros((1, 1)), np.zeros(1)
+            mod.predict_batch(nets, x[None], np.ones((len(nets), 1), bool),
+                              np.ones(len(nets)), acc, fsum)
+            sums.append((acc.tobytes(), fsum.tobytes()))
+        assert sums[0] == sums[1]
     # a training step, from the finite values, which need no NaN arithmetic;
     # the output of the last net saturates, so its hidden gradient is the
     # sum of one -0.0, which starts from +0.0 as in C
