@@ -8,10 +8,11 @@
  *                      networks that match it, with no update;
  *     reinforce_batch  one trial's reinforcement of a match set: one fused
  *                      momentum-SGD step toward the input for every
- *                      prediction net, returning each net's pre-update
- *                      output, then the XCS update of each rule's error,
- *                      fitness, set size and experience in the population's
- *                      state columns from the net's mean squared error.
+ *                      prediction net, returning the fitness-weighted mean
+ *                      of the nets' pre-update outputs, then the XCS update
+ *                      of each rule's error, fitness, set size and
+ *                      experience in the population's state columns from
+ *                      the net's mean squared error.
  *
  * A hand-written CPython extension with the functions and signatures of
  * the numpy twin ``_kernels_py``, which is its executable specification:
@@ -34,10 +35,12 @@
  * sum and a float64 (rows,) fitness total.  The rule state reaches
  * reinforce_batch as five 1-D columns of one length, float64 err, fit and
  * set_size and int64 num and exp, and the int64 positions of the match
- * set's rows in them, one per net, distinct and in range.  Every entry point checks what it reads, the tuple sizes, the
- * positions and the writability of what it updates before any loop reads
- * the data: a wrong type, dtype or tuple size raises TypeError, a wrong
- * shape or layout, a read-only output or a bad position raises ValueError.
+ * set's rows in them, one per net, distinct and in range; its output is one
+ * float64 (n,) row.  Every entry point checks what it reads, the tuple
+ * sizes, the positions and the writability of what it updates before any
+ * loop reads the data or any output is written: a wrong type, dtype or
+ * tuple size raises TypeError, a wrong shape or layout, a read-only output
+ * or a bad position raises ValueError.
  *
  * Keep the order of every floating-point operation, and change the twin
  * with it: fixed seeds reproduce metrics.csv and population.ckpt byte for
@@ -52,7 +55,12 @@
  * output, b2 + w2 * a1, which rounds the product once and the sum once as
  * that sum does, so both give the same double.
  * predict_batch adds each rounded product fit * y to its row's sum, so every
- * row adds its nets in list order.  Each reinforce step then computes the
+ * row adds its nets in list order.  reinforce_batch forms its output the
+ * same way: after each net's step it adds fit * y, with the rule's fitness
+ * from before the XCS update, to a sum from 0.0 and fit to a total from
+ * 0.0, net by net, and divides the sum by the total at the end, so its
+ * output is the double predict_batch and a division give for the same nets
+ * and input (0.0 / 0.0, NaN, for no nets).  Each reinforce step computes the
  * outputs, their gradients and squared errors (in one pass per output for a
  * net with one hidden unit), adds the hidden gradient in output order from
  * the pre-update w2, and updates w2, b2 and then the hidden layer element by
@@ -579,19 +587,19 @@ py_predict_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyObject *
 py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kw[] = {"preds", "x", "omega", "ys_out", "pos", "err", "fit",
+    static char *kw[] = {"preds", "x", "omega", "out", "pos", "err", "fit",
                          "num", "set_size", "exp", "beta", "epsilon0", "alpha",
                          "nu", NULL};
-    PyObject *preds, *xo, *yo, *po, *cols[5];
+    PyObject *preds, *xo, *oo, *po, *cols[5];
     const double *x, **rows;
-    double omega, *ys, *mse, *a1;
-    npy_intp n, m, total, i;
+    double omega, *out, *mse, *a1, *y, f, fsum = 0.0;
+    npy_intp n, m, total, i, q;
     net_t *nets;
     rules_t r;
 
     if (!PyArg_ParseTupleAndKeywords(
             args, kwargs, "O!OdOOOOOOOdddd:reinforce_batch", kw, &PyList_Type,
-            &preds, &xo, &omega, &yo, &po, &cols[0], &cols[1], &cols[2],
+            &preds, &xo, &omega, &oo, &po, &cols[0], &cols[1], &cols[2],
             &cols[3], &cols[4], &r.beta, &r.epsilon0, &r.alpha, &r.nu))
         return NULL;
     m = PyList_GET_SIZE(preds);
@@ -599,27 +607,38 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         return NULL;
     n = PyArray_DIM((PyArrayObject *)xo, 0);
     /* every net reconstructs its n inputs */
-    if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m, n, 1))
+    if (!(out = array_data(oo, "out", NPY_DOUBLE, n, -1, 1))
         || !(nets = check_nets(preds, 1, n, n, &total)))
         return NULL;
     if (check_rules(cols, po, m, &r) < 0) {
         PyMem_Free(nets);
         return NULL;
     }
-    /* the hidden activations of every net, then g and sq (n each), e1 (no
-     * longer than the hidden total), the errors and the weighted accuracies
-     * (m each) */
-    if (!(a1 = new_scratch(2 * total + 2 * n + 2 * m, total, &rows))) {
+    /* the hidden activations of every net, then g, sq and y (n each), e1
+     * (no longer than the hidden total), the errors and the weighted
+     * accuracies (m each) */
+    if (!(a1 = new_scratch(2 * total + 3 * n + 2 * m, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
     }
-    mse = a1 + 2 * total + 2 * n;
+    y = a1 + 2 * total + 2 * n;
+    mse = y + n;
+    for (q = 0; q < n; q++)
+        out[q] = 0.0;
     /* every hidden layer is computed before any net is updated */
     hidden_batch(nets, m, n, x, a1, rows);
-    for (i = 0; i < m; i++)
-        mse[i] = fused_sgd(&nets[i], omega, n, x, ys + i * n, a1 + total,
+    for (i = 0; i < m; i++) {
+        mse[i] = fused_sgd(&nets[i], omega, n, x, y, a1 + total,
                            a1 + total + n, a1 + total + 2 * n);
+        /* the rule's fitness before its XCS update weighs its output */
+        f = r.fit[r.pos[i]];
+        for (q = 0; q < n; q++)
+            out[q] += f * y[q];
+        fsum += f;
+    }
     xcs_update(&r, m, mse, mse + m);
+    for (q = 0; q < n; q++)
+        out[q] /= fsum;
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
@@ -641,13 +660,14 @@ static PyMethodDef methods[] = {
               "added to row r of ``acc_out`` and ``fit[i]`` to ``fsum_out[r]``, the\n"
               "nets of each row in list order."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
-              "reinforce_batch(preds, x, omega, ys_out, pos, err, fit, num, set_size,\n"
+              "reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size,\n"
               "                exp, beta, epsilon0, alpha, nu)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"
-              "``preds``, then the XCS update of their rules: row i of ``ys_out``\n"
-              "receives net i's pre-update output, and row ``pos[i]`` of the state\n"
-              "columns ``err``, ``fit``, ``set_size`` and ``exp`` is updated from\n"
-              "its mean squared error from ``x``."),
+              "``preds``, then the XCS update of their rules: ``out`` receives the\n"
+              "mean of the nets' pre-update outputs weighted by ``fit[pos[i]]``\n"
+              "before the update, added in list order, and row ``pos[i]`` of the\n"
+              "state columns ``err``, ``fit``, ``set_size`` and ``exp`` is updated\n"
+              "from net i's mean squared error from ``x``."),
     {NULL, NULL, 0, NULL},
 };
 

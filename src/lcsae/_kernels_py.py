@@ -6,23 +6,24 @@ on one input or on each input of a batch, with no update),
 networks on a batch of inputs, each input over the networks that match it,
 with no update) and ``reinforce_batch`` (one trial's reinforcement of a
 match set: one momentum-SGD step toward the input for every prediction
-net, then the XCS update of each rule's error, fitness, set size and
-experience in the population's state columns).  Every network on the hot
-path has the same shape: one SELU hidden layer followed by a logistic
-output layer, all float64 C-contiguous arrays.  It reaches every entry
-point as one 12-tuple ``(w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2,
-mw2, mb2, eta2)``, of which ``forward_batch`` and ``predict_batch`` read
-only w1, b1, w2 and b2.  This module is the executable specification of
-``_kernels.c``, which is used when it imports: both backends give the same
-bits, because this one adds each C loop's terms one at a time, in C's
-order and from the same first value, groups each product as C does, and
-takes ``exp`` and ``expm1`` from libm through the math module (numpy's
-SIMD versions differ on some CPUs).  Like the compiled kernel, every entry
-point checks the input and output arrays, ``predict_batch`` the match
-matrix and the fitnesses, and ``reinforce_batch`` the match-set positions
-and the state columns, before they write anything.  The module also holds
-the package's one definition of each activation and of the fitness floor,
-and imports nothing from the package.
+net, whose fitness-weighted mean output it returns, then the XCS update of
+each rule's error, fitness, set size and experience in the population's
+state columns).  Every network on the hot path has the same shape: one
+SELU hidden layer followed by a logistic output layer, all float64
+C-contiguous arrays.  It reaches every entry point as one 12-tuple ``(w1,
+b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)``, of which
+``forward_batch`` and ``predict_batch`` read only w1, b1, w2 and b2.  This
+module is the executable specification of ``_kernels.c``, which is used
+when it imports: both backends give the same bits, because this one adds
+each C loop's terms one at a time, in C's order and from the same first
+value, groups each product as C does, and takes ``exp`` and ``expm1`` from
+libm through the math module (numpy's SIMD versions differ on some CPUs).
+Like the compiled kernel, every entry point checks the input and output
+arrays, ``predict_batch`` the match matrix and the fitnesses, and
+``reinforce_batch`` the match-set positions and the state columns, before
+they write anything.  The module also holds the package's one definition
+of each activation and of the fitness floor, and imports nothing from the
+package.
 """
 
 import itertools
@@ -241,46 +242,49 @@ def _relative_accuracies(kappas, nums):
     return weighted / weighted.sum()
 
 
-def reinforce_batch(preds, x, omega, ys_out, pos, err, fit, num, set_size, exp,
+def reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size, exp,
                     beta, epsilon0, alpha, nu):
     """One trial's reinforcement of a match set.
 
     First one momentum-SGD step on the MSE toward ``x`` for every net of
     ``preds``, which holds (w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2,
-    mw2, mb2, eta2) tuples: row i of ``ys_out`` receives classifier i's
-    pre-update reconstruction.  Every hidden layer is computed before any
-    net is updated, as in the compiled kernel.
+    mw2, mb2, eta2) tuples: ``out`` receives their pre-update outputs ``y``
+    weighted by ``fit[pos]`` before the update as ``predict_batch`` adds
+    them, divided by the fitness total (0.0 / 0.0 for no nets).  Every
+    hidden layer is computed before any net is updated, as in C.
 
     Then the XCS update (Butz & Wilson 2002) of classifier i's row
     ``pos[i]`` of the state columns ``err``, ``fit``, ``num``, ``set_size``
     and ``exp``, as array operations in the order of the per-rule loop, so
     every result is the double a rule-by-rule loop gives: the error moves
-    by ``beta`` toward the net's mean squared error from ``x``,
-    ``np.mean(np.square(ys_out[i] - x))`` (numpy's pairwise sum of the
-    squares, divided by the width), the fitness toward the rule's
-    numerosity-weighted relative accuracy (never below ``F_FLOOR``), the
-    set size toward the match set's micro count, and the experience grows
-    by one.  ``num`` is only read.
+    by ``beta`` toward net i's ``np.mean(np.square(y - x))`` (numpy's
+    pairwise sum of the squares, divided by the width), the fitness toward
+    the rule's numerosity-weighted relative accuracy (never below
+    ``F_FLOOR``), the set size toward the match set's micro count, and the
+    experience grows by one.  ``num`` is only read.
     """
     m = len(preds)
     _array(x, "x", np.float64, (None,))
-    _array(ys_out, "ys_out", np.float64, (m, len(x)), True)
+    _array(out, "out", np.float64, (len(x),), True)
     _check_rules(pos, m, err, fit, num, set_size, exp)
-    if not m:
-        return
-    (_, ys, units), = _forward(preds, x[None])
-    ys_out[:] = ys[0]
-    hidden = np.split(units[0], np.cumsum([len(net[1]) for net in preds])[:-1])
-    g = (2.0 / len(x)) * (ys_out - x) * ys_out * (1.0 - ys_out)
-    for a1, g_i, args in zip(hidden, g, preds):
-        _fused_sgd(a1, g_i, *args, omega, x)
-    mse = np.mean(np.square(ys_out - x), axis=1)
-
-    e, f, k, s = err[pos], fit[pos], num[pos], set_size[pos]
-    micro = int(k.sum())
-    e = e + beta * (mse - e)
-    f = f + beta * (_relative_accuracies(_accuracies(e, epsilon0, alpha, nu), k) - f)
-    exp[pos] += 1
-    err[pos] = e
-    fit[pos] = np.maximum(f, F_FLOOR)
-    set_size[pos] = s + beta * (micro - s)
+    acc, fsum = np.zeros(len(x)), 0.0
+    if m:
+        (_, (ys,), (units,)), = _forward(preds, x[None])
+        hidden = np.split(units, np.cumsum([len(net[1]) for net in preds])[:-1])
+        g = (2.0 / len(x)) * (ys - x) * ys * (1.0 - ys)
+        for a1, g_i, args in zip(hidden, g, preds):
+            _fused_sgd(a1, g_i, *args, omega, x)
+        mse = np.mean(np.square(ys - x), axis=1)
+        # fit * y net by net from 0.0, as predict_batch adds them
+        acc = _ordered_sums(0.0, np.multiply(ys.T, fit[pos], order="C"))
+        fsum = _ordered_sums(0.0, fit[pos])
+        e, f, k, s = err[pos], fit[pos], num[pos], set_size[pos]
+        micro = int(k.sum())
+        e = e + beta * (mse - e)
+        f = f + beta * (_relative_accuracies(_accuracies(e, epsilon0, alpha, nu), k) - f)
+        exp[pos] += 1
+        err[pos] = e
+        fit[pos] = np.maximum(f, F_FLOOR)
+        set_size[pos] = s + beta * (micro - s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(acc, fsum, out=out)

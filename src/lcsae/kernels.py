@@ -12,10 +12,11 @@ Three entry points:
   (``matched[i, r]``), ``fit[i]`` times net i's output is added to row r of
   ``acc_out`` and ``fit[i]`` to ``fsum_out[r]``, each row's nets in list
   order;
-- ``reinforce_batch(preds, x, omega, ys_out, pos, err, fit, num, set_size,
+- ``reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size,
   exp, beta, epsilon0, alpha, nu)``, one trial's reinforcement of a match
   set: one momentum-SGD step toward the input for every prediction net,
-  then the XCS update of the rules at rows ``pos`` of the state columns.
+  whose fitness-weighted mean output goes to ``out (n,)``, then the XCS
+  update of the rules at rows ``pos`` of the state columns.
 
 All take one 12-tuple per network, built by ``neural.net_args``, and every
 network output of the package comes from them.  The match rule ``match_batch`` is written once

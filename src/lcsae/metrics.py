@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -112,7 +113,8 @@ def population_stats(pop: xcsf.Population, xs: np.ndarray,
 
     Active-weight columns count mask-enabled weights only (biases are never
     masked); the *_total variants sum over macro-classifiers.  Mutation
-    rates are averaged over all four layers of both networks.
+    rates are averaged over all four layers of both networks.  No mean
+    depends on the order of its terms: exact integer sums or ``math.fsum``.
     """
     members = pop.members
     if not members:
@@ -121,31 +123,31 @@ def population_stats(pop: xcsf.Population, xs: np.ndarray,
                 "C_w_total": 0, "P_w_total": 0, "macro_count": 0,
                 "mean_mu_w": 0.0, "mean_mu_h": 0.0, "mean_mu_eta": 0.0,
                 "mean_mu_c": 0.0}
-    nums = pop.state.num.astype(float)
-    w = nums / nums.sum()
+    num = pop.state.num
+    micro = int(num.sum())
 
-    c_h = np.array([cl.condition.n_hidden for cl in members], dtype=float)
-    p_h = np.array([cl.prediction.n_hidden for cl in members], dtype=float)
+    c_h = np.array([cl.condition.n_hidden for cl in members])
+    p_h = np.array([cl.prediction.n_hidden for cl in members])
     c_w = np.array([sum(l.active_weights() for l in cl.condition.layers)
-                    for cl in members], dtype=float)
+                    for cl in members])
     p_w = np.array([sum(l.active_weights() for l in cl.prediction.layers)
-                    for cl in members], dtype=float)
+                    for cl in members])
     mus = np.array([[l.mu for l in cl.condition.layers + cl.prediction.layers]
                     for cl in members])  # [m, 4 layers, 4 rates]
-    mean_mu = w @ mus.mean(axis=1)
+    mean_mu = [math.fsum(rate) / micro for rate in (num[:, None] * mus.mean(axis=1)).T]
 
     _, mfrac = xcsf.best_classifier(pop, xs, cfg)
     return {
         "mfrac": float(mfrac),
-        "C_h": float(w @ c_h),
-        "P_h": float(w @ p_h),
-        "C_w": float(w @ c_w),
-        "P_w": float(w @ p_w),
+        "C_h": int(num @ c_h) / micro,
+        "P_h": int(num @ p_h) / micro,
+        "C_w": int(num @ c_w) / micro,
+        "P_w": int(num @ p_w) / micro,
         "C_w_total": int(c_w.sum()),
         "P_w_total": int(p_w.sum()),
         "macro_count": len(members),
-        "mean_mu_w": float(mean_mu[0]),
-        "mean_mu_h": float(mean_mu[1]),
-        "mean_mu_eta": float(mean_mu[2]),
-        "mean_mu_c": float(mean_mu[3]),
+        "mean_mu_w": mean_mu[0],
+        "mean_mu_h": mean_mu[1],
+        "mean_mu_eta": mean_mu[2],
+        "mean_mu_c": mean_mu[3],
     }

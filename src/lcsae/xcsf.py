@@ -154,8 +154,8 @@ class Population:
 
     def mean_fitness(self) -> float:
         """Mean fitness per micro-classifier."""
-        # a Python sum in member order, as a rule-by-rule loop adds them
-        return sum(self.state.fit.tolist()) / self.micro_count()
+        # in member order; the builtin sum compensates from Python 3.12 on
+        return float(np.cumsum(self.state.fit)[-1]) / self.micro_count()
 
 
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
@@ -220,20 +220,14 @@ def cover(x, cfg: ExperimentConfig, rng, trial: int) -> Classifier:
         f"check match_threshold ({cfg.match_threshold})")
 
 
-def fitness_weighted_mean(fits, ys) -> np.ndarray:
-    """Component-wise fitness-weighted mean of predictions."""
-    fits = np.asarray(fits, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    return fits @ ys / fits.sum()
-
-
 def system_prediction(m: list, x) -> np.ndarray:
-    """Fitness-weighted mean reconstruction of a list of rules, from one
-    kernel call over their prediction nets."""
+    """Fitness-weighted mean reconstruction of a list of rules, added in list
+    order by one ``predict_batch`` call, as ``evaluate`` and trials add them."""
     x = np.ascontiguousarray(x, dtype=float)
-    ys = np.empty((len(m), len(x)))
-    kernels.forward_batch([cl.pred_args for cl in m], x, ys)
-    return fitness_weighted_mean(_fitnesses(m), ys)
+    acc, fsum = np.zeros((1, len(x))), np.zeros(1)
+    kernels.predict_batch([cl.pred_args for cl in m], x[None], np.ones((len(m), 1), bool),
+                          _fitnesses(m), acc, fsum)
+    return acc[0] / fsum[0]
 
 
 def _fitnesses(rules: list) -> np.ndarray:
@@ -252,7 +246,7 @@ def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.nd
     input as target, then experience, error (Widrow-Hoff toward its own
     reconstruction MSE), fitness (toward its relative accuracy) and
     set-size estimate.  Conditions receive no gradient descent.  Returns
-    the pre-update reconstructions, one row per classifier.
+    the match set's ``system_prediction`` from before the update.
 
     All of it is one ``reinforce_batch`` call, which updates the match
     set's table rows in the order of the per-rule XCS update, so every
@@ -261,11 +255,11 @@ def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.nd
     ``np.mean(np.square(y - x))`` gives.
     """
     members, st = pop.members, pop.state
-    ys = np.empty((len(m), len(x)))
+    out = np.empty(len(x))
     kernels.reinforce_batch([members[i].pred_args for i in m.tolist()], x,
-                            cfg.omega, ys, m, st.err, st.fit, st.num, st.set_size,
+                            cfg.omega, out, m, st.err, st.fit, st.num, st.set_size,
                             st.exp, cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
-    return ys
+    return out
 
 
 def roulette(weights, rng) -> int:
@@ -407,10 +401,8 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
     pop.trial += 1
     x = np.ascontiguousarray(x, dtype=float)
     m = build_match_set(pop, x, cfg, rng)
-    fits_pre = pop.state.fit[m]
     m_micro = int(pop.state.num[m].sum())
-    ys = reinforce(pop, m, x, cfg)
-    output = fitness_weighted_mean(fits_pre, ys)
+    output = reinforce(pop, m, x, cfg)
     maybe_run_ea(pop, m, cfg, rng)
     enforce_population_limit(pop, cfg, rng)
     return TrialResult(output=output, mse=float(np.mean((output - x) ** 2)),

@@ -27,7 +27,7 @@ def test_trained_masked_rule_round_trips_bit_exact():
     rng = np.random.default_rng(0)
     cl = make_classifier(n=5, h=3, seed=0)
     net = cl.prediction
-    kernels.reinforce_batch([cl.pred_args], rng.random(5), 0.9, np.empty((1, 5)),
+    kernels.reinforce_batch([cl.pred_args], rng.random(5), 0.9, np.empty(5),
                             *spare_rules(1))
     # a masked connection has zero weight and zero momentum, as in the learner
     net.layers[0].mask[0, 2] = 0

@@ -259,8 +259,8 @@ def _use_backend(name, request, monkeypatch):
     """Route every kernel call through the numpy twin or the compiled
     kernel: ``kernels`` picks its backend once, at import."""
     impl = request.getfixturevalue("cy") if name == "compiled" else _kernels_py
-    monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
-    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
+    for kernel in ("forward_batch", "predict_batch", "reinforce_batch"):
+        monkeypatch.setattr(kernels, kernel, getattr(impl, kernel))
 
 
 @pytest.mark.parametrize("first, then", [("numpy", "compiled"), ("compiled", "numpy")])
@@ -293,6 +293,70 @@ def test_both_backends_write_the_same_bytes(mode, tmp_path, request, monkeypatch
     for name in ("metrics.csv", "population.ckpt"):
         assert (tmp_path / "numpy" / name).read_bytes() == \
                (tmp_path / "compiled" / name).read_bytes(), name
+
+
+def _dynamic_openblas_on_avx2():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, which
+    picks its kernels for the CPU at load time, on an x86-64 CPU with AVX2,
+    which can run both the Haswell and the Prescott kernels."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    found = set(simd.get("baseline") or ()) | set(simd.get("found") or ())
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+            and config.get("Machine Information", {}).get("host", {}).get("cpu") == "x86_64"
+            and bool(found & {"AVX2", "X86_V3", "X86_V4"}))
+
+
+# ``lcsae`` on the numpy twin, or on the compiled module at argv[1]
+_CLI_ON_BACKEND = """
+import importlib.util, sys
+from lcsae import _kernels_py, cli, kernels
+impl = _kernels_py
+if sys.argv[1]:
+    spec = importlib.util.spec_from_file_location("lcsae._kernels", sys.argv[1])
+    impl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(impl)
+for name in ("forward_batch", "predict_batch", "reinforce_batch"):
+    setattr(kernels, name, getattr(impl, name))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_openblas_on_avx2(),
+                    reason="needs a DYNAMIC_ARCH OpenBLAS on an x86-64 CPU with AVX2")
+def test_outputs_do_not_depend_on_the_blas_kernels(tmp_path, request):
+    # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS use one core type's
+    # kernels, whose sums add in other orders; no output of a run or of a
+    # reconstruction may depend on them, on either backend
+    rng = np.random.default_rng(12)
+    protos = rng.random((6, 64))
+    rows = protos[rng.integers(0, 6, 120)] * rng.uniform(0.6, 1.0, (120, 1))
+    rows = np.round(np.clip(rows + rng.normal(0.0, 0.05, rows.shape), 0.0, 1.0), 4)
+    data = write_csv(tmp_path / "blobs.csv", rows)
+    cfg = write_config(tmp_path / "run.cfg", dataset=data, N=50, trials=100,
+                       checkpoint_interval=50, seed=3)
+    names = ("metrics.csv", "population.ckpt", "reconstruction.json")
+    backends = {"numpy": ""}
+    if shutil.which("cc"):
+        backends["compiled"] = str(request.getfixturevalue("build")[0])
+    outputs = {}
+    for backend, module in backends.items():
+        for core in ("Haswell", "Prescott"):
+            out = str(tmp_path / f"{backend}-{core}")
+            env = dict(os.environ, OPENBLAS_CORETYPE=core)
+            for argv in (["run", cfg, "--outdir", out],
+                         ["reconstruct", os.path.join(out, "population.ckpt"), data,
+                          "--noise", "0.1", "--count", "20", "--no-images", "--outdir", out]):
+                proc = subprocess.run([sys.executable, "-c", _CLI_ON_BACKEND, module, *argv],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+            outputs[backend, core] = {name: open(os.path.join(out, name), "rb").read()
+                                      for name in names}
+    first = outputs["numpy", "Haswell"]
+    for key, files in outputs.items():
+        assert [name for name in names if files[name] != first[name]] == [], key
 
 
 def test_resume_reaches_the_width_check(tmp_path, dataset, capsys):

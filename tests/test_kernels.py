@@ -39,6 +39,26 @@ def _args(w1, b1, mask1, w2, b2, mask2):
             w2, b2, mask2, np.zeros_like(w2), np.zeros_like(b2), 0.006)
 
 
+def _reinforce(mod, preds, x, rules, omega=0.9):
+    """One ``reinforce_batch`` call of ``mod``; returns each net's pre-update
+    output, from ``forward_batch`` before the call, and the call's output."""
+    ys = np.empty((len(preds), len(x)))
+    mod.forward_batch(preds, x, ys)
+    out = np.full(len(x), 7.0)
+    mod.reinforce_batch(preds, x, omega, out, *rules)
+    return ys, out
+
+
+def _weighted_mean(fit, ys):
+    """Reference: the rows of ``ys`` weighted by ``fit``, added row by row
+    from 0.0 and divided by the fitnesses added from 0.0."""
+    acc, fsum = np.zeros(ys.shape[1]), 0.0
+    for f, y in zip(fit.tolist(), ys):
+        acc = acc + f * y
+        fsum += f
+    return acc / fsum
+
+
 def _mse_rules(m):
     """Rule arguments for a ``reinforce_batch`` call of m nets whose ``err``
     column, ``[1]``, receives each net's mean squared error bit for bit: it
@@ -233,16 +253,17 @@ def test_single_net_reinforce_parity_over_many_steps(cy):
         return [(s[0], s[1], mask1, s[2], s[3], 0.008,
                  s[4], s[5], mask2, s[6], s[7], 0.005)]
 
-    y_py, y_cy = np.empty((1, n)), np.empty((1, n))
     for _ in range(200):
         x = rng.random(n)
         rules_py, rules_cy = _mse_rules(1), _mse_rules(1)
-        _kernels_py.reinforce_batch(net(state_py), x, 0.9, y_py, *rules_py)
-        cy.reinforce_batch(net(state_cy), x, 0.9, y_cy, *rules_cy)
+        y_py, out_py = _reinforce(_kernels_py, net(state_py), x, rules_py)
+        y_cy, out_cy = _reinforce(cy, net(state_cy), x, rules_cy)
         err_py, err_cy = rules_py[1], rules_cy[1]
-        assert y_cy.tobytes() == y_py.tobytes()
+        assert out_cy.tobytes() == out_py.tobytes()
         assert err_cy.tobytes() == err_py.tobytes()
-        for y, err in ((y_py, err_py), (y_cy, err_cy)):
+        for y, out, err in ((y_py, out_py, err_py), (y_cy, out_cy, err_cy)):
+            # one rule of fitness 1.0 predicts its own net's output
+            assert np.array_equal(out, y[0])
             assert np.array_equal(err, _mse(y, x))
     for a_py, a_cy in zip(state_py, state_cy):
         assert a_cy.tobytes() == a_py.tobytes()
@@ -284,16 +305,20 @@ def test_reinforce_batch_parity(cy):
 
     preds_py = build(99)
     preds_cy = build(99)
-    ys_py, ys_cy = np.empty((16, 7)), np.empty((16, 7))
     for _ in range(50):
         x = rng.random(7)
         rules_py, rules_cy = _mse_rules(16), _mse_rules(16)
-        _kernels_py.reinforce_batch(preds_py, x, 0.9, ys_py, *rules_py)
-        cy.reinforce_batch(preds_cy, x, 0.9, ys_cy, *rules_cy)
+        # the output weighs each net by its rule's fitness before the update
+        fit = rng.uniform(0.01, 1.0, 16)
+        rules_py[2][:] = rules_cy[2][:] = fit
+        ys_py, out_py = _reinforce(_kernels_py, preds_py, x, rules_py)
+        ys_cy, out_cy = _reinforce(cy, preds_cy, x, rules_cy)
         err_py, err_cy = rules_py[1], rules_cy[1]
         assert ys_cy.tobytes() == ys_py.tobytes()
+        assert out_cy.tobytes() == out_py.tobytes()
         assert err_cy.tobytes() == err_py.tobytes()
-        for ys, err in ((ys_py, err_py), (ys_cy, err_cy)):
+        for ys, out, err in ((ys_py, out_py, err_py), (ys_cy, out_cy, err_cy)):
+            assert np.array_equal(out, _weighted_mean(fit, ys))
             assert np.array_equal(err, _mse(ys, x))
     for t_py, t_cy in zip(preds_py, preds_cy):
         for a_py, a_cy in zip(t_py, t_cy):
@@ -354,9 +379,9 @@ def test_activations_at_the_edges_are_bit_for_bit(cy):
     nets = [[_edge_net(*v) for v in finite] for _ in range(2)]
     stepped = []
     for mod, preds in zip((_kernels_py, cy), nets):
-        y, rules = np.empty((m, 1)), _mse_rules(m)
-        mod.reinforce_batch(preds, x, 0.9, y, *rules)
-        stepped.append([np.asarray(a).tobytes() for a in (y, *rules, *sum(preds, ()))])
+        out, rules = np.empty(1), _mse_rules(m)
+        mod.reinforce_batch(preds, x, 0.9, out, *rules)
+        stepped.append([np.asarray(a).tobytes() for a in (out, *rules, *sum(preds, ()))])
     assert stepped[0] == stepped[1]
 
 
@@ -370,8 +395,8 @@ def test_err_out_is_the_np_mean_of_the_squared_errors_bit_for_bit(backend, reque
     for n in [*range(1, 1001), 784]:
         preds = [_pred(rng, n, h=1), _pred(rng, n, h=2)]
         x = rng.random(n)
-        ys, rules = np.empty((2, n)), _mse_rules(2)
-        mod.reinforce_batch(preds, x, 0.9, ys, *rules)
+        rules = _mse_rules(2)
+        ys, _ = _reinforce(mod, preds, x, rules)
         assert np.array_equal(rules[1], _mse(ys, x)), n
 
 
@@ -389,12 +414,15 @@ def test_compiled_steps_do_not_depend_on_the_batch(cy):
                  for net in batch]
         for _ in range(3):  # later steps start from non-zero momentum
             x = rng.random(n)
-            ys, rules = _untouched(size, n), _mse_rules(size)
-            cy.reinforce_batch(batch, x, 0.9, ys, *rules)
+            out, rules = np.empty(n), _mse_rules(size)
+            cy.reinforce_batch(batch, x, 0.9, out, *rules)
+            ys = _untouched(size, n)
             for i, net in enumerate(alone):
-                y1, r1 = _untouched(1, n), _mse_rules(1)
-                cy.reinforce_batch([net], x, 0.9, y1, *r1)
-                assert np.array_equal(ys[i], y1[0]) and rules[1][i] == r1[1][0]
+                # a rule of fitness 1.0 alone predicts its own net's output
+                r1 = _mse_rules(1)
+                cy.reinforce_batch([net], x, 0.9, ys[i], *r1)
+                assert rules[1][i] == r1[1][0]
+            assert np.array_equal(out, _weighted_mean(np.ones(size), ys))
         for a, b in zip(batch, alone):
             for u, v in zip(a, b):
                 assert np.array_equal(u, v)
@@ -468,7 +496,7 @@ def test_short_input_is_rejected(cy):
     assert np.all(ys == 7.0)
     preds = [_pred(rng, 64)]
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty((1, 16)), *spare_rules(1))
+        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty(16), *spare_rules(1))
 
 
 def test_float32_input_is_rejected(cy):
@@ -528,17 +556,30 @@ def test_bad_batches_fail_before_any_update(cy):
     x = rng.random(6)
     good = _pred(rng, 6)
     before = [a.copy() for a in good if isinstance(a, np.ndarray)]
-    read_only = np.empty((2, 6))
-    read_only.flags.writeable = False
     bad_calls = [
-        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], np.empty((2, 6))),
-        (TypeError, "eta2 must be a float", [good, good[:11] + (1,)], np.empty((2, 6))),
-        (ValueError, "ys_out must be writable", [good, good], read_only),
-        (ValueError, "ys_out has the wrong shape", [good, good], np.empty((1, 6))),
+        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], np.full(6, 7.0)),
+        (TypeError, "eta2 must be a float", [good, good[:11] + (1,)], np.full(6, 7.0)),
     ]
-    for exc, msg, preds, ys in bad_calls:
+    for exc, msg, preds, out in bad_calls:
         with pytest.raises(exc, match=msg):
-            cy.reinforce_batch(preds, x, 0.9, ys, *spare_rules(len(preds)))
+            cy.reinforce_batch(preds, x, 0.9, out, *spare_rules(len(preds)))
+        assert np.all(out == 7.0), msg
+    # a bad output: both backends check it before they step any net or
+    # write anything
+    for mod in (_kernels_py, cy):
+        for exc, msg, out in [
+                (ValueError, "out must be writable", _read_only(np.full(6, 7.0))),
+                (ValueError, "out has the wrong shape", np.full(5, 7.0)),
+                (ValueError, "out has the wrong shape", np.full((1, 6), 7.0)),
+                (TypeError, "out must be a native float64 array", np.full(6, 7.0, np.float32)),
+        ]:
+            rules = spare_rules(2)
+            columns = [np.array(v, copy=True) for v in rules]
+            with pytest.raises(exc, match=msg):
+                mod.reinforce_batch([good, good], x, 0.9, out, *rules)
+            assert np.all(out == 7.0), (mod, msg)
+            assert all(np.array_equal(np.asarray(v), c)
+                       for v, c in zip(rules, columns)), (mod, msg)
     after = [a for a in good if isinstance(a, np.ndarray)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     # the rule state: both backends check the positions and the columns
@@ -547,13 +588,13 @@ def test_bad_batches_fail_before_any_update(cy):
         for exc, msg, name, bad in _bad_rule_args():
             preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
             nets = [a.copy() for net in preds for a in net if isinstance(a, np.ndarray)]
-            ys = _untouched(2, 6)
+            out = np.full(6, 7.0)
             rules = dict(zip(_RULE_ARGS, _rule_columns()))
             rules[name] = bad
             columns = [np.array(v, copy=True) for v in rules.values()]
             with pytest.raises(exc, match=msg):
-                mod.reinforce_batch(preds, x, 0.9, ys, *rules.values(), 0.1, 0.01, 0.1, 5.0)
-            assert np.all(ys == 7.0), (mod, msg)
+                mod.reinforce_batch(preds, x, 0.9, out, *rules.values(), 0.1, 0.01, 0.1, 5.0)
+            assert np.all(out == 7.0), (mod, msg)
             stepped = [a for net in preds for a in net if isinstance(a, np.ndarray)]
             assert all(np.array_equal(a, b) for a, b in zip(nets, stepped)), (mod, msg)
             assert all(np.array_equal(np.asarray(v), c)
@@ -614,9 +655,10 @@ def test_good_rule_arguments_update_only_their_rows(cy):
     for mod in (_kernels_py, cy):
         pos, err, fit, num, set_size, exp = _rule_columns()
         preds = [_pred(np.random.default_rng(16), 6), _pred(np.random.default_rng(17), 6)]
-        ys = np.empty((2, 6))
-        mod.reinforce_batch(preds, x, 0.9, ys, pos, err, fit, _read_only(num), set_size,
-                            exp, 0.1, 0.01, 0.1, 5.0)
+        ys, out = _reinforce(mod, preds, x, (pos, err, fit, _read_only(num), set_size, exp,
+                                             0.1, 0.01, 0.1, 5.0))
+        # both rules had fitness 0.25 before the update
+        assert np.array_equal(out, _weighted_mean(np.full(2, 0.25), ys))
         mse = _mse(ys, x)
         for col, start in ((err, 0.5), (fit, 0.25), (set_size, 3.0), (exp, 4)):
             assert np.all(col[[0, 2, 4]] == start)
@@ -628,6 +670,22 @@ def test_good_rule_arguments_update_only_their_rows(cy):
     # errors, which both backends compute alike
     assert results[1][0].tobytes() == results[0][0].tobytes()
     assert results[1][1].tobytes() == results[0][1].tobytes()
+
+
+def test_an_empty_match_set_predicts_nan_alike_on_both_backends(cy):
+    # no nets: the output is 0.0 / 0.0 from the same division on both
+    # backends, and no state column moves
+    x = np.random.default_rng(19).random(6)
+    outs = []
+    for mod in (_kernels_py, cy):
+        pos, *columns = _rule_columns()
+        before = [c.copy() for c in columns]
+        out = np.full(6, 7.0)
+        mod.reinforce_batch([], x, 0.9, out, pos[:0], *columns, 0.1, 0.01, 0.1, 5.0)
+        assert np.isnan(out).all()
+        assert all(np.array_equal(a, b) for a, b in zip(columns, before))
+        outs.append(out.tobytes())
+    assert outs[0] == outs[1]
 
 
 def test_backends_take_the_same_parameters(cy):

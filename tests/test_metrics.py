@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,30 @@ def test_rows_of_the_wrong_length_are_rejected(change, tmp_path):
     path.write_text(metrics.CSV_HEADER + row + bad)
     with pytest.raises(ValueError, match="line 3 has"):
         metrics.read_metrics(path)
+
+
+def test_population_stats_means_do_not_depend_on_the_order_of_their_terms():
+    # float weights n / micro, such as 1/21, make a weighted sum that rounds
+    # once per term, and how depends on the order of the terms: the integer
+    # means must be exact sums rounded once, the rates correctly rounded sums
+    cfg = ExperimentConfig()
+    rng = np.random.default_rng(6)
+    rules = [make_classifier(n=3, condition=always_match_condition(3), err=0.001,
+                             num=1 + s % 3, prediction=neural.new_network(3, 1 + s % 2, 3, rng))
+             for s in range(11)]
+    for cl in rules:
+        for layer in cl.condition.layers + cl.prediction.layers:
+            layer.mu[:] = rng.random(4)
+    stats = metrics.population_stats(xcsf.Population(rules), rng.random((5, 3)), cfg)
+    nums = [cl.num for cl in rules]
+    micro = sum(nums)
+    assert stats["C_h"] == 1.0
+    # an exact integer sum, divided once
+    assert stats["P_h"] == sum(n * cl.prediction.n_hidden for n, cl in zip(nums, rules)) / micro
+    assert stats["P_w"] == sum(n * sum(l.active_weights() for l in cl.prediction.layers)
+                               for n, cl in zip(nums, rules)) / micro
+    rates = [np.mean([l.mu for l in cl.condition.layers + cl.prediction.layers], axis=0)
+             for cl in rules]
+    for k, name in enumerate(("mean_mu_w", "mean_mu_h", "mean_mu_eta", "mean_mu_c")):
+        # correctly rounded, so the rules may be added in any order
+        assert stats[name] == math.fsum(n * r[k] for n, r in zip(nums[::-1], rates[::-1])) / micro

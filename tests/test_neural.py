@@ -14,11 +14,12 @@ from lcsae.neural import (ETA_MAX, ETA_MIN, Layer, clone, forward,
 def sgd_step(net, x, omega):
     """One reinforcement step of the autoencoder ``net`` alone, toward its
     input ``x``, through the kernel the learner uses; returns the
-    pre-update output."""
-    ys = np.empty((1, net.n_outputs))
+    pre-update output, which is the prediction of its one rule of fitness
+    1.0."""
+    out = np.empty(net.n_outputs)
     kernels.reinforce_batch([neural.net_args(net)], np.asarray(x, dtype=float),
-                            omega, ys, *spare_rules(1))
-    return ys[0]
+                            omega, out, *spare_rules(1))
+    return out
 
 
 def gradients(net, x):

@@ -110,12 +110,6 @@ def test_cover_raises_when_matching_is_impossible(monkeypatch):
         xcsf.cover(np.zeros(4), cfg, np.random.default_rng(3), trial=0)
 
 
-def test_fitness_weighted_mean_hand_case():
-    # fitness 0.2/0.3/0.5 with scalar outputs 0/1/1 -> 0.8
-    out = xcsf.fitness_weighted_mean([0.2, 0.3, 0.5], [[0.0], [1.0], [1.0]])
-    assert out == pytest.approx([0.8], abs=1e-12)
-
-
 def test_system_prediction_single_and_equal_fitness(cfg):
     rng = np.random.default_rng(4)
     x = rng.random(3)
@@ -131,11 +125,13 @@ def test_system_prediction_single_and_equal_fitness(cfg):
 
 
 def test_system_prediction_weighted_exact(cfg):
+    # fitness 0.2/0.3/0.5 with scalar outputs exactly 0/1/1: the products
+    # 0.0, 0.3 and 0.5 add in list order to 0.8, and the fitnesses to 1.0
     x = np.zeros(1)
     cls = [make_classifier(n=1, prediction=saturated_network(1, [o]), fit=f)
            for o, f in ((0, 0.2), (1, 0.3), (1, 0.5))]
     out = xcsf.system_prediction(cls, x)
-    assert out == pytest.approx([0.8], abs=1e-12)
+    assert out.tolist() == [0.8]
 
 
 def test_accuracy_branches(cfg):
@@ -221,12 +217,18 @@ def _accuracy(err, cfg):
 
 def _reinforce_per_rule(m, x, cfg):
     """Reference: the rule-by-rule bookkeeping loop that the match-set
-    array update replaced."""
+    array update replaced; returns the pre-update outputs weighted by the
+    pre-update fitnesses, added rule by rule."""
     m_micro = sum(cl.num for cl in m)
     ys = np.empty((len(m), len(x)))
+    kernels.forward_batch([cl.pred_args for cl in m], x, ys)
+    output, fsum = np.zeros(len(x)), 0.0
+    for cl, y in zip(m, ys):
+        output = output + cl.fit * y
+        fsum += cl.fit
     # the kernel's own rule update goes to spare columns: the reference
     # takes np.mean
-    kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, ys,
+    kernels.reinforce_batch([cl.pred_args for cl in m], x, cfg.omega, np.empty(len(x)),
                             *spare_rules(len(m)))
     kappas = np.empty(len(m))
     for i, cl in enumerate(m):
@@ -240,7 +242,7 @@ def _reinforce_per_rule(m, x, cfg):
         cl.fit += cfg.beta * (rel[i] - cl.fit)
         if cl.fit < xcsf._F_FLOOR:
             cl.fit = xcsf._F_FLOOR
-    return ys
+    return output / fsum
 
 
 def _reinforce_cases():
@@ -285,9 +287,9 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
     for step in range(200 if size <= 8 else 20):
         # mostly the pattern the right rule reconstructs exactly
         x = rng.random(8) if step % 25 == 0 else pattern
-        ys_fast = xcsf.reinforce(pop, m, x, cfg)
-        ys_slow = _reinforce_per_rule([slow[i] for i in m.tolist()], x, cfg)
-        assert np.array_equal(ys_fast, ys_slow)
+        out_fast = xcsf.reinforce(pop, m, x, cfg)
+        out_slow = _reinforce_per_rule([slow[i] for i in m.tolist()], x, cfg)
+        assert np.array_equal(out_fast, out_slow)
         for a, b in zip(fast, slow):
             assert (a.exp, a.err, a.fit, a.set_size) == (b.exp, b.err, b.fit, b.set_size)
             for la, lb in zip(a.prediction.layers, b.prediction.layers):
@@ -369,7 +371,7 @@ def test_offspring_inherit_trained_weights(cfg):
     rng = np.random.default_rng(12)
     for _ in range(20):
         x = rng.random(3)
-        kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty((1, 3)),
+        kernels.reinforce_batch([parent.pred_args], x, cfg.omega, np.empty(3),
                                 *spare_rules(1))
     trained = parent.prediction.layers[0].weights.copy()
     # a zero-rate mutation chain copies the weights through unchanged
@@ -602,22 +604,26 @@ def test_evaluate_falls_back_to_population_when_unmatched(cfg):
 @pytest.mark.parametrize("mode, calls", [("xcsf", 2), ("global_ea", 1)])
 def test_reconstruct_one_makes_one_kernel_call_per_pass(mode, calls, monkeypatch):
     # one forward_batch over the conditions (unless every rule matches) and
-    # one over the prediction nets, however many rules there are
+    # one predict_batch over the prediction nets, however many rules there are
     cfg = ExperimentConfig(mode=mode)
     pop = xcsf.Population([make_classifier(n=3, seed=s, condition=always_match_condition(3),
                                            fit=0.1 + s) for s in range(5)])
     x = np.random.default_rng(29).random(3)
     expected = xcsf.reconstruct_one(pop, x, cfg)
     nets = []
-    inner = kernels.forward_batch
 
-    def counted(batch, x, ys_out):
-        nets.append(len(batch))
-        inner(batch, x, ys_out)
+    def counted(name):
+        inner = getattr(kernels, name)
 
-    monkeypatch.setattr(kernels, "forward_batch", counted)
+        def call(batch, x, *rest):
+            nets.append((name, len(batch)))
+            inner(batch, x, *rest)
+        monkeypatch.setattr(kernels, name, call)
+
+    counted("forward_batch")
+    counted("predict_batch")
     assert np.array_equal(xcsf.reconstruct_one(pop, x, cfg), expected)
-    assert nets == [5] * calls
+    assert nets == [("forward_batch", 5), ("predict_batch", 5)][2 - calls:]
 
 
 def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
@@ -632,10 +638,10 @@ def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
     for x in xs:
         recon = xcsf.reconstruct_one(pop, x, cfg)
         combined = [keyed, always] if x[0] > 0.5 else [always]
-        assert recon == pytest.approx(xcsf.system_prediction(combined, x), rel=1e-12)
+        assert np.array_equal(recon, xcsf.system_prediction(combined, x))
         mses.append(float(np.mean((recon - x) ** 2)))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
-    assert mean_mse == pytest.approx(np.mean(mses), rel=1e-12)
+    assert mean_mse == np.mean(mses)
     assert mean_m == 1.5
 
 
@@ -651,10 +657,10 @@ def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
     for x in xs:
         recon = xcsf.reconstruct_one(pop, x, cfg)
         combined = [keyed] if x[0] > 0.5 else [keyed, never]
-        assert recon == pytest.approx(xcsf.system_prediction(combined, x), rel=1e-12)
+        assert np.array_equal(recon, xcsf.system_prediction(combined, x))
         mses.append(float(np.mean((recon - x) ** 2)))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
-    assert mean_mse == pytest.approx(np.mean(mses), rel=1e-12)
+    assert mean_mse == np.mean(mses)
     # the keyed rule counts 2 on each of its rows, the fallback rows count 0
     assert mean_m == 3 * 2 / 6
 
@@ -738,9 +744,28 @@ def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, request, mo
     assert xcsf.evaluate(pop, xs, cfg) == _evaluate_per_input(pop, xs, cfg)
 
 
+def _evaluate_predictions(pop, xs, cfg, monkeypatch):
+    """``evaluate``'s prediction of every row of ``xs``, read from the sums
+    of its one ``predict_batch`` call and divided as it divides them."""
+    inner, preds = kernels.predict_batch, []
+
+    def recorded(nets, x, matched, fit, acc_out, fsum_out):
+        inner(nets, x, matched, fit, acc_out, fsum_out)
+        preds.append(acc_out / fsum_out[:, None])
+
+    monkeypatch.setattr(kernels, "predict_batch", recorded)
+    xcsf.evaluate(pop, xs, cfg)
+    monkeypatch.setattr(kernels, "predict_batch", inner)
+    (pred,) = preds
+    return pred
+
+
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_evaluate_equals_reconstruct_one_on_rows_one_rule_predicts(backend, request,
                                                                    monkeypatch, cfg):
+    # reconstruct_one gives evaluate's prediction of every row, bit for bit:
+    # rows one rule predicts, rows several rules predict and rows that fall
+    # back to the whole population
     _use_backend(backend, request, monkeypatch)
     # rows 0-3 have feature 0 high and match only the keyed rule
     xs = np.random.default_rng(41).random((4, 3)) * 0.5
@@ -761,6 +786,39 @@ def test_evaluate_equals_reconstruct_one_on_rows_one_rule_predicts(backend, requ
     for x in 0.5 + 0.5 * np.random.default_rng(43).random((50, 1)):
         mse = np.mean((xcsf.reconstruct_one(pop, x, cfg) - x) ** 2)
         assert xcsf.evaluate(pop, x[None], cfg)[0] == mse
+    # many rules of several fitnesses, hidden sizes and numerosities: 10-19
+    # of them match each row at the threshold 0.5, and 0-4 at 0.6
+    pop = _varied_population(64, 30, seed=44)
+    xs = np.random.default_rng(45).random((25, 64))
+    for mode, threshold in (("xcsf", 0.5), ("xcsf", 0.6), ("global_ea", 0.5)):
+        cfg = ExperimentConfig(mode=mode, match_threshold=threshold)
+        sizes = [len(xcsf.match_set(pop, x, cfg)) for x in xs]
+        assert min(sizes) == 0 if threshold == 0.6 else min(sizes) >= 10
+        preds = _evaluate_predictions(pop, xs, cfg, monkeypatch)
+        for x, pred in zip(xs, preds):
+            assert np.array_equal(xcsf.reconstruct_one(pop, x, cfg), pred)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "compiled"])
+@pytest.mark.parametrize("mode", ["xcsf", "global_ea"])
+def test_trial_output_is_the_system_prediction_before_the_update(mode, backend, request,
+                                                                 monkeypatch):
+    # the trial output is the match set's system prediction from the rules
+    # as they were before the trial updated them, bit for bit
+    _use_backend(backend, request, monkeypatch)
+    cfg = ExperimentConfig(N=24, theta_EA=4, mode=mode, match_threshold=0.6, h_M=2)
+    rng = np.random.default_rng(46)
+    pop = xcsf.init_population(cfg, 6, rng)
+    checked = 0
+    for x in np.random.default_rng(47).random((100, 6)):
+        before = copy.deepcopy(pop)
+        m = xcsf.match_set(before, x, cfg).tolist()
+        res = xcsf.run_trial(pop, x, cfg, rng)
+        if m:  # otherwise the trial covered with a new rule
+            expected = xcsf.system_prediction([before.members[i] for i in m], x)
+            assert np.array_equal(res.output, expected)
+            checked += 1
+    assert checked > 50
 
 
 def test_best_classifier_breaks_equal_coverage_by_error(cfg):
@@ -805,9 +863,8 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
         members.append(m[0])
     for cl in m:
         cl.mtotal += 1
-    fits_pre = np.array([cl.fit for cl in m])
     m_micro = sum(cl.num for cl in m)
-    output = xcsf.fitness_weighted_mean(fits_pre, _reinforce_per_rule(m, x, cfg))
+    output = _reinforce_per_rule(m, x, cfg)
 
     micro = sum(cl.num for cl in m)
     if trial - sum(cl.ts * cl.num for cl in m) / micro > cfg.theta_EA:
