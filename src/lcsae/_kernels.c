@@ -1,11 +1,11 @@
 /*
- * Compiled hot-path kernels.  Three entry points:
+ * Compiled hot-path kernels.  Three entry points, one contract: batches in,
+ * finished results out, never sums for the caller to finish:
  *
- *     forward_batch    the forward pass of many networks on one input or
- *                      on each input of a batch, with no update;
- *     predict_batch    the fitness-weighted sums of the outputs of many
- *                      networks on a batch of inputs, each input over the
- *                      networks that match it, with no update;
+ *     forward_batch    the outputs of many networks on each input of a
+ *                      batch, with no update;
+ *     predict_batch    the fitness-weighted mean output of the networks
+ *                      that match each input of a batch, with no update;
  *     reinforce_batch  one trial's reinforcement of a match set: one fused
  *                      momentum-SGD step toward the input for every
  *                      prediction net, returning the fitness-weighted mean
@@ -30,17 +30,19 @@
  *
  * all float64 except the uint8 masks, native byte order, aligned and
  * C-contiguous, and float etas.  forward_batch and predict_batch read only
- * w1, b1, w2 and b2.  predict_batch also takes a bool (nets, rows) match
- * matrix and a float64 fitness per net, and adds into a float64 (rows, n_out)
- * sum and a float64 (rows,) fitness total.  The rule state reaches
- * reinforce_batch as five 1-D columns of one length, float64 err, fit and
- * set_size and int64 num and exp, and the int64 positions of the match
- * set's rows in them, one per net, distinct and in range; its output is one
- * float64 (n,) row.  Every entry point checks what it reads, the tuple
- * sizes, the positions and the writability of what it updates before any
- * loop reads the data or any output is written: a wrong type, dtype or
- * tuple size raises TypeError, a wrong shape or layout, a read-only output
- * or a bad position raises ValueError.
+ * w1, b1, w2 and b2 and take a float64 batch x (rows, n); forward_batch
+ * writes net i's output for input r to row i * rows + r of ys_out, the (nets,
+ * rows) order of predict_batch's bool match matrix.  predict_batch also takes
+ * a float64 fitness per net, and writes a float64 (rows, n_out) out that it
+ * never reads.  The rule state reaches reinforce_batch as five 1-D columns
+ * of one length, float64 err, fit and set_size and int64 num and exp, and
+ * the int64 positions of the match set's rows in them, one per net, distinct
+ * and in range; its input and output are float64 (n,) rows.  Every entry
+ * point checks what it reads, the tuple sizes, the positions and the
+ * writability of what it updates before any loop reads the data or any
+ * output is written: a wrong type, dtype or tuple size raises TypeError, a
+ * wrong shape or layout, a read-only output or a bad position raises
+ * ValueError.
  *
  * Keep the order of every floating-point operation, and change the twin
  * with it: fixed seeds reproduce metrics.csv and population.ckpt byte for
@@ -50,27 +52,25 @@
  * one-input call gives: reinforce_batch reads every hidden layer before it
  * updates any net, forward_batch takes a batch one input at a time, and
  * predict_batch one net and one matched input at a time, net by net.
- * A no-update output adds the products of w2 and the hidden activations to
- * b2 in hidden order; for a net with one hidden unit it is one pass per
- * output, b2 + w2 * a1, which rounds the product once and the sum once as
- * that sum does, so both give the same double.
- * predict_batch adds each rounded product fit * y to its row's sum, so every
- * row adds its nets in list order.  reinforce_batch forms its output the
- * same way: after each net's step it adds fit * y, with the rule's fitness
- * from before the XCS update, to a sum from 0.0 and fit to a total from
- * 0.0, net by net, and divides the sum by the total at the end, so its
- * output is the double predict_batch and a division give for the same nets
- * and input (0.0 / 0.0, NaN, for no nets).  Each reinforce step computes the
- * outputs, their gradients and squared errors (in one pass per output for a
- * net with one hidden unit), adds the hidden gradient in output order from
- * the pre-update w2, and updates w2, b2 and then the hidden layer element by
- * element.  Each net's error is the double ``np.mean(np.square(y - x))``
- * gives: numpy's pairwise sum of the squares
- * (eight partial sums up to 128 terms, halving above that at a multiple of
- * 8) divided by n.  After every step the XCS update runs in the order of
- * the twin's array update, which is that of the per-rule loop: libm ``pow``
- * is the function ``math.pow`` calls, and the normaliser of the relative
- * accuracies is the same pairwise sum, which is ``ndarray.sum`` of a
+ * A no-update output adds the products of w2 and the hidden activations to b2
+ * in hidden order; for a net with one hidden unit it is one pass per output,
+ * b2 + w2 * a1, which rounds the product once and the sum once as that sum
+ * does, so both give the same double.  predict_batch adds each rounded
+ * product fit * y to its row's sum and fit to its row's total, both from 0.0,
+ * so every row adds its nets in list order, and divides at the end (0.0 /
+ * 0.0, NaN, for a row no net matches).  reinforce_batch forms its output the
+ * same way after each net's step, from the rules' fitnesses before the XCS
+ * update, so its output is the double predict_batch gives for the same nets
+ * and input.  Each reinforce step computes the outputs, their gradients and
+ * squared errors (in one pass per output for a net with one hidden unit),
+ * adds the hidden gradient in output order from the pre-update w2, and
+ * updates w2, b2 and then the hidden layer element by element.  Each net's
+ * error is the double ``np.mean(np.square(y - x))`` gives: numpy's pairwise
+ * sum of the squares (eight partial sums up to 128 terms, halving above that
+ * at a multiple of 8) divided by n.  After every step the XCS update runs in
+ * the order of the twin's array update, which is that of the per-rule loop:
+ * libm ``pow`` is the function ``math.pow`` calls, and the normaliser of the
+ * relative accuracies is the same pairwise sum, which is ``ndarray.sum`` of a
  * contiguous float64 array.
  *
  * Build: cc -O3 -funroll-loops -shared -fPIC -I<numpy include> -I<python
@@ -485,6 +485,15 @@ free_scratch(double *s, const double **rows, net_t *nets)
     PyMem_Free(nets);
 }
 
+/* The width of a 2-D array `obj`, else 0, which array_data then refuses.
+ * The width of an output array fixes every net's output width. */
+static npy_intp
+width(PyObject *obj)
+{
+    return PyArray_Check(obj) && PyArray_NDIM((PyArrayObject *)obj) == 2
+           ? PyArray_DIM((PyArrayObject *)obj, 1) : 0;
+}
+
 static PyObject *
 py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
@@ -492,39 +501,31 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     PyObject *list, *xo, *yo;
     const double *x, **rows;
     double *ys, *a1;
-    npy_intp n, m, n_out, total, i, r, batch = 1;
-    int two = 0;
+    npy_intp n, m, batch, n_out, total, i, r;
     net_t *nets;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OO:forward_batch", kw,
-                                     &PyList_Type, &list, &xo, &yo))
+                                     &PyList_Type, &list, &xo, &yo)
+        || !(x = array_data(xo, "x", NPY_DOUBLE, -1, width(xo), 0)))
         return NULL;
     m = PyList_GET_SIZE(list);
-    /* the width of ys_out fixes every net's output width */
-    n_out = PyArray_Check(yo) && PyArray_NDIM((PyArrayObject *)yo) == 2
-            ? PyArray_DIM((PyArrayObject *)yo, 1) : 0;
-    /* x is one input (n,) or a batch of inputs (rows, n) */
-    if (PyArray_Check(xo) && PyArray_NDIM((PyArrayObject *)xo) == 2)
-        two = 1, batch = PyArray_DIM((PyArrayObject *)xo, 0);
-    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1,
-                         two ? PyArray_DIM((PyArrayObject *)xo, 1) : -1, 0)))
-        return NULL;
+    batch = PyArray_DIM((PyArrayObject *)xo, 0);
+    n = width(xo);
+    n_out = width(yo);
     if (m && batch > NPY_MAX_INTP / m)
         return PyErr_Format(PyExc_ValueError, "x has too many rows for %zd nets", m);
-    if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, batch * m, n_out, 1)))
-        return NULL;
-    n = PyArray_DIM((PyArrayObject *)xo, two);
-    if (!(nets = check_nets(list, 0, n, n_out, &total)))
+    if (!(ys = array_data(yo, "ys_out", NPY_DOUBLE, m * batch, n_out, 1))
+        || !(nets = check_nets(list, 0, n, n_out, &total)))
         return NULL;
     if (!(a1 = new_scratch(total, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
     }
-    /* row r * m + i of ys_out is net i's output for input r */
+    /* row i * batch + r of ys_out is net i's output for input r */
     for (r = 0; r < batch; r++) {
         hidden_batch(nets, m, n, x + r * n, a1, rows);
         for (i = 0; i < m; i++)
-            output(&nets[i], ys + (r * m + i) * n_out);
+            output(&nets[i], ys + (i * batch + r) * n_out);
     }
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
@@ -533,40 +534,37 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyObject *
 py_predict_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kw[] = {"nets", "x", "matched", "fit", "acc_out", "fsum_out", NULL};
-    PyObject *list, *xo, *mo, *fo, *ao, *so;
+    static char *kw[] = {"nets", "x", "matched", "fit", "out", NULL};
+    PyObject *list, *xo, *mo, *fo, *oo;
     const double *x, *fit, **rows;
     const npy_bool *matched;
-    double *acc, *fsum, *a1, *y, f;
+    double *out, *fsum, *a1, *y, f;
     npy_intp n, m, batch, n_out, total, i, r, q;
     net_t *nets;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OOOOO:predict_batch", kw,
-                                     &PyList_Type, &list, &xo, &mo, &fo, &ao, &so))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O!OOOO:predict_batch", kw,
+                                     &PyList_Type, &list, &xo, &mo, &fo, &oo)
+        || !(x = array_data(xo, "x", NPY_DOUBLE, -1, width(xo), 0)))
         return NULL;
     m = PyList_GET_SIZE(list);
-    /* x is a batch of inputs (rows, n); the width of acc_out fixes every
-     * net's output width */
-    if (!(x = array_data(xo, "x", NPY_DOUBLE, -1,
-                         PyArray_Check(xo) && PyArray_NDIM((PyArrayObject *)xo) == 2
-                         ? PyArray_DIM((PyArrayObject *)xo, 1) : 0, 0)))
-        return NULL;
     batch = PyArray_DIM((PyArrayObject *)xo, 0);
-    n = PyArray_DIM((PyArrayObject *)xo, 1);
-    n_out = PyArray_Check(ao) && PyArray_NDIM((PyArrayObject *)ao) == 2
-            ? PyArray_DIM((PyArrayObject *)ao, 1) : 0;
+    n = width(xo);
+    n_out = width(oo);
     if (!(matched = array_data(mo, "matched", NPY_BOOL, m, batch, 0))
         || !(fit = array_data(fo, "fit", NPY_DOUBLE, m, -1, 0))
-        || !(acc = array_data(ao, "acc_out", NPY_DOUBLE, batch, n_out, 1))
-        || !(fsum = array_data(so, "fsum_out", NPY_DOUBLE, batch, -1, 1))
+        || !(out = array_data(oo, "out", NPY_DOUBLE, batch, n_out, 1))
         || !(nets = check_nets(list, 0, n, n_out, &total)))
         return NULL;
-    /* one net's hidden activations at a time, then its outputs */
-    if (!(a1 = new_scratch(total + n_out, total, &rows))) {
+    /* one net's hidden activations at a time, its outputs, and the fitness
+     * total of every row */
+    if (!(a1 = new_scratch(total + n_out + batch, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
     }
     y = a1 + total;
+    fsum = y + n_out;
+    memset(fsum, 0, batch * sizeof(double));
+    memset(out, 0, batch * n_out * sizeof(double));
     /* net by net, so every row adds its nets in list order */
     for (i = 0; i < m; i++) {
         f = fit[i];
@@ -576,10 +574,13 @@ py_predict_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
             hidden_batch(&nets[i], 1, n, x + r * n, a1, rows);
             output(&nets[i], y);
             for (q = 0; q < n_out; q++)
-                acc[r * n_out + q] += f * y[q];
+                out[r * n_out + q] += f * y[q];
             fsum[r] += f;
         }
     }
+    for (r = 0; r < batch; r++)
+        for (q = 0; q < n_out; q++)
+            out[r * n_out + q] /= fsum[r];
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
@@ -649,16 +650,16 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 static PyMethodDef methods[] = {
     KW_METHOD("forward_batch", py_forward_batch,
               "forward_batch(nets, x, ys_out)\n--\n\n"
-              "Forward pass of every net of ``nets`` on ``x``, one input (n,) or a\n"
-              "batch (rows, n), with no update; row r * len(nets) + i of ``ys_out``\n"
+              "Forward pass of every net of ``nets`` on each input of the batch\n"
+              "``x`` (rows, n), with no update; row i * rows + r of ``ys_out``\n"
               "receives net i's output for input r."),
     KW_METHOD("predict_batch", py_predict_batch,
-              "predict_batch(nets, x, matched, fit, acc_out, fsum_out)\n--\n\n"
-              "Fitness-weighted sums of the outputs of ``nets`` on the inputs ``x``\n"
-              "(rows, n), with no update: for every row r that net i matches\n"
-              "(``matched[i, r]``), ``fit[i]`` times net i's output for input r is\n"
-              "added to row r of ``acc_out`` and ``fit[i]`` to ``fsum_out[r]``, the\n"
-              "nets of each row in list order."),
+              "predict_batch(nets, x, matched, fit, out)\n--\n\n"
+              "Fitness-weighted mean outputs of ``nets`` on the inputs ``x``\n"
+              "(rows, n), with no update: row r of ``out``, which is never read,\n"
+              "receives the sum of ``fit[i]`` times net i's output over the nets\n"
+              "that match it (``matched[i, r]``), in list order, divided by the\n"
+              "sum of their ``fit[i]`` (0.0 / 0.0 for a row no net matches)."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
               "reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size,\n"
               "                exp, beta, epsilon0, alpha, nu)\n--\n\n"

@@ -1,29 +1,29 @@
 """Pure-numpy twin of the hot per-trial kernels, and the reference for them.
 
-Three entry points: ``forward_batch`` (the forward pass of many networks
-on one input or on each input of a batch, with no update),
-``predict_batch`` (the fitness-weighted sums of the outputs of many
-networks on a batch of inputs, each input over the networks that match it,
-with no update) and ``reinforce_batch`` (one trial's reinforcement of a
-match set: one momentum-SGD step toward the input for every prediction
-net, whose fitness-weighted mean output it returns, then the XCS update of
-each rule's error, fitness, set size and experience in the population's
-state columns).  Every network on the hot path has the same shape: one
-SELU hidden layer followed by a logistic output layer, all float64
-C-contiguous arrays.  It reaches every entry point as one 12-tuple ``(w1,
-b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2)``, of which
-``forward_batch`` and ``predict_batch`` read only w1, b1, w2 and b2.  This
-module is the executable specification of ``_kernels.c``, which is used
-when it imports: both backends give the same bits, because this one adds
-each C loop's terms one at a time, in C's order and from the same first
-value, groups each product as C does, and takes ``exp`` and ``expm1`` from
-libm through the math module (numpy's SIMD versions differ on some CPUs).
-Like the compiled kernel, every entry point checks the input and output
-arrays, ``predict_batch`` the match matrix and the fitnesses, and
-``reinforce_batch`` the match-set positions and the state columns, before
-they write anything.  The module also holds the package's one definition
-of each activation and of the fitness floor, and imports nothing from the
-package.
+Three entry points, one contract: batches in, finished results out, never
+sums for the caller to finish.  ``forward_batch`` writes the outputs of
+many networks on each input of a batch, net-major; ``predict_batch`` the
+fitness-weighted mean output of the networks that match each input;
+``reinforce_batch`` steps every prediction net of a match set toward its
+one input, writes their fitness-weighted mean output and runs the XCS
+update of each rule's error, fitness, set size and experience in the
+population's state columns.
+Every network on the hot path has the same shape: one SELU hidden layer
+followed by a logistic output layer, all float64 C-contiguous arrays.  It
+reaches every entry point as one 12-tuple ``(w1, b1, mask1, mw1, mb1,
+eta1, w2, b2, mask2, mw2, mb2, eta2)``, of which ``forward_batch`` and
+``predict_batch`` read only w1, b1, w2 and b2.  This module is the
+executable specification of ``_kernels.c``, which is used when it imports:
+both backends give the same bits, because this one adds each C loop's
+terms one at a time, in C's order and from the same first value, groups
+each product as C does, and takes ``exp`` and ``expm1`` from libm through
+the math module (numpy's SIMD versions differ on some CPUs).  Like the
+compiled kernel, every entry point checks the input and output arrays,
+``predict_batch`` the match matrix, the fitnesses and every net, and
+``reinforce_batch`` every net, the match-set positions and the state
+columns, before they write anything.  The module also holds the package's
+one definition of each activation and of the fitness floor, and imports
+nothing from the package.
 """
 
 import itertools
@@ -83,13 +83,23 @@ def _array(a, name, dtype, shape, writable=False):
     when asked; its errors are the kernel's."""
     if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.dtype.isnative:
         raise TypeError(f"{name} must be a native {np.dtype(dtype).name} array")
-    if not (a.flags.c_contiguous and a.flags.aligned):
+    flags = a.flags
+    if not (flags.c_contiguous and flags.aligned):
         raise ValueError(f"{name} must be aligned and C-contiguous")
-    if a.ndim != len(shape) or any(d not in (None, k) for d, k in zip(shape, a.shape)):
+    # an exact shape skips the per-dimension test, most of a net check's cost
+    if a.shape != shape and (a.ndim != len(shape) or any(
+            d not in (None, k) for d, k in zip(shape, a.shape))):
         raise ValueError(f"{name} has the wrong shape")
-    if writable and not a.flags.writeable:
+    if writable and not flags.writeable:
         raise ValueError(f"{name} must be writable")
     return a
+
+
+def _float(v, name):
+    """Refuse ``v`` unless it is a float or a float subclass such as
+    ``np.float64``, as the compiled kernel does."""
+    if not isinstance(v, float):
+        raise TypeError(f"{name} must be a float")
 
 
 def _forward(nets, xs):
@@ -121,65 +131,77 @@ def _forward(nets, xs):
 
 
 def forward_batch(nets, x, ys_out):
-    """Forward pass of many networks on one input ``x (n,)`` or on each input
-    of a batch ``x (rows, n)``, with no update: row ``r * len(nets) + i`` of
-    ``ys_out`` receives net i's output for input r, the double a one-input
-    call gives.  ``nets`` holds 12-tuples, as for ``reinforce_batch``.  The
+    """Forward pass of many networks on each input of a batch ``x (rows,
+    n)``, with no update: row ``i * rows + r`` of ``ys_out`` receives net i's
+    output for input r, the (nets, rows) order of ``predict_batch``'s match
+    matrix.  ``nets`` holds 12-tuples, as for ``reinforce_batch``.  The
     arguments are checked as the compiled kernel checks them, and the first
     chunk of inputs is computed before anything is written, so a bad
     argument leaves ``ys_out`` untouched.
     """
-    xs = _array(x, "x", np.float64, (None,) * (1 + (np.ndim(x) == 2)))
-    xs = xs if xs.ndim == 2 else xs[None]
+    xs = _array(x, "x", np.float64, (None, None))
     m = len(nets)
     if m and len(xs) > np.iinfo(np.intp).max // m:
         raise ValueError(f"x has too many rows for {m} nets")
     n_out = ys_out.shape[1] if isinstance(ys_out, np.ndarray) and ys_out.ndim == 2 else 0
-    ys = _array(ys_out, "ys_out", np.float64, (len(xs) * m, n_out), True)
+    ys = _array(ys_out, "ys_out", np.float64, (m * len(xs), n_out), True)
     for r, out, _ in _forward(nets, xs) if m else ():
-        ys.reshape(len(xs), m, n_out)[r:r + len(out)] = out
+        ys.reshape(m, len(xs), n_out)[:, r:r + len(out)] = out.swapaxes(0, 1)
 
 
-def _check_forward_nets(nets, n_in, n_out):
-    """The w1, b1, w2 and b2 of every 12-tuple of ``nets``, checked as the
-    compiled kernel checks a net for a forward pass."""
+def _check_nets(nets, n_in, n_out, train):
+    """Every 12-tuple of ``nets`` checked as the compiled kernel checks a net
+    for an input of width ``n_in`` and outputs of width ``n_out``: w1, b1,
+    w2 and b2 for a forward pass, and for a training step (``train``) all
+    twelve, with every weight and momentum writable."""
     for i, net in enumerate(nets):
         if not isinstance(net, tuple) or len(net) != 12:
             raise TypeError(f"item {i} must be a 12-tuple")
-        h = len(_array(net[0], "w1", np.float64, (None, n_in)))
-        _array(net[6], "w2", np.float64, (n_out, h))
-        _array(net[1], "b1", np.float64, (h,))
-        _array(net[7], "b2", np.float64, (n_out,))
+        w1, b1, mask1, mw1, mb1, eta1, w2, b2, mask2, mw2, mb2, eta2 = net
+        h = len(_array(w1, "w1", np.float64, (None, n_in), train))
+        _array(w2, "w2", np.float64, (n_out, h), train)
+        _array(b1, "b1", np.float64, (h,), train)
+        _array(b2, "b2", np.float64, (n_out,), train)
+        if train:
+            _array(mask1, "mask1", np.uint8, (h, n_in))
+            _array(mw1, "mw1", np.float64, (h, n_in), True)
+            _array(mb1, "mb1", np.float64, (h,), True)
+            _float(eta1, "eta1")
+            _array(mask2, "mask2", np.uint8, (n_out, h))
+            _array(mw2, "mw2", np.float64, (n_out, h), True)
+            _array(mb2, "mb2", np.float64, (n_out,), True)
+            _float(eta2, "eta2")
 
 
-def predict_batch(nets, x, matched, fit, acc_out, fsum_out):
-    """Fitness-weighted sums of the outputs of many networks on the inputs
-    ``x (rows, n)``, with no update: for every row r that net i matches
-    (``matched[i, r]``, a bool ``(len(nets), rows)`` matrix), ``fit[i]``
-    times net i's output for input r is added to row r of ``acc_out (rows,
-    n_out)`` and ``fit[i]`` to ``fsum_out[r]``.  Each row adds its nets in
-    list order, one rounded product at a time, and each output is the
-    double ``forward_batch`` gives.  Every argument is checked as the
-    compiled kernel checks it before anything is written.
+def predict_batch(nets, x, matched, fit, out):
+    """Fitness-weighted mean outputs of many networks on the inputs ``x
+    (rows, n)``, with no update: row r of ``out (rows, n_out)``, never read,
+    receives ``fit[i]`` times net i's output for input r summed over the
+    nets that match it (``matched[i, r]``, a bool ``(len(nets), rows)``
+    matrix) in list order, one rounded product at a time, divided by their
+    ``fit[i]`` summed the same way, both sums from 0.0 (NaN for no nets).
+    Each output is the double ``forward_batch`` gives.  Every argument is
+    checked as the compiled kernel checks it before anything is written.
     """
     m = len(nets)
     xs = _array(x, "x", np.float64, (None, None))
     _array(matched, "matched", np.bool_, (m, len(xs)))
     _array(fit, "fit", np.float64, (m,))
-    n_out = acc_out.shape[1] if isinstance(acc_out, np.ndarray) and acc_out.ndim == 2 else 0
-    _array(acc_out, "acc_out", np.float64, (len(xs), n_out), True)
-    _array(fsum_out, "fsum_out", np.float64, (len(xs),), True)
-    _check_forward_nets(nets, xs.shape[1], n_out)
+    n_out = out.shape[1] if isinstance(out, np.ndarray) and out.ndim == 2 else 0
+    _array(out, "out", np.float64, (len(xs), n_out), True)
+    _check_nets(nets, xs.shape[1], n_out, False)
+    acc, fsum = np.zeros((len(xs), n_out)), np.zeros(len(xs))
     for net, f, sel in zip(nets, fit.tolist(), matched):
         count = int(sel.sum())
         if not count:
             continue
         # a net that matches every row reads x itself, without a copy
         sel = slice(None) if count == len(xs) else sel
-        ys = np.empty((count, n_out))
-        forward_batch([net], xs[sel], ys)
-        acc_out[sel] += np.multiply(f, ys, out=ys)
-        fsum_out[sel] += f
+        ys = np.concatenate([y[:, 0] for _, y, _ in _forward([net], xs[sel])])
+        acc[sel] += np.multiply(f, ys, out=ys)
+        fsum[sel] += f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(acc, fsum[:, None], out=out)
 
 
 def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,
@@ -266,6 +288,7 @@ def reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size, exp,
     m = len(preds)
     _array(x, "x", np.float64, (None,))
     _array(out, "out", np.float64, (len(x),), True)
+    _check_nets(preds, len(x), len(x), True)
     _check_rules(pos, m, err, fit, num, set_size, exp)
     acc, fsum = np.zeros(len(x)), 0.0
     if m:

@@ -180,7 +180,7 @@ def forward(net: Network, x) -> np.ndarray:
     if x.shape != (net.n_inputs,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.n_inputs},)")
     ys = np.empty((1, net.n_outputs))
-    kernels.forward_batch([net_args(net)], x, ys)
+    kernels.forward_batch([net_args(net)], x[None], ys)
     return ys[0]
 
 

@@ -224,10 +224,10 @@ def system_prediction(m: list, x) -> np.ndarray:
     """Fitness-weighted mean reconstruction of a list of rules, added in list
     order by one ``predict_batch`` call, as ``evaluate`` and trials add them."""
     x = np.ascontiguousarray(x, dtype=float)
-    acc, fsum = np.zeros((1, len(x))), np.zeros(1)
+    out = np.empty((1, len(x)))
     kernels.predict_batch([cl.pred_args for cl in m], x[None], np.ones((len(m), 1), bool),
-                          _fitnesses(m), acc, fsum)
-    return acc[0] / fsum[0]
+                          _fitnesses(m), out)
+    return out[0]
 
 
 def _fitnesses(rules: list) -> np.ndarray:
@@ -421,10 +421,9 @@ def _match_matrix(rules: list, xs: np.ndarray, cfg: ExperimentConfig) -> np.ndar
     mode)."""
     if cfg.global_ea:
         return np.ones((len(rules), xs.shape[0]), dtype=bool)
-    ys = np.empty((xs.shape[0] * len(rules), 1))
+    ys = np.empty((len(rules) * xs.shape[0], 1))
     kernels.forward_batch([cl.cond_args for cl in rules], xs, ys)
-    return np.greater(ys.reshape(xs.shape[0], len(rules)).T, cfg.match_threshold,
-                      order="C")
+    return ys.reshape(len(rules), xs.shape[0]) > cfg.match_threshold
 
 
 def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
@@ -438,8 +437,7 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     ``predict_batch`` call.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
-    rows = xs.shape[0]
-    if rows == 0:
+    if xs.shape[0] == 0:
         return float("nan"), float("nan")
     if not pop.members:
         return float("nan"), 0.0
@@ -447,11 +445,9 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     msize = pop.state.num @ matched
     # a row that no rule matches is predicted by every rule
     matched[:, ~matched.any(axis=0)] = True
-    acc = np.zeros_like(xs)
-    fsum = np.zeros(rows)
+    preds = np.empty_like(xs)
     kernels.predict_batch([cl.pred_args for cl in pop.members], xs, matched,
-                          pop.state.fit, acc, fsum)
-    preds = acc / fsum[:, None]
+                          pop.state.fit, preds)
     mses = np.mean((preds - xs) ** 2, axis=1)
     return float(mses.mean()), float(msize.mean())
 

@@ -43,7 +43,7 @@ def _reinforce(mod, preds, x, rules, omega=0.9):
     """One ``reinforce_batch`` call of ``mod``; returns each net's pre-update
     output, from ``forward_batch`` before the call, and the call's output."""
     ys = np.empty((len(preds), len(x)))
-    mod.forward_batch(preds, x, ys)
+    mod.forward_batch(preds, x[None], ys)
     out = np.full(len(x), 7.0)
     mod.reinforce_batch(preds, x, omega, out, *rules)
     return ys, out
@@ -90,7 +90,7 @@ def test_forward_parity(cy):
         for n_out in (1, n_in, int(rng.integers(1, 9))):
             nets = [_args(*_random_net(rng, n_in, int(rng.integers(1, 9)), n_out))
                     for _ in range(int(rng.integers(1, 5)))]
-            x = rng.random(n_in)
+            x = rng.random((1, n_in))
             ys_py = np.empty((len(nets), n_out))
             ys_cy = np.empty((len(nets), n_out))
             _kernels_py.forward_batch(nets, x, ys_py)
@@ -99,7 +99,7 @@ def test_forward_parity(cy):
 
 
 def test_batched_forward_parity_and_batch_invariance(cy):
-    # row r * m + i of a batched call is net i's output for input r: the
+    # row i * rows + r of a batched call is net i's output for input r: the
     # same bytes on both backends and as a one-input call
     rng = np.random.default_rng(19)
     for n_in in (1, 3, 8, 64, 784):
@@ -114,8 +114,8 @@ def test_batched_forward_parity_and_batch_invariance(cy):
                 assert ys_cy.tobytes() == ys_py.tobytes(), (n_in, n_out, rows)
                 for r in range(rows):
                     one = _untouched(m, n_out)
-                    cy.forward_batch(nets, xs[r], one)
-                    assert one.tobytes() == ys_cy[r * m:(r + 1) * m].tobytes()
+                    cy.forward_batch(nets, xs[r:r + 1], one)
+                    assert one.tobytes() == ys_cy[r::rows].tobytes()
 
 
 def test_bad_batched_forwards_leave_ys_out_untouched(cy):
@@ -125,6 +125,8 @@ def test_bad_batched_forwards_leave_ys_out_untouched(cy):
     read_only = _untouched(6)
     read_only.flags.writeable = False
     bad_calls = [
+        # one input is a batch of one row, never a 1-D x
+        (ValueError, "x has the wrong shape", xs[0], _untouched(2)),
         (ValueError, "x has the wrong shape", xs[None], _untouched(6)),
         (ValueError, "w1 has the wrong shape", rng.random((3, 7)), _untouched(6)),
         (ValueError, "ys_out has the wrong shape", xs, _untouched(5)),
@@ -149,24 +151,29 @@ def test_bad_batched_forwards_leave_ys_out_untouched(cy):
         assert np.all(ys == 7.0)
 
 
-def _predict_reference(nets, xs, matched, fit, acc, fsum):
+def _predict_reference(nets, xs, matched, fit, n_out):
     """``predict_batch`` as a loop over rows and their nets in list order,
-    each output from a one-net, one-input ``forward_batch`` call."""
-    y = np.empty((1, acc.shape[1]))
+    each output from a one-net, one-input ``forward_batch`` call, each row's
+    sums from 0.0 and divided after its last net."""
+    out, y = np.empty((len(xs), n_out)), np.empty((1, n_out))
     for r, x in enumerate(xs):
+        acc, fsum = np.zeros(n_out), 0.0
         for net, f, match in zip(nets, fit.tolist(), matched[:, r]):
             if match:
-                _kernels_py.forward_batch([net], x, y)
-                acc[r] = acc[r] + f * y[0]
-                fsum[r] += f
-    return acc, fsum
+                _kernels_py.forward_batch([net], x[None], y)
+                acc = acc + f * y[0]
+                fsum += f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[r] = acc / fsum
+    return out
 
 
 def test_predict_batch_parity(cy):
-    # every row adds f * y of its matching nets in list order: the same bytes
-    # on both backends and as a loop of one-input calls; hidden sizes 1-5 and
-    # 12, row counts off a multiple of four, a net that matches no row and a row
-    # that every net matches; the sums start from what the outputs hold
+    # every row adds f * y of its matching nets in list order and divides by
+    # their fitness total: the same bytes on both backends, whatever out held
+    # before, and as a loop of one-input calls; hidden sizes 1-5 and 12, row
+    # counts off a multiple of four, a net that matches no row, a row that no
+    # net matches (NaN) and a row that every net matches
     rng = np.random.default_rng(21)
     for n_in in (1, 3, 8, 64, 784):
         for n_out in (1, n_in):
@@ -178,19 +185,19 @@ def test_predict_batch_parity(cy):
                 xs = rng.random((rows, n_in))
                 no_row = rng.random((m, rows)) < 0.6
                 no_row[m // 2] = False
+                no_row[:, rows - 1:] = False
                 every_net = rng.random((m, rows)) < 0.6
                 every_net[:, rows // 2:rows // 2 + 1] = True
-                start = rng.random((rows, n_out)), rng.random(rows)
                 for matched in (no_row, every_net):
-                    out = []
+                    out = set()
                     for mod in (_kernels_py, cy):
-                        acc, fsum = start[0].copy(), start[1].copy()
-                        mod.predict_batch(nets, xs, matched, fit, acc, fsum)
-                        out.append((acc.tobytes(), fsum.tobytes()))
-                    assert out[0] == out[1], (n_in, n_out, rows)
-                    acc, fsum = _predict_reference(nets, xs, matched, fit, start[0].copy(),
-                                                   start[1].copy())
-                    assert out[1] == (acc.tobytes(), fsum.tobytes()), (n_in, n_out, rows)
+                        for fill in (0.0, 7.0, math.nan):
+                            pred = np.full((rows, n_out), fill)
+                            mod.predict_batch(nets, xs, matched, fit, pred)
+                            out.add(pred.tobytes())
+                    expected = _predict_reference(nets, xs, matched, fit, n_out)
+                    assert out == {expected.tobytes()}, (n_in, n_out, rows)
+                    assert np.isnan(expected[~matched.any(axis=0)]).all()
 
 
 def test_bad_predict_batches_leave_the_outputs_untouched(cy):
@@ -221,24 +228,23 @@ def test_bad_predict_batches_leave_the_outputs_untouched(cy):
         (ValueError, "matched has the wrong shape", "matched", matched.T.copy()),
         (ValueError, "fit has the wrong shape", "fit", fit[:1].copy()),
         (TypeError, "fit must be a native float64 array", "fit", [0.25, 0.5]),
-        (ValueError, "acc_out must be writable", "acc_out", read_only(np.full((3, 4), 7.0))),
-        # the width of acc_out fixes every net's output width
-        (ValueError, "w2 has the wrong shape", "acc_out", np.full((3, 5), 7.0)),
-        (ValueError, "acc_out has the wrong shape", "acc_out", np.full((2, 4), 7.0)),
-        (ValueError, "fsum_out must be writable", "fsum_out", read_only(np.full(3, 7.0))),
-        (ValueError, "fsum_out has the wrong shape", "fsum_out", np.full(4, 7.0)),
+        (ValueError, "out must be writable", "out", read_only(np.full((3, 4), 7.0))),
+        (TypeError, "out must be a native float64 array", "out",
+         np.full((3, 4), 7.0, np.float32)),
+        # the width of out fixes every net's output width
+        (ValueError, "w2 has the wrong shape", "out", np.full((3, 5), 7.0)),
+        (ValueError, "out has the wrong shape", "out", np.full((2, 4), 7.0)),
+        (ValueError, "out has the wrong shape", "out", np.full(12, 7.0)),
     ]
     for mod in (_kernels_py, cy):
         for exc, msg, name, bad in bad_calls:
-            args = dict(nets=nets, x=xs, matched=matched, fit=fit,
-                        acc_out=np.full((3, 4), 7.0), fsum_out=np.full(3, 7.0))
+            args = dict(nets=nets, x=xs, matched=matched, fit=fit, out=np.full((3, 4), 7.0))
             if name == "nets" and mod is _kernels_py and isinstance(bad, tuple):
                 continue  # only the compiled argument parser types the list
             args[name] = bad
             with pytest.raises(exc, match=msg):
                 mod.predict_batch(**args)
-            assert np.all(args["acc_out"] == 7.0), (mod, msg)
-            assert np.all(args["fsum_out"] == 7.0), (mod, msg)
+            assert np.all(args["out"] == 7.0), (mod, msg)
 
 
 def test_single_net_reinforce_parity_over_many_steps(cy):
@@ -281,8 +287,8 @@ def test_match_batch_parity(cy):
     x = rng.random(5)
     ys_py = np.empty((len(conds), 1))
     ys_cy = np.empty((len(conds), 1))
-    _kernels_py.forward_batch(conds, x, ys_py)
-    cy.forward_batch(conds, x, ys_cy)
+    _kernels_py.forward_batch(conds, x[None], ys_py)
+    cy.forward_batch(conds, x[None], ys_cy)
     assert ys_cy.tobytes() == ys_py.tobytes()
     matched = np.flatnonzero(ys_py[:, 0] > 0.5)
     assert 0 < len(matched) < len(conds)  # not a degenerate case
@@ -359,18 +365,18 @@ def test_activations_at_the_edges_are_bit_for_bit(cy):
     edge_nets = [_edge_net(*v) for v in values]
     ys = [np.full((len(values), 1), 7.0) for _ in range(2)]
     for mod, y in zip((_kernels_py, cy), ys):
-        mod.forward_batch(edge_nets, x, y)
+        mod.forward_batch(edge_nets, x[None], y)
     assert ys[0].tobytes() == ys[1].tobytes()
     # the same nets through predict_batch, on one row that every net matches
-    # with fit 1.0 and sums from 0: all nets in one call, and each on its own
+    # with fit 1.0: all nets in one call, and each on its own
     for nets in [edge_nets] + [[net] for net in edge_nets]:
-        sums = []
+        means = []
         for mod in (_kernels_py, cy):
-            acc, fsum = np.zeros((1, 1)), np.zeros(1)
+            out = np.full((1, 1), 7.0)
             mod.predict_batch(nets, x[None], np.ones((len(nets), 1), bool),
-                              np.ones(len(nets)), acc, fsum)
-            sums.append((acc.tobytes(), fsum.tobytes()))
-        assert sums[0] == sums[1]
+                              np.ones(len(nets)), out)
+            means.append(out.tobytes())
+        assert means[0] == means[1]
     # a training step, from the finite values, which need no NaN arithmetic;
     # the output of the last net saturates, so its hidden gradient is the
     # sum of one -0.0, which starts from +0.0 as in C
@@ -427,9 +433,9 @@ def test_compiled_steps_do_not_depend_on_the_batch(cy):
             for u, v in zip(a, b):
                 assert np.array_equal(u, v)
         ys, y1 = np.empty((size, n)), np.empty((1, n))
-        cy.forward_batch(batch, x, ys)
+        cy.forward_batch(batch, x[None], ys)
         for i, net in enumerate(batch):
-            cy.forward_batch([net], x, y1)
+            cy.forward_batch([net], x[None], y1)
             assert np.array_equal(ys[i], y1[0])
     assert totals == {0, 1, 2, 3}
 
@@ -444,7 +450,8 @@ def test_backends_export_the_same_kernels(cy):
     assert _public_functions(cy) == expected
     # the twin also holds the package's activations
     assert _public_functions(_kernels_py) - {"selu", "logistic"} == expected
-    # the match rule is written once, over either backend's forward_batch
+    # match_batch, the one-input match rule, serves both backends over their
+    # forward_batch
     assert _public_functions(kernels) == expected | {"match_batch"}
 
 
@@ -455,14 +462,14 @@ def test_both_backends_refuse_the_forward_only_layout(cy):
     for mod in (_kernels_py, cy):
         ys = _untouched(1)
         with pytest.raises((TypeError, ValueError)):
-            mod.forward_batch([four], rng.random(4), ys)
+            mod.forward_batch([four], rng.random((1, 4)), ys)
         assert np.all(ys == 7.0)
 
 
 def test_backends_are_internally_deterministic(cy):
     rng = np.random.default_rng(4)
     net = _args(*_random_net(rng, 5, 3, 5))
-    x = rng.random(5)
+    x = rng.random((1, 5))
     for mod in (_kernels_py, cy):
         y1, y2 = np.empty((1, 5)), np.empty((1, 5))
         mod.forward_batch([net], x, y1)
@@ -492,7 +499,7 @@ def test_short_input_is_rejected(cy):
     conds = [_cond(rng, 64) for _ in range(3)]
     ys = _untouched(3)
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.forward_batch(conds, rng.random(16), ys)
+        cy.forward_batch(conds, rng.random((1, 16)), ys)
     assert np.all(ys == 7.0)
     preds = [_pred(rng, 64)]
     with pytest.raises(ValueError, match="w1 has the wrong shape"):
@@ -503,7 +510,7 @@ def test_float32_input_is_rejected(cy):
     rng = np.random.default_rng(6)
     ys = _untouched(1)
     with pytest.raises(TypeError, match="x must be a native float64 array"):
-        cy.forward_batch([_cond(rng, 64)], rng.random(64).astype(np.float32), ys)
+        cy.forward_batch([_cond(rng, 64)], rng.random((1, 64)).astype(np.float32), ys)
     assert np.all(ys == 7.0)
 
 
@@ -512,7 +519,7 @@ def test_fortran_ordered_weights_are_rejected(cy):
     cond = _cond(rng, 64, h=4)
     ys = _untouched(1)
     with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
-        cy.forward_batch([(np.asfortranarray(cond[0]),) + cond[1:]], rng.random(64), ys)
+        cy.forward_batch([(np.asfortranarray(cond[0]),) + cond[1:]], rng.random((1, 64)), ys)
     assert np.all(ys == 7.0)
 
 
@@ -521,13 +528,13 @@ def test_short_output_buffer_is_rejected(cy):
     conds = [_cond(rng, 8) for _ in range(3)]
     ys = _untouched(1)
     with pytest.raises(ValueError, match="ys_out has the wrong shape"):
-        cy.forward_batch(conds, rng.random(8), ys)
+        cy.forward_batch(conds, rng.random((1, 8)), ys)
     assert np.all(ys == 7.0)
 
 
 def test_bad_forward_batches_leave_ys_out_untouched(cy):
     rng = np.random.default_rng(10)
-    x = rng.random(8)
+    x = rng.random((1, 8))
     good = _cond(rng, 8)
     read_only = _untouched(2)
     read_only.flags.writeable = False
@@ -556,14 +563,31 @@ def test_bad_batches_fail_before_any_update(cy):
     x = rng.random(6)
     good = _pred(rng, 6)
     before = [a.copy() for a in good if isinstance(a, np.ndarray)]
-    bad_calls = [
-        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], np.full(6, 7.0)),
-        (TypeError, "eta2 must be a float", [good, good[:11] + (1,)], np.full(6, 7.0)),
+    # a bad net after a good one: both backends check every net before they
+    # step any, write out or move any column
+    bad_nets = [
+        (TypeError, "item 1 must be a 12-tuple", lambda net: net[:11]),
+        (TypeError, "eta2 must be a float", lambda net: net[:11] + (1,)),
+        (TypeError, "eta1 must be a float", lambda net: net[:5] + (1,) + net[6:]),
+        (TypeError, "mw1 must be a native float64 array",
+         lambda net: net[:3] + (net[3].astype(np.float32),) + net[4:]),
+        (ValueError, "mask1 has the wrong shape",
+         lambda net: net[:2] + (np.ones((1, 7), np.uint8),) + net[3:]),
+        (ValueError, "w1 must be writable", lambda net: (_read_only(net[0]),) + net[1:]),
     ]
-    for exc, msg, preds, out in bad_calls:
-        with pytest.raises(exc, match=msg):
-            cy.reinforce_batch(preds, x, 0.9, out, *spare_rules(len(preds)))
-        assert np.all(out == 7.0), msg
+    for mod in (_kernels_py, cy):
+        for exc, msg, make_bad in bad_nets:
+            bad = make_bad(_pred(rng, 6))
+            nets = [a.copy() for net in (good, bad) for a in net if isinstance(a, np.ndarray)]
+            out, rules = np.full(6, 7.0), spare_rules(2)
+            columns = [np.array(v, copy=True) for v in rules]
+            with pytest.raises(exc, match=msg):
+                mod.reinforce_batch([good, bad], x, 0.9, out, *rules)
+            assert np.all(out == 7.0), (mod, msg)
+            assert all(np.array_equal(np.asarray(v), c)
+                       for v, c in zip(rules, columns)), (mod, msg)
+            stepped = [a for net in (good, bad) for a in net if isinstance(a, np.ndarray)]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(nets, stepped)), (mod, msg)
     # a bad output: both backends check it before they step any net or
     # write anything
     for mod in (_kernels_py, cy):

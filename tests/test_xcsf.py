@@ -221,7 +221,7 @@ def _reinforce_per_rule(m, x, cfg):
     pre-update fitnesses, added rule by rule."""
     m_micro = sum(cl.num for cl in m)
     ys = np.empty((len(m), len(x)))
-    kernels.forward_batch([cl.pred_args for cl in m], x, ys)
+    kernels.forward_batch([cl.pred_args for cl in m], x[None], ys)
     output, fsum = np.zeros(len(x)), 0.0
     for cl, y in zip(m, ys):
         output = output + cl.fit * y
@@ -721,7 +721,7 @@ def _evaluate_per_input(pop, xs, cfg):
         sizes.append(sum(pop.members[i].num for i in m))
         m = m or list(range(len(pop.members)))
         ys = np.empty((len(m), len(x)))
-        kernels.forward_batch([pop.members[i].pred_args for i in m], x, ys)
+        kernels.forward_batch([pop.members[i].pred_args for i in m], x[None], ys)
         acc, fsum = np.zeros(len(x)), 0.0
         for i, y in zip(m, ys):
             acc = acc + fits[i] * y
@@ -745,13 +745,13 @@ def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, request, mo
 
 
 def _evaluate_predictions(pop, xs, cfg, monkeypatch):
-    """``evaluate``'s prediction of every row of ``xs``, read from the sums
-    of its one ``predict_batch`` call and divided as it divides them."""
+    """``evaluate``'s prediction of every row of ``xs``, read from the
+    output of its one ``predict_batch`` call."""
     inner, preds = kernels.predict_batch, []
 
-    def recorded(nets, x, matched, fit, acc_out, fsum_out):
-        inner(nets, x, matched, fit, acc_out, fsum_out)
-        preds.append(acc_out / fsum_out[:, None])
+    def recorded(nets, x, matched, fit, out):
+        inner(nets, x, matched, fit, out)
+        preds.append(out.copy())
 
     monkeypatch.setattr(kernels, "predict_batch", recorded)
     xcsf.evaluate(pop, xs, cfg)
