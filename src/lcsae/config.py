@@ -61,6 +61,7 @@ _KEY_TO_FIELD = {f.name: f.name for f in fields(ExperimentConfig)}
 _KEY_TO_FIELD["lambda"] = "lam"
 del _KEY_TO_FIELD["lam"]
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_bool(s):
@@ -80,22 +81,22 @@ def _parse_opt_int(s):
 def _parse_opt_shape(s):
     if s.lower() in ("", "none"):
         return None
-    parts = tuple(int(p) for p in s.split(","))
+    parts = [int(p) for p in s.split(",")]
     if len(parts) == 2:
-        parts = parts + (1,)
+        parts.append(1)
     if len(parts) != 3:
         raise ValueError(f"image_shape must be H,W or H,W,C: {s!r}")
     return parts
 
 
-# config-file text parser per field annotation (the annotations are strings)
+# the JSON form of a config-file value, by field annotation (a string)
 _PARSERS = {"bool": _parse_bool, "float": float, "int": int,
             "int | None": _parse_opt_int, "str": str, "tuple | None": _parse_opt_shape}
-_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse key=value lines; '#' starts a comment, blank lines are skipped."""
+    """Parse key=value lines ('#' starts a comment) by each field's annotation
+    into the dict that ``config_from_dict`` checks and builds the config from."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -108,21 +109,18 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        name = _KEY_TO_FIELD[key]
-        if name in values:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[name] = _FIELD_PARSERS[name](value)
+            values[key] = _PARSERS[_FIELD_TYPES[_KEY_TO_FIELD[key]]](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    cfg = ExperimentConfig(**values)
-    validate(cfg)
-    return cfg
+    return config_from_dict(values)
 
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -200,7 +198,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 _JSON_TYPES = {"bool": bool, "float": (int, float), "int": int,
                "int | None": (int, type(None)), "str": str,
                "tuple | None": (list, type(None))}
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _typed(key, value, annotation):

@@ -51,7 +51,7 @@ def load_csv(path, has_label_column: bool = False, image_shape=None) -> Dataset:
     rows = []
     width = None
     try:
-        with open(path, "r", newline="", encoding="utf-8") as f:
+        with open(path, "r", newline="", encoding="utf-8-sig") as f:
             for lineno, record in enumerate(csv.reader(f), 1):
                 if not record or (len(record) == 1 and not record[0].strip()):
                     continue

@@ -14,11 +14,14 @@ mtotal``) live in a ``RuleState`` table of one numpy column each, exactly
 as long as the rows it holds.  A ``Population`` owns one table with one row
 per member, and row i of it belongs to ``pop.members[i]``.  A match set is
 an array of positions in ``pop.members``, which index the table directly:
-reinforcement hands the positions and the columns to the kernel, and the
-EA due-check, deletion votes and the population sums are array operations
-over whole columns.  A rule reads and writes its own row through
-properties of the same names; outside a population (fresh from covering or
-reproduction, or after removal) it owns a one-row table.  Membership
+reinforcement hands the positions and the columns to the kernel, the EA
+due-check, deletion votes and the population sums are array operations
+over whole columns, and the EA's parents and the best rule are picked by
+position from them.  A rule is its two nets plus a row of a table,
+``Classifier(condition, prediction, state, row)``, and reads and writes
+that row through properties of the same names.  Outside a population
+(fresh from covering or reproduction, or after removal) it owns a one-row
+table, which ``RuleState.of`` builds from the eight scalars.  Membership
 changes only through ``Population.add``, which appends the rule's row to
 every column, and ``Population.remove``, which deletes it and hands the
 rule a copy; both replace the columns.  Neither a rule nor a table refers
@@ -68,6 +71,11 @@ class RuleState:
             setattr(self, name, np.array(values, np.int64 if name in INT_SCALARS
                                          else np.float64))
 
+    @classmethod
+    def of(cls, *, err, fit, num, exp, set_size, ts, born, mtotal) -> RuleState:
+        """The one-row table of a rule outside a population."""
+        return cls(([err], [fit], [num], [exp], [set_size], [ts], [born], [mtotal]))
+
 
 def _scalar(name: str, cast):
     def get(self):
@@ -80,7 +88,9 @@ def _scalar(name: str, cast):
 
 
 class Classifier:
-    """A condition net, a prediction net and one row of rule state."""
+    """A condition net, a prediction net and row ``row`` of the ``RuleState``
+    table ``state``, which holds the rule's scalars: a population's table, or
+    for a rule outside one its own one-row table from ``RuleState.of``."""
 
     __slots__ = ("condition", "prediction", "cond_args", "pred_args",
                  "_state", "_row")
@@ -95,13 +105,11 @@ class Classifier:
     mtotal = _scalar("mtotal", int)
 
     def __init__(self, condition: neural.Network, prediction: neural.Network,
-                 err: float, fit: float, num: int, exp: int, set_size: float,
-                 ts: int, born: int, mtotal: int):
+                 state: RuleState, row: int):
         self.condition = condition
         self.prediction = prediction
-        self._state = RuleState(([err], [fit], [num], [exp], [set_size], [ts], [born],
-                                 [mtotal]))
-        self._row = 0
+        self._state = state
+        self._row = row
         # structure and rates are fixed after construction, so each net's
         # kernel argument tuple is cached for the per-trial loops
         self.cond_args = neural.net_args(condition)
@@ -161,19 +169,19 @@ class Population:
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
     """Population of N random single-hidden-neuron classifiers (or empty
     when P_init is off, in which case covering fills it on demand)."""
-    members = []
-    if cfg.P_init:
-        for _ in range(cfg.N):
-            members.append(_random_classifier(cfg, n_features, rng, trial=0))
+    members = [_fresh_rule(neural.new_network(n_features, cfg.h_I, 1, rng, mu_min=cfg.mu_min),
+                           cfg, n_features, rng, trial=0)
+               for _ in range(cfg.N if cfg.P_init else 0)]
     return Population(members=members, trial=0)
 
 
-def _random_classifier(cfg, n_features, rng, trial) -> Classifier:
-    condition = neural.new_network(n_features, cfg.h_I, 1, rng, mu_min=cfg.mu_min)
-    prediction = neural.new_network(n_features, cfg.h_I, n_features, rng, mu_min=cfg.mu_min)
-    return Classifier(condition=condition, prediction=prediction,
-                      err=cfg.epsilon_I, fit=cfg.F_I, num=1, exp=0,
-                      set_size=1.0, ts=trial, born=trial, mtotal=0)
+def _fresh_rule(condition: neural.Network, cfg: ExperimentConfig, n: int, rng,
+                trial: int) -> Classifier:
+    """A rule born at ``trial`` on ``condition``, with a new prediction net."""
+    prediction = neural.new_network(n, cfg.h_I, n, rng, mu_min=cfg.mu_min)
+    return Classifier(condition, prediction,
+                      RuleState.of(err=cfg.epsilon_I, fit=cfg.F_I, num=1, exp=0,
+                                   set_size=1.0, ts=trial, born=trial, mtotal=0), 0)
 
 
 def match_set(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
@@ -211,10 +219,7 @@ def cover(x, cfg: ExperimentConfig, rng, trial: int) -> Classifier:
         condition = neural.new_network(n, cfg.h_I, 1, rng, sigma=1.0,
                                        random_biases=True, mu_min=cfg.mu_min)
         if cfg.global_ea or neural.forward(condition, x)[0] > cfg.match_threshold:
-            prediction = neural.new_network(n, cfg.h_I, n, rng, mu_min=cfg.mu_min)
-            return Classifier(condition=condition, prediction=prediction,
-                              err=cfg.epsilon_I, fit=cfg.F_I, num=1, exp=0,
-                              set_size=1.0, ts=trial, born=trial, mtotal=0)
+            return _fresh_rule(condition, cfg, n, rng, trial)
     raise CoveringError(
         f"covering failed to match the input after {MAX_COVER_TRIES} samples; "
         f"check match_threshold ({cfg.match_threshold})")
@@ -274,12 +279,6 @@ def roulette(weights, rng) -> int:
     return int(past[0]) if len(past) else len(weights) - 1
 
 
-def select_parents(m: list, rng) -> tuple:
-    """Two fitness-proportionate roulette draws (repeats allowed)."""
-    fits = [cl.fit for cl in m]
-    return m[roulette(fits, rng)], m[roulette(fits, rng)]
-
-
 def make_offspring(parent: Classifier, err: float, fit: float,
                    cfg: ExperimentConfig, rng, trial: int) -> Classifier:
     """Clone of ``parent`` with self-adapted rates and mutated networks.
@@ -301,9 +300,9 @@ def make_offspring(parent: Classifier, err: float, fit: float,
         if cfg.connection_mutation:
             for layer in net.layers:
                 neural.mutate_connections(layer, rng)
-    return Classifier(condition=condition, prediction=prediction,
-                      err=err, fit=fit, num=1, exp=1,
-                      set_size=parent.set_size, ts=trial, born=trial, mtotal=0)
+    return Classifier(condition, prediction,
+                      RuleState.of(err=err, fit=fit, num=1, exp=1, set_size=parent.set_size,
+                                   ts=trial, born=trial, mtotal=0), 0)
 
 
 def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> bool:
@@ -321,12 +320,13 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
     if pop.trial - mean_ts <= cfg.theta_EA:
         return False
     st.ts[m] = pop.trial
-    p1, p2 = select_parents([pop.members[i] for i in m.tolist()], rng)
-    err = 0.5 * (p1.err + p2.err) * cfg.epsilon_R
+    # two fitness-proportionate roulette draws (repeats allowed)
+    p1, p2 = m[roulette(st.fit[m], rng)], m[roulette(st.fit[m], rng)]
+    err = 0.5 * (float(st.err[p1]) + float(st.err[p2])) * cfg.epsilon_R
     # a small F_R can make the reduced fitness subnormal, whose deletion vote
     # mean_f / fit overflows; keep it at the floor reinforce keeps
-    fit = max(0.5 * (p1.fit + p2.fit) * cfg.F_R, _F_FLOOR)
-    parents = (p1, p2)
+    fit = max(0.5 * (float(st.fit[p1]) + float(st.fit[p2])) * cfg.F_R, _F_FLOOR)
+    parents = (pop.members[p1], pop.members[p2])
     for i in range(cfg.lam):
         pop.add(make_offspring(parents[i % 2], err, fit, cfg, rng, pop.trial))
     return True
@@ -469,9 +469,11 @@ def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     The rule with the lowest error wins unless several are below the target
     error, in which case the one matching the most inputs wins.
     """
-    below = [cl for cl in pop.members if cl.err < cfg.epsilon0]
-    if not below:
-        below = [min(pop.members, key=lambda cl: cl.err)]
-    counts = _match_matrix(below, xs, cfg).sum(axis=1).tolist()
-    i = min(range(len(below)), key=lambda i: (-counts[i], below[i].err))
-    return below[i], counts[i] / xs.shape[0]
+    err = pop.state.err
+    below = np.flatnonzero(err < cfg.epsilon0)
+    if not len(below):
+        below = np.array([np.argmin(err)])  # the first rule with the lowest error
+    counts = _match_matrix([pop.members[i] for i in below.tolist()], xs, cfg).sum(axis=1)
+    # most matches, then lowest error; the stable sort keeps the earliest rule
+    k = np.lexsort((err[below], -counts))[0]
+    return pop.members[below[k]], int(counts[k]) / xs.shape[0]

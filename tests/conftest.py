@@ -68,7 +68,7 @@ def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
     fields = dict(err=0.0, fit=0.01, num=1, exp=0, set_size=1.0,
                   ts=0, born=0, mtotal=0)
     fields.update(attrs)
-    return xcsf.Classifier(condition=condition, prediction=prediction, **fields)
+    return xcsf.Classifier(condition, prediction, xcsf.RuleState.of(**fields), 0)
 
 
 @pytest.fixture

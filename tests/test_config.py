@@ -1,7 +1,7 @@
 import pytest
 
 from lcsae.config import (ConfigError, ExperimentConfig, config_from_dict,
-                          config_to_dict, derived_rng, parse_config)
+                          config_to_dict, derived_rng, load_config, parse_config)
 
 
 def test_defaults_match_reference_parameters():
@@ -50,6 +50,13 @@ dataset=foo.csv
     assert cfg.connection_mutation is True
     assert cfg.image_shape == (16, 16, 1)
     assert cfg.dataset == "foo.csv"
+
+
+def test_load_config_skips_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfN=40\nbeta=0.2\n")
+    cfg = load_config(path)
+    assert cfg.N == 40 and cfg.beta == 0.2
 
 
 def test_parse_rejects_unknown_and_duplicate_keys():

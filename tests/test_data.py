@@ -30,6 +30,15 @@ def test_load_csv_header_autodetected(tmp_path):
     assert np.array_equal(ds.features, [[0.1, 0.2], [0.3, 0.4]])
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; the first row is data
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.1,0.2\n0.3,0.4\n")
+    ds = load_csv(str(path))
+    assert ds.rows == 2
+    assert np.array_equal(ds.features, [[0.1, 0.2], [0.3, 0.4]])
+
+
 def test_load_csv_drops_label_column(tmp_path):
     ds = load_csv(_write(tmp_path, "0.1,0.2,7\n0.3,0.4,9\n"), has_label_column=True)
     assert ds.n == 2

@@ -552,6 +552,17 @@ def test_best_classifier_lowest_error_when_none_accurate(cfg):
     assert mfrac == 1.0
 
 
+def test_best_classifier_falls_back_to_the_first_rule_with_the_lowest_error(cfg):
+    # only the fallback rule is counted, so the wider later rule cannot win
+    xs = np.tile([1.0, 0.0], (4, 1))
+    rules = [make_classifier(n=2, condition=c(2), err=e) for c, e in
+             ((always_match_condition, 0.5), (never_match_condition, 0.2),
+              (always_match_condition, 0.2))]
+    best, mfrac = xcsf.best_classifier(xcsf.Population(rules), xs, cfg)
+    assert best is rules[1]
+    assert mfrac == 0.0
+
+
 def test_best_classifier_prefers_wider_match_below_target(cfg):
     # 10 rows: feature 0 high on 9 of them, feature 1 high on 6
     xs = np.zeros((10, 2))
@@ -1064,3 +1075,15 @@ def test_mean_fitness_adds_in_member_order():
         total += f
     assert pop.mean_fitness() == total / len(fits)
     assert float(np.sum(fits)) != total
+
+
+def test_rule_state_of_takes_the_eight_scalars_by_keyword_only():
+    values = _scalars(3)
+    nets = make_classifier(n=2)
+    cl = xcsf.Classifier(nets.condition, nets.prediction, xcsf.RuleState.of(**values), 0)
+    assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
+    with pytest.raises(TypeError):
+        xcsf.RuleState.of(*values.values())
+    values["sizes"] = values.pop("set_size")  # misspelt
+    with pytest.raises(TypeError):
+        xcsf.RuleState.of(**values)
