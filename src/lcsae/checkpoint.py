@@ -84,22 +84,29 @@ def _unpack(data: bytes):
     return header, memoryview(data)[start + hlen:]
 
 
-_WINDOW_KEYS = {"mse_sum", "m_sum", "count"}
+# the partial metrics window of a run that has emitted every row it owes
+EMPTY_WINDOW = {"mse_sum": 0.0, "m_sum": 0.0, "count": 0}
 
 
-def _check_state(trial: int, c: dict, hidden, eta) -> None:
+def _check_state(trial: int, cfg, c: dict, hidden, eta) -> None:
     """Every rule scalar, hidden size and rate is in the range the learner
     can run with.  Every fitness is positive, as the learner starts it at
     F_I > 0, and a rule that was ever reinforced or reproduced (``exp >= 1``)
     keeps it at or above the floor, so every fitness-weighted mean has a
-    positive total."""
+    positive total.  The counters meet the invariants of every checkpoint
+    the learner writes, so none can overflow on resume: it saves at exactly
+    ``cfg.trials``, and every trial ends with at most N micro-classifiers."""
+    if trial > cfg.trials:
+        raise CheckpointError(f"trial {trial} is not <= the config's trials {cfg.trials}")
+
+    def counter(name):
+        # a trial adds at most 1 to exp and mtotal, and sets ts and born to itself
+        v = c[name]
+        return name, v, (v >= 0) & (v <= trial), f"in [0, trial={trial}]"
+
     fit = c["fit"]
     checks = (("num", c["num"], c["num"] >= 1, ">= 1"),
-              ("exp", c["exp"], c["exp"] >= 0, ">= 0"),
-              ("mtotal", c["mtotal"], c["mtotal"] >= 0, ">= 0"),
-              ("ts", c["ts"], (c["ts"] >= 0) & (c["ts"] <= trial), f"in [0, trial={trial}]"),
-              ("born", c["born"], (c["born"] >= 0) & (c["born"] <= trial),
-               f"in [0, trial={trial}]"),
+              *map(counter, ("exp", "mtotal", "ts", "born")),
               ("err", c["err"], np.isfinite(c["err"]) & (c["err"] >= 0), "finite and >= 0"),
               ("fit", fit, np.isfinite(fit) & (fit > 0)
                & ((c["exp"] < 1) | (fit >= xcsf._F_FLOOR)),
@@ -114,6 +121,10 @@ def _check_state(trial: int, c: dict, hidden, eta) -> None:
         if len(bad):
             i = int(bad[0])
             raise CheckpointError(f"rule {i} {name} {values[i].tolist()!r} is not {rule}")
+    # summed as Python ints, which no count of rules can wrap
+    micro = sum(c["num"].tolist())
+    if micro > cfg.N:
+        raise CheckpointError(f"micro count {micro} is not <= N={cfg.N}")
 
 
 def _check_layer(name: str, c: dict, mu_min: float) -> None:
@@ -135,9 +146,9 @@ def _check_layer(name: str, c: dict, mu_min: float) -> None:
 
 def _check_window(window) -> None:
     """The partial metrics window holds two finite sums and a count."""
-    if not isinstance(window, dict) or set(window) != _WINDOW_KEYS:
+    if not isinstance(window, dict) or set(window) != set(EMPTY_WINDOW):
         raise CheckpointError(f"metrics window {window!r} does not have exactly "
-                              f"the keys {sorted(_WINDOW_KEYS)}")
+                              f"the keys {sorted(EMPTY_WINDOW)}")
     for key in ("mse_sum", "m_sum"):
         v = window[key]
         if type(v) not in (int, float) or not math.isfinite(v):
@@ -166,7 +177,7 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
         "config": config_to_dict(cfg),
         "trial": pop.trial,
         "rng": rng.bit_generator.state,
-        "window": window or {"mse_sum": 0.0, "m_sum": 0.0, "count": 0},
+        "window": window or EMPTY_WINDOW,
         "rules": len(pop.members),
         "inputs": pop.members[0].prediction.n_inputs if pop.members else 0,
     }
@@ -211,7 +222,7 @@ def _population_from_header(header: dict, payload):
     state = {name: column(dtype, rules) for name, dtype in _SCALAR_DTYPES.items()}
     hidden = column("<i8", 2 * rules).reshape(rules, 2)
     eta = column("<f8", len(_LAYERS) * rules).reshape(rules, len(_LAYERS))
-    _check_state(trial, state, hidden, eta)
+    _check_state(trial, cfg, state, hidden, eta)
     # (out, in) of the four layers of every rule, and from them the element
     # counts of each layer field, all in Python ints so that no corrupt
     # hidden size can overflow them or allocate anything

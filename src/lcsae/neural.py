@@ -57,8 +57,8 @@ class Layer:
     mom_b: np.ndarray  # previous bias deltas
 
     def __post_init__(self):
-        # the compiled kernels index every array by the weight shape without
-        # bounds checks, so a layer whose arrays do not fit is never built
+        # a layer whose arrays do not fit is caught where it is built, not at
+        # a later kernel call, and so is its mu, which no kernel reads
         w = self.weights
         if w.ndim != 2:
             raise ValueError(f"layer weights must be 2-D, got shape {w.shape}")

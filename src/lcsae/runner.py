@@ -13,7 +13,7 @@ import numpy as np
 
 from . import checkpoint, data, kernels, metrics, xcsf
 from .config import (STREAM_AUX, STREAM_SPLIT, STREAM_TRAIN, ExperimentConfig,
-                     config_to_dict, derived_rng)
+                     config_to_dict, derived_rng, validate)
 
 METRICS_NAME = "metrics.csv"
 MANIFEST_NAME = "manifest.json"
@@ -100,29 +100,44 @@ def _write_manifest(out_dir, cfg, ds, start_trial, end_trial):
         f.write("\n")
 
 
-def _train_loop(pop, cfg, ds, rng, fh, target_trial, window):
-    """Advance the population to ``target_trial``, emitting one metrics row
+def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
+    """Run the population to ``cfg.trials``, then save its checkpoint and the
+    manifest: the one writer of a run directory.  Appends one metrics row
     per completed checkpoint interval (a partial final window is carried in
-    the checkpoint, not emitted, so resumed runs produce identical rows)."""
-    xs = ds.features
-    train_idx = ds.train_idx
+    the checkpoint, not emitted, so resumed runs produce identical rows),
+    after dropping the rows past the population's trial that an interrupted
+    run flushed.  Returns the metrics CSV path."""
+    xs, train_idx, start = ds.features, ds.train_idx, pop.trial
     if len(train_idx) == 0:
         raise TrainingError("training split is empty")
-    mse_sum = window["mse_sum"]
-    m_sum = window["m_sum"]
-    count = window["count"]
-    while pop.trial < target_trial:
-        i = int(rng.integers(0, len(train_idx)))
-        x = xs[train_idx[i]]
-        res = xcsf.run_trial(pop, x, cfg, rng)
-        mse_sum += res.mse
-        m_sum += res.m_micro
-        count += 1
-        if pop.trial % cfg.checkpoint_interval == 0:
-            _emit(fh, cfg, pop, ds, mse_sum / count, m_sum / count)
-            mse_sum = m_sum = 0.0
-            count = 0
-    return {"mse_sum": mse_sum, "m_sum": m_sum, "count": count}
+    mse_sum, m_sum, count = window["mse_sum"], window["m_sum"], window["count"]
+    metrics_path = os.path.join(out_dir, METRICS_NAME)
+    with open(metrics_path, "a+", encoding="utf-8", newline="") as fh:
+        fh.seek(0)
+        header, *rows = fh.readlines() or [metrics.CSV_HEADER]
+        try:
+            kept = [row for row in rows if int(row.split(",", 1)[0]) <= start]
+        except ValueError as exc:
+            raise data.DataError(f"{metrics_path}: a row's trial is not an integer: "
+                                 f"{exc}") from None
+        if fh.tell() == 0 or len(kept) < len(rows):
+            fh.truncate(0)
+            fh.writelines([header, *kept])
+        while pop.trial < cfg.trials:
+            i = int(rng.integers(0, len(train_idx)))
+            x = xs[train_idx[i]]
+            res = xcsf.run_trial(pop, x, cfg, rng)
+            mse_sum += res.mse
+            m_sum += res.m_micro
+            count += 1
+            if pop.trial % cfg.checkpoint_interval == 0:
+                _emit(fh, cfg, pop, ds, mse_sum / count, m_sum / count)
+                mse_sum = m_sum = 0.0
+                count = 0
+    checkpoint.save_population(os.path.join(out_dir, CHECKPOINT_NAME), pop, cfg, rng,
+                               {"mse_sum": mse_sum, "m_sum": m_sum, "count": count})
+    _write_manifest(out_dir, cfg, ds, start, pop.trial)
+    return metrics_path
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
@@ -135,18 +150,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
     rng = derived_rng(cfg.seed, STREAM_TRAIN)
     pop = xcsf.init_population(cfg, ds.n, rng)
     _write_manifest(out_dir, cfg, ds, 0, cfg.trials)
-
-    metrics_path = os.path.join(out_dir, METRICS_NAME)
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
+    with open(os.path.join(out_dir, METRICS_NAME), "w", encoding="utf-8", newline="") as fh:
         fh.write(metrics.CSV_HEADER)
         train_mse, m_size = xcsf.evaluate(pop, ds.train(), cfg)
         _emit(fh, cfg, pop, ds, train_mse, m_size)
-        window = {"mse_sum": 0.0, "m_sum": 0.0, "count": 0}
-        window = _train_loop(pop, cfg, ds, rng, fh, cfg.trials, window)
-    checkpoint.save_population(os.path.join(out_dir, CHECKPOINT_NAME),
-                               pop, cfg, rng, window)
-    _write_manifest(out_dir, cfg, ds, 0, pop.trial)
-    return metrics_path
+    return _advance(pop, cfg, ds, rng, out_dir, checkpoint.EMPTY_WINDOW)
 
 
 def resume_experiment(ckpt_path, extra_trials: int) -> str:
@@ -164,23 +172,11 @@ def resume_experiment(ckpt_path, extra_trials: int) -> str:
     # the stored budget tracks how far the run has been extended, so a
     # resumed checkpoint is identical to the one from an unsplit run
     cfg.trials = pop.trial + extra_trials
+    validate(cfg)
     ds = prepare_dataset(cfg)
     _check_fingerprint(ckpt_path, cfg)
     _check_width(pop, ds)
-    out_dir = os.path.dirname(os.path.abspath(ckpt_path))
-
-    start = pop.trial
-    target = start + extra_trials
-    metrics_path = os.path.join(out_dir, METRICS_NAME)
-    new_file = not os.path.exists(metrics_path)
-    with open(metrics_path, "a", encoding="utf-8", newline="") as fh:
-        if new_file:
-            fh.write(metrics.CSV_HEADER)
-        window = _train_loop(pop, cfg, ds, rng, fh, target, window)
-    checkpoint.save_population(os.path.join(out_dir, CHECKPOINT_NAME),
-                               pop, cfg, rng, window)
-    _write_manifest(out_dir, cfg, ds, start, pop.trial)
-    return metrics_path
+    return _advance(pop, cfg, ds, rng, os.path.dirname(os.path.abspath(ckpt_path)), window)
 
 
 # ---------------------------------------------------------------------------

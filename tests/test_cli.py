@@ -122,6 +122,54 @@ def test_resume_matches_unsplit_run_byte_for_byte(tmp_path, dataset):
            (full_out / "population.ckpt").read_bytes()
 
 
+def test_resume_after_an_interrupted_resume_matches_the_unsplit_run(tmp_path, monkeypatch):
+    # the interrupted resume flushed the row for trial 150 but saved no
+    # checkpoint, so the next resume starts from trial 100 again
+    data = write_csv(tmp_path / "data.csv", np.random.default_rng(8).random((80, 6)))
+    full, half = tmp_path / "full", tmp_path / "half"
+    for out, trials in ((full, 200), (half, 100)):
+        cfg = _config(tmp_path, data, name=f"{trials}.cfg", N=20, trials=trials)
+        assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+    emit = runner._emit
+
+    def interrupt_after_150(fh, cfg, pop, *args):
+        emit(fh, cfg, pop, *args)
+        if pop.trial == 150:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "_emit", interrupt_after_150)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["resume", str(half / "population.ckpt"), "--trials", "100"])
+    monkeypatch.setattr(runner, "_emit", emit)
+    assert cli.main(["resume", str(half / "population.ckpt"), "--trials", "100"]) == 0
+    trials = [row.trial for row in metrics.read_metrics(half / "metrics.csv")]
+    assert trials == [0, 50, 100, 150, 200]
+    for name in ("metrics.csv", "population.ckpt"):
+        assert (half / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_a_metrics_row_without_an_integer_trial_exits_2(small_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    before = (run / "population.ckpt").read_bytes()
+    with open(run / "metrics.csv", "a", encoding="utf-8") as f:
+        f.write("forty,0.1\n")
+    assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'forty'" in err and "Traceback" not in err
+    assert (run / "population.ckpt").read_bytes() == before
+
+
+def test_resume_past_the_int64_trial_limit_is_a_config_error(small_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    before = (run / "population.ckpt").read_bytes()
+    assert cli.main(["resume", str(run / "population.ckpt"), "--trials",
+                     str(2**63 - 40)]) == 1
+    assert "trials must be below 2**63" in capsys.readouterr().err
+    assert (run / "population.ckpt").read_bytes() == before
+
+
 def test_resume_zero_trials_changes_nothing(tmp_path, dataset):
     out = tmp_path / "r0"
     assert run_cli("run", _config(tmp_path, dataset), "--outdir", str(out)).returncode == 0
@@ -439,6 +487,12 @@ def _reinforced_below_the_floor(pop):
     pop.members[0].fit = xcsf._F_FLOOR / 2
 
 
+@_saved
+def _num_2_62_on_four_rules(pop):
+    # each rule passes num >= 1, and their micro count wraps an int64
+    pop.state.num[:4] = 2**62
+
+
 # Each case corrupts the checkpoint of a small run and names a part of the
 # error the loader must give.  The rule scalars are payload columns, so
 # their cases change the saved state rather than the header.
@@ -481,6 +535,17 @@ BAD_HEADERS = {
     "err inf": (_first_rule("err", float("inf")), "rule 0 err inf"),
     "set_size 0": (_first_rule("set_size", 0.0), "rule 0 set_size 0.0"),
     "born after trial": (_first_rule("born", 41), "rule 0 born 41"),
+    # counters the learner never reaches: resumed, a trial of 2**63 - 1
+    # ended in an OverflowError traceback, an exp of 2**63 - 1 overflowed
+    # in the compiled kernel, and four nums of 2**62 wrapped the micro count
+    "trial 2**63 - 1": (_header_key("trial", value=2**63 - 1),
+                        "trial 9223372036854775807 is not <= the config's trials 40"),
+    "exp 2**63 - 1 everywhere": (_every_rule("exp", 2**63 - 1),
+                                 "rule 0 exp 9223372036854775807 is not in [0, trial=40]"),
+    "exp after trial": (_first_rule("exp", 41), "rule 0 exp 41"),
+    "mtotal after trial": (_first_rule("mtotal", 41), "rule 0 mtotal 41"),
+    "num 2**62 on four rules": (_num_2_62_on_four_rules,
+                                "micro count 1844674407370955"),
     "ts negative": (_first_rule("ts", -1), "rule 0 ts -1"),
 }
 
@@ -587,16 +652,18 @@ def test_checkpoint_networks_the_learner_never_writes_exit_2(
 
 
 def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path):
-    # a reinforced rule may sit exactly at the fitness floor, and born/ts
-    # may equal the trial
+    # a reinforced rule may sit exactly at the fitness floor, born, ts, exp
+    # and mtotal may equal the trial, and the micro count may equal N
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
 
     @_saved
     def at_the_limits(pop):
         cl = pop.members[0]
-        cl.exp, cl.fit = max(cl.exp, 1), xcsf._F_FLOOR
-        cl.born = cl.ts = pop.trial
+        cl.fit = xcsf._F_FLOOR
+        cl.born = cl.ts = cl.exp = cl.mtotal = pop.trial
+        cl.num += BASE["N"] - pop.micro_count()
+        assert pop.micro_count() == BASE["N"]
 
     at_the_limits(run / "population.ckpt")
     assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "5"]) == 0

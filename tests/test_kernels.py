@@ -3,11 +3,14 @@ and the argument checks of the compiled kernels.
 
 The compiled module comes from the ``build`` and ``cy`` fixtures of
 ``conftest.py``, which compile ``src/lcsae/_kernels.c`` with the system C
-compiler and the flags in ``setup.py``.
+compiler and the flags in ``setup.py``.  The argument checks also run on
+the package's own compiled module when ``lcsae.kernels`` loaded it, so a
+sanitized build of the package runs every kernel's error exits.
 """
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +71,13 @@ def _mse_rules(m):
     return rules[:6] + (1.0,) + rules[7:]
 
 
+@pytest.fixture
+def compiled(cy):
+    """The compiled modules whose argument checks are tested: the ``cy``
+    build, and the package's own when ``kernels`` loaded the compiled one."""
+    return [cy, kernels._impl] if kernels.BACKEND == "cython" else [cy]
+
+
 def test_source_compiles_without_warnings(build):
     # -Wall -Wextra; a warning counts when it, or the note right after it,
     # points into the kernel source: a warning inside a header macro such as
@@ -118,7 +128,7 @@ def test_batched_forward_parity_and_batch_invariance(cy):
                     assert one.tobytes() == ys_cy[r::rows].tobytes()
 
 
-def test_bad_batched_forwards_leave_ys_out_untouched(cy):
+def test_bad_batched_forwards_leave_ys_out_untouched(compiled):
     rng = np.random.default_rng(20)
     nets = [_cond(rng, 8), _cond(rng, 8, h=3)]
     xs = rng.random((3, 8))
@@ -136,7 +146,7 @@ def test_bad_batched_forwards_leave_ys_out_untouched(cy):
         (ValueError, "x must be aligned and C-contiguous", np.asfortranarray(xs),
          _untouched(6)),
     ]
-    for mod in (_kernels_py, cy):
+    for mod in (_kernels_py, *compiled):
         for exc, msg, x, ys in bad_calls:
             with pytest.raises(exc, match=msg):
                 mod.forward_batch(nets, x, ys)
@@ -200,7 +210,7 @@ def test_predict_batch_parity(cy):
                     assert np.isnan(expected[~matched.any(axis=0)]).all()
 
 
-def test_bad_predict_batches_leave_the_outputs_untouched(cy):
+def test_bad_predict_batches_leave_the_outputs_untouched(compiled):
     rng = np.random.default_rng(23)
     good = _pred(rng, 4, h=2)
     nets = [good, _pred(rng, 4, h=1)]
@@ -236,7 +246,7 @@ def test_bad_predict_batches_leave_the_outputs_untouched(cy):
         (ValueError, "out has the wrong shape", "out", np.full((2, 4), 7.0)),
         (ValueError, "out has the wrong shape", "out", np.full(12, 7.0)),
     ]
-    for mod in (_kernels_py, cy):
+    for mod in (_kernels_py, *compiled):
         for exc, msg, name, bad in bad_calls:
             args = dict(nets=nets, x=xs, matched=matched, fit=fit, out=np.full((3, 4), 7.0))
             if name == "nets" and mod is _kernels_py and isinstance(bad, tuple):
@@ -455,11 +465,11 @@ def test_backends_export_the_same_kernels(cy):
     assert _public_functions(kernels) == expected | {"match_batch"}
 
 
-def test_both_backends_refuse_the_forward_only_layout(cy):
+def test_both_backends_refuse_the_forward_only_layout(compiled):
     rng = np.random.default_rng(11)
     net = _cond(rng, 4)
     four = net[:2] + net[6:8]
-    for mod in (_kernels_py, cy):
+    for mod in (_kernels_py, *compiled):
         ys = _untouched(1)
         with pytest.raises((TypeError, ValueError)):
             mod.forward_batch([four], rng.random((1, 4)), ys)
@@ -494,45 +504,50 @@ def _untouched(rows, cols=1):
     return np.full((rows, cols), 7.0)
 
 
-def test_short_input_is_rejected(cy):
+def test_short_input_is_rejected(compiled):
     rng = np.random.default_rng(5)
     conds = [_cond(rng, 64) for _ in range(3)]
-    ys = _untouched(3)
-    with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.forward_batch(conds, rng.random((1, 16)), ys)
-    assert np.all(ys == 7.0)
     preds = [_pred(rng, 64)]
-    with pytest.raises(ValueError, match="w1 has the wrong shape"):
-        cy.reinforce_batch(preds, rng.random(16), 0.9, np.empty(16), *spare_rules(1))
+    for mod in compiled:
+        ys = _untouched(3)
+        with pytest.raises(ValueError, match="w1 has the wrong shape"):
+            mod.forward_batch(conds, rng.random((1, 16)), ys)
+        assert np.all(ys == 7.0)
+        with pytest.raises(ValueError, match="w1 has the wrong shape"):
+            mod.reinforce_batch(preds, rng.random(16), 0.9, np.empty(16), *spare_rules(1))
 
 
-def test_float32_input_is_rejected(cy):
+def test_float32_input_is_rejected(compiled):
     rng = np.random.default_rng(6)
-    ys = _untouched(1)
-    with pytest.raises(TypeError, match="x must be a native float64 array"):
-        cy.forward_batch([_cond(rng, 64)], rng.random((1, 64)).astype(np.float32), ys)
-    assert np.all(ys == 7.0)
+    for mod in compiled:
+        ys = _untouched(1)
+        with pytest.raises(TypeError, match="x must be a native float64 array"):
+            mod.forward_batch([_cond(rng, 64)], rng.random((1, 64)).astype(np.float32), ys)
+        assert np.all(ys == 7.0)
 
 
-def test_fortran_ordered_weights_are_rejected(cy):
+def test_fortran_ordered_weights_are_rejected(compiled):
     rng = np.random.default_rng(7)
     cond = _cond(rng, 64, h=4)
-    ys = _untouched(1)
-    with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
-        cy.forward_batch([(np.asfortranarray(cond[0]),) + cond[1:]], rng.random((1, 64)), ys)
-    assert np.all(ys == 7.0)
+    for mod in compiled:
+        ys = _untouched(1)
+        with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
+            mod.forward_batch([(np.asfortranarray(cond[0]),) + cond[1:]],
+                              rng.random((1, 64)), ys)
+        assert np.all(ys == 7.0)
 
 
-def test_short_output_buffer_is_rejected(cy):
+def test_short_output_buffer_is_rejected(compiled):
     rng = np.random.default_rng(8)
     conds = [_cond(rng, 8) for _ in range(3)]
-    ys = _untouched(1)
-    with pytest.raises(ValueError, match="ys_out has the wrong shape"):
-        cy.forward_batch(conds, rng.random((1, 8)), ys)
-    assert np.all(ys == 7.0)
+    for mod in compiled:
+        ys = _untouched(1)
+        with pytest.raises(ValueError, match="ys_out has the wrong shape"):
+            mod.forward_batch(conds, rng.random((1, 8)), ys)
+        assert np.all(ys == 7.0)
 
 
-def test_bad_forward_batches_leave_ys_out_untouched(cy):
+def test_bad_forward_batches_leave_ys_out_untouched(compiled):
     rng = np.random.default_rng(10)
     x = rng.random((1, 8))
     good = _cond(rng, 8)
@@ -552,13 +567,72 @@ def test_bad_forward_batches_leave_ys_out_untouched(cy):
         (ValueError, "b2 has the wrong shape",
          [good, good[:7] + (np.zeros(2),) + good[8:]], _untouched(2)),
     ]
-    for exc, msg, nets, ys in bad_calls:
-        with pytest.raises(exc, match=msg):
-            cy.forward_batch(nets, x, ys)
-        assert np.all(ys == 7.0), msg
+    for mod in compiled:
+        for exc, msg, nets, ys in bad_calls:
+            with pytest.raises(exc, match=msg):
+                mod.forward_batch(nets, x, ys)
+            assert np.all(ys == 7.0), (mod, msg)
 
 
-def test_bad_batches_fail_before_any_update(cy):
+def _traced_growth(call, times=300):
+    """Bytes still allocated through Python's allocators after ``times``
+    more calls of ``call``, once caches have warmed up."""
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            call()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(times):
+            call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _fails(exc, f, *args):
+    """A call of ``f(*args)`` that must raise ``exc``.  A plain handler:
+    pytest.raises keeps objects of its own alive, about 48 bytes a call."""
+    def call():
+        try:
+            f(*args)
+        except exc:
+            return
+        raise AssertionError(f"{f.__name__} did not raise")
+    return call
+
+
+def test_failing_calls_free_what_they_allocated(compiled):
+    # every call fails after the kernel has allocated its array of checked
+    # nets: on the last net, or, for reinforce_batch, on a rule argument
+    # checked after every net; a leak of that array alone would be 300
+    # times 16 net_t structs
+    rng = np.random.default_rng(24)
+    conds, preds = [_cond(rng, 8) for _ in range(16)], [_pred(rng, 8) for _ in range(16)]
+    bad_cond = conds[-1][:7] + (np.zeros(2),) + conds[-1][8:]
+    bad_pred = preds[-1][:7] + (np.zeros(2),) + preds[-1][8:]
+    xs, out = rng.random((3, 8)), _untouched(3, 8)
+    matched, fit = np.ones((16, 3), bool), np.ones(16)
+    pos, *columns = (np.arange(16), np.zeros(16), np.ones(16), np.ones(16, np.int64),
+                     np.ones(16), np.zeros(16, np.int64))
+    for mod in compiled:
+        calls = [
+            _fails(ValueError, mod.forward_batch, conds[:-1] + [bad_cond], xs, _untouched(48)),
+            _fails(ValueError, mod.predict_batch, preds[:-1] + [bad_pred], xs, matched, fit,
+                   out),
+            _fails(ValueError, mod.reinforce_batch, preds[:-1] + [bad_pred], xs[0], 0.9,
+                   out[0], pos, *columns, 0.1, 0.01, 0.1, 5.0),
+            # a repeated position fails once the rows seen so far are marked
+            # in a buffer of their own
+            _fails(ValueError, mod.reinforce_batch, preds, xs[0], 0.9, out[0],
+                   np.full(16, 3), *columns, 0.1, 0.01, 0.1, 5.0),
+            _fails(TypeError, mod.reinforce_batch, preds, xs[0], 0.9, out[0], pos,
+                   *columns[:-1], columns[-1].astype(np.int32), 0.1, 0.01, 0.1, 5.0),
+        ]
+        for k, call in enumerate(calls):
+            assert _traced_growth(call) < 1024, (mod, k)
+
+
+def test_bad_batches_fail_before_any_update(compiled):
     rng = np.random.default_rng(9)
     x = rng.random(6)
     good = _pred(rng, 6)
@@ -575,7 +649,7 @@ def test_bad_batches_fail_before_any_update(cy):
          lambda net: net[:2] + (np.ones((1, 7), np.uint8),) + net[3:]),
         (ValueError, "w1 must be writable", lambda net: (_read_only(net[0]),) + net[1:]),
     ]
-    for mod in (_kernels_py, cy):
+    for mod in (_kernels_py, *compiled):
         for exc, msg, make_bad in bad_nets:
             bad = make_bad(_pred(rng, 6))
             nets = [a.copy() for net in (good, bad) for a in net if isinstance(a, np.ndarray)]
@@ -590,7 +664,7 @@ def test_bad_batches_fail_before_any_update(cy):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(nets, stepped)), (mod, msg)
     # a bad output: both backends check it before they step any net or
     # write anything
-    for mod in (_kernels_py, cy):
+    for mod in (_kernels_py, *compiled):
         for exc, msg, out in [
                 (ValueError, "out must be writable", _read_only(np.full(6, 7.0))),
                 (ValueError, "out has the wrong shape", np.full(5, 7.0)),
@@ -608,7 +682,7 @@ def test_bad_batches_fail_before_any_update(cy):
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     # the rule state: both backends check the positions and the columns
     # before they step any net or write any output or column
-    for mod in (_kernels_py, cy):
+    for mod in (_kernels_py, *compiled):
         for exc, msg, name, bad in _bad_rule_args():
             preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
             nets = [a.copy() for net in preds for a in net if isinstance(a, np.ndarray)]
