@@ -29,8 +29,7 @@ class ExperimentConfig:
     F_R: float = 0.1
     epsilon_R: float = 1.0
     theta_EA: int = 50
-    lam: int = 2  # config key "lambda"
-    chi: float = 0.0
+    lam: int = 2  # config key "lambda"; the learner does no crossover
     mu_min: float = 1e-4
     omega: float = 0.9
     h_I: int = 1
@@ -46,7 +45,6 @@ class ExperimentConfig:
     checkpoint_interval: int = 1000
     # dataset settings
     dataset: str = ""
-    dataset_format: str = ""  # "csv", "idx", or "" to infer from extension
     has_label_column: bool = False
     split_ratio: float = 0.9
     image_shape: tuple | None = None
@@ -158,7 +156,6 @@ def validate(cfg: ExperimentConfig) -> None:
     require(0.0 < cfg.epsilon_R <= 1.0, "epsilon_R must be in (0, 1]")
     require(cfg.theta_EA >= 0, "theta_EA must be >= 0")
     require(cfg.lam >= 1, "lambda must be >= 1")
-    require(cfg.chi == 0.0, "crossover is not supported: chi must be 0")
     require(0.0 < cfg.mu_min <= 1.0, "mu_min must be in (0, 1]")
     require(0.0 <= cfg.omega <= 1.0, "omega must be in [0, 1]")
     require(cfg.h_I >= 1, "h_I must be >= 1")
@@ -171,8 +168,6 @@ def validate(cfg: ExperimentConfig) -> None:
     require(cfg.seed >= 0, "seed must be >= 0")
     require(cfg.trials >= 0, "trials must be >= 0")
     require(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1")
-    require(cfg.dataset_format in ("", "csv", "idx"),
-            "dataset_format must be 'csv' or 'idx'")
     require(0.0 < cfg.split_ratio <= 1.0, "split_ratio must be in (0, 1]")
     require(cfg.image_shape is None or len(cfg.image_shape) == 3,
             "image_shape must have three dimensions")

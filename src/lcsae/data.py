@@ -121,17 +121,17 @@ def load_idx(path) -> Dataset:
     return Dataset(features=arr, image_shape=(height, width, 1))
 
 
-def load_dataset(path, fmt: str = "", has_label_column: bool = False,
-                 image_shape=None) -> Dataset:
-    """Dispatch on the requested format, or on the file extension."""
-    if not fmt:
-        fmt = "idx" if str(path).endswith((".idx", ".idx3-ubyte", "-ubyte")) else "csv"
-    if fmt == "idx":
+def load_dataset(path, has_label_column: bool = False, image_shape=None) -> Dataset:
+    """An IDX container when the file starts with two zero bytes, as every
+    IDX magic number does and no CSV text can; otherwise CSV."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(2)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if head == b"\0\0":
         return load_idx(path)
-    if fmt == "csv":
-        return load_csv(path, has_label_column=has_label_column,
-                        image_shape=image_shape)
-    raise DataError(f"unknown dataset format {fmt!r}")
+    return load_csv(path, has_label_column=has_label_column, image_shape=image_shape)
 
 
 def split(ds: Dataset, ratio: float, rng) -> Dataset:

@@ -36,8 +36,7 @@ def prepare_dataset(cfg: ExperimentConfig) -> data.Dataset:
     """Load the configured dataset and apply the seeded train/valid split."""
     if not cfg.dataset:
         raise data.DataError("config does not name a dataset")
-    ds = data.load_dataset(cfg.dataset, fmt=cfg.dataset_format,
-                           has_label_column=cfg.has_label_column,
+    ds = data.load_dataset(cfg.dataset, has_label_column=cfg.has_label_column,
                            image_shape=cfg.image_shape)
     # an IDX file brings its own shape, but a configured one must fit too
     if cfg.image_shape is not None and math.prod(cfg.image_shape) != ds.n:
@@ -94,10 +93,12 @@ def _write_manifest(out_dir, cfg, ds, start_trial, end_trial):
         "start_trial": start_trial,
         "end_trial": end_trial,
     }
+    # renamed into place, so an interrupted write keeps the previous manifest
     path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path + ".tmp", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def _advance(pop, cfg, ds, rng, out_dir, window) -> str:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import write_config, write_csv
 from lcsae import _kernels_py, checkpoint, cli, kernels, metrics, runner, xcsf
-from lcsae.config import ExperimentConfig
+from lcsae.config import ExperimentConfig, config_to_dict
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
             split_ratio=0.9, seed=11)
@@ -58,6 +58,15 @@ def test_bad_config_exits_1(tmp_path, dataset):
     proc = run_cli("run", cfg, "--outdir", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert "unknown key" in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [("chi", 0), ("dataset_format", "idx")])
+def test_a_config_naming_a_removed_key_exits_1(key, value, dataset, tmp_path, capsys):
+    # the learner does no crossover, and a data file names its own format
+    cfg = _config(tmp_path, dataset, **{key: value})
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_dataset_exits_2(tmp_path):
@@ -144,6 +153,30 @@ def test_resume_after_an_interrupted_resume_matches_the_unsplit_run(tmp_path, mo
     assert cli.main(["resume", str(half / "population.ckpt"), "--trials", "100"]) == 0
     trials = [row.trial for row in metrics.read_metrics(half / "metrics.csv")]
     assert trials == [0, 50, 100, 150, 200]
+    for name in ("metrics.csv", "population.ckpt"):
+        assert (half / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_a_manifest_write_interrupted_midway_still_resumes(tmp_path, monkeypatch):
+    # the resume saved its checkpoint and then failed inside json.dump; the
+    # previous manifest stays whole, so the next resume passes the dataset
+    # check and ends where the unsplit run does
+    data = write_csv(tmp_path / "data.csv", np.random.default_rng(9).random((60, 6)))
+    full, half = tmp_path / "full", tmp_path / "half"
+    for out, trials in ((full, 80), (half, 40)):
+        cfg = _config(tmp_path, data, name=f"{trials}.cfg", N=20, trials=trials,
+                      checkpoint_interval=20)
+        assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+
+    def fail_midway(obj, fp, **kwargs):
+        fp.write(json.dumps(obj, **kwargs)[:40])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", fail_midway)
+    assert cli.main(["resume", str(half / "population.ckpt"), "--trials", "20"]) == 2
+    monkeypatch.undo()
+    assert json.loads((half / runner.MANIFEST_NAME).read_text())["end_trial"] == 40
+    assert cli.main(["resume", str(half / "population.ckpt"), "--trials", "20"]) == 0
     for name in ("metrics.csv", "population.ckpt"):
         assert (half / name).read_bytes() == (full / name).read_bytes(), name
 
@@ -499,6 +532,11 @@ def _num_2_62_on_four_rules(pop):
 BAD_HEADERS = {
     "config N 0": (_header_key("config", "N", value=0), "checkpoint config"),
     "config mode": (_header_key("config", "mode", value="nope"), "checkpoint config"),
+    # keys of checkpoints written while the config still had them
+    "config names chi": (_header_key("config", "chi", value=0.0),
+                         "unknown config key 'chi'"),
+    "config names dataset_format": (_header_key("config", "dataset_format", value=""),
+                                    "unknown config key 'dataset_format'"),
     "config not a dict": (_header_key("config", value=[1, 2]), "malformed checkpoint"),
     "config seed float": (_header_key("config", "seed", value=1.5), "seed 1.5 is not of type int"),
     "config N bool": (_header_key("config", "N", value=True), "N True is not of type int"),
@@ -885,7 +923,6 @@ _NEAR = {
     "int": st.one_of(st.integers(0, 50).map(str), st.just(str(2**63 - 1)), _HUGE),
     "bool": st.sampled_from(["true", "false"]),
     "mode": st.sampled_from(["xcsf", "global_ea", "banana"]),
-    "dataset_format": st.sampled_from(["", "csv", "idx", "png"]),
     "image_shape": st.sampled_from(["2,3", "3,2,1", "4,4", "0,6", "-2,-3", "none"]),
 }
 # keys whose legal values only cost time (N, trials, the hidden sizes,
@@ -925,3 +962,39 @@ def test_random_config_values_fail_closed(tiny_csv, tmp_path, capsys, data):
             if row.trial > 0:
                 assert np.isfinite(row.train_mse), row
                 assert np.isfinite(row.valid_mse) or valid_rows == 0, row
+
+
+# a legal value other than the default for every config key, as the config
+# file spells it and as manifest.json records it; the dataset is an IDX
+# container, in the working directory, whose name says nothing of its format
+_KEY_EXAMPLES = {
+    "N": ("12", 12), "P_init": ("false", False), "epsilon0": ("0.02", 0.02),
+    "beta": ("0.2", 0.2), "alpha": ("0.5", 0.5), "nu": ("5", 5.0), "delta": ("0.2", 0.2),
+    "theta_del": ("10", 10), "F_I": ("0.02", 0.02), "epsilon_I": ("0.1", 0.1),
+    "F_R": ("0.2", 0.2), "epsilon_R": ("0.5", 0.5), "theta_EA": ("10", 10),
+    "lambda": ("4", 4), "mu_min": ("0.001", 0.001), "omega": ("0.8", 0.8),
+    "h_I": ("2", 2), "h_M": ("3", 3), "h_max": ("4", 4),
+    "connection_mutation": ("true", True), "mode": ("global_ea", "global_ea"),
+    "stale_limit": ("5", 5), "match_threshold": ("0.3", 0.3), "seed": ("7", 7),
+    "trials": ("25", 25), "checkpoint_interval": ("10", 10),
+    "dataset": ("images.bin", "images.bin"), "has_label_column": ("true", True),
+    "split_ratio": ("0.8", 0.8), "image_shape": ("2,3", [2, 3, 1]),
+}
+
+
+def test_every_config_key_works_end_to_end(tiny_csv, tmp_path, monkeypatch, capsys):
+    defaults = config_to_dict(ExperimentConfig())
+    assert set(_KEY_EXAMPLES) == set(defaults)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "images.bin").write_bytes(
+        struct.pack(">IIII", 0x00000803, 30, 2, 3)
+        + np.random.default_rng(13).integers(0, 256, 180, np.uint8).tobytes())
+    for key, (text, recorded) in _KEY_EXAMPLES.items():
+        assert recorded != defaults[key], key
+        keys = dict(N=10, trials=20, checkpoint_interval=5, seed=3, dataset=tiny_csv)
+        keys[key] = text
+        out = tmp_path / key
+        assert cli.main(["run", write_config(tmp_path / f"{key}.cfg", **keys),
+                         "--outdir", str(out)]) == 0, capsys.readouterr().err
+        config = json.loads((out / runner.MANIFEST_NAME).read_text())["config"]
+        assert config[key] == recorded, key

@@ -20,7 +20,6 @@ def test_defaults_match_reference_parameters():
     assert cfg.epsilon_R == 1.0
     assert cfg.theta_EA == 50
     assert cfg.lam == 2
-    assert cfg.chi == 0.0
     assert cfg.mu_min == 1e-4
     assert cfg.omega == 0.9
     assert cfg.h_I == 1
@@ -71,8 +70,6 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 def test_parse_rejects_bad_values():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("N=lots\n")
-    with pytest.raises(ConfigError, match="chi"):
-        parse_config("chi=0.5\n")
     with pytest.raises(ConfigError, match="mode"):
         parse_config("mode=banana\n")
     with pytest.raises(ConfigError, match="beta"):

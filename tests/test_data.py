@@ -124,6 +124,29 @@ def test_load_idx_rejects_a_zero_dimension(tmp_path, shape):
         load_idx(str(path))
 
 
+@pytest.mark.parametrize("name", ["images.csv", "images.bin"])
+def test_load_dataset_reads_an_idx_container_whatever_its_name(tmp_path, name):
+    imgs = (np.arange(2 * 3 * 3) * 7 % 256).astype(np.uint8).reshape(2, 3, 3)
+    path = tmp_path / name
+    path.write_bytes(_idx_bytes(imgs))
+    ds = data.load_dataset(str(path))
+    assert ds.image_shape == (3, 3, 1)
+    assert np.array_equal(ds.features, imgs.reshape(2, 9) / 255.0)
+
+
+def test_load_dataset_reads_csv_text_named_idx(tmp_path):
+    ds = data.load_dataset(_write(tmp_path, "0.25,0.5,1\n1.0,0.0,0\n", "data.idx"),
+                           has_label_column=True, image_shape=(1, 2, 1))
+    assert np.array_equal(ds.features, [[0.25, 0.5], [1.0, 0.0]])
+    assert ds.image_shape == (1, 2, 1)
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "."])
+def test_load_dataset_path_that_cannot_be_opened_is_a_data_error(tmp_path, name):
+    with pytest.raises(DataError, match="cannot read"):
+        data.load_dataset(str(tmp_path / name))
+
+
 def test_split_floor_convention():
     ds = data.Dataset(features=np.zeros((9298, 1)))
     out = split(ds, 0.9, np.random.default_rng(0))
