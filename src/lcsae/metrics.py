@@ -108,13 +108,15 @@ def auc_from_metrics(rows, field: str = "train_mse", max_trial=None) -> float:
 
 
 def population_stats(pop: xcsf.Population, xs: np.ndarray,
-                     cfg: ExperimentConfig) -> dict:
+                     cfg: ExperimentConfig, rows=None) -> dict:
     """Numerosity-weighted population means for one checkpoint.
 
     Active-weight columns count mask-enabled weights only (biases are never
     masked); the *_total variants sum over macro-classifiers.  Mutation
     rates are averaged over all four layers of both networks.  No mean
     depends on the order of its terms: exact integer sums or ``math.fsum``.
+    ``mfrac`` is the fraction of ``xs`` the best rule matches; ``rows`` are
+    the dataset rows of ``xs``, if any, for the match memo.
     """
     members = pop.members
     if not members:
@@ -136,7 +138,7 @@ def population_stats(pop: xcsf.Population, xs: np.ndarray,
                     for cl in members])  # [m, 4 layers, 4 rates]
     mean_mu = [math.fsum(rate) / micro for rate in (num[:, None] * mus.mean(axis=1)).T]
 
-    _, mfrac = xcsf.best_classifier(pop, xs, cfg)
+    _, mfrac = xcsf.best_classifier(pop, xs, cfg, rows)
     return {
         "mfrac": float(mfrac),
         "C_h": int(num @ c_h) / micro,

@@ -70,8 +70,8 @@ def _check_fingerprint(ckpt_path, cfg: ExperimentConfig) -> None:
 
 
 def _emit(fh, cfg, pop, ds, train_mse, m_size):
-    stats = metrics.population_stats(pop, ds.features, cfg)
-    valid_mse, _ = xcsf.evaluate(pop, ds.valid(), cfg)
+    stats = metrics.population_stats(pop, ds.features, cfg, np.arange(ds.rows))
+    valid_mse, _ = xcsf.evaluate(pop, ds.valid(), cfg, ds.valid_idx)
     cp = metrics.Checkpoint(trial=pop.trial, train_mse=train_mse,
                             valid_mse=valid_mse, M_size=m_size, **stats)
     fh.write(metrics.checkpoint_row(cp))
@@ -125,9 +125,8 @@ def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
             fh.truncate(0)
             fh.writelines([header, *kept])
         while pop.trial < cfg.trials:
-            i = int(rng.integers(0, len(train_idx)))
-            x = xs[train_idx[i]]
-            res = xcsf.run_trial(pop, x, cfg, rng)
+            row = train_idx[int(rng.integers(0, len(train_idx)))]
+            res = xcsf.run_trial(pop, xs[row], cfg, rng, row)
             mse_sum += res.mse
             m_sum += res.m_micro
             count += 1
@@ -150,10 +149,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
     ds = prepare_dataset(cfg)
     rng = derived_rng(cfg.seed, STREAM_TRAIN)
     pop = xcsf.init_population(cfg, ds.n, rng)
+    pop.memoize(cfg, ds.rows)
     _write_manifest(out_dir, cfg, ds, 0, cfg.trials)
     with open(os.path.join(out_dir, METRICS_NAME), "w", encoding="utf-8", newline="") as fh:
         fh.write(metrics.CSV_HEADER)
-        train_mse, m_size = xcsf.evaluate(pop, ds.train(), cfg)
+        train_mse, m_size = xcsf.evaluate(pop, ds.train(), cfg, ds.train_idx)
         _emit(fh, cfg, pop, ds, train_mse, m_size)
     return _advance(pop, cfg, ds, rng, out_dir, checkpoint.EMPTY_WINDOW)
 
@@ -177,6 +177,8 @@ def resume_experiment(ckpt_path, extra_trials: int) -> str:
     ds = prepare_dataset(cfg)
     _check_fingerprint(ckpt_path, cfg)
     _check_width(pop, ds)
+    # the memo is not saved, so a resumed run fills it as rows recur
+    pop.memoize(cfg, ds.rows)
     return _advance(pop, cfg, ds, rng, os.path.dirname(os.path.abspath(ckpt_path)), window)
 
 

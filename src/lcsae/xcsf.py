@@ -27,6 +27,21 @@ every column, and ``Population.remove``, which deletes it and hands the
 rule a copy; both replace the columns.  Neither a rule nor a table refers
 back to its population, so a population is freed by reference counting
 alone.
+
+A condition is never modified after its ``Classifier`` is built (it gets no
+gradient descent, and reproduction mutates a clone), so a rule's match
+decision on a dataset row never changes.  In xcsf mode a run's population
+keeps a memo of them, ``Population.memo``: one ``int8`` per (slot, dataset
+row), ``UNKNOWN``, ``NO_MATCH`` or ``MATCH``.  ``slots[i]`` is the slot of
+``members[i]``, and only ``Population.add``, which takes a free slot and
+zeroes it, and ``remove``, which frees it, touch slots; neither copies the
+memo.  The trial path, ``evaluate`` and ``best_classifier`` take the
+dataset rows of their inputs and evaluate only the conditions whose
+decisions the memo lacks, so a condition meets each row at most once in its
+rule's lifetime.  Without rows (inputs that are not dataset rows, such as
+corrupted ones) or without a memo every decision is missing, so they
+evaluate every condition on every input and store nothing.  The memo is
+not saved with the population.
 """
 
 from __future__ import annotations
@@ -48,6 +63,9 @@ MAX_COVER_TRIES = 10**6
 class CoveringError(Exception):
     pass
 
+
+# match memo entries: the decision is not yet computed, no match, match
+UNKNOWN, NO_MATCH, MATCH = 0, 1, 2
 
 # the per-rule scalars, in checkpoint order, and the integer ones
 SCALARS = ("err", "fit", "num", "exp", "set_size", "ts", "born", "mtotal")
@@ -121,7 +139,8 @@ class Population:
 
     ``members`` lists the rules in insertion order, and row i of ``state``
     is the row of ``members[i]``; the table has no other rows.  A rule
-    belongs to at most one population.
+    belongs to at most one population.  Without a match memo, ``memo`` and
+    ``slots`` are None.
     """
 
     def __init__(self, members=(), trial: int = 0):
@@ -131,9 +150,34 @@ class Population:
                                for name in SCALARS)
         for i, cl in enumerate(self.members):
             cl._state, cl._row = self.state, i
+        self.memo = self.slots = None
+        self._free = []
+
+    def memoize(self, cfg: ExperimentConfig, rows: int) -> None:
+        """Start an empty memo of match decisions on ``rows`` dataset rows,
+        with room for the most rules a trial holds before deletion: N
+        members, a covered rule and lambda offspring.  In global_ea mode
+        every rule matches, so no memo is built."""
+        if cfg.global_ea:
+            return
+        capacity = cfg.N + cfg.lam + 1
+        if len(self.members) > capacity:
+            raise ValueError(f"{len(self.members)} rules do not fit a match memo "
+                             f"of {capacity} slots")
+        self.memo = np.zeros((capacity, rows), np.int8)
+        self.slots = np.arange(len(self.members))
+        # popped from the end, so the lowest free slot goes first
+        self._free = list(range(capacity - 1, len(self.members) - 1, -1))
 
     def add(self, cl: Classifier) -> None:
-        """Append ``cl`` and its row of scalars to the table."""
+        """Append ``cl`` and its row of scalars to the table; with a memo, give
+        it a zeroed slot, so it never reads a dead rule's decisions."""
+        if self.memo is not None:
+            if not self._free:
+                raise RuntimeError("the match memo is full")
+            slot = self._free.pop()
+            self.memo[slot] = UNKNOWN
+            self.slots = np.append(self.slots, slot)
         state, i = self.state, cl._row
         for name in SCALARS:
             setattr(state, name, np.concatenate((getattr(state, name),
@@ -153,6 +197,9 @@ class Population:
         for name in SCALARS:
             col = getattr(state, name)
             setattr(state, name, np.concatenate((col[:i], col[i + 1:])))
+        if self.memo is not None:
+            self._free.append(int(self.slots[i]))
+            self.slots = np.concatenate((self.slots[:i], self.slots[i + 1:]))
         del members[i]
         for later in members[i:]:
             later._row -= 1
@@ -184,22 +231,39 @@ def _fresh_rule(condition: neural.Network, cfg: ExperimentConfig, n: int, rng,
                                    set_size=1.0, ts=trial, born=trial, mtotal=0), 0)
 
 
-def match_set(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
+def match_set(pop: Population, x, cfg: ExperimentConfig, row=None) -> np.ndarray:
     """Positions in ``pop.members`` of the rules whose condition output for
-    ``x`` exceeds the match threshold (every member in global_ea mode)."""
+    ``x`` exceeds the match threshold (every member in global_ea mode).
+
+    ``row`` is the dataset row ``x`` is, if any: the memo answers for the
+    members that met it before, and one ``match_batch`` over the rest
+    decides and stores theirs.
+    """
     if cfg.global_ea:
         return np.arange(len(pop.members))
-    return kernels.match_batch([cl.cond_args for cl in pop.members], x,
-                               cfg.match_threshold)
+    members, memo = pop.members, pop.memo
+    if row is None or memo is None:  # every decision is missing, and none is stored
+        return kernels.match_batch([cl.cond_args for cl in members], x, cfg.match_threshold)
+    known = memo[:, row][pop.slots]
+    todo = (known == UNKNOWN).nonzero()[0]
+    if len(todo):
+        hits = todo[kernels.match_batch([members[i].cond_args for i in todo.tolist()], x,
+                                        cfg.match_threshold)]
+        known[todo] = NO_MATCH
+        known[hits] = MATCH
+        memo[pop.slots[todo], row] = known[todo]
+    return (known == MATCH).nonzero()[0]
 
 
-def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng) -> np.ndarray:
-    """Positions of all classifiers matching ``x``; covers when none do.
+def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng,
+                    row=None) -> np.ndarray:
+    """Positions of all classifiers matching ``x``, the dataset row ``row``
+    if any; covers when none do.
 
     Every member of the returned set has its matched-input counter
     incremented.
     """
-    m = match_set(pop, x, cfg)
+    m = match_set(pop, x, cfg, row)
     if not len(m):
         pop.add(cover(x, cfg, rng, pop.trial))
         m = np.array([len(pop.members) - 1])
@@ -396,11 +460,12 @@ class TrialResult:
     m_micro: int
 
 
-def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
-    """One online learning step: match, predict, reinforce, evolve, trim."""
+def run_trial(pop: Population, x, cfg: ExperimentConfig, rng, row=None) -> TrialResult:
+    """One online learning step on ``x``, the dataset row ``row`` if any:
+    match, predict, reinforce, evolve, trim."""
     pop.trial += 1
     x = np.ascontiguousarray(x, dtype=float)
-    m = build_match_set(pop, x, cfg, rng)
+    m = build_match_set(pop, x, cfg, rng, row)
     m_micro = int(pop.state.num[m].sum())
     output = reinforce(pop, m, x, cfg)
     maybe_run_ea(pop, m, cfg, rng)
@@ -416,17 +481,42 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng) -> TrialResult:
 # compute for the same input
 
 def _match_matrix(rules: list, xs: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """C-contiguous boolean (rules, rows) matrix: whether each rule matches
-    each row of ``xs``, a C-contiguous float64 batch (every one in global_ea
-    mode)."""
-    if cfg.global_ea:
-        return np.ones((len(rules), xs.shape[0]), dtype=bool)
+    """C-contiguous boolean (rules, rows) matrix: whether each rule's
+    condition output for each row of ``xs``, a C-contiguous float64 batch,
+    exceeds the match threshold."""
     ys = np.empty((len(rules) * xs.shape[0], 1))
     kernels.forward_batch([cl.cond_args for cl in rules], xs, ys)
     return ys.reshape(len(rules), xs.shape[0]) > cfg.match_threshold
 
 
-def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
+def _matched(pop: Population, rules: np.ndarray, xs: np.ndarray, cfg: ExperimentConfig,
+             rows) -> np.ndarray:
+    """``_match_matrix`` of the members at positions ``rules`` on ``xs``
+    (all true in global_ea mode).
+
+    ``rows`` are the dataset rows of ``xs``, if any: the memo answers what
+    it holds, and one ``forward_batch`` over the rules that lack a decision
+    times the rows that lack one decides and stores the rest.
+    """
+    if cfg.global_ea:
+        return np.ones((len(rules), xs.shape[0]), dtype=bool)
+    memo = pop.memo
+    if rows is None or memo is None:  # every decision is missing, and none is stored
+        return _match_matrix([pop.members[i] for i in rules.tolist()], xs, cfg)
+    known = np.take(memo[pop.slots[rules]], rows, axis=1)
+    missing = known == UNKNOWN
+    lack_r, lack_c = np.flatnonzero(missing.any(axis=1)), np.flatnonzero(missing.any(axis=0))
+    if len(lack_r):
+        members = pop.members
+        sub = xs if len(lack_c) == xs.shape[0] else xs[lack_c]
+        block = np.where(_match_matrix([members[i] for i in rules[lack_r].tolist()], sub, cfg),
+                         np.int8(MATCH), np.int8(NO_MATCH))
+        known[np.ix_(lack_r, lack_c)] = block
+        memo[np.ix_(pop.slots[rules[lack_r]], rows[lack_c])] = block
+    return known == MATCH
+
+
+def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
     """System reconstruction error over a set of inputs, without updates.
 
     Returns (mean MSE, mean micro match-set size).  Rows matched by nothing
@@ -434,14 +524,15 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
     and count a match-set size of zero; an empty population predicts
     nothing, so its error is NaN.  Each row's prediction adds the matching
     rules' fitness-weighted outputs in member order, all in one
-    ``predict_batch`` call.
+    ``predict_batch`` call.  ``rows`` are the dataset rows of ``xs``, if
+    any, for the match memo.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     if xs.shape[0] == 0:
         return float("nan"), float("nan")
     if not pop.members:
         return float("nan"), 0.0
-    matched = _match_matrix(pop.members, xs, cfg)
+    matched = _matched(pop, np.arange(len(pop.members)), xs, cfg, rows)
     msize = pop.state.num @ matched
     # a row that no rule matches is predicted by every rule
     matched[:, ~matched.any(axis=0)] = True
@@ -463,17 +554,18 @@ def reconstruct_one(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
     return system_prediction(rules or pop.members, x)
 
 
-def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig):
+def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
     """Single best rule and the fraction of ``xs`` it matches.
 
     The rule with the lowest error wins unless several are below the target
-    error, in which case the one matching the most inputs wins.
+    error, in which case the one matching the most inputs wins.  ``rows``
+    are the dataset rows of ``xs``, if any, for the match memo.
     """
     err = pop.state.err
     below = np.flatnonzero(err < cfg.epsilon0)
     if not len(below):
         below = np.array([np.argmin(err)])  # the first rule with the lowest error
-    counts = _match_matrix([pop.members[i] for i in below.tolist()], xs, cfg).sum(axis=1)
+    counts = _matched(pop, below, xs, cfg, rows).sum(axis=1)
     # most matches, then lowest error; the stable sort keeps the earliest rule
     k = np.lexsort((err[below], -counts))[0]
     return pop.members[below[k]], int(counts[k]) / xs.shape[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import always_match_condition, make_classifier
-from lcsae import metrics, neural, xcsf
+from lcsae import kernels, metrics, neural, xcsf
 from lcsae.config import ExperimentConfig
 from lcsae.metrics import auc_simpson, mse
 
@@ -166,3 +166,38 @@ def test_population_stats_means_do_not_depend_on_the_order_of_their_terms():
     for k, name in enumerate(("mean_mu_w", "mean_mu_h", "mean_mu_eta", "mean_mu_c")):
         # correctly rounded, so the rules may be added in any order
         assert stats[name] == math.fsum(n * r[k] for n, r in zip(nums[::-1], rates[::-1])) / micro
+
+
+def test_trial_0_population_stats_matches_only_the_validation_rows(monkeypatch):
+    # at trial 0 every rule is below epsilon0, so mfrac needs every rule's
+    # decision on every row; evaluate(train rows) stored those on the
+    # training rows, so one forward_batch over every condition on the
+    # validation rows is left, and evaluate(valid rows) needs none
+    cfg = ExperimentConfig(N=20)
+    features = np.random.default_rng(7).random((30, 4))
+    rows = np.random.default_rng(8).permutation(30)
+    train_idx, valid_idx = rows[:24], rows[24:]
+    pop = xcsf.init_population(cfg, 4, np.random.default_rng(9))
+    expected = metrics.population_stats(pop, features, cfg)
+    expected_valid = xcsf.evaluate(pop, features[valid_idx], cfg)
+    pop.memoize(cfg, len(features))
+    xcsf.evaluate(pop, features[train_idx], cfg, train_idx)
+    calls = []
+
+    def counted(name):
+        inner = getattr(kernels, name)
+
+        def call(batch, x, *rest):
+            calls.append((name, len(batch), x.copy()))
+            inner(batch, x, *rest)
+        monkeypatch.setattr(kernels, name, call)
+
+    counted("forward_batch")
+    counted("predict_batch")
+    assert metrics.population_stats(pop, features, cfg, np.arange(len(features))) == expected
+    ((name, nets, x),) = calls
+    assert (name, nets) == ("forward_batch", 20)
+    assert np.array_equal(x, features[np.sort(valid_idx)])
+    calls.clear()
+    assert xcsf.evaluate(pop, features[valid_idx], cfg, valid_idx) == expected_valid
+    assert [(name, nets) for name, nets, _ in calls] == [("predict_batch", 20)]

@@ -542,12 +542,37 @@ def _keyed_condition(n, feature, gain=1000.0):
     return net
 
 
+def _partly_memoized(pop, xs, cfg):
+    """Give ``pop`` a memo on the rows of ``xs`` that holds some of the
+    members' decisions: every decision on the even rows and on the last
+    row, less a random third of them, and none for a rule added last.
+    Returns the rows of ``xs``."""
+    rows = np.arange(len(xs))
+    last = pop.members[-1]
+    pop.remove(last)
+    pop.memoize(cfg, len(xs))
+    xcsf.evaluate(pop, xs[::2], cfg, rows[::2])
+    xcsf.match_set(pop, xs[-1], cfg, rows[-1])
+    if pop.memo is not None:
+        pop.memo[np.random.default_rng(len(xs)).random(pop.memo.shape) < 1 / 3] = xcsf.UNKNOWN
+    pop.add(last)
+    return rows
+
+
+def _best_classifier(pop, xs, cfg):
+    """``best_classifier`` without rows, which the same call with rows on a
+    partly filled memo must give too."""
+    best = xcsf.best_classifier(pop, xs, cfg)
+    assert xcsf.best_classifier(pop, xs, cfg, _partly_memoized(pop, xs, cfg)) == best
+    return best
+
+
 def test_best_classifier_lowest_error_when_none_accurate(cfg):
     xs = np.tile([1.0, 0.0], (10, 1))
     worse = make_classifier(n=2, condition=always_match_condition(2), err=0.5)
     better = make_classifier(n=2, condition=always_match_condition(2), err=0.3)
     pop = xcsf.Population([worse, better])
-    best, mfrac = xcsf.best_classifier(pop, xs, cfg)
+    best, mfrac = _best_classifier(pop, xs, cfg)
     assert best is better
     assert mfrac == 1.0
 
@@ -558,7 +583,7 @@ def test_best_classifier_falls_back_to_the_first_rule_with_the_lowest_error(cfg)
     rules = [make_classifier(n=2, condition=c(2), err=e) for c, e in
              ((always_match_condition, 0.5), (never_match_condition, 0.2),
               (always_match_condition, 0.2))]
-    best, mfrac = xcsf.best_classifier(xcsf.Population(rules), xs, cfg)
+    best, mfrac = _best_classifier(xcsf.Population(rules), xs, cfg)
     assert best is rules[1]
     assert mfrac == 0.0
 
@@ -571,7 +596,7 @@ def test_best_classifier_prefers_wider_match_below_target(cfg):
     ninety = make_classifier(n=2, condition=_keyed_condition(2, 0), err=0.001)
     sixty = make_classifier(n=2, condition=_keyed_condition(2, 1), err=0.0005)
     pop = xcsf.Population([ninety, sixty])
-    best, mfrac = xcsf.best_classifier(pop, xs, cfg)
+    best, mfrac = _best_classifier(pop, xs, cfg)
     assert best is ninety
     assert mfrac == pytest.approx(0.9)
 
@@ -580,7 +605,7 @@ def test_best_classifier_global_ea_matches_everything():
     cfg = ExperimentConfig(mode="global_ea")
     xs = np.random.default_rng(26).random((25, 3))
     pop = xcsf.Population([make_classifier(n=3, seed=s, err=0.001) for s in range(4)])
-    _, mfrac = xcsf.best_classifier(pop, xs, cfg)
+    _, mfrac = _best_classifier(pop, xs, cfg)
     assert mfrac == 1.0
 
 
@@ -741,9 +766,17 @@ def _evaluate_per_input(pop, xs, cfg):
     return float(np.mean(mses)), float(np.mean(sizes))
 
 
-@pytest.mark.parametrize("backend", ["numpy", "compiled"])
-@pytest.mark.parametrize("mode", ["xcsf", "global_ea"])
-def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, request, monkeypatch):
+def _evaluate_cases():
+    for mode in ("xcsf", "global_ea"):
+        for backend in ("numpy", "compiled"):
+            yield pytest.param(mode, backend, False, id=f"{mode}-{backend}")
+    for backend in ("numpy", "compiled"):
+        yield pytest.param("xcsf", backend, True, id=f"xcsf-{backend}-memo")
+
+
+@pytest.mark.parametrize("mode, backend, memo", _evaluate_cases())
+def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, memo, request,
+                                                      monkeypatch):
     _use_backend(backend, request, monkeypatch)
     # a high threshold leaves some rows matched by nothing
     cfg = ExperimentConfig(mode=mode, match_threshold=0.75)
@@ -752,7 +785,15 @@ def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, request, mo
     if mode == "xcsf":
         unmatched = [not len(xcsf.match_set(pop, x, cfg)) for x in xs]
         assert any(unmatched) and not all(unmatched)
-    assert xcsf.evaluate(pop, xs, cfg) == _evaluate_per_input(pop, xs, cfg)
+    expected = _evaluate_per_input(pop, xs, cfg)
+    if memo:
+        rows = _partly_memoized(pop, xs, cfg)
+        assert (pop.memo == xcsf.MATCH).any() and (pop.memo == xcsf.NO_MATCH).any()
+        assert (pop.memo[pop.slots] == xcsf.UNKNOWN).any()
+        assert xcsf.evaluate(pop, xs, cfg, rows) == expected
+        # the call filled in every member's decision on every row
+        assert (pop.memo[pop.slots] != xcsf.UNKNOWN).all()
+    assert xcsf.evaluate(pop, xs, cfg) == expected
 
 
 def _evaluate_predictions(pop, xs, cfg, monkeypatch):
@@ -837,7 +878,7 @@ def test_best_classifier_breaks_equal_coverage_by_error(cfg):
     first = make_classifier(n=2, condition=always_match_condition(2), err=0.004)
     second = make_classifier(n=2, condition=always_match_condition(2), err=0.002)
     third = make_classifier(n=2, condition=always_match_condition(2), err=0.002)
-    best, mfrac = xcsf.best_classifier(xcsf.Population([first, second, third]), xs, cfg)
+    best, mfrac = _best_classifier(xcsf.Population([first, second, third]), xs, cfg)
     assert best is second  # the earlier of two equal rules
     assert mfrac == 1.0
 
@@ -931,16 +972,18 @@ def _learner_cases():
     for backend in ("numpy", "compiled"):
         # the width above 128 sums each rule's squared errors in numpy's
         # pairwise halving order, which the compiled kernel must reproduce
-        for mode, p_init, n in (("xcsf", True, 6), ("xcsf", False, 6),
-                                ("global_ea", False, 6), ("xcsf", False, 300)):
+        for mode, p_init, n, memo in (("xcsf", True, 6, False), ("xcsf", False, 6, False),
+                                      ("global_ea", False, 6, False),
+                                      ("xcsf", False, 300, False),
+                                      ("xcsf", True, 6, True), ("xcsf", False, 6, True)):
             # the width-6 numpy cases keep the ids they had before
-            name = f"{mode}-{p_init}" + (f"-n{n}" if n != 6 else "")
-            yield pytest.param(backend, mode, p_init, n, id=name + (
+            name = f"{mode}-{p_init}" + (f"-n{n}" if n != 6 else "") + ("-memo" if memo else "")
+            yield pytest.param(backend, mode, p_init, n, memo, id=name + (
                 "-compiled" if backend == "compiled" else ""))
 
 
-@pytest.mark.parametrize("backend, mode, p_init, n", _learner_cases())
-def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init, n,
+@pytest.mark.parametrize("backend, mode, p_init, n, memo", _learner_cases())
+def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init, n, memo,
                                                             request, monkeypatch):
     # match_batch reads forward_batch from the module, so this routes every
     # kernel call of the learner and of the reference
@@ -953,16 +996,41 @@ def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init
     pop = xcsf.init_population(cfg, n, rng)
     ref = [_Rule.of(cl, copy_nets=True) for cl in pop.members]
     ref_rng = copy.deepcopy(rng)
-    xs = np.random.default_rng(35).random((300, n))
+    if memo:
+        # 300 inputs drawn from 20 dataset rows, each passed with its row,
+        # so the memo's decisions are reused across coverings, EA firings,
+        # deletions and the reuse of freed slots
+        data = np.random.default_rng(35).random((20, n))
+        pop.memoize(cfg, len(data))
+        trials = [(data[r], r) for r in np.random.default_rng(48).integers(0, 20, 300)]
+    else:
+        trials = [(x, None) for x in np.random.default_rng(35).random((300, n))]
+    inner, evaluated = kernels.match_batch, []
+
+    def counted(conds, x, threshold):
+        evaluated.append(len(conds))
+        return inner(conds, x, threshold)
+
+    monkeypatch.setattr(kernels, "match_batch", counted)
     counts = {"cover": 0, "ea": 0, "delete": 0, "remove": 0}
-    for x in xs:
-        res = xcsf.run_trial(pop, x, cfg, rng)
+    learner = reference = 0
+    for x, row in trials:
+        res = xcsf.run_trial(pop, x, cfg, rng, row)
+        learner += sum(evaluated)
+        evaluated.clear()
         output, m_micro = _run_trial_per_rule(ref, pop.trial, x, cfg, ref_rng, counts)
+        reference += sum(evaluated)
+        evaluated.clear()
         assert np.array_equal(res.output, output)
         assert res.m_micro == m_micro
         _assert_same_rules(pop, ref)
     assert all(counts.values()), counts
     assert rng.random() == ref_rng.random()
+    # the reference evaluates every condition on every trial
+    if memo:
+        assert 0 < learner < reference / 3
+    elif mode == "xcsf":
+        assert learner == reference
 
 
 def test_population_is_freed_by_reference_counting():
@@ -1026,16 +1094,19 @@ def _scalars(k):
 def test_random_adds_and_removes_match_a_list_model(ops):
     pop = xcsf.Population()
     _assert_table_is_the_members_rows(pop)
+    # room for every add of the longest list of operations
+    pop.memoize(ExperimentConfig(N=37, lam=2), rows=5)
     model = []  # (rule, its scalars) in member order
     removed = []
     stranger = make_classifier(n=2)
     for k, op in enumerate(ops):
+        added = op in ("add", "readd")
         if op == "readd" and removed:
             cl, values = removed.pop()
             assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
             pop.add(cl)
             model.append((cl, values))
-        elif op in ("add", "readd"):
+        elif added:
             values = _scalars(k)
             cl = make_classifier(n=2, seed=k, **values)
             pop.add(cl)
@@ -1044,6 +1115,14 @@ def test_random_adds_and_removes_match_a_list_model(ops):
             i = {"first": 0, "middle": len(model) // 2, "last": len(model) - 1}[op]
             pop.remove(model[i][0])
             removed.append(model.pop(i))
+        # every member owns its own slot, and a new rule starts with no
+        # decisions, whatever the slot's last owner left in it
+        slots = pop.slots.tolist()
+        assert len(slots) == len(set(slots)) == len(pop.members)
+        assert all(0 <= slot < len(pop.memo) for slot in slots)
+        if added:
+            assert not pop.memo[slots[-1]].any()
+        pop.memo[slots] = xcsf.MATCH
         assert pop.members == [cl for cl, _ in model]
         _assert_table_is_the_members_rows(pop)
         for i, (cl, values) in enumerate(model):
@@ -1063,6 +1142,28 @@ def test_random_adds_and_removes_match_a_list_model(ops):
         for outsider in [stranger] + [cl for cl, _ in removed]:
             with pytest.raises(ValueError):
                 pop.remove(outsider)
+
+
+def test_a_match_memo_holds_n_plus_lambda_plus_one_rules():
+    cfg = ExperimentConfig(N=2, lam=1)
+    rules = [make_classifier(n=2, seed=s) for s in range(5)]
+    with pytest.raises(ValueError, match="do not fit"):
+        xcsf.Population(rules).memoize(cfg, rows=3)
+    pop = xcsf.Population(rules[:3])
+    pop.memoize(cfg, rows=3)
+    pop.add(rules[3])
+    assert pop.memo.shape == (4, 3) and sorted(pop.slots.tolist()) == [0, 1, 2, 3]
+    # a full memo refuses a rule, and the population stays as it was
+    with pytest.raises(RuntimeError, match="full"):
+        pop.add(rules[4])
+    assert pop.members == rules[:4] and len(pop.state.num) == len(pop.slots) == 4
+    pop.remove(rules[1])
+    pop.add(rules[4])
+    assert pop.slots.tolist() == [0, 2, 3, 1]
+    # every rule matches in global_ea mode, so there is nothing to remember
+    pop = xcsf.Population(rules[:3])
+    pop.memoize(ExperimentConfig(mode="global_ea"), rows=3)
+    assert pop.memo is None and pop.slots is None
 
 
 def test_mean_fitness_adds_in_member_order():
