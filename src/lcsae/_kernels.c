@@ -34,8 +34,8 @@
  * writes net i's output for input r to row i * rows + r of ys_out, the (nets,
  * rows) order of predict_batch's bool match matrix.  predict_batch also takes
  * a float64 fitness per net, and writes a float64 (rows, n_out) out that it
- * never reads.  The rule state reaches reinforce_batch as five 1-D columns
- * of one length, float64 err, fit and set_size and int64 num and exp, and
+ * never reads.  The rule state reaches reinforce_batch as four 1-D columns
+ * of one length, float64 err, fit and set_size and int64 exp, and
  * the int64 positions of the match set's rows in them, one per net, distinct
  * and in range; its input and output are float64 (n,) rows.  Every entry
  * point checks what it reads, the tuple sizes, the positions and the
@@ -103,7 +103,7 @@ typedef struct {
 /* The checked rule state of a match set: the row of each of its rules in
  * the columns, and the XCS rates. */
 typedef struct {
-    const npy_int64 *pos, *num;
+    const npy_int64 *pos;
     npy_int64 *exp;
     double *err, *fit, *set_size, beta, epsilon0, alpha, nu;
 } rules_t;
@@ -302,14 +302,12 @@ fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
  * errors `mse`, in the order of the twin's array update: each error moves
  * toward its mse, each accuracy is 1 below epsilon0 and alpha *
  * (err / epsilon0)^-nu otherwise, each fitness moves toward its share of the
- * numerosity-weighted accuracies (never below F_FLOOR) and each set size
- * toward the match set's micro count; each experience grows by one.  `w` is
- * scratch of length m. */
+ * accuracies (never below F_FLOOR) and each set size toward m; each
+ * experience grows by one.  `w` is scratch of length m. */
 static void
 xcs_update(const rules_t *r, npy_intp m, const double *mse, double *w)
 {
     const double beta = r->beta, epsilon0 = r->epsilon0;
-    npy_int64 micro = 0;
     double e, f, total;
     npy_intp i, k;
 
@@ -318,9 +316,7 @@ xcs_update(const rules_t *r, npy_intp m, const double *mse, double *w)
         e = r->err[k] + beta * (mse[i] - r->err[k]);
         r->err[k] = e;
         /* a NaN error takes the power branch, as ``~(err < epsilon0)`` */
-        w[i] = (e < epsilon0 ? 1.0 : r->alpha * pow(e / epsilon0, -r->nu))
-               * (double)r->num[k];
-        micro += r->num[k];
+        w[i] = e < epsilon0 ? 1.0 : r->alpha * pow(e / epsilon0, -r->nu);
     }
     total = pairwise_sum(w, m);
     for (i = 0; i < m; i++) {
@@ -328,7 +324,7 @@ xcs_update(const rules_t *r, npy_intp m, const double *mse, double *w)
         f = r->fit[k] + beta * (w[i] / total - r->fit[k]);
         /* as np.maximum, a NaN fitness stays NaN */
         r->fit[k] = f < F_FLOOR ? F_FLOOR : f;
-        r->set_size[k] = r->set_size[k] + beta * ((double)micro - r->set_size[k]);
+        r->set_size[k] = r->set_size[k] + beta * ((double)m - r->set_size[k]);
         r->exp[k] += 1;
     }
 }
@@ -427,7 +423,7 @@ fail:
     return NULL;
 }
 
-/* Check the state columns `cols` (err, fit, num, set_size, exp) and the m
+/* Check the state columns `cols` (err, fit, set_size, exp) and the m
  * match-set positions `po`, which must be distinct rows of the columns, and
  * fill `r`; the columns the update writes must be writable. */
 static int
@@ -440,9 +436,8 @@ check_rules(PyObject *const *cols, PyObject *po, npy_intp m, rules_t *r)
         return -1;
     rows = PyArray_DIM((PyArrayObject *)cols[0], 0);
     if (!(r->fit = array_data(cols[1], "fit", NPY_DOUBLE, rows, -1, 1))
-        || !(r->num = array_data(cols[2], "num", NPY_INT64, rows, -1, 0))
-        || !(r->set_size = array_data(cols[3], "set_size", NPY_DOUBLE, rows, -1, 1))
-        || !(r->exp = array_data(cols[4], "exp", NPY_INT64, rows, -1, 1))
+        || !(r->set_size = array_data(cols[2], "set_size", NPY_DOUBLE, rows, -1, 1))
+        || !(r->exp = array_data(cols[3], "exp", NPY_INT64, rows, -1, 1))
         || !(r->pos = array_data(po, "pos", NPY_INT64, m, -1, 0)))
         return -1;
     if (!(seen = PyMem_Calloc(rows ? rows : 1, 1))) {
@@ -589,9 +584,9 @@ static PyObject *
 py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kw[] = {"preds", "x", "omega", "out", "pos", "err", "fit",
-                         "num", "set_size", "exp", "beta", "epsilon0", "alpha",
-                         "nu", NULL};
-    PyObject *preds, *xo, *oo, *po, *cols[5];
+                         "set_size", "exp", "beta", "epsilon0", "alpha", "nu",
+                         NULL};
+    PyObject *preds, *xo, *oo, *po, *cols[4];
     const double *x, **rows;
     double omega, *out, *mse, *a1, *y, f, fsum = 0.0;
     npy_intp n, m, total, i, q;
@@ -599,9 +594,9 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
     rules_t r;
 
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "O!OdOOOOOOOdddd:reinforce_batch", kw, &PyList_Type,
+            args, kwargs, "O!OdOOOOOOdddd:reinforce_batch", kw, &PyList_Type,
             &preds, &xo, &omega, &oo, &po, &cols[0], &cols[1], &cols[2],
-            &cols[3], &cols[4], &r.beta, &r.epsilon0, &r.alpha, &r.nu))
+            &cols[3], &r.beta, &r.epsilon0, &r.alpha, &r.nu))
         return NULL;
     m = PyList_GET_SIZE(preds);
     if (!(x = array_data(xo, "x", NPY_DOUBLE, -1, -1, 0)))
@@ -616,8 +611,8 @@ py_reinforce_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         return NULL;
     }
     /* the hidden activations of every net, then g, sq and y (n each), e1
-     * (no longer than the hidden total), the errors and the weighted
-     * accuracies (m each) */
+     * (no longer than the hidden total), the errors and the accuracies
+     * (m each) */
     if (!(a1 = new_scratch(2 * total + 3 * n + 2 * m, total, &rows))) {
         PyMem_Free(nets);
         return NULL;
@@ -661,8 +656,8 @@ static PyMethodDef methods[] = {
               "that match it (``matched[i, r]``), in list order, divided by the\n"
               "sum of their ``fit[i]`` (0.0 / 0.0 for a row no net matches)."),
     KW_METHOD("reinforce_batch", py_reinforce_batch,
-              "reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size,\n"
-              "                exp, beta, epsilon0, alpha, nu)\n--\n\n"
+              "reinforce_batch(preds, x, omega, out, pos, err, fit, set_size, exp,\n"
+              "                beta, epsilon0, alpha, nu)\n--\n\n"
               "One momentum-SGD step on the MSE toward ``x`` for every net of\n"
               "``preds``, then the XCS update of their rules: ``out`` receives the\n"
               "mean of the nets' pre-update outputs weighted by ``fit[pos[i]]``\n"

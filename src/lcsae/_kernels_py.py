@@ -237,13 +237,12 @@ def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,
     mb1[:] = db1
 
 
-def _check_rules(pos, m, err, fit, num, set_size, exp):
+def _check_rules(pos, m, err, fit, set_size, exp):
     """The state columns and the m match-set positions, checked as the
     compiled kernel checks them: numpy's fancy indexing would accept a
     negative or repeated position."""
     rows = len(_array(err, "err", np.float64, (None,), True))
     _array(fit, "fit", np.float64, (rows,), True)
-    _array(num, "num", np.int64, (rows,))
     _array(set_size, "set_size", np.float64, (rows,), True)
     _array(exp, "exp", np.int64, (rows,), True)
     _array(pos, "pos", np.int64, (m,))
@@ -267,13 +266,12 @@ def _accuracies(err, epsilon0, alpha, nu):
     return kappa
 
 
-def _relative_accuracies(kappas, nums):
-    """Numerosity-weighted accuracies normalised over the match set."""
-    weighted = np.asarray(kappas, dtype=float) * np.asarray(nums, dtype=float)
-    return weighted / weighted.sum()
+def _relative_accuracies(kappas):
+    """Accuracies normalised over the match set."""
+    return kappas / kappas.sum()
 
 
-def reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size, exp,
+def reinforce_batch(preds, x, omega, out, pos, err, fit, set_size, exp,
                     beta, epsilon0, alpha, nu):
     """One trial's reinforcement of a match set.
 
@@ -285,20 +283,19 @@ def reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size, exp,
     hidden layer is computed before any net is updated, as in C.
 
     Then the XCS update (Butz & Wilson 2002) of classifier i's row
-    ``pos[i]`` of the state columns ``err``, ``fit``, ``num``, ``set_size``
-    and ``exp``, as array operations in the order of the per-rule loop, so
+    ``pos[i]`` of the state columns ``err``, ``fit``, ``set_size`` and
+    ``exp``, as array operations in the order of the per-rule loop, so
     every result is the double a rule-by-rule loop gives: the error moves
     by ``beta`` toward net i's ``np.mean(np.square(y - x))`` (numpy's
     pairwise sum of the squares, divided by the width), the fitness toward
-    the rule's numerosity-weighted relative accuracy (never below
-    ``F_FLOOR``), the set size toward the match set's micro count, and the
-    experience grows by one.  ``num`` is only read.
+    the rule's relative accuracy (never below ``F_FLOOR``), the set size
+    toward the match set's size m, and the experience grows by one.
     """
     m = len(preds)
     _array(x, "x", np.float64, (None,))
     _array(out, "out", np.float64, (len(x),), True)
     _check_nets(preds, len(x), len(x), True)
-    _check_rules(pos, m, err, fit, num, set_size, exp)
+    _check_rules(pos, m, err, fit, set_size, exp)
     acc, fsum = np.zeros(len(x)), 0.0
     if m:
         (_, (ys,), (units,)), = _forward(preds, x[None])
@@ -310,13 +307,12 @@ def reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size, exp,
         # fit * y net by net from 0.0, as predict_batch adds them
         acc = _ordered_sums(0.0, np.multiply(ys.T, fit[pos], order="C"))
         fsum = _ordered_sums(0.0, fit[pos])
-        e, f, k, s = err[pos], fit[pos], num[pos], set_size[pos]
-        micro = int(k.sum())
+        e, f, s = err[pos], fit[pos], set_size[pos]
         e = e + beta * (mse - e)
-        f = f + beta * (_relative_accuracies(_accuracies(e, epsilon0, alpha, nu), k) - f)
+        f = f + beta * (_relative_accuracies(_accuracies(e, epsilon0, alpha, nu)) - f)
         exp[pos] += 1
         err[pos] = e
         fit[pos] = np.maximum(f, F_FLOOR)
-        set_size[pos] = s + beta * (micro - s)
+        set_size[pos] = s + beta * (m - s)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(acc, fsum, out=out)

@@ -5,10 +5,10 @@ header holds the config, the trial, the RNG state, the partial metrics
 window, the number of rules and the input width; its keys are sorted, so
 identical state always produces identical bytes.
 
-The payload (version 2) is a fixed sequence of little-endian columns, each
+The payload (version 3) is a fixed sequence of little-endian columns, each
 holding one field of every rule in member order:
 
-- the eight rule scalars ``xcsf.SCALARS``, int64 for the counters and
+- the seven rule scalars ``xcsf.SCALARS``, int64 for the counters and
   float64 for the rest, one entry per rule each;
 - the hidden sizes, int64, a (condition, prediction) pair per rule;
 - the gradient-descent rates, float64, one per layer of every rule;
@@ -21,7 +21,7 @@ sizes.  Loads are atomic: the payload size is checked against the hidden
 sizes before any per-rule array is cut, every column is range-checked as
 one array, and any inconsistency raises before state is handed out.
 Version 1 checkpoints, which listed every rule and array in the header,
-are refused.
+and version 2 ones, which held a numerosity column, are refused.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import neural, xcsf
 from .config import ConfigError, config_from_dict, config_to_dict
 
 POPULATION_MAGIC = b"LCSAECK1"
-VERSION = 2
+VERSION = 3
 
 _SCALAR_DTYPES = {name: "<i8" if name in xcsf.INT_SCALARS else "<f8"
                   for name in xcsf.SCALARS}
@@ -95,7 +95,7 @@ def _check_state(trial: int, cfg, c: dict, hidden, eta) -> None:
     keeps it at or above the floor, so every fitness-weighted mean has a
     positive total.  The counters meet the invariants of every checkpoint
     the learner writes, so none can overflow on resume: it saves at exactly
-    ``cfg.trials``, and every trial ends with at most N micro-classifiers."""
+    ``cfg.trials``, and every trial ends with at most N rules."""
     if trial > cfg.trials:
         raise CheckpointError(f"trial {trial} is not <= the config's trials {cfg.trials}")
 
@@ -105,8 +105,7 @@ def _check_state(trial: int, cfg, c: dict, hidden, eta) -> None:
         return name, v, (v >= 0) & (v <= trial), f"in [0, trial={trial}]"
 
     fit = c["fit"]
-    checks = (("num", c["num"], c["num"] >= 1, ">= 1"),
-              *map(counter, ("exp", "mtotal", "ts", "born")),
+    checks = (*map(counter, ("exp", "mtotal", "ts", "born")),
               ("err", c["err"], np.isfinite(c["err"]) & (c["err"] >= 0), "finite and >= 0"),
               ("fit", fit, np.isfinite(fit) & (fit > 0)
                & ((c["exp"] < 1) | (fit >= xcsf._F_FLOOR)),
@@ -121,10 +120,8 @@ def _check_state(trial: int, cfg, c: dict, hidden, eta) -> None:
         if len(bad):
             i = int(bad[0])
             raise CheckpointError(f"rule {i} {name} {values[i].tolist()!r} is not {rule}")
-    # summed as Python ints, which no count of rules can wrap
-    micro = sum(c["num"].tolist())
-    if micro > cfg.N:
-        raise CheckpointError(f"micro count {micro} is not <= N={cfg.N}")
+    if len(fit) > cfg.N:
+        raise CheckpointError(f"{len(fit)} rules are more than N={cfg.N}")
 
 
 def _check_layer(name: str, c: dict, mu_min: float) -> None:

@@ -35,13 +35,6 @@ class Dataset:
         return self.features[self.valid_idx]
 
 
-def _check_unit_range(arr, path):
-    if not np.isfinite(arr).all():
-        raise DataError(f"{path}: non-finite value in data")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise DataError(f"{path}: values outside [0, 1] after scaling")
-
-
 def load_csv(path, has_label_column: bool = False, image_shape=None) -> Dataset:
     """Numeric CSV, optionally with a header row (auto-detected) and a
     trailing label column (dropped when flagged).
@@ -91,7 +84,9 @@ def load_csv(path, has_label_column: bool = False, image_shape=None) -> Dataset:
     maxv = arr.max() if arr.size else 0.0
     if maxv > 1.0:
         arr = arr / maxv
-    _check_unit_range(arr, path)
+    # finite values scaled by their finite maximum are finite and at most 1
+    if arr.size and arr.min() < 0.0:
+        raise DataError(f"{path}: values outside [0, 1] after scaling")
     return Dataset(features=arr, image_shape=image_shape)
 
 

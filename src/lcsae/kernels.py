@@ -11,8 +11,8 @@ sums for the caller to finish.
   ``out (rows, n_out)``, never read, receives ``fit[i]`` times net i's
   output summed over the nets that match row r (``matched[i, r]``) in list
   order, divided by their ``fit[i]`` summed the same way (NaN for no nets);
-- ``reinforce_batch(preds, x, omega, out, pos, err, fit, num, set_size,
-  exp, beta, epsilon0, alpha, nu)``, one trial's reinforcement of a match
+- ``reinforce_batch(preds, x, omega, out, pos, err, fit, set_size, exp,
+  beta, epsilon0, alpha, nu)``, one trial's reinforcement of a match
   set: one momentum-SGD step toward the input ``x (n,)`` for every
   prediction net, whose mean output, formed as ``predict_batch`` forms it,
   goes to ``out (n,)``, then the XCS update of the rules at rows ``pos``.

@@ -109,10 +109,10 @@ def auc_from_metrics(rows, field: str = "train_mse", max_trial=None) -> float:
 
 def population_stats(pop: xcsf.Population, xs: np.ndarray,
                      cfg: ExperimentConfig, rows=None) -> dict:
-    """Numerosity-weighted population means for one checkpoint.
+    """Population means over the rules for one checkpoint.
 
     Active-weight columns count mask-enabled weights only (biases are never
-    masked); the *_total variants sum over macro-classifiers.  Mutation
+    masked); the *_total variants sum over the rules.  Mutation
     rates are averaged over all four layers of both networks.  No mean
     depends on the order of its terms: exact integer sums or ``math.fsum``.
     ``mfrac`` is the fraction of ``xs`` the best rule matches; ``rows`` are
@@ -125,29 +125,25 @@ def population_stats(pop: xcsf.Population, xs: np.ndarray,
                 "C_w_total": 0, "P_w_total": 0, "macro_count": 0,
                 "mean_mu_w": 0.0, "mean_mu_h": 0.0, "mean_mu_eta": 0.0,
                 "mean_mu_c": 0.0}
-    num = pop.state.num
-    micro = int(num.sum())
-
-    c_h = np.array([cl.condition.n_hidden for cl in members])
-    p_h = np.array([cl.prediction.n_hidden for cl in members])
-    c_w = np.array([sum(l.active_weights() for l in cl.condition.layers)
-                    for cl in members])
-    p_w = np.array([sum(l.active_weights() for l in cl.prediction.layers)
-                    for cl in members])
+    size = len(members)
+    c_h = sum(cl.condition.n_hidden for cl in members)
+    p_h = sum(cl.prediction.n_hidden for cl in members)
+    c_w = sum(l.active_weights() for cl in members for l in cl.condition.layers)
+    p_w = sum(l.active_weights() for cl in members for l in cl.prediction.layers)
     mus = np.array([[l.mu for l in cl.condition.layers + cl.prediction.layers]
                     for cl in members])  # [m, 4 layers, 4 rates]
-    mean_mu = [math.fsum(rate) / micro for rate in (num[:, None] * mus.mean(axis=1)).T]
+    mean_mu = [math.fsum(rate) / size for rate in mus.mean(axis=1).T]
 
     _, mfrac = xcsf.best_classifier(pop, xs, cfg, rows)
     return {
         "mfrac": float(mfrac),
-        "C_h": int(num @ c_h) / micro,
-        "P_h": int(num @ p_h) / micro,
-        "C_w": int(num @ c_w) / micro,
-        "P_w": int(num @ p_w) / micro,
-        "C_w_total": int(c_w.sum()),
-        "P_w_total": int(p_w.sum()),
-        "macro_count": len(members),
+        "C_h": c_h / size,
+        "P_h": p_h / size,
+        "C_w": c_w / size,
+        "P_w": p_w / size,
+        "C_w_total": c_w,
+        "P_w_total": p_w,
+        "macro_count": size,
         "mean_mu_w": mean_mu[0],
         "mean_mu_h": mean_mu[1],
         "mean_mu_eta": mean_mu[2],

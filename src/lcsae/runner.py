@@ -128,7 +128,7 @@ def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
             row = train_idx[int(rng.integers(0, len(train_idx)))]
             res = xcsf.run_trial(pop, xs[row], cfg, rng, row)
             mse_sum += res.mse
-            m_sum += res.m_micro
+            m_sum += res.m_size
             count += 1
             if pop.trial % cfg.checkpoint_interval == 0:
                 _emit(fh, cfg, pop, ds, mse_sum / count, m_sum / count)

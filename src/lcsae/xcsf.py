@@ -8,8 +8,10 @@ error/fitness/set-size/experience update, all in one kernel call) and
 periodically reproduced by a selection-driven evolutionary step with
 self-adaptive mutation.  In ``global_ea`` mode every classifier matches
 every input, so evolution optimises a single global niche instead.
+Rules are never merged (there is no subsumption), so each rule is one
+classifier and the population limit N counts rules.
 
-The eight scalars of every rule (``err, fit, num, exp, set_size, ts, born,
+The seven scalars of every rule (``err, fit, exp, set_size, ts, born,
 mtotal``) live in a ``RuleState`` table of one numpy column each, exactly
 as long as the rows it holds.  A ``Population`` owns one table with one row
 per member, and row i of it belongs to ``pop.members[i]``.  A match set is
@@ -21,7 +23,7 @@ position from them.  A rule is its two nets plus a row of a table,
 ``Classifier(condition, prediction, state, row)``, and reads and writes
 that row through properties of the same names.  Outside a population
 (fresh from covering or reproduction, or after removal) it owns a one-row
-table, which ``RuleState.of`` builds from the eight scalars.  Membership
+table, which ``RuleState.of`` builds from the seven scalars.  Membership
 changes only through ``Population.add``, which appends the rule's row to
 every column, and ``Population.remove``, which deletes it and hands the
 rule a copy; both replace the columns.  Neither a rule nor a table refers
@@ -68,8 +70,8 @@ class CoveringError(Exception):
 UNKNOWN, NO_MATCH, MATCH = 0, 1, 2
 
 # the per-rule scalars, in checkpoint order, and the integer ones
-SCALARS = ("err", "fit", "num", "exp", "set_size", "ts", "born", "mtotal")
-INT_SCALARS = frozenset(("num", "exp", "ts", "born", "mtotal"))
+SCALARS = ("err", "fit", "exp", "set_size", "ts", "born", "mtotal")
+INT_SCALARS = frozenset(("exp", "ts", "born", "mtotal"))
 
 
 class RuleState:
@@ -90,9 +92,9 @@ class RuleState:
                                          else np.float64))
 
     @classmethod
-    def of(cls, *, err, fit, num, exp, set_size, ts, born, mtotal) -> RuleState:
+    def of(cls, *, err, fit, exp, set_size, ts, born, mtotal) -> RuleState:
         """The one-row table of a rule outside a population."""
-        return cls(([err], [fit], [num], [exp], [set_size], [ts], [born], [mtotal]))
+        return cls(([err], [fit], [exp], [set_size], [ts], [born], [mtotal]))
 
 
 def _scalar(name: str, cast):
@@ -115,7 +117,6 @@ class Classifier:
 
     err = _scalar("err", float)
     fit = _scalar("fit", float)
-    num = _scalar("num", int)
     exp = _scalar("exp", int)
     set_size = _scalar("set_size", float)
     ts = _scalar("ts", int)
@@ -205,12 +206,14 @@ class Population:
             later._row -= 1
 
     def micro_count(self) -> int:
-        return int(self.state.num.sum())
+        """The number of rules, which the population limit N counts; the
+        benchmark's deletion counter reads it."""
+        return len(self.members)
 
     def mean_fitness(self) -> float:
-        """Mean fitness per micro-classifier."""
+        """Mean fitness of the rules."""
         # in member order; the builtin sum compensates from Python 3.12 on
-        return float(np.cumsum(self.state.fit)[-1]) / self.micro_count()
+        return float(np.cumsum(self.state.fit)[-1]) / len(self.members)
 
 
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
@@ -227,8 +230,8 @@ def _fresh_rule(condition: neural.Network, cfg: ExperimentConfig, n: int, rng,
     """A rule born at ``trial`` on ``condition``, with a new prediction net."""
     prediction = neural.new_network(n, cfg.h_I, n, rng, mu_min=cfg.mu_min)
     return Classifier(condition, prediction,
-                      RuleState.of(err=cfg.epsilon_I, fit=cfg.F_I, num=1, exp=0,
-                                   set_size=1.0, ts=trial, born=trial, mtotal=0), 0)
+                      RuleState.of(err=cfg.epsilon_I, fit=cfg.F_I, exp=0, set_size=1.0,
+                                   ts=trial, born=trial, mtotal=0), 0)
 
 
 def match_set(pop: Population, x, cfg: ExperimentConfig, row=None) -> np.ndarray:
@@ -326,8 +329,8 @@ def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.nd
     members, st = pop.members, pop.state
     out = np.empty(len(x))
     kernels.reinforce_batch([members[i].pred_args for i in m.tolist()], x,
-                            cfg.omega, out, m, st.err, st.fit, st.num, st.set_size,
-                            st.exp, cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
+                            cfg.omega, out, m, st.err, st.fit, st.set_size, st.exp,
+                            cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
     return out
 
 
@@ -365,22 +368,21 @@ def make_offspring(parent: Classifier, err: float, fit: float,
             for layer in net.layers:
                 neural.mutate_connections(layer, rng)
     return Classifier(condition, prediction,
-                      RuleState.of(err=err, fit=fit, num=1, exp=1, set_size=parent.set_size,
+                      RuleState.of(err=err, fit=fit, exp=1, set_size=parent.set_size,
                                    ts=trial, born=trial, mtotal=0), 0)
 
 
 def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> bool:
     """Run one evolutionary step on the match set ``m`` if it is due.
 
-    Fires when the numerosity-weighted mean time since the last run exceeds
+    Fires when the match set's mean time since the last run exceeds
     theta_EA.  Two parents are drawn by fitness roulette; lambda offspring
     are cloned (no crossover) with error/fitness set to the reduced
     parental means, then inserted.  Returns whether it fired.
     """
     st = pop.state
-    num = st.num[m]
-    # integer sums are exact, and int / int rounds once
-    mean_ts = int((st.ts[m] * num).sum()) / int(num.sum())
+    # the integer sum is exact, and int / int rounds once
+    mean_ts = int(st.ts[m].sum()) / len(m)
     if pop.trial - mean_ts <= cfg.theta_EA:
         return False
     st.ts[m] = pop.trial
@@ -399,16 +401,15 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
 def deletion_votes(pop: Population, mean_f: float, cfg: ExperimentConfig) -> np.ndarray:
     """Roulette weight for removal of every member.
 
-    Proportional to set size times numerosity, boosted for experienced
-    rules whose fitness per micro-classifier is below ``delta`` times the
-    population mean ``mean_f``; classifiers that never matched anything
-    within the stale limit get an overriding maximal vote.
+    Proportional to set size, boosted for experienced rules whose fitness
+    is below ``delta`` times the population mean ``mean_f``; classifiers
+    that never matched anything within the stale limit get an overriding
+    maximal vote.
     """
     st = pop.state
-    votes = st.set_size * st.num
-    micro_fit = st.fit / st.num
-    boost = np.flatnonzero((st.exp > cfg.theta_del) & (micro_fit < cfg.delta * mean_f))
-    votes[boost] *= mean_f / micro_fit[boost]
+    votes = st.set_size.copy()
+    boost = np.flatnonzero((st.exp > cfg.theta_del) & (st.fit < cfg.delta * mean_f))
+    votes[boost] *= mean_f / st.fit[boost]
     votes[(st.mtotal == 0) & (pop.trial - st.born > cfg.stale_limit)] = STALE_VOTE
     return votes
 
@@ -429,35 +430,29 @@ def _pick_victim(a: Classifier, b: Classifier, vote_a: float, vote_b: float, rng
 
 
 def enforce_population_limit(pop: Population, cfg: ExperimentConfig, rng) -> None:
-    """Delete micro-classifiers until the population limit holds.
+    """Delete rules until there are at most N.
 
     Each cycle draws two distinct candidates by vote-proportionate roulette
-    and removes one copy of the rule with the larger prediction hidden
-    layer (stale rules first, ties by vote, then at random).
+    and removes the one with the larger prediction hidden layer (stale
+    rules first, ties by vote, then at random).
     """
-    while pop.micro_count() > cfg.N:
+    while len(pop.members) > cfg.N:
         votes = deletion_votes(pop, pop.mean_fitness(), cfg)
         i = roulette(votes, rng)
-        if len(pop.members) == 1:
-            victim = pop.members[0]
-        else:
-            rest = votes.copy()
-            rest[i] = 0.0
-            j = roulette(rest, rng)
-            if j == i:  # all remaining votes were zero
-                j = (i + 1) % len(pop.members)
-            victim = _pick_victim(pop.members[i], pop.members[j],
-                                  float(votes[i]), float(votes[j]), rng)
-        victim.num -= 1
-        if victim.num == 0:
-            pop.remove(victim)
+        rest = votes.copy()
+        rest[i] = 0.0
+        j = roulette(rest, rng)
+        if j == i:  # all remaining votes were zero
+            j = (i + 1) % len(pop.members)
+        pop.remove(_pick_victim(pop.members[i], pop.members[j],
+                                float(votes[i]), float(votes[j]), rng))
 
 
 @dataclass(eq=False)
 class TrialResult:
     output: np.ndarray
     mse: float
-    m_micro: int
+    m_size: int
 
 
 def run_trial(pop: Population, x, cfg: ExperimentConfig, rng, row=None) -> TrialResult:
@@ -466,12 +461,11 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng, row=None) -> Trial
     pop.trial += 1
     x = np.ascontiguousarray(x, dtype=float)
     m = build_match_set(pop, x, cfg, rng, row)
-    m_micro = int(pop.state.num[m].sum())
     output = reinforce(pop, m, x, cfg)
     maybe_run_ea(pop, m, cfg, rng)
     enforce_population_limit(pop, cfg, rng)
     return TrialResult(output=output, mse=float(np.mean((output - x) ** 2)),
-                       m_micro=m_micro)
+                       m_size=len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +513,7 @@ def _matched(pop: Population, rules: np.ndarray, xs: np.ndarray, cfg: Experiment
 def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
     """System reconstruction error over a set of inputs, without updates.
 
-    Returns (mean MSE, mean micro match-set size).  Rows matched by nothing
+    Returns (mean MSE, mean match-set size).  Rows matched by nothing
     fall back to the fitness-weighted prediction of the whole population
     and count a match-set size of zero; an empty population predicts
     nothing, so its error is NaN.  Each row's prediction adds the matching
@@ -533,7 +527,7 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
     if not pop.members:
         return float("nan"), 0.0
     matched = _matched(pop, np.arange(len(pop.members)), xs, cfg, rows)
-    msize = pop.state.num @ matched
+    msize = matched.sum(axis=0)
     # a row that no rule matches is predicted by every rule
     matched[:, ~matched.any(axis=0)] = True
     preds = np.empty_like(xs)

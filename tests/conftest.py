@@ -55,8 +55,8 @@ def spare_rules(m):
     ``reinforce_batch`` call of m nets whose rules are not under test; the
     call updates these throwaway columns."""
     cfg = ExperimentConfig()
-    return (np.arange(m), np.zeros(m), np.ones(m), np.ones(m, np.int64), np.ones(m),
-            np.zeros(m, np.int64), cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
+    return (np.arange(m), np.zeros(m), np.ones(m), np.ones(m), np.zeros(m, np.int64),
+            cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
 
 
 def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
@@ -65,8 +65,7 @@ def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
         condition = neural.new_network(n, h, 1, rng)
     if prediction is None:
         prediction = neural.new_network(n, h, n, rng)
-    fields = dict(err=0.0, fit=0.01, num=1, exp=0, set_size=1.0,
-                  ts=0, born=0, mtotal=0)
+    fields = dict(err=0.0, fit=0.01, exp=0, set_size=1.0, ts=0, born=0, mtotal=0)
     fields.update(attrs)
     return xcsf.Classifier(condition, prediction, xcsf.RuleState.of(**fields), 0)
 

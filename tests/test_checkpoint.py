@@ -64,8 +64,7 @@ def test_population_bytes_rejects_garbage():
 def _sample_population(seed=2, n=6, members=5):
     rng = np.random.default_rng(seed)
     pop = xcsf.Population([make_classifier(n=n, seed=seed + i, err=0.1 * i,
-                                           fit=0.01 + 0.1 * i, num=1 + i % 2,
-                                           exp=i, set_size=1.0 + i, ts=i,
+                                           fit=0.01 + 0.1 * i, exp=i, set_size=1.0 + i, ts=i,
                                            born=0, mtotal=i)
                            for i in range(members)], trial=123)
     return pop, rng
@@ -83,8 +82,8 @@ def test_population_round_trip_restores_everything():
     assert pop2.trial == pop.trial
     assert len(pop2.members) == len(pop.members)
     for a, b in zip(pop.members, pop2.members):
-        assert (a.err, a.fit, a.num, a.exp, a.set_size, a.ts, a.born, a.mtotal) == \
-               (b.err, b.fit, b.num, b.exp, b.set_size, b.ts, b.born, b.mtotal)
+        assert (a.err, a.fit, a.exp, a.set_size, a.ts, a.born, a.mtotal) == \
+               (b.err, b.fit, b.exp, b.set_size, b.ts, b.born, b.mtotal)
         for la, lb in zip(a.prediction.layers + a.condition.layers,
                           b.prediction.layers + b.condition.layers):
             _assert_layers_bit_equal(la, lb)

@@ -259,6 +259,37 @@ def test_reconstruct_noise_zero_equals_none(tmp_path, dataset):
     assert header == b"P5"
 
 
+def test_reconstruct_exports_one_image_per_channel(tmp_path, monkeypatch):
+    path = write_csv(tmp_path / "rgb.csv", np.random.default_rng(8).random((40, 12)))
+    cfg = ExperimentConfig(N=10, trials=20, checkpoint_interval=10, seed=3, dataset=path,
+                           image_shape=(2, 2, 3))
+    runner.run_experiment(cfg, tmp_path / "run")
+    # the corrupted and reconstructed vectors the report was made from
+    seen = {"corrupt": [], "recon": []}
+    for key, module, name in (("corrupt", runner.data, "salt_pepper"),
+                              ("recon", xcsf, "reconstruct_one")):
+        def recording(*args, _inner=getattr(module, name), _out=seen[key]):
+            _out.append(_inner(*args))
+            return _out[-1]
+        monkeypatch.setattr(module, name, recording)
+    out = tmp_path / "rec"
+    result = runner.reconstruct(tmp_path / "run" / runner.CHECKPOINT_NAME, path,
+                                corruption="salt_pepper", count=2, out_dir=out)
+    valid = runner.prepare_dataset(cfg).valid()
+    seen["orig"] = [valid[image["row"]] for image in result.per_image]
+    names = {f"{kind}_{j:03d}_c{c}.pgm" for kind in seen for j in range(2) for c in range(3)}
+    assert {os.path.basename(f) for f in result.image_files} == names
+    assert {f.name for f in out.glob("*.pgm")} == names
+    for kind, vectors in seen.items():
+        for j, vec in enumerate(vectors):
+            for c in range(3):
+                pgm = (out / f"{kind}_{j:03d}_c{c}.pgm").read_bytes()
+                magic, size, depth, pixels = pgm.split(b"\n", 3)
+                assert (magic, size, depth) == (b"P5", b"2 2", b"255")
+                assert np.array_equal(np.frombuffer(pixels, np.uint8).reshape(2, 2),
+                                      np.rint(255 * vec.reshape(2, 2, 3)[:, :, c]))
+
+
 def test_reconstruct_without_image_shape_reports_then_errors(tmp_path, dataset):
     out = tmp_path / "novec"
     cfg = _config(tmp_path, dataset, name="vec.cfg", trials=100)
@@ -520,12 +551,6 @@ def _reinforced_below_the_floor(pop):
     pop.members[0].fit = xcsf._F_FLOOR / 2
 
 
-@_saved
-def _num_2_62_on_four_rules(pop):
-    # each rule passes num >= 1, and their micro count wraps an int64
-    pop.state.num[:4] = 2**62
-
-
 # Each case corrupts the checkpoint of a small run and names a part of the
 # error the loader must give.  The rule scalars are payload columns, so
 # their cases change the saved state rather than the header.
@@ -559,8 +584,9 @@ BAD_HEADERS = {
     "inputs negative": (_header_key("inputs", value=-8), "inputs -8"),
     "inputs 16": (_header_key("inputs", value=16), "hidden sizes and 16 inputs need"),
     "version 1": (_header_key("version", value=1), "unsupported version 1"),
-    "num 0 everywhere": (_every_rule("num", 0), "num 0 is not >= 1"),
-    "num negative": (_first_rule("num", -3), "rule 0 num -3"),
+    # the layout that held a numerosity column per rule
+    "version 2": (_header_key("version", value=2), "unsupported version 2"),
+    "more rules than N": (_header_key("config", "N", value=29), "30 rules are more than N=29"),
     "exp negative": (_first_rule("exp", -1), "rule 0 exp -1"),
     "mtotal negative": (_first_rule("mtotal", -1), "rule 0 mtotal -1"),
     "fit nan": (_first_rule("fit", float("nan")), "rule 0 fit nan"),
@@ -575,15 +601,13 @@ BAD_HEADERS = {
     "born after trial": (_first_rule("born", 41), "rule 0 born 41"),
     # counters the learner never reaches: resumed, a trial of 2**63 - 1
     # ended in an OverflowError traceback, an exp of 2**63 - 1 overflowed
-    # in the compiled kernel, and four nums of 2**62 wrapped the micro count
+    # in the compiled kernel
     "trial 2**63 - 1": (_header_key("trial", value=2**63 - 1),
                         "trial 9223372036854775807 is not <= the config's trials 40"),
     "exp 2**63 - 1 everywhere": (_every_rule("exp", 2**63 - 1),
                                  "rule 0 exp 9223372036854775807 is not in [0, trial=40]"),
     "exp after trial": (_first_rule("exp", 41), "rule 0 exp 41"),
     "mtotal after trial": (_first_rule("mtotal", 41), "rule 0 mtotal 41"),
-    "num 2**62 on four rules": (_num_2_62_on_four_rules,
-                                "micro count 1844674407370955"),
     "ts negative": (_first_rule("ts", -1), "rule 0 ts -1"),
 }
 
@@ -691,7 +715,7 @@ def test_checkpoint_networks_the_learner_never_writes_exit_2(
 
 def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path):
     # a reinforced rule may sit exactly at the fitness floor, born, ts, exp
-    # and mtotal may equal the trial, and the micro count may equal N
+    # and mtotal may equal the trial, and the population may hold N rules
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
 
@@ -700,8 +724,7 @@ def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path)
         cl = pop.members[0]
         cl.fit = xcsf._F_FLOOR
         cl.born = cl.ts = cl.exp = cl.mtotal = pop.trial
-        cl.num += BASE["N"] - pop.micro_count()
-        assert pop.micro_count() == BASE["N"]
+        assert len(pop.members) == BASE["N"]
 
     at_the_limits(run / "population.ckpt")
     assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "5"]) == 0

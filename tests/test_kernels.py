@@ -68,7 +68,7 @@ def _mse_rules(m):
     starts at 0.0 and moves with beta = 1.0, so the update writes
     ``0.0 + 1.0 * (mse - 0.0)``."""
     rules = spare_rules(m)
-    return rules[:6] + (1.0,) + rules[7:]
+    return rules[:5] + (1.0,) + rules[6:]
 
 
 @pytest.fixture
@@ -612,8 +612,8 @@ def test_failing_calls_free_what_they_allocated(compiled):
     bad_pred = preds[-1][:7] + (np.zeros(2),) + preds[-1][8:]
     xs, out = rng.random((3, 8)), _untouched(3, 8)
     matched, fit = np.ones((16, 3), bool), np.ones(16)
-    pos, *columns = (np.arange(16), np.zeros(16), np.ones(16), np.ones(16, np.int64),
-                     np.ones(16), np.zeros(16, np.int64))
+    pos, *columns = (np.arange(16), np.zeros(16), np.ones(16), np.ones(16),
+                     np.zeros(16, np.int64))
     for mod in compiled:
         calls = [
             _fails(ValueError, mod.forward_batch, conds[:-1] + [bad_cond], xs, _untouched(48)),
@@ -699,13 +699,13 @@ def test_bad_batches_fail_before_any_update(compiled):
                        for v, c in zip(rules.values(), columns)), (mod, msg)
 
 
-_RULE_ARGS = ("pos", "err", "fit", "num", "set_size", "exp")
+_RULE_ARGS = ("pos", "err", "fit", "set_size", "exp")
 
 
 def _rule_columns():
     """Positions 3 and 1 of five rules' state columns."""
-    return (np.array([3, 1]), np.full(5, 0.5), np.full(5, 0.25), np.full(5, 2),
-            np.full(5, 3.0), np.full(5, 4))
+    return (np.array([3, 1]), np.full(5, 0.5), np.full(5, 0.25), np.full(5, 3.0),
+            np.full(5, 4))
 
 
 def _read_only(a):
@@ -732,9 +732,6 @@ def _bad_rule_args():
         (ValueError, "err must be writable", "err", _read_only(np.full(5, 0.5))),
         (ValueError, "fit has the wrong shape", "fit", np.full(4, 0.25)),
         (ValueError, "fit must be writable", "fit", _read_only(np.full(5, 0.25))),
-        (TypeError, "num must be a native int64 array", "num", np.full(5, 2.0)),
-        (TypeError, "num must be a native int64 array", "num", np.full(5, 2, ">i8")),
-        (ValueError, "num has the wrong shape", "num", np.full(6, 2)),
         (ValueError, "set_size must be aligned and C-contiguous", "set_size",
          np.full(10, 3.0)[::2]),
         (ValueError, "set_size must be writable", "set_size", _read_only(np.full(5, 3.0))),
@@ -745,23 +742,22 @@ def _bad_rule_args():
 
 
 def test_good_rule_arguments_update_only_their_rows(cy):
-    # a read-only num is fine: the update only reads it; rows 0, 2 and 4
-    # are not in the match set and stay as they were
+    # rows 0, 2 and 4 are not in the match set and stay as they were
     rng = np.random.default_rng(15)
     x = rng.random(6)
     results = []
     for mod in (_kernels_py, cy):
-        pos, err, fit, num, set_size, exp = _rule_columns()
+        pos, err, fit, set_size, exp = _rule_columns()
         preds = [_pred(np.random.default_rng(16), 6), _pred(np.random.default_rng(17), 6)]
-        ys, out = _reinforce(mod, preds, x, (pos, err, fit, _read_only(num), set_size, exp,
-                                             0.1, 0.01, 0.1, 5.0))
+        ys, out = _reinforce(mod, preds, x, (pos, err, fit, set_size, exp, 0.1, 0.01, 0.1, 5.0))
         # both rules had fitness 0.25 before the update
         assert np.array_equal(out, _weighted_mean(np.full(2, 0.25), ys))
         mse = _mse(ys, x)
         for col, start in ((err, 0.5), (fit, 0.25), (set_size, 3.0), (exp, 4)):
             assert np.all(col[[0, 2, 4]] == start)
         assert exp[[1, 3]].tolist() == [5, 5]
-        assert set_size[[1, 3]].tolist() == [3.0 + 0.1 * (4 - 3.0)] * 2
+        # each set size moves toward the match set's two rules
+        assert set_size[[1, 3]].tolist() == [3.0 + 0.1 * (2 - 3.0)] * 2
         assert np.array_equal(err[[1, 3]], 0.5 + 0.1 * (mse[::-1] - 0.5))
         results.append((err, fit, set_size))
     # every rule's error is above epsilon0, so the fitness follows the

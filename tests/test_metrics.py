@@ -97,20 +97,6 @@ def test_population_stats_counts_active_weights_excluding_biases():
     assert stats["P_w_total"] == h * 2 * n - n
 
 
-def test_population_stats_numerosity_weighting():
-    cfg = ExperimentConfig()
-    rng = np.random.default_rng(4)
-    small = make_classifier(n=3, prediction=neural.new_network(3, 2, 3, rng),
-                            condition=always_match_condition(3), num=3, err=0.001)
-    big = make_classifier(n=3, prediction=neural.new_network(3, 8, 3, rng),
-                          condition=always_match_condition(3), num=1, err=0.001)
-    pop = xcsf.Population([small, big])
-    xs = rng.random((5, 3))
-    stats = metrics.population_stats(pop, xs, cfg)
-    assert stats["P_h"] == pytest.approx((3 * 2 + 1 * 8) / 4)
-    assert stats["macro_count"] == 2
-
-
 def test_checkpoint_row_round_trip(tmp_path):
     cp = metrics.Checkpoint(trial=5, train_mse=0.125, valid_mse=float("nan"),
                             mfrac=1.0, C_h=2.0, P_h=3.5, C_w=8.0, P_w=24.0,
@@ -142,30 +128,28 @@ def test_rows_of_the_wrong_length_are_rejected(change, tmp_path):
 
 
 def test_population_stats_means_do_not_depend_on_the_order_of_their_terms():
-    # float weights n / micro, such as 1/21, make a weighted sum that rounds
-    # once per term, and how depends on the order of the terms: the integer
-    # means must be exact sums rounded once, the rates correctly rounded sums
+    # a float sum rounds once per term, and how depends on the order of the
+    # terms: the integer means must be exact sums rounded once, the rates
+    # correctly rounded sums
     cfg = ExperimentConfig()
     rng = np.random.default_rng(6)
     rules = [make_classifier(n=3, condition=always_match_condition(3), err=0.001,
-                             num=1 + s % 3, prediction=neural.new_network(3, 1 + s % 2, 3, rng))
+                             prediction=neural.new_network(3, 1 + s % 2, 3, rng))
              for s in range(11)]
     for cl in rules:
         for layer in cl.condition.layers + cl.prediction.layers:
             layer.mu[:] = rng.random(4)
     stats = metrics.population_stats(xcsf.Population(rules), rng.random((5, 3)), cfg)
-    nums = [cl.num for cl in rules]
-    micro = sum(nums)
     assert stats["C_h"] == 1.0
     # an exact integer sum, divided once
-    assert stats["P_h"] == sum(n * cl.prediction.n_hidden for n, cl in zip(nums, rules)) / micro
-    assert stats["P_w"] == sum(n * sum(l.active_weights() for l in cl.prediction.layers)
-                               for n, cl in zip(nums, rules)) / micro
+    assert stats["P_h"] == sum(cl.prediction.n_hidden for cl in rules) / 11 == 16 / 11
+    assert stats["P_w"] == sum(l.active_weights() for cl in rules
+                               for l in cl.prediction.layers) / 11
     rates = [np.mean([l.mu for l in cl.condition.layers + cl.prediction.layers], axis=0)
              for cl in rules]
     for k, name in enumerate(("mean_mu_w", "mean_mu_h", "mean_mu_eta", "mean_mu_c")):
         # correctly rounded, so the rules may be added in any order
-        assert stats[name] == math.fsum(n * r[k] for n, r in zip(nums[::-1], rates[::-1])) / micro
+        assert stats[name] == math.fsum(r[k] for r in rates[::-1]) / 11
 
 
 def test_trial_0_population_stats_matches_only_the_validation_rows(monkeypatch):

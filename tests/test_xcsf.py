@@ -73,11 +73,11 @@ def test_build_match_set_global_ea_is_whole_population():
 
 
 def test_build_match_set_macro_members_appear_once(cfg):
-    cl = make_classifier(n=4, condition=always_match_condition(4), num=7)
+    cl = make_classifier(n=4, condition=always_match_condition(4))
     pop = xcsf.Population([cl])
     m = xcsf.build_match_set(pop, np.zeros(4), cfg, np.random.default_rng(0))
     assert list(m) == [0]
-    assert cl.num == 7 and cl.mtotal == 1
+    assert cl.mtotal == 1
 
 
 def test_build_match_set_covers_when_nothing_matches(cfg):
@@ -97,7 +97,7 @@ def test_cover_initialises_bookkeeping(cfg):
     assert matches(cl, x, cfg)
     assert cl.err == cfg.epsilon_I == 0.0
     assert cl.fit == cfg.F_I == 0.01
-    assert cl.num == 1 and cl.exp == 0
+    assert cl.exp == 0
     assert cl.condition.n_hidden == cfg.h_I == 1
     assert cl.prediction.n_hidden == cfg.h_I
     assert cl.ts == 17 and cl.born == 17
@@ -154,9 +154,7 @@ def test_accuracies_equal_the_scalar_power_bit_for_bit(nu):
 
 def test_relative_accuracies_sum_to_one():
     rng = np.random.default_rng(5)
-    kappas = rng.random(20)
-    nums = rng.integers(1, 5, 20)
-    rel = _kernels_py._relative_accuracies(kappas, nums)
+    rel = _kernels_py._relative_accuracies(rng.random(20))
     assert rel.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(rel >= 0)
 
@@ -176,10 +174,9 @@ def test_reinforce_error_update_matches_delta_rule(cfg):
 
 
 def test_reinforce_set_size_uses_micro_count(cfg):
-    cls = [make_classifier(n=3, seed=s, num=num, set_size=1.0)
-           for s, num in ((1, 1), (2, 3))]
+    cls = [make_classifier(n=3, seed=s, set_size=1.0) for s in range(1, 5)]
     reinforce_all(xcsf.Population(cls), np.full(3, 0.5), cfg)
-    # |M| in micro-classifiers is 4
+    # |M| is 4
     for cl in cls:
         assert cl.set_size == pytest.approx(1.0 + cfg.beta * (4 - 1.0), abs=1e-12)
 
@@ -219,7 +216,6 @@ def _reinforce_per_rule(m, x, cfg):
     """Reference: the rule-by-rule bookkeeping loop that the match-set
     array update replaced; returns the pre-update outputs weighted by the
     pre-update fitnesses, added rule by rule."""
-    m_micro = sum(cl.num for cl in m)
     ys = np.empty((len(m), len(x)))
     kernels.forward_batch([cl.pred_args for cl in m], x[None], ys)
     output, fsum = np.zeros(len(x)), 0.0
@@ -236,8 +232,8 @@ def _reinforce_per_rule(m, x, cfg):
         err_inst = float(np.mean((ys[i] - x) ** 2))
         cl.err += cfg.beta * (err_inst - cl.err)
         kappas[i] = _accuracy(cl.err, cfg)
-        cl.set_size += cfg.beta * (m_micro - cl.set_size)
-    rel = _kernels_py._relative_accuracies(kappas, [cl.num for cl in m])
+        cl.set_size += cfg.beta * (len(m) - cl.set_size)
+    rel = _kernels_py._relative_accuracies(kappas)
     for i, cl in enumerate(m):
         cl.fit += cfg.beta * (rel[i] - cl.fit)
         if cl.fit < xcsf._F_FLOOR:
@@ -267,14 +263,13 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
     cfg = ExperimentConfig(nu=nu)
     pattern = np.array([1.0, 0.0] * 4)
     # a lone rule starts above the target error and learns its way below it
-    right = make_classifier(n=8, prediction=saturated_network(8, pattern), num=2,
+    right = make_classifier(n=8, prediction=saturated_network(8, pattern),
                             err=0.05 if size == 1 else 0.0)
     # the large match sets run fewer steps, so their wrong rule starts
     # nearer the floor
     wrong = make_classifier(n=8, prediction=saturated_network(8, 1.0 - pattern),
                             err=1.0, fit=1e-295 if size <= 8 else 3e-300)
-    learners = [make_classifier(n=8, seed=s, num=3 if s % 3 == 2 else 1,
-                                err=0.05 * (s % 4))
+    learners = [make_classifier(n=8, seed=s, err=0.05 * (s % 4))
                 for s in range(1, size - 1)]
     rules = ([right, wrong] + learners)[:size]
     slow = copy.deepcopy(rules)
@@ -320,7 +315,7 @@ def test_maybe_run_ea_fires_and_inserts_offspring(cfg):
     assert len(pop.members) == 2 + cfg.lam
     assert all(cl.ts == 100 for cl in pop.members[:2])
     for child in pop.members[2:]:
-        assert child.num == 1 and child.exp == 1
+        assert child.exp == 1
         assert child.born == 100 and child.mtotal == 0
         # momentum buffers start fresh
         for layer in child.prediction.layers:
@@ -328,17 +323,16 @@ def test_maybe_run_ea_fires_and_inserts_offspring(cfg):
 
 
 def test_maybe_run_ea_due_check_uses_the_exact_mean_time_stamp():
-    # the numerosity-weighted mean ts is exactly 431377.0, but the ratio of
-    # means mean(ts * num) / mean(num) rounds to 431376.99999999994, which
-    # would fire one trial early
+    # the mean ts of the 40 rules is exactly 431377.0, so the EA is due only
+    # once the trial passes 431427
     cfg = ExperimentConfig(theta_EA=50)
-    pop = xcsf.Population([make_classifier(n=3, seed=s, num=num, ts=ts) for s, (num, ts)
-                           in enumerate(zip([1, 14, 25], [798937, 4137, 655929]))])
+    stamps = [798937] + [4137] * 14 + [655929] * 25
+    pop = xcsf.Population([make_classifier(n=3, seed=s, ts=ts) for s, ts in enumerate(stamps)])
     rng = np.random.default_rng(6)
     pop.trial = 431427
-    assert not xcsf.maybe_run_ea(pop, np.arange(3), cfg, rng)
+    assert not xcsf.maybe_run_ea(pop, np.arange(40), cfg, rng)
     pop.trial = 431428
-    assert xcsf.maybe_run_ea(pop, np.arange(3), cfg, rng)
+    assert xcsf.maybe_run_ea(pop, np.arange(40), cfg, rng)
 
 
 def test_a_subnormal_child_fitness_is_floored():
@@ -383,7 +377,7 @@ def test_offspring_inherit_trained_weights(cfg):
 
 
 def test_deletion_vote_base_and_boost(cfg):
-    cl = make_classifier(n=3, seed=14, set_size=2.0, num=1, exp=cfg.theta_del,
+    cl = make_classifier(n=3, seed=14, set_size=2.0, exp=cfg.theta_del,
                          fit=0.05)
     pop = xcsf.Population([cl])
     # not experienced enough: plain set-size vote
@@ -407,10 +401,9 @@ def _deletion_vote(cl, pop_mean_f, cfg, trial):
     """Reference: the scalar deletion vote of one rule."""
     if cl.mtotal == 0 and trial - cl.born > cfg.stale_limit:
         return xcsf.STALE_VOTE
-    vote = cl.set_size * cl.num
-    micro_fit = cl.fit / cl.num
-    if cl.exp > cfg.theta_del and micro_fit < cfg.delta * pop_mean_f:
-        vote *= pop_mean_f / micro_fit
+    vote = cl.set_size
+    if cl.exp > cfg.theta_del and cl.fit < cfg.delta * pop_mean_f:
+        vote *= pop_mean_f / cl.fit
     return vote
 
 
@@ -418,7 +411,6 @@ def test_deletion_votes_equal_the_scalar_votes_bit_for_bit():
     cfg = ExperimentConfig(stale_limit=50)
     rng = np.random.default_rng(32)
     pop = xcsf.Population([make_classifier(n=2, seed=s, set_size=1.0 + 30 * rng.random(),
-                                           num=int(rng.integers(1, 5)),
                                            exp=int(rng.integers(0, 40)),
                                            fit=float(rng.random() ** 4),
                                            mtotal=int(rng.integers(0, 3)),
@@ -428,7 +420,7 @@ def test_deletion_votes_equal_the_scalar_votes_bit_for_bit():
     expected = [_deletion_vote(cl, mean_f, cfg, pop.trial) for cl in pop.members]
     assert xcsf.deletion_votes(pop, mean_f, cfg).tolist() == expected
     assert xcsf.STALE_VOTE in expected
-    assert any(e != cl.set_size * cl.num for e, cl in zip(expected, pop.members)
+    assert any(e != cl.set_size for e, cl in zip(expected, pop.members)
                if e != xcsf.STALE_VOTE)
 
 
@@ -460,17 +452,6 @@ def test_enforce_limit_prefers_stale_over_size():
     pop = xcsf.Population([stale_small, fresh_big], trial=200)
     xcsf.enforce_population_limit(pop, cfg, np.random.default_rng(20))
     assert pop.members == [fresh_big]
-
-
-def test_enforce_limit_decrements_numerosity_first():
-    cfg = ExperimentConfig(N=2)
-    rng = np.random.default_rng(21)
-    heavy = make_classifier(n=3, prediction=neural.new_network(3, 9, 3, rng), num=2)
-    light = make_classifier(n=3, prediction=neural.new_network(3, 1, 3, rng), num=1)
-    pop = xcsf.Population([heavy, light])
-    xcsf.enforce_population_limit(pop, cfg, np.random.default_rng(22))
-    assert heavy.num == 1
-    assert pop.members == [heavy, light]
 
 
 def _roulette(weights, rng):
@@ -516,7 +497,7 @@ def test_run_trial_global_ea_reinforces_whole_population():
     pop = xcsf.init_population(cfg, 8, rng)
     res = xcsf.run_trial(pop, rng.random(8), cfg, rng)
     assert pop.trial == 1
-    assert res.m_micro == 500
+    assert res.m_size == 500
     assert all(cl.exp == 1 for cl in pop.members[:500])
     assert pop.micro_count() <= cfg.N
 
@@ -527,8 +508,7 @@ def test_run_trial_enforces_population_limit(cfg):
     pop = xcsf.init_population(small, 6, rng)
     for _ in range(30):
         xcsf.run_trial(pop, rng.random(6), small, rng)
-        assert pop.micro_count() <= small.N
-        assert all(cl.num >= 1 for cl in pop.members)
+        assert pop.micro_count() == len(pop.members) <= small.N
 
 
 def _keyed_condition(n, feature, gain=1000.0):
@@ -686,7 +666,7 @@ def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
     # match nothing and fall back to the whole population
     xs = np.full((6, 2), 0.25)
     xs[:3, 0] = 1.0
-    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0), fit=0.3, num=2)
+    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0), fit=0.3)
     never = make_classifier(n=2, seed=2, condition=never_match_condition(2), fit=0.5)
     pop = xcsf.Population([keyed, never])
     mses = []
@@ -697,8 +677,8 @@ def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
         mses.append(float(np.mean((recon - x) ** 2)))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
     assert mean_mse == np.mean(mses)
-    # the keyed rule counts 2 on each of its rows, the fallback rows count 0
-    assert mean_m == 3 * 2 / 6
+    # the keyed rule counts 1 on each of its rows, the fallback rows count 0
+    assert mean_m == 3 / 6
 
 
 def _use_backend(backend, request, monkeypatch):
@@ -715,7 +695,7 @@ def _varied_population(n, size, seed):
     rng = np.random.default_rng(seed)
     sigma = 2.0 / np.sqrt(n)
     return xcsf.Population([
-        make_classifier(n=n, fit=0.05 + rng.random(), num=1 + s % 3,
+        make_classifier(n=n, fit=0.05 + rng.random(),
                         condition=neural.new_network(n, 1 + s % 3, 1, rng, sigma=sigma,
                                                      random_biases=True),
                         prediction=neural.new_network(n, 1 + s % 4, n, rng, sigma=sigma,
@@ -754,7 +734,7 @@ def _evaluate_per_input(pop, xs, cfg):
     mses, sizes = [], []
     for x in xs:
         m = xcsf.match_set(pop, x, cfg).tolist()
-        sizes.append(sum(pop.members[i].num for i in m))
+        sizes.append(len(m))
         m = m or list(range(len(pop.members)))
         ys = np.empty((len(m), len(x)))
         kernels.forward_batch([pop.members[i].pred_args for i in m], x[None], ys)
@@ -884,7 +864,7 @@ def test_best_classifier_breaks_equal_coverage_by_error(cfg):
 
 
 class _Rule:
-    """Reference rule: the eight scalars as plain attributes."""
+    """Reference rule: the seven scalars as plain attributes."""
 
     def __init__(self, condition, prediction, **scalars):
         self.condition, self.prediction = condition, prediction
@@ -915,11 +895,9 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
         members.append(m[0])
     for cl in m:
         cl.mtotal += 1
-    m_micro = sum(cl.num for cl in m)
     output = _reinforce_per_rule(m, x, cfg)
 
-    micro = sum(cl.num for cl in m)
-    if trial - sum(cl.ts * cl.num for cl in m) / micro > cfg.theta_EA:
+    if trial - sum(cl.ts for cl in m) / len(m) > cfg.theta_EA:
         counts["ea"] += 1
         for cl in m:
             cl.ts = trial
@@ -931,25 +909,18 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
             members.append(_Rule.of(xcsf.make_offspring(parents[i % 2], err, fit,
                                                         cfg, rng, trial)))
 
-    while sum(cl.num for cl in members) > cfg.N:
+    while len(members) > cfg.N:
         counts["delete"] += 1
-        mean_f = sum(cl.fit for cl in members) / sum(cl.num for cl in members)
+        mean_f = sum(cl.fit for cl in members) / len(members)
         votes = [_deletion_vote(cl, mean_f, cfg, trial) for cl in members]
         i = _roulette(votes, rng)
-        if len(members) == 1:
-            victim = members[0]
-        else:
-            rest = list(votes)
-            rest[i] = 0.0
-            j = _roulette(rest, rng)
-            if j == i:
-                j = (i + 1) % len(members)
-            victim = xcsf._pick_victim(members[i], members[j], votes[i], votes[j], rng)
-        victim.num -= 1
-        if victim.num == 0:
-            counts["remove"] += 1
-            members.remove(victim)
-    return output, m_micro
+        rest = list(votes)
+        rest[i] = 0.0
+        j = _roulette(rest, rng)
+        if j == i:
+            j = (i + 1) % len(members)
+        members.remove(xcsf._pick_victim(members[i], members[j], votes[i], votes[j], rng))
+    return output, len(m)
 
 
 def _assert_same_rules(pop, ref):
@@ -1012,17 +983,17 @@ def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init
         return inner(conds, x, threshold)
 
     monkeypatch.setattr(kernels, "match_batch", counted)
-    counts = {"cover": 0, "ea": 0, "delete": 0, "remove": 0}
+    counts = {"cover": 0, "ea": 0, "delete": 0}
     learner = reference = 0
     for x, row in trials:
         res = xcsf.run_trial(pop, x, cfg, rng, row)
         learner += sum(evaluated)
         evaluated.clear()
-        output, m_micro = _run_trial_per_rule(ref, pop.trial, x, cfg, ref_rng, counts)
+        output, m_size = _run_trial_per_rule(ref, pop.trial, x, cfg, ref_rng, counts)
         reference += sum(evaluated)
         evaluated.clear()
         assert np.array_equal(res.output, output)
-        assert res.m_micro == m_micro
+        assert res.m_size == m_size
         _assert_same_rules(pop, ref)
     assert all(counts.values()), counts
     assert rng.random() == ref_rng.random()
@@ -1051,7 +1022,7 @@ def test_population_is_freed_by_reference_counting():
 
 
 def test_add_and_remove_keep_rows_aligned_and_reuse_them():
-    rules = [make_classifier(n=2, seed=s, fit=0.1 * (s + 1), num=s + 1) for s in range(4)]
+    rules = [make_classifier(n=2, seed=s, fit=0.1 * (s + 1)) for s in range(4)]
     pop = xcsf.Population(rules[:3])
     ghost = copy.copy(rules[2])  # shares the table, and row 2 is about to go
     pop.remove(rules[1])
@@ -1059,17 +1030,17 @@ def test_add_and_remove_keep_rows_aligned_and_reuse_them():
     with pytest.raises(ValueError):
         pop.remove(ghost)
     # the removed rule keeps its scalars in a row of its own
-    assert rules[1].fit == 0.2 and rules[1].num == 2
-    rules[1].num = 5
-    assert pop.micro_count() == 1 + 3
+    assert rules[1].fit == 0.2
+    rules[1].fit = 0.5
+    assert pop.micro_count() == 2
     pop.add(rules[3])
     pop.add(rules[1])
     assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
     # the later row moved up, and the adds took the next rows
     assert [cl._row for cl in pop.members] == list(range(4))
-    assert pop.state.num.tolist() == [1, 3, 4, 5]
-    assert pop.micro_count() == 13
-    assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.2) / 13
+    assert pop.state.fit.tolist() == [0.1, 0.30000000000000004, 0.4, 0.5]
+    assert pop.micro_count() == 4
+    assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.5) / 4
 
 
 def _assert_table_is_the_members_rows(pop):
@@ -1084,8 +1055,8 @@ def _assert_table_is_the_members_rows(pop):
 
 
 def _scalars(k):
-    return dict(err=k / 7, fit=(k + 1) / 3, num=k % 5 + 1, exp=k, set_size=k + 0.5,
-                ts=2 * k, born=3 * k, mtotal=4 * k)
+    return dict(err=k / 7, fit=(k + 1) / 3, exp=k, set_size=k + 0.5, ts=2 * k, born=3 * k,
+                mtotal=4 * k)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -1128,14 +1099,12 @@ def test_random_adds_and_removes_match_a_list_model(ops):
         for i, (cl, values) in enumerate(model):
             assert cl._state is pop.state and cl._row == i
             assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
-        nums = [values["num"] for _, values in model]
-        assert pop.state.num.tolist() == nums
-        assert pop.micro_count() == sum(nums)
+        assert pop.micro_count() == len(model)
         if model:
             total = 0.0
             for _, values in model:
                 total += values["fit"]
-            assert pop.mean_fitness() == total / sum(nums)
+            assert pop.mean_fitness() == total / len(model)
             # a copy shares a member's table row but is not the member
             with pytest.raises(ValueError):
                 pop.remove(copy.copy(model[-1][0]))
@@ -1156,7 +1125,7 @@ def test_a_match_memo_holds_n_plus_lambda_plus_one_rules():
     # a full memo refuses a rule, and the population stays as it was
     with pytest.raises(RuntimeError, match="full"):
         pop.add(rules[4])
-    assert pop.members == rules[:4] and len(pop.state.num) == len(pop.slots) == 4
+    assert pop.members == rules[:4] and len(pop.state.fit) == len(pop.slots) == 4
     pop.remove(rules[1])
     pop.add(rules[4])
     assert pop.slots.tolist() == [0, 2, 3, 1]
@@ -1178,7 +1147,7 @@ def test_mean_fitness_adds_in_member_order():
     assert float(np.sum(fits)) != total
 
 
-def test_rule_state_of_takes_the_eight_scalars_by_keyword_only():
+def test_rule_state_of_takes_the_seven_scalars_by_keyword_only():
     values = _scalars(3)
     nets = make_classifier(n=2)
     cl = xcsf.Classifier(nets.condition, nets.prediction, xcsf.RuleState.of(**values), 0)
