@@ -1,9 +1,11 @@
 """Versioned binary serialization of population checkpoints.
 
 Layout: magic, u64 header length, JSON header, then the payload.  The
-header holds the config, the trial, the RNG state, the partial metrics
-window, the number of rules and the input width; its keys are sorted, so
-identical state always produces identical bytes.
+header holds the config, with an empty ``dataset`` (the run's manifest
+records the data's path and sha256), the trial, the RNG state, the partial
+metrics window, the number of rules and the input width; its keys are
+sorted, so identical state always produces identical bytes, wherever the
+data lives.
 
 The payload (version 3) is a fixed sequence of little-endian columns, each
 holding one field of every rule in member order:
@@ -171,7 +173,9 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
             columns += [np.asarray(getattr(ls[k], field), dtype) for ls in layers]
     header = {
         "version": VERSION,
-        "config": config_to_dict(cfg),
+        # the run's manifest names the data, so the bytes do not depend on
+        # where it lives
+        "config": {**config_to_dict(cfg), "dataset": ""},
         "trial": pop.trial,
         "rng": rng.bit_generator.state,
         "window": window or EMPTY_WINDOW,

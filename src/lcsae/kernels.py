@@ -18,9 +18,10 @@ sums for the caller to finish.
   goes to ``out (n,)``, then the XCS update of the rules at rows ``pos``.
 
 All take one 12-tuple per network, built by ``neural.net_args``, and every
-network output of the package comes from them.  ``match_batch`` applies
-the match rule to one input on either backend's ``forward_batch``, and
-``xcsf._match_matrix`` to a batch.
+network output of the package comes from them.  ``match_batch`` is the
+package's one match rule, for one input (a one-row ``xs``) or a batch, on
+either backend's ``forward_batch``: whether each condition net's output
+for each row exceeds the threshold, in the layout of ``matched``.
 
 The compiled extension ``_kernels``, built from the hand-written C source
 ``_kernels.c``, is used when it imports, and otherwise its executable
@@ -45,9 +46,10 @@ predict_batch = _impl.predict_batch
 reinforce_batch = _impl.reinforce_batch
 
 
-def match_batch(conds, x, threshold):
-    """Positions in ``conds``, a list of condition-net 12-tuples, of the nets
-    whose output for ``x`` exceeds ``threshold``."""
-    ys = np.empty((len(conds), 1))
-    forward_batch(conds, x[None], ys)
-    return np.flatnonzero(ys[:, 0] > threshold)
+def match_batch(conds, xs, threshold):
+    """C-contiguous boolean ``(len(conds), rows)`` matrix: whether the output
+    of each net of ``conds``, a list of condition-net 12-tuples, for each row
+    of ``xs (rows, n)`` exceeds ``threshold``."""
+    ys = np.empty((len(conds) * xs.shape[0], 1))
+    forward_batch(conds, xs, ys)
+    return ys.reshape(len(conds), xs.shape[0]) > threshold

@@ -245,43 +245,32 @@ def mutate_neurons(net: Network, rng, h_M: int, h_max, connection_mutation: bool
 
 
 def _add_neurons(net: Network, k: int, rng, connection_mutation: bool) -> None:
+    """Append ``k`` hidden neurons: hidden-layer rows, output-layer columns."""
     hidden, out = net.layers
-    n_in = hidden.n_in
-    n_out = out.n_out
-    _require_addressable(hidden.n_out + k, n_in)
-    _require_addressable(n_out, hidden.n_out + k)
-
-    w_new = rng.standard_normal((k, n_in)) * INIT_SIGMA
-    if connection_mutation:
-        m_new = (rng.random((k, n_in)) < 0.5).astype(np.uint8)
-    else:
-        m_new = np.ones((k, n_in), dtype=np.uint8)
-    w_new *= m_new
-    hidden.weights = np.concatenate([hidden.weights, w_new])
-    hidden.mask = np.concatenate([hidden.mask, m_new])
+    _require_addressable(hidden.n_out + k, hidden.n_in)
+    _require_addressable(out.n_out, hidden.n_out + k)
+    for layer, shape, axis in ((hidden, (k, hidden.n_in), 0), (out, (out.n_out, k), 1)):
+        w_new = rng.standard_normal(shape) * INIT_SIGMA
+        if connection_mutation:
+            m_new = (rng.random(shape) < 0.5).astype(np.uint8)
+        else:
+            m_new = np.ones(shape, dtype=np.uint8)
+        w_new *= m_new
+        for name, new in (("weights", w_new), ("mask", m_new), ("mom_w", np.zeros(shape))):
+            setattr(layer, name, np.ascontiguousarray(
+                np.concatenate([getattr(layer, name), new], axis=axis)))
     hidden.biases = np.concatenate([hidden.biases, np.zeros(k)])
-    hidden.mom_w = np.concatenate([hidden.mom_w, np.zeros((k, n_in))])
     hidden.mom_b = np.concatenate([hidden.mom_b, np.zeros(k)])
-
-    w_out = rng.standard_normal((n_out, k)) * INIT_SIGMA
-    if connection_mutation:
-        m_out = (rng.random((n_out, k)) < 0.5).astype(np.uint8)
-    else:
-        m_out = np.ones((n_out, k), dtype=np.uint8)
-    w_out *= m_out
-    out.weights = np.ascontiguousarray(np.concatenate([out.weights, w_out], axis=1))
-    out.mask = np.ascontiguousarray(np.concatenate([out.mask, m_out], axis=1))
-    out.mom_w = np.ascontiguousarray(np.concatenate([out.mom_w, np.zeros((n_out, k))], axis=1))
 
 
 def _remove_neurons(net: Network, k: int, rng) -> None:
+    """Drop ``k`` random hidden neurons: hidden-layer rows, output-layer columns."""
     hidden, out = net.layers
     drop = rng.choice(hidden.n_out, size=k, replace=False)
-    hidden.weights = np.delete(hidden.weights, drop, axis=0)
-    hidden.mask = np.delete(hidden.mask, drop, axis=0)
+    for layer, axis in ((hidden, 0), (out, 1)):
+        for name in ("weights", "mask", "mom_w"):
+            # a column deletion need not come out C-contiguous
+            setattr(layer, name, np.ascontiguousarray(
+                np.delete(getattr(layer, name), drop, axis=axis)))
     hidden.biases = np.delete(hidden.biases, drop)
-    hidden.mom_w = np.delete(hidden.mom_w, drop, axis=0)
     hidden.mom_b = np.delete(hidden.mom_b, drop)
-    out.weights = np.ascontiguousarray(np.delete(out.weights, drop, axis=1))
-    out.mask = np.ascontiguousarray(np.delete(out.mask, drop, axis=1))
-    out.mom_w = np.ascontiguousarray(np.delete(out.mom_w, drop, axis=1))

@@ -54,19 +54,20 @@ def _check_width(pop: xcsf.Population, ds: data.Dataset) -> None:
             f"{pop.members[0].prediction.n_inputs}")
 
 
-def _check_fingerprint(ckpt_path, cfg: ExperimentConfig) -> None:
-    """A resumed run continues the original only on the dataset recorded in
-    the manifest next to its checkpoint."""
+def _recorded_dataset(ckpt_path) -> tuple:
+    """The path and sha256 of the dataset a run was trained on, from the
+    manifest next to its checkpoint: a resumed run continues the original
+    only on that dataset."""
     path = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)), MANIFEST_NAME)
     try:
         with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-        recorded = manifest["dataset"]["sha256"]
+            recorded = json.load(f)["dataset"]
+        dataset, sha256 = recorded["path"], recorded["sha256"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise data.DataError(f"cannot read the run manifest {path}: {exc!r}") from exc
-    if recorded != dataset_fingerprint(cfg.dataset)["sha256"]:
-        raise data.DataError(f"dataset {cfg.dataset} differs from the one the run "
-                             f"was trained on (sha256 {recorded})")
+    if type(dataset) is not str:
+        raise data.DataError(f"the run manifest {path} records no dataset path")
+    return dataset, sha256
 
 
 def _emit(fh, cfg, pop, ds, train_mse, m_size):
@@ -164,8 +165,9 @@ def resume_experiment(ckpt_path, extra_trials: int) -> str:
     The run continues in the checkpoint's directory: metrics rows are
     appended to its CSV, and its checkpoint and manifest are rewritten.
     The combined stream is identical to an unsplit longer run with the same
-    seed, on either kernel backend.  The dataset must be the one recorded
-    in the run's manifest.  Returns the metrics CSV path.
+    seed, on either kernel backend.  The dataset is the file the run's
+    manifest names, and must still hold the bytes it recorded.  Returns the
+    metrics CSV path.
     """
     if extra_trials < 0:
         raise TrainingError("extra trials must be >= 0")
@@ -174,8 +176,12 @@ def resume_experiment(ckpt_path, extra_trials: int) -> str:
     # resumed checkpoint is identical to the one from an unsplit run
     cfg.trials = pop.trial + extra_trials
     validate(cfg)
+    # the checkpoint does not name its data; the manifest does
+    cfg.dataset, recorded = _recorded_dataset(ckpt_path)
     ds = prepare_dataset(cfg)
-    _check_fingerprint(ckpt_path, cfg)
+    if recorded != dataset_fingerprint(cfg.dataset)["sha256"]:
+        raise data.DataError(f"dataset {cfg.dataset} differs from the one the run "
+                             f"was trained on (sha256 {recorded})")
     _check_width(pop, ds)
     # the memo is not saved, so a resumed run fills it as rows recur
     pop.memoize(cfg, ds.rows)

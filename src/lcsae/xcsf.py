@@ -43,7 +43,8 @@ decisions the memo lacks, so a condition meets each row at most once in its
 rule's lifetime.  Without rows (inputs that are not dataset rows, such as
 corrupted ones) or without a memo every decision is missing, so they
 evaluate every condition on every input and store nothing.  The memo is
-not saved with the population.
+not saved with the population.  Every decision, in covering too, comes
+from ``kernels.match_batch``, the package's one match rule.
 """
 
 from __future__ import annotations
@@ -246,14 +247,14 @@ def match_set(pop: Population, x, cfg: ExperimentConfig, row=None) -> np.ndarray
         return np.arange(len(pop.members))
     members, memo = pop.members, pop.memo
     if row is None or memo is None:  # every decision is missing, and none is stored
-        return kernels.match_batch([cl.cond_args for cl in members], x, cfg.match_threshold)
+        return np.flatnonzero(kernels.match_batch([cl.cond_args for cl in members], x[None],
+                                                  cfg.match_threshold)[:, 0])
     known = memo[:, row][pop.slots]
     todo = (known == UNKNOWN).nonzero()[0]
     if len(todo):
-        hits = todo[kernels.match_batch([members[i].cond_args for i in todo.tolist()], x,
-                                        cfg.match_threshold)]
-        known[todo] = NO_MATCH
-        known[hits] = MATCH
+        hits = kernels.match_batch([members[i].cond_args for i in todo.tolist()], x[None],
+                                   cfg.match_threshold)[:, 0]
+        known[todo] = np.where(hits, np.int8(MATCH), np.int8(NO_MATCH))
         memo[pop.slots[todo], row] = known[todo]
     return (known == MATCH).nonzero()[0]
 
@@ -285,7 +286,8 @@ def cover(x, cfg: ExperimentConfig, rng, trial: int) -> Classifier:
     for _ in range(MAX_COVER_TRIES):
         condition = neural.new_network(n, cfg.h_I, 1, rng, sigma=1.0,
                                        random_biases=True, mu_min=cfg.mu_min)
-        if cfg.global_ea or neural.forward(condition, x)[0] > cfg.match_threshold:
+        if cfg.global_ea or kernels.match_batch([neural.net_args(condition)], x[None],
+                                                cfg.match_threshold)[0, 0]:
             return _fresh_rule(condition, cfg, n, rng, trial)
     raise CoveringError(
         f"covering failed to match the input after {MAX_COVER_TRIES} samples; "
@@ -470,40 +472,33 @@ def run_trial(pop: Population, x, cfg: ExperimentConfig, rng, row=None) -> Trial
 
 # ---------------------------------------------------------------------------
 # batched no-update evaluation (validation passes, best-rule search), on
-# ``kernels.forward_batch`` and ``kernels.predict_batch`` over a batch of
+# ``kernels.match_batch`` and ``kernels.predict_batch`` over a batch of
 # inputs: every output is the double the trial path and ``reconstruct``
 # compute for the same input
 
-def _match_matrix(rules: list, xs: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-    """C-contiguous boolean (rules, rows) matrix: whether each rule's
-    condition output for each row of ``xs``, a C-contiguous float64 batch,
-    exceeds the match threshold."""
-    ys = np.empty((len(rules) * xs.shape[0], 1))
-    kernels.forward_batch([cl.cond_args for cl in rules], xs, ys)
-    return ys.reshape(len(rules), xs.shape[0]) > cfg.match_threshold
-
-
 def _matched(pop: Population, rules: np.ndarray, xs: np.ndarray, cfg: ExperimentConfig,
              rows) -> np.ndarray:
-    """``_match_matrix`` of the members at positions ``rules`` on ``xs``
-    (all true in global_ea mode).
+    """C-contiguous boolean (rules, rows) matrix: whether each member at
+    positions ``rules`` matches each row of ``xs``, a C-contiguous float64
+    batch (all true in global_ea mode).
 
     ``rows`` are the dataset rows of ``xs``, if any: the memo answers what
-    it holds, and one ``forward_batch`` over the rules that lack a decision
+    it holds, and one ``match_batch`` over the rules that lack a decision
     times the rows that lack one decides and stores the rest.
     """
     if cfg.global_ea:
         return np.ones((len(rules), xs.shape[0]), dtype=bool)
-    memo = pop.memo
+    members, memo = pop.members, pop.memo
     if rows is None or memo is None:  # every decision is missing, and none is stored
-        return _match_matrix([pop.members[i] for i in rules.tolist()], xs, cfg)
+        return kernels.match_batch([members[i].cond_args for i in rules.tolist()], xs,
+                                   cfg.match_threshold)
     known = np.take(memo[pop.slots[rules]], rows, axis=1)
     missing = known == UNKNOWN
     lack_r, lack_c = np.flatnonzero(missing.any(axis=1)), np.flatnonzero(missing.any(axis=0))
     if len(lack_r):
-        members = pop.members
         sub = xs if len(lack_c) == xs.shape[0] else xs[lack_c]
-        block = np.where(_match_matrix([members[i] for i in rules[lack_r].tolist()], sub, cfg),
+        conds = [members[i].cond_args for i in rules[lack_r].tolist()]
+        block = np.where(kernels.match_batch(conds, sub, cfg.match_threshold),
                          np.int8(MATCH), np.int8(NO_MATCH))
         known[np.ix_(lack_r, lack_c)] = block
         memo[np.ix_(pop.slots[rules[lack_r]], rows[lack_c])] = block

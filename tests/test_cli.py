@@ -131,6 +131,29 @@ def test_resume_matches_unsplit_run_byte_for_byte(tmp_path, dataset):
            (full_out / "population.ckpt").read_bytes()
 
 
+def test_checkpoint_bytes_do_not_depend_on_where_the_data_lives(tmp_path, dataset):
+    # one config against two copies of one dataset in different directories
+    runs = {}
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        data = str(shutil.copyfile(dataset, tmp_path / name / "data.csv"))
+        out = tmp_path / f"run_{name}"
+        cfg = _config(tmp_path, data, name=f"{name}.cfg", trials=100)
+        assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
+        runs[name] = (data, out)
+    (data_a, a), (_, b) = runs["a"], runs["b"]
+    assert (a / "population.ckpt").read_bytes() == (b / "population.ckpt").read_bytes()
+    # the resume reads its data from the path in the manifest and continues
+    # as the unsplit run does
+    full = tmp_path / "full"
+    cfg = _config(tmp_path, data_a, name="full.cfg", trials=200)
+    assert cli.main(["run", cfg, "--outdir", str(full)]) == 0
+    assert cli.main(["resume", str(a / "population.ckpt"), "--trials", "100"]) == 0
+    for name in ("metrics.csv", "population.ckpt"):
+        assert (a / name).read_bytes() == (full / name).read_bytes(), name
+    assert json.loads((a / "manifest.json").read_text())["dataset"]["path"] == data_a
+
+
 def test_resume_after_an_interrupted_resume_matches_the_unsplit_run(tmp_path, monkeypatch):
     # the interrupted resume flushed the row for trial 150 but saved no
     # checkpoint, so the next resume starts from trial 100 again
@@ -361,6 +384,13 @@ def test_resume_on_changed_dataset_exits_2(tmp_path, dataset, capsys):
     write_csv(data, np.random.default_rng(3).random((120, 8)))
     assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
     assert "differs from the one the run was trained on" in capsys.readouterr().err
+    # a manifest whose dataset path is not a string, which open() would take
+    # for a file descriptor
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["dataset"]["path"] = 0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["resume", ckpt, "--trials", "10"]) == 2
+    assert "records no dataset path" in capsys.readouterr().err
     # a checkpoint without its run's manifest
     (out / "manifest.json").unlink()
     assert cli.main(["resume", ckpt, "--trials", "10"]) == 2

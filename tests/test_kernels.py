@@ -288,7 +288,7 @@ def test_single_net_reinforce_parity_over_many_steps(cy):
     assert np.array_equal(state_cy[0][mask1 == 0], np.zeros(int((mask1 == 0).sum())))
 
 
-def test_match_batch_parity(cy):
+def test_match_batch_parity(cy, monkeypatch):
     rng = np.random.default_rng(2)
     conds = []
     for _ in range(64):
@@ -300,12 +300,25 @@ def test_match_batch_parity(cy):
     _kernels_py.forward_batch(conds, x[None], ys_py)
     cy.forward_batch(conds, x[None], ys_cy)
     assert ys_cy.tobytes() == ys_py.tobytes()
-    matched = np.flatnonzero(ys_py[:, 0] > 0.5)
-    assert 0 < len(matched) < len(conds)  # not a degenerate case
+    matched = ys_py[:, 0] > 0.5
+    assert 0 < matched.sum() < len(conds)  # not a degenerate case
     # the one match rule, shared by both backends: an output must exceed the
     # threshold, and a net of zeros outputs exactly 0.5
     zero = tuple(np.zeros_like(a) if isinstance(a, np.ndarray) else a for a in conds[0])
-    assert np.array_equal(kernels.match_batch(conds + [zero], x, 0.5), matched)
+    conds.append(zero)
+    xs = rng.random((5, 5))
+    for impl in (_kernels_py, cy):
+        monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
+        assert np.array_equal(kernels.match_batch(conds, x[None], 0.5)[:, 0],
+                              np.append(matched, False))
+        # a batch's column r is the one-input call on its row r
+        for rows in (0, 1, 5):
+            batch = kernels.match_batch(conds, xs[:rows], 0.5)
+            assert batch.shape == (len(conds), rows) and batch.dtype == bool
+            assert batch.flags.c_contiguous
+            for r in range(rows):
+                assert np.array_equal(batch[:, r],
+                                      kernels.match_batch(conds, xs[r:r + 1], 0.5)[:, 0])
 
 
 def test_reinforce_batch_parity(cy):
@@ -460,8 +473,8 @@ def test_backends_export_the_same_kernels(cy):
     assert _public_functions(cy) == expected
     # the twin also holds the package's activations
     assert _public_functions(_kernels_py) - {"selu", "logistic"} == expected
-    # match_batch, the one-input match rule, serves both backends over their
-    # forward_batch
+    # match_batch, the package's one match rule, for one input or a batch,
+    # serves both backends over their forward_batch
     assert _public_functions(kernels) == expected | {"match_batch"}
 
 

@@ -708,7 +708,8 @@ def test_match_matrix_columns_are_the_match_sets(backend, request, monkeypatch):
     _use_backend(backend, request, monkeypatch)
     pop = _varied_population(64, 40, seed=37)
     xs = np.random.default_rng(38).random((12, 64))
-    matched = xcsf._match_matrix(pop.members, xs, ExperimentConfig())
+    conds = [cl.cond_args for cl in pop.members]
+    matched = kernels.match_batch(conds, xs, ExperimentConfig().match_threshold)
     assert 0 < matched.sum() < matched.size
     # the layout predict_batch takes
     assert matched.flags.c_contiguous
@@ -720,7 +721,7 @@ def test_match_matrix_columns_are_the_match_sets(backend, request, monkeypatch):
         y = float(neural.forward(pop.members[k].condition, x)[0])
         for threshold, match in ((y, False), (float(np.nextafter(y, 0.0)), True)):
             cfg = ExperimentConfig(match_threshold=threshold)
-            matched = xcsf._match_matrix(pop.members, xs, cfg)
+            matched = kernels.match_batch(conds, xs, threshold)
             assert matched[k, r] == match
             for col, x_col in zip(matched.T, xs):
                 assert np.array_equal(np.flatnonzero(col), xcsf.match_set(pop, x_col, cfg))
@@ -886,9 +887,9 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
     if cfg.global_ea:
         m = list(members)
     else:
-        matched = kernels.match_batch([cl.cond_args for cl in members], x,
-                                      cfg.match_threshold)
-        m = [members[i] for i in matched.tolist()]
+        matched = kernels.match_batch([cl.cond_args for cl in members], x[None],
+                                      cfg.match_threshold)[:, 0]
+        m = [members[i] for i in np.flatnonzero(matched).tolist()]
     if not m:
         counts["cover"] += 1
         m = [_Rule.of(xcsf.cover(x, cfg, rng, trial))]
