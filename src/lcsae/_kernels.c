@@ -35,14 +35,14 @@
  * rows) order of predict_batch's bool match matrix.  predict_batch also takes
  * a float64 fitness per net, and writes a float64 (rows, n_out) out that it
  * never reads.  The rule state reaches reinforce_batch as four 1-D columns
- * of one length, float64 err, fit and set_size and int64 exp, and
- * the int64 positions of the match set's rows in them, one per net, distinct
- * and in range; its input and output are float64 (n,) rows.  Every entry
- * point checks what it reads, the tuple sizes, the positions and the
- * writability of what it updates before any loop reads the data or any
- * output is written: a wrong type, dtype or tuple size raises TypeError, a
- * wrong shape or layout, a read-only output or a bad position raises
- * ValueError.
+ * of one length, float64 err, fit and set_size and int64 exp, and the int64
+ * positions of the match set's rows in them, one per net, increasing and in
+ * range; its input and output are float64 (n,) rows.  Every entry point
+ * checks what it reads, the tuple sizes, the positions and the writability
+ * of what it updates before any loop reads the data or any output is
+ * written, and so guards the arrays of the package's plain-data layers at
+ * run time: a wrong type, dtype or tuple size raises TypeError, a wrong
+ * shape or layout, a read-only output or a bad position raises ValueError.
  *
  * Keep the order of every floating-point operation, and change the twin
  * with it: fixed seeds reproduce metrics.csv and population.ckpt byte for
@@ -424,13 +424,13 @@ fail:
 }
 
 /* Check the state columns `cols` (err, fit, set_size, exp) and the m
- * match-set positions `po`, which must be distinct rows of the columns, and
- * fill `r`; the columns the update writes must be writable. */
+ * match-set positions `po`, which must be increasing rows of the columns,
+ * so the first and the last bound them all, and fill `r`; the columns the
+ * update writes must be writable. */
 static int
 check_rules(PyObject *const *cols, PyObject *po, npy_intp m, rules_t *r)
 {
-    npy_intp rows, i, k;
-    unsigned char *seen;
+    npy_intp rows, i;
 
     if (!(r->err = array_data(cols[0], "err", NPY_DOUBLE, -1, -1, 1)))
         return -1;
@@ -440,22 +440,15 @@ check_rules(PyObject *const *cols, PyObject *po, npy_intp m, rules_t *r)
         || !(r->exp = array_data(cols[3], "exp", NPY_INT64, rows, -1, 1))
         || !(r->pos = array_data(po, "pos", NPY_INT64, m, -1, 0)))
         return -1;
-    if (!(seen = PyMem_Calloc(rows ? rows : 1, 1))) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < m; i++) {
-        k = r->pos[i];
-        if (k < 0 || k >= rows || seen[k]) {
-            PyMem_Free(seen);
-            PyErr_SetString(PyExc_ValueError, k < 0 || k >= rows
-                            ? "pos holds a row out of range"
-                            : "pos holds a row twice");
+    for (i = 1; i < m; i++)
+        if (r->pos[i] <= r->pos[i - 1]) {
+            PyErr_SetString(PyExc_ValueError, "pos is not increasing");
             return -1;
         }
-        seen[k] = 1;
+    if (m && (r->pos[0] < 0 || r->pos[m - 1] >= rows)) {
+        PyErr_SetString(PyExc_ValueError, "pos holds a row out of range");
+        return -1;
     }
-    PyMem_Free(seen);
     return 0;
 }
 

@@ -239,17 +239,17 @@ def _fused_sgd(a1, g, w1, b1, mask1, mw1, mb1, eta1,
 
 def _check_rules(pos, m, err, fit, set_size, exp):
     """The state columns and the m match-set positions, checked as the
-    compiled kernel checks them: numpy's fancy indexing would accept a
-    negative or repeated position."""
+    compiled kernel checks them, since fancy indexing takes a negative or
+    repeated position: increasing, so the first and last bound the rest."""
     rows = len(_array(err, "err", np.float64, (None,), True))
     _array(fit, "fit", np.float64, (rows,), True)
     _array(set_size, "set_size", np.float64, (rows,), True)
     _array(exp, "exp", np.int64, (rows,), True)
     _array(pos, "pos", np.int64, (m,))
-    if m and (pos.min() < 0 or pos.max() >= rows):
+    if (pos[1:] <= pos[:-1]).any():
+        raise ValueError("pos is not increasing")
+    if m and (pos[0] < 0 or pos[-1] >= rows):
         raise ValueError("pos holds a row out of range")
-    if len(np.unique(pos)) != m:
-        raise ValueError("pos holds a row twice")
 
 
 def _accuracies(err, epsilon0, alpha, nu):
@@ -283,13 +283,14 @@ def reinforce_batch(preds, x, omega, out, pos, err, fit, set_size, exp,
     hidden layer is computed before any net is updated, as in C.
 
     Then the XCS update (Butz & Wilson 2002) of classifier i's row
-    ``pos[i]`` of the state columns ``err``, ``fit``, ``set_size`` and
-    ``exp``, as array operations in the order of the per-rule loop, so
-    every result is the double a rule-by-rule loop gives: the error moves
-    by ``beta`` toward net i's ``np.mean(np.square(y - x))`` (numpy's
-    pairwise sum of the squares, divided by the width), the fitness toward
-    the rule's relative accuracy (never below ``F_FLOOR``), the set size
-    toward the match set's size m, and the experience grows by one.
+    ``pos[i]``, increasing in i, of the state columns ``err``, ``fit``,
+    ``set_size`` and ``exp``, as array operations in the order of the
+    per-rule loop, so every result is the double a rule-by-rule loop
+    gives: the error moves by ``beta`` toward net i's
+    ``np.mean(np.square(y - x))`` (numpy's pairwise sum of the squares,
+    divided by the width), the fitness toward the rule's relative accuracy
+    (never below ``F_FLOOR``), the set size toward the match set's size m,
+    and the experience grows by one.
     """
     m = len(preds)
     _array(x, "x", np.float64, (None,))

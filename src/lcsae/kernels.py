@@ -15,13 +15,16 @@ sums for the caller to finish.
   beta, epsilon0, alpha, nu)``, one trial's reinforcement of a match
   set: one momentum-SGD step toward the input ``x (n,)`` for every
   prediction net, whose mean output, formed as ``predict_batch`` forms it,
-  goes to ``out (n,)``, then the XCS update of the rules at rows ``pos``.
+  goes to ``out (n,)``, then the XCS update of the rules at the increasing
+  rows ``pos``.
 
 All take one 12-tuple per network, built by ``neural.net_args``, and every
-network output of the package comes from them.  ``match_batch`` is the
-package's one match rule, for one input (a one-row ``xs``) or a batch, on
-either backend's ``forward_batch``: whether each condition net's output
-for each row exceeds the threshold, in the layout of ``matched``.
+network output of the package comes from them; their argument checks are
+the run-time checks of the arrays of ``neural``'s plain-data layers.
+``match_batch`` is the package's one match rule, for one input (a one-row
+``xs``) or a batch, on either backend's ``forward_batch``: whether each
+condition net's output for each row exceeds the threshold, in the layout
+of ``matched``.
 
 The compiled extension ``_kernels``, built from the hand-written C source
 ``_kernels.c``, is used when it imports, and otherwise its executable

@@ -28,9 +28,6 @@ MU_NEURON = 1
 MU_ETA = 2
 MU_CONNECT = 3
 
-_F8 = np.dtype(np.float64)
-_U1 = np.dtype(np.uint8)
-
 # numpy refuses, with a ValueError, an array of more bytes than an intp
 # counts; a layer that large is out of memory like any other
 _MAX_BYTES = np.iinfo(np.intp).max
@@ -39,40 +36,25 @@ _MAX_BYTES = np.iinfo(np.intp).max
 def _require_addressable(rows: int, cols: int) -> None:
     """Raise MemoryError, before anything is allocated, when a (rows, cols)
     float64 weight matrix is larger than numpy's largest array."""
-    if rows * cols * _F8.itemsize > _MAX_BYTES:
+    if rows * cols * np.dtype(np.float64).itemsize > _MAX_BYTES:
         raise MemoryError(f"a {rows}x{cols} weight matrix is larger than the "
                           f"largest array numpy can allocate")
 
 
 @dataclass(eq=False)
 class Layer:
-    """One fully-connected layer with connection mask and mutation rates."""
+    """One fully-connected layer with connection mask and mutation rates.
+
+    Plain data: every producer of layers keeps the C-contiguous float64
+    layout below (uint8 mask), and the tests check it there."""
 
     weights: np.ndarray  # [n_out, n_in]
     biases: np.ndarray  # [n_out]
     mask: np.ndarray  # [n_out, n_in] uint8, 1 = connection active
     eta: float
     mu: np.ndarray  # [4]
-    mom_w: np.ndarray  # previous weight deltas
-    mom_b: np.ndarray  # previous bias deltas
-
-    def __post_init__(self):
-        # a layer whose arrays do not fit is caught where it is built, not at
-        # a later kernel call, and so is its mu, which no kernel reads
-        w = self.weights
-        if w.ndim != 2:
-            raise ValueError(f"layer weights must be 2-D, got shape {w.shape}")
-        for name, arr, dtype, shape in (("weights", w, _F8, w.shape),
-                                        ("mask", self.mask, _U1, w.shape),
-                                        ("mom_w", self.mom_w, _F8, w.shape),
-                                        ("biases", self.biases, _F8, w.shape[:1]),
-                                        ("mom_b", self.mom_b, _F8, w.shape[:1]),
-                                        ("mu", self.mu, _F8, (4,))):
-            if arr.dtype != dtype or arr.shape != shape:
-                raise ValueError(f"layer {name} is {arr.dtype}{list(arr.shape)}, "
-                                 f"expected {dtype}{list(shape)}")
-            if not arr.flags.c_contiguous:
-                raise ValueError(f"layer {name} is not C-contiguous")
+    mom_w: np.ndarray  # [n_out, n_in] previous weight deltas
+    mom_b: np.ndarray  # [n_out] previous bias deltas
 
     @property
     def n_in(self) -> int:
@@ -101,16 +83,9 @@ class Layer:
 
 @dataclass(eq=False)
 class Network:
-    """One hidden SELU layer plus one logistic output layer."""
+    """One hidden SELU layer plus one logistic output layer; plain data."""
 
     layers: list
-
-    def __post_init__(self):
-        if len(self.layers) != 2:
-            raise ValueError("network must have exactly one hidden and one output layer")
-        hidden, out = self.layers
-        if hidden.n_out != out.n_in:
-            raise ValueError("layer dimensions are incompatible")
 
     @property
     def n_inputs(self) -> int:

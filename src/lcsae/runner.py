@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
     rng = derived_rng(cfg.seed, STREAM_TRAIN)
     pop = xcsf.init_population(cfg, ds.n, rng)
     pop.memoize(cfg, ds.rows)
+    # a failed or interrupted run must leave no older checkpoint to resume
+    pathlib.Path(out_dir, CHECKPOINT_NAME).unlink(missing_ok=True)
     _write_manifest(out_dir, cfg, ds, 0, cfg.trials)
     with open(os.path.join(out_dir, METRICS_NAME), "w", encoding="utf-8", newline="") as fh:
         fh.write(metrics.CSV_HEADER)

@@ -236,8 +236,8 @@ def _fresh_rule(condition: neural.Network, cfg: ExperimentConfig, n: int, rng,
 
 
 def match_set(pop: Population, x, cfg: ExperimentConfig, row=None) -> np.ndarray:
-    """Positions in ``pop.members`` of the rules whose condition output for
-    ``x`` exceeds the match threshold (every member in global_ea mode).
+    """Increasing positions in ``pop.members`` of the rules whose condition
+    output for ``x`` exceeds the match threshold (all in global_ea mode).
 
     ``row`` is the dataset row ``x`` is, if any: the memo answers for the
     members that met it before, and one ``match_batch`` over the rest
@@ -261,8 +261,8 @@ def match_set(pop: Population, x, cfg: ExperimentConfig, row=None) -> np.ndarray
 
 def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng,
                     row=None) -> np.ndarray:
-    """Positions of all classifiers matching ``x``, the dataset row ``row``
-    if any; covers when none do.
+    """Increasing positions of all classifiers matching ``x``, the dataset
+    row ``row`` if any; covers when none do.
 
     Every member of the returned set has its matched-input counter
     incremented.
@@ -519,8 +519,6 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
     xs = np.ascontiguousarray(xs, dtype=float)
     if xs.shape[0] == 0:
         return float("nan"), float("nan")
-    if not pop.members:
-        return float("nan"), 0.0
     matched = _matched(pop, np.arange(len(pop.members)), xs, cfg, rows)
     msize = matched.sum(axis=0)
     # a row that no rule matches is predicted by every rule

@@ -59,6 +59,29 @@ def spare_rules(m):
             cfg.beta, cfg.epsilon0, cfg.alpha, cfg.nu)
 
 
+def assert_layer_layout(layer, n_in, n_out):
+    """The layout every producer of a ``neural.Layer`` keeps, which no
+    constructor checks: C-contiguous (n_out, n_in) float64 weights and
+    momenta and uint8 mask, float64 (n_out,) biases and momenta, and four
+    float64 mutation rates."""
+    for arr, dtype, shape in ((layer.weights, np.float64, (n_out, n_in)),
+                              (layer.mask, np.uint8, (n_out, n_in)),
+                              (layer.mom_w, np.float64, (n_out, n_in)),
+                              (layer.biases, np.float64, (n_out,)),
+                              (layer.mom_b, np.float64, (n_out,)),
+                              (layer.mu, np.float64, (4,))):
+        assert arr.dtype == dtype and arr.shape == shape, (arr.dtype, arr.shape)
+        assert arr.flags.c_contiguous
+
+
+def assert_network_layout(net, n_in, n_out):
+    """A network's two layers in that layout, the output layer reading the
+    hidden layer's outputs."""
+    hidden, out = net.layers
+    assert_layer_layout(hidden, n_in, hidden.n_out)
+    assert_layer_layout(out, hidden.n_out, n_out)
+
+
 def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
     rng = np.random.default_rng(seed)
     if condition is None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_classifier, spare_rules, write_csv
+from conftest import assert_network_layout, make_classifier, spare_rules, write_csv
 from lcsae import checkpoint, cli, kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
                               population_from_bytes, population_to_bytes,
@@ -182,6 +182,9 @@ def test_loaded_layers_own_their_memory():
     again = population_from_bytes(blob)[0]
     loaded = []
     for cl in again.members:
+        # the layout the learner's own layers have
+        assert_network_layout(cl.condition, 6, 1)
+        assert_network_layout(cl.prediction, 6, 6)
         for layer in cl.condition.layers + cl.prediction.layers:
             for arr in (layer.weights, layer.biases, layer.mask, layer.mu,
                         layer.mom_w, layer.mom_b):

@@ -180,6 +180,48 @@ def test_resume_after_an_interrupted_resume_matches_the_unsplit_run(tmp_path, mo
         assert (half / name).read_bytes() == (full / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("failure", ["empty split", "interrupt"])
+def test_a_failed_run_leaves_no_old_checkpoint_to_resume(failure, tmp_path, monkeypatch,
+                                                         capsys):
+    # run B fails in run A's directory after writing its manifest and first
+    # metrics row; resuming there must not continue A's rules on B's data
+    keys = dict(N=20, trials=40, checkpoint_interval=20, seed=1)
+    a = write_csv(tmp_path / "a.csv", np.random.default_rng(1).random((60, 6)))
+    b = write_csv(tmp_path / "b.csv", np.random.default_rng(2).random((60, 6)))
+    out = tmp_path / "run"
+    assert cli.main(["run", write_config(tmp_path / "a.cfg", dataset=a, **keys),
+                     "--outdir", str(out)]) == 0
+    ckpt = out / "population.ckpt"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # a config or data error leaves the old run as it was
+    assert cli.main(["run", write_config(tmp_path / "bad.cfg", dataset=a, nonsense=1),
+                     "--outdir", str(out)]) == 1
+    assert cli.main(["run", write_config(tmp_path / "gone.cfg", dataset=str(tmp_path / "no.csv"),
+                                         **keys), "--outdir", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    if failure == "empty split":
+        cfg_b = write_config(tmp_path / "b.cfg", dataset=b, split_ratio=0.01, **keys)
+        assert cli.main(["run", cfg_b, "--outdir", str(out)]) == 3
+    else:
+        run_trial = xcsf.run_trial
+
+        def interrupt_after_5(pop, *args):
+            if pop.trial == 5:
+                raise KeyboardInterrupt
+            return run_trial(pop, *args)
+
+        monkeypatch.setattr(xcsf, "run_trial", interrupt_after_5)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", write_config(tmp_path / "b.cfg", dataset=b, **keys),
+                      "--outdir", str(out)])
+        monkeypatch.undo()
+    assert json.loads((out / "manifest.json").read_text())["dataset"]["path"] == b
+    assert not ckpt.exists()
+    capsys.readouterr()
+    assert cli.main(["resume", str(ckpt), "--trials", "20"]) == 2
+    assert "cannot read checkpoint" in capsys.readouterr().err
+
+
 def test_a_manifest_write_interrupted_midway_still_resumes(tmp_path, monkeypatch):
     # the resume saved its checkpoint and then failed inside json.dump; the
     # previous manifest stays whole, so the next resume passes the dataset

@@ -208,6 +208,17 @@ def test_predict_batch_parity(cy):
                     expected = _predict_reference(nets, xs, matched, fit, n_out)
                     assert out == {expected.tobytes()}, (n_in, n_out, rows)
                     assert np.isnan(expected[~matched.any(axis=0)]).all()
+    # no nets, as for an empty population: every row is 0.0 / 0.0, the same
+    # NaN bytes on both backends, and all of out is written
+    for rows in (0, 1, 3):
+        out = set()
+        for mod in (_kernels_py, cy):
+            pred = np.full((rows, 5), 7.0)
+            mod.predict_batch([], rng.random((rows, 5)), np.ones((0, rows), bool),
+                              np.empty(0), pred)
+            assert np.isnan(pred).all(), rows
+            out.add(pred.tobytes())
+        assert len(out) == 1, rows
 
 
 def test_bad_predict_batches_leave_the_outputs_untouched(compiled):
@@ -634,8 +645,8 @@ def test_failing_calls_free_what_they_allocated(compiled):
                    out),
             _fails(ValueError, mod.reinforce_batch, preds[:-1] + [bad_pred], xs[0], 0.9,
                    out[0], pos, *columns, 0.1, 0.01, 0.1, 5.0),
-            # a repeated position fails once the rows seen so far are marked
-            # in a buffer of their own
+            # a repeated position fails on the comparison with the one
+            # before it, which allocates nothing more
             _fails(ValueError, mod.reinforce_batch, preds, xs[0], 0.9, out[0],
                    np.full(16, 3), *columns, 0.1, 0.01, 0.1, 5.0),
             _fails(TypeError, mod.reinforce_batch, preds, xs[0], 0.9, out[0], pos,
@@ -716,8 +727,8 @@ _RULE_ARGS = ("pos", "err", "fit", "set_size", "exp")
 
 
 def _rule_columns():
-    """Positions 3 and 1 of five rules' state columns."""
-    return (np.array([3, 1]), np.full(5, 0.5), np.full(5, 0.25), np.full(5, 3.0),
+    """Positions 1 and 3 of five rules' state columns."""
+    return (np.array([1, 3]), np.full(5, 0.5), np.full(5, 0.25), np.full(5, 3.0),
             np.full(5, 4))
 
 
@@ -736,9 +747,14 @@ def _bad_rule_args():
         (ValueError, "pos has the wrong shape", "pos", np.array([[3, 1]])),
         (ValueError, "pos must be aligned and C-contiguous", "pos",
          np.array([3, 0, 1, 0])[::2]),
+        (ValueError, "pos is not increasing", "pos", np.array([3, 3])),
+        (ValueError, "pos is not increasing", "pos", np.array([3, 1])),
+        # the order is checked first, then the range
+        (ValueError, "pos is not increasing", "pos", np.array([5, -1])),
         (ValueError, "pos holds a row out of range", "pos", np.array([3, 5])),
         (ValueError, "pos holds a row out of range", "pos", np.array([-1, 1])),
-        (ValueError, "pos holds a row twice", "pos", np.array([3, 3])),
+        # increasing, though their difference overflows an int64
+        (ValueError, "pos holds a row out of range", "pos", np.array([-2**62, 2**62])),
         (TypeError, "err must be a native float64 array", "err", np.full(5, 0.5, np.float32)),
         (TypeError, "err must be a native float64 array", "err", np.full(5, 0.5, ">f8")),
         (ValueError, "err has the wrong shape", "err", np.full((5, 1), 0.5)),
@@ -771,7 +787,7 @@ def test_good_rule_arguments_update_only_their_rows(cy):
         assert exp[[1, 3]].tolist() == [5, 5]
         # each set size moves toward the match set's two rules
         assert set_size[[1, 3]].tolist() == [3.0 + 0.1 * (2 - 3.0)] * 2
-        assert np.array_equal(err[[1, 3]], 0.5 + 0.1 * (mse[::-1] - 0.5))
+        assert np.array_equal(err[[1, 3]], 0.5 + 0.1 * (mse - 0.5))
         results.append((err, fit, set_size))
     # every rule's error is above epsilon0, so the fitness follows the
     # errors, which both backends compute alike

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import spare_rules
+from conftest import assert_network_layout, spare_rules
 from lcsae import kernels, neural
 from lcsae._kernels_py import SELU_ALPHA, SELU_LAMBDA, logistic, selu
-from lcsae.neural import (ETA_MAX, ETA_MIN, Layer, clone, forward,
+from lcsae.neural import (ETA_MAX, ETA_MIN, clone, forward,
                           mutate_connections, mutate_eta, mutate_neurons,
                           mutate_weights, new_layer, new_network, self_adapt)
 
@@ -237,30 +237,6 @@ def test_sgd_momentum_carries_previous_delta():
     for layer, w1, d1, (gw, _) in zip(net.layers, w_mid, delta1, grads2):
         expected = -layer.eta * gw + omega * d1
         assert layer.weights - w1 == pytest.approx(expected, abs=1e-12)
-
-
-def _layer_arrays(n_in=3, n_out=2):
-    return dict(weights=np.zeros((n_out, n_in)), biases=np.zeros(n_out),
-                mask=np.ones((n_out, n_in), dtype=np.uint8), eta=0.005,
-                mu=np.full(4, 0.1), mom_w=np.zeros((n_out, n_in)),
-                mom_b=np.zeros(n_out))
-
-
-def test_layer_rejects_arrays_of_the_wrong_shape():
-    arrays = _layer_arrays()
-    assert Layer(**arrays).n_in == 3
-    with pytest.raises(ValueError, match=r"layer mom_w is float64\[3, 2\], "
-                                         r"expected float64\[2, 3\]"):
-        Layer(**{**arrays, "mom_w": np.zeros((3, 2))})
-    with pytest.raises(ValueError, match="layer weights must be 2-D"):
-        Layer(**{**arrays, "weights": np.zeros(6)})
-
-
-def test_layer_rejects_fortran_ordered_arrays():
-    arrays = _layer_arrays()
-    weights = np.asfortranarray(np.arange(6.0).reshape(2, 3))
-    with pytest.raises(ValueError, match="layer weights is not C-contiguous"):
-        Layer(**{**arrays, "weights": weights})
 
 
 def test_init_weight_distribution_and_zero_biases():
@@ -497,13 +473,23 @@ def test_clone_isolation_and_momentum_reset():
         assert np.array_equal(m0, layer.mom_w)
 
 
+def test_new_networks_and_their_clones_have_the_layer_layout():
+    rng = np.random.default_rng(20)
+    for n_in, h, n_out, random_biases in ((1, 1, 1, False), (5, 3, 1, True),
+                                          (7, 4, 7, False)):
+        net = new_network(n_in, h, n_out, rng, random_biases=random_biases)
+        assert_network_layout(net, n_in, n_out)
+        assert_network_layout(clone(net), n_in, n_out)
+
+
 def test_operator_sequences_keep_invariants():
     """Random operator chains preserve mask/weight coupling and clamps."""
     rng = np.random.default_rng(18)
     net = new_network(5, 3, 5, rng)
     h_max = 7
+    assert_network_layout(net, 5, 5)
     for _ in range(300):
-        op = rng.integers(0, 6)
+        op = rng.integers(0, 7)
         for layer in net.layers:
             if op == 0:
                 self_adapt(layer, rng, mu_min=1e-4)
@@ -516,8 +502,11 @@ def test_operator_sequences_keep_invariants():
         if op == 4:
             mutate_neurons(net, rng, h_M=2, h_max=h_max, connection_mutation=True)
         elif op == 5:
+            mutate_neurons(net, rng, h_M=2, h_max=h_max, connection_mutation=False)
+        elif op == 6:
             sgd_step(net, rng.random(5), omega=0.9)
         assert 1 <= net.n_hidden <= h_max
+        assert_network_layout(net, 5, 5)
         for layer in net.layers:
             off = layer.mask == 0
             assert np.array_equal(layer.weights[off], np.zeros(int(off.sum())))

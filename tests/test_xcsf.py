@@ -272,11 +272,16 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
     learners = [make_classifier(n=8, seed=s, err=0.05 * (s % 4))
                 for s in range(1, size - 1)]
     rules = ([right, wrong] + learners)[:size]
+    # the larger match sets skip rows: their rules sit at every other row,
+    # between rules outside the match set
+    m = np.arange(size)
+    if size > 5:
+        spares = [make_classifier(n=8, seed=1000 + s) for s in range(size)]
+        rules = [cl for pair in zip(rules, spares) for cl in pair]
+        m = np.arange(0, 2 * size, 2)
     slow = copy.deepcopy(rules)
     pop = xcsf.Population(rules)
     fast = pop.members
-    # the larger match sets list their rows out of order
-    m = np.arange(size) if size == 5 else np.random.default_rng(size).permutation(size)
     rng = np.random.default_rng(29)
     below = above = floored = 0
     for step in range(200 if size <= 8 else 20):
@@ -290,9 +295,10 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
             for la, lb in zip(a.prediction.layers, b.prediction.layers):
                 assert np.array_equal(la.weights, lb.weights)
                 assert np.array_equal(la.biases, lb.biases)
-        below += sum(cl.err < cfg.epsilon0 for cl in fast)
-        above += sum(cl.err >= cfg.epsilon0 for cl in fast)
-        floored += sum(cl.fit == xcsf._F_FLOOR for cl in fast)
+        matched = [fast[i] for i in m.tolist()]
+        below += sum(cl.err < cfg.epsilon0 for cl in matched)
+        above += sum(cl.err >= cfg.epsilon0 for cl in matched)
+        floored += sum(cl.fit == xcsf._F_FLOOR for cl in matched)
     assert below and above
     # a lone rule's relative accuracy is 1, so only a shared one can vanish
     assert floored or nu < 200.0 or size == 1
