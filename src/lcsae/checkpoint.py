@@ -249,9 +249,6 @@ def _population_from_header(header: dict, payload):
         cuts.append({field: _rule_slices(col.astype(col.dtype.newbyteorder("="), copy=False),
                                          size[field])
                      for field, col in cols.items()})
-    # rule i is row i of one table of the checked columns, which
-    # ``Population`` gathers into its own
-    table = xcsf.RuleState(state[name] for name in xcsf.SCALARS)
     etas = eta.tolist()
     members = []
     for i, shape in enumerate(shapes):
@@ -262,9 +259,9 @@ def _population_from_header(header: dict, payload):
                                mom_w=c["mom_w"][i].reshape(shape[k]),
                                mom_b=c["mom_b"][i])
                   for k, c in enumerate(cuts)]
-        members.append(xcsf.Classifier(neural.Network(layers[:2]),
-                                       neural.Network(layers[2:]), table, i))
-    pop = xcsf.Population(members, trial=trial)
+        members.append(xcsf.Classifier(neural.Network(layers[:2]), neural.Network(layers[2:])))
+    # rule i is row i of the population's table, a copy of the checked columns
+    pop = xcsf.Population(members, trial, xcsf.RuleState(state[name] for name in xcsf.SCALARS))
     return pop, cfg, np.random.Generator(bg), header["window"]
 
 

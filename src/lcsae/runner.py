@@ -111,8 +111,6 @@ def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
     after dropping the rows past the population's trial that an interrupted
     run flushed.  Returns the metrics CSV path."""
     xs, train_idx, start = ds.features, ds.train_idx, pop.trial
-    if len(train_idx) == 0:
-        raise TrainingError("training split is empty")
     mse_sum, m_sum, count = window["mse_sum"], window["m_sum"], window["count"]
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     with open(metrics_path, "a+", encoding="utf-8", newline="") as fh:
@@ -145,13 +143,15 @@ def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
     """Fresh seeded run: init population, train, emit metrics, checkpoint.
 
-    Returns the metrics CSV path.
+    A refused run writes nothing.  Returns the metrics CSV path.
     """
-    os.makedirs(out_dir, exist_ok=True)
     ds = prepare_dataset(cfg)
+    if len(ds.train_idx) == 0:
+        raise TrainingError("training split is empty")
     rng = derived_rng(cfg.seed, STREAM_TRAIN)
     pop = xcsf.init_population(cfg, ds.n, rng)
     pop.memoize(cfg, ds.rows)
+    os.makedirs(out_dir, exist_ok=True)
     # a failed or interrupted run must leave no older checkpoint to resume
     pathlib.Path(out_dir, CHECKPOINT_NAME).unlink(missing_ok=True)
     _write_manifest(out_dir, cfg, ds, 0, cfg.trials)
@@ -186,6 +186,8 @@ def resume_experiment(ckpt_path, extra_trials: int) -> str:
         raise data.DataError(f"dataset {cfg.dataset} differs from the one the run "
                              f"was trained on (sha256 {recorded})")
     _check_width(pop, ds)
+    if len(ds.train_idx) == 0:
+        raise TrainingError("training split is empty")
     # the memo is not saved, so a resumed run fills it as rows recur
     pop.memoize(cfg, ds.rows)
     return _advance(pop, cfg, ds, rng, os.path.dirname(os.path.abspath(ckpt_path)), window)
@@ -234,6 +236,7 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
 
     ``corruption`` is one of none/salt_pepper/cutout and is applied to the
     inputs only; errors are always measured against the clean originals.
+    Image export and cutout on data with no image shape are refused first.
     """
     if corruption not in ("none", "salt_pepper", "cutout"):
         raise ValueError(f"unknown corruption {corruption!r}")
@@ -245,6 +248,8 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
     cfg.dataset = str(dataset_path)
     ds = prepare_dataset(cfg)
     _check_width(pop, ds)
+    if ds.image_shape is None and (export_images or corruption == "cutout"):
+        raise data.DataError("image export or cutout requires a dataset with an image shape")
     valid = ds.valid()
     if valid.shape[0] == 0:
         raise data.DataError("validation split is empty; nothing to reconstruct")
@@ -275,7 +280,7 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
         corrupt_sum += corrupt_mse
         per_image.append({"row": int(row), "recon_mse": recon_mse,
                           "corrupt_mse": corrupt_mse})
-        if export_images and ds.image_shape is not None:
+        if export_images:
             image_files += _export_images(out_dir, j, ("orig", "corrupt", "recon"),
                                           (x, xc, y), ds.image_shape)
 
@@ -291,7 +296,4 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
     with open(os.path.join(out_dir, "reconstruction.json"), "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-    if export_images and ds.image_shape is None:
-        raise data.DataError("image export requested but the dataset has no "
-                             "image shape (report was still written)")
     return result

@@ -19,16 +19,12 @@ an array of positions in ``pop.members``, which index the table directly:
 reinforcement hands the positions and the columns to the kernel, the EA
 due-check, deletion votes and the population sums are array operations
 over whole columns, and the EA's parents and the best rule are picked by
-position from them.  A rule is its two nets plus a row of a table,
-``Classifier(condition, prediction, state, row)``, and reads and writes
-that row through properties of the same names.  Outside a population
-(fresh from covering or reproduction, or after removal) it owns a one-row
-table, which ``RuleState.of`` builds from the seven scalars.  Membership
-changes only through ``Population.add``, which appends the rule's row to
-every column, and ``Population.remove``, which deletes it and hands the
-rule a copy; both replace the columns.  Neither a rule nor a table refers
-back to its population, so a population is freed by reference counting
-alone.
+position from them.  A member is its two nets plus its row, and a rule
+outside a population is its two nets; ``add`` takes its scalars.
+Membership changes only through ``Population.add``, which appends the
+rule's row to every column, and ``Population.remove``, which deletes it;
+both replace the columns.  Neither a rule nor a table refers back to its
+population, so a population is freed by reference counting alone.
 
 A condition is never modified after its ``Classifier`` is built (it gets no
 gradient descent, and reproduction mutates a clone), so a rule's match
@@ -79,10 +75,9 @@ class RuleState:
     """One numpy column per rule scalar, exactly as long as the rows it holds.
 
     ``columns`` gives each column's values in ``SCALARS`` order.  A
-    population's table has one row per member, and a rule outside a
-    population owns a one-row table.  ``Population.add`` and ``remove``
-    replace every column of the table with a longer or shorter array, so
-    nothing may keep a column across either of them.
+    population's table has one row per member.  ``Population.add`` and
+    ``remove`` replace every column of the table with a longer or shorter
+    array, so nothing may keep a column across either of them.
     """
 
     __slots__ = SCALARS
@@ -92,44 +87,19 @@ class RuleState:
             setattr(self, name, np.array(values, np.int64 if name in INT_SCALARS
                                          else np.float64))
 
-    @classmethod
-    def of(cls, *, err, fit, exp, set_size, ts, born, mtotal) -> RuleState:
-        """The one-row table of a rule outside a population."""
-        return cls(([err], [fit], [exp], [set_size], [ts], [born], [mtotal]))
-
-
-def _scalar(name: str, cast):
-    def get(self):
-        return cast(getattr(self._state, name)[self._row])
-
-    def put(self, value):
-        getattr(self._state, name)[self._row] = value
-
-    return property(get, put, doc=f"The rule's {name}, kept in its state row.")
-
 
 class Classifier:
-    """A condition net, a prediction net and row ``row`` of the ``RuleState``
-    table ``state``, which holds the rule's scalars: a population's table, or
-    for a rule outside one its own one-row table from ``RuleState.of``."""
+    """A condition net and a prediction net.  A member of a population is
+    also row ``_row`` of the population's ``RuleState`` table ``_state``,
+    which holds its scalars; a rule outside a population has neither."""
 
     __slots__ = ("condition", "prediction", "cond_args", "pred_args",
                  "_state", "_row")
 
-    err = _scalar("err", float)
-    fit = _scalar("fit", float)
-    exp = _scalar("exp", int)
-    set_size = _scalar("set_size", float)
-    ts = _scalar("ts", int)
-    born = _scalar("born", int)
-    mtotal = _scalar("mtotal", int)
-
-    def __init__(self, condition: neural.Network, prediction: neural.Network,
-                 state: RuleState, row: int):
+    def __init__(self, condition: neural.Network, prediction: neural.Network):
         self.condition = condition
         self.prediction = prediction
-        self._state = state
-        self._row = row
+        self._state = self._row = None
         # structure and rates are fixed after construction, so each net's
         # kernel argument tuple is cached for the per-trial loops
         self.cond_args = neural.net_args(condition)
@@ -140,18 +110,19 @@ class Population:
     """The rules of one learner and the state table their scalars live in.
 
     ``members`` lists the rules in insertion order, and row i of ``state``
-    is the row of ``members[i]``; the table has no other rows.  A rule
-    belongs to at most one population.  Without a match memo, ``memo`` and
-    ``slots`` are None.
+    is the row of ``members[i]``; the table has no other rows, and an
+    empty table is made when none is given.  A rule belongs to at most one
+    population.  Without a match memo, ``memo`` and ``slots`` are None.
     """
 
-    def __init__(self, members=(), trial: int = 0):
+    def __init__(self, members=(), trial: int = 0, state: RuleState | None = None):
         self.trial = trial
         self.members = list(members)
-        self.state = RuleState([getattr(cl._state, name)[cl._row] for cl in self.members]
-                               for name in SCALARS)
+        self.state = state = state or RuleState([()] * len(SCALARS))
+        if len(state.fit) != len(self.members):
+            raise ValueError(f"{len(state.fit)} state rows for {len(self.members)} rules")
         for i, cl in enumerate(self.members):
-            cl._state, cl._row = self.state, i
+            cl._state, cl._row = state, i
         self.memo = self.slots = None
         self._free = []
 
@@ -171,31 +142,30 @@ class Population:
         # popped from the end, so the lowest free slot goes first
         self._free = list(range(capacity - 1, len(self.members) - 1, -1))
 
-    def add(self, cl: Classifier) -> None:
-        """Append ``cl`` and its row of scalars to the table; with a memo, give
-        it a zeroed slot, so it never reads a dead rule's decisions."""
+    def add(self, cl: Classifier, *, err, fit, exp, set_size, ts, born, mtotal) -> None:
+        """Append ``cl``, a rule outside any population, and a row of the
+        scalars given to the table; with a memo, give it a zeroed slot, so
+        it never reads a dead rule's decisions."""
         if self.memo is not None:
             if not self._free:
                 raise RuntimeError("the match memo is full")
             slot = self._free.pop()
             self.memo[slot] = UNKNOWN
             self.slots = np.append(self.slots, slot)
-        state, i = self.state, cl._row
-        for name in SCALARS:
-            setattr(state, name, np.concatenate((getattr(state, name),
-                                                 getattr(cl._state, name)[i:i + 1])))
+        state = self.state
+        for name, value in zip(SCALARS, (err, fit, exp, set_size, ts, born, mtotal)):
+            col = getattr(state, name)
+            setattr(state, name, np.concatenate((col, np.array([value], col.dtype))))
         cl._state, cl._row = state, len(self.members)
         self.members.append(cl)
 
     def remove(self, cl: Classifier) -> None:
-        """Drop ``cl`` and its row, which it takes into a one-row table of its
-        own; the later members move up by one row."""
-        state, i = self.state, cl._row
-        members = self.members
+        """Drop ``cl`` and its row, whose scalars go with it; the later
+        members move up by one row."""
+        state, members, i = self.state, self.members, cl._row
         if cl._state is not state or i >= len(members) or members[i] is not cl:
             raise ValueError("the rule is not a member of this population")
-        cl._state = RuleState(getattr(state, name)[i:i + 1] for name in SCALARS)
-        cl._row = 0
+        cl._state = cl._row = None
         for name in SCALARS:
             col = getattr(state, name)
             setattr(state, name, np.concatenate((col[:i], col[i + 1:])))
@@ -218,21 +188,15 @@ class Population:
 
 
 def init_population(cfg: ExperimentConfig, n_features: int, rng) -> Population:
-    """Population of N random single-hidden-neuron classifiers (or empty
-    when P_init is off, in which case covering fills it on demand)."""
-    members = [_fresh_rule(neural.new_network(n_features, cfg.h_I, 1, rng, mu_min=cfg.mu_min),
-                           cfg, n_features, rng, trial=0)
-               for _ in range(cfg.N if cfg.P_init else 0)]
-    return Population(members=members, trial=0)
-
-
-def _fresh_rule(condition: neural.Network, cfg: ExperimentConfig, n: int, rng,
-                trial: int) -> Classifier:
-    """A rule born at ``trial`` on ``condition``, with a new prediction net."""
-    prediction = neural.new_network(n, cfg.h_I, n, rng, mu_min=cfg.mu_min)
-    return Classifier(condition, prediction,
-                      RuleState.of(err=cfg.epsilon_I, fit=cfg.F_I, exp=0, set_size=1.0,
-                                   ts=trial, born=trial, mtotal=0), 0)
+    """Population of N random single-hidden-neuron classifiers, each with a
+    covered rule's scalars at trial 0 (or empty when P_init is off, in
+    which case covering fills it on demand)."""
+    n, k = n_features, cfg.N if cfg.P_init else 0
+    members = [Classifier(neural.new_network(n, cfg.h_I, 1, rng, mu_min=cfg.mu_min),
+                          neural.new_network(n, cfg.h_I, n, rng, mu_min=cfg.mu_min))
+               for _ in range(k)]
+    state = RuleState(np.full(k, v) for v in (cfg.epsilon_I, cfg.F_I, 0, 1.0, 0, 0, 0))
+    return Population(members, 0, state)
 
 
 def match_set(pop: Population, x, cfg: ExperimentConfig, row=None) -> np.ndarray:
@@ -264,23 +228,26 @@ def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng,
     """Increasing positions of all classifiers matching ``x``, the dataset
     row ``row`` if any; covers when none do.
 
-    Every member of the returned set has its matched-input counter
-    incremented.
+    A covered rule starts at error epsilon_I, fitness F_I, no experience
+    and set size 1, born and stamped at the current trial.  Every member
+    of the returned set has its matched-input counter incremented.
     """
     m = match_set(pop, x, cfg, row)
     if not len(m):
-        pop.add(cover(x, cfg, rng, pop.trial))
+        pop.add(cover(x, cfg, rng), err=cfg.epsilon_I, fit=cfg.F_I, exp=0, set_size=1.0,
+                ts=pop.trial, born=pop.trial, mtotal=0)
         m = np.array([len(pop.members) - 1])
     pop.state.mtotal[m] += 1
     return m
 
 
-def cover(x, cfg: ExperimentConfig, rng, trial: int) -> Classifier:
-    """Random classifier whose condition matches ``x``.
+def cover(x, cfg: ExperimentConfig, rng) -> Classifier:
+    """Random classifier whose condition matches ``x``, outside any
+    population.
 
     Condition nets are resampled with sigma=1 (random weights and biases)
     until one matches, at most ``MAX_COVER_TRIES`` times; the prediction net
-    uses the standard initialisation.
+    uses the standard initialisation and is drawn after the condition.
     """
     n = len(x)
     for _ in range(MAX_COVER_TRIES):
@@ -288,7 +255,8 @@ def cover(x, cfg: ExperimentConfig, rng, trial: int) -> Classifier:
                                        random_biases=True, mu_min=cfg.mu_min)
         if cfg.global_ea or kernels.match_batch([neural.net_args(condition)], x[None],
                                                 cfg.match_threshold)[0, 0]:
-            return _fresh_rule(condition, cfg, n, rng, trial)
+            return Classifier(condition, neural.new_network(n, cfg.h_I, n, rng,
+                                                            mu_min=cfg.mu_min))
     raise CoveringError(
         f"covering failed to match the input after {MAX_COVER_TRIES} samples; "
         f"check match_threshold ({cfg.match_threshold})")
@@ -305,12 +273,14 @@ def system_prediction(m: list, x) -> np.ndarray:
 
 
 def _fitnesses(rules: list) -> np.ndarray:
-    """Fitness of each rule, in one gather when they share a table."""
-    state = rules[0]._state if rules else None
+    """Fitness of each rule, from the table of the one population they all share."""
+    if not rules:
+        return np.empty(0)
+    state = rules[0]._state
     rows = [cl._row for cl in rules if cl._state is state]
-    if rows and len(rows) == len(rules):
-        return state.fit[rows]
-    return np.array([cl.fit for cl in rules], dtype=float)
+    if state is None or len(rows) != len(rules):
+        raise ValueError("the rules do not all belong to one population")
+    return state.fit[rows]
 
 
 def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.ndarray:
@@ -348,12 +318,12 @@ def roulette(weights, rng) -> int:
     return int(past[0]) if len(past) else len(weights) - 1
 
 
-def make_offspring(parent: Classifier, err: float, fit: float,
-                   cfg: ExperimentConfig, rng, trial: int) -> Classifier:
-    """Clone of ``parent`` with self-adapted rates and mutated networks.
+def make_offspring(parent: Classifier, cfg: ExperimentConfig, rng) -> Classifier:
+    """Clone of ``parent``'s nets with self-adapted rates and mutations,
+    outside any population.
 
     The parent's current (gradient-trained) weights are inherited; momentum
-    buffers reset.  The caller supplies the already-reduced error/fitness.
+    buffers reset.  The caller adds it with its scalars.
     """
     condition = neural.clone(parent.condition)
     prediction = neural.clone(parent.prediction)
@@ -369,9 +339,7 @@ def make_offspring(parent: Classifier, err: float, fit: float,
         if cfg.connection_mutation:
             for layer in net.layers:
                 neural.mutate_connections(layer, rng)
-    return Classifier(condition, prediction,
-                      RuleState.of(err=err, fit=fit, exp=1, set_size=parent.set_size,
-                                   ts=trial, born=trial, mtotal=0), 0)
+    return Classifier(condition, prediction)
 
 
 def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> bool:
@@ -379,8 +347,10 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
 
     Fires when the match set's mean time since the last run exceeds
     theta_EA.  Two parents are drawn by fitness roulette; lambda offspring
-    are cloned (no crossover) with error/fitness set to the reduced
-    parental means, then inserted.  Returns whether it fired.
+    are cloned (no crossover) and inserted, alternating parents, with
+    error/fitness set to the reduced parental means, experience 1 and
+    their parent's set size, born and stamped at the current trial.
+    Returns whether it fired.
     """
     st = pop.state
     # the integer sum is exact, and int / int rounds once
@@ -394,9 +364,10 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
     # a small F_R can make the reduced fitness subnormal, whose deletion vote
     # mean_f / fit overflows; keep it at the floor reinforce keeps
     fit = max(0.5 * (float(st.fit[p1]) + float(st.fit[p2])) * cfg.F_R, _F_FLOOR)
-    parents = (pop.members[p1], pop.members[p2])
     for i in range(cfg.lam):
-        pop.add(make_offspring(parents[i % 2], err, fit, cfg, rng, pop.trial))
+        p = (p1, p2)[i % 2]
+        pop.add(make_offspring(pop.members[p], cfg, rng), err=err, fit=fit, exp=1,
+                set_size=st.set_size[p], ts=pop.trial, born=pop.trial, mtotal=0)
     return True
 
 
@@ -444,7 +415,10 @@ def enforce_population_limit(pop: Population, cfg: ExperimentConfig, rng) -> Non
         rest = votes.copy()
         rest[i] = 0.0
         j = roulette(rest, rng)
-        if j == i:  # all remaining votes were zero
+        # the other votes are never all zero (set sizes start at 1.0 and move to
+        # m >= 1, the loader refuses set_size <= 0, boosts are positive): j == i
+        # only if r fell between roulette's last running sum and np.sum's total
+        if j == i:
             j = (i + 1) % len(pop.members)
         pop.remove(_pick_victim(pop.members[i], pop.members[j],
                                 float(votes[i]), float(votes[j]), rng))

@@ -82,15 +82,29 @@ def assert_network_layout(net, n_in, n_out):
     assert_layer_layout(out, hidden.n_out, n_out)
 
 
-def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None, **attrs):
+def make_classifier(n=4, h=1, seed=0, condition=None, prediction=None):
+    """A rule outside any population: its two nets."""
     rng = np.random.default_rng(seed)
     if condition is None:
         condition = neural.new_network(n, h, 1, rng)
     if prediction is None:
         prediction = neural.new_network(n, h, n, rng)
-    fields = dict(err=0.0, fit=0.01, exp=0, set_size=1.0, ts=0, born=0, mtotal=0)
-    fields.update(attrs)
-    return xcsf.Classifier(condition, prediction, xcsf.RuleState.of(**fields), 0)
+    return xcsf.Classifier(condition, prediction)
+
+
+# the scalars of a test's rule unless it names others
+SCALAR_DEFAULTS = dict(err=0.0, fit=0.01, exp=0, set_size=1.0, ts=0, born=0, mtotal=0)
+
+
+def make_population(rules, trial=0, **scalars):
+    """A population of ``rules`` at ``trial``, with the default scalars or
+    those given: each one value for every rule, or a sequence of one per
+    rule."""
+    rules = list(rules)
+    assert set(scalars) <= set(xcsf.SCALARS), scalars
+    values = {**SCALAR_DEFAULTS, **scalars}
+    state = xcsf.RuleState(np.broadcast_to(values[name], len(rules)) for name in xcsf.SCALARS)
+    return xcsf.Population(rules, trial, state)
 
 
 @pytest.fixture

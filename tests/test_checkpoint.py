@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_network_layout, make_classifier, spare_rules, write_csv
+from conftest import (SCALAR_DEFAULTS, assert_network_layout, make_classifier,
+                      make_population, spare_rules, write_csv)
 from lcsae import checkpoint, cli, kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
                               population_from_bytes, population_to_bytes,
@@ -33,7 +34,7 @@ def test_trained_masked_rule_round_trips_bit_exact():
     # a masked connection has zero weight and zero momentum, as in the learner
     net.layers[0].mask[0, 2] = 0
     net.layers[0].weights[0, 2] = net.layers[0].mom_w[0, 2] = 0.0
-    pop = xcsf.Population([cl], trial=1)
+    pop = make_population([cl], trial=1)
     blob = population_to_bytes(pop, ExperimentConfig(), rng)
     again = population_from_bytes(blob)[0].members[0].prediction
     for a, b in zip(net.layers, again.layers):
@@ -64,10 +65,10 @@ def test_population_bytes_rejects_garbage():
 
 def _sample_population(seed=2, n=6, members=5):
     rng = np.random.default_rng(seed)
-    pop = xcsf.Population([make_classifier(n=n, seed=seed + i, err=0.1 * i,
-                                           fit=0.01 + 0.1 * i, exp=i, set_size=1.0 + i, ts=i,
-                                           born=0, mtotal=i)
-                           for i in range(members)], trial=123)
+    k = np.arange(members)
+    pop = make_population([make_classifier(n=n, seed=seed + i) for i in range(members)],
+                          trial=123, err=0.1 * k, fit=0.01 + 0.1 * k, exp=k, set_size=1.0 + k,
+                          ts=k, born=0, mtotal=k)
     return pop, rng
 
 
@@ -83,9 +84,11 @@ def test_population_round_trip_restores_everything():
     assert window2 == window
     assert pop2.trial == pop.trial
     assert len(pop2.members) == len(pop.members)
-    for a, b in zip(pop.members, pop2.members):
-        assert (a.err, a.fit, a.exp, a.set_size, a.ts, a.born, a.mtotal) == \
-               (b.err, b.fit, b.exp, b.set_size, b.ts, b.born, b.mtotal)
+    for name in xcsf.SCALARS:
+        col, col2 = getattr(pop.state, name), getattr(pop2.state, name)
+        assert col2.dtype == col.dtype and col2.tolist() == col.tolist(), name
+    for i, (a, b) in enumerate(zip(pop.members, pop2.members)):
+        assert b._state is pop2.state and b._row == i
         for la, lb in zip(a.prediction.layers + a.condition.layers,
                           b.prediction.layers + b.condition.layers):
             _assert_layers_bit_equal(la, lb)
@@ -151,7 +154,7 @@ def test_layer_arrays_that_do_not_fit_never_load(corrupt):
 
 def test_rules_of_another_width_never_load():
     pop, rng = _sample_population(n=6)
-    pop.add(make_classifier(n=5, seed=40))
+    pop.add(make_classifier(n=5, seed=40), **SCALAR_DEFAULTS)
     blob = population_to_bytes(pop, ExperimentConfig(), rng)
     with pytest.raises(CheckpointError, match="hidden sizes and 6 inputs need"):
         population_from_bytes(blob)

@@ -183,8 +183,9 @@ def test_resume_after_an_interrupted_resume_matches_the_unsplit_run(tmp_path, mo
 @pytest.mark.parametrize("failure", ["empty split", "interrupt"])
 def test_a_failed_run_leaves_no_old_checkpoint_to_resume(failure, tmp_path, monkeypatch,
                                                          capsys):
-    # run B fails in run A's directory after writing its manifest and first
-    # metrics row; resuming there must not continue A's rules on B's data
+    # run B fails in run A's directory.  Refused for its data, it leaves A
+    # as it was; interrupted after writing its manifest and first metrics
+    # row, it leaves nothing to resume rather than A's rules on B's data
     keys = dict(N=20, trials=40, checkpoint_interval=20, seed=1)
     a = write_csv(tmp_path / "a.csv", np.random.default_rng(1).random((60, 6)))
     b = write_csv(tmp_path / "b.csv", np.random.default_rng(2).random((60, 6)))
@@ -196,25 +197,38 @@ def test_a_failed_run_leaves_no_old_checkpoint_to_resume(failure, tmp_path, monk
     # a config or data error leaves the old run as it was
     assert cli.main(["run", write_config(tmp_path / "bad.cfg", dataset=a, nonsense=1),
                      "--outdir", str(out)]) == 1
-    assert cli.main(["run", write_config(tmp_path / "gone.cfg", dataset=str(tmp_path / "no.csv"),
-                                         **keys), "--outdir", str(out)]) == 2
+    gone = write_config(tmp_path / "gone.cfg", dataset=str(tmp_path / "no.csv"), **keys)
+    assert cli.main(["run", gone, "--outdir", str(out)]) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # nor does a run refused for its data make a new directory
+    assert cli.main(["run", gone, "--outdir", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new").exists()
     if failure == "empty split":
+        # refused before its first write, so run A stays whole and resumes
+        # as the unsplit longer run
         cfg_b = write_config(tmp_path / "b.cfg", dataset=b, split_ratio=0.01, **keys)
         assert cli.main(["run", cfg_b, "--outdir", str(out)]) == 3
-    else:
-        run_trial = xcsf.run_trial
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert cli.main(["resume", str(ckpt), "--trials", "20"]) == 0
+        longer = tmp_path / "longer"
+        assert cli.main(["run", write_config(tmp_path / "a60.cfg", dataset=a,
+                                             **{**keys, "trials": 60}),
+                         "--outdir", str(longer)]) == 0
+        for name in ("metrics.csv", "population.ckpt"):
+            assert (out / name).read_bytes() == (longer / name).read_bytes(), name
+        return
+    run_trial = xcsf.run_trial
 
-        def interrupt_after_5(pop, *args):
-            if pop.trial == 5:
-                raise KeyboardInterrupt
-            return run_trial(pop, *args)
+    def interrupt_after_5(pop, *args):
+        if pop.trial == 5:
+            raise KeyboardInterrupt
+        return run_trial(pop, *args)
 
-        monkeypatch.setattr(xcsf, "run_trial", interrupt_after_5)
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["run", write_config(tmp_path / "b.cfg", dataset=b, **keys),
-                      "--outdir", str(out)])
-        monkeypatch.undo()
+    monkeypatch.setattr(xcsf, "run_trial", interrupt_after_5)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", write_config(tmp_path / "b.cfg", dataset=b, **keys),
+                  "--outdir", str(out)])
+    monkeypatch.undo()
     assert json.loads((out / "manifest.json").read_text())["dataset"]["path"] == b
     assert not ckpt.exists()
     capsys.readouterr()
@@ -355,15 +369,19 @@ def test_reconstruct_exports_one_image_per_channel(tmp_path, monkeypatch):
                                       np.rint(255 * vec.reshape(2, 2, 3)[:, :, c]))
 
 
-def test_reconstruct_without_image_shape_reports_then_errors(tmp_path, dataset):
+def test_reconstruct_without_image_shape_refuses_before_writing(tmp_path, dataset):
     out = tmp_path / "novec"
     cfg = _config(tmp_path, dataset, name="vec.cfg", trials=100)
     assert run_cli("run", cfg, "--outdir", str(out)).returncode == 0
     rec_out = tmp_path / "vec_rec"
-    proc = run_cli("reconstruct", str(out / "population.ckpt"), dataset,
-                   "--outdir", str(rec_out))
-    assert proc.returncode == 2
-    assert (rec_out / "reconstruction.json").exists()  # report still produced
+    # image export and cutout both need an image shape, and neither writes
+    # anything before it is refused
+    for flags in ((), ("--cutout", "--no-images")):
+        proc = run_cli("reconstruct", str(out / "population.ckpt"), dataset, *flags,
+                       "--outdir", str(rec_out))
+        assert proc.returncode == 2
+        assert "requires a dataset with an image shape" in proc.stderr
+        assert not rec_out.exists()
 
     proc = run_cli("reconstruct", str(out / "population.ckpt"), dataset,
                    "--no-images", "--outdir", str(rec_out))
@@ -597,7 +615,7 @@ def _every_rule(name, value):
 
 def _first_rule(name, value):
     def change(pop):
-        setattr(pop.members[0], name, value)
+        getattr(pop.state, name)[0] = value
     return _saved(change)
 
 
@@ -619,8 +637,8 @@ def _no_fitness_but_on_the_last_rule(pop):
 
 @_saved
 def _reinforced_below_the_floor(pop):
-    pop.members[0].exp = 3
-    pop.members[0].fit = xcsf._F_FLOOR / 2
+    pop.state.exp[0] = 3
+    pop.state.fit[0] = xcsf._F_FLOOR / 2
 
 
 # Each case corrupts the checkpoint of a small run and names a part of the
@@ -793,9 +811,9 @@ def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path)
 
     @_saved
     def at_the_limits(pop):
-        cl = pop.members[0]
-        cl.fit = xcsf._F_FLOOR
-        cl.born = cl.ts = cl.exp = cl.mtotal = pop.trial
+        st = pop.state
+        st.fit[0] = xcsf._F_FLOOR
+        st.born[0] = st.ts[0] = st.exp[0] = st.mtotal[0] = pop.trial
         assert len(pop.members) == BASE["N"]
 
     at_the_limits(run / "population.ckpt")

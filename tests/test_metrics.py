@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import always_match_condition, make_classifier
+from conftest import always_match_condition, make_classifier, make_population
 from lcsae import kernels, metrics, neural, xcsf
 from lcsae.config import ExperimentConfig
 from lcsae.metrics import auc_simpson, mse
@@ -71,9 +71,8 @@ def test_simpson_nonnegative_series():
 def test_population_stats_single_classifier():
     cfg = ExperimentConfig()
     cl = make_classifier(n=4, prediction=neural.new_network(
-        4, 5, 4, np.random.default_rng(0)), condition=always_match_condition(4),
-        err=0.001)
-    pop = xcsf.Population([cl])
+        4, 5, 4, np.random.default_rng(0)), condition=always_match_condition(4))
+    pop = make_population([cl], err=0.001)
     xs = np.random.default_rng(1).random((10, 4))
     stats = metrics.population_stats(pop, xs, cfg)
     assert stats["P_h"] == 5.0
@@ -85,9 +84,8 @@ def test_population_stats_counts_active_weights_excluding_biases():
     cfg = ExperimentConfig()
     n, h = 4, 3
     cl = make_classifier(n=n, prediction=neural.new_network(
-        n, h, n, np.random.default_rng(2)), condition=always_match_condition(n),
-        err=0.001)
-    pop = xcsf.Population([cl])
+        n, h, n, np.random.default_rng(2)), condition=always_match_condition(n))
+    pop = make_population([cl], err=0.001)
     xs = np.random.default_rng(3).random((5, n))
     stats = metrics.population_stats(pop, xs, cfg)
     assert stats["P_w"] == h * 2 * n  # fully connected, biases excluded
@@ -133,13 +131,14 @@ def test_population_stats_means_do_not_depend_on_the_order_of_their_terms():
     # correctly rounded sums
     cfg = ExperimentConfig()
     rng = np.random.default_rng(6)
-    rules = [make_classifier(n=3, condition=always_match_condition(3), err=0.001,
+    rules = [make_classifier(n=3, condition=always_match_condition(3),
                              prediction=neural.new_network(3, 1 + s % 2, 3, rng))
              for s in range(11)]
     for cl in rules:
         for layer in cl.condition.layers + cl.prediction.layers:
             layer.mu[:] = rng.random(4)
-    stats = metrics.population_stats(xcsf.Population(rules), rng.random((5, 3)), cfg)
+    stats = metrics.population_stats(make_population(rules, err=0.001), rng.random((5, 3)),
+                                     cfg)
     assert stats["C_h"] == 1.0
     # an exact integer sum, divided once
     assert stats["P_h"] == sum(cl.prediction.n_hidden for cl in rules) / 11 == 16 / 11

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (always_match_condition, make_classifier,
-                      never_match_condition, saturated_network, spare_rules)
+from conftest import (SCALAR_DEFAULTS, always_match_condition, make_classifier,
+                      make_population, never_match_condition, saturated_network,
+                      spare_rules)
 from lcsae import _kernels_py, kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
 
 def matches(cl, x, cfg):
     # a shallow copy joins the one-rule population, so ``cl`` stays where it is
-    pop = xcsf.Population([copy.copy(cl)])
+    pop = make_population([copy.copy(cl)])
     return list(xcsf.match_set(pop, np.asarray(x, dtype=float), cfg)) == [0]
 
 
@@ -46,11 +47,11 @@ def test_matches_global_ea_mode_matches_everything():
 
 
 def test_match_set_keeps_population_order_and_leaves_counters(cfg):
-    pop = xcsf.Population([make_classifier(n=4, condition=always_match_condition(4)),
+    pop = make_population([make_classifier(n=4, condition=always_match_condition(4)),
                            make_classifier(n=4, condition=never_match_condition(4)),
                            make_classifier(n=4, condition=always_match_condition(4))])
     assert list(xcsf.match_set(pop, np.zeros(4), cfg)) == [0, 2]
-    assert all(cl.mtotal == 0 for cl in pop.members)
+    assert pop.state.mtotal.tolist() == [0, 0, 0]
 
 
 def test_build_match_set_covers_an_empty_population_in_both_modes():
@@ -60,65 +61,76 @@ def test_build_match_set_covers_an_empty_population_in_both_modes():
         x = np.full(4, 0.25)
         m = xcsf.build_match_set(pop, x, cfg, np.random.default_rng(1))
         assert list(m) == [0] and len(pop.members) == 1
-        assert pop.members[0].born == 3 and pop.members[0].mtotal == 1
+        assert pop.state.born[0] == 3 and pop.state.mtotal[0] == 1
         assert matches(pop.members[0], x, cfg)
 
 
 def test_build_match_set_global_ea_is_whole_population():
     cfg = ExperimentConfig(mode="global_ea", N=10)
-    pop = xcsf.Population([make_classifier(n=4, seed=s) for s in range(10)])
+    pop = make_population([make_classifier(n=4, seed=s) for s in range(10)])
     m = xcsf.build_match_set(pop, np.zeros(4), cfg, np.random.default_rng(0))
     assert len(m) == len(pop.members)
-    assert all(cl.mtotal == 1 for cl in pop.members)
+    assert pop.state.mtotal.tolist() == [1] * 10
 
 
 def test_build_match_set_macro_members_appear_once(cfg):
     cl = make_classifier(n=4, condition=always_match_condition(4))
-    pop = xcsf.Population([cl])
+    pop = make_population([cl])
     m = xcsf.build_match_set(pop, np.zeros(4), cfg, np.random.default_rng(0))
     assert list(m) == [0]
-    assert cl.mtotal == 1
+    assert pop.state.mtotal[0] == 1
 
 
 def test_build_match_set_covers_when_nothing_matches(cfg):
-    pop = xcsf.Population([make_classifier(n=4, condition=never_match_condition(4))])
+    pop = make_population([make_classifier(n=4, condition=never_match_condition(4))])
     x = np.full(4, 0.25)
     m = xcsf.build_match_set(pop, x, cfg, np.random.default_rng(1))
     assert list(m) == [1]  # covered classifier was inserted
     assert len(pop.members) == 2
     assert matches(pop.members[1], x, cfg)
-    assert pop.members[1].mtotal == 1 and pop.members[0].mtotal == 0
+    assert pop.state.mtotal.tolist() == [0, 1]
 
 
-def test_cover_initialises_bookkeeping(cfg):
+def test_cover_initialises_bookkeeping():
+    # initial error and fitness unlike any other rule's, to show where they
+    # come from
+    cfg = ExperimentConfig(epsilon_I=0.125, F_I=0.375)
     rng = np.random.default_rng(2)
     x = rng.random(6)
-    cl = xcsf.cover(x, cfg, rng, trial=17)
+    pop = make_population([make_classifier(n=6, condition=never_match_condition(6))],
+                          trial=17, err=0.5, fit=0.5, exp=3, set_size=2.0, ts=4, born=4,
+                          mtotal=4)
+    assert list(xcsf.build_match_set(pop, x, cfg, rng)) == [1]
+    cl = pop.members[1]
     assert matches(cl, x, cfg)
-    assert cl.err == cfg.epsilon_I == 0.0
-    assert cl.fit == cfg.F_I == 0.01
-    assert cl.exp == 0
     assert cl.condition.n_hidden == cfg.h_I == 1
     assert cl.prediction.n_hidden == cfg.h_I
-    assert cl.ts == 17 and cl.born == 17
+    # the covered rule's row, after build_match_set counted its match
+    st = pop.state
+    assert (st.err[1], st.fit[1], st.exp[1], st.set_size[1]) == (0.125, 0.375, 0, 1.0)
+    assert (st.ts[1], st.born[1], st.mtotal[1]) == (17, 17, 1)
+    assert [getattr(st, name)[0] for name in xcsf.SCALARS] == [0.5, 0.5, 3, 2.0, 4, 4, 4]
+    # covering itself builds only the nets, which join a population with a row
+    fresh = xcsf.cover(x, cfg, rng)
+    assert fresh._state is None and fresh._row is None
+    assert not any(hasattr(fresh, name) for name in xcsf.SCALARS)
 
 
 def test_cover_raises_when_matching_is_impossible(monkeypatch):
     monkeypatch.setattr(xcsf, "MAX_COVER_TRIES", 64)
     cfg = ExperimentConfig(match_threshold=1.0)  # logistic output never exceeds 1
     with pytest.raises(xcsf.CoveringError):
-        xcsf.cover(np.zeros(4), cfg, np.random.default_rng(3), trial=0)
+        xcsf.cover(np.zeros(4), cfg, np.random.default_rng(3))
 
 
 def test_system_prediction_single_and_equal_fitness(cfg):
     rng = np.random.default_rng(4)
     x = rng.random(3)
-    cl1 = make_classifier(n=3, seed=1)
+    cl1, cl2 = make_classifier(n=3, seed=1), make_classifier(n=3, seed=2)
+    make_population([cl1, cl2], fit=0.4)
     only = xcsf.system_prediction([cl1], x)
     assert only == pytest.approx(neural.forward(cl1.prediction, x), abs=1e-12)
 
-    cl2 = make_classifier(n=3, seed=2)
-    cl1.fit = cl2.fit = 0.4
     both = xcsf.system_prediction([cl1, cl2], x)
     mean = 0.5 * (neural.forward(cl1.prediction, x) + neural.forward(cl2.prediction, x))
     assert both == pytest.approx(mean, abs=1e-12)
@@ -128,10 +140,24 @@ def test_system_prediction_weighted_exact(cfg):
     # fitness 0.2/0.3/0.5 with scalar outputs exactly 0/1/1: the products
     # 0.0, 0.3 and 0.5 add in list order to 0.8, and the fitnesses to 1.0
     x = np.zeros(1)
-    cls = [make_classifier(n=1, prediction=saturated_network(1, [o]), fit=f)
-           for o, f in ((0, 0.2), (1, 0.3), (1, 0.5))]
-    out = xcsf.system_prediction(cls, x)
+    pop = make_population([make_classifier(n=1, prediction=saturated_network(1, [o]))
+                           for o in (0, 1, 1)], fit=[0.2, 0.3, 0.5])
+    out = xcsf.system_prediction(pop.members, x)
     assert out.tolist() == [0.8]
+
+
+def test_system_prediction_needs_the_rules_of_one_population():
+    x = np.full(2, 0.5)
+    a = make_population([make_classifier(n=2, seed=s) for s in range(3)])
+    b = make_population([make_classifier(n=2, seed=3)])
+    stranger = make_classifier(n=2, seed=4)
+    gone = a.members[2]
+    a.remove(gone)
+    for rules in ([a.members[0], b.members[0]], [b.members[0], a.members[1]],
+                  [stranger], [a.members[0], stranger], [gone], [gone, a.members[1]]):
+        with pytest.raises(ValueError, match="one population"):
+            xcsf.system_prediction(rules, x)
+    assert np.isfinite(xcsf.system_prediction(a.members, x)).all()
 
 
 def test_accuracy_branches(cfg):
@@ -161,24 +187,24 @@ def test_relative_accuracies_sum_to_one():
 
 def test_reinforce_error_update_matches_delta_rule(cfg):
     # reconstruction fixed at (0,1,1,1,1) against all-ones input: MSE 0.2
-    cl = make_classifier(n=5, prediction=saturated_network(5, [0, 1, 1, 1, 1]),
-                         err=0.1)
+    cl = make_classifier(n=5, prediction=saturated_network(5, [0, 1, 1, 1, 1]))
+    pop = make_population([cl], err=0.1)
     x = np.ones(5)
     w_before = [l.weights.copy() for l in cl.prediction.layers]
-    reinforce_all(xcsf.Population([cl]), x, cfg)
-    assert cl.err == pytest.approx(0.11, abs=1e-12)
-    assert cl.exp == 1
+    reinforce_all(pop, x, cfg)
+    assert pop.state.err[0] == pytest.approx(0.11, abs=1e-12)
+    assert pop.state.exp[0] == 1
     # saturated logistic outputs have zero gradient, so weights are untouched
     for w0, layer in zip(w_before, cl.prediction.layers):
         assert np.array_equal(w0, layer.weights)
 
 
 def test_reinforce_set_size_uses_micro_count(cfg):
-    cls = [make_classifier(n=3, seed=s, set_size=1.0) for s in range(1, 5)]
-    reinforce_all(xcsf.Population(cls), np.full(3, 0.5), cfg)
+    pop = make_population([make_classifier(n=3, seed=s) for s in range(1, 5)], set_size=1.0)
+    reinforce_all(pop, np.full(3, 0.5), cfg)
     # |M| is 4
-    for cl in cls:
-        assert cl.set_size == pytest.approx(1.0 + cfg.beta * (4 - 1.0), abs=1e-12)
+    for set_size in pop.state.set_size:
+        assert set_size == pytest.approx(1.0 + cfg.beta * (4 - 1.0), abs=1e-12)
 
 
 def test_reinforce_converges_geometrically_on_frozen_net(cfg):
@@ -186,23 +212,25 @@ def test_reinforce_converges_geometrically_on_frozen_net(cfg):
     for layer in cl.prediction.layers:
         layer.eta = 0.0
     # a rule caches its kernel arguments, rates included, when it is built
-    cl = make_classifier(n=4, condition=cl.condition, prediction=cl.prediction, err=0.5)
+    cl = make_classifier(n=4, condition=cl.condition, prediction=cl.prediction)
     x = np.full(4, 0.25)
     c = float(np.mean((neural.forward(cl.prediction, x) - x) ** 2))
-    err0 = cl.err
-    pop = xcsf.Population([cl])
+    err0 = 0.5
+    pop = make_population([cl], err=err0)
     for k in range(1, 30):
         reinforce_all(pop, x, cfg)
         expected = c + (1.0 - cfg.beta) ** k * (err0 - c)
-        assert cl.err == pytest.approx(expected, rel=1e-10)
+        assert pop.state.err[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_reinforce_updates_fitness_toward_relative_accuracy(cfg):
-    good = make_classifier(n=3, seed=1, err=0.001, fit=0.5)
-    bad = make_classifier(n=3, seed=2, err=0.5, fit=0.5)
-    reinforce_all(xcsf.Population([good, bad]), np.full(3, 0.5), cfg)
-    assert good.fit > bad.fit
-    assert 0.0 < bad.fit <= 1.0
+    # a good rule and a bad one
+    pop = make_population([make_classifier(n=3, seed=1), make_classifier(n=3, seed=2)],
+                          err=[0.001, 0.5], fit=0.5)
+    reinforce_all(pop, np.full(3, 0.5), cfg)
+    good, bad = pop.state.fit
+    assert good > bad
+    assert 0.0 < bad <= 1.0
 
 
 def _accuracy(err, cfg):
@@ -262,26 +290,28 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
     monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
     cfg = ExperimentConfig(nu=nu)
     pattern = np.array([1.0, 0.0] * 4)
-    # a lone rule starts above the target error and learns its way below it
-    right = make_classifier(n=8, prediction=saturated_network(8, pattern),
-                            err=0.05 if size == 1 else 0.0)
+    right = make_classifier(n=8, prediction=saturated_network(8, pattern))
+    wrong = make_classifier(n=8, prediction=saturated_network(8, 1.0 - pattern))
+    learners = [make_classifier(n=8, seed=s) for s in range(1, size - 1)]
+    rules = ([right, wrong] + learners)[:size]
+    # a lone rule starts above the target error and learns its way below it;
     # the large match sets run fewer steps, so their wrong rule starts
     # nearer the floor
-    wrong = make_classifier(n=8, prediction=saturated_network(8, 1.0 - pattern),
-                            err=1.0, fit=1e-295 if size <= 8 else 3e-300)
-    learners = [make_classifier(n=8, seed=s, err=0.05 * (s % 4))
-                for s in range(1, size - 1)]
-    rules = ([right, wrong] + learners)[:size]
+    err = ([0.05 if size == 1 else 0.0, 1.0] + [0.05 * (s % 4) for s in range(1, size - 1)])
+    fit = [0.01, 1e-295 if size <= 8 else 3e-300] + [0.01] * (size - 2)
+    err, fit = err[:size], fit[:size]
     # the larger match sets skip rows: their rules sit at every other row,
     # between rules outside the match set
     m = np.arange(size)
     if size > 5:
         spares = [make_classifier(n=8, seed=1000 + s) for s in range(size)]
         rules = [cl for pair in zip(rules, spares) for cl in pair]
+        err = [v for e in err for v in (e, 0.0)]
+        fit = [v for f in fit for v in (f, 0.01)]
         m = np.arange(0, 2 * size, 2)
-    slow = copy.deepcopy(rules)
-    pop = xcsf.Population(rules)
-    fast = pop.members
+    pop = make_population(rules, err=err, fit=fit)
+    slow = _Rule.all_of(pop, copy_nets=True)
+    st = pop.state
     rng = np.random.default_rng(29)
     below = above = floored = 0
     for step in range(200 if size <= 8 else 20):
@@ -290,39 +320,38 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
         out_fast = xcsf.reinforce(pop, m, x, cfg)
         out_slow = _reinforce_per_rule([slow[i] for i in m.tolist()], x, cfg)
         assert np.array_equal(out_fast, out_slow)
-        for a, b in zip(fast, slow):
-            assert (a.exp, a.err, a.fit, a.set_size) == (b.exp, b.err, b.fit, b.set_size)
+        for i, (a, b) in enumerate(zip(pop.members, slow)):
+            assert (st.exp[i], st.err[i], st.fit[i], st.set_size[i]) == \
+                (b.exp, b.err, b.fit, b.set_size)
             for la, lb in zip(a.prediction.layers, b.prediction.layers):
                 assert np.array_equal(la.weights, lb.weights)
                 assert np.array_equal(la.biases, lb.biases)
-        matched = [fast[i] for i in m.tolist()]
-        below += sum(cl.err < cfg.epsilon0 for cl in matched)
-        above += sum(cl.err >= cfg.epsilon0 for cl in matched)
-        floored += sum(cl.fit == xcsf._F_FLOOR for cl in matched)
+        below += int((st.err[m] < cfg.epsilon0).sum())
+        above += int((st.err[m] >= cfg.epsilon0).sum())
+        floored += int((st.fit[m] == xcsf._F_FLOOR).sum())
     assert below and above
     # a lone rule's relative accuracy is 1, so only a shared one can vanish
     assert floored or nu < 200.0 or size == 1
 
 
 def test_maybe_run_ea_respects_theta(cfg):
-    pop = xcsf.Population([make_classifier(n=3, seed=s, ts=100) for s in range(3)])
-    pop.trial = 100
+    pop = make_population([make_classifier(n=3, seed=s) for s in range(3)], trial=100, ts=100)
     fired = xcsf.maybe_run_ea(pop, np.arange(3), cfg, np.random.default_rng(7))
     assert not fired
     assert len(pop.members) == 3
 
 
 def test_maybe_run_ea_fires_and_inserts_offspring(cfg):
-    pop = xcsf.Population([make_classifier(n=3, seed=s, ts=0, fit=0.4 + 0.2 * s,
-                                           err=0.2) for s in range(2)])
-    pop.trial = 100
+    pop = make_population([make_classifier(n=3, seed=s) for s in range(2)], trial=100,
+                          ts=0, fit=[0.4, 0.6], err=0.2)
     fired = xcsf.maybe_run_ea(pop, np.arange(2), cfg, np.random.default_rng(8))
     assert fired
     assert len(pop.members) == 2 + cfg.lam
-    assert all(cl.ts == 100 for cl in pop.members[:2])
+    assert pop.state.ts.tolist() == [100] * (2 + cfg.lam)
+    assert pop.state.exp[2:].tolist() == [1] * cfg.lam
+    assert pop.state.born[2:].tolist() == [100] * cfg.lam
+    assert pop.state.mtotal[2:].tolist() == [0] * cfg.lam
     for child in pop.members[2:]:
-        assert child.exp == 1
-        assert child.born == 100 and child.mtotal == 0
         # momentum buffers start fresh
         for layer in child.prediction.layers:
             assert np.array_equal(layer.mom_w, np.zeros_like(layer.mom_w))
@@ -333,7 +362,7 @@ def test_maybe_run_ea_due_check_uses_the_exact_mean_time_stamp():
     # once the trial passes 431427
     cfg = ExperimentConfig(theta_EA=50)
     stamps = [798937] + [4137] * 14 + [655929] * 25
-    pop = xcsf.Population([make_classifier(n=3, seed=s, ts=ts) for s, ts in enumerate(stamps)])
+    pop = make_population([make_classifier(n=3, seed=s) for s in range(40)], ts=stamps)
     rng = np.random.default_rng(6)
     pop.trial = 431427
     assert not xcsf.maybe_run_ea(pop, np.arange(40), cfg, rng)
@@ -354,16 +383,31 @@ def test_a_subnormal_child_fitness_is_floored():
     assert np.isfinite(xcsf.deletion_votes(pop, pop.mean_fitness(), cfg)).all()
 
 
-def test_make_offspring_applies_reductions(cfg):
-    parent = make_classifier(n=3, seed=9, fit=0.5, err=0.2, set_size=3.0)
-    # reductions are applied by the caller from the parental means
-    err = 0.5 * (0.2 + 0.2) * cfg.epsilon_R
-    fit = 0.5 * (0.4 + 0.6) * cfg.F_R
-    child = xcsf.make_offspring(parent, err, fit, cfg, np.random.default_rng(10), trial=7)
-    assert child.fit == pytest.approx(0.05, abs=1e-12)
-    assert child.err == pytest.approx(0.2, abs=1e-12)  # epsilon_R = 1 disables
-    assert child.set_size == parent.set_size
-    assert child.ts == 7 and child.born == 7
+def test_make_offspring_applies_reductions():
+    # two parents unlike in every scalar; the offspring take the reduced
+    # parental means, experience 1 and their own parent's set size
+    cfg = ExperimentConfig(epsilon_R=0.5)
+    fits, errs, sizes = [0.4, 0.6], [0.2, 0.3], [3.0, 5.0]
+    pop = make_population([make_classifier(n=3, seed=9), make_classifier(n=3, seed=10)],
+                          trial=100, fit=fits, err=errs, set_size=sizes, exp=[4, 9],
+                          mtotal=[3, 2])
+    rng = np.random.default_rng(10)
+    # the two fitness-roulette draws the EA makes first
+    draws = copy.deepcopy(rng)
+    p1, p2 = xcsf.roulette(fits, draws), xcsf.roulette(fits, draws)
+    assert p1 != p2
+    assert xcsf.maybe_run_ea(pop, np.arange(2), cfg, rng)
+    st = pop.state
+    assert st.err[2:].tolist() == [0.5 * (errs[p1] + errs[p2]) * cfg.epsilon_R] * cfg.lam
+    assert st.fit[2:].tolist() == [0.5 * (fits[p1] + fits[p2]) * cfg.F_R] * cfg.lam
+    assert st.fit[2] == pytest.approx(0.05, abs=1e-12)
+    assert st.set_size[2:].tolist() == [sizes[(p1, p2)[i % 2]] for i in range(cfg.lam)]
+    assert st.exp[2:].tolist() == [1] * cfg.lam
+    assert st.ts[2:].tolist() == st.born[2:].tolist() == [100] * cfg.lam
+    assert st.mtotal[2:].tolist() == [0] * cfg.lam
+    # reproduction itself builds only the nets, which join a population with a row
+    child = xcsf.make_offspring(pop.members[0], cfg, rng)
+    assert child._state is None and child._row is None
 
 
 def test_offspring_inherit_trained_weights(cfg):
@@ -378,27 +422,25 @@ def test_offspring_inherit_trained_weights(cfg):
     quiet = ExperimentConfig(mu_min=1e-12)
     for layer in parent.condition.layers + parent.prediction.layers:
         layer.mu[:] = 1e-12
-    child = xcsf.make_offspring(parent, 0.0, 0.01, quiet, np.random.default_rng(13), 0)
+    child = xcsf.make_offspring(parent, quiet, np.random.default_rng(13))
     assert child.prediction.layers[0].weights == pytest.approx(trained, abs=1e-9)
 
 
 def test_deletion_vote_base_and_boost(cfg):
-    cl = make_classifier(n=3, seed=14, set_size=2.0, exp=cfg.theta_del,
-                         fit=0.05)
-    pop = xcsf.Population([cl])
+    pop = make_population([make_classifier(n=3, seed=14)], set_size=2.0, exp=cfg.theta_del,
+                          fit=0.05)
     # not experienced enough: plain set-size vote
     assert xcsf.deletion_votes(pop, 1.0, cfg).tolist() == [2.0]
-    cl.exp = 21
+    pop.state.exp[0] = 21
     # fitness at 0.05 of the mean with delta=0.1 boosts the vote twentyfold
     vote = xcsf.deletion_votes(pop, 1.0, cfg)[0]
     assert vote == pytest.approx(2.0 * 20.0, abs=1e-9)
 
 
 def test_deletion_vote_stale_is_maximal(cfg):
-    cl = make_classifier(n=3, seed=15, mtotal=0, born=0)
-    pop = xcsf.Population([cl], trial=10001)
+    pop = make_population([make_classifier(n=3, seed=15)], trial=10001, mtotal=0, born=0)
     assert xcsf.deletion_votes(pop, 1.0, cfg)[0] == xcsf.STALE_VOTE
-    cl.mtotal = 1
+    pop.state.mtotal[0] = 1
     pop.trial = 10 ** 9
     assert xcsf.deletion_votes(pop, 1.0, cfg)[0] < xcsf.STALE_VOTE
 
@@ -416,23 +458,22 @@ def _deletion_vote(cl, pop_mean_f, cfg, trial):
 def test_deletion_votes_equal_the_scalar_votes_bit_for_bit():
     cfg = ExperimentConfig(stale_limit=50)
     rng = np.random.default_rng(32)
-    pop = xcsf.Population([make_classifier(n=2, seed=s, set_size=1.0 + 30 * rng.random(),
-                                           exp=int(rng.integers(0, 40)),
-                                           fit=float(rng.random() ** 4),
-                                           mtotal=int(rng.integers(0, 3)),
-                                           born=int(rng.integers(0, 100)))
-                           for s in range(300)], trial=120)
+    rows = [(1.0 + 30 * rng.random(), int(rng.integers(0, 40)), float(rng.random() ** 4),
+             int(rng.integers(0, 3)), int(rng.integers(0, 100))) for _ in range(300)]
+    set_size, exp, fit, mtotal, born = zip(*rows)
+    pop = make_population([make_classifier(n=2, seed=s) for s in range(300)], trial=120,
+                          set_size=set_size, exp=exp, fit=fit, mtotal=mtotal, born=born)
     mean_f = pop.mean_fitness()
-    expected = [_deletion_vote(cl, mean_f, cfg, pop.trial) for cl in pop.members]
+    rules = _Rule.all_of(pop)
+    expected = [_deletion_vote(cl, mean_f, cfg, pop.trial) for cl in rules]
     assert xcsf.deletion_votes(pop, mean_f, cfg).tolist() == expected
     assert xcsf.STALE_VOTE in expected
-    assert any(e != cl.set_size for e, cl in zip(expected, pop.members)
-               if e != xcsf.STALE_VOTE)
+    assert any(e != cl.set_size for e, cl in zip(expected, rules) if e != xcsf.STALE_VOTE)
 
 
 def test_enforce_limit_noop_at_capacity():
     cfg = ExperimentConfig(N=3)
-    pop = xcsf.Population([make_classifier(n=3, seed=s) for s in range(3)])
+    pop = make_population([make_classifier(n=3, seed=s) for s in range(3)])
     before = list(pop.members)
     xcsf.enforce_population_limit(pop, cfg, np.random.default_rng(16))
     assert pop.members == before
@@ -443,7 +484,7 @@ def test_enforce_limit_deletes_biggest_prediction_net():
     rng = np.random.default_rng(17)
     big = make_classifier(n=3, prediction=neural.new_network(3, 30, 3, rng))
     small = make_classifier(n=3, prediction=neural.new_network(3, 5, 3, rng))
-    pop = xcsf.Population([big, small], trial=0)
+    pop = make_population([big, small], trial=0)
     xcsf.enforce_population_limit(pop, cfg, np.random.default_rng(18))
     assert pop.members == [small]
 
@@ -451,11 +492,9 @@ def test_enforce_limit_deletes_biggest_prediction_net():
 def test_enforce_limit_prefers_stale_over_size():
     cfg = ExperimentConfig(N=1, stale_limit=100)
     rng = np.random.default_rng(19)
-    stale_small = make_classifier(n=3, prediction=neural.new_network(3, 2, 3, rng),
-                                  mtotal=0, born=0)
-    fresh_big = make_classifier(n=3, prediction=neural.new_network(3, 20, 3, rng),
-                                mtotal=5, born=0)
-    pop = xcsf.Population([stale_small, fresh_big], trial=200)
+    stale_small = make_classifier(n=3, prediction=neural.new_network(3, 2, 3, rng))
+    fresh_big = make_classifier(n=3, prediction=neural.new_network(3, 20, 3, rng))
+    pop = make_population([stale_small, fresh_big], trial=200, mtotal=[0, 5], born=0)
     xcsf.enforce_population_limit(pop, cfg, np.random.default_rng(20))
     assert pop.members == [fresh_big]
 
@@ -504,7 +543,7 @@ def test_run_trial_global_ea_reinforces_whole_population():
     res = xcsf.run_trial(pop, rng.random(8), cfg, rng)
     assert pop.trial == 1
     assert res.m_size == 500
-    assert all(cl.exp == 1 for cl in pop.members[:500])
+    assert pop.state.exp[:500].tolist() == [1] * 500
     assert pop.micro_count() <= cfg.N
 
 
@@ -535,13 +574,14 @@ def _partly_memoized(pop, xs, cfg):
     Returns the rows of ``xs``."""
     rows = np.arange(len(xs))
     last = pop.members[-1]
+    scalars = {name: getattr(pop.state, name)[-1] for name in xcsf.SCALARS}
     pop.remove(last)
     pop.memoize(cfg, len(xs))
     xcsf.evaluate(pop, xs[::2], cfg, rows[::2])
     xcsf.match_set(pop, xs[-1], cfg, rows[-1])
     if pop.memo is not None:
         pop.memo[np.random.default_rng(len(xs)).random(pop.memo.shape) < 1 / 3] = xcsf.UNKNOWN
-    pop.add(last)
+    pop.add(last, **scalars)
     return rows
 
 
@@ -555,9 +595,9 @@ def _best_classifier(pop, xs, cfg):
 
 def test_best_classifier_lowest_error_when_none_accurate(cfg):
     xs = np.tile([1.0, 0.0], (10, 1))
-    worse = make_classifier(n=2, condition=always_match_condition(2), err=0.5)
-    better = make_classifier(n=2, condition=always_match_condition(2), err=0.3)
-    pop = xcsf.Population([worse, better])
+    worse = make_classifier(n=2, condition=always_match_condition(2))
+    better = make_classifier(n=2, condition=always_match_condition(2))
+    pop = make_population([worse, better], err=[0.5, 0.3])
     best, mfrac = _best_classifier(pop, xs, cfg)
     assert best is better
     assert mfrac == 1.0
@@ -566,10 +606,9 @@ def test_best_classifier_lowest_error_when_none_accurate(cfg):
 def test_best_classifier_falls_back_to_the_first_rule_with_the_lowest_error(cfg):
     # only the fallback rule is counted, so the wider later rule cannot win
     xs = np.tile([1.0, 0.0], (4, 1))
-    rules = [make_classifier(n=2, condition=c(2), err=e) for c, e in
-             ((always_match_condition, 0.5), (never_match_condition, 0.2),
-              (always_match_condition, 0.2))]
-    best, mfrac = _best_classifier(xcsf.Population(rules), xs, cfg)
+    rules = [make_classifier(n=2, condition=c(2))
+             for c in (always_match_condition, never_match_condition, always_match_condition)]
+    best, mfrac = _best_classifier(make_population(rules, err=[0.5, 0.2, 0.2]), xs, cfg)
     assert best is rules[1]
     assert mfrac == 0.0
 
@@ -579,9 +618,9 @@ def test_best_classifier_prefers_wider_match_below_target(cfg):
     xs = np.zeros((10, 2))
     xs[:9, 0] = 1.0
     xs[:6, 1] = 1.0
-    ninety = make_classifier(n=2, condition=_keyed_condition(2, 0), err=0.001)
-    sixty = make_classifier(n=2, condition=_keyed_condition(2, 1), err=0.0005)
-    pop = xcsf.Population([ninety, sixty])
+    ninety = make_classifier(n=2, condition=_keyed_condition(2, 0))
+    sixty = make_classifier(n=2, condition=_keyed_condition(2, 1))
+    pop = make_population([ninety, sixty], err=[0.001, 0.0005])
     best, mfrac = _best_classifier(pop, xs, cfg)
     assert best is ninety
     assert mfrac == pytest.approx(0.9)
@@ -590,16 +629,15 @@ def test_best_classifier_prefers_wider_match_below_target(cfg):
 def test_best_classifier_global_ea_matches_everything():
     cfg = ExperimentConfig(mode="global_ea")
     xs = np.random.default_rng(26).random((25, 3))
-    pop = xcsf.Population([make_classifier(n=3, seed=s, err=0.001) for s in range(4)])
+    pop = make_population([make_classifier(n=3, seed=s) for s in range(4)], err=0.001)
     _, mfrac = _best_classifier(pop, xs, cfg)
     assert mfrac == 1.0
 
 
 def test_evaluate_matches_trial_predictions(cfg):
     rng = np.random.default_rng(27)
-    pop = xcsf.Population([make_classifier(n=4, seed=s,
-                                           condition=always_match_condition(4),
-                                           fit=0.1 + 0.2 * s) for s in range(3)])
+    pop = make_population([make_classifier(n=4, seed=s, condition=always_match_condition(4))
+                           for s in range(3)], fit=[0.1 + 0.2 * s for s in range(3)])
     xs = rng.random((6, 4))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
     expected = np.mean([
@@ -611,8 +649,7 @@ def test_evaluate_matches_trial_predictions(cfg):
 
 def test_evaluate_falls_back_to_population_when_unmatched(cfg):
     rng = np.random.default_rng(28)
-    pop = xcsf.Population([make_classifier(n=4, seed=s,
-                                           condition=never_match_condition(4))
+    pop = make_population([make_classifier(n=4, seed=s, condition=never_match_condition(4))
                            for s in range(3)])
     xs = rng.random((5, 4))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
@@ -628,8 +665,8 @@ def test_reconstruct_one_makes_one_kernel_call_per_pass(mode, calls, monkeypatch
     # one forward_batch over the conditions (unless every rule matches) and
     # one predict_batch over the prediction nets, however many rules there are
     cfg = ExperimentConfig(mode=mode)
-    pop = xcsf.Population([make_classifier(n=3, seed=s, condition=always_match_condition(3),
-                                           fit=0.1 + s) for s in range(5)])
+    pop = make_population([make_classifier(n=3, seed=s, condition=always_match_condition(3))
+                           for s in range(5)], fit=[0.1 + s for s in range(5)])
     x = np.random.default_rng(29).random(3)
     expected = xcsf.reconstruct_one(pop, x, cfg)
     nets = []
@@ -652,10 +689,10 @@ def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
     # rows 0-2 have feature 0 high, so the keyed rule matches only them
     xs = np.full((6, 2), 0.25)
     xs[:3, 0] = 1.0
-    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0), fit=0.3)
-    always = make_classifier(n=2, seed=2, condition=always_match_condition(2), fit=0.2)
-    never = make_classifier(n=2, seed=3, condition=never_match_condition(2), fit=0.5)
-    pop = xcsf.Population([keyed, always, never])
+    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0))
+    always = make_classifier(n=2, seed=2, condition=always_match_condition(2))
+    never = make_classifier(n=2, seed=3, condition=never_match_condition(2))
+    pop = make_population([keyed, always, never], fit=[0.3, 0.2, 0.5])
     mses = []
     for x in xs:
         recon = xcsf.reconstruct_one(pop, x, cfg)
@@ -672,9 +709,9 @@ def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
     # match nothing and fall back to the whole population
     xs = np.full((6, 2), 0.25)
     xs[:3, 0] = 1.0
-    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0), fit=0.3)
-    never = make_classifier(n=2, seed=2, condition=never_match_condition(2), fit=0.5)
-    pop = xcsf.Population([keyed, never])
+    keyed = make_classifier(n=2, seed=1, condition=_keyed_condition(2, 0))
+    never = make_classifier(n=2, seed=2, condition=never_match_condition(2))
+    pop = make_population([keyed, never], fit=[0.3, 0.5])
     mses = []
     for x in xs:
         recon = xcsf.reconstruct_one(pop, x, cfg)
@@ -700,13 +737,15 @@ def _varied_population(n, size, seed):
     prediction nets of several hidden sizes and fitnesses."""
     rng = np.random.default_rng(seed)
     sigma = 2.0 / np.sqrt(n)
-    return xcsf.Population([
-        make_classifier(n=n, fit=0.05 + rng.random(),
-                        condition=neural.new_network(n, 1 + s % 3, 1, rng, sigma=sigma,
-                                                     random_biases=True),
-                        prediction=neural.new_network(n, 1 + s % 4, n, rng, sigma=sigma,
-                                                      random_biases=True))
-        for s in range(size)])
+    fit, rules = [], []
+    for s in range(size):
+        fit.append(0.05 + rng.random())
+        rules.append(make_classifier(
+            n=n, condition=neural.new_network(n, 1 + s % 3, 1, rng, sigma=sigma,
+                                              random_biases=True),
+            prediction=neural.new_network(n, 1 + s % 4, n, rng, sigma=sigma,
+                                          random_biases=True)))
+    return make_population(rules, fit=fit)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
@@ -809,9 +848,9 @@ def test_evaluate_equals_reconstruct_one_on_rows_one_rule_predicts(backend, requ
     # rows 0-3 have feature 0 high and match only the keyed rule
     xs = np.random.default_rng(41).random((4, 3)) * 0.5
     xs[:, 0] = 1.0
-    keyed = make_classifier(n=3, seed=1, h=3, condition=_keyed_condition(3, 0), fit=0.3)
-    never = make_classifier(n=3, seed=2, condition=never_match_condition(3), fit=0.7)
-    pop = xcsf.Population([never, keyed])
+    keyed = make_classifier(n=3, seed=1, h=3, condition=_keyed_condition(3, 0))
+    never = make_classifier(n=3, seed=2, condition=never_match_condition(3))
+    pop = make_population([never, keyed], fit=[0.7, 0.3])
     mses = [np.mean((xcsf.reconstruct_one(pop, x, cfg) - x) ** 2) for x in xs]
     for r in range(len(xs)):
         assert xcsf.evaluate(pop, xs[r:r + 1], cfg)[0] == mses[r]
@@ -820,8 +859,8 @@ def test_evaluate_equals_reconstruct_one_on_rows_one_rule_predicts(backend, requ
     # change in the rule's output would show in it
     prediction = neural.new_network(1, 8, 1, np.random.default_rng(42), sigma=1.0,
                                     random_biases=True)
-    pop = xcsf.Population([make_classifier(n=1, condition=_keyed_condition(1, 0),
-                                           prediction=prediction, fit=1.0)])
+    pop = make_population([make_classifier(n=1, condition=_keyed_condition(1, 0),
+                                           prediction=prediction)], fit=1.0)
     for x in 0.5 + 0.5 * np.random.default_rng(43).random((50, 1)):
         mse = np.mean((xcsf.reconstruct_one(pop, x, cfg) - x) ** 2)
         assert xcsf.evaluate(pop, x[None], cfg)[0] == mse
@@ -862,29 +901,37 @@ def test_trial_output_is_the_system_prediction_before_the_update(mode, backend, 
 
 def test_best_classifier_breaks_equal_coverage_by_error(cfg):
     xs = np.tile([1.0, 0.0], (4, 1))
-    first = make_classifier(n=2, condition=always_match_condition(2), err=0.004)
-    second = make_classifier(n=2, condition=always_match_condition(2), err=0.002)
-    third = make_classifier(n=2, condition=always_match_condition(2), err=0.002)
-    best, mfrac = _best_classifier(xcsf.Population([first, second, third]), xs, cfg)
+    first, second, third = (make_classifier(n=2, condition=always_match_condition(2))
+                            for _ in range(3))
+    best, mfrac = _best_classifier(make_population([first, second, third],
+                                                   err=[0.004, 0.002, 0.002]), xs, cfg)
     assert best is second  # the earlier of two equal rules
     assert mfrac == 1.0
 
 
 class _Rule:
-    """Reference rule: the seven scalars as plain attributes."""
+    """Reference rule: two nets and the seven scalars as plain attributes."""
 
-    def __init__(self, condition, prediction, **scalars):
+    def __init__(self, condition, prediction, *, err, fit, exp, set_size, ts, born,
+                 mtotal):
         self.condition, self.prediction = condition, prediction
         self.cond_args = neural.net_args(condition)
         self.pred_args = neural.net_args(prediction)
-        self.__dict__.update(scalars)
+        self.err, self.fit, self.exp, self.set_size = err, fit, exp, set_size
+        self.ts, self.born, self.mtotal = ts, born, mtotal
 
     @classmethod
-    def of(cls, cl, copy_nets=False):
-        nets = (cl.condition, cl.prediction)
-        if copy_nets:
-            nets = copy.deepcopy(nets)
-        return cls(*nets, **{name: getattr(cl, name) for name in xcsf.SCALARS})
+    def all_of(cls, pop, copy_nets=False):
+        """The members of ``pop`` with the scalars of their rows, as Python
+        numbers."""
+        rules = []
+        for i, cl in enumerate(pop.members):
+            nets = (cl.condition, cl.prediction)
+            if copy_nets:
+                nets = copy.deepcopy(nets)
+            rules.append(cls(*nets, **{name: getattr(pop.state, name)[i].item()
+                                       for name in xcsf.SCALARS}))
+        return rules
 
 
 def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
@@ -898,7 +945,9 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
         m = [members[i] for i in np.flatnonzero(matched).tolist()]
     if not m:
         counts["cover"] += 1
-        m = [_Rule.of(xcsf.cover(x, cfg, rng, trial))]
+        cl = xcsf.cover(x, cfg, rng)
+        m = [_Rule(cl.condition, cl.prediction, err=cfg.epsilon_I, fit=cfg.F_I, exp=0,
+                   set_size=1.0, ts=trial, born=trial, mtotal=0)]
         members.append(m[0])
     for cl in m:
         cl.mtotal += 1
@@ -913,8 +962,10 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
         err = 0.5 * (parents[0].err + parents[1].err) * cfg.epsilon_R
         fit = max(0.5 * (parents[0].fit + parents[1].fit) * cfg.F_R, xcsf._F_FLOOR)
         for i in range(cfg.lam):
-            members.append(_Rule.of(xcsf.make_offspring(parents[i % 2], err, fit,
-                                                        cfg, rng, trial)))
+            parent = parents[i % 2]
+            child = xcsf.make_offspring(parent, cfg, rng)
+            members.append(_Rule(child.condition, child.prediction, err=err, fit=fit, exp=1,
+                                 set_size=parent.set_size, ts=trial, born=trial, mtotal=0))
 
     while len(members) > cfg.N:
         counts["delete"] += 1
@@ -932,13 +983,13 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
 
 def _assert_same_rules(pop, ref):
     assert len(pop.members) == len(ref)
+    for name in xcsf.SCALARS:
+        col = getattr(pop.state, name)
+        assert col.dtype == (np.int64 if name in xcsf.INT_SCALARS else np.float64), name
+        assert col.tolist() == [getattr(b, name) for b in ref], name
     for i, (a, b) in enumerate(zip(pop.members, ref)):
         # every member's row of the table is its position
         assert a._state is pop.state and a._row == i
-        for name in xcsf.SCALARS:
-            va, vb = getattr(a, name), getattr(b, name)
-            assert va == vb, name
-            assert type(va) is (int if name in xcsf.INT_SCALARS else float)
         for la, lb in zip(a.condition.layers + a.prediction.layers,
                           b.condition.layers + b.prediction.layers):
             assert la.eta == lb.eta
@@ -972,7 +1023,11 @@ def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init
                            match_threshold=0.6, h_M=2, stale_limit=40)
     rng = np.random.default_rng(34)
     pop = xcsf.init_population(cfg, n, rng)
-    ref = [_Rule.of(cl, copy_nets=True) for cl in pop.members]
+    # the reference states every rule's first scalars itself
+    ref = [_Rule(*copy.deepcopy((cl.condition, cl.prediction)), err=cfg.epsilon_I,
+                 fit=cfg.F_I, exp=0, set_size=1.0, ts=0, born=0, mtotal=0)
+           for cl in pop.members]
+    _assert_same_rules(pop, ref)
     ref_rng = copy.deepcopy(rng)
     if memo:
         # 300 inputs drawn from 20 dataset rows, each passed with its row,
@@ -1029,19 +1084,18 @@ def test_population_is_freed_by_reference_counting():
 
 
 def test_add_and_remove_keep_rows_aligned_and_reuse_them():
-    rules = [make_classifier(n=2, seed=s, fit=0.1 * (s + 1)) for s in range(4)]
-    pop = xcsf.Population(rules[:3])
+    rules = [make_classifier(n=2, seed=s) for s in range(4)]
+    pop = make_population(rules[:3], fit=[0.1 * (s + 1) for s in range(3)])
     ghost = copy.copy(rules[2])  # shares the table, and row 2 is about to go
     pop.remove(rules[1])
     assert pop.members == [rules[0], rules[2]]
     with pytest.raises(ValueError):
         pop.remove(ghost)
-    # the removed rule keeps its scalars in a row of its own
-    assert rules[1].fit == 0.2
-    rules[1].fit = 0.5
+    # the removed rule keeps no row
+    assert rules[1]._state is None and rules[1]._row is None
     assert pop.micro_count() == 2
-    pop.add(rules[3])
-    pop.add(rules[1])
+    pop.add(rules[3], **{**SCALAR_DEFAULTS, "fit": 0.4})
+    pop.add(rules[1], **{**SCALAR_DEFAULTS, "fit": 0.5})
     assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
     # the later row moved up, and the adds took the next rows
     assert [cl._row for cl in pop.members] == list(range(4))
@@ -1050,11 +1104,11 @@ def test_add_and_remove_keep_rows_aligned_and_reuse_them():
     assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.5) / 4
 
 
-def _assert_table_is_the_members_rows(pop):
-    # every column has one row per member, and a table built in one step
-    # from the members (copies, which leave them where they are) is the
-    # same as this one, built add by add
-    rebuilt = xcsf.Population([copy.copy(cl) for cl in pop.members]).state
+def _assert_table_is_the_model(pop, model):
+    # every column has one row per member, holding the scalars it was added
+    # with, and a table built in one step from them is the same as this one,
+    # built add by add
+    rebuilt = xcsf.RuleState([values[name] for _, values in model] for name in xcsf.SCALARS)
     for name in xcsf.SCALARS:
         col, again = getattr(pop.state, name), getattr(rebuilt, name)
         assert col.shape == (len(pop.members),), name
@@ -1071,7 +1125,7 @@ def _scalars(k):
                     max_size=40))
 def test_random_adds_and_removes_match_a_list_model(ops):
     pop = xcsf.Population()
-    _assert_table_is_the_members_rows(pop)
+    _assert_table_is_the_model(pop, [])
     # room for every add of the longest list of operations
     pop.memoize(ExperimentConfig(N=37, lam=2), rows=5)
     model = []  # (rule, its scalars) in member order
@@ -1081,13 +1135,12 @@ def test_random_adds_and_removes_match_a_list_model(ops):
         added = op in ("add", "readd")
         if op == "readd" and removed:
             cl, values = removed.pop()
-            assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
-            pop.add(cl)
+            pop.add(cl, **values)
             model.append((cl, values))
         elif added:
             values = _scalars(k)
-            cl = make_classifier(n=2, seed=k, **values)
-            pop.add(cl)
+            cl = make_classifier(n=2, seed=k)
+            pop.add(cl, **values)
             model.append((cl, values))
         elif model:
             i = {"first": 0, "middle": len(model) // 2, "last": len(model) - 1}[op]
@@ -1102,10 +1155,11 @@ def test_random_adds_and_removes_match_a_list_model(ops):
             assert not pop.memo[slots[-1]].any()
         pop.memo[slots] = xcsf.MATCH
         assert pop.members == [cl for cl, _ in model]
-        _assert_table_is_the_members_rows(pop)
-        for i, (cl, values) in enumerate(model):
+        _assert_table_is_the_model(pop, model)
+        for i, (cl, _) in enumerate(model):
             assert cl._state is pop.state and cl._row == i
-            assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
+        # a removed rule has no row
+        assert all(cl._state is None and cl._row is None for cl, _ in removed)
         assert pop.micro_count() == len(model)
         if model:
             total = 0.0
@@ -1122,22 +1176,22 @@ def test_random_adds_and_removes_match_a_list_model(ops):
 
 def test_a_match_memo_holds_n_plus_lambda_plus_one_rules():
     cfg = ExperimentConfig(N=2, lam=1)
-    rules = [make_classifier(n=2, seed=s) for s in range(5)]
     with pytest.raises(ValueError, match="do not fit"):
-        xcsf.Population(rules).memoize(cfg, rows=3)
-    pop = xcsf.Population(rules[:3])
+        make_population([make_classifier(n=2, seed=s) for s in range(5)]).memoize(cfg, rows=3)
+    rules = [make_classifier(n=2, seed=s) for s in range(5)]
+    pop = make_population(rules[:3])
     pop.memoize(cfg, rows=3)
-    pop.add(rules[3])
+    pop.add(rules[3], **SCALAR_DEFAULTS)
     assert pop.memo.shape == (4, 3) and sorted(pop.slots.tolist()) == [0, 1, 2, 3]
     # a full memo refuses a rule, and the population stays as it was
     with pytest.raises(RuntimeError, match="full"):
-        pop.add(rules[4])
+        pop.add(rules[4], **SCALAR_DEFAULTS)
     assert pop.members == rules[:4] and len(pop.state.fit) == len(pop.slots) == 4
     pop.remove(rules[1])
-    pop.add(rules[4])
+    pop.add(rules[4], **SCALAR_DEFAULTS)
     assert pop.slots.tolist() == [0, 2, 3, 1]
     # every rule matches in global_ea mode, so there is nothing to remember
-    pop = xcsf.Population(rules[:3])
+    pop = make_population([make_classifier(n=2, seed=s) for s in range(3)])
     pop.memoize(ExperimentConfig(mode="global_ea"), rows=3)
     assert pop.memo is None and pop.slots is None
 
@@ -1146,7 +1200,7 @@ def test_mean_fitness_adds_in_member_order():
     # 1 followed by many tiny fitnesses: a loop in member order drops each
     # tiny term, numpy's pairwise sum keeps some of them
     fits = [1.0] + [1e-16] * 40
-    pop = xcsf.Population([make_classifier(n=2, seed=s, fit=f) for s, f in enumerate(fits)])
+    pop = make_population([make_classifier(n=2, seed=s) for s in range(len(fits))], fit=fits)
     total = 0.0
     for f in fits:
         total += f
@@ -1154,13 +1208,30 @@ def test_mean_fitness_adds_in_member_order():
     assert float(np.sum(fits)) != total
 
 
-def test_rule_state_of_takes_the_seven_scalars_by_keyword_only():
+def test_add_takes_the_seven_scalars_by_keyword_only():
     values = _scalars(3)
-    nets = make_classifier(n=2)
-    cl = xcsf.Classifier(nets.condition, nets.prediction, xcsf.RuleState.of(**values), 0)
-    assert {name: getattr(cl, name) for name in xcsf.SCALARS} == values
+    pop, cl = xcsf.Population(), make_classifier(n=2)
     with pytest.raises(TypeError):
-        xcsf.RuleState.of(*values.values())
-    values["sizes"] = values.pop("set_size")  # misspelt
+        pop.add(cl, *values.values())
+    misspelt = {("sizes" if name == "set_size" else name): v for name, v in values.items()}
     with pytest.raises(TypeError):
-        xcsf.RuleState.of(**values)
+        pop.add(cl, **misspelt)
+    with pytest.raises(TypeError):
+        pop.add(cl, **{name: v for name, v in values.items() if name != "mtotal"})
+    assert pop.members == [] and len(pop.state.fit) == 0
+    pop.add(cl, **values)
+    assert {name: getattr(pop.state, name)[0].item() for name in xcsf.SCALARS} == values
+    # the rule itself holds only its nets and its place in the table
+    assert not any(hasattr(cl, name) for name in xcsf.SCALARS)
+
+
+def test_a_population_takes_one_table_row_per_member():
+    rules = [make_classifier(n=2, seed=s) for s in range(2)]
+    for k in (0, 1, 3):
+        table = xcsf.RuleState(np.broadcast_to(SCALAR_DEFAULTS[name], k)
+                               for name in xcsf.SCALARS)
+        with pytest.raises(ValueError, match="state rows for 2 rules"):
+            xcsf.Population(rules, 0, table)
+    with pytest.raises(ValueError, match="state rows for 2 rules"):
+        xcsf.Population(rules)
+    assert all(cl._state is None for cl in rules)
