@@ -18,13 +18,13 @@ per member, and row i of it belongs to ``pop.members[i]``.  A match set is
 an array of positions in ``pop.members``, which index the table directly:
 reinforcement hands the positions and the columns to the kernel, the EA
 due-check, deletion votes and the population sums are array operations
-over whole columns, and the EA's parents and the best rule are picked by
-position from them.  A member is its two nets plus its row, and a rule
-outside a population is its two nets; ``add`` takes its scalars.
-Membership changes only through ``Population.add``, which appends the
-rule's row to every column, and ``Population.remove``, which deletes it;
-both replace the columns.  Neither a rule nor a table refers back to its
-population, so a population is freed by reference counting alone.
+over whole columns, and the EA's parents, the deletion victim and the
+best rule are picked by position from them.  A rule of a population is its
+position i: the nets ``members[i]`` and row i.  A rule outside a population
+is its two nets; ``add`` appends it and a row of its scalars to every
+column, and ``remove(i)`` deletes member i and its row; both replace the
+columns.  Neither a rule nor a table refers back to a population, so a
+population is freed by reference counting alone.
 
 A condition is never modified after its ``Classifier`` is built (it gets no
 gradient descent, and reproduction mutates a clone), so a rule's match
@@ -89,17 +89,14 @@ class RuleState:
 
 
 class Classifier:
-    """A condition net and a prediction net.  A member of a population is
-    also row ``_row`` of the population's ``RuleState`` table ``_state``,
-    which holds its scalars; a rule outside a population has neither."""
+    """A condition net and a prediction net.  The scalars of a member are
+    the row of its position in its population's table."""
 
-    __slots__ = ("condition", "prediction", "cond_args", "pred_args",
-                 "_state", "_row")
+    __slots__ = ("condition", "prediction", "cond_args", "pred_args")
 
     def __init__(self, condition: neural.Network, prediction: neural.Network):
         self.condition = condition
         self.prediction = prediction
-        self._state = self._row = None
         # structure and rates are fixed after construction, so each net's
         # kernel argument tuple is cached for the per-trial loops
         self.cond_args = neural.net_args(condition)
@@ -111,8 +108,10 @@ class Population:
 
     ``members`` lists the rules in insertion order, and row i of ``state``
     is the row of ``members[i]``; the table has no other rows, and an
-    empty table is made when none is given.  A rule belongs to at most one
-    population.  Without a match memo, ``memo`` and ``slots`` are None.
+    empty table is made when none is given.  Iterating a population yields
+    its members.  A learner's rules are members of its population only,
+    but a population of matched rules made for a prediction shares their
+    nets.  Without a match memo, ``memo`` and ``slots`` are None.
     """
 
     def __init__(self, members=(), trial: int = 0, state: RuleState | None = None):
@@ -121,10 +120,11 @@ class Population:
         self.state = state = state or RuleState([()] * len(SCALARS))
         if len(state.fit) != len(self.members):
             raise ValueError(f"{len(state.fit)} state rows for {len(self.members)} rules")
-        for i, cl in enumerate(self.members):
-            cl._state, cl._row = state, i
         self.memo = self.slots = None
         self._free = []
+
+    def __iter__(self):
+        return iter(self.members)
 
     def memoize(self, cfg: ExperimentConfig, rows: int) -> None:
         """Start an empty memo of match decisions on ``rows`` dataset rows,
@@ -156,16 +156,16 @@ class Population:
         for name, value in zip(SCALARS, (err, fit, exp, set_size, ts, born, mtotal)):
             col = getattr(state, name)
             setattr(state, name, np.concatenate((col, np.array([value], col.dtype))))
-        cl._state, cl._row = state, len(self.members)
         self.members.append(cl)
 
-    def remove(self, cl: Classifier) -> None:
-        """Drop ``cl`` and its row, whose scalars go with it; the later
-        members move up by one row."""
-        state, members, i = self.state, self.members, cl._row
-        if cl._state is not state or i >= len(members) or members[i] is not cl:
-            raise ValueError("the rule is not a member of this population")
-        cl._state = cl._row = None
+    def remove(self, i: int) -> None:
+        """Drop member ``i`` and its row, whose scalars go with it; the later
+        members move up one position.  A position outside
+        ``range(len(members))``, a negative one too, is refused before
+        anything changes."""
+        state, members = self.state, self.members
+        if not 0 <= i < len(members):
+            raise IndexError(f"no member at position {i} of {len(members)}")
         for name in SCALARS:
             col = getattr(state, name)
             setattr(state, name, np.concatenate((col[:i], col[i + 1:])))
@@ -173,8 +173,6 @@ class Population:
             self._free.append(int(self.slots[i]))
             self.slots = np.concatenate((self.slots[:i], self.slots[i + 1:]))
         del members[i]
-        for later in members[i:]:
-            later._row -= 1
 
     def micro_count(self) -> int:
         """The number of rules, which the population limit N counts; the
@@ -262,25 +260,14 @@ def cover(x, cfg: ExperimentConfig, rng) -> Classifier:
         f"check match_threshold ({cfg.match_threshold})")
 
 
-def system_prediction(m: list, x) -> np.ndarray:
-    """Fitness-weighted mean reconstruction of a list of rules, added in list
-    order by one ``predict_batch`` call, as ``evaluate`` and trials add them."""
+def system_prediction(pop: Population, x) -> np.ndarray:
+    """Fitness-weighted mean reconstruction of the rules of ``pop``, added in
+    member order by one ``predict_batch`` call, as ``evaluate`` and trials do."""
     x = np.ascontiguousarray(x, dtype=float)
     out = np.empty((1, len(x)))
-    kernels.predict_batch([cl.pred_args for cl in m], x[None], np.ones((len(m), 1), bool),
-                          _fitnesses(m), out)
+    kernels.predict_batch([cl.pred_args for cl in pop], x[None],
+                          np.ones((len(pop.members), 1), bool), pop.state.fit, out)
     return out[0]
-
-
-def _fitnesses(rules: list) -> np.ndarray:
-    """Fitness of each rule, from the table of the one population they all share."""
-    if not rules:
-        return np.empty(0)
-    state = rules[0]._state
-    rows = [cl._row for cl in rules if cl._state is state]
-    if state is None or len(rows) != len(rules):
-        raise ValueError("the rules do not all belong to one population")
-    return state.fit[rows]
 
 
 def reinforce(pop: Population, m: np.ndarray, x, cfg: ExperimentConfig) -> np.ndarray:
@@ -387,19 +374,20 @@ def deletion_votes(pop: Population, mean_f: float, cfg: ExperimentConfig) -> np.
     return votes
 
 
-def _pick_victim(a: Classifier, b: Classifier, vote_a: float, vote_b: float, rng):
+def _pick_victim(pop: Population, i: int, j: int, vote_i: float, vote_j: float, rng):
+    """The position, ``i`` or ``j``, of the member to delete."""
     # stale rules are removed ahead of anything else
-    a_stale = vote_a >= STALE_VOTE
-    b_stale = vote_b >= STALE_VOTE
-    if a_stale != b_stale:
-        return a if a_stale else b
-    ha = a.prediction.n_hidden
-    hb = b.prediction.n_hidden
-    if ha != hb:
-        return a if ha > hb else b
-    if vote_a != vote_b:
-        return a if vote_a > vote_b else b
-    return a if rng.random() < 0.5 else b
+    i_stale = vote_i >= STALE_VOTE
+    j_stale = vote_j >= STALE_VOTE
+    if i_stale != j_stale:
+        return i if i_stale else j
+    hi = pop.members[i].prediction.n_hidden
+    hj = pop.members[j].prediction.n_hidden
+    if hi != hj:
+        return i if hi > hj else j
+    if vote_i != vote_j:
+        return i if vote_i > vote_j else j
+    return i if rng.random() < 0.5 else j
 
 
 def enforce_population_limit(pop: Population, cfg: ExperimentConfig, rng) -> None:
@@ -420,8 +408,7 @@ def enforce_population_limit(pop: Population, cfg: ExperimentConfig, rng) -> Non
         # only if r fell between roulette's last running sum and np.sum's total
         if j == i:
             j = (i + 1) % len(pop.members)
-        pop.remove(_pick_victim(pop.members[i], pop.members[j],
-                                float(votes[i]), float(votes[j]), rng))
+        pop.remove(_pick_victim(pop, i, j, float(votes[i]), float(votes[j]), rng))
 
 
 @dataclass(eq=False)
@@ -505,18 +492,21 @@ def evaluate(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
 
 
 def reconstruct_one(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
-    """System reconstruction of a single input, without updates.
-
-    Falls back to the whole population when nothing matches.
+    """System reconstruction of a single input, without updates: the
+    ``system_prediction`` of a population of the matched rules, which holds
+    them in member order with copies of their rows and no memo, or of
+    ``pop`` itself when nothing matches.
     """
     x = np.ascontiguousarray(x, dtype=float)
     m = match_set(pop, x, cfg)
-    rules = [pop.members[i] for i in m.tolist()]
-    return system_prediction(rules or pop.members, x)
+    if len(m):
+        pop = Population([pop.members[i] for i in m.tolist()], pop.trial,
+                         RuleState(getattr(pop.state, name)[m] for name in SCALARS))
+    return system_prediction(pop, x)
 
 
 def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows=None):
-    """Single best rule and the fraction of ``xs`` it matches.
+    """Position of the single best rule and the fraction of ``xs`` it matches.
 
     The rule with the lowest error wins unless several are below the target
     error, in which case the one matching the most inputs wins.  ``rows``
@@ -529,4 +519,4 @@ def best_classifier(pop: Population, xs: np.ndarray, cfg: ExperimentConfig, rows
     counts = _matched(pop, below, xs, cfg, rows).sum(axis=1)
     # most matches, then lowest error; the stable sort keeps the earliest rule
     k = np.lexsort((err[below], -counts))[0]
-    return pop.members[below[k]], int(counts[k]) / xs.shape[0]
+    return int(below[k]), int(counts[k]) / xs.shape[0]

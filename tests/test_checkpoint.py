@@ -87,8 +87,7 @@ def test_population_round_trip_restores_everything():
     for name in xcsf.SCALARS:
         col, col2 = getattr(pop.state, name), getattr(pop2.state, name)
         assert col2.dtype == col.dtype and col2.tolist() == col.tolist(), name
-    for i, (a, b) in enumerate(zip(pop.members, pop2.members)):
-        assert b._state is pop2.state and b._row == i
+    for a, b in zip(pop.members, pop2.members):
         for la, lb in zip(a.prediction.layers + a.condition.layers,
                           b.prediction.layers + b.condition.layers):
             _assert_layers_bit_equal(la, lb)

@@ -15,8 +15,7 @@ from lcsae.config import ExperimentConfig
 
 
 def matches(cl, x, cfg):
-    # a shallow copy joins the one-rule population, so ``cl`` stays where it is
-    pop = make_population([copy.copy(cl)])
+    pop = make_population([cl])
     return list(xcsf.match_set(pop, np.asarray(x, dtype=float), cfg)) == [0]
 
 
@@ -112,7 +111,6 @@ def test_cover_initialises_bookkeeping():
     assert [getattr(st, name)[0] for name in xcsf.SCALARS] == [0.5, 0.5, 3, 2.0, 4, 4, 4]
     # covering itself builds only the nets, which join a population with a row
     fresh = xcsf.cover(x, cfg, rng)
-    assert fresh._state is None and fresh._row is None
     assert not any(hasattr(fresh, name) for name in xcsf.SCALARS)
 
 
@@ -127,37 +125,22 @@ def test_system_prediction_single_and_equal_fitness(cfg):
     rng = np.random.default_rng(4)
     x = rng.random(3)
     cl1, cl2 = make_classifier(n=3, seed=1), make_classifier(n=3, seed=2)
-    make_population([cl1, cl2], fit=0.4)
-    only = xcsf.system_prediction([cl1], x)
+    only = xcsf.system_prediction(make_population([cl1], fit=0.4), x)
     assert only == pytest.approx(neural.forward(cl1.prediction, x), abs=1e-12)
 
-    both = xcsf.system_prediction([cl1, cl2], x)
+    both = xcsf.system_prediction(make_population([cl1, cl2], fit=0.4), x)
     mean = 0.5 * (neural.forward(cl1.prediction, x) + neural.forward(cl2.prediction, x))
     assert both == pytest.approx(mean, abs=1e-12)
 
 
 def test_system_prediction_weighted_exact(cfg):
     # fitness 0.2/0.3/0.5 with scalar outputs exactly 0/1/1: the products
-    # 0.0, 0.3 and 0.5 add in list order to 0.8, and the fitnesses to 1.0
+    # 0.0, 0.3 and 0.5 add in member order to 0.8, and the fitnesses to 1.0
     x = np.zeros(1)
     pop = make_population([make_classifier(n=1, prediction=saturated_network(1, [o]))
                            for o in (0, 1, 1)], fit=[0.2, 0.3, 0.5])
-    out = xcsf.system_prediction(pop.members, x)
+    out = xcsf.system_prediction(pop, x)
     assert out.tolist() == [0.8]
-
-
-def test_system_prediction_needs_the_rules_of_one_population():
-    x = np.full(2, 0.5)
-    a = make_population([make_classifier(n=2, seed=s) for s in range(3)])
-    b = make_population([make_classifier(n=2, seed=3)])
-    stranger = make_classifier(n=2, seed=4)
-    gone = a.members[2]
-    a.remove(gone)
-    for rules in ([a.members[0], b.members[0]], [b.members[0], a.members[1]],
-                  [stranger], [a.members[0], stranger], [gone], [gone, a.members[1]]):
-        with pytest.raises(ValueError, match="one population"):
-            xcsf.system_prediction(rules, x)
-    assert np.isfinite(xcsf.system_prediction(a.members, x)).all()
 
 
 def test_accuracy_branches(cfg):
@@ -407,7 +390,7 @@ def test_make_offspring_applies_reductions():
     assert st.mtotal[2:].tolist() == [0] * cfg.lam
     # reproduction itself builds only the nets, which join a population with a row
     child = xcsf.make_offspring(pop.members[0], cfg, rng)
-    assert child._state is None and child._row is None
+    assert not any(hasattr(child, name) for name in xcsf.SCALARS)
 
 
 def test_offspring_inherit_trained_weights(cfg):
@@ -575,7 +558,7 @@ def _partly_memoized(pop, xs, cfg):
     rows = np.arange(len(xs))
     last = pop.members[-1]
     scalars = {name: getattr(pop.state, name)[-1] for name in xcsf.SCALARS}
-    pop.remove(last)
+    pop.remove(len(pop.members) - 1)
     pop.memoize(cfg, len(xs))
     xcsf.evaluate(pop, xs[::2], cfg, rows[::2])
     xcsf.match_set(pop, xs[-1], cfg, rows[-1])
@@ -587,8 +570,10 @@ def _partly_memoized(pop, xs, cfg):
 
 def _best_classifier(pop, xs, cfg):
     """``best_classifier`` without rows, which the same call with rows on a
-    partly filled memo must give too."""
+    partly filled memo must give too: the best rule's position and its
+    match fraction."""
     best = xcsf.best_classifier(pop, xs, cfg)
+    assert type(best[0]) is int
     assert xcsf.best_classifier(pop, xs, cfg, _partly_memoized(pop, xs, cfg)) == best
     return best
 
@@ -599,7 +584,7 @@ def test_best_classifier_lowest_error_when_none_accurate(cfg):
     better = make_classifier(n=2, condition=always_match_condition(2))
     pop = make_population([worse, better], err=[0.5, 0.3])
     best, mfrac = _best_classifier(pop, xs, cfg)
-    assert best is better
+    assert pop.members[best] is better and best == 1
     assert mfrac == 1.0
 
 
@@ -609,7 +594,7 @@ def test_best_classifier_falls_back_to_the_first_rule_with_the_lowest_error(cfg)
     rules = [make_classifier(n=2, condition=c(2))
              for c in (always_match_condition, never_match_condition, always_match_condition)]
     best, mfrac = _best_classifier(make_population(rules, err=[0.5, 0.2, 0.2]), xs, cfg)
-    assert best is rules[1]
+    assert best == 1
     assert mfrac == 0.0
 
 
@@ -622,7 +607,7 @@ def test_best_classifier_prefers_wider_match_below_target(cfg):
     sixty = make_classifier(n=2, condition=_keyed_condition(2, 1))
     pop = make_population([ninety, sixty], err=[0.001, 0.0005])
     best, mfrac = _best_classifier(pop, xs, cfg)
-    assert best is ninety
+    assert pop.members[best] is ninety and best == 0
     assert mfrac == pytest.approx(0.9)
 
 
@@ -641,7 +626,7 @@ def test_evaluate_matches_trial_predictions(cfg):
     xs = rng.random((6, 4))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
     expected = np.mean([
-        float(np.mean((xcsf.system_prediction(pop.members, x) - x) ** 2))
+        float(np.mean((xcsf.system_prediction(pop, x) - x) ** 2))
         for x in xs])
     assert mean_mse == pytest.approx(expected, rel=1e-12)
     assert mean_m == 3.0
@@ -656,7 +641,7 @@ def test_evaluate_falls_back_to_population_when_unmatched(cfg):
     assert np.isfinite(mean_mse)
     assert mean_m == 0.0
     recon = xcsf.reconstruct_one(pop, xs[0], cfg)
-    expected = xcsf.system_prediction(pop.members, xs[0])
+    expected = xcsf.system_prediction(pop, xs[0])
     assert recon == pytest.approx(expected, rel=1e-12)
 
 
@@ -696,7 +681,8 @@ def test_reconstruct_one_and_evaluate_combine_the_same_rules(cfg):
     mses = []
     for x in xs:
         recon = xcsf.reconstruct_one(pop, x, cfg)
-        combined = [keyed, always] if x[0] > 0.5 else [always]
+        combined = (make_population([keyed, always], fit=[0.3, 0.2]) if x[0] > 0.5
+                    else make_population([always], fit=0.2))
         assert np.array_equal(recon, xcsf.system_prediction(combined, x))
         mses.append(float(np.mean((recon - x) ** 2)))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
@@ -715,13 +701,47 @@ def test_evaluate_mixes_matched_and_unmatched_rows(cfg):
     mses = []
     for x in xs:
         recon = xcsf.reconstruct_one(pop, x, cfg)
-        combined = [keyed] if x[0] > 0.5 else [keyed, never]
+        combined = make_population([keyed], fit=0.3) if x[0] > 0.5 else pop
         assert np.array_equal(recon, xcsf.system_prediction(combined, x))
         mses.append(float(np.mean((recon - x) ** 2)))
     mean_mse, mean_m = xcsf.evaluate(pop, xs, cfg)
     assert mean_mse == np.mean(mses)
     # the keyed rule counts 1 on each of its rows, the fallback rows count 0
     assert mean_m == 3 / 6
+
+
+def test_reconstruct_one_predicts_with_a_population_of_the_matched_rules(cfg, monkeypatch):
+    # the keyed rules at positions 0 and 2 match inputs with feature 0 high;
+    # nothing matches the others, which fall back to the whole population
+    keyed = [make_classifier(n=2, seed=s, condition=_keyed_condition(2, 0)) for s in (1, 3)]
+    never = make_classifier(n=2, seed=2, condition=never_match_condition(2))
+    pop = make_population([keyed[0], never, keyed[1]], trial=9, err=[0.1, 0.2, 0.3],
+                          fit=[0.3, 0.5, 0.2], exp=[1, 2, 3], set_size=[1.5, 2.5, 3.5],
+                          ts=[4, 5, 6], born=[1, 2, 3], mtotal=[7, 8, 9])
+    pop.memoize(cfg, rows=2)
+    inner, handed = xcsf.system_prediction, []
+
+    def spy(p, x):
+        handed.append(p)
+        return inner(p, x)
+
+    monkeypatch.setattr(xcsf, "system_prediction", spy)
+    hit, miss = np.array([1.0, 0.25]), np.array([0.25, 0.25])
+    recon = xcsf.reconstruct_one(pop, hit, cfg)
+    (matched,) = handed
+    assert list(matched) == matched.members == keyed
+    assert matched.trial == 9 and matched.memo is None and matched.slots is None
+    for name in xcsf.SCALARS:
+        col, full = getattr(matched.state, name), getattr(pop.state, name)
+        assert col.dtype == full.dtype and col.tolist() == full[[0, 2]].tolist(), name
+    assert np.array_equal(recon, inner(make_population(keyed, fit=[0.3, 0.2]), hit))
+    # its rows are copies, so nothing written to them reaches the population
+    matched.state.fit[:] = 7.0
+    assert pop.state.fit.tolist() == [0.3, 0.5, 0.2]
+    handed.clear()
+    recon = xcsf.reconstruct_one(pop, miss, cfg)
+    assert len(handed) == 1 and handed[0] is pop
+    assert np.array_equal(recon, inner(pop, miss))
 
 
 def _use_backend(backend, request, monkeypatch):
@@ -893,7 +913,8 @@ def test_trial_output_is_the_system_prediction_before_the_update(mode, backend, 
         m = xcsf.match_set(before, x, cfg).tolist()
         res = xcsf.run_trial(pop, x, cfg, rng)
         if m:  # otherwise the trial covered with a new rule
-            expected = xcsf.system_prediction([before.members[i] for i in m], x)
+            expected = xcsf.system_prediction(
+                make_population([before.members[i] for i in m], fit=before.state.fit[m]), x)
             assert np.array_equal(res.output, expected)
             checked += 1
     assert checked > 50
@@ -905,7 +926,7 @@ def test_best_classifier_breaks_equal_coverage_by_error(cfg):
                             for _ in range(3))
     best, mfrac = _best_classifier(make_population([first, second, third],
                                                    err=[0.004, 0.002, 0.002]), xs, cfg)
-    assert best is second  # the earlier of two equal rules
+    assert best == 1  # the earlier of two equal rules
     assert mfrac == 1.0
 
 
@@ -977,7 +998,19 @@ def _run_trial_per_rule(members, trial, x, cfg, rng, counts):
         j = _roulette(rest, rng)
         if j == i:
             j = (i + 1) % len(members)
-        members.remove(xcsf._pick_victim(members[i], members[j], votes[i], votes[j], rng))
+        # stale first, then the larger prediction hidden layer, then the
+        # larger vote, then a coin
+        stale_i, stale_j = votes[i] >= xcsf.STALE_VOTE, votes[j] >= xcsf.STALE_VOTE
+        h_i, h_j = members[i].prediction.n_hidden, members[j].prediction.n_hidden
+        if stale_i != stale_j:
+            victim = i if stale_i else j
+        elif h_i != h_j:
+            victim = i if h_i > h_j else j
+        elif votes[i] != votes[j]:
+            victim = i if votes[i] > votes[j] else j
+        else:
+            victim = i if rng.random() < 0.5 else j
+        del members[victim]
     return output, len(m)
 
 
@@ -987,9 +1020,7 @@ def _assert_same_rules(pop, ref):
         col = getattr(pop.state, name)
         assert col.dtype == (np.int64 if name in xcsf.INT_SCALARS else np.float64), name
         assert col.tolist() == [getattr(b, name) for b in ref], name
-    for i, (a, b) in enumerate(zip(pop.members, ref)):
-        # every member's row of the table is its position
-        assert a._state is pop.state and a._row == i
+    for a, b in zip(pop.members, ref):
         for la, lb in zip(a.condition.layers + a.prediction.layers,
                           b.condition.layers + b.prediction.layers):
             assert la.eta == lb.eta
@@ -1075,7 +1106,7 @@ def test_population_is_freed_by_reference_counting():
         for _ in range(30):
             xcsf.run_trial(pop, rng.random(4), cfg, rng)
         loaded = weakref.ref(pop)
-        # the members hold the table, so its columns die with the last rule
+        # only the population holds the table, so its columns die with it
         column = weakref.ref(pop.state.fit)
         del pop
         assert loaded() is None and column() is None
@@ -1086,19 +1117,17 @@ def test_population_is_freed_by_reference_counting():
 def test_add_and_remove_keep_rows_aligned_and_reuse_them():
     rules = [make_classifier(n=2, seed=s) for s in range(4)]
     pop = make_population(rules[:3], fit=[0.1 * (s + 1) for s in range(3)])
-    ghost = copy.copy(rules[2])  # shares the table, and row 2 is about to go
-    pop.remove(rules[1])
+    pop.remove(1)
     assert pop.members == [rules[0], rules[2]]
-    with pytest.raises(ValueError):
-        pop.remove(ghost)
-    # the removed rule keeps no row
-    assert rules[1]._state is None and rules[1]._row is None
+    # position 2 went with the removed rule
+    with pytest.raises(IndexError):
+        pop.remove(2)
+    assert pop.members == [rules[0], rules[2]]
     assert pop.micro_count() == 2
     pop.add(rules[3], **{**SCALAR_DEFAULTS, "fit": 0.4})
     pop.add(rules[1], **{**SCALAR_DEFAULTS, "fit": 0.5})
     assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
     # the later row moved up, and the adds took the next rows
-    assert [cl._row for cl in pop.members] == list(range(4))
     assert pop.state.fit.tolist() == [0.1, 0.30000000000000004, 0.4, 0.5]
     assert pop.micro_count() == 4
     assert pop.mean_fitness() == (0.1 + 0.30000000000000004 + 0.4 + 0.5) / 4
@@ -1115,6 +1144,18 @@ def _assert_table_is_the_model(pop, model):
         assert again.dtype == col.dtype and np.array_equal(again, col), name
 
 
+def _assert_remove_is_refused(pop, i):
+    # a position outside the members changes no column, slot or member
+    columns = [getattr(pop.state, name).copy() for name in xcsf.SCALARS]
+    slots, free, members = pop.slots.copy(), list(pop._free), list(pop.members)
+    with pytest.raises(IndexError, match="no member at position"):
+        pop.remove(i)
+    for name, col in zip(xcsf.SCALARS, columns):
+        now = getattr(pop.state, name)
+        assert now.dtype == col.dtype and np.array_equal(now, col), name
+    assert np.array_equal(pop.slots, slots) and pop._free == free and pop.members == members
+
+
 def _scalars(k):
     return dict(err=k / 7, fit=(k + 1) / 3, exp=k, set_size=k + 0.5, ts=2 * k, born=3 * k,
                 mtotal=4 * k)
@@ -1128,9 +1169,10 @@ def test_random_adds_and_removes_match_a_list_model(ops):
     _assert_table_is_the_model(pop, [])
     # room for every add of the longest list of operations
     pop.memoize(ExperimentConfig(N=37, lam=2), rows=5)
+    for i in (-1, 0):  # an empty population has no position
+        _assert_remove_is_refused(pop, i)
     model = []  # (rule, its scalars) in member order
     removed = []
-    stranger = make_classifier(n=2)
     for k, op in enumerate(ops):
         added = op in ("add", "readd")
         if op == "readd" and removed:
@@ -1144,7 +1186,7 @@ def test_random_adds_and_removes_match_a_list_model(ops):
             model.append((cl, values))
         elif model:
             i = {"first": 0, "middle": len(model) // 2, "last": len(model) - 1}[op]
-            pop.remove(model[i][0])
+            pop.remove(i)
             removed.append(model.pop(i))
         # every member owns its own slot, and a new rule starts with no
         # decisions, whatever the slot's last owner left in it
@@ -1154,24 +1196,17 @@ def test_random_adds_and_removes_match_a_list_model(ops):
         if added:
             assert not pop.memo[slots[-1]].any()
         pop.memo[slots] = xcsf.MATCH
-        assert pop.members == [cl for cl, _ in model]
+        assert list(pop) == pop.members == [cl for cl, _ in model]
         _assert_table_is_the_model(pop, model)
-        for i, (cl, _) in enumerate(model):
-            assert cl._state is pop.state and cl._row == i
-        # a removed rule has no row
-        assert all(cl._state is None and cl._row is None for cl, _ in removed)
         assert pop.micro_count() == len(model)
         if model:
             total = 0.0
             for _, values in model:
                 total += values["fit"]
             assert pop.mean_fitness() == total / len(model)
-            # a copy shares a member's table row but is not the member
-            with pytest.raises(ValueError):
-                pop.remove(copy.copy(model[-1][0]))
-        for outsider in [stranger] + [cl for cl, _ in removed]:
-            with pytest.raises(ValueError):
-                pop.remove(outsider)
+        # a negative position, or one past the last member, is refused
+        for i in (-1, len(model)):
+            _assert_remove_is_refused(pop, i)
 
 
 def test_a_match_memo_holds_n_plus_lambda_plus_one_rules():
@@ -1187,7 +1222,7 @@ def test_a_match_memo_holds_n_plus_lambda_plus_one_rules():
     with pytest.raises(RuntimeError, match="full"):
         pop.add(rules[4], **SCALAR_DEFAULTS)
     assert pop.members == rules[:4] and len(pop.state.fit) == len(pop.slots) == 4
-    pop.remove(rules[1])
+    pop.remove(1)
     pop.add(rules[4], **SCALAR_DEFAULTS)
     assert pop.slots.tolist() == [0, 2, 3, 1]
     # every rule matches in global_ea mode, so there is nothing to remember
@@ -1221,7 +1256,7 @@ def test_add_takes_the_seven_scalars_by_keyword_only():
     assert pop.members == [] and len(pop.state.fit) == 0
     pop.add(cl, **values)
     assert {name: getattr(pop.state, name)[0].item() for name in xcsf.SCALARS} == values
-    # the rule itself holds only its nets and its place in the table
+    # the rule itself holds only its nets
     assert not any(hasattr(cl, name) for name in xcsf.SCALARS)
 
 
@@ -1234,4 +1269,3 @@ def test_a_population_takes_one_table_row_per_member():
             xcsf.Population(rules, 0, table)
     with pytest.raises(ValueError, match="state rows for 2 rules"):
         xcsf.Population(rules)
-    assert all(cl._state is None for cl in rules)
