@@ -1,9 +1,19 @@
-"""Dataset loading, scaling, splitting, and evaluation-time corruption."""
+"""Dataset loading, scaling, splitting, and evaluation-time corruption.
+
+A CSV file is parsed by one ``np.loadtxt`` call, numpy's C reader, when
+no line is longer than the ``csv`` module's field size limit and the
+reader takes every line as a row of plain numbers; any other file (a
+header, quoted cells, whitespace-only lines, a cell only ``float()``
+reads, undecodable bytes) goes to the ``csv.reader`` and ``float()``
+scanner, which skips, reads or refuses it.  Both give the same doubles,
+so the route never changes an array or an error.
+"""
 
 from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +49,62 @@ def load_csv(path, has_label_column: bool = False, image_shape=None) -> Dataset:
     """Numeric CSV, optionally with a header row (auto-detected) and a
     trailing label column (dropped when flagged).
 
-    Values above 1 trigger global max-scaling so everything lands in [0, 1].
+    The rows come from numpy's C reader (``_parse``) when no line is longer
+    than the ``csv`` field size limit and the reader takes every line as a
+    row of numbers, and from the scanner (``_scan``) otherwise; either way
+    they are the scanner's array, or its error.  Values above 1 trigger
+    global max-scaling so everything lands in [0, 1].
+    """
+    arr = _parse(path)
+    if arr is None:
+        arr = _scan(path)
+    if has_label_column:
+        if arr.shape[1] < 2:
+            raise DataError(f"{path}: cannot drop label column from 1-column data")
+        arr = np.ascontiguousarray(arr[:, :-1])
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: non-finite value in data")
+    maxv = arr.max() if arr.size else 0.0
+    if maxv > 1.0:
+        arr = arr / maxv
+    # finite values scaled by their finite maximum are finite and at most 1
+    if arr.size and arr.min() < 0.0:
+        raise DataError(f"{path}: values outside [0, 1] after scaling")
+    return Dataset(features=arr, image_shape=image_shape)
+
+
+def _parse(path) -> np.ndarray | None:
+    """The file's rows from one ``np.loadtxt`` call over its lines, or None
+    when the scanner must decide.
+
+    numpy's C reader converts each cell with ``PyOS_string_to_double``, the
+    function ``float()`` calls, so an array it returns holds the scanner's
+    doubles.  None is returned wherever the routes could differ: bytes that
+    do not decode, a line longer than the scanner's field size limit (which
+    the reader takes but the scanner may refuse), anything the reader
+    refuses (quoted cells, a header, whitespace-only lines, ragged rows,
+    cells such as ``1_0`` that only ``float()`` reads), and a file without
+    rows, on which it warns.
+    """
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as f:
+            lines = f.readlines()  # split at \n, \r and \r\n, as the csv module does
+        if max(map(len, lines), default=0) > csv.field_size_limit():
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+
+
+def _scan(path) -> np.ndarray:
+    """The file's rows read by ``csv.reader`` and ``float()`` per cell.
+
+    Blank records are skipped, a first record with a cell that is not a
+    number is a header, and every other record must have the first one's
+    width; a file that breaks these rules raises a ``DataError`` naming
+    where.
     """
     rows = []
     width = None
@@ -74,20 +139,7 @@ def load_csv(path, has_label_column: bool = False, image_shape=None) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
-    arr = np.array(rows, dtype=float)
-    if has_label_column:
-        if arr.shape[1] < 2:
-            raise DataError(f"{path}: cannot drop label column from 1-column data")
-        arr = np.ascontiguousarray(arr[:, :-1])
-    if not np.isfinite(arr).all():
-        raise DataError(f"{path}: non-finite value in data")
-    maxv = arr.max() if arr.size else 0.0
-    if maxv > 1.0:
-        arr = arr / maxv
-    # finite values scaled by their finite maximum are finite and at most 1
-    if arr.size and arr.min() < 0.0:
-        raise DataError(f"{path}: values outside [0, 1] after scaling")
-    return Dataset(features=arr, image_shape=image_shape)
+    return np.array(rows, dtype=float)
 
 
 IDX_IMAGES_MAGIC = 0x00000803

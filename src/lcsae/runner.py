@@ -293,7 +293,9 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
               "mean_recon_mse": result.mean_recon_mse,
               "mean_corrupt_mse": result.mean_corrupt_mse,
               "per_image": result.per_image}
-    with open(os.path.join(out_dir, "reconstruction.json"), "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
+    # renamed into place, so an interrupted write keeps the previous report
+    path = os.path.join(out_dir, "reconstruction.json")
+    with open(path + ".tmp", "w", encoding="utf-8") as f:
+        f.write(json.dumps(report, indent=2) + "\n")
+    os.replace(path + ".tmp", path)
     return result

@@ -495,11 +495,12 @@ def reconstruct_one(pop: Population, x, cfg: ExperimentConfig) -> np.ndarray:
     """System reconstruction of a single input, without updates: the
     ``system_prediction`` of a population of the matched rules, which holds
     them in member order with copies of their rows and no memo, or of
-    ``pop`` itself when nothing matches.
+    ``pop`` itself when every rule matches (always in global_ea mode) or
+    none does.
     """
     x = np.ascontiguousarray(x, dtype=float)
     m = match_set(pop, x, cfg)
-    if len(m):
+    if 0 < len(m) < len(pop.members):
         pop = Population([pop.members[i] for i in m.tolist()], pop.trial,
                          RuleState(getattr(pop.state, name)[m] for name in SCALARS))
     return system_prediction(pop, x)

@@ -260,6 +260,41 @@ def test_a_manifest_write_interrupted_midway_still_resumes(tmp_path, monkeypatch
         assert (half / name).read_bytes() == (full / name).read_bytes(), name
 
 
+def test_a_report_write_interrupted_midway_keeps_the_previous_report(small_run, dataset,
+                                                                   tmp_path, monkeypatch):
+    # the disk fills on the report's first write; the report of the earlier
+    # pass into the same directory stays whole
+    out = tmp_path / "rec"
+    ckpt = small_run / "population.ckpt"
+    runner.reconstruct(ckpt, dataset, count=4, out_dir=out, export_images=False)
+    before = (out / "reconstruction.json").read_bytes()
+
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:40])
+            raise OSError("no space left on device")
+
+    def open_report(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        return FullDisk(f) if "reconstruction.json" in str(path) else f
+
+    monkeypatch.setattr(runner, "open", open_report, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        runner.reconstruct(ckpt, dataset, corruption="salt_pepper", count=4, out_dir=out,
+                           export_images=False)
+    monkeypatch.undo()
+    assert (out / "reconstruction.json").read_bytes() == before
+
+
 def test_a_metrics_row_without_an_integer_trial_exits_2(small_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)

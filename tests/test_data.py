@@ -1,7 +1,10 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lcsae import data
 from lcsae.data import DataError, cutout, load_csv, load_idx, salt_pepper, split
@@ -80,6 +83,102 @@ def test_load_csv_rejects_non_finite(tmp_path):
 def test_load_csv_rejects_negative_values(tmp_path):
     with pytest.raises(DataError, match="outside"):
         load_csv(_write(tmp_path, "-0.5,0.5\n0.1,0.2\n"))
+
+
+def _outcome(path):
+    """The bytes of ``load_csv``'s features for ``path``, or the message of
+    the error it raises."""
+    try:
+        return load_csv(path).features.tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+def _scanned(monkeypatch, path):
+    """``_outcome`` with the C parse switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse", lambda path: None)
+        return _outcome(path)
+
+
+# cells both routes read, then cells that one of them or both refuse
+PLAIN = ["0.5", " 0.5 ", "+.5", "5.", "1e-3", "-0", "0.25", "2"]
+ODD = ["nan", "inf", "1_0", "\u0661", "0x1p3", "", '"0.5"', "0.5#", "1\x0c2"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: an optional BOM and header, then rows of mostly one
+    width, some blank or whitespace-only, ragged or with a trailing comma,
+    each ended by \\n, \\r or \\r\\n (the last maybe by nothing)."""
+    width = draw(st.integers(1, 3))
+    lines = ["a,b,c"[:2 * width - 1]] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "ragged", "trailing"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            spellings = PLAIN if draw(st.booleans()) else PLAIN + ODD
+            size = width + (kind == "ragged")
+            cells = draw(st.lists(st.sampled_from(spellings), min_size=size, max_size=size))
+            lines.append(",".join(cells) + ("," if kind == "trailing" else ""))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r", "\r\n"])) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _assert_routes_agree(monkeypatch, path):
+    """The C parse, when it reads the file, gives the scanner's array, and
+    ``load_csv`` gives what it gives with the scanner alone."""
+    parsed = data._parse(path)
+    if parsed is not None:
+        assert parsed.tobytes() == data._scan(path).tobytes()
+    assert _outcome(path) == _scanned(monkeypatch, path)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts())
+def test_both_csv_routes_give_the_same_array_or_error(tmp_path, monkeypatch, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_routes_agree(monkeypatch, path)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5\n", " 0.5 ,\t0.25\n", "+.5,5.\n", "1e-3,-0\n", "nan\n", "inf\n", "1e999\n",
+    "1_0\n", "\u0661\n", "0x1p3\n", "0.5#\n", "1\x0c2\n", "0.5\x00\n", "\xa00.5\n",
+    "\n\n0.5\n", " \n0.5\n", "a,b\n0.5,0.25\n", "\ufeff0.5\n", "0.5\r0.25\r",
+    "0.5\r\n\r\n0.25\r\n", "1,2\n3,4", '"0.5",0.25\n', "0.5,\n", "0.5,0.25\n0.5\n", "",
+    "\n\r\n",
+])
+def test_csv_edge_cases_give_the_scanners_array_or_error(tmp_path, monkeypatch, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_routes_agree(monkeypatch, path)
+
+
+def test_a_file_beyond_the_field_size_limit_with_short_lines_takes_the_c_parse(
+        tmp_path, monkeypatch):
+    rows = np.random.default_rng(12).random((csv.field_size_limit() // 100, 8))
+    path = tmp_path / "big.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    assert path.stat().st_size > csv.field_size_limit()
+    expected = _scanned(monkeypatch, path)
+    monkeypatch.setattr(data, "_scan", None)  # any call to the scanner fails
+    assert load_csv(path).features.tobytes() == expected == rows.tobytes()
+
+
+def test_a_line_beyond_the_field_size_limit_is_left_to_the_scanner(tmp_path):
+    # its cells are short, so the scanner reads it
+    width = csv.field_size_limit() // 4 + 1
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["0.5"] * width) + "\n")
+    assert data._parse(path) is None
+    assert np.array_equal(load_csv(path).features, np.full((1, width), 0.5))
 
 
 def _idx_bytes(images):

@@ -744,6 +744,28 @@ def test_reconstruct_one_predicts_with_a_population_of_the_matched_rules(cfg, mo
     assert np.array_equal(recon, inner(pop, miss))
 
 
+@pytest.mark.parametrize("mode, condition", [("global_ea", never_match_condition),
+                                             ("xcsf", always_match_condition)])
+def test_reconstruct_one_predicts_with_the_population_when_every_rule_matches(
+        mode, condition, monkeypatch):
+    # global_ea mode matches every rule whatever its condition says
+    cfg = ExperimentConfig(mode=mode)
+    rules = [make_classifier(n=3, seed=s, condition=condition(3)) for s in range(4)]
+    fit = [0.4, 0.1, 0.3, 0.2]
+    pop = make_population(rules, fit=fit)
+    inner, handed = xcsf.system_prediction, []
+
+    def spy(p, x):
+        handed.append(p)
+        return inner(p, x)
+
+    monkeypatch.setattr(xcsf, "system_prediction", spy)
+    x = np.random.default_rng(30).random(3)
+    recon = xcsf.reconstruct_one(pop, x, cfg)
+    assert len(handed) == 1 and handed[0] is pop
+    assert recon.tobytes() == inner(make_population(rules, fit=fit), x).tobytes()
+
+
 def _use_backend(backend, request, monkeypatch):
     """Route every kernel call through the numpy twin or the compiled module."""
     impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
