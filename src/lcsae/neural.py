@@ -5,7 +5,9 @@ Each layer carries, besides weights and biases, a binary connection mask,
 its own gradient-descent rate, and a vector of four self-adaptive mutation
 rates controlling weight noise, neuron growth, rate noise, and connection
 flips.  Gradient descent (plain SGD with momentum on the MSE loss) runs in
-the kernels, over a whole match set at a time.
+the kernels, over a whole match set at a time.  Reproduction, ``offspring``,
+builds a mutated child network from new arrays and leaves the parent as it
+was.
 """
 
 from __future__ import annotations
@@ -68,18 +70,6 @@ class Layer:
         # a mask holds only 0 and 1, so its nonzero count is its sum
         return int(np.count_nonzero(self.mask))
 
-    def copy(self) -> "Layer":
-        """Deep copy with zeroed momentum (reproduction semantics)."""
-        return Layer(
-            weights=self.weights.copy(),
-            biases=self.biases.copy(),
-            mask=self.mask.copy(),
-            eta=self.eta,
-            mu=self.mu.copy(),
-            mom_w=np.zeros_like(self.weights),
-            mom_b=np.zeros_like(self.biases),
-        )
-
 
 @dataclass(eq=False)
 class Network:
@@ -136,11 +126,6 @@ def new_network(n_inputs, n_hidden, n_outputs, rng, *, sigma=INIT_SIGMA,
     return Network([hidden, out])
 
 
-def clone(net: Network) -> Network:
-    """Deep copy; momentum buffers reset to zero."""
-    return Network([layer.copy() for layer in net.layers])
-
-
 def net_args(net: Network) -> tuple:
     """The one kernel argument tuple of a network, for a forward pass or a
     reinforcement step."""
@@ -157,26 +142,6 @@ def forward(net: Network, x) -> np.ndarray:
     ys = np.empty((1, net.n_outputs))
     kernels.forward_batch([net_args(net)], x[None], ys)
     return ys[0]
-
-
-def self_adapt(layer: Layer, rng, mu_min: float) -> None:
-    """Mutate the layer's own mutation rates: mu <- mu * e^N(0,1), clamped."""
-    layer.mu *= np.exp(rng.standard_normal(4))
-    np.clip(layer.mu, mu_min, 1.0, out=layer.mu)
-
-
-def mutate_weights(layer: Layer, rng) -> None:
-    """Gaussian noise with sigma mu[0] on every active weight and bias."""
-    sigma = layer.mu[MU_WEIGHT]
-    dw = rng.standard_normal(layer.weights.shape) * sigma
-    layer.weights += dw * layer.mask
-    layer.biases += rng.standard_normal(layer.biases.shape) * sigma
-
-
-def mutate_eta(layer: Layer, rng) -> None:
-    """Gaussian noise with sigma mu[2] on the gradient-descent rate."""
-    layer.eta = float(np.clip(layer.eta + rng.standard_normal() * layer.mu[MU_ETA],
-                              ETA_MIN, ETA_MAX))
 
 
 def mutate_connections(layer: Layer, rng) -> None:
@@ -197,55 +162,76 @@ def mutate_connections(layer: Layer, rng) -> None:
     layer.mom_w[flips] = 0.0
 
 
-def mutate_neurons(net: Network, rng, h_M: int, h_max, connection_mutation: bool) -> None:
-    """Grow or shrink the hidden layer by up to ``h_M`` neurons.
+def offspring(net: Network, mu: np.ndarray, rng, h_M: int, h_max,
+              connection_mutation: bool) -> Network:
+    """Mutated child of ``net``; the rows of ``mu`` are its two layers'
+    rates, already self-adapted.  Every array of the child is new, and
+    momentum is zero.
 
-    The step is round(g * mu[1] * h_M) with g ~ N(0,1), clamped to
-    [-h_M, h_M] and then so that the hidden size stays in [1, h_max].
+    With r a layer's rates, every active weight and every bias gets
+    N(0, r[MU_WEIGHT]^2) noise and eta gets N(0, r[MU_ETA]^2) noise,
+    clamped into [ETA_MIN, ETA_MAX].  The hidden layer grows or shrinks by
+    round(g * r[MU_NEURON] * h_M) neurons, with its own r and g ~ N(0, 1),
+    clamped to [-h_M, h_M] and so that it keeps [1, h_max] neurons; a new
+    neuron's weights are N(0, INIT_SIGMA^2) and, with
+    ``connection_mutation``, each of its connections is on with probability
+    1/2.  With ``connection_mutation`` each mask bit then flips with
+    probability r[MU_CONNECT] (``mutate_connections``).  The draws come in
+    ``xcsf.make_offspring``'s order.
     """
     hidden, out = net.layers
-    g = rng.standard_normal()
-    n = int(round(g * hidden.mu[MU_NEURON] * h_M))
-    n = max(-h_M, min(h_M, n))
-    h = hidden.n_out
-    new_h = h + n
-    if h_max is not None:
-        new_h = min(new_h, h_max)
-    new_h = max(1, new_h)
-    k = new_h - h
+    (h, n_in), n_out = hidden.weights.shape, out.n_out
+    a = h * n_in
+    b = a + h
+    c = b + n_out * h
+    # hidden weights, hidden biases, output weights, output biases, then g
+    z = rng.standard_normal(c + n_out + 1)
+    r1, r2 = mu.tolist()
+    t = z[:b] * r1[MU_WEIGHT]
+    w1 = hidden.weights + t[:a].reshape(h, n_in) * hidden.mask
+    b1 = hidden.biases + t[a:]
+    t = z[b:-1] * r2[MU_WEIGHT]
+    w2 = out.weights + t[:c - b].reshape(n_out, h) * out.mask
+    b2 = out.biases + t[c - b:]
+    n = max(-h_M, min(h_M, int(round(float(z[-1]) * r1[MU_NEURON] * h_M))))
+    k = max(1, h + n if h_max is None else min(h + n, h_max)) - h
+    m1, m2, steps = hidden.mask, out.mask, None
     if k > 0:
-        _add_neurons(net, k, rng, connection_mutation)
-    elif k < 0:
-        _remove_neurons(net, -k, rng)
-
-
-def _add_neurons(net: Network, k: int, rng, connection_mutation: bool) -> None:
-    """Append ``k`` hidden neurons: hidden-layer rows, output-layer columns."""
-    hidden, out = net.layers
-    _require_addressable(hidden.n_out + k, hidden.n_in)
-    _require_addressable(out.n_out, hidden.n_out + k)
-    for layer, shape, axis in ((hidden, (k, hidden.n_in), 0), (out, (out.n_out, k), 1)):
-        w_new = rng.standard_normal(shape) * INIT_SIGMA
+        _require_addressable(h + k, n_in)
+        _require_addressable(n_out, h + k)
+        rows, cols = (k, n_in), (n_out, k)
         if connection_mutation:
-            m_new = (rng.random(shape) < 0.5).astype(np.uint8)
+            # each block of new weights is followed by its connection draw
+            (rw, rm), (cw, cm) = ((rng.standard_normal(shape) * INIT_SIGMA,
+                                   (rng.random(shape) < 0.5).astype(np.uint8))
+                                  for shape in (rows, cols))
+            rw *= rm
+            cw *= cm
         else:
-            m_new = np.ones(shape, dtype=np.uint8)
-        w_new *= m_new
-        for name, new in (("weights", w_new), ("mask", m_new), ("mom_w", np.zeros(shape))):
-            setattr(layer, name, np.ascontiguousarray(
-                np.concatenate([getattr(layer, name), new], axis=axis)))
-    hidden.biases = np.concatenate([hidden.biases, np.zeros(k)])
-    hidden.mom_b = np.concatenate([hidden.mom_b, np.zeros(k)])
-
-
-def _remove_neurons(net: Network, k: int, rng) -> None:
-    """Drop ``k`` random hidden neurons: hidden-layer rows, output-layer columns."""
-    hidden, out = net.layers
-    drop = rng.choice(hidden.n_out, size=k, replace=False)
-    for layer, axis in ((hidden, 0), (out, 1)):
-        for name in ("weights", "mask", "mom_w"):
-            # a column deletion need not come out C-contiguous
-            setattr(layer, name, np.ascontiguousarray(
-                np.delete(getattr(layer, name), drop, axis=axis)))
-    hidden.biases = np.delete(hidden.biases, drop)
-    hidden.mom_b = np.delete(hidden.mom_b, drop)
+            z = rng.standard_normal(k * (n_in + n_out) + 2)
+            rw = z[:k * n_in].reshape(rows) * INIT_SIGMA
+            cw = z[k * n_in:-2].reshape(cols) * INIT_SIGMA
+            rm, cm, steps = np.ones(rows, np.uint8), np.ones(cols, np.uint8), z[-2:]
+        w1, m1 = np.concatenate([w1, rw]), np.concatenate([m1, rm])
+        b1 = np.concatenate([b1, np.zeros(k)])
+        w2, m2 = np.concatenate([w2, cw], axis=1), np.concatenate([m2, cm], axis=1)
+    elif k < 0:
+        keep = np.ones(h, bool)
+        keep[rng.choice(h, size=-k, replace=False)] = False
+        w1, m1, b1 = w1[keep], m1[keep], b1[keep]
+        # a column selection need not come out C-contiguous
+        w2, m2 = np.ascontiguousarray(w2[:, keep]), np.ascontiguousarray(m2[:, keep])
+    else:
+        m1, m2 = m1.copy(), m2.copy()
+    if steps is None:
+        steps = rng.standard_normal(2)
+    e1, e2 = steps.tolist()
+    child = Network([
+        Layer(w1, b1, m1, float(min(max(hidden.eta + e1 * r1[MU_ETA], ETA_MIN), ETA_MAX)),
+              mu[0], np.zeros(w1.shape), np.zeros(len(b1))),
+        Layer(w2, b2, m2, float(min(max(out.eta + e2 * r2[MU_ETA], ETA_MIN), ETA_MAX)),
+              mu[1], np.zeros(w2.shape), np.zeros(n_out))])
+    if connection_mutation:
+        for layer in child.layers:
+            mutate_connections(layer, rng)
+    return child

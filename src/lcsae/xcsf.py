@@ -27,7 +27,7 @@ columns.  Neither a rule nor a table refers back to a population, so a
 population is freed by reference counting alone.
 
 A condition is never modified after its ``Classifier`` is built (it gets no
-gradient descent, and reproduction mutates a clone), so a rule's match
+gradient descent, and reproduction builds new arrays), so a rule's match
 decision on a dataset row never changes.  In xcsf mode a run's population
 keeps a memo of them, ``Population.memo``: one ``int8`` per (slot, dataset
 row), ``UNKNOWN``, ``NO_MATCH`` or ``MATCH``.  ``slots[i]`` is the slot of
@@ -300,33 +300,42 @@ def roulette(weights, rng) -> int:
     if total <= 0.0:
         return int(rng.integers(0, len(weights)))
     r = rng.random() * total
-    # cumsum adds in order, so these are the running sums of a loop
-    past = np.flatnonzero(np.cumsum(weights) > r)
-    return int(past[0]) if len(past) else len(weights) - 1
+    # cumsum adds in order, so these are the running sums of a loop; they
+    # never decrease, so the first one above r is where r sorts on the right
+    i = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+    return min(i, len(weights) - 1)
 
 
 def make_offspring(parent: Classifier, cfg: ExperimentConfig, rng) -> Classifier:
-    """Clone of ``parent``'s nets with self-adapted rates and mutations,
-    outside any population.
+    """Mutated copy of ``parent``'s nets, outside any population.
 
-    The parent's current (gradient-trained) weights are inherited; momentum
-    buffers reset.  The caller adds it with its scalars.
+    The parent's current (gradient-trained) weights are inherited, momentum
+    starts at zero, and the parent is not touched.  The caller adds the
+    child with its scalars.  The draws, in this order, are a contract (the
+    tests compare them with the per-layer operators bit for bit):
+
+    1. one (4, 4) ``standard_normal`` for the 16 rate steps, one row per
+       layer (condition hidden, output, prediction hidden, output):
+       mu <- mu * e^z, clamped into [mu_min, 1];
+    2. per net, condition first, one ``standard_normal`` for the weight
+       noise and then the bias noise of the hidden and then the output
+       layer, followed by the neuron step g;
+    3. either growth's new rows and columns and the two eta steps (one
+       ``standard_normal``; with ``connection_mutation`` the rows, their
+       ``random`` connections, the columns, theirs, then the two steps), or
+       shrinking's ``choice`` and then the two eta steps, or the two eta
+       steps alone;
+    4. with ``connection_mutation``, each layer's ``random`` flips and
+       ``standard_normal`` fresh weights.
+
+    Steps 2-4 run for the condition net before the prediction net.
     """
-    condition = neural.clone(parent.condition)
-    prediction = neural.clone(parent.prediction)
-    for net in (condition, prediction):
-        for layer in net.layers:
-            neural.self_adapt(layer, rng, cfg.mu_min)
-    for net in (condition, prediction):
-        for layer in net.layers:
-            neural.mutate_weights(layer, rng)
-        neural.mutate_neurons(net, rng, cfg.h_M, cfg.h_max, cfg.connection_mutation)
-        for layer in net.layers:
-            neural.mutate_eta(layer, rng)
-        if cfg.connection_mutation:
-            for layer in net.layers:
-                neural.mutate_connections(layer, rng)
-    return Classifier(condition, prediction)
+    mu = np.array([layer.mu for layer in parent.condition.layers + parent.prediction.layers])
+    mu *= np.exp(rng.standard_normal((4, 4)))
+    np.clip(mu, cfg.mu_min, 1.0, out=mu)
+    args = (rng, cfg.h_M, cfg.h_max, cfg.connection_mutation)
+    return Classifier(neural.offspring(parent.condition, mu[:2], *args),
+                      neural.offspring(parent.prediction, mu[2:], *args))
 
 
 def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> bool:
@@ -334,7 +343,7 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
 
     Fires when the match set's mean time since the last run exceeds
     theta_EA.  Two parents are drawn by fitness roulette; lambda offspring
-    are cloned (no crossover) and inserted, alternating parents, with
+    are mutated copies (no crossover), inserted, alternating parents, with
     error/fitness set to the reduced parental means, experience 1 and
     their parent's set size, born and stamped at the current trial.
     Returns whether it fired.
@@ -346,7 +355,8 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
         return False
     st.ts[m] = pop.trial
     # two fitness-proportionate roulette draws (repeats allowed)
-    p1, p2 = m[roulette(st.fit[m], rng)], m[roulette(st.fit[m], rng)]
+    fits = st.fit[m]
+    p1, p2 = m[roulette(fits, rng)], m[roulette(fits, rng)]
     err = 0.5 * (float(st.err[p1]) + float(st.err[p2])) * cfg.epsilon_R
     # a small F_R can make the reduced fitness subnormal, whose deletion vote
     # mean_f / fit overflows; keep it at the floor reinforce keeps

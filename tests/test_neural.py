@@ -6,9 +6,10 @@ import pytest
 from conftest import assert_network_layout, spare_rules
 from lcsae import kernels, neural
 from lcsae._kernels_py import SELU_ALPHA, SELU_LAMBDA, logistic, selu
-from lcsae.neural import (ETA_MAX, ETA_MIN, clone, forward,
-                          mutate_connections, mutate_eta, mutate_neurons,
-                          mutate_weights, new_layer, new_network, self_adapt)
+from lcsae.neural import (ETA_MAX, ETA_MIN, forward, mutate_connections, new_layer,
+                          new_network)
+from reproduction_reference import (clone, mutate_eta, mutate_neurons, mutate_weights,
+                                    self_adapt)
 
 
 def sgd_step(net, x, omega):
@@ -404,13 +405,14 @@ def test_a_layer_larger_than_numpy_can_address_is_a_memory_error():
         with pytest.raises(MemoryError, match="larger than the largest array"):
             new_layer(n_in, n_out, rng)
     assert rng.bit_generator.state == state  # raised before any draw
-    # growth by mutation fails the same way, and leaves the net as it was
+    # growth in reproduction fails the same way, and leaves the parent as it was
     net = new_network(6, 1, 6, rng)
-    net.layers[0].mu[1] = 1.0
+    mu = np.array([layer.mu for layer in net.layers])
+    mu[0, neural.MU_NEURON] = 1.0
     before = [(l.weights.copy(), l.biases.copy()) for l in net.layers]
     with pytest.raises(MemoryError, match="larger than the largest array"):
-        mutate_neurons(net, StubRng(normals=[1.0]), h_M=2**61, h_max=None,
-                       connection_mutation=False)
+        neural.offspring(net, mu, StubRng(normals=[1.0]), h_M=2**61, h_max=None,
+                         connection_mutation=False)
     assert net.n_hidden == 1
     for (w, b), layer in zip(before, net.layers):
         assert np.array_equal(w, layer.weights) and np.array_equal(b, layer.biases)

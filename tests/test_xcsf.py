@@ -509,6 +509,56 @@ def test_roulette_over_an_array_equals_the_list_loop():
             assert xcsf.roulette(weights, a) == _roulette(weights.tolist(), b)
 
 
+def _roulette_by_flatnonzero(weights, rng):
+    """Reference: the first running sum above r, found by ``flatnonzero``."""
+    weights = np.asarray(weights, dtype=float)
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        return int(rng.integers(0, len(weights)))
+    r = rng.random() * total
+    past = np.flatnonzero(np.cumsum(weights) > r)
+    return int(past[0]) if len(past) else len(weights) - 1
+
+
+class _ScriptedUniform:
+    """Generator stand-in whose ``random`` returns one scripted value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_roulette_by_searchsorted_equals_the_first_running_sum_above_r():
+    below_one = float(np.nextafter(1.0, 0.0))
+    # weights whose pairwise np.sum exceeds their last running sum, so an
+    # r near the total sits above every running sum
+    gen = np.random.default_rng(34)
+    over = next(w for w in (gen.random(int(gen.integers(2, 40))) for _ in range(10**4))
+                if np.sum(w) > np.cumsum(w)[-1])
+    assert float(np.sum(over)) * below_one >= np.cumsum(over)[-1]
+    cases = [[0.0, 0.0, 1.0, 0.0, 2.0, 0.0],  # zeros first and in the middle
+             [0.0, 0.5, 0.0, 0.0, 0.5],
+             [1.0, 1.0, 1.0, 1.0],  # ties, with r on a running sum below
+             [0.25, 0.25, 0.0, 0.5],
+             [3.0], [0.0, 7.0], over.tolist()]
+    for weights in cases:
+        sums = np.cumsum(weights)
+        # r on every running sum, between them, at zero and at the total
+        us = [0.0, below_one, 1.0, *(sums / float(np.sum(weights))).tolist(),
+              *np.random.default_rng(35).random(50).tolist()]
+        for u in us:
+            assert (xcsf.roulette(weights, _ScriptedUniform(u))
+                    == _roulette_by_flatnonzero(weights, _ScriptedUniform(u))), (weights, u)
+    # all-zero weights take the uniform branch, one integer draw
+    for weights in ([0.0], [0.0] * 5):
+        a, b = np.random.default_rng(36), np.random.default_rng(36)
+        for _ in range(20):
+            assert xcsf.roulette(weights, a) == _roulette_by_flatnonzero(weights, b)
+        assert a.random() == b.random()
+
+
 def test_roulette_frequencies_match_weights():
     rng = np.random.default_rng(23)
     weights = [0.1, 0.3, 0.6]
