@@ -19,15 +19,31 @@ holding one field of every rule in member order:
   ``mask`` (uint8), ``mu``, ``mom_w`` and ``mom_b``, flattened.
 
 Every layer's shape follows from the input width and the rule's hidden
-sizes.  Loads are atomic: the payload size is checked against the hidden
-sizes before any per-rule array is cut, every column is range-checked as
-one array, and any inconsistency raises before state is handed out.
-Version 1 checkpoints, which listed every rule and array in the header,
-and version 2 ones, which held a numerosity column, are refused.
+sizes.  Version 1 checkpoints, which listed every rule and array in the
+header, and version 2 ones, which held a numerosity column, are refused.
+
+Both directions stream through the file.  ``save_population`` writes the
+header and then every column from the rules' own arrays, which on a
+little-endian host are already the column's bytes; so a save holds the
+header and the hidden-size and rate columns beyond the population, never a
+copy of the checkpoint.  It writes ``path.tmp`` and renames it into place,
+and a save that fails at any point removes the ``.tmp`` and leaves ``path``
+as it was.  ``load_population`` reads from the open file.  Every length it
+reads (the header's, the number of rules, every hidden size) is checked
+against the file's size before anything that long is allocated or read.
+It reads the rule scalars, hidden sizes and rates and range-checks them,
+checks the payload size against the hidden sizes, and then reads one layer
+at a time: the layer's six columns go into fresh arrays, are range-checked,
+and each is dropped once every rule's slice of it is copied out.  So a load
+holds at most one layer's columns beyond what the population it returns
+keeps.  A short read or a read error raises before any rule is built, and
+any inconsistency raises before state is handed out.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -64,26 +80,45 @@ def _pack(header: dict, payload) -> bytes:
     return POPULATION_MAGIC + struct.pack("<Q", len(blob)) + blob + payload
 
 
-def _unpack(data: bytes):
-    """The header and a view of the payload, which is not copied."""
+def _read(f, size: int) -> bytes:
+    """The next ``size`` bytes of ``f``, which the caller has checked fit."""
+    data = f.read(size)
+    if len(data) != size:
+        raise CheckpointError(f"checkpoint ended {len(data)} bytes into a {size}-byte read")
+    return data
+
+
+def _column(f, dtype, count: int) -> np.ndarray:
+    """A fresh array of the next ``count`` little-endian ``dtype`` values of
+    ``f``, in native byte order; a short read never leaves it unfilled."""
+    col = np.empty(count, dtype)
+    got = f.readinto(col)
+    if got != col.nbytes:
+        raise CheckpointError(f"checkpoint ended {got} bytes into a {col.nbytes}-byte column")
+    # the native-endian column is the one read on a little-endian host
+    return col.astype(col.dtype.newbyteorder("="), copy=False)
+
+
+def _read_header(f, size: int) -> dict:
+    """The header of the ``size``-byte checkpoint ``f``, read from its start."""
     magic = POPULATION_MAGIC
-    if len(data) < len(magic) + 8:
+    if size < len(magic) + 8:
         raise CheckpointError("file too short")
-    if data[:len(magic)] != magic:
-        raise CheckpointError(f"bad magic {data[:len(magic)]!r}")
-    (hlen,) = struct.unpack("<Q", data[len(magic):len(magic) + 8])
-    start = len(magic) + 8
-    if len(data) < start + hlen:
+    head = _read(f, len(magic) + 8)
+    if head[:len(magic)] != magic:
+        raise CheckpointError(f"bad magic {head[:len(magic)]!r}")
+    (hlen,) = struct.unpack("<Q", head[len(magic):])
+    if hlen > size - len(head):
         raise CheckpointError("truncated header")
     try:
-        header = json.loads(data[start:start + hlen].decode())
+        header = json.loads(_read(f, hlen).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError("corrupt header: not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"unsupported version {header.get('version')}")
-    return header, memoryview(data)[start + hlen:]
+    return header
 
 
 # the partial metrics window of a run that has emitted every row it owes
@@ -157,20 +192,13 @@ def _check_window(window) -> None:
                               "is not an integer >= 0")
 
 
-def population_to_bytes(pop: xcsf.Population, cfg, rng,
-                        window: dict | None = None) -> bytes:
-    """Serialize population, config, RNG state, and the partial metrics
-    window so training can resume exactly where it stopped.  Nothing is
-    validated here; the loader checks everything."""
+def _chunks(pop: xcsf.Population, cfg, rng, window) -> list:
+    """The checkpoint's bytes as a list of pieces in file order: the magic,
+    header length and header, then every column piece by piece.  A rule's
+    layer array is its own piece on a little-endian host, so the list
+    copies no layer.  Nothing is validated here; the loader checks
+    everything."""
     layers = [cl.condition.layers + cl.prediction.layers for cl in pop.members]
-    columns = [np.asarray(getattr(pop.state, name), dtype)
-               for name, dtype in _SCALAR_DTYPES.items()]
-    columns.append(np.array([[cl.condition.n_hidden, cl.prediction.n_hidden]
-                             for cl in pop.members], "<i8"))
-    columns.append(np.array([[layer.eta for layer in ls] for ls in layers], "<f8"))
-    for k in range(len(_LAYERS)):
-        for field, dtype in _LAYER_DTYPES.items():
-            columns += [np.asarray(getattr(ls[k], field), dtype) for ls in layers]
     header = {
         "version": VERSION,
         # the run's manifest names the data, so the bytes do not depend on
@@ -182,14 +210,39 @@ def population_to_bytes(pop: xcsf.Population, cfg, rng,
         "rules": len(pop.members),
         "inputs": pop.members[0].prediction.n_inputs if pop.members else 0,
     }
-    return _pack(header, b"".join(col.tobytes() for col in columns))
+    chunks = [_pack(header, b"")]
+    chunks += [np.ascontiguousarray(getattr(pop.state, name), dtype)
+               for name, dtype in _SCALAR_DTYPES.items()]
+    chunks.append(np.array([[cl.condition.n_hidden, cl.prediction.n_hidden]
+                            for cl in pop.members], "<i8"))
+    chunks.append(np.array([[layer.eta for layer in ls] for ls in layers], "<f8"))
+    for k in range(len(_LAYERS)):
+        for field, dtype in _LAYER_DTYPES.items():
+            chunks += [np.ascontiguousarray(getattr(ls[k], field), dtype) for ls in layers]
+    return chunks
+
+
+def population_to_bytes(pop: xcsf.Population, cfg, rng,
+                        window: dict | None = None) -> bytes:
+    """Serialize population, config, RNG state, and the partial metrics
+    window so training can resume exactly where it stopped: the bytes
+    ``save_population`` writes."""
+    return b"".join(_chunks(pop, cfg, rng, window))
 
 
 def population_from_bytes(data: bytes):
     """Returns (population, config, rng, window)."""
-    header, payload = _unpack(data)
+    return _read_population(io.BytesIO(data))
+
+
+def _read_population(f):
+    """Reads (population, config, rng, window) from the binary stream ``f``,
+    whose whole content is one checkpoint."""
+    size = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    header = _read_header(f, size)
     try:
-        return _population_from_header(header, payload)
+        return _population_from_header(f, header, size - f.tell())
     except _MALFORMED as exc:
         raise CheckpointError(f"malformed checkpoint: {exc!r}") from exc
 
@@ -200,7 +253,9 @@ def _rule_slices(col, sizes) -> list:
     return [col[start:end].copy() for start, end in zip([0] + ends, ends)]
 
 
-def _population_from_header(header: dict, payload):
+def _population_from_header(f, header: dict, payload: int):
+    """The population whose header is ``header`` and whose payload, which
+    is ``payload`` bytes long, follows in ``f``."""
     trial, rules, n = header["trial"], header["rules"], header["inputs"]
     for key, v in (("trial", trial), ("rules", rules), ("inputs", n)):
         if type(v) is not int or v < 0:
@@ -212,17 +267,15 @@ def _population_from_header(header: dict, payload):
     _check_window(header["window"])
     bg = np.random.PCG64()
     bg.state = header["rng"]
-    offset = 0
-
-    def column(dtype, count):
-        nonlocal offset
-        col = np.frombuffer(payload, dtype, count, offset)
-        offset += col.nbytes
-        return col
-
-    state = {name: column(dtype, rules) for name, dtype in _SCALAR_DTYPES.items()}
-    hidden = column("<i8", 2 * rules).reshape(rules, 2)
-    eta = column("<f8", len(_LAYERS) * rules).reshape(rules, len(_LAYERS))
+    # the scalars, the hidden-size pair and the rates of every rule, 8 bytes
+    # each, in Python ints, so that no corrupt rule count allocates anything
+    fixed = 8 * rules * (len(_SCALAR_DTYPES) + 2 + len(_LAYERS))
+    if fixed > payload:
+        raise CheckpointError(f"payload is {payload} bytes, the scalars, hidden sizes "
+                              f"and rates of {rules} rules need {fixed}")
+    state = {name: _column(f, dtype, rules) for name, dtype in _SCALAR_DTYPES.items()}
+    hidden = _column(f, "<i8", 2 * rules).reshape(rules, 2)
+    eta = _column(f, "<f8", len(_LAYERS) * rules).reshape(rules, len(_LAYERS))
     _check_state(trial, cfg, state, hidden, eta)
     # (out, in) of the four layers of every rule, and from them the element
     # counts of each layer field, all in Python ints so that no corrupt
@@ -234,21 +287,20 @@ def _population_from_header(header: dict, payload):
         b = [s[k][0] for s in shapes]
         sizes.append({"weights": w, "biases": b, "mask": w, "mu": [4] * rules,
                       "mom_w": w, "mom_b": b})
-    need = offset + sum(np.dtype(dtype).itemsize * sum(size[field])
-                        for size in sizes for field, dtype in _LAYER_DTYPES.items())
-    if need != len(payload):
-        raise CheckpointError(f"payload is {len(payload)} bytes, the rules' "
+    need = fixed + sum(np.dtype(dtype).itemsize * sum(size[field])
+                       for size in sizes for field, dtype in _LAYER_DTYPES.items())
+    if need != payload:
+        raise CheckpointError(f"payload is {payload} bytes, the rules' "
                               f"hidden sizes and {n} inputs need {need}")
     cuts = []
     for name, size in zip(_LAYERS, sizes):
-        cols = {field: column(dtype, sum(size[field]))
+        cols = {field: _column(f, dtype, sum(size[field]))
                 for field, dtype in _LAYER_DTYPES.items()}
         _check_layer(name, cols, cfg.mu_min)
-        # a copy of each rule's slice, so no layer keeps a column alive; the
-        # native-endian column is the payload itself on a little-endian host
-        cuts.append({field: _rule_slices(col.astype(col.dtype.newbyteorder("="), copy=False),
-                                         size[field])
-                     for field, col in cols.items()})
+        # a copy of each rule's slice, so no layer keeps a column alive, and
+        # each column is dropped as soon as it is cut
+        cuts.append({field: _rule_slices(cols.pop(field), size[field])
+                     for field in _LAYER_DTYPES})
     etas = eta.tolist()
     members = []
     for i, shape in enumerate(shapes):
@@ -266,18 +318,25 @@ def _population_from_header(header: dict, payload):
 
 
 def save_population(path, pop, cfg, rng, window=None) -> None:
-    """Atomic write: serialize fully, then rename into place."""
-    blob = population_to_bytes(pop, cfg, rng, window)
+    """Atomic write: stream the checkpoint into ``path.tmp``, then rename it
+    into place.  On any exception, ``KeyboardInterrupt`` included, the
+    ``.tmp`` is removed and ``path`` is left as it was."""
+    chunks = _chunks(pop, cfg, rng, window)
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_population(path):
+    """Returns (population, config, rng, window) of the checkpoint file."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return _read_population(f)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return population_from_bytes(data)

@@ -1,7 +1,9 @@
 import importlib.machinery
 import importlib.util
+import json
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -9,7 +11,7 @@ import sysconfig
 import numpy as np
 import pytest
 
-from lcsae import neural, xcsf
+from lcsae import checkpoint, neural, xcsf
 from lcsae.config import ExperimentConfig
 
 KERNEL_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lcsae" / "_kernels.c"
@@ -22,6 +24,13 @@ def write_csv(path, arr):
         for row in np.atleast_2d(arr):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
     return str(path)
+
+
+def split_checkpoint(blob):
+    """A checkpoint's JSON header and the payload bytes that follow it."""
+    start = len(checkpoint.POPULATION_MAGIC) + 8
+    (hlen,) = struct.unpack_from("<Q", blob, start - 8)
+    return json.loads(blob[start:start + hlen]), blob[start + hlen:]
 
 
 def write_config(path, **keys):

@@ -1,5 +1,8 @@
+import builtins
 import dataclasses
+import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (SCALAR_DEFAULTS, assert_network_layout, make_classifier,
-                      make_population, spare_rules, write_csv)
+                      make_population, spare_rules, split_checkpoint, write_csv)
 from lcsae import checkpoint, cli, kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
                               population_from_bytes, population_to_bytes,
@@ -106,11 +109,16 @@ def test_population_serialization_is_deterministic():
 def test_save_and_load_population_file(tmp_path):
     pop, rng = _sample_population()
     cfg = ExperimentConfig()
+    window = {"mse_sum": 1.5, "m_sum": 20.0, "count": 3}
     path = tmp_path / "pop.ckpt"
-    save_population(path, pop, cfg, rng)
-    pop2, cfg2, _, _ = load_population(path)
+    save_population(path, pop, cfg, rng, window)
+    assert path.read_bytes() == population_to_bytes(pop, cfg, rng, window)
+    pop2, cfg2, rng2, window2 = load_population(path)
     assert cfg2 == cfg
     assert pop2.trial == pop.trial
+    # what a load reads, a save writes back byte for byte
+    save_population(tmp_path / "again.ckpt", pop2, cfg2, rng2, window2)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_corrupted_checkpoint_never_loads_partially(tmp_path):
@@ -205,7 +213,7 @@ def test_loaded_layers_own_their_memory():
 
 def _with_hidden_size(blob, value):
     """``blob`` with the first rule's condition hidden size set to ``value``."""
-    header, payload = checkpoint._unpack(blob)
+    header, payload = split_checkpoint(blob)
     at = len(blob) - len(payload) + 8 * len(xcsf.SCALARS) * header["rules"]
     return blob[:at] + struct.pack("<q", value) + blob[at + 8:]
 
@@ -219,6 +227,174 @@ def test_a_corrupt_hidden_size_never_allocates():
         population_from_bytes(_with_hidden_size(blob, 2**62))
     with pytest.raises(CheckpointError, match=r"rule 0 hidden sizes \[0, 1\] is not >= 1"):
         population_from_bytes(_with_hidden_size(blob, 0))
+
+
+def _traced(call):
+    """``call()``'s result, the peak of traced memory during it and the
+    memory still traced once it returns, both above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, current - base
+
+
+@pytest.mark.parametrize("corrupt", ["header length", "rules"])
+def test_a_corrupt_length_is_refused_before_it_is_allocated(corrupt):
+    pop, rng = _sample_population()
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    if corrupt == "header length":
+        at = len(checkpoint.POPULATION_MAGIC)
+        bad, match = blob[:at] + struct.pack("<Q", 2**62) + blob[at + 8:], "truncated header"
+    else:
+        header, payload = split_checkpoint(blob)
+        bad, match = checkpoint._pack({**header, "rules": 2**50}, payload), "payload is"
+
+    def load():
+        with pytest.raises(CheckpointError, match=match):
+            population_from_bytes(bad)
+
+    _, peak, _ = _traced(load)
+    assert peak < 2**20
+
+
+class _FaultyStream(io.BytesIO):
+    """A checkpoint whose reads stop at byte ``at``, as a file cut or failing
+    under its reader: ``seek`` still finds its whole length, and a read past
+    ``at`` comes back short, or raises OSError if ``error``."""
+
+    def __init__(self, data, at, error):
+        super().__init__(data)
+        self.at, self.error = at, error
+
+    def _allowed(self, n):
+        left = max(self.at - self.tell(), 0)
+        if n > left and self.error:
+            raise OSError(5, "Input/output error")
+        return min(n, left)
+
+    def read(self, n):
+        return super().read(self._allowed(n))
+
+    def readinto(self, b):
+        view = memoryview(b).cast("B")
+        return super().readinto(view[:self._allowed(len(view))])
+
+
+@pytest.mark.parametrize("error", [False, True], ids=["short read", "read error"])
+def test_a_short_or_failing_read_never_builds_rules(monkeypatch, error):
+    pop, rng = _sample_population()
+    blob = population_to_bytes(pop, ExperimentConfig(), rng)
+    cut = len(blob) - len(split_checkpoint(blob)[1])
+    message = "cannot read checkpoint" if error else "checkpoint ended"
+    # before, inside and at the end of the header, then through every column
+    for at in [0, 12, cut - 1, cut, *range(cut + 1, len(blob), 29), len(blob) - 1, len(blob)]:
+        monkeypatch.setattr(checkpoint, "open", lambda path, mode: _FaultyStream(blob, at, error),
+                            raising=False)
+        if at == len(blob):
+            assert load_population("pop.ckpt")[0].trial == pop.trial
+            continue
+        with pytest.raises(CheckpointError, match=message):
+            load_population("pop.ckpt")
+
+
+def test_a_read_error_exits_2_without_a_traceback(fuzz_run, monkeypatch, capsys):
+    d, dataset, blob = fuzz_run
+    (d / "pop.ckpt").write_bytes(blob)
+    cut = len(blob) - len(split_checkpoint(blob)[1])
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode: _FaultyStream(blob, cut + 40, True),
+                        raising=False)
+    code = cli.main(["reconstruct", str(d / "pop.ckpt"), dataset, "--no-images",
+                     "--count", "3", "--outdir", str(d / "faulty")])
+    err = capsys.readouterr().err
+    assert code == 2 and "cannot read checkpoint" in err and "Traceback" not in err
+
+
+class _FailingWrites:
+    """A file opened for writing whose ``fail_at``-th write raises ``exc``."""
+
+    def __init__(self, f, fail_at, exc):
+        self.f, self.fail_at, self.exc, self.writes = f, fail_at, exc, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.exc
+        return self.f.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.f.close()
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["OSError", "KeyboardInterrupt"])
+def test_a_save_that_fails_midway_leaves_the_old_checkpoint(tmp_path, monkeypatch, exc):
+    pop, rng = _sample_population()
+    cfg = ExperimentConfig()
+    path = tmp_path / "population.ckpt"
+    save_population(path, pop, cfg, rng)
+    old = path.read_bytes()
+    pop.trial += 1
+    opened = []
+
+    def failing_open(name, mode, fail_at):
+        opened.append(_FailingWrites(builtins.open(name, mode), fail_at, exc))
+        return opened[-1]
+
+    monkeypatch.setattr(checkpoint, "open", lambda name, mode: failing_open(name, mode, 0),
+                        raising=False)
+    save_population(path, pop, cfg, rng)
+    writes = opened[-1].writes
+    assert path.read_bytes() == population_to_bytes(pop, cfg, rng) != old
+    path.write_bytes(old)
+    for fail_at in sorted({1, 2, writes // 2, writes}):
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda name, mode: failing_open(name, mode, fail_at), raising=False)
+        with pytest.raises(type(exc)):
+            save_population(path, pop, cfg, rng)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == old
+
+
+def _big_population():
+    """A population whose checkpoint is about 2 MB."""
+    pop = make_population([make_classifier(n=64, h=10, seed=i) for i in range(60)], trial=5)
+    return pop, np.random.default_rng(1)
+
+
+def test_save_holds_no_copy_of_the_checkpoint(tmp_path):
+    pop, rng = _big_population()
+    path = tmp_path / "pop.ckpt"
+    # the first save fills caches (numpy's, json's) that it keeps
+    save_population(path, pop, ExperimentConfig(), rng)
+    _, peak, _ = _traced(lambda: save_population(path, pop, ExperimentConfig(), rng))
+    size = path.stat().st_size
+    assert size > 2**20
+    assert peak < 0.05 * size, (peak, size)
+
+
+def test_load_holds_at_most_one_layer_beyond_the_population(tmp_path):
+    pop, rng = _big_population()
+    path = tmp_path / "pop.ckpt"
+    save_population(path, pop, ExperimentConfig(), rng)
+    largest = max(sum(arr.nbytes for layer in layers
+                      for arr in (layer.weights, layer.biases, layer.mask, layer.mu,
+                                  layer.mom_w, layer.mom_b))
+                  for layers in zip(*(cl.condition.layers + cl.prediction.layers
+                                      for cl in pop.members)))
+    loaded, peak, kept = _traced(lambda: load_population(path))
+    assert len(loaded[0].members) == len(pop.members)
+    assert peak - kept < largest, (peak, kept, largest)
 
 
 @pytest.fixture(scope="module")

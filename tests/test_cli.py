@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_config, write_csv
+from conftest import split_checkpoint, write_config, write_csv
 from lcsae import _kernels_py, checkpoint, cli, kernels, metrics, runner, xcsf
 from lcsae.config import ExperimentConfig, config_to_dict
 
@@ -623,7 +623,7 @@ def small_run(tmp_path_factory, dataset):
 
 def _header_key(*path, value):
     def change(ckpt):
-        header, payload = checkpoint._unpack(ckpt.read_bytes())
+        header, payload = split_checkpoint(ckpt.read_bytes())
         part = header
         for key in path[:-1]:
             part = part[key]
@@ -704,7 +704,7 @@ BAD_HEADERS = {
     "rules negative": (_header_key("rules", value=-1), "rules -1"),
     "rules float": (_header_key("rules", value=30.0), "rules 30.0"),
     "rules bool": (_header_key("rules", value=True), "rules True"),
-    "rules a million": (_header_key("rules", value=10**6), "buffer is smaller"),
+    "rules a million": (_header_key("rules", value=10**6), "and rates of 1000000 rules need"),
     "inputs text": (_header_key("inputs", value="8"), "inputs '8'"),
     "inputs negative": (_header_key("inputs", value=-8), "inputs -8"),
     "inputs 16": (_header_key("inputs", value=16), "hidden sizes and 16 inputs need"),
