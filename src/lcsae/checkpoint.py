@@ -26,9 +26,14 @@ Both directions stream through the file.  ``save_population`` writes the
 header and then every column from the rules' own arrays, which on a
 little-endian host are already the column's bytes; so a save holds the
 header and the hidden-size and rate columns beyond the population, never a
-copy of the checkpoint.  It writes ``path.tmp`` and renames it into place,
-and a save that fails at any point removes the ``.tmp`` and leaves ``path``
-as it was.  ``load_population`` reads from the open file.  Every length it
+copy of the checkpoint.  It writes through ``replacing``, the package's
+one atomic write of a whole file, which also writes the run manifest,
+``metrics.csv`` when a run starts it or drops rows from it, and the
+reconstruction report and images.  It writes ``path.tmp``, fsyncs it,
+renames it onto ``path`` and fsyncs the directory; a write that fails at
+any point removes the ``.tmp`` and leaves ``path`` as it was.
+
+``load_population`` reads from the open file.  Every length it
 reads (the header's, the number of rules, every hidden size) is checked
 against the file's size before anything that long is allocated or read.
 It reads the rule scalars, hidden sizes and rates and range-checks them,
@@ -317,20 +322,42 @@ def _population_from_header(f, header: dict, payload: int):
     return pop, cfg, np.random.Generator(bg), header["window"]
 
 
-def save_population(path, pop, cfg, rng, window=None) -> None:
-    """Atomic write: stream the checkpoint into ``path.tmp``, then rename it
-    into place.  On any exception, ``KeyboardInterrupt`` included, the
-    ``.tmp`` is removed and ``path`` is left as it was."""
-    chunks = _chunks(pop, cfg, rng, window)
-    tmp = str(path) + ".tmp"
+def fsync(path) -> None:
+    """Flush the file or directory ``path`` from the OS's cache to the disk.
+    The kernel syncs a file's data whichever descriptor wrote it, so this
+    needs no handle that is still open."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(tmp, "wb") as f:
-            f.writelines(chunks)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+@contextlib.contextmanager
+def replacing(path, mode, **open_kwargs):
+    """The one atomic write of a whole file: yields ``path.tmp`` opened with
+    ``mode``; when the block ends, fsyncs it, renames it onto ``path`` and
+    fsyncs the directory.  On any exception, ``KeyboardInterrupt`` included,
+    it removes the ``.tmp`` and leaves ``path`` as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        # the data reaches the disk before the rename that publishes it
+        fsync(tmp)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    fsync(os.path.dirname(os.path.abspath(path)))
+
+
+def save_population(path, pop, cfg, rng, window=None) -> None:
+    """Stream the checkpoint through ``replacing``, so a save that fails
+    leaves ``path`` as it was."""
+    with replacing(path, "wb") as f:
+        f.writelines(_chunks(pop, cfg, rng, window))
 
 
 def load_population(path):

@@ -95,12 +95,23 @@ def _write_manifest(out_dir, cfg, ds, start_trial, end_trial):
         "start_trial": start_trial,
         "end_trial": end_trial,
     }
-    # renamed into place, so an interrupted write keeps the previous manifest
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(path + ".tmp", "w", encoding="utf-8") as f:
+    with checkpoint.replacing(os.path.join(out_dir, MANIFEST_NAME), "w",
+                              encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    os.replace(path + ".tmp", path)
+
+
+def _check_rows(path, trials, start, interval) -> None:
+    """``trials``, those of the metrics rows up to the checkpoint's trial
+    ``start``, are the ones an unsplit run emits: 0, interval, 2 * interval,
+    ... in order, each once."""
+    n = start // interval + 1
+    i = next((i for i, t in enumerate(trials) if t != i * interval), len(trials))
+    if i < n or len(trials) > n:
+        what = (f"has no row for trial {i * interval} in its place" if i < n
+                else f"has one row too many (trial {trials[n]})")
+        raise data.DataError(f"{path} {what}: up to the checkpoint's trial {start} the rows "
+                             f"must be trials 0, {interval}, {2 * interval}, ... in order")
 
 
 def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
@@ -109,21 +120,25 @@ def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
     per completed checkpoint interval (a partial final window is carried in
     the checkpoint, not emitted, so resumed runs produce identical rows),
     after dropping the rows past the population's trial that an interrupted
-    run flushed.  Returns the metrics CSV path."""
+    run flushed; a file whose rows up to that trial are not the unsplit run's
+    is refused before anything is written.  Returns the metrics CSV path."""
     xs, train_idx, start = ds.features, ds.train_idx, pop.trial
     mse_sum, m_sum, count = window["mse_sum"], window["m_sum"], window["count"]
     metrics_path = os.path.join(out_dir, METRICS_NAME)
-    with open(metrics_path, "a+", encoding="utf-8", newline="") as fh:
-        fh.seek(0)
-        header, *rows = fh.readlines() or [metrics.CSV_HEADER]
-        try:
-            kept = [row for row in rows if int(row.split(",", 1)[0]) <= start]
-        except ValueError as exc:
-            raise data.DataError(f"{metrics_path}: a row's trial is not an integer: "
-                                 f"{exc}") from None
-        if fh.tell() == 0 or len(kept) < len(rows):
-            fh.truncate(0)
+    with open(metrics_path, "rb") as fh:
+        header, *rows = fh.readlines() or [b""]
+    try:
+        trials = [int(row.split(b",", 1)[0]) for row in rows]
+    except ValueError as exc:
+        raise data.DataError(f"{metrics_path}: a row's trial is not an integer: "
+                             f"{exc}") from None
+    kept = [row for row, trial in zip(rows, trials) if trial <= start]
+    _check_rows(metrics_path, [t for t in trials if t <= start], start,
+                cfg.checkpoint_interval)
+    if len(kept) < len(rows):
+        with checkpoint.replacing(metrics_path, "wb") as fh:
             fh.writelines([header, *kept])
+    with open(metrics_path, "a", encoding="utf-8", newline="") as fh:
         while pop.trial < cfg.trials:
             row = train_idx[int(rng.integers(0, len(train_idx)))]
             res = xcsf.run_trial(pop, xs[row], cfg, rng, row)
@@ -134,6 +149,8 @@ def _advance(pop, cfg, ds, rng, out_dir, window) -> str:
                 _emit(fh, cfg, pop, ds, mse_sum / count, m_sum / count)
                 mse_sum = m_sum = 0.0
                 count = 0
+    # no checkpoint on the disk is newer than the rows it implies
+    checkpoint.fsync(metrics_path)
     checkpoint.save_population(os.path.join(out_dir, CHECKPOINT_NAME), pop, cfg, rng,
                                {"mse_sum": mse_sum, "m_sum": m_sum, "count": count})
     _write_manifest(out_dir, cfg, ds, start, pop.trial)
@@ -155,7 +172,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> str:
     # a failed or interrupted run must leave no older checkpoint to resume
     pathlib.Path(out_dir, CHECKPOINT_NAME).unlink(missing_ok=True)
     _write_manifest(out_dir, cfg, ds, 0, cfg.trials)
-    with open(os.path.join(out_dir, METRICS_NAME), "w", encoding="utf-8", newline="") as fh:
+    with checkpoint.replacing(os.path.join(out_dir, METRICS_NAME), "w", encoding="utf-8",
+                              newline="") as fh:
         fh.write(metrics.CSV_HEADER)
         train_mse, m_size = xcsf.evaluate(pop, ds.train(), cfg, ds.train_idx)
         _emit(fh, cfg, pop, ds, train_mse, m_size)
@@ -210,7 +228,7 @@ def _write_pgm(path, img: np.ndarray) -> None:
     """8-bit binary portable graymap; values are round(v * 255)."""
     height, width = img.shape
     pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with checkpoint.replacing(path, "wb") as f:
         f.write(f"P5\n{width} {height}\n255\n".encode())
         f.write(pixels.tobytes())
 
@@ -293,9 +311,7 @@ def reconstruct(ckpt_path, dataset_path, corruption: str = "none",
               "mean_recon_mse": result.mean_recon_mse,
               "mean_corrupt_mse": result.mean_corrupt_mse,
               "per_image": result.per_image}
-    # renamed into place, so an interrupted write keeps the previous report
-    path = os.path.join(out_dir, "reconstruction.json")
-    with open(path + ".tmp", "w", encoding="utf-8") as f:
+    with checkpoint.replacing(os.path.join(out_dir, "reconstruction.json"), "w",
+                              encoding="utf-8") as f:
         f.write(json.dumps(report, indent=2) + "\n")
-    os.replace(path + ".tmp", path)
     return result

@@ -42,6 +42,33 @@ def write_config(path, **keys):
     return str(path)
 
 
+class FailingWrites:
+    """A file opened for writing whose ``fail_at``-th write raises ``exc``;
+    every other attribute is the file's."""
+
+    def __init__(self, f, fail_at, exc):
+        self.f, self.fail_at, self.exc, self.writes = f, fail_at, exc, 0
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.exc
+        return self.f.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.f.close()
+
+
 def saturated_network(n_inputs, outputs):
     """Network with all-zero weights and huge output biases, so the output
     vector is exactly the requested 0/1 pattern."""

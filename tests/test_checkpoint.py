@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SCALAR_DEFAULTS, assert_network_layout, make_classifier,
-                      make_population, spare_rules, split_checkpoint, write_csv)
+from conftest import (SCALAR_DEFAULTS, FailingWrites, assert_network_layout,
+                      make_classifier, make_population, spare_rules, split_checkpoint,
+                      write_csv)
 from lcsae import checkpoint, cli, kernels, neural, xcsf
 from lcsae.checkpoint import (CheckpointError, load_population,
                               population_from_bytes, population_to_bytes,
@@ -313,29 +314,6 @@ def test_a_read_error_exits_2_without_a_traceback(fuzz_run, monkeypatch, capsys)
     assert code == 2 and "cannot read checkpoint" in err and "Traceback" not in err
 
 
-class _FailingWrites:
-    """A file opened for writing whose ``fail_at``-th write raises ``exc``."""
-
-    def __init__(self, f, fail_at, exc):
-        self.f, self.fail_at, self.exc, self.writes = f, fail_at, exc, 0
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes == self.fail_at:
-            raise self.exc
-        return self.f.write(data)
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.f.close()
-
-
 @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
                          ids=["OSError", "KeyboardInterrupt"])
 def test_a_save_that_fails_midway_leaves_the_old_checkpoint(tmp_path, monkeypatch, exc):
@@ -348,7 +326,7 @@ def test_a_save_that_fails_midway_leaves_the_old_checkpoint(tmp_path, monkeypatc
     opened = []
 
     def failing_open(name, mode, fail_at):
-        opened.append(_FailingWrites(builtins.open(name, mode), fail_at, exc))
+        opened.append(FailingWrites(builtins.open(name, mode), fail_at, exc))
         return opened[-1]
 
     monkeypatch.setattr(checkpoint, "open", lambda name, mode: failing_open(name, mode, 0),

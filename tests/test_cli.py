@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import split_checkpoint, write_config, write_csv
+from conftest import FailingWrites, split_checkpoint, write_config, write_csv
 from lcsae import _kernels_py, checkpoint, cli, kernels, metrics, runner, xcsf
 from lcsae.config import ExperimentConfig, config_to_dict
 
@@ -287,7 +287,7 @@ def test_a_report_write_interrupted_midway_keeps_the_previous_report(small_run, 
         f = open(path, *args, **kwargs)
         return FullDisk(f) if "reconstruction.json" in str(path) else f
 
-    monkeypatch.setattr(runner, "open", open_report, raising=False)
+    monkeypatch.setattr(checkpoint, "open", open_report, raising=False)
     with pytest.raises(OSError, match="no space"):
         runner.reconstruct(ckpt, dataset, corruption="salt_pepper", count=4, out_dir=out,
                            export_images=False)
@@ -305,6 +305,187 @@ def test_a_metrics_row_without_an_integer_trial_exits_2(small_run, tmp_path, cap
     err = capsys.readouterr().err
     assert "data error" in err and "'forty'" in err and "Traceback" not in err
     assert (run / "population.ckpt").read_bytes() == before
+
+
+@pytest.fixture(scope="module")
+def fault_runs(tmp_path_factory):
+    """A 40-trial run, the unsplit runs that it resumes into, and their data."""
+    d = tmp_path_factory.mktemp("faults")
+    data = write_csv(d / "data.csv", np.random.default_rng(1).random((60, 6)))
+    cfgs = {}
+    for trials in (40, 60, 80):
+        cfgs[trials] = write_config(d / f"{trials}.cfg", N=20, trials=trials,
+                                    checkpoint_interval=10, seed=1, dataset=data,
+                                    image_shape="2,3")
+        assert cli.main(["run", cfgs[trials], "--outdir", str(d / f"run{trials}")]) == 0
+    return d, data, cfgs
+
+
+def test_resume_refuses_a_metrics_file_that_lost_rows(fault_runs, tmp_path, capsys):
+    # rows 20 to 40 are gone, so no unsplit run gives the stream a resume
+    # would append to
+    run = tmp_path / "run"
+    shutil.copytree(fault_runs[0] / "run40", run)
+    lines = (run / "metrics.csv").read_bytes().splitlines(keepends=True)
+    (run / "metrics.csv").write_bytes(b"".join(lines[:3]))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "no row for trial 20" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    # a row written twice is refused as well
+    (run / "metrics.csv").write_bytes(b"".join(lines + lines[-1:]))
+    assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "20"]) == 2
+    assert "one row too many (trial 40)" in capsys.readouterr().err
+
+
+@pytest.fixture
+def disk_log(tmp_path, monkeypatch):
+    """The package's writing opens, ``os.fsync`` and ``os.replace`` calls,
+    in order, with paths relative to ``tmp_path``."""
+    log, fds = [], {}
+    real_open, real_os_open, real_fsync, real_replace = open, os.open, os.fsync, os.replace
+
+    def rel(path):
+        return os.path.relpath(path, tmp_path)
+
+    def logged_open(path, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            log.append(("open", rel(path), mode))
+        return real_open(path, mode, *args, **kwargs)
+
+    def logged_os_open(path, *args, **kwargs):
+        fd = real_os_open(path, *args, **kwargs)
+        fds[fd] = rel(path)
+        return fd
+
+    def logged_fsync(fd):
+        log.append(("fsync", fds.get(fd)))
+        real_fsync(fd)
+
+    def logged_replace(src, dst):
+        log.append(("replace", rel(src), rel(dst)))
+        real_replace(src, dst)
+
+    for module in (runner, checkpoint):
+        monkeypatch.setattr(module, "open", logged_open, raising=False)
+    monkeypatch.setattr(os, "open", logged_os_open)
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    return log
+
+
+def _replaced(name, mode):
+    """What the one atomic writer logs for one file: the ``.tmp`` reaches
+    the disk before the rename, and the rename after it."""
+    tmp = name + ".tmp"
+    return [("open", tmp, mode), ("fsync", tmp), ("replace", tmp, name),
+            ("fsync", os.path.dirname(name))]
+
+
+def test_every_write_reaches_the_disk_before_the_rename_that_publishes_it(
+        tmp_path, disk_log):
+    # a power cut cannot be made here, so this checks the order of the
+    # calls that make each file durable
+    data = write_csv(tmp_path / "data.csv", np.random.default_rng(1).random((60, 6)))
+    cfg = write_config(tmp_path / "run.cfg", N=20, trials=40, checkpoint_interval=10,
+                       seed=1, dataset=data, image_shape="2,3")
+    manifest, metrics_csv, ckpt = "run/manifest.json", "run/metrics.csv", "run/population.ckpt"
+    # the metrics rows reach the disk before the checkpoint that implies them
+    advance = [("open", metrics_csv, "a"), ("fsync", metrics_csv),
+               *_replaced(ckpt, "wb"), *_replaced(manifest, "w")]
+    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "run")]) == 0
+    assert disk_log == [*_replaced(manifest, "w"), *_replaced(metrics_csv, "w"), *advance]
+    # a resume after an interrupted one drops the row it flushed
+    with open(tmp_path / metrics_csv, "a", encoding="utf-8") as f:
+        f.write("50,0.1\n")
+    disk_log.clear()
+    assert cli.main(["resume", str(tmp_path / ckpt), "--trials", "20"]) == 0
+    assert disk_log == [*_replaced(metrics_csv, "wb"), *advance]
+    disk_log.clear()
+    assert cli.main(["reconstruct", str(tmp_path / ckpt), data, "--count", "2",
+                     "--outdir", str(tmp_path / "rec")]) == 0
+    images = [f"rec/{kind}_{j:03d}.pgm" for j in range(2) for kind in ("orig", "corrupt", "recon")]
+    assert disk_log == [entry for name in images for entry in _replaced(name, "wb")] + \
+        _replaced("rec/reconstruction.json", "w")
+
+
+# (command, the file whose write faults): every whole-file write of the
+# package, under the commands that make it
+FAULT_TARGETS = [("run", "manifest.json"), ("run", "population.ckpt"),
+                 ("resume", "manifest.json"), ("resume", "population.ckpt"),
+                 ("resume", "metrics.csv"), ("reconstruct", "reconstruction.json"),
+                 ("reconstruct", "recon_000.pgm")]
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["OSError", "KeyboardInterrupt"])
+@pytest.mark.parametrize("at", ["write", "rename"])
+@pytest.mark.parametrize("command, target", FAULT_TARGETS,
+                         ids=[f"{c}-{t}" for c, t in FAULT_TARGETS])
+def test_a_fault_in_a_whole_file_write_leaves_the_file_and_no_tmp(
+        command, target, at, exc, fault_runs, tmp_path, monkeypatch, capsys):
+    d, data, cfgs = fault_runs
+    run = tmp_path / "run"
+    ckpt = run / "population.ckpt"
+    if command == "run":
+        args = ["run", cfgs[40], "--outdir", str(run)]
+    else:
+        shutil.copytree(d / "run40", run)
+        args = ["resume", str(ckpt), "--trials", "20"]
+    if command == "reconstruct":
+        # the report and images of an earlier pass are the files to keep
+        assert cli.main(["reconstruct", str(ckpt), data, "--count", "2",
+                         "--outdir", str(run)]) == 0
+        args = ["reconstruct", str(ckpt), data, "--noise", "0.5", "--count", "2",
+                "--outdir", str(run)]
+    if target == "metrics.csv":
+        # an interrupted resume flushed the row for trial 50
+        with open(run / target, "ab") as f:
+            f.write((d / "run60" / target).read_bytes().splitlines(keepends=True)[6])
+    path = run / target
+    before = path.read_bytes() if path.exists() else None
+    hit = []
+
+    def faulty_open(name, mode="r", *a, _open=open, **kw):
+        f = _open(name, mode, *a, **kw)
+        if (at == "write" and not hit and set(mode) & set("wax+")
+                and os.path.basename(name) in (target, target + ".tmp")):
+            hit.append(name)
+            return FailingWrites(f, 1, exc)
+        return f
+
+    def faulty_replace(src, dst, _replace=os.replace):
+        if at == "rename" and os.path.basename(dst) == target:
+            hit.append(dst)
+            raise exc
+        _replace(src, dst)
+
+    for module in (runner, checkpoint):
+        monkeypatch.setattr(module, "open", faulty_open, raising=False)
+    monkeypatch.setattr(os, "replace", faulty_replace)
+    if isinstance(exc, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(args)
+    else:
+        assert cli.main(args) == 2
+    monkeypatch.undo()
+    assert hit, f"no {at} of {target} was reached"
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert not list(run.glob("*.tmp"))
+    # the next resume continues as the unsplit run, or has nothing to resume
+    if not ckpt.exists():
+        files = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["resume", str(ckpt), "--trials", "20"]) == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == files
+        return
+    trial = checkpoint.load_population(ckpt)[0].trial
+    assert cli.main(["resume", str(ckpt), "--trials", "20"]) == 0
+    for name in ("metrics.csv", "population.ckpt"):
+        assert (run / name).read_bytes() == (d / f"run{trial + 20}" / name).read_bytes(), name
 
 
 def test_resume_past_the_int64_trial_limit_is_a_config_error(small_run, tmp_path, capsys):
