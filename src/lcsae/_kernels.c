@@ -16,8 +16,9 @@
  *
  * A hand-written CPython extension with the functions and signatures of
  * the numpy twin ``_kernels_py``, which is its executable specification:
- * the twin performs the operations below in the same order, with libm's
- * exp and expm1, and gives the same bits.  Every network is one SELU
+ * the twin performs the operations below in the same order, with the
+ * plain-C exp below (only + - * / and unsigned integer steps, no libm) and
+ * libm's expm1, and gives the same bits.  Every network is one SELU
  * hidden layer plus one logistic output layer and reaches every entry point
  * as one 12-tuple
  *
@@ -55,19 +56,22 @@
  * A no-update output adds the products of w2 and the hidden activations to b2
  * in hidden order; for a net with one hidden unit it is one pass per output,
  * b2 + w2 * a1, which rounds the product once and the sum once as that sum
- * does, so both give the same double.  predict_batch adds each rounded
- * product fit * y to its row's sum and fit to its row's total, both from 0.0,
- * so every row adds its nets in list order, and divides at the end (0.0 /
- * 0.0, NaN, for a row no net matches).  reinforce_batch forms its output the
- * same way after each net's step, from the rules' fitnesses before the XCS
- * update, so its output is the double predict_batch gives for the same nets
- * and input.  Each reinforce step computes the outputs, their gradients and
- * squared errors (in one pass per output for a net with one hidden unit),
- * adds the hidden gradient in output order from the pre-update w2, and
- * updates w2, b2 and then the hidden layer element by element.  Each net's
- * error is the double ``np.mean(np.square(y - x))`` gives: numpy's pairwise
- * sum of the squares (eight partial sums up to 128 terms, halving above that
- * at a multiple of 8) divided by n.  After every step the XCS update runs in
+ * does, so both give the same double.  Each net's outputs take two passes:
+ * the pre-activations into a row, then one branch-free logistic_row over
+ * the row (forward_batch: over all of ys_out at the end).  predict_batch
+ * adds each rounded product fit * y to its row's sum and fit to its row's
+ * total, both from 0.0, so every row adds its nets in list order, and
+ * divides at the end (0.0 / 0.0, NaN, for a row no net matches).
+ * reinforce_batch forms its output the same way after each net's step, from
+ * the rules' fitnesses before the XCS update, so its output is the double
+ * predict_batch gives for the same nets and input.  Each reinforce step
+ * computes the outputs, then their gradients and squared errors (in one
+ * pass per output for a net with one hidden unit), adds the hidden gradient
+ * in output order from the pre-update w2, and updates w2, b2 and then the
+ * hidden layer element by element.  Each net's error is the double
+ * ``np.mean(np.square(y - x))`` gives: numpy's pairwise sum of the squares
+ * (eight partial sums up to 128 terms, halving above that at a multiple of
+ * 8) divided by n.  After every step the XCS update runs in
  * the order of the twin's array update, which is that of the per-rule loop:
  * libm ``pow`` is the function ``math.pow`` calls, and the normaliser of the
  * relative accuracies is the same pairwise sum, which is ``ndarray.sum`` of a
@@ -76,7 +80,11 @@
  * Build: cc -O3 -funroll-loops -shared -fPIC -I<numpy include> -I<python
  * include> -DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION _kernels.c -o <module>
  * and no -ffast-math or -march: reassociated sums or fused multiply-adds
- * would change the bits.
+ * would change the bits.  logistic_row alone is built once per instruction
+ * set, AVX-512F, AVX2 and the default, and the loader picks the widest the
+ * CPU runs; its attributes name no FMA and no -march, and switch off
+ * contraction (fp-contract=off), so every clone gives the same bits, which
+ * tests/test_build_flags.py and the per-clone parity test check.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -116,14 +124,68 @@ selu(double z)
     return SELU_LA * expm1(z);
 }
 
-static inline double
-logistic(double z)
+/* 1/n! for n = 0..13, rounded: the Taylor polynomial of exp(r) */
+static const double EXP_TAYLOR[14] = {
+    0x1p+0, 0x1p+0, 0x1p-1, 0x1.5555555555555p-3, 0x1.5555555555555p-5,
+    0x1.1111111111111p-7, 0x1.6c16c16c16c17p-10, 0x1.a01a01a01a01ap-13,
+    0x1.a01a01a01a01ap-16, 0x1.71de3a556c734p-19, 0x1.27e4fb7789f5cp-22,
+    0x1.ae64567f544e4p-26, 0x1.1eed8eff8d898p-29, 0x1.6124613a86d09p-33,
+};
+
+/* exp(x) for -750 <= x <= 0 (and NaN), within 1 ulp of glibc's down to
+ * -745, where it rounds to 0; below -708 a normal result times 2^-64 is
+ * rounded once more, into the subnormals.  Cody-Waite: k = x / ln 2
+ * rounded by adding 1.5 * 2^52, whose low bits then hold k; x - k ln 2 =
+ * hi - lo with ln 2 split so that k * LN2_HI is exact; exp(r) = 1 + hi - lo
+ * + r^2 p(r), with the rounding error of 1 + hi recovered, and 2^k from the
+ * bits of the rounded multiple as 2^(k + 64) times 2^-64, so every
+ * intermediate stays normal for k >= -1086.  Only unsigned integer
+ * operations touch those bits.  It carries logistic_row's optimize
+ * attribute, without which gcc does not inline it there. */
+__attribute__((optimize("fp-contract=off", "no-trapping-math"))) static inline double
+exp_nonpositive(double x)
 {
-    double e;
-    if (z >= 0.0)
-        return 1.0 / (1.0 + exp(-z));
-    e = exp(z);
-    return e / (1.0 + e);
+    const double shift = 0x1.8p52;
+    double kd = x * 0x1.71547652b82fep+0 + shift, hi, lo, r, p, big, s;
+    npy_uint64 ki;
+    int n;
+
+    memcpy(&ki, &kd, sizeof ki);
+    kd -= shift;
+    hi = x - kd * 0x1.62e42fefa3800p-1;
+    lo = kd * 0x1.ef35793c76730p-45;
+    r = hi - lo;
+    p = EXP_TAYLOR[13];
+    for (n = 12; n >= 2; n--)
+        p = EXP_TAYLOR[n] + r * p;
+    big = 1.0 + hi;
+    ki = (ki + 1087) << 52;
+    memcpy(&s, &ki, sizeof s);
+    return ((big + ((1.0 - big + hi - lo) + r * r * p)) * s) * 0x1p-64;
+}
+
+/* y[i] = 1 / (1 + exp(-z[i])) for z[i] >= 0 and e / (1 + e), e = exp(z[i]),
+ * otherwise, as one branch-free loop over the pre-activations `z`; `y`
+ * may be `z`.  The exp takes -|z| through a select that keeps a NaN's
+ * sign, raised to -750 if lower: beyond +-750 the logistic has long
+ * rounded to 0 or 1.  Each clone runs the scalar operations lane by lane,
+ * each rounded once, so every clone gives the same bits: fp-contract=off
+ * keeps the AVX-512F clone from fusing a * b + c (AVX-512F has FMA
+ * instructions even without -mfma), and no-trapping-math allows gcc to
+ * turn the selects into blends (gcc 12.2 does so here without it too). */
+__attribute__((target_clones("avx512f", "avx2", "default"),
+               optimize("fp-contract=off", "no-trapping-math"))) static void
+logistic_row(const double *z, double *y, npy_intp n)
+{
+    npy_intp i;
+    double v, a, e;
+
+    for (i = 0; i < n; i++) {
+        v = z[i];
+        a = v >= 0.0 ? -v : v;
+        e = exp_nonpositive(a < -750.0 ? -750.0 : a);
+        y[i] = (v >= 0.0 ? 1.0 : e) / (1.0 + e);
+    }
 }
 
 /* The hidden activations of every net of `nets` for the input `x`, into
@@ -167,27 +229,28 @@ hidden_batch(net_t *nets, npy_intp m, npy_intp n_in, const double *x,
     }
 }
 
-/* The logistic outputs of a net whose hidden activations are in `a1`.  A
- * net with one hidden unit takes one pass per output, as fused_sgd does:
- * b2 + w2 * a1 rounds the product once and the sum once, as the general
- * loop does, so both give the same double. */
+/* The output pre-activations of a net whose hidden activations are in
+ * `a1`, into `z`; logistic_row turns them into outputs.  A net with one
+ * hidden unit takes one pass per output: b2 + w2 * a1 rounds the product
+ * once and the sum once, as the general loop does, so both give the same
+ * double. */
 static void
-output(const net_t *p, double *y)
+preactivations(const net_t *p, double *z)
 {
     const double *w2 = p->w2, *b2 = p->b2, *a1 = p->a1;
     npy_intp h = p->h, i, j;
-    double z;
+    double s;
 
     if (h == 1) {
         for (i = 0; i < p->n_out; i++)
-            y[i] = logistic(b2[i] + w2[i] * a1[0]);
+            z[i] = b2[i] + w2[i] * a1[0];
         return;
     }
     for (i = 0; i < p->n_out; i++) {
-        z = b2[i];
+        s = b2[i];
         for (j = 0; j < h; j++)
-            z += w2[i * h + j] * a1[j];
-        y[i] = logistic(z);
+            s += w2[i * h + j] * a1[j];
+        z[i] = s;
     }
 }
 
@@ -241,13 +304,14 @@ fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
     const double c = 2.0 / (double)p->n_out;
     npy_intp h = p->h, n_out = p->n_out, i, j;
 
-    /* the outputs, their gradients and squared errors; with one hidden
-     * unit all in one pass per output, together with the hidden gradient,
-     * which adds g * w2 in output order before w2 is updated */
+    /* the outputs, then their gradients and squared errors; with one
+     * hidden unit in one pass per output, together with the hidden
+     * gradient, which adds g * w2 in output order before w2 is updated */
+    preactivations(p, y);
+    logistic_row(y, y, n_out);
     if (h == 1) {
         e = 0.0;
         for (i = 0; i < n_out; i++) {
-            y[i] = logistic(b2[i] + w2[i] * a1[0]);
             d = y[i] - x[i];
             g[i] = c * d * y[i] * (1.0 - y[i]);
             sq[i] = d * d;
@@ -260,7 +324,6 @@ fused_sgd(const net_t *p, double omega, npy_intp n_in, const double *x,
             mw2[i] = dw;
         }
     } else {
-        output(p, y);
         for (i = 0; i < n_out; i++) {
             d = y[i] - x[i];
             g[i] = c * d * y[i] * (1.0 - y[i]);
@@ -509,12 +572,14 @@ py_forward_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
         PyMem_Free(nets);
         return NULL;
     }
-    /* row i * batch + r of ys_out is net i's output for input r */
+    /* row i * batch + r of ys_out is net i's output for input r: every
+     * pre-activation first, then one logistic pass over them all */
     for (r = 0; r < batch; r++) {
         hidden_batch(nets, m, n, x + r * n, a1, rows);
         for (i = 0; i < m; i++)
-            output(&nets[i], ys + (i * batch + r) * n_out);
+            preactivations(&nets[i], ys + (i * batch + r) * n_out);
     }
+    logistic_row(ys, ys, m * batch * n_out);
     free_scratch(a1, rows, nets);
     Py_RETURN_NONE;
 }
@@ -560,7 +625,8 @@ py_predict_batch(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
             if (!matched[i * batch + r])
                 continue;
             hidden_batch(&nets[i], 1, n, x + r * n, a1, rows);
-            output(&nets[i], y);
+            preactivations(&nets[i], y);
+            logistic_row(y, y, n_out);
             for (q = 0; q < n_out; q++)
                 out[r * n_out + q] += f * y[q];
             fsum[r] += f;

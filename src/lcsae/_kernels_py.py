@@ -16,10 +16,12 @@ eta1, w2, b2, mask2, mw2, mb2, eta2)``, of which ``forward_batch`` and
 executable specification of ``_kernels.c``, which is used when it imports:
 both backends give the same bits, because this one adds each C loop's
 terms one at a time, in C's order and from the same first value, groups
-each product as C does, and takes ``exp`` and ``expm1`` from libm through
-the math module (numpy's SIMD versions differ on some CPUs).  Like the
-compiled kernel, every entry point checks the input and output arrays,
-``predict_batch`` the match matrix, the fitnesses and every net, and
+each product as C does, computes the logistic's ``exp`` with C's
+``+ - * /`` and integer steps as whole-array ufuncs (``exp``), each
+correctly rounded and so the same on every CPU, and takes ``expm1`` from
+libm through the math module (numpy's SIMD version differs on some CPUs).
+Like the compiled kernel, every entry point checks the input and output
+arrays, ``predict_batch`` the match matrix, the fitnesses and every net, and
 ``reinforce_batch`` every net, the match-set positions and the state
 columns, before they write anything.  ``forward_batch`` checks less than
 the compiled kernel: of each net only the tuple size and w1's width (see
@@ -61,15 +63,53 @@ def selu(z):
     return np.where(pos, SELU_LAMBDA * z, _SELU_LA * _libm(math.expm1)(np.where(pos, 0.0, z)))
 
 
+# exp's reduction (see ``exp``): 1 / ln 2, ln 2 = LN2_HI + LN2_LO with
+# LN2_HI's low 11 bits zero, and the shift that rounds to an integer
+_INV_LN2 = float.fromhex("0x1.71547652b82fep+0")
+_LN2_HI = float.fromhex("0x1.62e42fefa3800p-1")
+_LN2_LO = float.fromhex("0x1.ef35793c76730p-45")
+_SHIFT = float.fromhex("0x1.8p52")
+# 1/n!, rounded: the Taylor polynomial of exp(r) for |r| <= ln 2 / 2
+_EXP_TAYLOR = [1.0 / math.factorial(n) for n in range(14)]
+# the logistic's exp takes -|z| raised to -_CLAMP if lower: beyond
+# +-_CLAMP the logistic has long rounded to 0 or 1
+_CLAMP = 750.0
+
+
+def exp(x):
+    """``exp(x)`` for -750 <= x <= 0 and NaN, element-wise, with the
+    operations of ``_kernels.c``'s ``exp_nonpositive`` in its order: +, -, *
+    and unsigned shifts and adds, no libm.  Within 1 ulp of libm's; below
+    -708 a normal result times 2^-64 is rounded once more, into the
+    subnormals."""
+    x = np.asarray(x, dtype=float)
+    kd = x * _INV_LN2 + _SHIFT
+    # the low bits of the shifted sum hold k = round(x / ln 2)
+    ki = np.asarray(kd).view(np.uint64)
+    kd = kd - _SHIFT
+    hi = x - kd * _LN2_HI
+    lo = kd * _LN2_LO
+    r = hi - lo
+    p = _EXP_TAYLOR[13]
+    for c in reversed(_EXP_TAYLOR[2:13]):
+        p = c + r * p
+    big = 1.0 + hi
+    # 2^(k + 64), normal for every k >= -1086, then times 2^-64
+    s = np.asarray((ki + np.uint64(1087)) << np.uint64(52)).view(np.float64)
+    return (big + ((1.0 - big + hi - lo) + r * r * p)) * s * 2.0 ** -64
+
+
 def logistic(z):
-    """Numerically stable standard logistic function, with libm's ``exp``;
-    a scalar gives a float."""
+    """Numerically stable standard logistic function on the package's own
+    ``exp``, with the operations of ``_kernels.c``'s ``logistic_row``; a
+    scalar gives a float."""
     z = np.asarray(z, dtype=float)
-    # exp(-z) for z >= 0 and exp(z) below never overflows; unlike -|z|,
-    # the argument keeps the sign of a NaN input
+    # exp(-z) for z >= 0 and exp(z) below; unlike -|z|, the argument keeps
+    # the sign of a NaN input
     pos = z >= 0.0
-    e = _libm(math.exp)(np.where(pos, -z, z))
-    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    a = np.where(pos, -z, z)
+    e = exp(np.where(a < -_CLAMP, -_CLAMP, a))
+    out = np.where(pos, 1.0, e) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
 
 

@@ -29,8 +29,13 @@ of ``matched``.
 The compiled extension ``_kernels``, built from the hand-written C source
 ``_kernels.c``, is used when it imports, and otherwise its executable
 specification, the pure-numpy twin ``_kernels_py``, which gives the same
-bits.  The backend name ``"cython"`` is historical: it names the compiled
-extension, which no longer needs Cython.
+bits.  The logistic's ``exp`` is the package's own on both (plain C, and
+the same operations as numpy ufuncs), so no libm decides a logistic
+output; SELU's ``expm1`` and the accuracy's ``pow`` are still libm's.  The
+compiled logistic runs as the widest of its AVX-512F, AVX2 and default
+builds that the CPU runs, each giving the same bits.  The backend name
+``"cython"`` is historical: it names the compiled extension, which no
+longer needs Cython.
 """
 
 import numpy as np

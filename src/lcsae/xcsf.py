@@ -142,21 +142,24 @@ class Population:
         # popped from the end, so the lowest free slot goes first
         self._free = list(range(capacity - 1, len(self.members) - 1, -1))
 
-    def add(self, cl: Classifier, *, err, fit, exp, set_size, ts, born, mtotal) -> None:
-        """Append ``cl``, a rule outside any population, and a row of the
-        scalars given to the table; with a memo, give it a zeroed slot, so
-        it never reads a dead rule's decisions."""
+    def add(self, rules, *, err, fit, exp, set_size, ts, born, mtotal) -> None:
+        """Append ``rules``, a list of rules outside any population, and
+        their rows of the scalars given, each one value for every rule or a
+        sequence of one per rule, to the table; with a memo, give each rule
+        a zeroed slot, so it never reads a dead rule's decisions.  A memo
+        without a slot for every rule is refused before anything changes."""
+        k = len(rules)
         if self.memo is not None:
-            if not self._free:
+            if len(self._free) < k:
                 raise RuntimeError("the match memo is full")
-            slot = self._free.pop()
-            self.memo[slot] = UNKNOWN
-            self.slots = np.append(self.slots, slot)
+            slots = [self._free.pop() for _ in range(k)]
+            self.memo[slots] = UNKNOWN
+            self.slots = np.concatenate((self.slots, slots))
         state = self.state
         for name, value in zip(SCALARS, (err, fit, exp, set_size, ts, born, mtotal)):
             col = getattr(state, name)
-            setattr(state, name, np.concatenate((col, np.array([value], col.dtype))))
-        self.members.append(cl)
+            setattr(state, name, np.concatenate((col, np.full(k, value, col.dtype))))
+        self.members.extend(rules)
 
     def remove(self, i: int) -> None:
         """Drop member ``i`` and its row, whose scalars go with it; the later
@@ -232,7 +235,7 @@ def build_match_set(pop: Population, x, cfg: ExperimentConfig, rng,
     """
     m = match_set(pop, x, cfg, row)
     if not len(m):
-        pop.add(cover(x, cfg, rng), err=cfg.epsilon_I, fit=cfg.F_I, exp=0, set_size=1.0,
+        pop.add([cover(x, cfg, rng)], err=cfg.epsilon_I, fit=cfg.F_I, exp=0, set_size=1.0,
                 ts=pop.trial, born=pop.trial, mtotal=0)
         m = np.array([len(pop.members) - 1])
     pop.state.mtotal[m] += 1
@@ -361,10 +364,10 @@ def maybe_run_ea(pop: Population, m: np.ndarray, cfg: ExperimentConfig, rng) -> 
     # a small F_R can make the reduced fitness subnormal, whose deletion vote
     # mean_f / fit overflows; keep it at the floor reinforce keeps
     fit = max(0.5 * (float(st.fit[p1]) + float(st.fit[p2])) * cfg.F_R, _F_FLOOR)
-    for i in range(cfg.lam):
-        p = (p1, p2)[i % 2]
-        pop.add(make_offspring(pop.members[p], cfg, rng), err=err, fit=fit, exp=1,
-                set_size=st.set_size[p], ts=pop.trial, born=pop.trial, mtotal=0)
+    parents = [(p1, p2)[i % 2] for i in range(cfg.lam)]
+    children = [make_offspring(pop.members[p], cfg, rng) for p in parents]
+    pop.add(children, err=err, fit=fit, exp=1, set_size=st.set_size[parents], ts=pop.trial,
+            born=pop.trial, mtotal=0)
     return True
 
 

@@ -2,6 +2,7 @@ import importlib.machinery
 import importlib.util
 import json
 import pathlib
+import re
 import shutil
 import struct
 import subprocess
@@ -148,30 +149,91 @@ def cfg():
     return ExperimentConfig()
 
 
+def compile_kernels(source, out):
+    """Compile the C source file ``source`` into the extension module
+    ``out`` with the flags setup.py uses and every warning on; returns the
+    compiler's exit status and diagnostics.  The test skips when there is
+    no C compiler on PATH."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    cmd = [cc, *FLAGS, "-Wall", "-Wextra", "-shared", "-fPIC",
+           "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+           str(source), "-o", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def load_kernels(path):
+    """The compiled module at ``path``, loaded without entering
+    ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location("lcsae._kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert sys.modules.get("lcsae._kernels") is not module
+    return module
+
+
+def _extension(tmp_path_factory, name):
+    return tmp_path_factory.mktemp(name) / ("_kernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
+
+
 @pytest.fixture(scope="session")
 def build(tmp_path_factory):
     """Compile the kernel source with the system C compiler into a
     temporary directory; returns the module path and the compiler's
     diagnostics.  The compiled path is tested whether or not an extension
     was installed."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("kernels") / (
-        "_kernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    cmd = [cc, *FLAGS, "-Wall", "-Wextra", "-shared", "-fPIC",
-           "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
-           str(KERNEL_SOURCE), "-o", str(out)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return out, proc.stderr
+    out = _extension(tmp_path_factory, "kernels")
+    status, stderr = compile_kernels(KERNEL_SOURCE, out)
+    assert status == 0, stderr
+    return out, stderr
 
 
 @pytest.fixture(scope="session")
 def cy(build):
     """The freshly compiled module, loaded without entering ``sys.modules``."""
-    spec = importlib.util.spec_from_file_location("lcsae._kernels", build[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert sys.modules.get("lcsae._kernels") is not module
-    return module
+    return load_kernels(build[0])
+
+
+# logistic_row's clones, as _kernels.c lists them
+CLONES = 'target_clones("avx512f", "avx2", "default")'
+
+
+def _cpu_flags():
+    """The feature flags of the first CPU in /proc/cpuinfo, or None where
+    that file cannot be read."""
+    try:
+        text = pathlib.Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return None
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.partition(":")[2].split())
+    return set()
+
+
+@pytest.fixture(scope="session", params=["avx512f", "avx2", "default"])
+def clone(request, tmp_path_factory):
+    """The kernels with logistic_row built as the one clone named by the
+    parameter, so that each clone the CPU runs is tested whichever the
+    dispatcher would pick: the source's clone list becomes that clone and
+    the default, or no clones at all for the default.  A clone the CPU
+    cannot run is skipped, with the missing feature named."""
+    feature = request.param
+    if feature != "default":
+        flags = _cpu_flags()
+        if flags is None:
+            pytest.skip(f"cannot tell whether the CPU runs {feature}")
+        if feature not in flags:
+            pytest.skip(f"the CPU lacks {feature}")
+    text = KERNEL_SOURCE.read_text(encoding="utf-8")
+    one = f'target_clones("{feature}", "default"), ' if feature != "default" else ""
+    text, count = re.subn(re.escape(CLONES) + r",\s*", one, text)
+    assert count == 1
+    source = tmp_path_factory.mktemp(f"source-{feature}") / "_kernels.c"
+    source.write_text(text, encoding="utf-8")
+    out = _extension(tmp_path_factory, f"kernels-{feature}")
+    status, stderr = compile_kernels(source, out)
+    assert status == 0, stderr
+    return load_kernels(out)

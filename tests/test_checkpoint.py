@@ -162,7 +162,7 @@ def test_layer_arrays_that_do_not_fit_never_load(corrupt):
 
 def test_rules_of_another_width_never_load():
     pop, rng = _sample_population(n=6)
-    pop.add(make_classifier(n=5, seed=40), **SCALAR_DEFAULTS)
+    pop.add([make_classifier(n=5, seed=40)], **SCALAR_DEFAULTS)
     blob = population_to_bytes(pop, ExperimentConfig(), rng)
     with pytest.raises(CheckpointError, match="hidden sizes and 6 inputs need"):
         population_from_bytes(blob)

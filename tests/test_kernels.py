@@ -367,8 +367,9 @@ def test_reinforce_batch_parity(cy):
 
 
 def _disagreements(numpy_f, libm_f, zs, count=20):
-    """Up to ``count`` of ``zs`` on which numpy's and libm's versions of a
-    function differ on this machine (none where numpy calls libm)."""
+    """Up to ``count`` of ``zs`` on which an array version of a function
+    (numpy's, or the package's own) and libm's differ on this machine
+    (none where numpy calls libm)."""
     libm = np.array([libm_f(z) for z in zs.tolist()])
     return zs[numpy_f(zs) != libm][:count].tolist()
 
@@ -386,29 +387,55 @@ def _edge_net(b1, b2, w2=1.0):
             np.array([-0.0]), 0.006)
 
 
-def test_activations_at_the_edges_are_bit_for_bit(cy):
+def _edge_values():
+    """(hidden, output) pre-activation pairs at the activations' edges: the
+    special values, SELU's expm1 where numpy's differs from libm, and the
+    logistic's plain exp where it differs from libm, at the clamp of +-750,
+    in the subnormal band (-745 to -708) and beyond, and at halves of ln 2,
+    where the reduction rounds k."""
     # the logistic takes exp of -|z| and SELU takes expm1 of z <= 0
     zs = -np.random.default_rng(18).uniform(0.0, 40.0, 20000)
     edges = [0.0, -0.0, 745.0, -745.0, 5e-324, -5e-324, 1e-310, -1e-310,
              1e-17, -1e-17, math.inf, -math.inf, math.nan, -math.nan]
+    clamp = [c * v for c in (1.0, -1.0)
+             for v in (750.0, np.nextafter(750.0, 0.0), np.nextafter(750.0, 1e4), 749.5,
+                       751.0, 1e4, 1e300, 36.7, 37.0, 708.0, 708.4)]
+    band = np.random.default_rng(19).uniform(-745.2, -708.0, 40).tolist()
+    band += [-708.4, -744.44, -745.13, -745.14, -746.0, -749.0]
+    halves = [-(k + 0.5) * math.log(2.0) for k in (0, 1, 2, 10, 100, 1000, 1021)]
     hidden = edges + _disagreements(np.expm1, math.expm1, zs)
-    output = edges + _disagreements(np.exp, math.exp, zs)
+    output = (edges + clamp + band + halves
+              + _disagreements(_kernels_py.exp, math.exp, zs))
     # -0.0 into the other layer keeps the chosen value, signed zeros too
-    values = [(v, -0.0) for v in hidden] + [(-0.0, v) for v in output]
+    return [(v, -0.0) for v in hidden] + [(-0.0, v) for v in output]
+
+
+def _assert_edges_match_the_twin(mod, mixed_nan_sums=True):
+    """The edge values through every entry point of ``mod`` give the twin's
+    bytes.  Without ``mixed_nan_sums``, no predict_batch call adds NaNs of
+    both signs: such a sum takes the sign of whichever operand the compiler
+    puts first, and the CI sanitize job's build of the unchanged
+    accumulation puts the other first."""
+    values = _edge_values()
     x = np.array([-1.0])
     edge_nets = [_edge_net(*v) for v in values]
     ys = [np.full((len(values), 1), 7.0) for _ in range(2)]
-    for mod, y in zip((_kernels_py, cy), ys):
-        mod.forward_batch(edge_nets, x[None], y)
+    for kernels_mod, y in zip((_kernels_py, mod), ys):
+        kernels_mod.forward_batch(edge_nets, x[None], y)
     assert ys[0].tobytes() == ys[1].tobytes()
     # the same nets through predict_batch, on one row that every net matches
-    # with fit 1.0: all nets in one call, and each on its own
-    for nets in [edge_nets] + [[net] for net in edge_nets]:
+    # with fit 1.0: all nets in one call (or all but the NaNs of one sign),
+    # and each on its own
+    sign = np.signbit(ys[0][:, 0])
+    nan = np.isnan(ys[0][:, 0])
+    groups = [edge_nets] if mixed_nan_sums else [
+        [net for net, drop in zip(edge_nets, nan & (sign == s)) if not drop] for s in (0, 1)]
+    for nets in groups + [[net] for net in edge_nets]:
         means = []
-        for mod in (_kernels_py, cy):
+        for kernels_mod in (_kernels_py, mod):
             out = np.full((1, 1), 7.0)
-            mod.predict_batch(nets, x[None], np.ones((len(nets), 1), bool),
-                              np.ones(len(nets)), out)
+            kernels_mod.predict_batch(nets, x[None], np.ones((len(nets), 1), bool),
+                                      np.ones(len(nets)), out)
             means.append(out.tobytes())
         assert means[0] == means[1]
     # a training step, from the finite values, which need no NaN arithmetic;
@@ -418,11 +445,48 @@ def test_activations_at_the_edges_are_bit_for_bit(cy):
     m = len(finite)
     nets = [[_edge_net(*v) for v in finite] for _ in range(2)]
     stepped = []
-    for mod, preds in zip((_kernels_py, cy), nets):
+    for kernels_mod, preds in zip((_kernels_py, mod), nets):
         out, rules = np.empty(1), _mse_rules(m)
-        mod.reinforce_batch(preds, x, 0.9, out, *rules)
+        kernels_mod.reinforce_batch(preds, x, 0.9, out, *rules)
         stepped.append([np.asarray(a).tobytes() for a in (out, *rules, *sum(preds, ()))])
     assert stepped[0] == stepped[1]
+
+
+def test_activations_at_the_edges_are_bit_for_bit(compiled):
+    # on the cy build and on the package's own module, so a sanitized build
+    # of the package runs the plain exp's integer steps on every edge
+    for mod in compiled:
+        _assert_edges_match_the_twin(mod, mixed_nan_sums=mod is compiled[0])
+
+
+def test_every_clone_gives_the_twins_bits(clone):
+    # each clone of logistic_row the CPU runs, at the edges and on random
+    # nets of output widths that leave every remainder of the vector lanes,
+    # through all three entry points
+    _assert_edges_match_the_twin(clone)
+    rng = np.random.default_rng(23)
+    for n_out in [*range(1, 18), 64, 784]:
+        n_in = n_out
+        nets = [_args(*_random_net(rng, n_in, h, n_out)) for h in (1, 3, 1, 8)]
+        for net in nets:
+            net[7][:] = rng.standard_normal(n_out) * 20.0  # outputs near 0 and 1 too
+        xs = rng.random((3, n_in))
+        fit = rng.random(len(nets)) + 0.01
+        matched = rng.random((len(nets), 3)) < 0.7
+        results = []
+        for mod in (_kernels_py, clone):
+            ys = np.empty((len(nets) * 3, n_out))
+            mod.forward_batch(nets, xs, ys)
+            pred = np.empty((3, n_out))
+            mod.predict_batch(nets, xs, matched, fit, pred)
+            preds = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in net)
+                     for net in nets]
+            out, rules = np.empty(n_in), _mse_rules(len(nets))
+            mod.reinforce_batch(preds, xs[0], 0.9, out, *rules)
+            results.append([ys.tobytes(), pred.tobytes(), out.tobytes(), rules[1].tobytes(),
+                            *(a.tobytes() for net in preds for a in net
+                              if isinstance(a, np.ndarray))])
+        assert results[0] == results[1], n_out
 
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
@@ -482,8 +546,8 @@ def _public_functions(module):
 def test_backends_export_the_same_kernels(cy):
     expected = {"forward_batch", "predict_batch", "reinforce_batch"}
     assert _public_functions(cy) == expected
-    # the twin also holds the package's activations
-    assert _public_functions(_kernels_py) - {"selu", "logistic"} == expected
+    # the twin also holds the package's activations and the logistic's exp
+    assert _public_functions(_kernels_py) - {"selu", "logistic", "exp"} == expected
     # match_batch, the package's one match rule, for one input or a batch,
     # serves both backends over their forward_batch
     assert _public_functions(kernels) == expected | {"match_batch"}

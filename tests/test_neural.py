@@ -5,7 +5,7 @@ import pytest
 
 from conftest import assert_network_layout, spare_rules
 from lcsae import kernels, neural
-from lcsae._kernels_py import SELU_ALPHA, SELU_LAMBDA, logistic, selu
+from lcsae._kernels_py import SELU_ALPHA, SELU_LAMBDA, exp, logistic, selu
 from lcsae.neural import (ETA_MAX, ETA_MIN, forward, mutate_connections, new_layer,
                           new_network)
 from reproduction_reference import (clone, mutate_eta, mutate_neurons, mutate_weights,
@@ -67,20 +67,37 @@ def test_logistic_worked_values():
     assert np.array_equal(out, [0.5, 0.5, 1.0, 0.0, math.nan, 1.0, 0.0], equal_nan=True)
 
 
-def _libm_exp(z):
-    return np.array([math.exp(v) for v in z.tolist()])
-
-
 def _logistic_by_masks(z):
     # reference: each sign branch evaluated on its own subset, with the
-    # same libm exp
+    # package's plain exp of the clamped pre-activation
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + _libm_exp(-z[pos]))
-    ez = _libm_exp(z[~pos])
+    out[pos] = 1.0 / (1.0 + exp(-np.minimum(z[pos], 750.0)))
+    ez = exp(np.maximum(z[~pos], -750.0))
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def _ulps(a, b):
+    """The distance in units in the last place of float64 arrays of one
+    sign."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_exp_is_within_one_ulp_of_libm():
+    x = -np.random.default_rng(4).uniform(0.0, 708.0, 100_000)
+    x[:4] = [0.0, -0.0, -708.0, -1e-300]
+    libm = np.array([math.exp(v) for v in x.tolist()])
+    assert _ulps(exp(x), libm).max() <= 1
+    # below -708 it rounds into the subnormals, still within 1 ulp, and to 0
+    # below about -745.13
+    band = np.linspace(-745.2, -708.0, 2001)
+    got = exp(band)
+    assert _ulps(got, np.array([math.exp(v) for v in band.tolist()])).max() <= 1
+    assert (np.diff(got) >= 0).all()
+    assert got[0] == 0.0 and exp(-750.0) == 0.0 and exp(-745.0) == 5e-324
+    assert np.isnan(exp(math.nan)) and np.signbit(exp(-math.nan))
 
 
 def test_logistic_equals_the_masked_branches_bit_for_bit():

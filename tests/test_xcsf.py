@@ -614,7 +614,7 @@ def _partly_memoized(pop, xs, cfg):
     xcsf.match_set(pop, xs[-1], cfg, rows[-1])
     if pop.memo is not None:
         pop.memo[np.random.default_rng(len(xs)).random(pop.memo.shape) < 1 / 3] = xcsf.UNKNOWN
-    pop.add(last, **scalars)
+    pop.add([last], **scalars)
     return rows
 
 
@@ -1196,8 +1196,8 @@ def test_add_and_remove_keep_rows_aligned_and_reuse_them():
         pop.remove(2)
     assert pop.members == [rules[0], rules[2]]
     assert pop.micro_count() == 2
-    pop.add(rules[3], **{**SCALAR_DEFAULTS, "fit": 0.4})
-    pop.add(rules[1], **{**SCALAR_DEFAULTS, "fit": 0.5})
+    pop.add([rules[3]], **{**SCALAR_DEFAULTS, "fit": 0.4})
+    pop.add([rules[1]], **{**SCALAR_DEFAULTS, "fit": 0.5})
     assert pop.members == [rules[0], rules[2], rules[3], rules[1]]
     # the later row moved up, and the adds took the next rows
     assert pop.state.fit.tolist() == [0.1, 0.30000000000000004, 0.4, 0.5]
@@ -1234,27 +1234,33 @@ def _scalars(k):
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(ops=st.lists(st.sampled_from(["add", "readd", "first", "middle", "last"]),
+@given(ops=st.lists(st.sampled_from(["add", "readd", "pair", "first", "middle", "last"]),
                     max_size=40))
 def test_random_adds_and_removes_match_a_list_model(ops):
     pop = xcsf.Population()
     _assert_table_is_the_model(pop, [])
-    # room for every add of the longest list of operations
-    pop.memoize(ExperimentConfig(N=37, lam=2), rows=5)
+    # room for every add of the longest list of operations, two rules each
+    pop.memoize(ExperimentConfig(N=77, lam=2), rows=5)
     for i in (-1, 0):  # an empty population has no position
         _assert_remove_is_refused(pop, i)
     model = []  # (rule, its scalars) in member order
     removed = []
     for k, op in enumerate(ops):
-        added = op in ("add", "readd")
+        added = {"add": 1, "readd": 1, "pair": 2}.get(op, 0)
         if op == "readd" and removed:
             cl, values = removed.pop()
-            pop.add(cl, **values)
+            pop.add([cl], **values)
             model.append((cl, values))
+        elif op == "pair":
+            # two rules in one call, each scalar given per rule
+            values = [_scalars(k), _scalars(k + 100)]
+            cls = [make_classifier(n=2, seed=k), make_classifier(n=2, seed=k + 100)]
+            pop.add(cls, **{name: [v[name] for v in values] for name in xcsf.SCALARS})
+            model += zip(cls, values)
         elif added:
             values = _scalars(k)
             cl = make_classifier(n=2, seed=k)
-            pop.add(cl, **values)
+            pop.add([cl], **values)
             model.append((cl, values))
         elif model:
             i = {"first": 0, "middle": len(model) // 2, "last": len(model) - 1}[op]
@@ -1266,7 +1272,7 @@ def test_random_adds_and_removes_match_a_list_model(ops):
         assert len(slots) == len(set(slots)) == len(pop.members)
         assert all(0 <= slot < len(pop.memo) for slot in slots)
         if added:
-            assert not pop.memo[slots[-1]].any()
+            assert not pop.memo[slots[-added:]].any()
         pop.memo[slots] = xcsf.MATCH
         assert list(pop) == pop.members == [cl for cl, _ in model]
         _assert_table_is_the_model(pop, model)
@@ -1288,14 +1294,19 @@ def test_a_match_memo_holds_n_plus_lambda_plus_one_rules():
     rules = [make_classifier(n=2, seed=s) for s in range(5)]
     pop = make_population(rules[:3])
     pop.memoize(cfg, rows=3)
-    pop.add(rules[3], **SCALAR_DEFAULTS)
+    pop.add([rules[3]], **SCALAR_DEFAULTS)
     assert pop.memo.shape == (4, 3) and sorted(pop.slots.tolist()) == [0, 1, 2, 3]
     # a full memo refuses a rule, and the population stays as it was
     with pytest.raises(RuntimeError, match="full"):
-        pop.add(rules[4], **SCALAR_DEFAULTS)
+        pop.add([rules[4]], **SCALAR_DEFAULTS)
     assert pop.members == rules[:4] and len(pop.state.fit) == len(pop.slots) == 4
     pop.remove(1)
-    pop.add(rules[4], **SCALAR_DEFAULTS)
+    # a list of rules needs a slot for each, or none of them is added
+    with pytest.raises(RuntimeError, match="full"):
+        pop.add([rules[4], rules[1]], **SCALAR_DEFAULTS)
+    assert pop.members == [rules[0], rules[2], rules[3]] and pop._free == [1]
+    assert len(pop.state.fit) == len(pop.slots) == 3
+    pop.add([rules[4]], **SCALAR_DEFAULTS)
     assert pop.slots.tolist() == [0, 2, 3, 1]
     # every rule matches in global_ea mode, so there is nothing to remember
     pop = make_population([make_classifier(n=2, seed=s) for s in range(3)])
@@ -1319,14 +1330,14 @@ def test_add_takes_the_seven_scalars_by_keyword_only():
     values = _scalars(3)
     pop, cl = xcsf.Population(), make_classifier(n=2)
     with pytest.raises(TypeError):
-        pop.add(cl, *values.values())
+        pop.add([cl], *values.values())
     misspelt = {("sizes" if name == "set_size" else name): v for name, v in values.items()}
     with pytest.raises(TypeError):
-        pop.add(cl, **misspelt)
+        pop.add([cl], **misspelt)
     with pytest.raises(TypeError):
-        pop.add(cl, **{name: v for name, v in values.items() if name != "mtotal"})
+        pop.add([cl], **{name: v for name, v in values.items() if name != "mtotal"})
     assert pop.members == [] and len(pop.state.fit) == 0
-    pop.add(cl, **values)
+    pop.add([cl], **values)
     assert {name: getattr(pop.state, name)[0].item() for name in xcsf.SCALARS} == values
     # the rule itself holds only its nets
     assert not any(hasattr(cl, name) for name in xcsf.SCALARS)
