@@ -12,7 +12,7 @@ import sysconfig
 import numpy as np
 import pytest
 
-from lcsae import checkpoint, neural, xcsf
+from lcsae import _kernels_py, checkpoint, kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
 KERNEL_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lcsae" / "_kernels.c"
@@ -151,13 +151,14 @@ def cfg():
 
 def compile_kernels(source, out):
     """Compile the C source file ``source`` into the extension module
-    ``out`` with the flags setup.py uses and every warning on; returns the
-    compiler's exit status and diagnostics.  The test skips when there is
-    no C compiler on PATH."""
+    ``out`` with the flags setup.py uses and every warning on, leaving its
+    assembly (``*.s``) in the directory of ``out``; returns the compiler's
+    exit status and diagnostics.  The test skips when there is no C
+    compiler on PATH."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    cmd = [cc, *FLAGS, "-Wall", "-Wextra", "-shared", "-fPIC",
+    cmd = [cc, *FLAGS, "-Wall", "-Wextra", "-shared", "-fPIC", "-save-temps=obj",
            "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
            str(source), "-o", str(out)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -194,6 +195,14 @@ def build(tmp_path_factory):
 def cy(build):
     """The freshly compiled module, loaded without entering ``sys.modules``."""
     return load_kernels(build[0])
+
+
+def use_backend(backend, request, monkeypatch):
+    """Route every kernel call through the numpy twin or the compiled
+    module: ``kernels`` picks its backend once, at import."""
+    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
+    for kernel in ("forward_batch", "predict_batch", "reinforce_batch"):
+        monkeypatch.setattr(kernels, kernel, getattr(impl, kernel))
 
 
 # logistic_row's clones, as _kernels.c lists them

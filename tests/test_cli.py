@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FailingWrites, split_checkpoint, write_config, write_csv
-from lcsae import _kernels_py, checkpoint, cli, kernels, metrics, runner, xcsf
+from conftest import FailingWrites, split_checkpoint, use_backend, write_config, write_csv
+from lcsae import checkpoint, cli, metrics, runner, xcsf
 from lcsae.config import ExperimentConfig, config_to_dict
 
 BASE = dict(N=30, theta_EA=25, h_M=2, trials=200, checkpoint_interval=50,
@@ -673,26 +673,18 @@ def test_resume_on_changed_dataset_exits_2(tmp_path, dataset, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
-def _use_backend(name, request, monkeypatch):
-    """Route every kernel call through the numpy twin or the compiled
-    kernel: ``kernels`` picks its backend once, at import."""
-    impl = request.getfixturevalue("cy") if name == "compiled" else _kernels_py
-    for kernel in ("forward_batch", "predict_batch", "reinforce_batch"):
-        monkeypatch.setattr(kernels, kernel, getattr(impl, kernel))
-
-
 @pytest.mark.parametrize("first, then", [("numpy", "compiled"), ("compiled", "numpy")])
 def test_resume_on_the_other_backend_matches_the_unsplit_run(first, then, tmp_path, dataset,
                                                              request, monkeypatch):
     # both backends give the same bits, so a run may change backend when it
     # resumes
-    _use_backend(first, request, monkeypatch)
+    use_backend(first, request, monkeypatch)
     full, half = tmp_path / "full", tmp_path / "half"
     for out, trials in ((full, 40), (half, 20)):
         cfg = _config(tmp_path, dataset, name=f"{trials}.cfg", trials=trials,
                       checkpoint_interval=10)
         assert cli.main(["run", cfg, "--outdir", str(out)]) == 0
-    _use_backend(then, request, monkeypatch)
+    use_backend(then, request, monkeypatch)
     assert cli.main(["resume", str(half / "population.ckpt"), "--trials", "20"]) == 0
     for name in ("metrics.csv", "population.ckpt"):
         assert (half / name).read_bytes() == (full / name).read_bytes(), name
@@ -706,7 +698,7 @@ def test_both_backends_write_the_same_bytes(mode, tmp_path, request, monkeypatch
     cfg = _config(tmp_path, write_csv(tmp_path / "wide.csv", rows), mode=mode, N=20,
                   trials=300, checkpoint_interval=50)
     for backend in ("numpy", "compiled"):
-        _use_backend(backend, request, monkeypatch)
+        use_backend(backend, request, monkeypatch)
         assert cli.main(["run", cfg, "--outdir", str(tmp_path / backend)]) == 0
     for name in ("metrics.csv", "population.ckpt"):
         assert (tmp_path / "numpy" / name).read_bytes() == \

@@ -1,5 +1,5 @@
 """Bit-for-bit parity between the compiled kernels and the pure-numpy twin,
-and the argument checks of the compiled kernels.
+and the argument checks of both, one refusal table per entry point.
 
 The compiled module comes from the ``build`` and ``cy`` fixtures of
 ``conftest.py``, which compile ``src/lcsae/_kernels.c`` with the system C
@@ -126,39 +126,6 @@ def test_batched_forward_parity_and_batch_invariance(cy):
                     one = _untouched(m, n_out)
                     cy.forward_batch(nets, xs[r:r + 1], one)
                     assert one.tobytes() == ys_cy[r::rows].tobytes()
-
-
-def test_bad_batched_forwards_leave_ys_out_untouched(compiled):
-    rng = np.random.default_rng(20)
-    nets = [_cond(rng, 8), _cond(rng, 8, h=3)]
-    xs = rng.random((3, 8))
-    read_only = _untouched(6)
-    read_only.flags.writeable = False
-    bad_calls = [
-        # one input is a batch of one row, never a 1-D x
-        (ValueError, "x has the wrong shape", xs[0], _untouched(2)),
-        (ValueError, "x has the wrong shape", xs[None], _untouched(6)),
-        (ValueError, "w1 has the wrong shape", rng.random((3, 7)), _untouched(6)),
-        (ValueError, "ys_out has the wrong shape", xs, _untouched(5)),
-        (ValueError, "ys_out has the wrong shape", xs, _untouched(7)),
-        (ValueError, "ys_out has the wrong shape", xs, np.full(6, 7.0)),
-        (ValueError, "ys_out must be writable", xs, read_only),
-        (ValueError, "x must be aligned and C-contiguous", np.asfortranarray(xs),
-         _untouched(6)),
-    ]
-    for mod in (_kernels_py, *compiled):
-        for exc, msg, x, ys in bad_calls:
-            with pytest.raises(exc, match=msg):
-                mod.forward_batch(nets, x, ys)
-            assert np.all(ys == 7.0), (mod, msg)
-        # 2**59 zero-width inputs (numpy's largest such float64 batch) for
-        # 32 nets: rows * m wraps to 0 in a 64-bit product, which an empty
-        # ys_out would match
-        empty = [_cond(rng, 0) for _ in range(32)]
-        for ys in (np.empty((0, 1)), _untouched(32)):
-            with pytest.raises(ValueError, match="x has too many rows for 32 nets"):
-                mod.forward_batch(empty, np.empty((2**59, 0)), ys)
-        assert np.all(ys == 7.0)
 
 
 def _predict_reference(nets, xs, matched, fit, n_out):
@@ -553,17 +520,6 @@ def test_backends_export_the_same_kernels(cy):
     assert _public_functions(kernels) == expected | {"match_batch"}
 
 
-def test_both_backends_refuse_the_forward_only_layout(compiled):
-    rng = np.random.default_rng(11)
-    net = _cond(rng, 4)
-    four = net[:2] + net[6:8]
-    for mod in (_kernels_py, *compiled):
-        ys = _untouched(1)
-        with pytest.raises((TypeError, ValueError)):
-            mod.forward_batch([four], rng.random((1, 4)), ys)
-        assert np.all(ys == 7.0)
-
-
 def test_backends_are_internally_deterministic(cy):
     rng = np.random.default_rng(4)
     net = _args(*_random_net(rng, 5, 3, 5))
@@ -592,74 +548,73 @@ def _untouched(rows, cols=1):
     return np.full((rows, cols), 7.0)
 
 
-def test_short_input_is_rejected(compiled):
-    rng = np.random.default_rng(5)
-    conds = [_cond(rng, 64) for _ in range(3)]
-    preds = [_pred(rng, 64)]
-    for mod in compiled:
-        ys = _untouched(3)
-        with pytest.raises(ValueError, match="w1 has the wrong shape"):
-            mod.forward_batch(conds, rng.random((1, 16)), ys)
-        assert np.all(ys == 7.0)
-        with pytest.raises(ValueError, match="w1 has the wrong shape"):
-            mod.reinforce_batch(preds, rng.random(16), 0.9, np.empty(16), *spare_rules(1))
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
-def test_float32_input_is_rejected(compiled):
-    rng = np.random.default_rng(6)
-    for mod in compiled:
-        ys = _untouched(1)
-        with pytest.raises(TypeError, match="x must be a native float64 array"):
-            mod.forward_batch([_cond(rng, 64)], rng.random((1, 64)).astype(np.float32), ys)
-        assert np.all(ys == 7.0)
-
-
-def test_fortran_ordered_weights_are_rejected(compiled):
-    rng = np.random.default_rng(7)
-    cond = _cond(rng, 64, h=4)
-    for mod in compiled:
-        ys = _untouched(1)
-        with pytest.raises(ValueError, match="w1 must be aligned and C-contiguous"):
-            mod.forward_batch([(np.asfortranarray(cond[0]),) + cond[1:]],
-                              rng.random((1, 64)), ys)
-        assert np.all(ys == 7.0)
-
-
-def test_short_output_buffer_is_rejected(compiled):
-    rng = np.random.default_rng(8)
-    conds = [_cond(rng, 8) for _ in range(3)]
-    for mod in compiled:
-        ys = _untouched(1)
-        with pytest.raises(ValueError, match="ys_out has the wrong shape"):
-            mod.forward_batch(conds, rng.random((1, 8)), ys)
-        assert np.all(ys == 7.0)
-
-
-def test_bad_forward_batches_leave_ys_out_untouched(compiled):
+def _forward_refusals():
+    """(exception, message, nets, x, ys_out, whether the twin refuses it
+    too) of each bad forward_batch call: two condition nets of width 8 on
+    three inputs, six output rows, with one argument bad.  Each call builds
+    the table afresh, the same every time."""
     rng = np.random.default_rng(10)
-    x = rng.random((1, 8))
     good = _cond(rng, 8)
-    read_only = _untouched(2)
-    read_only.flags.writeable = False
-    bad_calls = [
-        # the width of ys_out fixes the output width of every net
-        (ValueError, "w2 has the wrong shape", [good, good], _untouched(2, 3)),
-        (ValueError, "ys_out has the wrong shape", [good, good], np.full(2, 7.0)),
-        (ValueError, "ys_out must be writable", [good, good], read_only),
-        (TypeError, "must be list", tuple([good, good]), _untouched(2)),
-        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], _untouched(2)),
-        # the (w1, b1, w2, b2) layout of a forward pass is gone
-        (TypeError, "item 1 must be a 12-tuple", [good, good[:2] + good[6:8]],
-         _untouched(2)),
+    nets, xs = [good, _cond(rng, 8, h=3)], rng.random((3, 8))
+
+    def second(i, value):
         # a bad net after a good one: no row is written before every check
-        (ValueError, "b2 has the wrong shape",
-         [good, good[:7] + (np.zeros(2),) + good[8:]], _untouched(2)),
+        return [good, nets[1][:i] + (value,) + nets[1][i + 1:]]
+
+    zero_width = [_cond(rng, 0) for _ in range(32)]
+    return [
+        # one input is a batch of one row, never a 1-D x
+        (ValueError, "x has the wrong shape", nets, xs[0], _untouched(2), True),
+        (ValueError, "x has the wrong shape", nets, xs[None], _untouched(6), True),
+        (TypeError, "x must be a native float64 array", nets, xs.astype(np.float32),
+         _untouched(6), True),
+        (ValueError, "x must be aligned and C-contiguous", nets, np.asfortranarray(xs),
+         _untouched(6), True),
+        # 2**59 zero-width inputs (numpy's largest such float64 batch) for
+        # 32 nets: rows * m wraps to 0 in a 64-bit product, which an empty
+        # ys_out would match
+        (ValueError, "x has too many rows for 32 nets", zero_width, np.empty((2**59, 0)),
+         np.empty((0, 1)), True),
+        (ValueError, "x has too many rows for 32 nets", zero_width, np.empty((2**59, 0)),
+         _untouched(32), True),
+        # an input narrower than the nets
+        (ValueError, "w1 has the wrong shape", nets, xs[:, :7].copy(), _untouched(6), True),
+        (ValueError, "ys_out has the wrong shape", nets, xs, _untouched(5), True),
+        (ValueError, "ys_out has the wrong shape", nets, xs, _untouched(7), True),
+        (ValueError, "ys_out has the wrong shape", nets, xs, np.full(6, 7.0), True),
+        (ValueError, "ys_out must be writable", nets, xs, _read_only(_untouched(6)), True),
+        (TypeError, "item 1 must be a 12-tuple", [good, good[:11]], xs, _untouched(6), True),
+        # the (w1, b1, w2, b2) layout of a forward pass is gone
+        (TypeError, "item 1 must be a 12-tuple", [good, good[:2] + good[6:8]], xs,
+         _untouched(6), True),
+        # compiled only: its argument parser types the list, and of each net
+        # the twin's forward pass checks only the tuple size and w1's width
+        # (its docstring says why), so it takes these or fails on them with
+        # numpy's own errors
+        (TypeError, "must be list", tuple(nets), xs, _untouched(6), False),
+        (ValueError, "w1 must be aligned and C-contiguous",
+         second(0, np.asfortranarray(nets[1][0])), xs, _untouched(6), False),
+        (TypeError, "w2 must be a native float64 array",
+         second(6, nets[1][6].astype(np.float32)), xs, _untouched(6), False),
+        # the width of ys_out fixes the output width of every net
+        (ValueError, "w2 has the wrong shape", nets, xs, _untouched(6, 3), False),
+        (ValueError, "b1 has the wrong shape", second(1, np.zeros(2)), xs, _untouched(6), False),
+        (ValueError, "b2 has the wrong shape", second(7, np.zeros(2)), xs, _untouched(6), False),
     ]
-    for mod in compiled:
-        for exc, msg, nets, ys in bad_calls:
-            with pytest.raises(exc, match=msg):
-                mod.forward_batch(nets, x, ys)
-            assert np.all(ys == 7.0), (mod, msg)
+
+
+@pytest.mark.parametrize("row", range(len(_forward_refusals())))
+def test_bad_forward_batches_leave_ys_out_untouched(compiled, row):
+    exc, msg, nets, x, ys, twin = _forward_refusals()[row]
+    for mod in (_kernels_py, *compiled) if twin else compiled:
+        with pytest.raises(exc, match=msg):
+            mod.forward_batch(nets, x, ys)
+        assert np.all(ys == 7.0), (mod, msg)
 
 
 def _traced_growth(call, times=300):
@@ -720,73 +675,6 @@ def test_failing_calls_free_what_they_allocated(compiled):
             assert _traced_growth(call) < 1024, (mod, k)
 
 
-def test_bad_batches_fail_before_any_update(compiled):
-    rng = np.random.default_rng(9)
-    x = rng.random(6)
-    good = _pred(rng, 6)
-    before = [a.copy() for a in good if isinstance(a, np.ndarray)]
-    # a bad net after a good one: both backends check every net before they
-    # step any, write out or move any column
-    bad_nets = [
-        (TypeError, "item 1 must be a 12-tuple", lambda net: net[:11]),
-        (TypeError, "eta2 must be a float", lambda net: net[:11] + (1,)),
-        (TypeError, "eta1 must be a float", lambda net: net[:5] + (1,) + net[6:]),
-        (TypeError, "mw1 must be a native float64 array",
-         lambda net: net[:3] + (net[3].astype(np.float32),) + net[4:]),
-        (ValueError, "mask1 has the wrong shape",
-         lambda net: net[:2] + (np.ones((1, 7), np.uint8),) + net[3:]),
-        (ValueError, "w1 must be writable", lambda net: (_read_only(net[0]),) + net[1:]),
-    ]
-    for mod in (_kernels_py, *compiled):
-        for exc, msg, make_bad in bad_nets:
-            bad = make_bad(_pred(rng, 6))
-            nets = [a.copy() for net in (good, bad) for a in net if isinstance(a, np.ndarray)]
-            out, rules = np.full(6, 7.0), spare_rules(2)
-            columns = [np.array(v, copy=True) for v in rules]
-            with pytest.raises(exc, match=msg):
-                mod.reinforce_batch([good, bad], x, 0.9, out, *rules)
-            assert np.all(out == 7.0), (mod, msg)
-            assert all(np.array_equal(np.asarray(v), c)
-                       for v, c in zip(rules, columns)), (mod, msg)
-            stepped = [a for net in (good, bad) for a in net if isinstance(a, np.ndarray)]
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(nets, stepped)), (mod, msg)
-    # a bad output: both backends check it before they step any net or
-    # write anything
-    for mod in (_kernels_py, *compiled):
-        for exc, msg, out in [
-                (ValueError, "out must be writable", _read_only(np.full(6, 7.0))),
-                (ValueError, "out has the wrong shape", np.full(5, 7.0)),
-                (ValueError, "out has the wrong shape", np.full((1, 6), 7.0)),
-                (TypeError, "out must be a native float64 array", np.full(6, 7.0, np.float32)),
-        ]:
-            rules = spare_rules(2)
-            columns = [np.array(v, copy=True) for v in rules]
-            with pytest.raises(exc, match=msg):
-                mod.reinforce_batch([good, good], x, 0.9, out, *rules)
-            assert np.all(out == 7.0), (mod, msg)
-            assert all(np.array_equal(np.asarray(v), c)
-                       for v, c in zip(rules, columns)), (mod, msg)
-    after = [a for a in good if isinstance(a, np.ndarray)]
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    # the rule state: both backends check the positions and the columns
-    # before they step any net or write any output or column
-    for mod in (_kernels_py, *compiled):
-        for exc, msg, name, bad in _bad_rule_args():
-            preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
-            nets = [a.copy() for net in preds for a in net if isinstance(a, np.ndarray)]
-            out = np.full(6, 7.0)
-            rules = dict(zip(_RULE_ARGS, _rule_columns()))
-            rules[name] = bad
-            columns = [np.array(v, copy=True) for v in rules.values()]
-            with pytest.raises(exc, match=msg):
-                mod.reinforce_batch(preds, x, 0.9, out, *rules.values(), 0.1, 0.01, 0.1, 5.0)
-            assert np.all(out == 7.0), (mod, msg)
-            stepped = [a for net in preds for a in net if isinstance(a, np.ndarray)]
-            assert all(np.array_equal(a, b) for a, b in zip(nets, stepped)), (mod, msg)
-            assert all(np.array_equal(np.asarray(v), c)
-                       for v, c in zip(rules.values(), columns)), (mod, msg)
-
-
 _RULE_ARGS = ("pos", "err", "fit", "set_size", "exp")
 
 
@@ -796,14 +684,34 @@ def _rule_columns():
             np.full(5, 4))
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+def _reinforce_refusals():
+    """(exception, message, keyword arguments) of each bad reinforce_batch
+    call: two prediction nets of width 6 over ``_rule_columns``, with one
+    argument bad.  Each call builds the table afresh, the same every time."""
+    rng = np.random.default_rng(9)
+    good, second = preds = [_pred(rng, 6), _pred(rng, 6, h=1)]
+    call = dict(preds=preds, x=rng.random(6), omega=0.9, out=np.full(6, 7.0),
+                **dict(zip(_RULE_ARGS, _rule_columns())), beta=0.1, epsilon0=0.01,
+                alpha=0.1, nu=5.0)
 
+    def bad(i, value):
+        # a bad net after a good one
+        return [good, second[:i] + (value,) + second[i + 1:]]
 
-def _bad_rule_args():
-    """(exception, message, argument, bad value) of a bad rule argument."""
-    return [
+    rows = [
+        (TypeError, "item 1 must be a 12-tuple", "preds", [good, second[:11]]),
+        (TypeError, "eta2 must be a float", "preds", bad(11, 1)),
+        (TypeError, "eta1 must be a float", "preds", bad(5, 1)),
+        (TypeError, "mw1 must be a native float64 array", "preds",
+         bad(3, second[3].astype(np.float32))),
+        (ValueError, "mask1 has the wrong shape", "preds", bad(2, np.ones((1, 7), np.uint8))),
+        (ValueError, "w1 must be writable", "preds", bad(0, _read_only(second[0].copy()))),
+        # an input narrower than a net
+        (ValueError, "w1 has the wrong shape", "preds", [good, _pred(rng, 7)]),
+        (ValueError, "out must be writable", "out", _read_only(np.full(6, 7.0))),
+        (ValueError, "out has the wrong shape", "out", np.full(5, 7.0)),
+        (ValueError, "out has the wrong shape", "out", np.full((1, 6), 7.0)),
+        (TypeError, "out must be a native float64 array", "out", np.full(6, 7.0, np.float32)),
         (TypeError, "pos must be a native int64 array", "pos", np.array([3.0, 1.0])),
         (TypeError, "pos must be a native int64 array", "pos", np.array([3, 1], np.int32)),
         (TypeError, "pos must be a native int64 array", "pos", [3, 1]),
@@ -832,6 +740,27 @@ def _bad_rule_args():
         (TypeError, "exp must be a native int64 array", "exp", None),
         (ValueError, "exp must be writable", "exp", _read_only(np.full(5, 4))),
     ]
+    return [(exc, msg, {**call, name: value}) for exc, msg, name, value in rows]
+
+
+def _arrays(values):
+    """Every array among ``values`` and in their nets' tuples."""
+    if isinstance(values, (list, tuple)):
+        return [a for v in values for a in _arrays(v)]
+    return [values] if isinstance(values, np.ndarray) else []
+
+
+@pytest.mark.parametrize("row", range(len(_reinforce_refusals())))
+def test_bad_batches_fail_before_any_update(compiled, row):
+    # both backends check every net, the output, the positions and the
+    # columns before they step any net or write the output or any column
+    exc, msg, args = _reinforce_refusals()[row]
+    for mod in (_kernels_py, *compiled):
+        before = [a.copy() for a in _arrays(list(args.values()))]
+        with pytest.raises(exc, match=msg):
+            mod.reinforce_batch(**args)
+        after = _arrays(list(args.values()))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after)), (mod, msg)
 
 
 def test_good_rule_arguments_update_only_their_rows(cy):

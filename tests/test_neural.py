@@ -532,10 +532,3 @@ def test_operator_sequences_keep_invariants():
             assert np.array_equal(layer.mom_w[off], np.zeros(int(off.sum())))
             assert ETA_MIN <= layer.eta <= ETA_MAX
             assert np.all((layer.mu >= 1e-4) & (layer.mu <= 1.0))
-
-
-def test_forward_is_deterministic():
-    rng = np.random.default_rng(19)
-    net = new_network(4, 3, 4, rng)
-    x = rng.random(4)
-    assert np.array_equal(forward(net, x), forward(net, x))

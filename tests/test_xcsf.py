@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (SCALAR_DEFAULTS, always_match_condition, make_classifier,
                       make_population, never_match_condition, saturated_network,
-                      spare_rules)
+                      spare_rules, use_backend)
 from lcsae import _kernels_py, kernels, neural, xcsf
 from lcsae.config import ExperimentConfig
 
@@ -269,8 +269,7 @@ def test_reinforce_equals_the_per_rule_loop_bit_for_bit(backend, size, nu, reque
     # fitness of the wrong rule decays onto the floor; match sets of 7, 8,
     # 129 and 500 rules take every branch of the pairwise sum that
     # normalises the accuracies
-    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
-    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
+    use_backend(backend, request, monkeypatch)
     cfg = ExperimentConfig(nu=nu)
     pattern = np.array([1.0, 0.0] * 4)
     right = make_classifier(n=8, prediction=saturated_network(8, pattern))
@@ -509,17 +508,6 @@ def test_roulette_over_an_array_equals_the_list_loop():
             assert xcsf.roulette(weights, a) == _roulette(weights.tolist(), b)
 
 
-def _roulette_by_flatnonzero(weights, rng):
-    """Reference: the first running sum above r, found by ``flatnonzero``."""
-    weights = np.asarray(weights, dtype=float)
-    total = float(np.sum(weights))
-    if total <= 0.0:
-        return int(rng.integers(0, len(weights)))
-    r = rng.random() * total
-    past = np.flatnonzero(np.cumsum(weights) > r)
-    return int(past[0]) if len(past) else len(weights) - 1
-
-
 class _ScriptedUniform:
     """Generator stand-in whose ``random`` returns one scripted value."""
 
@@ -550,12 +538,12 @@ def test_roulette_by_searchsorted_equals_the_first_running_sum_above_r():
               *np.random.default_rng(35).random(50).tolist()]
         for u in us:
             assert (xcsf.roulette(weights, _ScriptedUniform(u))
-                    == _roulette_by_flatnonzero(weights, _ScriptedUniform(u))), (weights, u)
+                    == _roulette(weights, _ScriptedUniform(u))), (weights, u)
     # all-zero weights take the uniform branch, one integer draw
     for weights in ([0.0], [0.0] * 5):
         a, b = np.random.default_rng(36), np.random.default_rng(36)
         for _ in range(20):
-            assert xcsf.roulette(weights, a) == _roulette_by_flatnonzero(weights, b)
+            assert xcsf.roulette(weights, a) == _roulette(weights, b)
         assert a.random() == b.random()
 
 
@@ -816,14 +804,6 @@ def test_reconstruct_one_predicts_with_the_population_when_every_rule_matches(
     assert recon.tobytes() == inner(make_population(rules, fit=fit), x).tobytes()
 
 
-def _use_backend(backend, request, monkeypatch):
-    """Route every kernel call through the numpy twin or the compiled module."""
-    impl = request.getfixturevalue("cy") if backend == "compiled" else _kernels_py
-    monkeypatch.setattr(kernels, "forward_batch", impl.forward_batch)
-    monkeypatch.setattr(kernels, "predict_batch", impl.predict_batch)
-    monkeypatch.setattr(kernels, "reinforce_batch", impl.reinforce_batch)
-
-
 def _varied_population(n, size, seed):
     """Rules with random conditions, of which an input matches some, and
     prediction nets of several hidden sizes and fitnesses."""
@@ -842,7 +822,7 @@ def _varied_population(n, size, seed):
 
 @pytest.mark.parametrize("backend", ["numpy", "compiled"])
 def test_match_matrix_columns_are_the_match_sets(backend, request, monkeypatch):
-    _use_backend(backend, request, monkeypatch)
+    use_backend(backend, request, monkeypatch)
     pop = _varied_population(64, 40, seed=37)
     xs = np.random.default_rng(38).random((12, 64))
     conds = [cl.cond_args for cl in pop.members]
@@ -895,7 +875,7 @@ def _evaluate_cases():
 @pytest.mark.parametrize("mode, backend, memo", _evaluate_cases())
 def test_evaluate_equals_a_pass_per_input_bit_for_bit(mode, backend, memo, request,
                                                       monkeypatch):
-    _use_backend(backend, request, monkeypatch)
+    use_backend(backend, request, monkeypatch)
     # a high threshold leaves some rows matched by nothing
     cfg = ExperimentConfig(mode=mode, match_threshold=0.75)
     pop = _varied_population(64, 30, seed=39)
@@ -936,7 +916,7 @@ def test_evaluate_equals_reconstruct_one_on_rows_one_rule_predicts(backend, requ
     # reconstruct_one gives evaluate's prediction of every row, bit for bit:
     # rows one rule predicts, rows several rules predict and rows that fall
     # back to the whole population
-    _use_backend(backend, request, monkeypatch)
+    use_backend(backend, request, monkeypatch)
     # rows 0-3 have feature 0 high and match only the keyed rule
     xs = np.random.default_rng(41).random((4, 3)) * 0.5
     xs[:, 0] = 1.0
@@ -975,7 +955,7 @@ def test_trial_output_is_the_system_prediction_before_the_update(mode, backend, 
                                                                  monkeypatch):
     # the trial output is the match set's system prediction from the rules
     # as they were before the trial updated them, bit for bit
-    _use_backend(backend, request, monkeypatch)
+    use_backend(backend, request, monkeypatch)
     cfg = ExperimentConfig(N=24, theta_EA=4, mode=mode, match_threshold=0.6, h_M=2)
     rng = np.random.default_rng(46)
     pop = xcsf.init_population(cfg, 6, rng)
@@ -1119,7 +1099,7 @@ def test_run_trial_equals_the_per_rule_learner_bit_for_bit(backend, mode, p_init
                                                             request, monkeypatch):
     # match_batch reads forward_batch from the module, so this routes every
     # kernel call of the learner and of the reference
-    _use_backend(backend, request, monkeypatch)
+    use_backend(backend, request, monkeypatch)
     # a small N and theta_EA make the EA, coverings and deletions all fire;
     # a high threshold makes empty match sets common in xcsf mode
     cfg = ExperimentConfig(N=24, theta_EA=4, theta_del=5, mode=mode, P_init=p_init,
