@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FailingWrites, split_checkpoint, use_backend, write_config, write_csv
+from conftest import FailingWrites, use_backend, write_config, write_csv
 from lcsae import checkpoint, cli, metrics, runner, xcsf
 from lcsae.config import ExperimentConfig, config_to_dict
 
@@ -53,19 +53,16 @@ def test_usage_errors_exit_1(tmp_path):
     assert run_cli("frob", "x").returncode == 1
 
 
-def test_bad_config_exits_1(tmp_path, dataset):
-    cfg = write_config(tmp_path / "bad.cfg", dataset=dataset, nonsense=3)
-    proc = run_cli("run", cfg, "--outdir", str(tmp_path / "out"))
-    assert proc.returncode == 1
-    assert "unknown key" in proc.stderr
-
-
 @pytest.mark.parametrize("key, value", [("chi", 0), ("dataset_format", "idx")])
 def test_a_config_naming_a_removed_key_exits_1(key, value, dataset, tmp_path, capsys):
     # the learner does no crossover, and a data file names its own format
+    # tests/test_config.py's table holds a row per check; this is the
+    # command line's side of one of them
     cfg = _config(tmp_path, dataset, **{key: value})
     assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
-    assert f"unknown key '{key}'" in capsys.readouterr().err
+    # the key follows BASE's keys and the dataset's
+    line = len(BASE) + 2
+    assert capsys.readouterr().err == f"config error: line {line}: unknown key '{key}'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -509,15 +506,6 @@ def test_resume_zero_trials_changes_nothing(tmp_path, dataset):
     assert (out / "population.ckpt").read_bytes() == before_ckpt
 
 
-def test_resume_corrupted_checkpoint_exits_2(tmp_path, dataset):
-    out = tmp_path / "corrupt"
-    assert run_cli("run", _config(tmp_path, dataset), "--outdir", str(out)).returncode == 0
-    ckpt = out / "population.ckpt"
-    ckpt.write_bytes(ckpt.read_bytes()[:100])
-    proc = run_cli("resume", str(ckpt), "--trials", "10")
-    assert proc.returncode == 2
-
-
 def test_global_ea_and_xcsf_both_run(tmp_path, dataset):
     for mode in ("xcsf", "global_ea"):
         cfg = _config(tmp_path, dataset, name=f"{mode}.cfg", mode=mode)
@@ -794,122 +782,6 @@ def small_run(tmp_path_factory, dataset):
     return out / "run"
 
 
-def _header_key(*path, value):
-    def change(ckpt):
-        header, payload = split_checkpoint(ckpt.read_bytes())
-        part = header
-        for key in path[:-1]:
-            part = part[key]
-        part[path[-1]] = value
-        ckpt.write_bytes(checkpoint._pack(header, payload))
-    return change
-
-
-def _saved(change):
-    """Apply ``change`` to the loaded population and save it again;
-    ``save_population`` does not validate."""
-    def corrupt(ckpt):
-        pop, cfg, rng, window = checkpoint.load_population(ckpt)
-        change(pop)
-        checkpoint.save_population(ckpt, pop, cfg, rng, window)
-    return corrupt
-
-
-def _every_rule(name, value):
-    def change(pop):
-        getattr(pop.state, name)[:] = value
-    return _saved(change)
-
-
-def _first_rule(name, value):
-    def change(pop):
-        getattr(pop.state, name)[0] = value
-    return _saved(change)
-
-
-@_saved
-def _no_fitness_anywhere(pop):
-    # unreinforced rules, so that the floor does not apply
-    pop.state.exp[:] = 0
-    pop.state.fit[:] = 0.0
-
-
-@_saved
-def _no_fitness_but_on_the_last_rule(pop):
-    # unreinforced rules of zero fitness: a row that only they match has a
-    # fitness-weighted mean of 0 / 0, and the run used to resume with a
-    # NaN train_mse
-    pop.state.exp[:-1] = 0
-    pop.state.fit[:-1] = 0.0
-
-
-@_saved
-def _reinforced_below_the_floor(pop):
-    pop.state.exp[0] = 3
-    pop.state.fit[0] = xcsf._F_FLOOR / 2
-
-
-# Each case corrupts the checkpoint of a small run and names a part of the
-# error the loader must give.  The rule scalars are payload columns, so
-# their cases change the saved state rather than the header.
-BAD_HEADERS = {
-    "config N 0": (_header_key("config", "N", value=0), "checkpoint config"),
-    "config mode": (_header_key("config", "mode", value="nope"), "checkpoint config"),
-    # keys of checkpoints written while the config still had them
-    "config names chi": (_header_key("config", "chi", value=0.0),
-                         "unknown config key 'chi'"),
-    "config names dataset_format": (_header_key("config", "dataset_format", value=""),
-                                    "unknown config key 'dataset_format'"),
-    "config not a dict": (_header_key("config", value=[1, 2]), "malformed checkpoint"),
-    "config seed float": (_header_key("config", "seed", value=1.5), "seed 1.5 is not of type int"),
-    "config N bool": (_header_key("config", "N", value=True), "N True is not of type int"),
-    "config P_init text": (_header_key("config", "P_init", value="yes"),
-                           "P_init 'yes' is not of type bool"),
-    "window mse_sum text": (_header_key("window", "mse_sum", value="x"), "mse_sum 'x'"),
-    "window empty": (_header_key("window", value={}), "metrics window {}"),
-    "window list": (_header_key("window", value=[1, 2]), "metrics window [1, 2]"),
-    "window extra key": (_header_key("window", "extra", value=0), "exactly the keys"),
-    "window count negative": (_header_key("window", "count", value=-1), "count -1"),
-    "window count float": (_header_key("window", "count", value=1.5), "count 1.5"),
-    "window m_sum inf": (_header_key("window", "m_sum", value=float("inf")), "m_sum inf"),
-    "trial negative": (_header_key("trial", value=-5), "trial -5"),
-    "trial float": (_header_key("trial", value=40.0), "trial 40.0"),
-    "rules negative": (_header_key("rules", value=-1), "rules -1"),
-    "rules float": (_header_key("rules", value=30.0), "rules 30.0"),
-    "rules bool": (_header_key("rules", value=True), "rules True"),
-    "rules a million": (_header_key("rules", value=10**6), "and rates of 1000000 rules need"),
-    "inputs text": (_header_key("inputs", value="8"), "inputs '8'"),
-    "inputs negative": (_header_key("inputs", value=-8), "inputs -8"),
-    "inputs 16": (_header_key("inputs", value=16), "hidden sizes and 16 inputs need"),
-    "version 1": (_header_key("version", value=1), "unsupported version 1"),
-    # the layout that held a numerosity column per rule
-    "version 2": (_header_key("version", value=2), "unsupported version 2"),
-    "more rules than N": (_header_key("config", "N", value=29), "30 rules are more than N=29"),
-    "exp negative": (_first_rule("exp", -1), "rule 0 exp -1"),
-    "mtotal negative": (_first_rule("mtotal", -1), "rule 0 mtotal -1"),
-    "fit nan": (_first_rule("fit", float("nan")), "rule 0 fit nan"),
-    "fit negative": (_first_rule("fit", -1.0), "rule 0 fit -1.0"),
-    "fit 0 everywhere": (_no_fitness_anywhere, "rule 0 fit 0.0 is not finite, > 0"),
-    "fit 0 on all rules but one": (_no_fitness_but_on_the_last_rule,
-                                   "rule 0 fit 0.0 is not finite, > 0"),
-    "fit below the floor once reinforced": (_reinforced_below_the_floor, "rule 0 fit 5e-301"),
-    "err negative": (_first_rule("err", -0.5), "rule 0 err -0.5"),
-    "err inf": (_first_rule("err", float("inf")), "rule 0 err inf"),
-    "set_size 0": (_first_rule("set_size", 0.0), "rule 0 set_size 0.0"),
-    "born after trial": (_first_rule("born", 41), "rule 0 born 41"),
-    # counters the learner never reaches: resumed, a trial of 2**63 - 1
-    # ended in an OverflowError traceback, an exp of 2**63 - 1 overflowed
-    # in the compiled kernel
-    "trial 2**63 - 1": (_header_key("trial", value=2**63 - 1),
-                        "trial 9223372036854775807 is not <= the config's trials 40"),
-    "exp 2**63 - 1 everywhere": (_every_rule("exp", 2**63 - 1),
-                                 "rule 0 exp 9223372036854775807 is not in [0, trial=40]"),
-    "exp after trial": (_first_rule("exp", 41), "rule 0 exp 41"),
-    "mtotal after trial": (_first_rule("mtotal", 41), "rule 0 mtotal 41"),
-    "ts negative": (_first_rule("ts", -1), "rule 0 ts -1"),
-}
-
-
 def test_output_location_that_cannot_be_written_exits_2(small_run, dataset, tmp_path,
                                                         capsys):
     blocker = tmp_path / "a-file"
@@ -924,108 +796,24 @@ def test_output_location_that_cannot_be_written_exits_2(small_run, dataset, tmp_
     assert blocker.read_text() == "not a directory\n"
 
 
-def _assert_refused(ckpt, dataset, tmp_path, capsys):
+def test_a_refused_checkpoint_exits_2_and_changes_nothing(small_run, dataset, tmp_path,
+                                                          capsys):
+    # tests/test_checkpoint.py's loader table holds a row per check; this is
+    # the command line's side of one of them, refused on the last layer read
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    ckpt = run / "population.ckpt"
+    pop, cfg, rng, window = checkpoint.load_population(ckpt)
+    pop.members[0].prediction.layers[1].weights[2, 0] = float("nan")
+    checkpoint.save_population(ckpt, pop, cfg, rng, window)
+    files = {p.name: p.read_bytes() for p in run.iterdir()}
     assert cli.main(["resume", str(ckpt), "--trials", "5"]) == 2
     assert cli.main(["reconstruct", str(ckpt), dataset, "--no-images",
                      "--outdir", str(tmp_path / "rec")]) == 2
     err = capsys.readouterr().err
-    assert err.count("data error") == 2 and "Traceback" not in err
-    return err
-
-
-@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
-def test_checkpoint_header_the_learner_cannot_run_with_exits_2(
-        case, small_run, dataset, tmp_path, capsys):
-    run = tmp_path / "run"
-    shutil.copytree(small_run, run)
-    corrupt, message = BAD_HEADERS[case]
-    corrupt(run / "population.ckpt")
-    assert message in _assert_refused(run / "population.ckpt", dataset, tmp_path, capsys)
-
-
-def _layer(net, k, change):
-    @_saved
-    def corrupt(pop):
-        change(getattr(pop.members[0], net).layers[k])
-    return corrupt
-
-
-@_saved
-def _nan_eta_on_every_prediction_hidden_layer(pop):
-    for cl in pop.members:
-        cl.prediction.layers[0].eta = float("nan")
-
-
-def _set(field, index, value):
-    def change(layer):
-        getattr(layer, field)[index] = value
-    return change
-
-
-def _set_eta(value):
-    def change(layer):
-        layer.eta = value
-    return change
-
-
-def _mask_off_keeping(field):
-    """Mask one connection off but leave its weight or momentum nonzero."""
-    def change(layer):
-        layer.mask[0, 0] = 0
-        layer.weights[0, 0] = layer.mom_w[0, 0] = 0.0
-        getattr(layer, field)[0, 0] = 0.25
-    return change
-
-
-# network values the learner never writes; unchecked, the first two would
-# resume with exit 0 and append NaN errors to metrics.csv
-BAD_NETWORKS = {
-    "eta nan on every prediction hidden layer": (
-        _nan_eta_on_every_prediction_hidden_layer, "rule 0 eta"),
-    "one nan weight": (_layer("prediction", 1, _set("weights", (2, 0), float("nan"))),
-                       "prediction output layer weights are not all finite"),
-    "eta 1e6": (_layer("condition", 1, _set_eta(1e6)), "rule 0 eta"),
-    "eta 0": (_layer("prediction", 1, _set_eta(0.0)), "rule 0 eta"),
-    "inf bias": (_layer("condition", 0, _set("biases", 0, float("inf"))),
-                 "condition hidden layer biases are not all finite"),
-    "nan momentum": (_layer("prediction", 0, _set("mom_b", 0, float("nan"))),
-                     "prediction hidden layer mom_b are not all finite"),
-    "mu above 1": (_layer("prediction", 0, _set("mu", 1, 1.5)), "mutation rates"),
-    "mu below mu_min": (_layer("condition", 1, _set("mu", 0, 0.0)), "mutation rates"),
-    "masks of value 2": (_layer("prediction", 0, _set("mask", slice(None), 2)),
-                         "mask holds a value other than 0 and 1"),
-    "weight on a masked connection": (_layer("prediction", 1, _mask_off_keeping("weights")),
-                                      "on a masked connection"),
-    "momentum on a masked connection": (_layer("condition", 0, _mask_off_keeping("mom_w")),
-                                        "on a masked connection"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_NETWORKS))
-def test_checkpoint_networks_the_learner_never_writes_exit_2(
-        case, small_run, dataset, tmp_path, capsys):
-    run = tmp_path / "run"
-    shutil.copytree(small_run, run)
-    corrupt, message = BAD_NETWORKS[case]
-    corrupt(run / "population.ckpt")
-    assert message in _assert_refused(run / "population.ckpt", dataset, tmp_path, capsys)
-
-
-def test_checkpoint_header_checks_accept_the_written_header(small_run, tmp_path):
-    # a reinforced rule may sit exactly at the fitness floor, born, ts, exp
-    # and mtotal may equal the trial, and the population may hold N rules
-    run = tmp_path / "run"
-    shutil.copytree(small_run, run)
-
-    @_saved
-    def at_the_limits(pop):
-        st = pop.state
-        st.fit[0] = xcsf._F_FLOOR
-        st.born[0] = st.ts[0] = st.exp[0] = st.mtotal[0] = pop.trial
-        assert len(pop.members) == BASE["N"]
-
-    at_the_limits(run / "population.ckpt")
-    assert cli.main(["resume", str(run / "population.ckpt"), "--trials", "5"]) == 0
+    assert err == "data error: prediction output layer weights are not all finite\n" * 2
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == files
+    assert not (tmp_path / "rec").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1057,43 +845,6 @@ def test_out_of_range_arguments_are_usage_errors(
     assert (run / "population.ckpt").read_bytes() == before
     with pytest.raises(ValueError, match="count must be >= 1"):
         runner.reconstruct(run / "population.ckpt", dataset, count=0)
-
-
-@pytest.mark.parametrize("keys, message", [
-    (dict(seed=-1), "seed must be >= 0"),
-    (dict(image_shape="-4,-4"), "image_shape dimensions must be >= 1"),
-    (dict(image_shape="4,4,0"), "image_shape dimensions must be >= 1"),
-])
-def test_negative_seed_or_image_dimension_is_a_config_error(
-        keys, message, dataset, tmp_path, capsys):
-    cfg = _config(tmp_path, dataset, **keys)
-    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}") and "Traceback" not in err
-
-
-_UNDERFLOW = "alpha * (max(1, epsilon_I) / epsilon0) ** -nu underflows to 0"
-
-
-@pytest.mark.parametrize("keys, message", [
-    # each of these used to train to nan errors with exit 0, or (the
-    # negative epsilon0) to die in accuracies with a math domain error
-    (dict(epsilon0=0), "epsilon0 must be finite and > 0"),
-    (dict(epsilon0="nan"), "epsilon0 must be finite and > 0"),
-    (dict(epsilon0=-0.01, nu=2.5), "epsilon0 must be finite and > 0"),
-    (dict(nu="inf"), "nu must be finite and > 0"),
-    (dict(nu=1e308), _UNDERFLOW),
-    (dict(epsilon_I="inf"), "epsilon_I must be finite and >= 0"),
-    (dict(epsilon_I=1e308), _UNDERFLOW),
-    (dict(nu=200), _UNDERFLOW),
-])
-def test_settings_that_make_accuracies_vanish_are_config_errors(
-        keys, message, dataset, tmp_path, capsys):
-    cfg = _config(tmp_path, dataset, **keys)
-    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}") and "Traceback" not in err
-    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1137,15 +888,6 @@ def test_idx_data_with_a_zero_dimension_exits_2(shape, tmp_path, capsys):
     assert err.startswith("data error: ") and "include a 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "metrics.csv").exists()
-
-
-@pytest.mark.parametrize("keys", [dict(h_I=99999999999999999999), dict(h_I=2**63),
-                                  dict(seed=2**64), dict(trials=2**63)])
-def test_integers_beyond_int64_are_config_errors(keys, dataset, tmp_path, capsys):
-    cfg = _config(tmp_path, dataset, N=1, **keys)
-    assert cli.main(["run", cfg, "--outdir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {next(iter(keys))} must be below 2**63")
 
 
 @pytest.mark.parametrize("keys", [dict(h_I=2**40), dict(h_I=2**40, h_max=2**40),

@@ -644,11 +644,11 @@ def _fails(exc, f, *args):
     return call
 
 
-def test_failing_calls_free_what_they_allocated(compiled):
-    # every call fails after the kernel has allocated its array of checked
-    # nets: on the last net, or, for reinforce_batch, on a rule argument
-    # checked after every net; a leak of that array alone would be 300
-    # times 16 net_t structs
+def test_kernel_calls_free_what_they_allocated(compiled):
+    # every call allocates an array of checked nets; a failing call fails
+    # after that: on the last net, or, for reinforce_batch, on a rule
+    # argument checked after every net.  A leak of that array alone would
+    # be 300 times 16 net_t structs
     rng = np.random.default_rng(24)
     conds, preds = [_cond(rng, 8) for _ in range(16)], [_pred(rng, 8) for _ in range(16)]
     bad_cond = conds[-1][:7] + (np.zeros(2),) + conds[-1][8:]
@@ -657,19 +657,23 @@ def test_failing_calls_free_what_they_allocated(compiled):
     matched, fit = np.ones((16, 3), bool), np.ones(16)
     pos, *columns = (np.arange(16), np.zeros(16), np.ones(16), np.ones(16),
                      np.zeros(16, np.int64))
+    rates = (0.1, 0.01, 0.1, 5.0)
     for mod in compiled:
         calls = [
+            lambda: mod.forward_batch(conds, xs, np.empty((48, 1))),
+            lambda: mod.predict_batch(preds, xs, matched, fit, np.empty((3, 8))),
+            lambda: mod.reinforce_batch(preds, xs[0], 0.9, np.empty(8), pos, *columns, *rates),
             _fails(ValueError, mod.forward_batch, conds[:-1] + [bad_cond], xs, _untouched(48)),
             _fails(ValueError, mod.predict_batch, preds[:-1] + [bad_pred], xs, matched, fit,
                    out),
             _fails(ValueError, mod.reinforce_batch, preds[:-1] + [bad_pred], xs[0], 0.9,
-                   out[0], pos, *columns, 0.1, 0.01, 0.1, 5.0),
+                   out[0], pos, *columns, *rates),
             # a repeated position fails on the comparison with the one
             # before it, which allocates nothing more
             _fails(ValueError, mod.reinforce_batch, preds, xs[0], 0.9, out[0],
-                   np.full(16, 3), *columns, 0.1, 0.01, 0.1, 5.0),
+                   np.full(16, 3), *columns, *rates),
             _fails(TypeError, mod.reinforce_batch, preds, xs[0], 0.9, out[0], pos,
-                   *columns[:-1], columns[-1].astype(np.int32), 0.1, 0.01, 0.1, 5.0),
+                   *columns[:-1], columns[-1].astype(np.int32), *rates),
         ]
         for k, call in enumerate(calls):
             assert _traced_growth(call) < 1024, (mod, k)

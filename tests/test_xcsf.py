@@ -417,6 +417,9 @@ def test_deletion_vote_base_and_boost(cfg):
     # fitness at 0.05 of the mean with delta=0.1 boosts the vote twentyfold
     vote = xcsf.deletion_votes(pop, 1.0, cfg)[0]
     assert vote == pytest.approx(2.0 * 20.0, abs=1e-9)
+    # a fitness of exactly delta times the mean is not boosted
+    pop.state.fit[0] = cfg.delta * 1.0
+    assert xcsf.deletion_votes(pop, 1.0, cfg).tolist() == [2.0]
 
 
 def test_deletion_vote_stale_is_maximal(cfg):
